@@ -8,9 +8,12 @@
 
      incremental — Serve.Service with the default dependency-based
                    policy invalidation (lib/analysis);
-     rotation    — the same service with [~invalidation:Rotate], the
-                   pre-analysis behaviour: every policy change strands
-                   the whole cache;
+     rotation    — the same service, with every policy change applied
+                   as [set_policy ~subjects] (re-supplying the unchanged
+                   subjects): the subject-swap path rotates the
+                   fingerprint without migrating, the pre-analysis
+                   behaviour where every policy change strands the
+                   whole cache;
      oracle      — a fresh cache-less service per query (replan + verify
                    + execute from scratch under the then-current policy).
 
@@ -162,30 +165,31 @@ let () =
   Printf.printf
     "churn: %d queries, %d policy mutations (pool %d, repeat %.2f)\n%!"
     n_queries n_mutations !pool_size !repeat_rate;
-  let service invalidation =
-    Serve.Service.create ~invalidation ~policy:policy0 ~subjects:Gen.subjects
+  let service () =
+    Serve.Service.create ~policy:policy0 ~subjects:Gen.subjects
       ~tables:(tables ()) ~udfs:udf_impls ~deliver_to:Gen.user ()
   in
   (* sequential replay: submissions one at a time, so every mutation
      point falls exactly between the same two queries in each replay *)
-  let replay invalidation =
-    let s = service invalidation in
+  let replay set_policy =
+    let s = service () in
     let responses =
       List.filter_map
         (function
           | `Query q -> Some (Serve.Service.submit s q)
           | `Set policy ->
-              Serve.Service.set_policy s policy;
+              set_policy s policy;
               None)
         script
     in
     (responses, Serve.Service.stats s)
   in
   let (incremental, inc_stats), inc_ms =
-    time_ms (fun () -> replay Serve.Service.Incremental)
+    time_ms (fun () -> replay (fun s p -> Serve.Service.set_policy s p))
   in
   let (rotation, rot_stats), rot_ms =
-    time_ms (fun () -> replay Serve.Service.Rotate)
+    time_ms (fun () ->
+        replay (fun s p -> Serve.Service.set_policy ~subjects:Gen.subjects s p))
   in
   (* oracle: a fresh cache-less service per query — full replan under
      the then-current policy *)

@@ -140,7 +140,6 @@ let () =
   let burst = ref 4 in
   let deadline_ms = ref None in
   let jobs = ref 1 in
-  let shards = ref 4 in
   let ints s = List.map int_of_string (String.split_on_char ',' s) in
   let rec parse = function
     | [] -> ()
@@ -171,15 +170,12 @@ let () =
     | "--jobs" :: n :: rest ->
         jobs := int_of_string n;
         parse rest
-    | "--shards" :: n :: rest ->
-        shards := int_of_string n;
-        parse rest
     | arg :: _ ->
         Printf.eprintf
           "load_bench: unknown argument %s\n\
            usage: load_bench [--quick] [--clients L] [--backlogs L] \
            [--requests N] [--burst N] [--deadline-ms T] [--jobs N] \
-           [--shards N] [--policy FILE] [-o FILE]\n"
+           [--policy FILE] [-o FILE]\n"
           arg;
         exit 1
   in
@@ -279,7 +275,7 @@ let () =
      Y loses plaintext visibility of P on Ins), so the two tenants
      genuinely plan differently over the same schemas. Correctness
      gates first: every pool query submitted under each tenant of one
-     sharded two-tenant service must be byte-identical to a
+     two-tenant service must be byte-identical to a
      single-tenant oracle service running that tenant's policy alone,
      a warm second pass must hit inside each tenant's own key space,
      and cross_tenant_hits must be 0 — here and after the socket load
@@ -303,7 +299,7 @@ let () =
   in
   let make_multi () =
     let s =
-      Serve.Service.create ?pool ~shards:!shards ~policy:policy_a
+      Serve.Service.create ?pool ~policy:policy_a
         ~subjects:env.Authz.Policy_dsl.subjects ~tables ()
     in
     Serve.Service.add_tenant s ~id:"blue" ~policy:policy_b ();
@@ -407,9 +403,9 @@ let () =
       mstats.Serve.Service.cross_tenant_hits
   end;
   Printf.printf
-    "multi-tenant: %d clients over %d tenants, %d shards: %6.0f qps, p95 \
-     %6.2f ms, %d cross-tenant hits, %d oracle divergences\n%!"
-    mt_clients mstats.Serve.Service.tenants mstats.Serve.Service.shards
+    "multi-tenant: %d clients over %d tenants: %6.0f qps, p95 %6.2f ms, %d \
+     cross-tenant hits, %d oracle divergences\n%!"
+    mt_clients mstats.Serve.Service.tenants
     (float_of_int manswered /. (mwall_ms /. 1000.0))
     (percentile mlats 0.95)
     mstats.Serve.Service.cross_tenant_hits !divergences;
@@ -421,7 +417,6 @@ let () =
         ("answered", Json.Int manswered);
         ("unanswered", Json.Int munanswered);
         ("tenants", Json.Int mstats.Serve.Service.tenants);
-        ("shards", Json.Int mstats.Serve.Service.shards);
         ( "cross_tenant_hits",
           Json.Int mstats.Serve.Service.cross_tenant_hits );
         ("oracle_divergences", Json.Int !divergences);
@@ -448,7 +443,6 @@ let () =
           | Some t -> Json.Int t
           | None -> Json.Null );
         ("quick", Json.Bool !quick);
-        ("shards", Json.Int !shards);
         ("sweep", Json.List sweep);
         ("multi_tenant", multi_tenant_json) ]
   in

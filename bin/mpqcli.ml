@@ -796,15 +796,6 @@ let serve_cmd =
              ~doc:"Seed for the $(b,--netfaults) schedule: the same seed \
                    and spec reproduce the same per-session fault plan.")
   in
-  let shards_arg =
-    Arg.(value & opt int 1
-         & info [ "shards" ] ~docv:"N"
-             ~doc:"Split the plan and sub-plan caches into $(docv) \
-                   mutex-guarded shards so worker domains probe \
-                   concurrently. Capacity, recency and eviction stay \
-                   global: responses and final cache contents are \
-                   identical at any shard count.")
-  in
   let tenants_arg =
     Arg.(value & opt_all string []
          & info [ "tenant" ] ~docv:"ID=FILE"
@@ -818,7 +809,7 @@ let serve_cmd =
                    unnamed environment is tenant $(b,default).")
   in
   let run policy_path table_specs file cache batch listen backlog deadline_ms
-      netfaults fault_seed shards tenants jobs obs =
+      netfaults fault_seed tenants jobs obs =
     guard @@ fun () ->
     with_obs obs @@ fun () ->
     Par.with_pool ~name:"serve" jobs @@ fun pool ->
@@ -826,7 +817,7 @@ let serve_cmd =
     let tables = load_tables env table_specs in
     let service =
       Serve.Service.create ?pool ~cache_capacity:cache ~max_batch:batch
-        ~shards ~policy:env.Authz.Policy_dsl.policy
+        ~policy:env.Authz.Policy_dsl.policy
         ~subjects:env.Authz.Policy_dsl.subjects ~tables ()
     in
     (* tenant subject populations, for the \policy same-subjects check *)
@@ -864,9 +855,7 @@ let serve_cmd =
           | Some spec -> Serve.Netfaults.parse spec
         in
         let config =
-          { Serve.Server.default_config with
-            Serve.Server.backlog; deadline_ms = deadline_ms;
-            netfaults = nf; fault_seed }
+          { Serve.Server.backlog; deadline_ms; netfaults = nf; fault_seed }
         in
         let server = Serve.Server.create ~config ~service addr in
         let stop _ = Serve.Server.stop server in
@@ -1077,7 +1066,7 @@ let serve_cmd =
     Term.(
       const run $ policy_arg $ tables_arg $ file_arg $ cache_arg $ batch_arg
       $ listen_arg $ backlog_arg $ deadline_arg $ netfaults_arg
-      $ fault_seed_arg $ shards_arg $ tenants_arg $ jobs_arg $ obs_args)
+      $ fault_seed_arg $ tenants_arg $ jobs_arg $ obs_args)
 
 (* --- audit ----------------------------------------------------------- *)
 

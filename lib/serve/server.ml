@@ -10,7 +10,7 @@
      read → [netfaults: garble? delay?] → admission
        admission: backlog full? -> "shed" | parse? -> "parse error"
                   | enqueue (deadline attached)
-     dispatch (<= cfg.dispatch per loop turn):
+     dispatch (<= dispatch_per_turn per loop turn):
        Service.submit_batch_requests — the service checks the deadline
        at its admission and again between plan and exec
      response formatted -> session out-queue -> nonblocking writes
@@ -41,19 +41,27 @@ let addr_to_string = function
 
 type config = {
   backlog : int;
-  dispatch : int;
   deadline_ms : int option;
-  max_sessions : int;
-  outq_highwater : int;
   netfaults : Netfaults.spec;
   fault_seed : int;
-  drain_grace_s : float;
 }
 
 let default_config =
-  { backlog = 64; dispatch = 16; deadline_ms = None; max_sessions = 64;
-    outq_highwater = 1 lsl 20; netfaults = Netfaults.none; fault_seed = 1337;
-    drain_grace_s = 5.0 }
+  { backlog = 64; deadline_ms = None; netfaults = Netfaults.none;
+    fault_seed = 1337 }
+
+(* requests handed to the service per loop turn: keeps the accept path
+   responsive under a deep backlog *)
+let dispatch_per_turn = 16
+
+let max_sessions = 64
+
+(* per-session pending output (bytes) past which the loop stops reading
+   that session *)
+let outq_highwater = 1 lsl 20
+
+(* shutdown bound on flushing already-computed responses *)
+let drain_grace_s = 5.0
 
 type summary = {
   sum_sid : int;
@@ -334,7 +342,7 @@ let handle_request t s n line (verdict : Netfaults.request_verdict) =
         push_out t s
           (Printf.sprintf
              "-- [%d] rejected: directive %s is not available over a socket \
-              (sessions are isolated; only \\stats)\n"
+              (sessions are isolated; only \\stats and \\tenant)\n"
              n d)
     | [] -> ()
   else begin
@@ -406,7 +414,7 @@ let dispatch t =
          due)
   end;
   if not (Queue.is_empty t.backlog) then begin
-    let n = min t.cfg.dispatch (Queue.length t.backlog) in
+    let n = min dispatch_per_turn (Queue.length t.backlog) in
     let items = List.init n (fun _ -> Queue.pop t.backlog) in
     let reqs =
       List.map
@@ -498,7 +506,7 @@ let accept_session t =
   match Unix.accept t.listen_fd with
   | fd, _ ->
       Unix.set_nonblock fd;
-      if List.length t.sessions >= t.cfg.max_sessions then begin
+      if List.length t.sessions >= max_sessions then begin
         t.c_sessions_refused <- t.c_sessions_refused + 1;
         Obs.incr "server.sessions_refused";
         let msg =
@@ -566,7 +574,7 @@ let run t =
          everything already admitted or delayed and flush within the
          grace budget *)
       close_listener ();
-      drain_deadline := Unix.gettimeofday () +. t.cfg.drain_grace_s;
+      drain_deadline := Unix.gettimeofday () +. drain_grace_s;
       List.iter (fun s -> s.eof <- true) t.sessions
     end;
     dispatch t;
@@ -593,7 +601,7 @@ let run t =
             (fun s ->
               if
                 (not s.dead) && (not s.eof) && (not s.closing)
-                && s.out_bytes < t.cfg.outq_highwater
+                && s.out_bytes < outq_highwater
               then Some s.fd
               else None)
             t.sessions

@@ -56,21 +56,17 @@ val addr_to_string : addr -> string
 
 type config = {
   backlog : int;  (** global admitted-request bound (default 64) *)
-  dispatch : int;
-      (** requests dispatched to the service per loop iteration — keeps
-          the accept path responsive under a deep backlog (default 16) *)
   deadline_ms : int option;
       (** per-request budget from line arrival (default none) *)
-  max_sessions : int;  (** concurrent session bound (default 64) *)
-  outq_highwater : int;
-      (** per-session pending output (bytes) past which the server
-          stops reading that session (default 1 MiB) *)
   netfaults : Netfaults.spec;  (** chaos plan (default {!Netfaults.none}) *)
   fault_seed : int;  (** seed for per-session fault derivation *)
-  drain_grace_s : float;
-      (** shutdown bound on flushing already-computed responses
-          (default 5 s) *)
 }
+(** The fixed limits are not configurable: at most 16 requests are
+    handed to the service per loop iteration, at most 64 sessions are
+    open at once (the next connection reads
+    [-- \[0\] shed: session limit (64 active)] and is closed), a
+    session whose pending output passes 1 MiB is not read until it
+    drains, and shutdown flushes for at most 5 s. *)
 
 val default_config : config
 
@@ -84,7 +80,7 @@ type summary = {
 
 type stats = {
   sessions : int;  (** sessions accepted *)
-  sessions_refused : int;  (** refused at the [max_sessions] bound *)
+  sessions_refused : int;  (** refused at the 64-session bound *)
   requests : int;  (** request lines read (after chaos injection) *)
   accepted : int;  (** admitted to the backlog *)
   tables : int;

@@ -55,14 +55,10 @@ type subentry = {
   sub_env : string;
   sub_tenant : string;
   base_key : string;  (* key minus the environment component *)
-  skey : string;  (* structural fingerprint: the shard key *)
 }
-
-type invalidation = Rotate | Incremental
 
 type t = {
   tenants : Tenancy.registry;
-  invalidation : invalidation;
   base : Planner.Estimate.base_stats;
   udfs : (string * Engine.Exec.udf) list;
   tables : (string * Engine.Table.t) list;
@@ -70,10 +66,10 @@ type t = {
   pool : Par.pool option;
   max_batch : int;
   now : unit -> float;  (* deadline clock, injectable for tests *)
-  cache : cached Shard_lru.t;
+  cache : cached Lru.t;
   sharing : bool;
   dag : Planner.Dag.t;
-  subcache : subentry Shard_lru.t;
+  subcache : subentry Lru.t;
   derive_memo : Verify.Derive.memo;
   mutable queries : int;
   mutable rejections : int;
@@ -112,11 +108,13 @@ type request = { query : Plan.t; deadline : float option; tenant : string }
 let request ?deadline ?(tenant = Tenancy.default_id) query =
   { query; deadline; tenant }
 
+(* bound of the sub-plan result tier, in entries *)
+let subcache_capacity = 256
+
 let create ?(cache_capacity = 128) ?(max_batch = 32) ?pool ?config ?pricing
     ?network ?(base = fun _ -> None) ?deliver_to ?max_latency ?(udfs = [])
-    ?(seed = 42L) ?(invalidation = Incremental) ?(sharing = true)
-    ?(subcache_capacity = 256) ?(shards = 1) ?(now = Unix.gettimeofday)
-    ~policy ~subjects ~tables () =
+    ?(seed = 42L) ?(sharing = true) ?(now = Unix.gettimeofday) ~policy
+    ~subjects ~tables () =
   if max_batch < 1 then
     invalid_arg (Printf.sprintf "Service.create: max_batch %d < 1" max_batch);
   let tenants = Tenancy.registry () in
@@ -124,9 +122,9 @@ let create ?(cache_capacity = 128) ?(max_batch = 32) ?pool ?config ?pricing
     (Tenancy.make ~id:Tenancy.default_id ?config ?pricing ?network
        ?deliver_to ?max_latency ~policy ~subjects ());
   let dag = Planner.Dag.create () in
-  { tenants; invalidation; base; udfs; tables; seed; pool; max_batch; now;
-    cache = Shard_lru.create ~capacity:cache_capacity ~shards; sharing; dag;
-    subcache = Shard_lru.create ~capacity:subcache_capacity ~shards;
+  { tenants; base; udfs; tables; seed; pool; max_batch; now;
+    cache = Lru.create ~capacity:cache_capacity; sharing; dag;
+    subcache = Lru.create ~capacity:subcache_capacity;
     derive_memo = Verify.Derive.memo ~fp:(Planner.Dag.fingerprint dag) ();
     queries = 0; rejections = 0; expired = 0; invalidated = 0;
     reverified = 0; retained = 0; subplan_hits = 0; subplan_stores = 0;
@@ -150,9 +148,12 @@ let add_tenant t ~id ?policy ?subjects ?config ?pricing ?network ?deliver_to
        ~pricing:(pick pricing (fun d -> d.Tenancy.pricing))
        ~network:(pick network (fun d -> d.Tenancy.network))
        ?deliver_to:
-         (match deliver_to with
-         | Some _ as x -> x
-         | None -> d.Tenancy.deliver_to)
+         (* a tenant with its own subjects gets its own recipient (the
+            first [User] among them) unless one is named: the default
+            tenant's recipient may not even be one of its subjects *)
+         (match (deliver_to, subjects) with
+         | Some _, _ | None, Some _ -> deliver_to
+         | None, None -> d.Tenancy.deliver_to)
        ?max_latency:
          (match max_latency with
          | Some _ as x -> x
@@ -230,14 +231,10 @@ let subjects_by_pos (extended : Authz.Extend.t) =
     extended.Authz.Extend.plan;
   arr
 
-(* Returns the base key (everything but the environment) plus the
-   subtree's structural fingerprint — the latter doubles as the shard
-   key: it is the one component rekeying never rewrites, so an entry's
-   shard is fixed for its lifetime. *)
+(* The base key: everything but the environment. *)
 let base_key_of t ~clusters ~subjects ~pos n =
-  let fp = Planner.Dag.fingerprint t.dag n in
   let buf = Buffer.create 128 in
-  Buffer.add_string buf (kfield fp);
+  Buffer.add_string buf (kfield (Planner.Dag.fingerprint t.dag n));
   let crypto_free =
     match Planner.Dag.find t.dag n with
     | Some i -> i.Planner.Dag.crypto_free
@@ -259,7 +256,7 @@ let base_key_of t ~clusters ~subjects ~pos n =
   for p = pos to pos + sz - 1 do
     Buffer.add_string buf (kfield subjects.(p))
   done;
-  (Buffer.contents buf, fp)
+  Buffer.contents buf
 
 (* The positions at which an execution of [exec_plan] may consult or
    feed the sub-plan cache: the root (whole-result memoization — a
@@ -277,9 +274,9 @@ let memo_positions t (tn : Tenancy.t) (r : Planner.Optimizer.result)
   let rec walk ~search pos n =
     let shared = Planner.Dag.occurrences t.dag n > 1 in
     if pos = 0 || (search && shared) then begin
-      let base, skey = base_key_of t ~clusters ~subjects ~pos n in
+      let base = base_key_of t ~clusters ~subjects ~pos n in
       Hashtbl.replace keys pos
-        (subcache_key ~env:tn.Tenancy.env base, base, Plan.size n, skey)
+        (subcache_key ~env:tn.Tenancy.env base, base, Plan.size n)
     end;
     List.iter
       (fun (c, p) -> walk ~search:(not shared) p c)
@@ -289,14 +286,13 @@ let memo_positions t (tn : Tenancy.t) (r : Planner.Optimizer.result)
   keys
 
 type subcache_event =
-  | Sub_hit of { pos : int; key : string; skey : string }
+  | Sub_hit of { pos : int; key : string }
   | Sub_foreign of { pos : int; key : string }
   | Sub_store of {
       pos : int;
       key : string;
       base : string;
       size : int;
-      skey : string;
       table : Engine.Table.t;
     }
 
@@ -305,13 +301,13 @@ let event_pos = function
   | Sub_foreign e -> e.pos
   | Sub_store e -> e.pos
 
-(* Worker-domain-safe memo closures over the sharded subcache: lookups
-   are per-shard-locked [Shard_lru.peek]s (no recency, no global
-   state), every observation is buffered under a mutex, and the
+(* Worker-domain-safe memo closures over the subcache: lookups are
+   pure [Lru.peek]s against a snapshot nothing mutates while workers
+   run, every observation is buffered under a mutex, and the
    coordinator replays the buffer — sorted by position, so
    sibling-parallel execution order cannot leak into the replay —
    after the exec phase. The subcache therefore evolves identically at
-   any job count and any shard count, like the plan cache.
+   any job count, like the plan cache.
 
    The tenant check on a hit is the fail-closed armor over the
    key-space isolation argument: the environment component inside the
@@ -333,22 +329,22 @@ let make_memo t (tn : Tenancy.t) keys =
         (fun ~pos _plan ->
           match Hashtbl.find_opt keys pos with
           | None -> None
-          | Some (key, _, _, skey) -> (
-              match Shard_lru.peek t.subcache ~skey key with
+          | Some (key, _, _) -> (
+              match Lru.peek t.subcache key with
               | Some (se : subentry)
                 when not (String.equal se.sub_tenant tn.Tenancy.id) ->
                   record (Sub_foreign { pos; key });
                   None
               | Some se ->
-                  record (Sub_hit { pos; key; skey });
+                  record (Sub_hit { pos; key });
                   Some se.table
               | None -> None));
       store =
         (fun ~pos _plan table ->
           match Hashtbl.find_opt keys pos with
           | None -> ()
-          | Some (key, base, size, skey) ->
-              record (Sub_store { pos; key; base; size; skey; table }));
+          | Some (key, base, size) ->
+              record (Sub_store { pos; key; base; size; table }));
     }
   in
   (memo, events)
@@ -365,15 +361,15 @@ let replay_subcache t (tn : Tenancy.t) (r : Planner.Optimizer.result) events =
   in
   List.iter
     (function
-      | Sub_hit { key; skey; _ } ->
-          ignore (Shard_lru.find t.subcache ~skey key);
+      | Sub_hit { key; _ } ->
+          ignore (Lru.find t.subcache key);
           t.subplan_hits <- t.subplan_hits + 1;
           Obs.incr "serve.subcache.hits"
       | Sub_foreign _ ->
           t.cross_tenant_hits <- t.cross_tenant_hits + 1;
           Obs.incr "serve.cross_tenant_hits"
-      | Sub_store { pos; key; base; size; skey; table } ->
-          if not (Shard_lru.mem t.subcache ~skey key) then begin
+      | Sub_store { pos; key; base; size; table } ->
+          if not (Lru.mem t.subcache key) then begin
             let sub_deps =
               Analysis.Deps.of_subplan ?deliver_to:tn.Tenancy.deliver_to
                 ~derive_memo:t.derive_memo
@@ -382,9 +378,9 @@ let replay_subcache t (tn : Tenancy.t) (r : Planner.Optimizer.result) events =
             in
             t.subplan_stores <- t.subplan_stores + 1;
             Obs.incr "serve.subcache.stores";
-            Shard_lru.add t.subcache ~skey key
+            Lru.add t.subcache key
               { table; sub_deps; sub_env = tn.Tenancy.env;
-                sub_tenant = tn.Tenancy.id; base_key = base; skey }
+                sub_tenant = tn.Tenancy.id; base_key = base }
           end)
     evs
 
@@ -418,7 +414,7 @@ let migrate t (tn : Tenancy.t) ~old_policy ~old_env =
   in
   let dep_subjects = ref Authz.Subject.Set.empty in
   let _ =
-    Shard_lru.remap t.cache (fun key c ->
+    Lru.remap t.cache (fun key c ->
         if mine c then
           dep_subjects :=
             Authz.Subject.Set.union (Analysis.Deps.subjects_of c.deps)
@@ -448,7 +444,7 @@ let migrate t (tn : Tenancy.t) ~old_policy ~old_env =
             { c with env = tn.Tenancy.env } )
       in
       let dropped =
-        Shard_lru.remap t.cache (fun key c ->
+        Lru.remap t.cache (fun key c ->
             if not (mine c) then
               (* another tenant's entry, or one stranded by an earlier
                  non-policy rotation: not ours to migrate *)
@@ -504,7 +500,7 @@ let migrate t (tn : Tenancy.t) ~old_policy ~old_env =
          Again scoped to the mutated tenant: another tenant's entries
          keep their keys and recency. *)
       let sub_dropped =
-        Shard_lru.remap t.subcache (fun key se ->
+        Lru.remap t.subcache (fun key se ->
             if
               not
                 (String.equal se.sub_tenant tn.Tenancy.id
@@ -531,13 +527,10 @@ let set_policy ?subjects ?(tenant = Tenancy.default_id) t policy =
   tn.Tenancy.policy <- policy;
   (match subjects with Some s -> tn.Tenancy.subjects <- s | None -> ());
   Tenancy.rotate tn;
-  match t.invalidation with
-  | Rotate -> ()
-  | Incremental ->
-      (* a subject-population swap changes which views matter in ways
-         the per-entry dependency sets cannot bound: fall back to the
-         rotation the fingerprint change already performed *)
-      if subjects = None then migrate t tn ~old_policy ~old_env
+  (* a subject-population swap changes which views matter in ways the
+     per-entry dependency sets cannot bound: fall back to the rotation
+     the fingerprint change already performed *)
+  if subjects = None then migrate t tn ~old_policy ~old_env
 
 let set_config ?(tenant = Tenancy.default_id) t config =
   let tn = tenant_exn t tenant in
@@ -555,8 +548,8 @@ let set_network ?(tenant = Tenancy.default_id) t network =
   Tenancy.rotate tn
 
 let invalidate t =
-  Shard_lru.clear t.cache;
-  Shard_lru.clear t.subcache;
+  Lru.clear t.cache;
+  Lru.clear t.subcache;
   Planner.Dag.clear t.dag;
   Verify.Derive.memo_clear t.derive_memo
 
@@ -675,7 +668,7 @@ let run_tasks t thunks =
    not be able to perturb anything observable. *)
 let serve_round t requests =
   Obs.with_span "serve.batch" @@ fun () ->
-  let before = Shard_lru.stats t.cache in
+  let before = Lru.stats t.cache in
   let admit_now = t.now () in
   (* phase 1 — probe: resolve every request's tenant, fingerprint the
      live ones, pick the distinct missing keys. Pure: no cache
@@ -703,7 +696,7 @@ let serve_round t requests =
          (fun acc -> function
            | `Unknown _ | `Expired _ -> acc
            | `Live (tn, q, qfp, key, _, _) ->
-               if Shard_lru.mem t.cache ~skey:qfp key
+               if Lru.mem t.cache key
                   || List.mem_assoc key acc
                then acc
                else (key, (tn, q, qfp)) :: acc)
@@ -737,7 +730,7 @@ let serve_round t requests =
         | `Live (tn, q, qfp, key, deadline, key_ms) -> (
             let t0 = now_ms () in
             let hit =
-              match Shard_lru.find t.cache ~skey:qfp key with
+              match Lru.find t.cache key with
               | Some entry
                 when not (String.equal entry.tenant tn.Tenancy.id) ->
                   t.cross_tenant_hits <- t.cross_tenant_hits + 1;
@@ -768,7 +761,7 @@ let serve_round t requests =
                    state, so it happens here rather than in the
                    parallel plan phase *)
                 let entry = finalize t tn q entry in
-                Shard_lru.add t.cache ~skey:qfp key entry;
+                Lru.add t.cache key entry;
                 `Resolved
                   (tn, key, entry, deadline, Miss,
                    key_ms +. (now_ms () -. t0) +. plan_ms)))
@@ -892,12 +885,12 @@ let serve_round t requests =
       classified
   in
   (* accounting (coordinator only, deterministic) *)
-  let after = Shard_lru.stats t.cache in
-  Obs.incr ~by:(after.Shard_lru.hits - before.Shard_lru.hits)
+  let after = Lru.stats t.cache in
+  Obs.incr ~by:(after.Lru.hits - before.Lru.hits)
     "serve.cache.hits";
-  Obs.incr ~by:(after.Shard_lru.misses - before.Shard_lru.misses)
+  Obs.incr ~by:(after.Lru.misses - before.Lru.misses)
     "serve.cache.misses";
-  Obs.incr ~by:(after.Shard_lru.evictions - before.Shard_lru.evictions)
+  Obs.incr ~by:(after.Lru.evictions - before.Lru.evictions)
     "serve.cache.evictions";
   List.iter
     (fun ((r : response), (tn : Tenancy.t option)) ->
@@ -970,26 +963,24 @@ type stats = {
   subplan_entries : int;
   shared_execs : int;
   tenants : int;
-  shards : int;
   cross_tenant_hits : int;
   plan_ms : float;
   exec_ms : float;
 }
 
 let stats t =
-  let c = Shard_lru.stats t.cache in
+  let c = Lru.stats t.cache in
   { queries = t.queries; rejections = t.rejections; expired = t.expired;
-    hits = c.Shard_lru.hits;
-    misses = c.Shard_lru.misses; insertions = c.Shard_lru.insertions;
-    evictions = c.Shard_lru.evictions; invalidated = t.invalidated;
+    hits = c.Lru.hits;
+    misses = c.Lru.misses; insertions = c.Lru.insertions;
+    evictions = c.Lru.evictions; invalidated = t.invalidated;
     reverified = t.reverified; retained = t.retained;
-    entries = Shard_lru.length t.cache;
-    capacity = Shard_lru.capacity t.cache;
+    entries = Lru.length t.cache;
+    capacity = Lru.capacity t.cache;
     subplan_hits = t.subplan_hits; subplan_stores = t.subplan_stores;
     subplan_invalidated = t.subplan_invalidated;
-    subplan_entries = Shard_lru.length t.subcache;
+    subplan_entries = Lru.length t.subcache;
     shared_execs = t.shared_execs; tenants = Tenancy.count t.tenants;
-    shards = Shard_lru.shards t.cache;
     cross_tenant_hits = t.cross_tenant_hits;
     plan_ms = t.plan_ms_total; exec_ms = t.exec_ms_total }
 
@@ -997,11 +988,10 @@ let hit_rate s =
   let looked = s.hits + s.misses in
   if looked = 0 then 0.0 else float_of_int s.hits /. float_of_int looked
 
-let cache_keys t = Shard_lru.keys t.cache
-let subcache_keys t = Shard_lru.keys t.subcache
+let cache_keys t = Lru.keys t.cache
+let subcache_keys t = Lru.keys t.subcache
 let dag_stats t = Planner.Dag.stats t.dag
 let derivations_shared t = Verify.Derive.memo_hits t.derive_memo
-let shard_probes t = Shard_lru.probes t.subcache
 
 let subplan_hit_rate s =
   let looked = s.subplan_hits + s.subplan_stores in
@@ -1013,13 +1003,13 @@ let render_stats s =
     "%d queries (%d rejected, %d expired): %d hits, %d misses (%.1f%% hit \
      rate), %d/%d entries, %d evictions; %d invalidated, %d reverified, \
      %d retained; subplans %d hits / %d stores (%d entries, %d \
-     invalidated), %d shared execs; %d tenants, %d shards, %d cross-tenant \
-     hits; plan %.2f ms, exec %.2f ms"
+     invalidated), %d shared execs; %d tenants, %d cross-tenant hits; \
+     plan %.2f ms, exec %.2f ms"
     s.queries s.rejections s.expired s.hits s.misses
     (100.0 *. hit_rate s)
     s.entries s.capacity s.evictions s.invalidated s.reverified s.retained
     s.subplan_hits s.subplan_stores s.subplan_entries s.subplan_invalidated
-    s.shared_execs s.tenants s.shards s.cross_tenant_hits s.plan_ms s.exec_ms
+    s.shared_execs s.tenants s.cross_tenant_hits s.plan_ms s.exec_ms
 
 let stats_json s =
   Json.Obj
@@ -1043,7 +1033,6 @@ let stats_json s =
       ("subplan_entries", Json.Int s.subplan_entries);
       ("shared_execs", Json.Int s.shared_execs);
       ("tenants", Json.Int s.tenants);
-      ("shards", Json.Int s.shards);
       ("cross_tenant_hits", Json.Int s.cross_tenant_hits);
       ("plan_ms", Json.Float s.plan_ms);
       ("exec_ms", Json.Float s.exec_ms) ]

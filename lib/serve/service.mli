@@ -20,11 +20,11 @@
 
     {2 Incremental policy invalidation}
 
-    Under the default [Incremental] mode, {!set_policy} does better
-    than wholesale rotation: it diffs the old and new policies as
-    {e fact sets} ({!Analysis.Delta}) and consults each cached entry's
-    authorization dependency set ({!Analysis.Deps}) — the exact facts
-    the verifier's certification of that plan consumed. Entries whose
+    {!set_policy} does better than wholesale rotation: it diffs the
+    old and new policies as {e fact sets} ({!Analysis.Delta}) and
+    consults each cached entry's authorization dependency set
+    ({!Analysis.Deps}) — the exact facts the verifier's certification
+    of that plan consumed. Entries whose
     dependency set is disjoint from the delta provably keep their
     verdict and are rekeyed under the new environment fingerprint
     (recency intact); entries overlapping only on {e added} facts are
@@ -43,11 +43,13 @@
     each {e distinct} missing key in parallel; (3) replay — perform
     the real cache lookups and insertions sequentially, in request
     order, on the coordinating domain, then execute result plans in
-    parallel. Because phase 3 is the only phase that mutates the
-    cache, the cache's evolution (hit/miss sequence, insertion order,
-    evictions) is identical at any job count, and results are
-    byte-identical to serial execution (ciphertext bytes included —
-    the {!Engine.Exec} position-derived randomness guarantee).
+    parallel. Both caches are single {!Lru}s, mutated only on the
+    coordinating domain (the plan cache in phase 3, the sub-plan cache
+    in the replay described below), so the cache's evolution
+    (hit/miss sequence, insertion order, evictions) is identical at
+    any job count, and results are byte-identical to serial execution
+    (ciphertext bytes included — the {!Engine.Exec} position-derived
+    randomness guarantee).
 
     {2 Multi-query optimization: plan DAGs and sub-plan sharing}
 
@@ -94,13 +96,6 @@ open Relalg
 
 type t
 
-(** How {!set_policy} treats resident cache entries: [Rotate] makes
-    them all unreachable (the pre-analysis behaviour); [Incremental]
-    (default) migrates entries the policy delta provably cannot
-    affect. Both modes serve byte-identical responses — [Incremental]
-    just replans less. *)
-type invalidation = Rotate | Incremental
-
 val create :
   ?cache_capacity:int ->
   ?max_batch:int ->
@@ -113,10 +108,7 @@ val create :
   ?max_latency:float ->
   ?udfs:(string * Engine.Exec.udf) list ->
   ?seed:int64 ->
-  ?invalidation:invalidation ->
   ?sharing:bool ->
-  ?subcache_capacity:int ->
-  ?shards:int ->
   ?now:(unit -> float) ->
   policy:Authz.Authorization.t ->
   subjects:Authz.Subject.t list ->
@@ -136,16 +128,11 @@ val create :
     between-plan-and-exec expiry deterministically). [sharing]
     (default [true]) enables the multi-query optimizations above;
     [false] is the isolated baseline the differential tests compare
-    against — responses are byte-identical either way.
-    [subcache_capacity] bounds the sub-plan result tier (default 256
-    entries, LRU). [shards] (default 1) splits both caches' hashtables
-    into that many mutex-guarded shards (see {!Shard_lru}) so worker
-    domains can probe concurrently; capacity, recency and eviction
-    stay global, so responses and final cache-key sets are identical
-    at any shard count. The service starts with one registered tenant,
-    {!Tenancy.default_id}, built from [policy]/[subjects] and the
-    optional environment arguments; more are added with
-    {!add_tenant}. *)
+    against — responses are byte-identical either way. The sub-plan
+    result tier is an LRU of 256 entries. The service starts with one
+    registered tenant, {!Tenancy.default_id}, built from
+    [policy]/[subjects] and the optional environment arguments; more
+    are added with {!add_tenant}. *)
 
 (** {2 Tenants}
 
@@ -171,7 +158,10 @@ val add_tenant :
   unit ->
   unit
 (** Register a new tenant. Unsupplied components are copied from the
-    default tenant's current values. Raises [Invalid_argument] when
+    default tenant's current values, with one exception: when
+    [subjects] is supplied and [deliver_to] is not, the recipient is
+    the first [User] among the tenant's own subjects (as in {!create}),
+    never the default tenant's. Raises [Invalid_argument] when
     [id] is already registered. *)
 
 val tenant_ids : t -> string list
@@ -190,14 +180,14 @@ val set_policy :
   unit
 (** Swap the named tenant's policy (default tenant when unnamed, and
     optionally its subject population). Always rotates that tenant's
-    environment fingerprint; in [Incremental] mode (and when
-    [subjects] is not supplied) the tenant's surviving entries are
-    then migrated to the new fingerprint per the dependency protocol
-    above, so its unaffected plans keep hitting. Entries of {e other}
-    tenants are untouched in every respect: their fingerprints did not
-    rotate, their keys stay resident, their recency is preserved
-    (asserted by the per-tenant invalidation test). Raises
-    [Invalid_argument] on an unknown tenant. *)
+    environment fingerprint; when [subjects] is not supplied the
+    tenant's surviving entries are then migrated to the new
+    fingerprint per the dependency protocol above, so its unaffected
+    plans keep hitting. Entries of {e other} tenants are untouched in
+    every respect: their fingerprints did not rotate, their keys stay
+    resident, their recency is preserved (asserted by the per-tenant
+    invalidation test). Raises [Invalid_argument] on an unknown
+    tenant. *)
 
 val set_config : ?tenant:string -> t -> Authz.Opreq.config -> unit
 val set_pricing : ?tenant:string -> t -> Planner.Pricing.t -> unit
@@ -311,7 +301,6 @@ type stats = {
   shared_execs : int;
       (** responses aliased onto a same-key execution in their round *)
   tenants : int;  (** registered tenants *)
-  shards : int;  (** cache shard count *)
   cross_tenant_hits : int;
       (** cache hits refused because the entry belonged to another
           tenant — structurally impossible while keys embed the tenant
@@ -342,11 +331,6 @@ val dag_stats : t -> Planner.Dag.stats
 val derivations_shared : t -> int
 (** Profile derivations answered from the service's fingerprint-keyed
     derivation memo. *)
-
-val shard_probes : t -> int array
-(** Per-shard worker-probe counts of the sub-plan cache
-    ({!Shard_lru.probes}) — the exec-phase traffic distribution over
-    shards. *)
 
 val render_stats : stats -> string
 (** One line: queries, hits/misses/rate, evictions, latencies. *)

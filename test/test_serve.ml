@@ -80,7 +80,8 @@ let test_lru_bounds () =
    stamp-based reference model, across random op sequences that hold
    the cache at capacity (the regime the O(1) eviction exists for),
    including remap migrations (drop / rebind / rekey), whose contract
-   is to preserve recency order. *)
+   is to preserve recency order, pure peeks (no recency refresh, no
+   statistics) and clears (statistics kept). *)
 let test_lru_model_differential () =
   let module Ref = struct
     (* the old O(n) implementation, reduced to its observable core *)
@@ -147,6 +148,9 @@ let test_lru_model_differential () =
     let keys t =
       List.map fst
         (List.sort (fun (_, (_, a)) (_, (_, b)) -> compare b a) t.entries)
+
+    let peek t k = Option.map fst (List.assoc_opt k t.entries)
+    let clear t = t.entries <- []
   end in
   let rng = Mpq_crypto.Prng.create 7L in
   let key () = string_of_int (Mpq_crypto.Prng.int rng 12) in
@@ -164,20 +168,28 @@ let test_lru_model_differential () =
         s.Serve.Lru.evictions ]
   in
   for step = 1 to 600 do
-    (match Mpq_crypto.Prng.int rng 10 with
-    | 0 | 1 | 2 | 3 ->
+    (match Mpq_crypto.Prng.int rng 21 with
+    | 0 | 1 | 2 | 3 | 4 | 5 | 6 | 7 ->
         let k = key () in
         Serve.Lru.add lru k step;
         Ref.add model k step
-    | 4 | 5 | 6 | 7 ->
+    | 8 | 9 | 10 | 11 | 12 | 13 | 14 | 15 ->
         let k = key () in
         Alcotest.(check (option int)) "find agrees" (Ref.find model k)
           (Serve.Lru.find lru k)
-    | 8 ->
+    | 16 ->
         let k = key () in
         Alcotest.(check bool) "mem agrees"
           (List.mem_assoc k model.Ref.entries)
           (Serve.Lru.mem lru k)
+    | 17 ->
+        let k = key () in
+        Alcotest.(check (option int)) "peek agrees" (Ref.peek model k)
+          (Serve.Lru.peek lru k)
+    | 20 ->
+        Ref.clear model;
+        Serve.Lru.clear lru;
+        Alcotest.(check int) "clear empties" 0 (Serve.Lru.length lru)
     | _ ->
         (* a migration pass: drop ~1/4, rekey ~1/4, rewrite the rest in
            place — recency order must survive on both sides *)

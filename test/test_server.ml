@@ -9,7 +9,8 @@
       identical to a run where it had the server to itself, and leaves
       the shared cache statistics untouched by refused requests;
    3. overload — a backlog bound refuses the excess with structured
-      shed lines (none admitted when the bound is zero), deadlines
+      shed lines (none admitted when the bound is zero), the session
+      bound refuses the 65th connection with one shed line, deadlines
       are refused structurally at admission and between plan and exec;
    4. shutdown — stop() drains admitted and delayed requests, flushes,
       and ends every session with EOF, not a hang;
@@ -153,7 +154,11 @@ let test_stats_directive () =
       Alcotest.(check string) "stats answered" "stats" stats.Serve.Client.tag;
       Alcotest.(check string)
         "mutating directive refused structurally" "rejected"
-        refused.Serve.Client.tag
+        refused.Serve.Client.tag;
+      Alcotest.(check string) "refusal names what a socket honours"
+        "directive \\policy is not available over a socket \
+         (sessions are isolated; only \\stats and \\tenant)"
+        refused.Serve.Client.info
   | rs -> Alcotest.failf "expected 2 replies, got %d" (List.length rs)
 
 (* --- isolation -------------------------------------------------------- *)
@@ -226,6 +231,43 @@ let test_shed_structured () =
   Alcotest.(check int) "service untouched" 0 ss.Serve.Service.queries;
   Alcotest.(check int) "no hits" 0 ss.Serve.Service.hits;
   Alcotest.(check int) "no misses" 0 ss.Serve.Service.misses
+
+(* The 65th concurrent connection is refused with one structured line
+   and closed; the 64 live sessions are still served. *)
+let test_session_limit () =
+  let oracle = oracle_csv () in
+  with_server @@ fun server _service addr ->
+  let live = List.init 64 (fun _ -> Serve.Client.connect addr) in
+  let extra = Serve.Client.connect addr in
+  (match Serve.Client.recv_all extra with
+  | [ r ] ->
+      Alcotest.(check (pair int string)) "refusal frame" (0, "shed")
+        (r.Serve.Client.line, r.Serve.Client.tag);
+      Alcotest.(check string) "refusal text" "session limit (64 active)"
+        r.Serve.Client.info
+  | rs -> Alcotest.failf "expected one refusal line, got %d" (List.length rs));
+  Serve.Client.close extra;
+  List.iteri
+    (fun i c -> Serve.Client.send c queries.(i mod Array.length queries))
+    live;
+  List.iteri
+    (fun i c ->
+      Serve.Client.shutdown_send c;
+      (match Serve.Client.recv_all c with
+      | [ r ] ->
+          Alcotest.(check (option string))
+            (Printf.sprintf "session %d answered" i)
+            (Some oracle.(i mod Array.length queries))
+            (Serve.Client.table_csv r)
+      | rs ->
+          Alcotest.failf "session %d: expected one reply, got %d" i
+            (List.length rs));
+      Serve.Client.close c)
+    live;
+  let st = Serve.Server.stats server in
+  Alcotest.(check int) "one session refused" 1 st.Serve.Server.sessions_refused;
+  Alcotest.(check int) "64 sessions accepted" 64 st.Serve.Server.sessions;
+  Alcotest.(check int) "64 tables" 64 st.Serve.Server.tables
 
 let test_deadline_at_admission () =
   with_server
@@ -466,6 +508,8 @@ let () =
       ( "overload",
         [ Alcotest.test_case "backlog full sheds structurally" `Quick
             test_shed_structured;
+          Alcotest.test_case "session limit refuses the 65th" `Quick
+            test_session_limit;
           Alcotest.test_case "deadline refused at admission" `Quick
             test_deadline_at_admission;
           Alcotest.test_case "deadline between plan and exec" `Quick

@@ -1,13 +1,6 @@
-(* Multi-tenant sharded serving: the isolation & determinism battery.
+(* Multi-tenant serving: the isolation & determinism battery.
 
-   1. Shard_lru — a sharded cache must be observationally identical to
-      the single-table Lru it replaces: a randomized op stream
-      (find/peek/add/remap with rekeying, drops and collisions) is
-      replayed against the Lru oracle and Shard_lru at 1, 4 and 16
-      shards, comparing keys, order, stats and remap drop counts at
-      every checkpoint. Sharding partitions lock granularity, never
-      behaviour.
-   2. cross-tenant isolation — the same query stream served under two
+   1. cross-tenant isolation — the same query stream served under two
       tenants with different policies produces per-tenant responses
       byte-identical to single-tenant oracle services, disjoint cache
       key sets, additive hit/miss/sub-plan statistics (no cross-tenant
@@ -15,17 +8,19 @@
       key-space property: the tenant id is a field of the environment
       fingerprint, so two tenants cannot collide even when their
       policies are byte-identical.
-   3. shard determinism — one generated stream (queries + policy
-      mutations, two tenants) replayed at shards {1,4,16} x jobs
-      {1,MPQ_JOBS} yields byte-identical responses, identical
-      hit/miss/eviction stats, and identical final plan- and sub-plan
-      cache key sets: the PR-5/PR-6 deterministic cache-evolution
-      guarantee survives sharding.
-   4. per-tenant invalidation — revoking a permission in tenant A
+   2. stream determinism — one generated stream (queries + policy
+      mutations, two tenants) replayed at jobs {1,MPQ_JOBS} yields
+      byte-identical responses, identical hit/miss/eviction stats, and
+      identical final plan- and sub-plan cache key sets: the
+      deterministic cache-evolution guarantee holds with tenants.
+   3. per-tenant invalidation — revoking a permission in tenant A
       drops exactly the entries a single-tenant control service would
       drop (the Analysis.Deps prediction), while tenant B's warm hits,
       sub-plan entries, environment fingerprint and counters are
-      untouched. *)
+      untouched.
+   4. per-tenant recipients — a tenant registered with its own subject
+      population is served for its own user, exactly as a
+      single-tenant service over that population. *)
 
 open Relalg
 open Authz
@@ -46,127 +41,6 @@ let par_jobs =
   match Sys.getenv_opt "MPQ_JOBS" with
   | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 4)
   | None -> 4
-
-(* --- Shard_lru vs Lru oracle ------------------------------------------ *)
-
-(* Keys are [structural-fingerprint # environment] composites like the
-   serve layer's, so remap can rotate the environment component while
-   the shard key stays fixed — the exact rekeying contract Shard_lru
-   documents. Rotating back onto an environment that still has
-   residents also exercises the remap collision path (later visited
-   wins) on both sides of the differential. *)
-let test_shard_lru_oracle_differential () =
-  let rand = Random.State.make [| 0x5EED; 0x10 |] in
-  let skeys = Array.init 10 (Printf.sprintf "fp%02d") in
-  let envs = [| "e0"; "e1"; "e2"; "e3" |] in
-  let compose sk env = sk ^ "#" ^ env in
-  let skey_of k =
-    match String.index_opt k '#' with
-    | Some i -> String.sub k 0 i
-    | None -> k
-  in
-  let env_idx = ref 0 in
-  let oracle = Serve.Lru.create ~capacity:24 in
-  let shs =
-    List.map
-      (fun n -> (n, Serve.Shard_lru.create ~capacity:24 ~shards:n))
-      [ 1; 4; 16 ]
-  in
-  let check msg =
-    let keys = Serve.Lru.keys oracle in
-    let so = Serve.Lru.stats oracle in
-    List.iter
-      (fun (n, t) ->
-        Alcotest.(check (list string))
-          (Printf.sprintf "%s: keys/order @%d shards" msg n)
-          keys (Serve.Shard_lru.keys t);
-        Alcotest.(check int)
-          (Printf.sprintf "%s: length @%d shards" msg n)
-          (List.length keys) (Serve.Shard_lru.length t);
-        let st = Serve.Shard_lru.stats t in
-        Alcotest.(check (list int))
-          (Printf.sprintf "%s: stats @%d shards" msg n)
-          [ so.Serve.Lru.hits; so.Serve.Lru.misses; so.Serve.Lru.insertions;
-            so.Serve.Lru.evictions ]
-          [ st.Serve.Shard_lru.hits; st.Serve.Shard_lru.misses;
-            st.Serve.Shard_lru.insertions; st.Serve.Shard_lru.evictions ])
-      shs
-  in
-  for step = 1 to 600 do
-    let r = Random.State.int rand 100 in
-    let sk = skeys.(Random.State.int rand (Array.length skeys)) in
-    let k = compose sk envs.(!env_idx) in
-    if r < 45 then (
-      let v = Random.State.int rand 1000 in
-      Serve.Lru.add oracle k v;
-      List.iter (fun (_, t) -> Serve.Shard_lru.add t ~skey:sk k v) shs)
-    else if r < 75 then (
-      let o = Serve.Lru.find oracle k in
-      List.iter
-        (fun (n, t) ->
-          if Serve.Shard_lru.find t ~skey:sk k <> o then
-            Alcotest.failf "step %d: find diverges @%d shards" step n)
-        shs)
-    else if r < 90 then (
-      let o = Serve.Lru.peek oracle k and m = Serve.Lru.mem oracle k in
-      List.iter
-        (fun (n, t) ->
-          if Serve.Shard_lru.peek t ~skey:sk k <> o then
-            Alcotest.failf "step %d: peek diverges @%d shards" step n;
-          if Serve.Shard_lru.mem t ~skey:sk k <> m then
-            Alcotest.failf "step %d: mem diverges @%d shards" step n)
-        shs)
-    else (
-      (* environment rotation: rekey every binding (shard key fixed),
-         dropping the multiples of 7 — Lru.remap's drop + collision
-         semantics must survive sharding verbatim *)
-      env_idx := (!env_idx + 1) mod Array.length envs;
-      let nenv = envs.(!env_idx) in
-      let f k v =
-        if v mod 7 = 0 then None else Some (compose (skey_of k) nenv, v + 1)
-      in
-      let d0 = Serve.Lru.remap oracle f in
-      List.iter
-        (fun (n, t) ->
-          let d = Serve.Shard_lru.remap t f in
-          if d <> d0 then
-            Alcotest.failf "step %d: remap dropped %d, oracle %d @%d shards"
-              step d d0 n)
-        shs);
-    if step mod 25 = 0 then check (Printf.sprintf "step %d" step)
-  done;
-  check "final";
-  List.iter (fun (_, t) -> Serve.Shard_lru.clear t) shs;
-  Serve.Lru.clear oracle;
-  check "after clear"
-
-let test_shard_lru_edges () =
-  Alcotest.check_raises "capacity < 1"
-    (Invalid_argument "Shard_lru.create: capacity 0 < 1") (fun () ->
-      ignore (Serve.Shard_lru.create ~capacity:0 ~shards:1));
-  Alcotest.check_raises "shards < 1"
-    (Invalid_argument "Shard_lru.create: shards 0 < 1") (fun () ->
-      ignore (Serve.Shard_lru.create ~capacity:8 ~shards:0));
-  let t = Serve.Shard_lru.create ~capacity:8 ~shards:4 in
-  Alcotest.(check int) "capacity" 8 (Serve.Shard_lru.capacity t);
-  Alcotest.(check int) "shards" 4 (Serve.Shard_lru.shards t);
-  let skeys = List.init 12 (Printf.sprintf "k%d") in
-  List.iter
-    (fun sk ->
-      let i = Serve.Shard_lru.shard_of t ~skey:sk in
-      Alcotest.(check bool) "shard index in range" true (i >= 0 && i < 4);
-      Alcotest.(check int) "shard placement is stable" i
-        (Serve.Shard_lru.shard_of t ~skey:sk))
-    skeys;
-  List.iteri (fun i sk -> Serve.Shard_lru.add t ~skey:sk sk i) skeys;
-  Alcotest.(check int) "bounded" 8 (Serve.Shard_lru.length t);
-  List.iter (fun sk -> ignore (Serve.Shard_lru.peek t ~skey:sk sk)) skeys;
-  Alcotest.(check int) "probe counters sum to the peek count" 12
-    (Array.fold_left ( + ) 0 (Serve.Shard_lru.probes t));
-  Serve.Shard_lru.clear t;
-  Alcotest.(check int) "clear empties" 0 (Serve.Shard_lru.length t);
-  Alcotest.(check (list string)) "clear empties keys" []
-    (Serve.Shard_lru.keys t)
 
 (* --- service fixtures ------------------------------------------------- *)
 
@@ -189,9 +63,9 @@ let demo_tables (env : Policy_dsl.t) =
         [ [| s "alice"; n 120 |]; [| s "bob"; n 300 |];
           [| s "carol"; n 80 |]; [| s "dave"; n 150 |] ] ) ]
 
-let example_service ?pool ?shards ?policy () =
+let example_service ?pool ?policy () =
   let env = example_env () in
-  Serve.Service.create ?pool ?shards
+  Serve.Service.create ?pool
     ~policy:(Option.value ~default:env.Policy_dsl.policy policy)
     ~subjects:env.Policy_dsl.subjects ~tables:(demo_tables env) ()
 
@@ -223,14 +97,14 @@ let udf_impls =
         in
         Value.Int (int_of_float total mod 97) ) ]
 
-let gen_service ?pool ?shards policy =
-  Serve.Service.create ?pool ?shards ~policy ~subjects:Gen.subjects
+let gen_service ?pool policy =
+  Serve.Service.create ?pool ~policy ~subjects:Gen.subjects
     ~tables:(gen_catalog_tables ()) ~udfs:udf_impls ~deliver_to:Gen.user ()
 
 (* --- tenant registry -------------------------------------------------- *)
 
 let test_tenant_registry () =
-  let service = example_service ~shards:4 () in
+  let service = example_service () in
   Alcotest.(check (list string)) "starts with the default tenant"
     [ Serve.Tenancy.default_id ]
     (Serve.Service.tenant_ids service);
@@ -280,7 +154,6 @@ let test_tenant_registry () =
        .Serve.Service.status = Serve.Service.Hit);
   let stats = Serve.Service.stats service in
   Alcotest.(check int) "tenants counted" 2 stats.Serve.Service.tenants;
-  Alcotest.(check int) "shards reported" 4 stats.Serve.Service.shards;
   Alcotest.(check int) "no cross-tenant hits" 0
     stats.Serve.Service.cross_tenant_hits;
   let per = Serve.Service.tenant_stats service in
@@ -410,16 +283,15 @@ let prop_cross_tenant_isolation =
         QCheck.Test.fail_report "warm replay produced cross-tenant hits";
       true)
 
-(* --- shard determinism ------------------------------------------------ *)
+(* --- stream determinism ----------------------------------------------- *)
 
 (* One concretized stream — queries under two tenants plus interleaved
-   default-tenant policy mutations — replayed at shards {1,4,16} x
-   jobs {1,MPQ_JOBS}. Every replay must produce byte-identical
-   responses, identical hit/miss/insertion/eviction statistics and
-   identical final plan- and sub-plan-cache key sets: capacity and
-   recency are global in Shard_lru, so the shard count (like the job
-   count since PR 5) is invisible to everything but lock contention. *)
-let test_shard_determinism () =
+   default-tenant policy mutations — replayed at jobs {1,MPQ_JOBS}.
+   Every replay must produce byte-identical responses, identical
+   hit/miss/insertion/eviction statistics and identical final plan- and
+   sub-plan-cache key sets: every cache mutation happens on the
+   coordinating domain, so the job count is invisible. *)
+let test_stream_determinism () =
   let rand = Random.State.make [| 0x7E4A47 |] in
   let plan_pool = Array.init 10 (fun _ -> Gen.gen_plan rand) in
   let policy0 = Gen.gen_policy rand in
@@ -446,9 +318,9 @@ let test_shard_determinism () =
                   (policy', `Set policy' :: acc))
             (policy0, []) events))
   in
-  let replay ~shards ~jobs () =
+  let replay ~jobs () =
     let run pool =
-      let service = gen_service ?pool ~shards policy0 in
+      let service = gen_service ?pool policy0 in
       Serve.Service.add_tenant service ~id:"b" ~policy:policy_b ();
       let flush batch acc =
         match batch with
@@ -471,8 +343,7 @@ let test_shard_determinism () =
       ( responses,
         Serve.Service.cache_keys service,
         Serve.Service.subcache_keys service,
-        Serve.Service.stats service,
-        Array.fold_left ( + ) 0 (Serve.Service.shard_probes service) )
+        Serve.Service.stats service )
     in
     if jobs <= 1 then run None
     else
@@ -480,16 +351,12 @@ let test_shard_determinism () =
       Fun.protect ~finally:(fun () -> Par.shutdown pool) @@ fun () ->
       run (Some pool)
   in
-  let base_r, base_keys, base_sub, base_stats, base_probes =
-    replay ~shards:1 ~jobs:1 ()
-  in
+  let base_r, base_keys, base_sub, base_stats = replay ~jobs:1 () in
   Alcotest.(check bool) "stream produced queries" true (base_r <> []);
   List.iter
-    (fun (shards, jobs) ->
-      let label what =
-        Printf.sprintf "%s @%d shards, %d jobs" what shards jobs
-      in
-      let r, keys, sub, stats, probes = replay ~shards ~jobs () in
+    (fun jobs ->
+      let label what = Printf.sprintf "%s @%d jobs" what jobs in
+      let r, keys, sub, stats = replay ~jobs () in
       Alcotest.(check int) (label "response count") (List.length base_r)
         (List.length r);
       List.iteri
@@ -525,9 +392,8 @@ let test_shard_determinism () =
           stats.Serve.Service.subplan_invalidated;
           stats.Serve.Service.shared_execs ];
       Alcotest.(check int) (label "cross-tenant hits") 0
-        stats.Serve.Service.cross_tenant_hits;
-      Alcotest.(check int) (label "worker probe volume") base_probes probes)
-    [ (1, par_jobs); (4, 1); (4, par_jobs); (16, 1); (16, par_jobs) ]
+        stats.Serve.Service.cross_tenant_hits)
+    [ par_jobs ]
 
 (* --- per-tenant invalidation ------------------------------------------ *)
 
@@ -541,7 +407,7 @@ let test_per_tenant_invalidation () =
          (Str.regexp_string "authorize Ins to Y plain P enc C")
          "authorize Ins to Y enc C" Policy_dsl.example)
   in
-  let multi = example_service ~shards:4 () in
+  let multi = example_service () in
   Serve.Service.add_tenant multi ~id:"b" ();
   let submit tenant = Serve.Service.submit_sql ~tenant multi running_query in
   let a1 = submit "default" in
@@ -620,19 +486,56 @@ let test_per_tenant_invalidation () =
   Alcotest.(check int) "still no cross-tenant hits" 0
     (Serve.Service.stats multi).Serve.Service.cross_tenant_hits
 
+(* --- per-tenant recipients --------------------------------------------- *)
+
+(* The running example with its user renamed: a tenant registered with
+   this subject population must be served for V, its own user. Copying
+   the default tenant's recipient (U, not even one of its subjects)
+   would make the planner refuse the query for U. *)
+let test_tenant_own_recipient () =
+  let renamed =
+    Policy_dsl.parse
+      (List.fold_left
+         (fun text (a, b) -> Str.global_replace (Str.regexp_string a) b text)
+         Policy_dsl.example
+         [ ("user U\n", "user V\n"); ("to U plain", "to V plain") ])
+  in
+  let multi = example_service () in
+  Serve.Service.add_tenant multi ~id:"acme" ~policy:renamed.Policy_dsl.policy
+    ~subjects:renamed.Policy_dsl.subjects ();
+  let single =
+    Serve.Service.create ~policy:renamed.Policy_dsl.policy
+      ~subjects:renamed.Policy_dsl.subjects ~tables:(demo_tables renamed) ()
+  in
+  let expected = Serve.Service.submit_sql single running_query in
+  (match expected.Serve.Service.outcome with
+  | Serve.Service.Table t ->
+      Alcotest.(check int) "the renamed policy answers the query" 2
+        (Engine.Table.cardinality t)
+  | _ -> Alcotest.fail "single-tenant service should answer the query");
+  let got = Serve.Service.submit_sql ~tenant:"acme" multi running_query in
+  Alcotest.(check bool) "tenant answers as the single-tenant service" true
+    (outcome_equal expected.Serve.Service.outcome got.Serve.Service.outcome);
+  (* an explicit recipient still wins, even one the policy refuses *)
+  let u = Subject.user "U" in
+  Serve.Service.add_tenant multi ~id:"named" ~policy:renamed.Policy_dsl.policy
+    ~subjects:renamed.Policy_dsl.subjects ~deliver_to:u ();
+  (match
+     (Serve.Service.submit_sql ~tenant:"named" multi running_query)
+       .Serve.Service.outcome
+   with
+  | Serve.Service.Rejected _ -> ()
+  | _ -> Alcotest.fail "an explicit recipient outside the policy is refused")
+
 let () =
   Alcotest.run "tenancy"
-    [ ( "shard-lru",
-        [ ("oracle differential at 1/4/16 shards", `Quick,
-           test_shard_lru_oracle_differential);
-          ("bounds, probes, stability, clear", `Quick, test_shard_lru_edges) ]
-      );
-      ( "tenants",
+    [ ( "tenants",
         [ ("registry, unknown tenant, key-space separation", `Quick,
            test_tenant_registry);
           QCheck_alcotest.to_alcotest prop_cross_tenant_isolation;
           ("per-tenant invalidation with Deps predictions", `Quick,
-           test_per_tenant_invalidation) ] );
+           test_per_tenant_invalidation);
+          ("own subjects, own recipient", `Quick, test_tenant_own_recipient)
+        ] );
       ( "determinism",
-        [ ("one stream at shards {1,4,16} x jobs {1,N}", `Slow,
-           test_shard_determinism) ] ) ]
+        [ ("one stream at jobs {1,N}", `Slow, test_stream_determinism) ] ) ]
