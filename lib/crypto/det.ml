@@ -7,47 +7,21 @@ let key_of_string master =
   { mac = Prf.create (Prf.expand prf "det-mac" 16);
     enc = Speck.expand_key (Prf.expand prf "det-enc" 16) }
 
-let int64_of_bytes s =
-  let v = ref 0L in
-  for i = 7 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code s.[i]))
-  done;
-  !v
-
-let keystream enc iv len =
-  let buf = Buffer.create len in
-  let i = ref 0 in
-  while Buffer.length buf < len do
-    let block = Speck.encrypt_block enc (Int64.add iv (Int64.of_int !i)) in
-    for b = 0 to 7 do
-      if Buffer.length buf < len then
-        Buffer.add_char buf
-          (Char.chr
-             (Int64.to_int
-                (Int64.logand (Int64.shift_right_logical block (8 * b)) 255L)))
-    done;
-    incr i
-  done;
-  Buffer.contents buf
-
-let xor_strings a b =
-  String.init (String.length a) (fun i ->
-      Char.chr (Char.code a.[i] lxor Char.code b.[i]))
-
 let encrypt k plaintext =
-  let iv_bytes = Prf.mac_bytes k.mac plaintext in
-  let iv = int64_of_bytes iv_bytes in
-  let ks = keystream k.enc iv (String.length plaintext) in
-  iv_bytes ^ xor_strings plaintext ks
+  let len = String.length plaintext in
+  let iv = Prf.mac k.mac plaintext in
+  let out = Bytes.create (8 + len) in
+  Bytes.set_int64_le out 0 iv;
+  Speck.ctr_xor k.enc iv plaintext 0 out 8 len;
+  Bytes.unsafe_to_string out
 
 let decrypt k ciphertext =
-  if String.length ciphertext < 8 then
-    invalid_arg "Det.decrypt: ciphertext too short";
-  let iv_bytes = String.sub ciphertext 0 8 in
-  let body = String.sub ciphertext 8 (String.length ciphertext - 8) in
-  let iv = int64_of_bytes iv_bytes in
-  let ks = keystream k.enc iv (String.length body) in
-  let plaintext = xor_strings body ks in
-  if not (String.equal (Prf.mac_bytes k.mac plaintext) iv_bytes) then
+  let n = String.length ciphertext in
+  if n < 8 then invalid_arg "Det.decrypt: ciphertext too short";
+  let iv = String.get_int64_le ciphertext 0 in
+  let out = Bytes.create (n - 8) in
+  Speck.ctr_xor k.enc iv ciphertext 8 out 0 (n - 8);
+  let plaintext = Bytes.unsafe_to_string out in
+  if not (Int64.equal (Prf.mac k.mac plaintext) iv) then
     failwith "Det.decrypt: authentication failure";
   plaintext

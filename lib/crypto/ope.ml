@@ -14,116 +14,109 @@ let key_of_string master =
 (* Recursive binary partition. Plain range [plo, phi] (inclusive) maps into
    cipher range [clo, chi]; invariant: chi - clo >= phi - plo. The pivot
    splits the plain range in half; the cipher split point is PRF-derived
-   within the slack so that both halves keep enough room. *)
-let rec enc_range key plo phi clo chi x =
-  if plo = phi then
-    (* Whole cipher slice belongs to this plaintext: pick a deterministic
-       point inside it. *)
-    clo + Prf.int_below key (Printf.sprintf "leaf:%d" plo) (chi - clo + 1)
-  else
-    let pm = plo + ((phi - plo) / 2) in
-    let nl = pm - plo + 1 and nr = phi - pm in
-    let slack = chi - clo + 1 - (nl + nr) in
-    let sl =
-      Prf.int_below key (Printf.sprintf "node:%d:%d:%d:%d" plo phi clo chi)
-        (slack + 1)
-    in
-    let cm = clo + nl + sl - 1 in
-    if x <= pm then enc_range key plo pm clo cm x
-    else enc_range key (pm + 1) phi (cm + 1) chi x
+   within the slack so that both halves keep enough room. A leaf's whole
+   cipher slice belongs to its plaintext, which gets a PRF-chosen point
+   inside it. The PRF labels are "node:plo:phi:clo:chi" and "leaf:plo".
 
-let rec dec_range key plo phi clo chi c =
-  if plo = phi then plo
-  else
-    let pm = plo + ((phi - plo) / 2) in
-    let nl = pm - plo + 1 and nr = phi - pm in
-    let slack = chi - clo + 1 - (nl + nr) in
-    let sl =
-      Prf.int_below key (Printf.sprintf "node:%d:%d:%d:%d" plo phi clo chi)
-        (slack + 1)
-    in
-    let cm = clo + nl + sl - 1 in
-    if c <= cm then dec_range key plo pm clo cm c
-    else dec_range key (pm + 1) phi (cm + 1) chi c
+   A coder writes those labels into a scratch buffer it owns, so it is
+   single-domain; every entry point below makes its own. *)
+type coder = { key : key; buf : Bytes.t (* longest label: 68 bytes *) }
 
-let encrypt key x =
-  let v = x + offset in
-  if v < 0 || v >= plain_size then
-    invalid_arg (Printf.sprintf "Ope.encrypt: %d out of domain" x);
-  enc_range key 0 (plain_size - 1) 0 (cipher_size - 1) v
+let coder key = { key; buf = Bytes.create 80 }
 
-let decrypt key c =
-  if c < 0 || c >= cipher_size then
-    invalid_arg (Printf.sprintf "Ope.decrypt: %d out of range" c);
-  dec_range key 0 (plain_size - 1) 0 (cipher_size - 1) c - offset
+let rec digits n = if n < 10 then 1 else 1 + digits (n / 10)
 
-(* --- memoized batch coder ------------------------------------------- *)
-
-(* The PRF-derived split of a node depends only on (plo, phi, clo, chi),
-   and the (clo, chi) of a node is itself determined by the descent path
-   from the fixed root — so (plo, phi) identifies a node outright. A
-   coder caches each visited node's cipher split point (internal nodes)
-   or leaf cipher value, so a column of values shares the PRF work of
-   their common path prefixes: the ~40 PRF calls per value collapse to
-   a handful of hashtable hits after the tree warms up. Coders are
-   single-domain (a plain Hashtbl); batch kernels create one per task. *)
-type coder = { ckey : key; memo : (int * int, int) Hashtbl.t }
-
-let coder ckey = { ckey; memo = Hashtbl.create 256 }
-
-(* split point cm of internal node (plo, phi, clo, chi); memoized *)
-let split_point t plo phi clo chi =
-  match Hashtbl.find_opt t.memo (plo, phi) with
-  | Some cm -> cm
-  | None ->
-      let pm = plo + ((phi - plo) / 2) in
-      let nl = pm - plo + 1 and nr = phi - pm in
-      let slack = chi - clo + 1 - (nl + nr) in
-      let sl =
-        Prf.int_below t.ckey
-          (Printf.sprintf "node:%d:%d:%d:%d" plo phi clo chi)
-          (slack + 1)
-      in
-      let cm = clo + nl + sl - 1 in
-      Hashtbl.add t.memo (plo, phi) cm;
-      cm
+(* writes [sep] then the decimal digits of [n >= 0] at [p]; returns the
+   end position *)
+let put buf p sep n =
+  Bytes.set buf p sep;
+  let stop = p + 1 + digits n in
+  let q = ref n in
+  for i = stop - 1 downto p + 1 do
+    Bytes.set buf i (Char.unsafe_chr (48 + (!q mod 10)));
+    q := !q / 10
+  done;
+  stop
 
 let leaf_point t plo clo chi =
-  match Hashtbl.find_opt t.memo (plo, plo) with
-  | Some c -> c
-  | None ->
-      let c =
-        clo + Prf.int_below t.ckey (Printf.sprintf "leaf:%d" plo) (chi - clo + 1)
-      in
-      Hashtbl.add t.memo (plo, plo) c;
-      c
+  Bytes.blit_string "leaf" 0 t.buf 0 4;
+  let p = put t.buf 4 ':' plo in
+  clo + Prf.int_below_sub t.key t.buf 0 p (chi - clo + 1)
 
-let rec enc_memo t plo phi clo chi x =
-  if plo = phi then leaf_point t plo clo chi
-  else
-    let pm = plo + ((phi - plo) / 2) in
-    let cm = split_point t plo phi clo chi in
-    if x <= pm then enc_memo t plo pm clo cm x
-    else enc_memo t (pm + 1) phi (cm + 1) chi x
+let mid plo phi = plo + ((phi - plo) / 2)
 
-let rec dec_memo t plo phi clo chi c =
-  if plo = phi then plo
-  else
-    let pm = plo + ((phi - plo) / 2) in
-    let cm = split_point t plo phi clo chi in
-    if c <= cm then dec_memo t plo pm clo cm c
-    else dec_memo t (pm + 1) phi (cm + 1) chi c
+(* cipher split point of an internal node: its left half maps into
+   [clo, cm], its right half into [cm + 1, chi] *)
+let split_point t plo phi clo chi =
+  let pm = mid plo phi in
+  let nl = pm - plo + 1 and nr = phi - pm in
+  let slack = chi - clo + 1 - (nl + nr) in
+  Bytes.blit_string "node" 0 t.buf 0 4;
+  let p = put t.buf 4 ':' plo in
+  let p = put t.buf p ':' phi in
+  let p = put t.buf p ':' clo in
+  let p = put t.buf p ':' chi in
+  clo + nl + Prf.int_below_sub t.key t.buf 0 p (slack + 1) - 1
 
-let encode t x =
-  let v = x + offset in
-  if v < 0 || v >= plain_size then
-    invalid_arg (Printf.sprintf "Ope.encrypt: %d out of domain" x);
-  enc_memo t 0 (plain_size - 1) 0 (cipher_size - 1) v
+(* first index in [lo, hi + 1) whose point exceeds [x]; [u] ascending *)
+let upper_bound u lo hi x =
+  let lo = ref lo and hi = ref (hi + 1) in
+  while !lo < !hi do
+    let m = (!lo + !hi) / 2 in
+    if u.(m) <= x then lo := m + 1 else hi := m
+  done;
+  !lo
 
-let decode t c =
-  if c < 0 || c >= cipher_size then
-    invalid_arg (Printf.sprintf "Ope.decrypt: %d out of range" c);
-  dec_memo t 0 (plain_size - 1) 0 (cipher_size - 1) c - offset
+(* One descent of the tree over the ascending distinct points u.(lo..hi),
+   all inside this node: plaintexts when encoding, ciphertexts when
+   decoding. Each visited node's PRF runs once, and a binary search
+   splits the points between its halves; out.(i) gets u.(i)'s image. *)
+let rec walk t ~enc u out plo phi clo chi lo hi =
+  if lo <= hi then
+    if plo = phi then
+      if enc then out.(lo) <- leaf_point t plo clo chi (* lo = hi *)
+      else Array.fill out lo (hi - lo + 1) plo
+    else
+      let pm = mid plo phi and cm = split_point t plo phi clo chi in
+      let s = upper_bound u lo hi (if enc then pm else cm) in
+      walk t ~enc u out plo pm clo cm lo (s - 1);
+      walk t ~enc u out (pm + 1) phi (cm + 1) chi s hi
+
+let map_points key ~enc points =
+  let u = Array.copy points in
+  Array.stable_sort Int.compare u;
+  let m = ref 0 in
+  Array.iteri
+    (fun i x ->
+      if i = 0 || x <> u.(!m - 1) then (
+        u.(!m) <- x;
+        incr m))
+    u;
+  let u = Array.sub u 0 !m in
+  let out = Array.make !m 0 in
+  walk (coder key) ~enc u out 0 (plain_size - 1) 0 (cipher_size - 1) 0 (!m - 1);
+  Array.map (fun x -> out.(upper_bound u 0 (!m - 1) x - 1)) points
+
+let encode_array key xs =
+  map_points key ~enc:true
+    (Array.map
+       (fun x ->
+         let v = x + offset in
+         if v < 0 || v >= plain_size then
+           invalid_arg (Printf.sprintf "Ope.encrypt: %d out of domain" x);
+         v)
+       xs)
+
+let decode_array key cs =
+  Array.iter
+    (fun c ->
+      if c < 0 || c >= cipher_size then
+        invalid_arg (Printf.sprintf "Ope.decrypt: %d out of range" c))
+    cs;
+  Array.map (fun v -> v - offset) (map_points key ~enc:false cs)
+
+let encrypt key x = (encode_array key [| x |]).(0)
+let decrypt key c = (decode_array key [| c |]).(0)
 
 let cipher_bytes = (cipher_bits + 7) / 8
 
@@ -141,5 +134,3 @@ let cipher_of_bytes s =
   !c
 
 let decrypt_bytes key s = decrypt key (cipher_of_bytes s)
-let encode_bytes t x = bytes_of_cipher (encode t x)
-let decode_bytes t s = decode t (cipher_of_bytes s)

@@ -24,6 +24,8 @@ val encrypt : key -> int -> int
 (** Raises [Invalid_argument] if out of domain. *)
 
 val decrypt : key -> int -> int
+(** Raises [Invalid_argument] if the ciphertext is negative or not
+    below [2{^cipher_bits}]. *)
 
 val encrypt_bytes : key -> int -> string
 (** Fixed-width big-endian encoding of [encrypt]; lexicographic byte
@@ -31,22 +33,23 @@ val encrypt_bytes : key -> int -> string
 
 val decrypt_bytes : key -> string -> int
 
-(** {2 Memoized batch coder}
+(** {2 Column kernel}
 
-    Encrypting a column repeats the PRF work of the partition tree's
-    upper levels for every value. A [coder] caches the PRF-derived split
-    points it visits, so values sharing path prefixes (any clustered or
-    repeated column) pay the PRF only once per distinct tree node.
-    Output is byte-identical to {!encrypt}/{!decrypt}. A coder is not
-    domain-safe: batch kernels create one per task. *)
+    Encrypting value by value repeats the PRF work of the partition
+    tree's upper levels for every value. The array functions sort and
+    deduplicate their input, descend the tree once over the sorted set
+    (each visited node's PRF computed once, the points split between
+    its halves by binary search), then map every input back to its
+    image. Output is exactly [Array.map encrypt] / [Array.map decrypt],
+    errors included: the first out-of-domain input, in array order,
+    raises. {!encrypt} and {!decrypt} are the one-element case. *)
 
-type coder
+val encode_array : key -> int array -> int array
+val decode_array : key -> int array -> int array
 
-val coder : key -> coder
+val bytes_of_cipher : int -> string
+(** The fixed-width encoding {!encrypt_bytes} uses. *)
 
-val encode : coder -> int -> int
-(** Same function as [encrypt key], memoized. *)
-
-val decode : coder -> int -> int
-val encode_bytes : coder -> int -> string
-val decode_bytes : coder -> string -> int
+val cipher_of_bytes : string -> int
+(** Inverse of {!bytes_of_cipher}; raises [Invalid_argument] on a bad
+    width. *)

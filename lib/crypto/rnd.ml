@@ -7,53 +7,23 @@ let key_of_string master =
   { mac = Prf.create (Prf.expand prf "rnd-mac" 16);
     enc = Speck.expand_key (Prf.expand prf "rnd-enc" 16) }
 
-let int64_of_bytes s =
-  let v = ref 0L in
-  for i = 7 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code s.[i]))
-  done;
-  !v
-
-let bytes_of_int64 v =
-  String.init 8 (fun i ->
-      Char.chr
-        (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 255L)))
-
-let keystream enc iv len =
-  let buf = Buffer.create len in
-  let i = ref 0 in
-  while Buffer.length buf < len do
-    let block = Speck.encrypt_block enc (Int64.add iv (Int64.of_int !i)) in
-    for b = 0 to 7 do
-      if Buffer.length buf < len then
-        Buffer.add_char buf
-          (Char.chr
-             (Int64.to_int
-                (Int64.logand (Int64.shift_right_logical block (8 * b)) 255L)))
-    done;
-    incr i
-  done;
-  Buffer.contents buf
-
-let xor_strings a b =
-  String.init (String.length a) (fun i ->
-      Char.chr (Char.code a.[i] lxor Char.code b.[i]))
-
 let encrypt_iv k iv plaintext =
-  let iv_bytes = bytes_of_int64 iv in
-  let body = xor_strings plaintext (keystream k.enc iv (String.length plaintext)) in
-  let tag = Prf.mac_bytes k.mac (iv_bytes ^ body) in
-  iv_bytes ^ body ^ tag
+  let len = String.length plaintext in
+  let out = Bytes.create (len + 16) in
+  Bytes.set_int64_le out 0 iv;
+  Speck.ctr_xor k.enc iv plaintext 0 out 8 len;
+  Bytes.set_int64_le out (len + 8) (Prf.mac_sub k.mac out 0 (len + 8));
+  Bytes.unsafe_to_string out
 
 let encrypt k rng plaintext = encrypt_iv k (Prng.next64 rng) plaintext
 
 let decrypt k ciphertext =
-  if String.length ciphertext < 16 then
-    invalid_arg "Rnd.decrypt: ciphertext too short";
   let n = String.length ciphertext in
-  let iv_bytes = String.sub ciphertext 0 8 in
-  let body = String.sub ciphertext 8 (n - 16) in
-  let tag = String.sub ciphertext (n - 8) 8 in
-  if not (String.equal (Prf.mac_bytes k.mac (iv_bytes ^ body)) tag) then
+  if n < 16 then invalid_arg "Rnd.decrypt: ciphertext too short";
+  let tag = Prf.mac_sub k.mac (Bytes.unsafe_of_string ciphertext) 0 (n - 8) in
+  if not (Int64.equal tag (String.get_int64_le ciphertext (n - 8))) then
     failwith "Rnd.decrypt: authentication failure";
-  xor_strings body (keystream k.enc (int64_of_bytes iv_bytes) (String.length body))
+  let out = Bytes.create (n - 16) in
+  Speck.ctr_xor k.enc (String.get_int64_le ciphertext 0) ciphertext 8 out 0
+    (n - 16);
+  Bytes.unsafe_to_string out

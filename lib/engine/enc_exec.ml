@@ -378,40 +378,60 @@ let encrypt_batch ctx ~rng_root ~start ~enc =
                     | v -> enc k (serialize v))
                   a)
         | C.Scheme.Ope -> (
-            (* one memoized coder per column: values sharing partition-
-               tree path prefixes pay the PRF once *)
-            let coder = C.Ope.coder ks.ope in
-            let pack img tag tail =
-              mk (C.Ope.encode_bytes coder img ^ String.make 1 tag ^ tail)
+            (* one sorted tree walk per column: each partition-tree node's
+               PRF runs once however many values pass through it *)
+            let encode = C.Ope.encode_array ks.ope in
+            let pack c tag tail =
+              mk (C.Ope.bytes_of_cipher c ^ String.make 1 tag ^ tail)
+            in
+            let numeric tag images =
+              Array.map (fun c -> pack c tag "") (encode images)
             in
             match col with
             | Column.Ints a ->
-                Array.map (fun i -> pack (ope_guard (int_cents i)) 'i' "") a
+                numeric 'i' (Array.map (fun i -> ope_guard (int_cents i)) a)
             | Column.Dates a ->
-                Array.map (fun d -> pack (ope_guard (int_cents d)) 'd' "") a
+                numeric 'd' (Array.map (fun d -> ope_guard (int_cents d)) a)
             | Column.Bools a ->
-                Array.map (fun b -> pack (if b then 100 else 0) 'b' "") a
+                numeric 'b' (Array.map (fun b -> if b then 100 else 0) a)
             | Column.Floats a ->
-                Array.map (fun f -> pack (ope_guard (cents f)) 'f' "") a
+                numeric 'f' (Array.map (fun f -> ope_guard (cents f)) a)
             | Column.Strs a ->
-                Array.map
-                  (fun s ->
-                    pack (str_prefix s) 's' (C.Det.encrypt ks.det ("s" ^ s)))
+                let cs = encode (Array.map str_prefix a) in
+                Array.mapi
+                  (fun k s -> pack cs.(k) 's' (C.Det.encrypt ks.det ("s" ^ s)))
                   a
             | Column.Values a ->
-                Array.map
-                  (function
-                    | Value.Null -> Value.Null
-                    | Value.Enc _ -> already ()
-                    | v ->
-                        let img, tag = ope_image v in
-                        let tail =
-                          match v with
-                          | Value.Str _ -> C.Det.encrypt ks.det (serialize v)
-                          | _ -> ""
-                        in
-                        pack img tag tail)
-                  a)
+                (* gather the non-null cells' images in row order (so
+                   errors surface in row order), encode, scatter back *)
+                let live =
+                  List.filter
+                    (fun k -> not (is_null_cell col k))
+                    (List.init (Array.length a) Fun.id)
+                  |> Array.of_list
+                in
+                let images =
+                  Array.map
+                    (fun k ->
+                      match a.(k) with
+                      | Value.Enc _ ->
+                          err "attribute %s is already encrypted"
+                            (Attr.name attr)
+                      | v -> ope_image v)
+                    live
+                in
+                let cs = encode (Array.map fst images) in
+                let out = Array.make (Array.length a) Value.Null in
+                Array.iteri
+                  (fun j k ->
+                    let tail =
+                      match a.(k) with
+                      | Value.Str _ as v -> C.Det.encrypt ks.det (serialize v)
+                      | _ -> ""
+                    in
+                    out.(k) <- pack cs.(j) (snd images.(j)) tail)
+                  live;
+                out)
         | C.Scheme.Phe -> (
             let pk = match pk with Some pk -> pk | None -> assert false in
             let units =
@@ -505,34 +525,57 @@ let decrypt_value ctx = function
   | Value.Enc c -> decrypt_cipher ctx c
   | _ -> err "decrypt of a plaintext value"
 
+(* The column's OPE prefixes, decoded in one sorted tree walk per key
+   like encryption: [images.(k)] is row k's image, or [min_int] where
+   row k holds no well-formed OPE cipher ([decrypt_gen] then reports
+   the fault in row order). *)
+let ope_images ctx cells =
+  let images = Array.make (Array.length cells) min_int in
+  let by_key = Hashtbl.create 2 in
+  Array.iteri
+    (fun k v ->
+      match v with
+      | Value.Enc { Value.scheme = "ope"; key_id; payload }
+        when String.length payload > ope_bytes ->
+          let c = C.Ope.cipher_of_bytes (String.sub payload 0 ope_bytes) in
+          if c < 1 lsl C.Ope.cipher_bits then
+            let rows = Hashtbl.find_opt by_key key_id in
+            Hashtbl.replace by_key key_id
+              ((k, c) :: Option.value ~default:[] rows)
+      | _ -> ())
+    cells;
+  if Hashtbl.length by_key > 0 then
+    Obs.time "enc_exec.dec_s.ope" (fun () ->
+        Hashtbl.iter
+          (fun key_id rows ->
+            let rows = Array.of_list rows in
+            let plains =
+              C.Ope.decode_array (keys_of ctx key_id).ope (Array.map snd rows)
+            in
+            Array.iteri (fun j (k, _) -> images.(k) <- plains.(j)) rows)
+          by_key);
+  images
+
 let decrypt_batch ctx col =
-  (* per-batch OPE coder cache: a decrypted column shares the partition
-     tree's upper levels exactly like an encrypted one *)
-  let coders : (string, C.Ope.coder) Hashtbl.t = Hashtbl.create 4 in
-  let coder key_id (ks : keys) bytes =
-    let cd =
-      match Hashtbl.find_opt coders key_id with
-      | Some cd -> cd
-      | None ->
-          let cd = C.Ope.coder ks.ope in
-          Hashtbl.add coders key_id cd;
-          cd
-    in
-    C.Ope.decode_bytes cd bytes
+  let cells = Column.to_values col in
+  let images = ope_images ctx cells in
+  let dec k c =
+    decrypt_gen ctx c ~coder:(fun key_id ks bytes ->
+        if images.(k) <> min_int then images.(k)
+        else plain_coder key_id ks bytes)
   in
-  let dec c = decrypt_gen ctx ~coder c in
   let dec =
-    if Obs.enabled () then fun (c : Value.cipher) ->
-      Obs.time ("enc_exec.dec_s." ^ c.Value.scheme) (fun () -> dec c)
+    if Obs.enabled () then fun k (c : Value.cipher) ->
+      Obs.time ("enc_exec.dec_s." ^ c.Value.scheme) (fun () -> dec k c)
     else dec
   in
   let out =
-    Array.map
-      (function
+    Array.mapi
+      (fun k -> function
         | Value.Null -> Value.Null
-        | Value.Enc c -> dec c
+        | Value.Enc c -> dec k c
         | _ -> err "decrypt of a plaintext value")
-      (Column.to_values col)
+      cells
   in
   Column.of_values out
 

@@ -245,6 +245,78 @@ let prop_ope_string_order =
       | c -> (not tied) && compare (compare (prefix a) (prefix b)) 0 = compare c 0
       | exception Enc_exec.Crypto_error _ -> tied)
 
+(* --- OPE column kernel over mixed columns ----------------------------- *)
+
+(* A [Column.Values] column (Nulls, mixed types, an already-encrypted
+   cell) goes through the same sorted tree walk as a typed column; it
+   must stay byte-equal to the row-at-a-time encryptor, errors included
+   and in the same row order. *)
+let ope_outcome f =
+  match f () with
+  | vs -> Ok vs
+  | exception Enc_exec.Crypto_error m -> Error m
+
+let ope_batch_vs_row cells =
+  let ctx = Lazy.force ope_ctx in
+  let nrng = Enc_exec.node_rng ctx 1 in
+  let batch () =
+    match
+      Enc_exec.encrypt_batch ctx ~rng_root:nrng ~start:0
+        ~enc:[ (attr "x", Column.Values cells) ]
+    with
+    | [ col ] -> Column.to_values col
+    | _ -> assert false
+  in
+  let rows () = Array.map (Enc_exec.encrypt_value ctx (attr "x")) cells in
+  let got = ope_outcome batch in
+  (got = ope_outcome rows, got)
+
+let test_ope_mixed_column () =
+  let cells =
+    [| Value.Int 5; Value.Null; Value.Float 2.5; Value.Str "abcdX";
+       Value.Date 100; Value.Bool true; Value.Int 5; Value.Null;
+       Value.Str "abcdX"; Value.Int (-7); Value.Float (-0.01);
+       Value.Str ""; Value.Bool false; Value.Int 5_000_000_000 |]
+  in
+  let same, got = ope_batch_vs_row cells in
+  Alcotest.(check bool) "mixed column byte-equal to row path" true same;
+  (match got with
+  | Ok vs ->
+      Array.iteri
+        (fun k v ->
+          check_value "mixed column decrypts" (cent_round cells.(k))
+            (Enc_exec.decrypt_value (Lazy.force ope_ctx) v))
+        vs;
+      Alcotest.(check bool) "decrypt_batch inverts the column" true
+        (Array.for_all2 value_eq (Array.map cent_round cells)
+           (Column.to_values
+              (Enc_exec.decrypt_batch (Lazy.force ope_ctx) (Column.Values vs))))
+  | Error m -> Alcotest.failf "mixed column raised %s" m);
+  let enc = Enc_exec.encrypt_value (Lazy.force ope_ctx) (attr "x") (Value.Int 1) in
+  let already = "attribute x is already encrypted"
+  and out_of_domain =
+    Printf.sprintf "cent-scaled value %d outside the OPE plaintext domain"
+      ((1 lsl 40) * 100)
+  in
+  let expect_error msg expected cells =
+    match ope_batch_vs_row cells with
+    | true, Error m -> Alcotest.(check string) msg expected m
+    | true, Ok _ -> Alcotest.failf "%s: no error" msg
+    | false, _ -> Alcotest.failf "%s: batch and row paths disagree" msg
+  in
+  expect_error "already encrypted" already [| Value.Int 1; Value.Null; enc |];
+  expect_error "encrypted cell before an out-of-domain one" already
+    [| Value.Null; enc; Value.Int (1 lsl 40) |];
+  expect_error "out-of-domain cell before an encrypted one" out_of_domain
+    [| Value.Int (1 lsl 40); enc |]
+
+let prop_ope_values_column =
+  QCheck.Test.make ~count:100 ~name:"OPE Values column == row-at-a-time"
+    (QCheck.make
+       ~print:QCheck.Print.(array Value.to_string)
+       QCheck.Gen.(array_size (int_range 0 20) gen_value))
+    (fun cells -> fst (ope_batch_vs_row cells))
+
 (* --- columnar batch kernels == row-at-a-time -------------------------- *)
 
 let test_batch_vs_row () =
@@ -413,4 +485,7 @@ let () =
       ( "columnar",
         [ ("batch kernels == row-at-a-time (incl. split)", `Quick,
            test_batch_vs_row);
+          ("ope kernel over a mixed Values column", `Quick,
+           test_ope_mixed_column);
+          QCheck_alcotest.to_alcotest prop_ope_values_column;
           QCheck_alcotest.to_alcotest prop_columnar_layout_identical ] ) ]
