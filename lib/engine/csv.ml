@@ -161,17 +161,29 @@ let render_value = function
         c.Value.payload;
       Printf.sprintf "enc:%s:%s" c.Value.scheme (Buffer.contents hex)
 
+(* [render_value] of a cell, written unboxed from typed columns *)
+let render_cell buf c i =
+  match c with
+  | Column.Ints a -> Buffer.add_string buf (string_of_int a.(i))
+  | Column.Strs a -> Buffer.add_string buf (escape a.(i))
+  | Column.Bools a -> Buffer.add_string buf (string_of_bool a.(i))
+  | Column.Floats _ | Column.Dates _ | Column.Values _ ->
+      Buffer.add_string buf (render_value (Column.get c i))
+
 let to_string table =
   let buf = Buffer.create 256 in
   Buffer.add_string buf
     (String.concat "," (List.map Attr.name (Table.attrs table)));
   Buffer.add_char buf '\n';
-  List.iter
-    (fun row ->
-      Buffer.add_string buf
-        (String.concat "," (Array.to_list (Array.map render_value row)));
-      Buffer.add_char buf '\n')
-    (Table.rows table);
+  let cols = Table.columns table in
+  for i = 0 to Table.cardinality table - 1 do
+    Array.iteri
+      (fun j c ->
+        if j > 0 then Buffer.add_char buf ',';
+        render_cell buf c i)
+      cols;
+    Buffer.add_char buf '\n'
+  done;
   Buffer.contents buf
 
 let save table path =

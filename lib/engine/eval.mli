@@ -1,4 +1,4 @@
-(** Predicate evaluation over rows, including over ciphertext.
+(** Predicate evaluation over columns, including over ciphertext.
 
     Comparisons between two ciphertexts require the same scheme and key
     cluster: deterministic encryption supports (in)equality, OPE supports
@@ -15,9 +15,16 @@ exception Eval_error of string
 val compare_values :
   ?ctx:Enc_exec.ctx -> Predicate.op -> Value.t -> Value.t -> bool
 
-val atom :
-  ?ctx:Enc_exec.ctx -> Table.t -> Value.t array -> Predicate.atom -> bool
-
 val predicate :
-  ?ctx:Enc_exec.ctx -> Table.t -> Value.t array -> Predicate.t -> bool
-(** CNF evaluation: every clause must have a true atom. *)
+  ?ctx:Enc_exec.ctx ->
+  (Attr.t -> Column.t * ('r -> int)) ->
+  Predicate.t ->
+  'r ->
+  bool
+(** [predicate ?ctx cell p] compiles the CNF [p] (every clause must
+    have a true atom) into a test on a row cursor ['r]: [cell a] names
+    the column holding attribute [a] and the row of it a cursor reads.
+    Atoms are tried in order with the same short-circuits as a row
+    loop, and an exception from [cell] surfaces only when a row reaches
+    the atom that needed it. The result is safe to share across
+    domains. *)

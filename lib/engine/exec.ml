@@ -25,52 +25,54 @@ let exact_int_float = 9007199254740992.0 (* 2^53 *)
 
 let float_key f =
   if Float.is_integer f && Float.abs f < exact_int_float then
-    Printf.sprintf "N%d" (int_of_float f)
+    "N" ^ string_of_int (int_of_float f)
   else Printf.sprintf "F%h" f
 
+let int_key i =
+  if Float.abs (float_of_int i) < exact_int_float then "N" ^ string_of_int i
+  else float_key (float_of_int i)
+
 let hash_key = function
-  | Value.Enc c -> Printf.sprintf "E%s/%s/%s" c.Value.scheme c.Value.key_id c.Value.payload
-  | Value.Int i ->
-      if Float.abs (float_of_int i) < exact_int_float then
-        Printf.sprintf "N%d" i
-      else float_key (float_of_int i)
+  | Value.Enc c -> String.concat "" [ "E"; c.Value.scheme; "/"; c.Value.key_id; "/"; c.Value.payload ]
+  | Value.Int i -> int_key i
   | Value.Float f -> float_key f
   | Value.Str s -> "S" ^ s
-  | Value.Date d -> Printf.sprintf "D%d" d
+  | Value.Date d -> "D" ^ string_of_int d
   | Value.Bool b -> if b then "B1" else "B0"
   | Value.Null -> "_"
 
-(* Chunked fan-out over a row list. Every parallel operator below is a
-   pure function of (chunk contents, chunk start offset), so the
-   concatenation of chunk results equals the sequential result for any
-   chunking — the property the differential tests pin down. *)
-let pmap_chunks pool ~f rows =
-  match pool with
-  | Some p -> Par.map_chunks p ~f rows
-  | None -> ( match rows with [] -> [] | _ -> [ f 0 rows ])
+let row_key cols i =
+  match cols with
+  | [ c ] -> hash_key (Column.get c i)
+  | _ -> String.concat "\x01" (List.map (fun c -> hash_key (Column.get c i)) cols)
 
-let pconcat pool ~f rows = List.concat (pmap_chunks pool ~f rows)
+let null_at cols i =
+  List.exists
+    (function Column.Values a -> Value.is_null a.(i) | _ -> false)
+    cols
 
-(* Index-range fan-out over column batches; same determinism contract as
-   [pmap_chunks] (results are a pure function of (range contents, range
-   start)). *)
+(* Index-range fan-out. Every parallel operator below is a pure function
+   of (range start, range length), so the concatenation of range results
+   equals the sequential result for any chunking — the property the
+   differential tests pin down. *)
 let pmap_ranges pool ~f n =
   match pool with
   | Some p -> Par.map_ranges p ~f n
   | None -> if n <= 0 then [] else [ f 0 n ]
 
+let pconcat pool ~f n = Array.concat (pmap_ranges pool ~f n)
+
 (* --- per-column encryption (stored relations, Encrypt/Decrypt) ------- *)
 
-(* Columnar batch encryption. Randomness is still rooted per (plan node,
-   row index) — Enc_exec's pool pass replays the row-major draw order —
-   so ciphertext bytes depend on the row's position, never on which
-   domain (or in which order) the batch was processed. Untouched columns
-   are shared, not copied. *)
+(* Columnar batch encryption. Randomness is rooted per (plan node, row
+   index) — Enc_exec's pool pass replays the row-major draw order — so
+   ciphertext bytes depend on the row's position, never on which domain
+   (or in which order) the batch was processed. Untouched columns are
+   shared, not copied. *)
 let encrypt_columns crypto pool ~node attrs table =
   let enc_attrs = Attr.Set.elements attrs in
   let enc_idx = List.map (Table.col_index table) enc_attrs in
   let nrng = Enc_exec.node_rng crypto node in
-  (* force the column layout on the coordinating domain before fan-out *)
   let cols = Table.columns table in
   let n = Table.cardinality table in
   let parts =
@@ -88,7 +90,7 @@ let encrypt_columns crypto pool ~node attrs table =
     (fun c_pos i ->
       out.(i) <- Column.concat (List.map (fun p -> List.nth p c_pos) parts))
     enc_idx;
-  Table.of_columns (Table.attrs table) out
+  Table.of_columns ~nrows:n (Table.attrs table) out
 
 let decrypt_columns crypto pool attrs table =
   let idx = List.map (Table.col_index table) (Attr.Set.elements attrs) in
@@ -105,7 +107,7 @@ let decrypt_columns crypto pool attrs table =
       in
       out.(i) <- Column.concat parts)
     idx;
-  Table.of_columns (Table.attrs table) out
+  Table.of_columns ~nrows:n (Table.attrs table) out
 
 let crypt ctx pool ~encrypt ~node attrs table =
   match ctx.crypto with
@@ -114,16 +116,12 @@ let crypt ctx pool ~encrypt ~node attrs table =
       if encrypt then encrypt_columns crypto pool ~node attrs table
       else decrypt_columns crypto pool attrs table
 
-(* --- row operators ---------------------------------------------------- *)
+(* --- relational operators over columns ------------------------------- *)
 
 let base ctx pool ~node s =
   match List.assoc_opt s.Schema.name ctx.tables with
   | None -> err "unknown base relation %s" s.Schema.name
   | Some t ->
-      (* force (and persistently cache) the stored table's column layout
-         so projection shares columns and encryption runs its batch
-         kernels without a transpose per query *)
-      ignore (Table.columns t);
       let t = Table.select_columns t (Schema.attr_list s) in
       (* outsourced relations are served as stored: at-rest-encrypted
          columns come back as ciphertext *)
@@ -134,155 +132,125 @@ let base ctx pool ~node s =
         | None -> err "outsourced relation %s needs a crypto context" s.Schema.name
         | Some crypto -> encrypt_columns crypto pool ~node enc t
 
-let project pool table attrs =
-  let cols = Attr.Set.elements attrs in
-  let idx = List.map (Table.col_index table) cols in
-  let rows =
-    pconcat pool
-      ~f:(fun _ chunk ->
-        List.map
-          (fun r -> Array.of_list (List.map (fun i -> r.(i)) idx))
-          chunk)
-      (Table.rows table)
-  in
-  Table.create cols rows
+let project table attrs = Table.select_columns table (Attr.Set.elements attrs)
+
+(* the rows of [start, start + len) that pass [keep], in order *)
+let filter_range keep start len =
+  let out = Array.make len 0 and n = ref 0 in
+  for i = start to start + len - 1 do
+    if keep i then begin
+      out.(!n) <- i;
+      incr n
+    end
+  done;
+  Array.sub out 0 !n
 
 let select ?crypto pool table pred =
-  let rows =
-    pconcat pool
-      ~f:(fun _ chunk ->
-        List.filter (fun r -> Eval.predicate ?ctx:crypto table r pred) chunk)
-      (Table.rows table)
+  let keep =
+    Eval.predicate ?ctx:crypto (fun a -> (Table.column table a, Fun.id)) pred
   in
-  Table.create (Table.attrs table) rows
+  let n = Table.cardinality table in
+  let sel = pconcat pool ~f:(filter_range keep) n in
+  if Array.length sel = n then table else Table.gather table sel
 
-let product pool l r =
-  let attrs = Table.attrs l @ Table.attrs r in
-  let rrows = Table.rows r in
-  let rows =
-    pconcat pool
-      ~f:(fun _ chunk ->
-        List.concat_map
-          (fun rl -> List.map (fun rr -> Array.append rl rr) rrows)
-          chunk)
-      (Table.rows l)
-  in
-  Table.create attrs rows
+(* row [k] of the output pairs row [li.(k)] of [l] with row [ri.(k)] of [r] *)
+let pair_up l li r ri =
+  Table.of_columns ~nrows:(Array.length li)
+    (Table.attrs l @ Table.attrs r)
+    (Array.append (Table.columns (Table.gather l li))
+       (Table.columns (Table.gather r ri)))
+
+let product l r =
+  let nr = Table.cardinality r in
+  let n = Table.cardinality l * nr in
+  pair_up l (Array.init n (fun k -> k / nr)) r (Array.init n (fun k -> k mod nr))
 
 (* Equality pairs usable for hashing: conjunctive (singleton-clause)
    atoms 'a = b' with one side in each operand. *)
 let equi_pairs pred l r =
-  let conjunctive = List.for_all (fun c -> List.length c = 1) pred in
-  if not conjunctive then ([], pred)
+  if not (List.for_all (fun c -> List.length c = 1) pred) then []
   else
     let la = Attr.Set.of_list (Table.attrs l) in
     let ra = Attr.Set.of_list (Table.attrs r) in
-    List.fold_left
-      (fun (pairs, residual) clause ->
-        match clause with
+    List.filter_map
+      (function
         | [ Predicate.Cmp_attr (a, Predicate.Eq, b) ]
-          when Attr.Set.mem a la && Attr.Set.mem b ra ->
-            ((a, b) :: pairs, residual)
+          when Attr.Set.mem a la && Attr.Set.mem b ra -> Some (a, b)
         | [ Predicate.Cmp_attr (a, Predicate.Eq, b) ]
-          when Attr.Set.mem b la && Attr.Set.mem a ra ->
-            ((b, a) :: pairs, residual)
-        | c -> (pairs, c :: residual))
-      ([], []) pred
-    |> fun (pairs, residual) -> (List.rev pairs, List.rev residual)
+          when Attr.Set.mem b la && Attr.Set.mem a ra -> Some (b, a)
+        | _ -> None)
+      pred
 
 let join ?crypto pool pred l r =
-  let attrs = Table.attrs l @ Table.attrs r in
-  let pairs, _residual = equi_pairs pred l r in
-  let combined_header = Table.create attrs [] in
+  let pairs = equi_pairs pred l r in
+  let nr = Table.cardinality r in
+  let stride = max nr 1 in
+  (* the predicate reads a (left, right) pair packed as [li * stride + rj];
+     names resolve as in the concatenated header (a repeated attribute is
+     the right side's) *)
+  let header = Table.create (Table.attrs l @ Table.attrs r) [] in
+  let width = List.length (Table.attrs l) in
+  let keep =
+    Eval.predicate ?ctx:crypto
+      (fun a ->
+        let p = Table.col_index header a in
+        if p < width then ((Table.columns l).(p), fun x -> x / stride)
+        else ((Table.columns r).(p - width), fun x -> x mod stride))
+      pred
+  in
+  (* [out] collects the matches of a left range, newest first *)
+  let check out li rj = if keep ((li * stride) + rj) then out := (li, rj) :: !out in
   (* Hash-path matches re-check the whole predicate (equi clauses
      included), so the bucket key only has to be complete — any pair of
      rows equal on the keys must share a bucket — never collision-free.
-     Rechecking keeps the hash path bit-identical to the nested loop
-     even where the key encoding collapses distinct values. *)
-  let keep combined = Eval.predicate ?ctx:crypto combined_header combined pred in
-  let rows =
+     Rechecking keeps the hash path bit-identical to the nested loop even
+     where the key encoding collapses distinct values. A bucket lists its
+     right rows in descending order, the order [Hashtbl.find_all] gave
+     the row executor. The index is built once and only read while left
+     ranges probe it in parallel. *)
+  let probe =
     match pairs with
-    | [] ->
-        (* nested loop, fanned out over left-row chunks *)
-        let rrows = Table.rows r in
-        pconcat pool
-          ~f:(fun _ chunk ->
-            List.concat_map
-              (fun rl ->
-                List.filter_map
-                  (fun rr ->
-                    let combined = Array.append rl rr in
-                    if keep combined then Some combined else None)
-                  rrows)
-              chunk)
-          (Table.rows l)
+    | [] -> fun out li -> for rj = 0 to nr - 1 do check out li rj done
     | _ -> (
-        let lk = List.map (fun (a, _) -> Table.col_index l a) pairs in
-        let rk = List.map (fun (_, b) -> Table.col_index r b) pairs in
-        let key idxs row =
-          String.concat "\x01" (List.map (fun i -> hash_key row.(i)) idxs)
+        let lk = List.map (fun (a, _) -> Table.column l a) pairs in
+        let rk = List.map (fun (_, b) -> Table.column r b) pairs in
+        let buckets lkey rkey =
+          let index = Hashtbl.create (nr + 1) in
+          for rj = 0 to nr - 1 do
+            Option.iter
+              (fun k ->
+                match Hashtbl.find_opt index k with
+                | Some js -> js := rj :: !js
+                | None -> Hashtbl.add index k (ref [ rj ]))
+              (rkey rj)
+          done;
+          fun out li ->
+            match Option.bind (lkey li) (Hashtbl.find_opt index) with
+            | Some js -> List.iter (check out li) !js
+            | None -> ()
         in
-        let probe index rl =
-          Hashtbl.find_all index (key lk rl)
-          |> List.filter_map (fun rr ->
-                 let combined = Array.append rl rr in
-                 if keep combined then Some combined else None)
-        in
-        match pool with
-        | Some p when Table.cardinality l + Table.cardinality r >= 64 ->
-            (* Partitioned hash join. Same-key rows land in the same
-               partition and keep their relative order inside it, so a
-               probe sees exactly the matches (in the match order) the
-               sequential single-table index would produce; tagging each
-               output with its left row's original index and merging the
-               partitions on that index restores the sequential
-               left-row-major output order byte for byte. *)
-            let nparts = 2 * Par.size p in
-            let part_of k = Hashtbl.hash k mod nparts in
-            let lparts = Array.make nparts []
-            and rparts = Array.make nparts [] in
-            List.iter
-              (fun rr ->
-                if not (List.exists (fun i -> Value.is_null rr.(i)) rk) then begin
-                  let k = key rk rr in
-                  let pi = part_of k in
-                  rparts.(pi) <- rr :: rparts.(pi)
-                end)
-              (Table.rows r);
-            List.iteri
-              (fun li rl ->
-                if not (List.exists (fun i -> Value.is_null rl.(i)) lk) then begin
-                  let k = key lk rl in
-                  let pi = part_of k in
-                  lparts.(pi) <- (li, rl) :: lparts.(pi)
-                end)
-              (Table.rows l);
-            let tasks =
-              List.init nparts (fun pi () ->
-                  let right = List.rev rparts.(pi) in
-                  let index = Hashtbl.create (List.length right + 1) in
-                  List.iter (fun rr -> Hashtbl.add index (key rk rr) rr) right;
-                  List.rev_map (fun (li, rl) -> (li, probe index rl)) lparts.(pi))
-            in
-            Par.run_all p tasks
-            |> List.fold_left
-                 (List.merge (fun (i, _) (j, _) -> compare i j))
-                 []
-            |> List.concat_map snd
+        (* one typed int key per side, every value below 2^53: the int
+           itself partitions rows exactly as its key string would *)
+        let exact = Array.for_all (fun x -> Float.abs (float_of_int x) < exact_int_float) in
+        match (lk, rk) with
+        | [ Column.Ints la ], [ Column.Ints ra ] when exact la && exact ra ->
+            buckets (fun i -> Some la.(i)) (fun j -> Some ra.(j))
         | _ ->
-            let index = Hashtbl.create (Table.cardinality r + 1) in
-            List.iter
-              (fun rr ->
-                if not (List.exists (fun i -> Value.is_null rr.(i)) rk) then
-                  Hashtbl.add index (key rk rr) rr)
-              (Table.rows r);
-            List.concat_map
-              (fun rl ->
-                if List.exists (fun i -> Value.is_null rl.(i)) lk then []
-                else probe index rl)
-              (Table.rows l))
+            (* a row with a Null key matches nothing *)
+            let key cols i = if null_at cols i then None else Some (row_key cols i) in
+            buckets (key lk) (key rk))
   in
-  Table.create attrs rows
+  let matches =
+    pconcat pool
+      ~f:(fun start len ->
+        let out = ref [] in
+        for li = start to start + len - 1 do
+          probe out li
+        done;
+        Array.of_list (List.rev !out))
+      (Table.cardinality l)
+  in
+  pair_up l (Array.map fst matches) r (Array.map snd matches)
 
 (* --- aggregation ----------------------------------------------------- *)
 
@@ -295,24 +263,24 @@ let all_ints vs = List.for_all (function Value.Int _ -> true | _ -> false) vs
 
 let aggregate ?crypto ?rng (agg : Aggregate.t) values =
   let non_null = List.filter (fun v -> not (Value.is_null v)) values in
-  let encrypted = List.exists (function Value.Enc _ -> true | _ -> false) non_null in
+  let encrypted = List.exists Value.is_encrypted non_null in
+  let with_crypto what f =
+    match crypto with
+    | Some c -> f c
+    | None -> err "encrypted %s requires a crypto context" what
+  in
   match agg.Aggregate.func with
   | Aggregate.Count_star -> Value.Int (List.length values)
-  | Aggregate.Count a when encrypted -> (
+  | Aggregate.Count a when encrypted ->
       (* the output keeps the operand's (encrypted) profile entry: wrap
          the count under the operand's cluster so data matches profile *)
-      match crypto with
-      | Some c -> Enc_exec.encrypt_value ?rng c a (Value.Int (List.length non_null))
-      | None -> err "encrypted count requires a crypto context")
+      with_crypto "count" (fun c ->
+          Enc_exec.encrypt_value ?rng c a (Value.Int (List.length non_null)))
   | Aggregate.Count _ -> Value.Int (List.length non_null)
-  | Aggregate.Sum _ when encrypted -> (
-      match crypto with
-      | Some c -> Enc_exec.phe_sum c non_null ~avg:false
-      | None -> err "encrypted sum requires a crypto context")
-  | Aggregate.Avg _ when encrypted -> (
-      match crypto with
-      | Some c -> Enc_exec.phe_sum c non_null ~avg:true
-      | None -> err "encrypted avg requires a crypto context")
+  | Aggregate.Sum _ when encrypted ->
+      with_crypto "sum" (fun c -> Enc_exec.phe_sum c non_null ~avg:false)
+  | Aggregate.Avg _ when encrypted ->
+      with_crypto "avg" (fun c -> Enc_exec.phe_sum c non_null ~avg:true)
   | Aggregate.Sum _ ->
       if non_null = [] then Value.Null
       else if all_ints non_null then
@@ -347,85 +315,65 @@ let aggregate ?crypto ?rng (agg : Aggregate.t) values =
 
 let group_by ?crypto pool ~node table keys aggs =
   let key_attrs = Attr.Set.elements keys in
-  let key_idx = List.map (Table.col_index table) key_attrs in
-  let row_key row =
-    String.concat "\x01" (List.map (fun i -> hash_key row.(i)) key_idx)
-  in
-  (* phase 1 — partition rows into groups, chunks in parallel. Each chunk
-     yields its groups in first-appearance order with rows in chunk
-     order; the in-order merge then preserves both the global
-     first-appearance order of keys and the original order of each
-     group's rows, exactly as a single sequential pass would. *)
-  let chunk_groups _ chunk =
-    let tbl = Hashtbl.create 64 in
-    let order = ref [] in
-    List.iter
-      (fun row ->
-        let k = row_key row in
-        match Hashtbl.find_opt tbl k with
-        | Some rs -> Hashtbl.replace tbl k (row :: rs)
-        | None ->
-            Hashtbl.add tbl k [ row ];
-            order := k :: !order)
-      chunk;
-    List.rev_map (fun k -> (k, List.rev (Hashtbl.find tbl k))) !order
-  in
+  let key_cols = List.map (Table.column table) key_attrs in
+  (* phase 1 — the rows of each group, groups in first-appearance order
+     and each group's rows in input order, as one sequential pass would
+     find them; only the key strings are computed in parallel *)
   let groups =
-    let chunked = pmap_chunks pool ~f:chunk_groups (Table.rows table) in
-    let tbl = Hashtbl.create 64 in
-    let order = ref [] in
-    List.iter
-      (List.iter (fun (k, rs) ->
-           match Hashtbl.find_opt tbl k with
-           | Some acc -> Hashtbl.replace tbl k (rs :: acc)
-           | None ->
-               Hashtbl.add tbl k [ rs ];
-               order := k :: !order))
-      chunked;
-    List.rev_map (fun k -> List.concat (List.rev (Hashtbl.find tbl k))) !order
-  in
-  let agg_outputs =
-    List.filter
-      (fun (a : Aggregate.t) -> not (Attr.Set.mem a.Aggregate.output keys))
-      aggs
+    let keys =
+      pconcat pool
+        ~f:(fun start len -> Array.init len (fun k -> row_key key_cols (start + k)))
+        (Table.cardinality table)
+    in
+    let tbl = Hashtbl.create 64 and order = ref [] in
+    Array.iteri
+      (fun i k ->
+        match Hashtbl.find_opt tbl k with
+        | Some rows -> rows := i :: !rows
+        | None ->
+            let rows = ref [ i ] in
+            Hashtbl.add tbl k rows;
+            order := rows :: !order)
+      keys;
+    Array.of_list (List.rev_map (fun rows -> Array.of_list (List.rev !rows)) !order)
   in
   let agg_ops =
-    List.map
+    List.filter_map
       (fun (agg : Aggregate.t) ->
-        (agg, Option.map (Table.col_index table) (Aggregate.operand agg)))
-      agg_outputs
-  in
-  let out_attrs =
-    key_attrs @ List.map (fun (a : Aggregate.t) -> a.Aggregate.output) agg_outputs
+        if Attr.Set.mem agg.Aggregate.output keys then None
+        else Some (agg, Option.map (Table.column table) (Aggregate.operand agg)))
+      aggs
   in
   let nrng = Option.map (fun c -> Enc_exec.node_rng c node) crypto in
-  (* phase 2 — one output row per group, fanned out over group chunks.
-     Aggregates run over each group's complete row list (merged above,
-     never partial per-chunk sums), so float accumulation order — and
-     with it the result bytes — is independent of the chunking. *)
-  let emit j rows =
-    let first = List.hd rows in
-    let key_vals = List.map (fun i -> first.(i)) key_idx in
+  (* phase 2 — one output row per group, fanned out over group ranges.
+     Aggregates run over each group's complete row list in input order
+     (never partial per-range sums), so float accumulation order — and
+     with it the result bytes — is independent of the chunking; group
+     [j]'s randomness is derived from [j]. *)
+  let agg_row j =
     let rng = Option.map (fun r -> C.Prng.derive r j) nrng in
-    let agg_vals =
-      List.map
-        (fun ((agg : Aggregate.t), operand_idx) ->
-          let operand_values =
-            match operand_idx with
-            | Some i -> List.map (fun r -> r.(i)) rows
-            | None -> List.map (fun _ -> Value.Null) rows
-          in
-          aggregate ?crypto ?rng agg operand_values)
-        agg_ops
-    in
-    Array.of_list (key_vals @ agg_vals)
+    List.map
+      (fun ((agg : Aggregate.t), operand) ->
+        let operand_values =
+          match operand with
+          | Some c -> Array.fold_right (fun i acc -> Column.get c i :: acc) groups.(j) []
+          | None -> Array.fold_right (fun _ acc -> Value.Null :: acc) groups.(j) []
+        in
+        aggregate ?crypto ?rng agg operand_values)
+      agg_ops
   in
-  let rows =
-    pconcat pool
-      ~f:(fun start gs -> List.mapi (fun k g -> emit (start + k) g) gs)
-      groups
+  let ngroups = Array.length groups in
+  let agg_rows =
+    pconcat pool ~f:(fun start len -> Array.init len (fun k -> agg_row (start + k))) ngroups
   in
-  Table.create out_attrs rows
+  let firsts = Array.map (fun rows -> rows.(0)) groups in
+  Table.of_columns ~nrows:ngroups
+    (key_attrs @ List.map (fun ((a : Aggregate.t), _) -> a.Aggregate.output) agg_ops)
+    (Array.of_list
+       (List.map (fun c -> Column.gather c firsts) key_cols
+       @ List.mapi
+           (fun k _ -> Column.of_values (Array.map (fun row -> List.nth row k) agg_rows))
+           agg_ops))
 
 let udf_apply ctx pool name inputs output table =
   let f =
@@ -433,81 +381,77 @@ let udf_apply ctx pool name inputs output table =
     | Some f -> f
     | None -> err "unregistered udf %s" name
   in
-  let input_attrs = Attr.Set.elements inputs in
-  let input_idx = List.map (Table.col_index table) input_attrs in
+  let input_cols = List.map (Table.column table) (Attr.Set.elements inputs) in
   let dropped = Attr.Set.remove output inputs in
   let out_attrs =
     List.filter (fun a -> not (Attr.Set.mem a dropped)) (Table.attrs table)
   in
-  let out_pos = List.map (Table.col_index table) out_attrs in
-  let out_index_of_output =
-    let rec find i = function
-      | [] -> err "udf output %s missing" (Attr.name output)
-      | a :: _ when Attr.equal a output -> i
-      | _ :: rest -> find (i + 1) rest
-    in
-    find 0 out_attrs
+  let out_pos =
+    match List.find_index (Attr.equal output) out_attrs with
+    | Some p -> p
+    | None -> err "udf output %s missing" (Attr.name output)
   in
-  let rows =
-    pconcat pool
-      ~f:(fun _ chunk ->
-        List.map
-          (fun row ->
-            let result = f (List.map (fun i -> row.(i)) input_idx) in
-            let out = Array.of_list (List.map (fun i -> row.(i)) out_pos) in
-            out.(out_index_of_output) <- result;
-            out)
-          chunk)
-      (Table.rows table)
+  let n = Table.cardinality table in
+  let results =
+    Column.of_values
+      (pconcat pool
+         ~f:(fun start len ->
+           Array.init len (fun k ->
+               f (List.map (fun c -> Column.get c (start + k)) input_cols)))
+         n)
   in
-  Table.create out_attrs rows
+  Table.of_columns ~nrows:n out_attrs
+    (Array.of_list
+       (List.mapi
+          (fun p a -> if p = out_pos then results else Table.column table a)
+          out_attrs))
 
-(* stable sort by the key list; OPE ciphertexts order by payload.
-   Parallel path: stable-sort chunks, then left-preferring merges —
-   stable-sorted output is unique, so it matches the sequential sort. *)
+let cell_compare c i j =
+  match c with
+  | Column.Ints a | Column.Dates a -> Int.compare a.(i) a.(j)
+  | Column.Floats a -> Float.compare a.(i) a.(j)
+  | Column.Strs a -> String.compare a.(i) a.(j)
+  | Column.Bools a -> Bool.compare a.(i) a.(j)
+  | Column.Values a -> (
+      match (a.(i), a.(j)) with
+      | Value.Enc c1, Value.Enc c2 ->
+          if c1.Value.scheme = "ope" && c2.Value.scheme = "ope" then
+            (* order lives in the OPE prefix only; comparing whole
+               payloads would order tied-prefix strings by their
+               non-order-preserving det tails *)
+            Enc_exec.ope_compare c1 c2
+          else String.compare c1.Value.payload c2.Value.payload
+      | v1, v2 -> (
+          try Value.compare v1 v2
+          with Value.Incomparable _ -> err "order_by over incomparable values"))
+
+(* A stable sort of the row permutation by the key list. Parallel path:
+   stable-sort index ranges, then left-preferring merges — stable-sorted
+   output is unique, so it matches the sequential sort. *)
 let order_by pool table keys =
-  let idx = List.map (fun (a, d) -> (Table.col_index table a, d)) keys in
-  let cmp r1 r2 =
+  let keys = List.map (fun (a, d) -> (Table.column table a, d)) keys in
+  let cmp i j =
     let rec go = function
       | [] -> 0
-      | (i, d) :: rest -> (
-          let c =
-            match (r1.(i), r2.(i)) with
-            | Value.Enc c1, Value.Enc c2 ->
-                if c1.Value.scheme = "ope" && c2.Value.scheme = "ope" then
-                  (* order lives in the OPE prefix only; comparing whole
-                     payloads would order tied-prefix strings by their
-                     non-order-preserving det tails *)
-                  Enc_exec.ope_compare c1 c2
-                else String.compare c1.Value.payload c2.Value.payload
-            | v1, v2 -> (
-                try Value.compare v1 v2
-                with Value.Incomparable _ ->
-                  err "order_by over incomparable values")
-          in
-          let c = match d with Plan.Asc -> c | Plan.Desc -> -c in
-          if c <> 0 then c else go rest)
+      | (c, d) :: rest ->
+          let s = cell_compare c i j in
+          let s = match d with Plan.Asc -> s | Plan.Desc -> -s in
+          if s <> 0 then s else go rest
     in
-    go idx
+    go keys
   in
+  let sort start len = List.stable_sort cmp (List.init len (fun k -> start + k)) in
+  let n = Table.cardinality table in
   let sorted =
     match pool with
-    | Some p when Table.cardinality table > 128 ->
-        Par.map_chunks p
-          ~f:(fun _ chunk -> List.stable_sort cmp chunk)
-          (Table.rows table)
-        |> List.fold_left (fun acc l -> List.merge cmp acc l) []
-    | _ -> List.stable_sort cmp (Table.rows table)
+    | Some p when n > 128 ->
+        Par.map_ranges p ~f:sort n |> List.fold_left (List.merge cmp) []
+    | _ -> sort 0 n
   in
-  Table.create (Table.attrs table) sorted
+  Table.gather table (Array.of_list sorted)
 
 let limit table n =
-  let rec take k = function
-    | [] -> []
-    | _ when k = 0 -> []
-    | r :: rest -> r :: take (k - 1) rest
-  in
-  Table.create (Table.attrs table) (take n (Table.rows table))
+  if n < 0 || n >= Table.cardinality table then table else Table.sub table 0 n
 
 let operator_tag plan =
   match Plan.node plan with
@@ -573,13 +517,13 @@ let run_with_hook ?pool ?memo ctx ~hook plan =
         | Plan.Base s -> (op (fun () -> base ctx pool ~node:pos s), [])
         | Plan.Project (attrs, c) ->
             let t, lg = go (pos + 1) c in
-            (op (fun () -> project pool t attrs), lg)
+            (op (fun () -> project t attrs), lg)
         | Plan.Select (pred, c) ->
             let t, lg = go (pos + 1) c in
             (op (fun () -> select ?crypto:ctx.crypto pool t pred), lg)
         | Plan.Product (l, r) ->
             let (tl, ll), (tr, lr) = both_go pos l r in
-            (op (fun () -> product pool tl tr), ll @ lr)
+            (op (fun () -> product tl tr), ll @ lr)
         | Plan.Join (pred, l, r) ->
             let (tl, ll), (tr, lr) = both_go pos l r in
             (op (fun () -> join ?crypto:ctx.crypto pool pred tl tr), ll @ lr)

@@ -1,24 +1,28 @@
 (** Plan execution over in-memory tables.
 
     Executes both original plans and extended plans (with
-    [Encrypt]/[Decrypt] nodes, which require a crypto context). Joins use
-    a hash join on conjunctive equality pairs — including pairs of
-    deterministic ciphertexts — with a nested-loop fallback; group-by
-    hashes on the key tuple and supports homomorphic [sum]/[avg] over
+    [Encrypt]/[Decrypt] nodes, which require a crypto context). Every
+    operator runs on {!Table}'s column layout: projection selects
+    columns without copying, selection and joins produce row indices
+    and gather the kept rows, group-by, order-by and limit work on index
+    arrays. Joins use a hash join on conjunctive equality pairs —
+    including pairs of deterministic ciphertexts — with a nested-loop
+    fallback; a left row's matches come out in descending right-row
+    order. Group-by hashes on the key tuple, keeps groups in
+    first-appearance order, and supports homomorphic [sum]/[avg] over
     Paillier ciphertexts and [min]/[max] over OPE ciphertexts.
 
     {2 Parallel execution}
 
-    With [?pool] (a {!Par.pool}), operators fan row chunks out across
-    domains: scan/filter/project/udf/encrypt/decrypt chunk their input,
-    the hash join partitions both sides by key, group-by partitions rows
-    in parallel and merges groups sequentially, and independent sibling
-    subplans of a join/product run concurrently. The result is
-    {e byte-identical} to the sequential run: every operator reproduces
-    the sequential output order, and encryption randomness is derived
-    from (plan-node preorder position, row index) rather than a shared
-    stream, so even ciphertext bytes are a function of position, not
-    scheduling. *)
+    With [?pool] (a {!Par.pool}), operators fan index ranges out across
+    domains: selection, the join's probe side, group-by's keys and
+    aggregates, udf, order-by and the crypto operators split their
+    input into contiguous ranges, and independent sibling subplans of a
+    join/product run concurrently. The result is {e byte-identical} to
+    the sequential run: every operator reproduces the sequential output
+    order, and encryption randomness is derived from (plan-node preorder
+    position, row index) rather than a shared stream, so even
+    ciphertext bytes are a function of position, not scheduling. *)
 
 open Relalg
 
@@ -83,6 +87,3 @@ val run_with_hook :
     and replays it after the plan has run. Hooks may therefore keep
     unsynchronized mutable state, and a raising hook aborts at the same
     node under any job count (after execution, rather than mid-plan). *)
-
-val hash_key : Value.t -> string
-(** Equality-compatible hash key (full ciphertext payload for [Enc]). *)

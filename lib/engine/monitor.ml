@@ -11,21 +11,24 @@ type report = { events : event list; violations : event list }
 exception Violation of event
 
 let check_consistency (profile : Authz.Profile.t) table =
+  (* one scan of the attribute's column; typed columns hold neither
+     Null nor ciphertext *)
   let column_kind a =
-    let vals =
-      List.filter_map
-        (fun row ->
-          match Table.value table row a with
-          | Value.Null -> None
-          | v -> Some (Value.is_encrypted v))
-        (Table.rows table)
-    in
-    match vals with
-    | [] -> `Unknown
-    | first :: rest ->
-        if List.for_all (Bool.equal first) rest then
-          if first then `Encrypted else `Plain
-        else `Mixed
+    match Table.column table a with
+    | Column.Values vs -> (
+        let kind = ref `Unknown in
+        Array.iter
+          (fun v ->
+            if not (Value.is_null v) then
+              let k = if Value.is_encrypted v then `Encrypted else `Plain in
+              kind :=
+                match !kind with
+                | `Unknown -> k
+                | seen when seen = k -> seen
+                | _ -> `Mixed)
+          vs;
+        !kind)
+    | c -> if Column.length c = 0 then `Unknown else `Plain
   in
   let bad =
     List.filter_map

@@ -1,17 +1,14 @@
 open Relalg
 
-(* Dual representation: a table materializes as rows (Value arrays, the
-   operator-at-a-time layout) and/or as typed columns (the batch-kernel
-   layout). Whichever side is missing is derived on demand and cached;
-   the caches are single idempotent writes of structurally-equal values,
-   so a caller must force the representation it needs *before* fanning
-   out to worker domains (Exec does). *)
+(* One immutable layout: a typed column per attribute plus an explicit
+   row count (a zero-column table still has a cardinality). Operators
+   share columns freely across tables and domains; nothing is cached or
+   filled in later. *)
 type t = {
   attrs : Attr.t list;
   index : int Attr.Map.t;
   nrows : int;
-  mutable rows_v : Value.t array list option;
-  mutable cols_v : Column.t array option;
+  cols : Column.t array;
 }
 
 let build_index attrs =
@@ -20,75 +17,40 @@ let build_index attrs =
     (0, Attr.Map.empty) attrs
   |> snd
 
-let create attrs rows =
-  let n = List.length attrs in
-  List.iter
-    (fun r ->
-      if Array.length r <> n then
-        invalid_arg
-          (Printf.sprintf "Table.create: row arity %d, header arity %d"
-             (Array.length r) n))
-    rows;
-  { attrs;
-    index = build_index attrs;
-    nrows = List.length rows;
-    rows_v = Some rows;
-    cols_v = None }
-
-let of_columns attrs cols =
+let of_columns ~nrows attrs cols =
   let n = List.length attrs in
   if Array.length cols <> n then
     invalid_arg
       (Printf.sprintf "Table.of_columns: %d columns, header arity %d"
          (Array.length cols) n);
-  let nrows = if n = 0 then 0 else Column.length cols.(0) in
   Array.iteri
     (fun j c ->
       if Column.length c <> nrows then
         invalid_arg
-          (Printf.sprintf
-             "Table.of_columns: column %d has %d rows, column 0 has %d" j
-             (Column.length c) nrows))
+          (Printf.sprintf "Table.of_columns: column %d has %d rows, expected %d"
+             j (Column.length c) nrows))
     cols;
-  { attrs;
-    index = build_index attrs;
-    nrows;
-    rows_v = None;
-    cols_v = Some cols }
+  { attrs; index = build_index attrs; nrows; cols }
+
+let create attrs rows =
+  let n = List.length attrs in
+  let arr = Array.of_list rows in
+  Array.iter
+    (fun r ->
+      if Array.length r <> n then
+        invalid_arg
+          (Printf.sprintf "Table.create: row arity %d, header arity %d"
+             (Array.length r) n))
+    arr;
+  of_columns ~nrows:(Array.length arr) attrs
+    (Array.init n (fun j -> Column.of_values (Array.map (fun r -> r.(j)) arr)))
 
 let of_schema s rows = create (Schema.attr_list s) rows
 let attrs t = t.attrs
 let cardinality t = t.nrows
-
-let rows t =
-  match t.rows_v with
-  | Some r -> r
-  | None ->
-      let cols =
-        match t.cols_v with Some c -> c | None -> assert false
-      in
-      let ncols = Array.length cols in
-      let r =
-        List.init t.nrows (fun i ->
-            Array.init ncols (fun j -> Column.get cols.(j) i))
-      in
-      t.rows_v <- Some r;
-      r
-
-let columns t =
-  match t.cols_v with
-  | Some c -> c
-  | None ->
-      let rs =
-        match t.rows_v with Some r -> r | None -> assert false
-      in
-      let arr = Array.of_list rs in
-      let c =
-        Array.init (List.length t.attrs) (fun j ->
-            Column.of_values (Array.init t.nrows (fun i -> arr.(i).(j))))
-      in
-      t.cols_v <- Some c;
-      c
+let columns t = t.cols
+let row t i = Array.map (fun c -> Column.get c i) t.cols
+let rows t = List.init t.nrows (row t)
 
 exception Unknown_attribute of { attr : string; columns : string list }
 
@@ -100,38 +62,18 @@ let col_index t a =
         (Unknown_attribute
            { attr = Attr.name a; columns = List.map Attr.name t.attrs })
 
+let column t a = t.cols.(col_index t a)
 let value t row a = row.(col_index t a)
 
-let select_columns t cols =
-  match t.cols_v with
-  | Some arr ->
-      (* column sharing: projection copies pointers, not cells *)
-      of_columns cols
-        (Array.of_list (List.map (fun a -> arr.(col_index t a)) cols))
-  | None ->
-      let idx = List.map (col_index t) cols in
-      let project r = Array.of_list (List.map (fun i -> r.(i)) idx) in
-      create cols (List.map project (rows t))
+let select_columns t attrs =
+  of_columns ~nrows:t.nrows attrs (Array.of_list (List.map (column t) attrs))
 
-let map_column t a f =
-  let i = col_index t a in
-  match t.cols_v with
-  | Some arr ->
-      let arr' = Array.copy arr in
-      arr'.(i) <- Column.of_values (Array.map f (Column.to_values arr.(i)));
-      of_columns t.attrs arr'
-  | None ->
-      let rows =
-        List.map
-          (fun r ->
-            let r' = Array.copy r in
-            r'.(i) <- f r.(i);
-            r')
-          (rows t)
-      in
-      create t.attrs rows
+let gather t idx =
+  of_columns ~nrows:(Array.length idx) t.attrs
+    (Array.map (fun c -> Column.gather c idx) t.cols)
 
-let append_rows t extra = create t.attrs (rows t @ extra)
+let sub t pos len =
+  of_columns ~nrows:len t.attrs (Array.map (fun c -> Column.sub c pos len) t.cols)
 
 let row_key r = String.concat "\x00" (Array.to_list (Array.map Value.to_string r))
 
@@ -156,42 +98,29 @@ let value_bytes = function
   | Value.Enc c -> String.length c.Value.payload + 8
 
 let byte_size t =
-  match t.cols_v with
-  | Some cols ->
-      Array.fold_left
-        (fun acc c ->
-          match c with
-          | Column.Ints a -> acc + (8 * Array.length a)
-          | Column.Dates a -> acc + (4 * Array.length a)
-          | Column.Floats a -> acc + (8 * Array.length a)
-          | Column.Bools a -> acc + Array.length a
-          | Column.Strs a ->
-              Array.fold_left (fun acc s -> acc + String.length s) acc a
-          | Column.Values a ->
-              Array.fold_left (fun acc v -> acc + value_bytes v) acc a)
-        0 cols
-  | None ->
-      List.fold_left
-        (fun acc r -> Array.fold_left (fun acc v -> acc + value_bytes v) acc r)
-        0 (rows t)
+  Array.fold_left
+    (fun acc c ->
+      match c with
+      | Column.Ints a -> acc + (8 * Array.length a)
+      | Column.Dates a -> acc + (4 * Array.length a)
+      | Column.Floats a -> acc + (8 * Array.length a)
+      | Column.Bools a -> acc + Array.length a
+      | Column.Strs a -> Array.fold_left (fun acc s -> acc + String.length s) acc a
+      | Column.Values a -> Array.fold_left (fun acc v -> acc + value_bytes v) acc a)
+    0 t.cols
 
 let to_string ?(limit = 20) t =
   let buf = Buffer.create 256 in
   Buffer.add_string buf
     (String.concat " | " (List.map Attr.name t.attrs));
   Buffer.add_char buf '\n';
-  List.iteri
-    (fun i r ->
-      if i < limit then begin
-        Buffer.add_string buf
-          (String.concat " | "
-             (Array.to_list (Array.map Value.to_string r)));
-        Buffer.add_char buf '\n'
-      end)
-    (rows t);
-  if cardinality t > limit then
+  for i = 0 to min limit t.nrows - 1 do
     Buffer.add_string buf
-      (Printf.sprintf "... (%d rows total)\n" (cardinality t));
+      (String.concat " | " (Array.to_list (Array.map Value.to_string (row t i))));
+    Buffer.add_char buf '\n'
+  done;
+  if t.nrows > limit then
+    Buffer.add_string buf (Printf.sprintf "... (%d rows total)\n" t.nrows);
   Buffer.contents buf
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -1,38 +1,33 @@
 (** In-memory relations.
 
-    A table is an ordered list of attributes plus a bag of tuples,
-    held in one (or both) of two layouts: rows ([Value.t array] per
-    tuple, the operator-at-a-time layout) and typed columns
-    ({!Relalg.Column.t} per attribute, the batch-kernel layout). The
-    missing layout is derived on demand and cached. Bag semantics
-    throughout (SQL-style: projection does not deduplicate). *)
+    A table is an ordered list of attributes, a row count and one typed
+    column ({!Relalg.Column.t}) per attribute. Tables are immutable, so
+    operators share columns between tables and across domains without
+    copying. Bag semantics throughout (SQL-style: projection does not
+    deduplicate). *)
 
 open Relalg
 
 type t
 
 val create : Attr.t list -> Value.t array list -> t
-(** Row-layout constructor. Raises [Invalid_argument] when a row's
-    arity differs from the header's. *)
+(** Row adapter (CSV import, tests): builds the columns once. Raises
+    [Invalid_argument] when a row's arity differs from the header's. *)
 
-val of_columns : Attr.t list -> Column.t array -> t
-(** Column-layout constructor; columns are in header order. Raises
-    [Invalid_argument] on arity or length mismatch. *)
+val of_columns : nrows:int -> Attr.t list -> Column.t array -> t
+(** Columns are in header order. The row count is explicit so a table
+    with no columns keeps its cardinality. Raises [Invalid_argument] on
+    arity or length mismatch. *)
 
 val of_schema : Schema.t -> Value.t array list -> t
 
 val attrs : t -> Attr.t list
+val cardinality : t -> int
+val columns : t -> Column.t array
 
 val rows : t -> Value.t array list
-(** Materializes (and caches) the row layout. Not safe to call for the
-    first time concurrently from several domains — force it on the
-    coordinating domain before fan-out. *)
-
-val columns : t -> Column.t array
-(** Materializes (and caches) the column layout; same single-domain
-    first-call rule as {!rows}. *)
-
-val cardinality : t -> int
+(** Boxes every cell into row arrays; nothing is cached. For export,
+    printing and tests, never for operators. *)
 
 exception Unknown_attribute of { attr : string; columns : string list }
 (** A column lookup named an attribute the table does not carry. Carries
@@ -41,18 +36,24 @@ exception Unknown_attribute of { attr : string; columns : string list }
     with the operator that performed the lookup). *)
 
 val col_index : t -> Attr.t -> int
-(** Raises {!Unknown_attribute} for a foreign attribute. *)
+(** Raises {!Unknown_attribute} for a foreign attribute. A repeated
+    attribute resolves to its last position. *)
+
+val column : t -> Attr.t -> Column.t
+(** [column t a] is [columns t].(col_index t a). *)
 
 val value : t -> Value.t array -> Attr.t -> Value.t
-(** [value t row a] reads column [a] of a row of [t]. *)
+(** [value t row a] reads attribute [a] of a row of [rows t]. *)
 
 val select_columns : t -> Attr.t list -> t
-(** Keep (and reorder to) the given columns. *)
+(** Keep (and reorder to) the given columns; shares them, copies no
+    cell. *)
 
-val map_column : t -> Attr.t -> (Value.t -> Value.t) -> t
-(** Apply a function to one column of every row. *)
+val gather : t -> int array -> t
+(** [gather t idx] has row [k] = row [idx.(k)] of [t]. *)
 
-val append_rows : t -> Value.t array list -> t
+val sub : t -> int -> int -> t
+(** [sub t pos len] keeps rows [pos .. pos + len - 1]. *)
 
 val equal_bag : t -> t -> bool
 (** Multiset equality up to row order and column order. *)

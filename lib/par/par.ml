@@ -139,39 +139,7 @@ let both pool f g =
   | [ Either.Left a; Either.Right b ] -> (a, b)
   | _ -> assert false
 
-(* contiguous chunks as [(start_index, chunk)] in order *)
-let chunk_list size xs =
-  let rec take k acc ys =
-    if k = 0 then (List.rev acc, ys)
-    else
-      match ys with
-      | [] -> (List.rev acc, [])
-      | y :: rest -> take (k - 1) (y :: acc) rest
-  in
-  let rec go start acc ys =
-    match ys with
-    | [] -> List.rev acc
-    | _ ->
-        let c, rest = take size [] ys in
-        go (start + List.length c) ((start, c) :: acc) rest
-  in
-  go 0 [] xs
-
 let default_chunk pool n = max 64 ((n + (4 * pool.jobs) - 1) / (4 * pool.jobs))
-
-let map_chunks pool ?chunk ~f xs =
-  match xs with
-  | [] -> []
-  | _ ->
-      let n = List.length xs in
-      let size = match chunk with Some c -> max 1 c | None -> default_chunk pool n in
-      if n <= size then [ f 0 xs ]
-      else
-        run_all pool
-          (List.map (fun (start, c) () -> f start c) (chunk_list size xs))
-
-let map_list pool ?chunk g xs =
-  List.concat (map_chunks pool ?chunk ~f:(fun _ c -> List.map g c) xs)
 
 let map_ranges pool ?chunk ~f n =
   if n <= 0 then []

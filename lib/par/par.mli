@@ -46,22 +46,11 @@ val both : pool -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
 (** Run two independent computations concurrently — e.g. the two
     subtrees of a join. *)
 
-val map_chunks :
-  pool -> ?chunk:int -> f:(int -> 'a list -> 'b) -> 'a list -> 'b list
-(** [map_chunks pool ~f xs] splits [xs] into contiguous chunks, applies
-    [f start_index chunk] to each across the pool, and returns the
-    chunk results in order. [start_index] is the offset of the chunk's
-    first element in [xs], so position-keyed work (derived RNG streams,
-    stable indices) is independent of the chunking. [chunk] overrides
-    the default chunk size (max 64, or enough to give each domain a
-    few chunks). *)
-
-val map_list : pool -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
-(** Order-preserving parallel [List.map] built on {!map_chunks}. *)
-
 val map_ranges :
   pool -> ?chunk:int -> f:(int -> int -> 'a) -> int -> 'a list
 (** [map_ranges pool ~f n] covers [0 .. n - 1] with contiguous ranges,
     applies [f start len] to each across the pool, and returns the
-    results in range order. The index-based twin of {!map_chunks} for
-    array/column batches, with the same chunk-size policy. *)
+    results in range order. [start] is the range's first index, so
+    position-keyed work (derived RNG streams, stable indices) is
+    independent of the chunking. [chunk] overrides the default range
+    length (at least 64, or enough to give each domain a few ranges). *)

@@ -91,13 +91,30 @@ let to_values = function
   | c -> Array.init (length c) (get c)
 
 let sub c pos len =
+  if pos = 0 && len = length c then c
+  else
+    match c with
+    | Ints a -> Ints (Array.sub a pos len)
+    | Floats a -> Floats (Array.sub a pos len)
+    | Bools a -> Bools (Array.sub a pos len)
+    | Strs a -> Strs (Array.sub a pos len)
+    | Dates a -> Dates (Array.sub a pos len)
+    | Values a -> Values (Array.sub a pos len)
+
+(* Floats gather through a loop into a flat float array, so no cell is
+   boxed on the way *)
+let gather c idx =
+  let pick a = Array.map (fun i -> a.(i)) idx in
   match c with
-  | Ints a -> Ints (Array.sub a pos len)
-  | Floats a -> Floats (Array.sub a pos len)
-  | Bools a -> Bools (Array.sub a pos len)
-  | Strs a -> Strs (Array.sub a pos len)
-  | Dates a -> Dates (Array.sub a pos len)
-  | Values a -> Values (Array.sub a pos len)
+  | Ints a -> Ints (pick a)
+  | Floats a ->
+      let out = Array.create_float (Array.length idx) in
+      Array.iteri (fun k i -> out.(k) <- a.(i)) idx;
+      Floats out
+  | Bools a -> Bools (pick a)
+  | Strs a -> Strs (pick a)
+  | Dates a -> Dates (pick a)
+  | Values a -> Values (pick a)
 
 (* Concatenate segments of the same underlying type; falls back to a
    Value array when segment types disagree (e.g. a chunk boundary split

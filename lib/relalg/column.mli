@@ -29,7 +29,13 @@ val to_values : t -> Value.t array
     not mutate the result in that case). *)
 
 val sub : t -> int -> int -> t
-(** [sub c pos len] — same contract as [Array.sub]. *)
+(** [sub c pos len] — same contract as [Array.sub], except that the
+    whole column comes back as is rather than copied (columns are never
+    mutated once built). *)
+
+val gather : t -> int array -> t
+(** [gather c idx] is the column of cells [c.(idx.(k))], in [idx] order
+    and in [c]'s representation (a typed column stays unboxed). *)
 
 val concat : t list -> t
 (** Concatenates segments; keeps the typed representation when all

@@ -427,7 +427,9 @@ let migrate t (tn : Tenancy.t) ~old_policy ~old_env =
     @ (match tn.Tenancy.deliver_to with Some u -> [ u ] | None -> [])
   in
   match
-    Analysis.Delta.diff ~subjects ~old_policy ~new_policy:tn.Tenancy.policy ()
+    Obs.with_span "analysis.diff" (fun () ->
+        Analysis.Delta.diff ~subjects ~old_policy
+          ~new_policy:tn.Tenancy.policy ())
   with
   | `Incompatible ->
       (* schema change: old entries are not comparable fact-by-fact.
@@ -522,15 +524,17 @@ let migrate t (tn : Tenancy.t) ~old_policy ~old_env =
       Obs.incr ~by:sub_dropped "serve.subcache.invalidated"
 
 let set_policy ?subjects ?(tenant = Tenancy.default_id) t policy =
+  Obs.with_span "serve.set_policy" @@ fun () ->
   let tn = tenant_exn t tenant in
   let old_policy = tn.Tenancy.policy and old_env = tn.Tenancy.env in
   tn.Tenancy.policy <- policy;
   (match subjects with Some s -> tn.Tenancy.subjects <- s | None -> ());
-  Tenancy.rotate tn;
+  Obs.with_span "serve.rotate" (fun () -> Tenancy.rotate tn);
   (* a subject-population swap changes which views matter in ways the
      per-entry dependency sets cannot bound: fall back to the rotation
      the fingerprint change already performed *)
-  if subjects = None then migrate t tn ~old_policy ~old_env
+  if subjects = None then
+    Obs.with_span "serve.migrate" (fun () -> migrate t tn ~old_policy ~old_env)
 
 let set_config ?(tenant = Tenancy.default_id) t config =
   let tn = tenant_exn t tenant in

@@ -78,6 +78,33 @@ let test_export_then_import () =
     (let r0 = List.hd (Table.rows back) in
      Value.equal (Value.Str "a,b\"c") (Table.value back r0 (Attr.make "s")))
 
+(* Export renders straight from the columns: typed and boxed columns of
+   the same cells give the bytes the row-at-a-time renderer gave *)
+let test_export_columns () =
+  let attrs = List.map Attr.make [ "i"; "f"; "b"; "s"; "d"; "v" ] in
+  let enc = Value.Enc { Value.scheme = "det"; key_id = "k1"; payload = "\x00\xffA," } in
+  let date = Value.date_of_string in
+  let t =
+    Table.create attrs
+      [ [| Value.Int (-3); Value.Float 2.5; Value.Bool true; Value.Str "a,b\"c";
+           date "1995-03-15"; Value.Null |];
+        [| Value.Int 40; Value.Float 1e20; Value.Bool false; Value.Str "";
+           date "1970-01-01"; enc |];
+        [| Value.Int 0; Value.Float (-0.125); Value.Bool true; Value.Str "x\ny";
+           date "2000-02-29"; Value.Int 5 |] ]
+  in
+  let boxed =
+    Table.of_columns ~nrows:(Table.cardinality t) attrs
+      (Array.map (fun c -> Column.Values (Column.to_values c)) (Table.columns t))
+  in
+  let golden =
+    "i,f,b,s,d,v\n-3,2.5,true,\"a,b\"\"c\",date(9204),\n\
+     40,1e+20,false,,date(0),enc:det:00ff412c\n\
+     0,-0.125,true,\"x\ny\",date(11016),5\n"
+  in
+  Alcotest.(check string) "typed columns" golden (Csv.to_string t);
+  Alcotest.(check string) "boxed columns" golden (Csv.to_string boxed)
+
 (* --- policy DSL -------------------------------------------------------- *)
 
 let test_dsl_example () =
@@ -163,7 +190,8 @@ let () =
         [ ("parse with quotes/nulls", `Quick, test_roundtrip);
           ("header reordering", `Quick, test_header_reorder);
           ("errors", `Quick, test_errors);
-          ("export/import", `Quick, test_export_then_import) ] );
+          ("export/import", `Quick, test_export_then_import);
+          ("export from columns", `Quick, test_export_columns) ] );
       ( "json",
         [ ("escaping", `Quick, test_json_escaping);
           ("planning report", `Quick, test_json_report) ] );

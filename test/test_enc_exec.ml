@@ -396,7 +396,8 @@ let test_batch_vs_row () =
         plain)
     merged
 
-(* --- plan-level differential: row-layout vs column-layout tables ------ *)
+(* --- plan-level differential: tables built from rows (typed columns) vs
+   the same cells in boxed columns ------------------------------------- *)
 
 let udf_impls =
   [ ( "f",
@@ -452,10 +453,16 @@ let prop_columnar_layout_identical =
         let crypto = Enc_exec.make keyring case.Gen.clusters in
         Exec.context ~udfs:udf_impls ~crypto tables
       in
+      (* the same cells, every column boxed: operators must not depend
+         on a column's representation *)
       let columnized =
         List.map
           (fun (name, t) ->
-            (name, Table.of_columns (Table.attrs t) (Table.columns t)))
+            ( name,
+              Table.of_columns ~nrows:(Table.cardinality t) (Table.attrs t)
+                (Array.map
+                   (fun c -> Column.Values (Column.to_values c))
+                   (Table.columns t)) ))
           tables
       in
       let by_rows = Exec.run (ctx tables) case.Gen.executable in
@@ -463,7 +470,7 @@ let prop_columnar_layout_identical =
       if byte_identical by_rows by_cols then true
       else
         QCheck.Test.fail_reportf
-          "row-layout and column-layout runs differ:\n%s\nvs\n%s"
+          "typed-column and boxed-column runs differ:\n%s\nvs\n%s"
           (Table.to_string by_rows) (Table.to_string by_cols))
 
 let () =

@@ -68,6 +68,25 @@ let test_monitor_clean () =
        (fun e -> match e.Monitor.kind with `Transfer _ -> true | _ -> false)
        report.Monitor.events)
 
+(* The consistency audit scans one column per attribute: a typed
+   (plaintext) column profiled encrypted, a ciphertext column profiled
+   plaintext and a column mixing both are each named *)
+let test_monitor_consistency () =
+  let enc = Value.Enc { Value.scheme = "det"; key_id = "k"; payload = "p" } in
+  let t =
+    Table.create
+      [ Attr.make "p"; Attr.make "e"; Attr.make "m"; Attr.make "n" ]
+      [ [| v_int 1; enc; enc; Value.Null |]; [| v_int 2; enc; v_int 3; Value.Null |] ]
+  in
+  let check ~vp ~ve expected =
+    Alcotest.(check (option string)) (String.concat "," ve) expected
+      (Monitor.check_consistency (Profile.make ~vp ~ve ()) t)
+  in
+  check ~vp:[ "p"; "m"; "n" ] ~ve:[ "e" ] (Some "m mixed plaintext/ciphertext");
+  check ~vp:[ "e" ] ~ve:[ "p"; "n" ]
+    (Some "p plaintext but profiled encrypted; e encrypted but profiled plaintext; \
+           m mixed plaintext/ciphertext")
+
 let test_monitor_catches_unauthorized () =
   (* Hand-build a "bad" extension: assign the join to X but skip the
      encryption of S — the monitor must flag the transfer. *)
@@ -157,6 +176,22 @@ let test_order_by_over_ope () =
     (List.map (fun r -> r.(0)) (Table.rows result)
     = [ v_int 10; v_int 20; v_int 30 ])
 
+(* Regression: a table carries its row count, so a projection onto no
+   columns keeps its cardinality. Taking the count from column 0 gave
+   such a table zero rows, and count(star) over it no row at all. *)
+let test_zero_column_count () =
+  let t = Table.create [ Attr.make "v" ] [ [| v_int 1 |]; [| v_int 2 |]; [| v_int 3 |] ] in
+  let none = Table.select_columns t [] in
+  Alcotest.(check int) "projection keeps the rows" 3 (Table.cardinality none);
+  let plan =
+    Plan.group_by Attr.Set.empty
+      [ Aggregate.make Aggregate.Count_star ]
+      (Plan.base (Schema.make ~name:"E" ~owner:"H" []))
+  in
+  let result = Exec.run (Exec.context [ ("E", none) ]) plan in
+  Alcotest.(check bool) "count(*) = 3" true
+    (Table.rows result = [ [| v_int 3 |] ])
+
 let () =
   Alcotest.run "engine"
     [ ( "running-example-exec",
@@ -166,9 +201,12 @@ let () =
           ("monitor: clean run has no violations", `Quick, test_monitor_clean);
           ( "verify rejects plaintext-leaking extension",
             `Quick,
-            test_monitor_catches_unauthorized ) ] );
+            test_monitor_catches_unauthorized );
+          ("monitor: consistency per column", `Quick, test_monitor_consistency) ] );
       ( "operators",
         [ ("hash join", `Quick, test_join_hash_vs_nested);
           ("group-by sum", `Quick, test_group_by_aggregates);
           ("order-by + limit", `Quick, test_order_by_limit);
-          ("order-by over OPE ciphertext", `Quick, test_order_by_over_ope) ] ) ]
+          ("order-by over OPE ciphertext", `Quick, test_order_by_over_ope);
+          ("zero-column projection keeps its count", `Quick,
+           test_zero_column_count) ] ) ]

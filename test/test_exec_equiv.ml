@@ -178,11 +178,239 @@ let test_mixed_numeric_hash_join () =
   Alcotest.(check bool) "hash path = nested-loop path" true
     (Table.equal_bag hashed nested)
 
+(* --- column executor vs the row oracle --------------------------------- *)
+
+let jobs_env =
+  match Sys.getenv_opt "MPQ_JOBS" with
+  | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> 4)
+  | None -> 4
+
+let pool = lazy (if jobs_env > 1 then Some (Par.create ~name:"oracle" jobs_env) else None)
+
+(* header, row order and every value (ciphertext payloads included) — or
+   the same exception *)
+let outcome f =
+  match f () with
+  | t -> Ok (Table.attrs t, Table.rows t)
+  | exception e -> Error (Printexc.to_string e)
+
+let same_outcome a b =
+  match (a, b) with
+  | Ok (aa, ar), Ok (ba, br) ->
+      List.equal Attr.equal aa ba
+      && List.equal (fun (x : Value.t array) y -> x = y) ar br
+  | Error x, Error y -> String.equal x y
+  | _ -> false
+
+let show = function
+  | Ok (attrs, rows) -> Table.to_string ~limit:8 (Table.create attrs rows)
+  | Error e -> "raised " ^ e
+
+(* [Exec.run] sequentially and on the shared pool, each against
+   [Row_oracle.run]; [ctx ()] must build a fresh crypto context *)
+let check_against_oracle ~label ctx plan =
+  let want = outcome (fun () -> Row_oracle.run (ctx ()) plan) in
+  List.for_all
+    (fun (jobs, pool) ->
+      let got = outcome (fun () -> Exec.run ?pool (ctx ()) plan) in
+      same_outcome want got
+      || QCheck.Test.fail_reportf "%s at %d jobs:\nrow oracle: %s\ncolumns: %s" label
+           jobs (show want) (show got))
+    [ (1, None); (jobs_env, Lazy.force pool) ]
+
+let two_53 = 9007199254740992
+
+(* Gen's catalog with the cells that stress the operators: Nulls, Int and
+   Float keys on both sides of 2^53 (where Int/Float equality stops
+   being exact), few distinct values (duplicate join and group keys),
+   strings tied on their 4-byte OPE prefix, empty tables and tables big
+   enough to split into parallel ranges. Each column draws a style —
+   all Int, all Float, or mixed — so typed and boxed columns both
+   meet on join keys and in predicates. *)
+let edge_values =
+  [| Value.Int (two_53 - 1); Value.Int two_53; Value.Int (two_53 + 1);
+     Value.Float 9007199254740991.0; Value.Float 9007199254740992.0;
+     Value.Float 9007199254740994.0; Value.Int (-two_53 - 1);
+     Value.Float (-9007199254740992.0) |]
+
+let gen_oracle_tables st =
+  let pick a = a.(QCheck.Gen.int_bound (Array.length a - 1) st) in
+  let small () = QCheck.Gen.int_bound 5 st in
+  let num_column () =
+    match QCheck.Gen.int_bound 3 st with
+    | 0 -> fun () -> Value.Int (small ())
+    | 1 -> fun () -> Value.Float (float_of_int (small ()))
+    | 2 -> (
+        fun () ->
+          match QCheck.Gen.int_bound 7 st with
+          | 0 -> Value.Null
+          | 1 -> pick edge_values
+          | 2 | 3 -> Value.Float (float_of_int (small ()))
+          | _ -> Value.Int (small ()))
+    | _ -> (
+        fun () ->
+          match QCheck.Gen.int_bound 7 st with
+          | 0 -> Value.Null
+          | 1 | 2 -> Value.Float (float_of_int (small ()))
+          | _ -> Value.Int (small ()))
+  in
+  let str_column () =
+    let nulls = QCheck.Gen.bool st in
+    fun () ->
+      if nulls && QCheck.Gen.int_bound 5 st = 0 then Value.Null
+      else Value.Str (pick [| "abcdX"; "abcdY"; "abcd"; "ga"; "bu"; "zo"; "meu" |])
+  in
+  let size () =
+    if QCheck.Gen.int_bound 5 st = 0 then 64 + QCheck.Gen.int_bound 40 st
+    else QCheck.Gen.int_bound 12 st
+  in
+  let rel schema =
+    let cells =
+      List.map (fun a -> if Gen.is_string a then str_column () else num_column ())
+        (Schema.attr_list schema)
+    in
+    Table.of_schema schema
+      (List.init (size ()) (fun _ -> Array.of_list (List.map (fun c -> c ()) cells)))
+  in
+  [ ("R1", rel Gen.rel1); ("R2", rel Gen.rel2); ("R3", rel Gen.rel3) ]
+
+let prop_row_oracle =
+  QCheck.Test.make ~count:200
+    ~name:"column executor = row oracle, byte for byte, at 1 and MPQ_JOBS jobs"
+    (QCheck.make
+       ~print:(fun ((c : Gen.extended_case), _) ->
+         Plan_printer.to_ascii c.Gen.executable)
+       QCheck.Gen.(Gen.gen_extended >>= fun case -> fun st -> (case, gen_oracle_tables st)))
+    (fun (case, tables) ->
+      let ctx () =
+        let keyring = Mpq_crypto.Keyring.create ~seed:123L () in
+        let crypto = Enc_exec.make keyring case.Gen.clusters in
+        Exec.context ~udfs:udf_impls ~crypto tables
+      in
+      check_against_oracle ~label:"extended plan" ctx case.Gen.executable
+      && check_against_oracle ~label:"original plan"
+           (fun () -> Exec.context ~udfs:udf_impls tables)
+           case.Gen.original)
+
+(* A left row's matches come out in descending right-row order: the row
+   executor probed with [Hashtbl.find_all], most recent binding first. *)
+let test_join_match_order () =
+  let l = Table.create [ Attr.make "a" ] [ [| Value.Int 1 |]; [| Value.Int 2 |] ] in
+  let r =
+    Table.create
+      [ Attr.make "c"; Attr.make "tag" ]
+      [ [| Value.Int 1; Value.Str "r0" |]; [| Value.Float 1.0; Value.Str "r1" |];
+        [| Value.Int 2; Value.Str "r2" |]; [| Value.Int 1; Value.Str "r3" |];
+        [| Value.Null; Value.Str "r4" |] ]
+  in
+  let plan =
+    Plan.join
+      (Predicate.conj [ Predicate.Cmp_attr (Attr.make "a", Predicate.Eq, Attr.make "c") ])
+      (Plan.base (Schema.make ~name:"L" ~owner:"H" [ ("a", Schema.Tint) ]))
+      (Plan.base
+         (Schema.make ~name:"R" ~owner:"H" [ ("c", Schema.Tint); ("tag", Schema.Tstring) ]))
+  in
+  let ctx () = Exec.context [ ("L", l); ("R", r) ] in
+  let tags t = List.map (fun row -> Value.to_string row.(2)) (Table.rows t) in
+  Alcotest.(check (list string)) "descending right rows per left row"
+    [ "\"r3\""; "\"r1\""; "\"r0\""; "\"r2\"" ]
+    (tags (Exec.run (ctx ()) plan));
+  Alcotest.(check (list string)) "row oracle agrees"
+    (tags (Row_oracle.run (ctx ()) plan))
+    (tags (Exec.run (ctx ()) plan))
+
+let agree ?crypto tables plan =
+  Alcotest.(check bool) "column executor = row oracle" true
+    (check_against_oracle ~label:"case"
+       (fun () -> Exec.context ?crypto:(Option.map (fun f -> f ()) crypto) tables)
+       plan)
+
+(* Int and Float keys around 2^53 through the hash join and group-by, on
+   typed (all-Int, all-Float) and mixed columns *)
+let test_keys_at_2_53 () =
+  let ints = [ two_53 - 1; two_53; two_53 + 1; two_53 + 2; 7 ] in
+  let floats = [ 9007199254740991.0; 9007199254740992.0; 9007199254740994.0; 7.0 ] in
+  let rel name col cells =
+    ( (name, Table.create [ Attr.make col ] (List.map (fun v -> [| v |]) cells)),
+      Plan.base (Schema.make ~name ~owner:"H" [ (col, Schema.Tint) ]) )
+  in
+  let sides =
+    [ rel "I" "a" (List.map (fun i -> Value.Int i) ints);
+      rel "F" "c" (List.map (fun f -> Value.Float f) floats);
+      rel "M" "c"
+        (Value.Null :: List.map (fun i -> Value.Int i) ints
+        @ List.map (fun f -> Value.Float f) floats) ]
+  in
+  let (l, lplan) = List.nth sides 0 in
+  List.iter
+    (fun (r, rplan) ->
+      let eq = Predicate.conj [ Predicate.Cmp_attr (Attr.make "a", Predicate.Eq, Attr.make "c") ] in
+      agree [ l; r ] (Plan.join eq lplan rplan);
+      agree [ r ]
+        (Plan.group_by (Attr.Set.of_names [ "c" ])
+           [ Aggregate.make Aggregate.Count_star ] rplan))
+    (List.tl sides)
+
+(* Count over a randomized-encrypted operand encrypts each group's count
+   under a generator derived from the group's index *)
+let test_group_randomness () =
+  let t =
+    Table.create [ Attr.make "g"; Attr.make "v" ]
+      (List.init 90 (fun i -> [| Value.Int (i mod 7); Value.Int i |]))
+  in
+  let schema = Schema.make ~name:"T" ~owner:"H" [ ("g", Schema.Tint); ("v", Schema.Tint) ] in
+  let crypto () =
+    Enc_exec.of_schemes (Mpq_crypto.Keyring.create ~seed:5L ()) [ ("v", Mpq_crypto.Scheme.Rnd) ]
+  in
+  agree ~crypto [ ("T", t) ]
+    (Plan.group_by (Attr.Set.of_names [ "g" ])
+       [ Aggregate.make (Aggregate.Count (Attr.make "v")) ]
+       (Plan.encrypt (Attr.Set.of_names [ "v" ]) (Plan.base schema)))
+
+(* every TPC-H query under every scenario, extended plans over ciphertext *)
+let test_tpch_row_oracle () =
+  let sf = 0.0005 in
+  let data = Tpch.Tpch_data.generate ~sf () in
+  let tables =
+    List.map
+      (fun (s : Schema.t) ->
+        (s.Schema.name, Table.of_schema s (List.assoc s.Schema.name data)))
+      Tpch.Tpch_schema.all
+  in
+  Planner.Optimizer.self_check := false;
+  List.iter
+    (fun (q, _, _) ->
+      List.iter
+        (fun sc ->
+          let r =
+            Tpch.Scenarios.optimize ~sf ~fold_leaf_filters:false ~scenario:sc
+              (Tpch.Tpch_queries.query q)
+          in
+          let ctx () =
+            let keyring = Mpq_crypto.Keyring.create ~seed:42L () in
+            let crypto = Enc_exec.make keyring r.Planner.Optimizer.clusters in
+            Exec.context ~udfs:Tpch.Tpch_queries.udf_impls ~crypto tables
+          in
+          let label = Printf.sprintf "q%d %s" q (Tpch.Scenarios.name sc) in
+          Alcotest.(check bool) label true
+            (check_against_oracle ~label ctx
+               r.Planner.Optimizer.extended.Authz.Extend.plan))
+        Tpch.Scenarios.all)
+    Tpch.Tpch_queries.all
+
 let () =
+  Fun.protect ~finally:(fun () -> Option.iter Par.shutdown (Lazy.force pool))
+  @@ fun () ->
   Alcotest.run "exec-equivalence"
     [ ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_encrypted_equals_plain; prop_monitor_clean ] );
       ( "regressions",
         [ ("mixed Int/Float hash join", `Quick, test_mixed_numeric_hash_join) ]
-      ) ]
+      );
+      ( "row oracle",
+        [ QCheck_alcotest.to_alcotest prop_row_oracle;
+          ("join match order", `Quick, test_join_match_order);
+          ("Int/Float keys at 2^53", `Quick, test_keys_at_2_53);
+          ("per-group randomness", `Quick, test_group_randomness);
+          ("22 queries x 3 scenarios", `Slow, test_tpch_row_oracle) ] ) ]

@@ -64,27 +64,28 @@ let test_with_pool () =
       match pool with
       | None -> Alcotest.fail "expected a pool"
       | Some p ->
-          Alcotest.(check (list int)) "map_list order"
+          Alcotest.(check (list int)) "map_ranges order"
             (List.init 100 (fun i -> 2 * i))
-            (Par.map_list p (fun i -> 2 * i) (List.init 100 Fun.id)))
+            (List.concat
+               (Par.map_ranges p ~chunk:7
+                  ~f:(fun start len -> List.init len (fun k -> 2 * (start + k)))
+                  100)))
 
-let test_map_chunks_offsets () =
+let test_map_ranges_offsets () =
   Par.with_pool 4 (fun pool ->
       let p = Option.get pool in
-      let xs = List.init 500 Fun.id in
-      (* start indices must be the chunk's offset in the input: the
-         executor keys derived randomness on them *)
-      let chunks = Par.map_chunks p ~chunk:64 ~f:(fun start c -> (start, c)) xs in
-      let rebuilt =
-        List.concat_map
-          (fun (start, c) ->
-            List.mapi (fun k x ->
-                Alcotest.(check int) "offset consistent" (start + k) x;
-                x)
-              c)
-          chunks
-      in
-      Alcotest.(check (list int)) "concat of chunks = input" xs rebuilt)
+      (* each range's start is its offset in the input, and the ranges
+         tile the input in order: the executor keys derived randomness
+         on those offsets *)
+      let ranges = Par.map_ranges p ~chunk:64 ~f:(fun start len -> (start, len)) 500 in
+      List.iter
+        (fun (_, len) ->
+          Alcotest.(check bool) "1..64 indices per range" true (len >= 1 && len <= 64))
+        ranges;
+      Alcotest.(check (list int)) "ranges tile the input in order" (List.init 500 Fun.id)
+        (List.concat_map (fun (start, len) -> List.init len (fun k -> start + k)) ranges);
+      Alcotest.(check (list int)) "empty input, no range" []
+        (Par.map_ranges p ~f:(fun start _ -> start) 0))
 
 (* --- differential property: parallel = sequential --------------------- *)
 
@@ -292,7 +293,7 @@ let () =
         [ ("reuse across batches", `Quick, test_pool_reuse);
           ("exception propagation", `Quick, test_pool_exception);
           ("with_pool", `Quick, test_with_pool);
-          ("map_chunks offsets", `Quick, test_map_chunks_offsets) ] );
+          ("map_ranges offsets", `Quick, test_map_ranges_offsets) ] );
       ( "differential",
         [ QCheck_alcotest.to_alcotest prop_parallel_identical;
           ("hook post-order determinism", `Quick, test_hook_determinism) ] );

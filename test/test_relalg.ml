@@ -157,11 +157,11 @@ let test_table_ops () =
   Alcotest.(check int) "cardinality" 2 (Engine.Table.cardinality t);
   let sel = Engine.Table.select_columns t [ a "y" ] in
   Alcotest.(check int) "one column" 1 (List.length (Engine.Table.attrs sel));
-  let mapped = Engine.Table.map_column t (a "x") (fun _ -> Value.Int 0) in
-  Alcotest.(check bool) "map column" true
-    (List.for_all
-       (fun r -> Value.equal r.(0) (Value.Int 0))
-       (Engine.Table.rows mapped));
+  let gathered = Engine.Table.gather t [| 1; 1; 0 |] in
+  Alcotest.(check (list int)) "gather rows" [ 3; 3; 1 ]
+    (List.map
+       (fun r -> match r.(0) with Value.Int i -> i | _ -> -1)
+       (Engine.Table.rows gathered));
   (* bag equality is column-order and row-order insensitive *)
   let t' =
     Engine.Table.create [ a "y"; a "x" ]

@@ -1077,6 +1077,42 @@ let test_stats_accounting () =
   Alcotest.(check int) "cache emptied" 0 s'.Serve.Service.entries;
   Alcotest.(check int) "history kept" 2 s'.Serve.Service.misses
 
+(* set_policy runs under its own span, with the diff, the environment
+   rotation and the cache migration as children *)
+let test_set_policy_spans () =
+  let service = example_service () in
+  ignore (Serve.Service.submit_sql service running_query);
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false; Obs.reset ()) @@ fun () ->
+  Serve.Service.set_policy service (example_env ()).Policy_dsl.policy;
+  let rec edges parent = function
+    | Json.Obj fields ->
+        let name =
+          match List.assoc_opt "name" fields with Some (Json.String n) -> n | _ -> "?"
+        in
+        let children =
+          match List.assoc_opt "children" fields with Some (Json.List cs) -> cs | _ -> []
+        in
+        (parent, name) :: List.concat_map (edges name) children
+    | _ -> []
+  in
+  let tree =
+    match Obs.render_json () with
+    | Json.Obj fields -> (
+        match List.assoc_opt "spans" fields with
+        | Some (Json.List roots) -> List.concat_map (edges "") roots
+        | _ -> [])
+    | _ -> []
+  in
+  List.iter
+    (fun edge ->
+      Alcotest.(check bool)
+        (Printf.sprintf "span %s > %s" (fst edge) (snd edge))
+        true (List.mem edge tree))
+    [ ("", "serve.set_policy"); ("serve.set_policy", "serve.rotate");
+      ("serve.set_policy", "serve.migrate"); ("serve.migrate", "analysis.diff") ]
+
 let () =
   Alcotest.run "serve"
     [ ( "lru",
@@ -1095,7 +1131,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_warm_equals_cold ] );
       ( "invalidation",
         [ ("single-permission policy change", `Quick, test_policy_invalidation);
-          ("pricing/network/config change", `Quick, test_config_invalidation) ]
+          ("pricing/network/config change", `Quick, test_config_invalidation);
+          ("set_policy spans", `Quick, test_set_policy_spans) ]
       );
       ( "concurrency",
         [ ("200-query stream, 1 vs 4 domains", `Slow, test_stream_determinism);
