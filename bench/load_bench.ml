@@ -195,8 +195,7 @@ let () =
         ~subjects:env.Authz.Policy_dsl.subjects ~tables ()
     in
     let config =
-      { Serve.Server.default_config with
-        Serve.Server.backlog; deadline_ms = !deadline_ms }
+      { Serve.Server.backlog; deadline_ms = !deadline_ms }
     in
     let server =
       Serve.Server.create ~config ~service (Serve.Server.Tcp 0)
@@ -360,8 +359,7 @@ let () =
   let mt_clients = 4 and mt_backlog = 64 in
   let mservice = make_multi () in
   let mconfig =
-    { Serve.Server.default_config with
-      Serve.Server.backlog = mt_backlog; deadline_ms = !deadline_ms }
+    { Serve.Server.backlog = mt_backlog; deadline_ms = !deadline_ms }
   in
   let mserver =
     Serve.Server.create ~config:mconfig ~service:mservice (Serve.Server.Tcp 0)

@@ -778,24 +778,6 @@ let serve_cmd =
                    exec phases; an expired request is answered \
                    $(b,-- [N] deadline exceeded:) and is never half-served.")
   in
-  let netfaults_arg =
-    Arg.(value & opt (some string) None
-         & info [ "netfaults" ] ~docv:"SPEC"
-             ~doc:"Socket mode: connection-level chaos plan, applied \
-                   per-session from a seeded schedule. $(docv) entries \
-                   (comma-separated): $(b,slow=MS\\[@P\\]) (delay request \
-                   admission), $(b,stall\\@K) (inbound goes silent after K \
-                   requests), $(b,disconnect\\@K) (force-close after K \
-                   responses, at a response boundary), $(b,garbage=P) \
-                   (corrupt request lines), $(b,sessions=P) (fraction of \
-                   sessions affected).")
-  in
-  let fault_seed_arg =
-    Arg.(value & opt int 1337
-         & info [ "fault-seed" ] ~docv:"N"
-             ~doc:"Seed for the $(b,--netfaults) schedule: the same seed \
-                   and spec reproduce the same per-session fault plan.")
-  in
   let tenants_arg =
     Arg.(value & opt_all string []
          & info [ "tenant" ] ~docv:"ID=FILE"
@@ -804,12 +786,12 @@ let serve_cmd =
                    under its own policy, subjects and recipient, and its \
                    cache keys embed the tenant id, so tenants can never \
                    observe each other's cached plans or sub-plan results. \
-                   Requests target a tenant with the $(b,\\tenant use ID) \
+                   Requests target a tenant with the $(b,\\\\tenant use ID) \
                    directive (stdin mode and per socket session); the \
                    unnamed environment is tenant $(b,default).")
   in
   let run policy_path table_specs file cache batch listen backlog deadline_ms
-      netfaults fault_seed tenants jobs obs =
+      tenants jobs obs =
     guard @@ fun () ->
     with_obs obs @@ fun () ->
     Par.with_pool ~name:"serve" jobs @@ fun pool ->
@@ -849,26 +831,16 @@ let serve_cmd =
            request a graceful drain (answer everything admitted, flush,
            report) rather than killing mid-response *)
         let addr = Serve.Server.addr_of_string addr_spec in
-        let nf =
-          match netfaults with
-          | None -> Serve.Netfaults.none
-          | Some spec -> Serve.Netfaults.parse spec
-        in
-        let config =
-          { Serve.Server.backlog; deadline_ms; netfaults = nf; fault_seed }
-        in
+        let config = { Serve.Server.backlog; deadline_ms } in
         let server = Serve.Server.create ~config ~service addr in
         let stop _ = Serve.Server.stop server in
         Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
         Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-        Printf.eprintf "-- serving on %s (backlog %d%s%s)\n%!"
+        Printf.eprintf "-- serving on %s (backlog %d%s)\n%!"
           (Serve.Server.addr_to_string (Serve.Server.bound_addr server))
           backlog
           (match deadline_ms with
           | Some t -> Printf.sprintf ", deadline %d ms" t
-          | None -> "")
-          (match netfaults with
-          | Some s -> Printf.sprintf ", netfaults %s seed %d" s fault_seed
           | None -> "");
         Serve.Server.run server;
         prerr_endline
@@ -1058,15 +1030,14 @@ let serve_cmd =
           and between the plan and exec phases, per-session isolation (a \
           malformed or stalled connection cannot corrupt another session's \
           responses or the shared cache), and graceful shutdown on \
-          SIGTERM/SIGINT (drain, flush, report). $(b,--netfaults) turns on \
-          deterministic connection-level chaos for testing." ]
+          SIGTERM/SIGINT (drain, flush, report)." ]
     @ exit_status_man
   in
   Cmd.v (Cmd.info "serve" ~doc ~man)
     Term.(
       const run $ policy_arg $ tables_arg $ file_arg $ cache_arg $ batch_arg
-      $ listen_arg $ backlog_arg $ deadline_arg $ netfaults_arg
-      $ fault_seed_arg $ tenants_arg $ jobs_arg $ obs_args)
+      $ listen_arg $ backlog_arg $ deadline_arg $ tenants_arg $ jobs_arg
+      $ obs_args)
 
 (* --- audit ----------------------------------------------------------- *)
 

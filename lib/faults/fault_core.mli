@@ -1,16 +1,13 @@
 (** Shared scaffolding for deterministic fault plans.
 
-    Two fault-injection layers live in the tree: the distributed
-    simulator's per-subject plans ({!Distsim.Faults}: crash, transient
-    loss, corruption, slow links) and the serving layer's per-session
-    connection plans ({!Serve.Netfaults}: slow, stall, disconnect,
-    garbage bytes). Both share the same contract — a spec parsed from a
-    compact command-line string, instantiated with a seeded
-    {!Mpq_crypto.Prng} so the same seed and spec reproduce the exact
-    same injected schedule — and both share this module: the spec
-    grammar helpers (entry splitting, probability and integer-argument
-    parsing, the [Bad_spec] diagnostic discipline) and the seeded
-    drawing helpers. *)
+    The distributed simulator's per-subject fault plans
+    ({!Distsim.Faults}: crash, transient loss, corruption, slow links)
+    follow one contract — a spec parsed from a compact command-line
+    string, instantiated with a seeded {!Mpq_crypto.Prng} so the same
+    seed and spec reproduce the exact same injected schedule — and
+    build on this module: the spec grammar helpers (entry splitting,
+    probability and integer-argument parsing, the [Bad_spec] diagnostic
+    discipline) and the seeded drawing helpers. *)
 
 exception Bad_spec of string
 (** Raised by every spec parser on malformed input, with a message

@@ -7,9 +7,9 @@
 
    Life of a request line:
 
-     read → [netfaults: garble? delay?] → admission
-       admission: backlog full? -> "shed" | parse? -> "parse error"
-                  | enqueue (deadline attached)
+     read (deadline starts) → admission:
+       backlog full? -> "shed" | parse? -> "parse error"
+       | enqueue (deadline attached)
      dispatch (<= dispatch_per_turn per loop turn):
        Service.submit_batch_requests — the service checks the deadline
        at its admission and again between plan and exec
@@ -42,13 +42,9 @@ let addr_to_string = function
 type config = {
   backlog : int;
   deadline_ms : int option;
-  netfaults : Netfaults.spec;
-  fault_seed : int;
 }
 
-let default_config =
-  { backlog = 64; deadline_ms = None; netfaults = Netfaults.none;
-    fault_seed = 1337 }
+let default_config = { backlog = 64; deadline_ms = None }
 
 (* requests handed to the service per loop turn: keeps the accept path
    responsive under a deep backlog *)
@@ -81,16 +77,12 @@ type stats = {
   expired : int;
   parse_errors : int;
   disconnects : int;
-  stalled : int;
-  forced_disconnects : int;
-  garbled : int;
   closed : summary list;  (* per-session final counters, sorted by sid *)
 }
 
 type session = {
   sid : int;
   fd : Unix.file_descr;
-  nf : Netfaults.session;
   inbuf : Buffer.t;  (* bytes read, not yet a complete line *)
   outq : string Queue.t;  (* responses owed, FIFO *)
   mutable out_off : int;  (* bytes of the queue head already written *)
@@ -99,22 +91,10 @@ type session = {
   mutable tenant : string;  (* the \tenant the session switched to *)
   mutable requests_seen : int;
   mutable responses_enqueued : int;
-  mutable open_requests : int;  (* admitted or delayed, response pending *)
-  mutable eof : bool;  (* inbound done: client EOF, stall cut, shutdown *)
+  mutable open_requests : int;  (* admitted, response pending *)
+  mutable eof : bool;  (* inbound done: client EOF or shutdown *)
   mutable closing : bool;  (* flush out-queue, then close *)
   mutable dead : bool;  (* fd closed *)
-}
-
-(* a request line waiting out a slow-fault delay, pre-admission *)
-type waiting = {
-  w_s : session;
-  w_line : int;
-  w_release : float;
-  w_deadline : float option;
-  w_text : string;
-  w_tenant : string;  (* captured when the line arrived: a later
-                         \tenant use must not retarget a delayed
-                         request *)
 }
 
 (* an admitted (parsed) request in the global backlog *)
@@ -134,7 +114,6 @@ type t = {
   stopping : bool Atomic.t;
   mutable sessions : session list;
   backlog : admitted Queue.t;
-  mutable delayed : waiting list;
   mutable next_sid : int;
   mutable c_sessions : int;
   mutable c_sessions_refused : int;
@@ -146,9 +125,6 @@ type t = {
   mutable c_expired : int;
   mutable c_parse_errors : int;
   mutable c_disconnects : int;
-  mutable c_stalled : int;
-  mutable c_forced : int;
-  mutable c_garbled : int;
   mutable c_closed : summary list;  (* accumulated in close order *)
 }
 
@@ -178,11 +154,10 @@ let create ?(config = default_config) ~service addr =
   in
   Unix.set_nonblock listen_fd;
   { service; cfg = config; listen_fd; bound; stopping = Atomic.make false;
-    sessions = []; backlog = Queue.create (); delayed = []; next_sid = 0;
+    sessions = []; backlog = Queue.create (); next_sid = 0;
     c_sessions = 0; c_sessions_refused = 0; c_requests = 0; c_accepted = 0;
     c_tables = 0; c_rejected = 0; c_shed = 0; c_expired = 0;
-    c_parse_errors = 0; c_disconnects = 0; c_stalled = 0; c_forced = 0;
-    c_garbled = 0; c_closed = [] }
+    c_parse_errors = 0; c_disconnects = 0; c_closed = [] }
 
 let bound_addr t = t.bound
 let stop t = Atomic.set t.stopping true
@@ -223,30 +198,16 @@ let force_close t s =
     (try Unix.close s.fd with Unix.Unix_error _ -> ())
   end
 
-let push_out t s text =
-  if not s.dead then
-    match Netfaults.disconnect_after s.nf with
-    | Some k when s.responses_enqueued >= k ->
-        (* past the chaos cut: the connection is gone from the client's
-           point of view, the response is lost with it *)
-        ()
-    | cut ->
-        Queue.push text s.outq;
-        s.out_bytes <- s.out_bytes + String.length text;
-        s.responses_enqueued <- s.responses_enqueued + 1;
-        (match cut with
-        | Some k when s.responses_enqueued >= k ->
-            (* force-close at a response boundary: the k-th response is
-               flushed whole, then the fd is torn down *)
-            s.eof <- true;
-            s.closing <- true;
-            t.c_forced <- t.c_forced + 1;
-            Obs.incr "server.forced_disconnects"
-        | _ -> ())
+let push_out s text =
+  if not s.dead then begin
+    Queue.push text s.outq;
+    s.out_bytes <- s.out_bytes + String.length text;
+    s.responses_enqueued <- s.responses_enqueued + 1
+  end
 
 (* enqueue the one response a pending request is owed *)
-let finish t s text =
-  push_out t s text;
+let finish s text =
+  push_out s text;
   if s.open_requests > 0 then s.open_requests <- s.open_requests - 1
 
 let format_response n (r : Service.response) =
@@ -266,102 +227,76 @@ let format_response n (r : Service.response) =
 
 (* --- admission -------------------------------------------------------- *)
 
-let admit t w =
-  let s = w.w_s in
+let count_rejected t =
+  t.c_rejected <- t.c_rejected + 1;
+  Obs.incr "server.rejected"
+
+let admit t s ~line ~deadline text =
   if Queue.length t.backlog >= t.cfg.backlog then begin
     t.c_shed <- t.c_shed + 1;
     Obs.incr "server.shed";
-    finish t s
-      (Printf.sprintf "-- [%d] shed: backlog full (%d queued)\n" w.w_line
+    finish s
+      (Printf.sprintf "-- [%d] shed: backlog full (%d queued)\n" line
          (Queue.length t.backlog))
   end
   else
-    match Service.parse ~tenant:w.w_tenant t.service w.w_text with
+    match Service.parse ~tenant:s.tenant t.service text with
     | plan ->
         t.c_accepted <- t.c_accepted + 1;
         Obs.incr "server.accepted";
         Queue.push
-          { a_s = s; a_line = w.w_line; a_deadline = w.w_deadline;
-            a_plan = plan; a_tenant = w.w_tenant }
+          { a_s = s; a_line = line; a_deadline = deadline; a_plan = plan;
+            a_tenant = s.tenant }
           t.backlog
     | exception Mpq_sql.Sql_lexer.Lex_error (msg, pos) ->
         t.c_parse_errors <- t.c_parse_errors + 1;
         Obs.incr "server.parse_errors";
-        finish t s
-          (Printf.sprintf "-- [%d] parse error at %d: %s\n" w.w_line pos
+        finish s
+          (Printf.sprintf "-- [%d] parse error at %d: %s\n" line pos
              (one_line msg))
     | exception Mpq_sql.Sql_parser.Parse_error msg
     | exception Mpq_sql.Sql_plan.Plan_error msg ->
         t.c_parse_errors <- t.c_parse_errors + 1;
         Obs.incr "server.parse_errors";
-        finish t s
-          (Printf.sprintf "-- [%d] parse error: %s\n" w.w_line (one_line msg))
+        finish s
+          (Printf.sprintf "-- [%d] parse error: %s\n" line (one_line msg))
 
-let mark_stalled t s =
-  if not s.eof then begin
-    s.eof <- true;
-    Buffer.clear s.inbuf;
-    t.c_stalled <- t.c_stalled + 1;
-    Obs.incr "server.stalled"
-  end
-
-let handle_request t s n line (verdict : Netfaults.request_verdict) =
-  if line.[0] = '\\' then
-    (* directives: \stats and \tenant are the only ones a shared
-       socket can honour — \tenant only retargets the session's own
-       future requests (tenants are registered at startup, so a wire
-       string can never create or mutate one), while the mutating
-       directives (\policy, \invalidate) would let one session
-       rewrite the environment under every other, exactly the
-       cross-session interference the server promises away *)
-    match
-      List.filter (fun x -> x <> "") (String.split_on_char ' ' line)
-    with
-    | [ "\\stats" ] ->
-        push_out t s
-          (Printf.sprintf "-- [%d] stats: %s\n" n
-             (one_line (Service.render_stats (Service.stats t.service))))
-    | [ "\\tenant" ] ->
-        push_out t s (Printf.sprintf "-- [%d] tenant: %s\n" n s.tenant)
-    | [ "\\tenant"; "list" ] ->
-        push_out t s
-          (Printf.sprintf "-- [%d] tenants: %s\n" n
-             (String.concat ", " (Service.tenant_ids t.service)))
-    | [ "\\tenant"; "use"; id ] ->
-        if List.mem id (Service.tenant_ids t.service) then begin
-          s.tenant <- id;
-          push_out t s (Printf.sprintf "-- [%d] tenant: %s\n" n id)
-        end
-        else begin
-          t.c_rejected <- t.c_rejected + 1;
-          push_out t s
-            (Printf.sprintf "-- [%d] rejected: unknown tenant %S\n" n id)
-        end
-    | d :: _ ->
-        t.c_rejected <- t.c_rejected + 1;
-        push_out t s
-          (Printf.sprintf
-             "-- [%d] rejected: directive %s is not available over a socket \
-              (sessions are isolated; only \\stats and \\tenant)\n"
-             n d)
-    | [] -> ()
-  else begin
-    s.open_requests <- s.open_requests + 1;
-    let now = Unix.gettimeofday () in
-    (* the budget starts when the line is read, so a slow-fault delay
-       burns the request's deadline, not the server's *)
-    let deadline =
-      Option.map (fun ms -> now +. (float_of_int ms /. 1000.0))
-        t.cfg.deadline_ms
-    in
-    let w =
-      { w_s = s; w_line = n;
-        w_release = now +. (float_of_int verdict.Netfaults.delay_ms /. 1000.0);
-        w_deadline = deadline; w_text = line; w_tenant = s.tenant }
-    in
-    if verdict.Netfaults.delay_ms > 0 then t.delayed <- w :: t.delayed
-    else admit t w
-  end
+(* directives: \stats and \tenant are the only ones a shared socket can
+   honour — \tenant only retargets the session's own future requests
+   (tenants are registered at startup, so a wire string can never
+   create or mutate one), while the mutating directives (\policy,
+   \invalidate) would let one session rewrite the environment under
+   every other, exactly the cross-session interference the server
+   promises away *)
+let directive t s n line =
+  match List.filter (fun x -> x <> "") (String.split_on_char ' ' line) with
+  | [ "\\stats" ] ->
+      push_out s
+        (Printf.sprintf "-- [%d] stats: %s\n" n
+           (one_line (Service.render_stats (Service.stats t.service))))
+  | [ "\\tenant" ] ->
+      push_out s (Printf.sprintf "-- [%d] tenant: %s\n" n s.tenant)
+  | [ "\\tenant"; "list" ] ->
+      push_out s
+        (Printf.sprintf "-- [%d] tenants: %s\n" n
+           (String.concat ", " (Service.tenant_ids t.service)))
+  | [ "\\tenant"; "use"; id ] ->
+      if List.mem id (Service.tenant_ids t.service) then begin
+        s.tenant <- id;
+        push_out s (Printf.sprintf "-- [%d] tenant: %s\n" n id)
+      end
+      else begin
+        count_rejected t;
+        push_out s (Printf.sprintf "-- [%d] rejected: unknown tenant %S\n" n id)
+      end
+  | d :: _ ->
+      count_rejected t;
+      push_out s
+        (Printf.sprintf
+           "-- [%d] rejected: directive %s is not available over a socket \
+            (sessions are isolated; only \\stats and \\tenant)\n"
+           n d)
+  | [] -> ()
 
 let handle_line t s raw =
   s.line_no <- s.line_no + 1;
@@ -372,47 +307,22 @@ let handle_line t s raw =
     s.requests_seen <- s.requests_seen + 1;
     t.c_requests <- t.c_requests + 1;
     Obs.incr "server.requests";
-    match Netfaults.stall_after s.nf with
-    | Some k when s.requests_seen > k ->
-        (* past the stall cut: the inbound side went silent, this line
-           was never heard *)
-        mark_stalled t s
-    | cut ->
-        let verdict = Netfaults.on_request s.nf in
-        let line =
-          if verdict.Netfaults.garbage then begin
-            t.c_garbled <- t.c_garbled + 1;
-            Obs.incr "server.garbled";
-            Netfaults.garble s.nf line
-          end
-          else line
-        in
-        handle_request t s n line verdict;
-        (match cut with
-        | Some k when s.requests_seen >= k -> mark_stalled t s
-        | _ -> ())
+    if line.[0] = '\\' then directive t s n line
+    else begin
+      s.open_requests <- s.open_requests + 1;
+      (* the budget starts when the line is read *)
+      let deadline =
+        Option.map
+          (fun ms -> Unix.gettimeofday () +. (float_of_int ms /. 1000.0))
+          t.cfg.deadline_ms
+      in
+      admit t s ~line:n ~deadline line
+    end
   end
 
 (* --- dispatch --------------------------------------------------------- *)
 
 let dispatch t =
-  if t.delayed <> [] then begin
-    let now = Unix.gettimeofday () in
-    let due, later =
-      if Atomic.get t.stopping then (t.delayed, [])
-      else List.partition (fun w -> w.w_release <= now) t.delayed
-    in
-    t.delayed <- later;
-    (* release order is deterministic in (release, session, line), not
-       in list-accumulation order *)
-    List.iter (admit t)
-      (List.sort
-         (fun a b ->
-           compare
-             (a.w_release, a.w_s.sid, a.w_line)
-             (b.w_release, b.w_s.sid, b.w_line))
-         due)
-  end;
   if not (Queue.is_empty t.backlog) then begin
     let n = min dispatch_per_turn (Queue.length t.backlog) in
     let items = List.init n (fun _ -> Queue.pop t.backlog) in
@@ -430,21 +340,19 @@ let dispatch t =
             | Service.Table _ ->
                 t.c_tables <- t.c_tables + 1;
                 Obs.incr "server.tables"
-            | Service.Rejected _ ->
-                t.c_rejected <- t.c_rejected + 1;
-                Obs.incr "server.rejected"
+            | Service.Rejected _ -> count_rejected t
             | Service.Expired _ ->
                 t.c_expired <- t.c_expired + 1;
                 Obs.incr "server.deadline");
-            finish t a.a_s (format_response a.a_line r))
+            finish a.a_s (format_response a.a_line r))
           items resps
     | exception e ->
         (* the structured-refusal contract survives even a service
            blow-up: every request of the round still gets its line *)
         List.iter
           (fun a ->
-            t.c_rejected <- t.c_rejected + 1;
-            finish t a.a_s
+            count_rejected t;
+            finish a.a_s
               (Printf.sprintf "-- [%d] rejected: internal error: %s\n"
                  a.a_line
                  (one_line (Printexc.to_string e))))
@@ -453,28 +361,30 @@ let dispatch t =
 
 (* --- socket IO -------------------------------------------------------- *)
 
+(* Hand every complete line in [inbuf] to [handle_line]. At EOF a
+   non-empty remainder is the last line, sent without its newline; it
+   is answered like any other. *)
 let drain_lines t s =
   let data = Buffer.contents s.inbuf in
   Buffer.clear s.inbuf;
   let len = String.length data in
-  let start = ref 0 in
-  (try
-     while (not s.eof) && not s.dead do
-       match String.index_from_opt data !start '\n' with
-       | Some i ->
-           let line = String.sub data !start (i - !start) in
-           start := i + 1;
-           handle_line t s line
-       | None -> raise Exit
-     done
-   with Exit -> ());
-  if (not s.eof) && (not s.dead) && !start < len then
-    Buffer.add_substring s.inbuf data !start (len - !start)
+  let rec go start =
+    match String.index_from_opt data start '\n' with
+    | Some i ->
+        handle_line t s (String.sub data start (i - start));
+        go (i + 1)
+    | None when start = len -> ()
+    | None when s.eof -> handle_line t s (String.sub data start (len - start))
+    | None -> Buffer.add_substring s.inbuf data start (len - start)
+  in
+  go 0
 
 let read_session t s =
   let buf = Bytes.create 4096 in
   match Unix.read s.fd buf 0 (Bytes.length buf) with
-  | 0 -> s.eof <- true
+  | 0 ->
+      s.eof <- true;
+      drain_lines t s
   | k ->
       Buffer.add_subbytes s.inbuf buf 0 k;
       drain_lines t s
@@ -523,11 +433,9 @@ let accept_session t =
         t.c_sessions <- t.c_sessions + 1;
         Obs.incr "server.sessions";
         let s =
-          { sid; fd;
-            nf = Netfaults.session ~seed:t.cfg.fault_seed t.cfg.netfaults sid;
-            inbuf = Buffer.create 256; outq = Queue.create (); out_off = 0;
-            out_bytes = 0; line_no = 0; tenant = Tenancy.default_id;
-            requests_seen = 0;
+          { sid; fd; inbuf = Buffer.create 256; outq = Queue.create ();
+            out_off = 0; out_bytes = 0; line_no = 0;
+            tenant = Tenancy.default_id; requests_seen = 0;
             responses_enqueued = 0; open_requests = 0; eof = false;
             closing = false; dead = false }
         in
@@ -571,7 +479,7 @@ let run t =
   let rec loop () =
     if Atomic.get t.stopping && !listener_open then begin
       (* graceful shutdown: stop accepting and reading, then drain
-         everything already admitted or delayed and flush within the
+         everything already admitted and flush within the
          grace budget *)
       close_listener ();
       drain_deadline := Unix.gettimeofday () +. drain_grace_s;
@@ -583,7 +491,6 @@ let run t =
     let served =
       stopping
       && Queue.is_empty t.backlog
-      && t.delayed = []
       && List.for_all (fun s -> s.open_requests = 0) t.sessions
     in
     if served && List.for_all (fun s -> Queue.is_empty s.outq) t.sessions
@@ -615,12 +522,6 @@ let run t =
       in
       let timeout =
         if not (Queue.is_empty t.backlog) then 0.0
-        else if t.delayed <> [] then begin
-          let now = Unix.gettimeofday () in
-          List.fold_left
-            (fun acc w -> Float.min acc (Float.max 0.0 (w.w_release -. now)))
-            0.05 t.delayed
-        end
         else if stopping then 0.02
         else 0.25
       in
@@ -655,8 +556,6 @@ let stats t =
     requests = t.c_requests; accepted = t.c_accepted; tables = t.c_tables;
     rejected = t.c_rejected; shed = t.c_shed; expired = t.c_expired;
     parse_errors = t.c_parse_errors; disconnects = t.c_disconnects;
-    stalled = t.c_stalled; forced_disconnects = t.c_forced;
-    garbled = t.c_garbled;
     closed =
       (* close order depends on drain timing; sid order is the
          deterministic presentation the CI grep relies on *)
@@ -666,11 +565,9 @@ let render_stats (s : stats) =
   let head =
     Printf.sprintf
       "%d sessions (%d refused), %d requests: %d accepted, %d tables, %d \
-       rejected, %d shed, %d expired, %d parse errors; %d disconnects, %d \
-       stalled, %d forced, %d garbled"
+       rejected, %d shed, %d expired, %d parse errors; %d disconnects"
       s.sessions s.sessions_refused s.requests s.accepted s.tables s.rejected
-      s.shed s.expired s.parse_errors s.disconnects s.stalled
-      s.forced_disconnects s.garbled
+      s.shed s.expired s.parse_errors s.disconnects
   in
   match s.closed with
   | [] -> head
@@ -695,9 +592,6 @@ let stats_json (s : stats) =
       ("expired", Relalg.Json.Int s.expired);
       ("parse_errors", Relalg.Json.Int s.parse_errors);
       ("disconnects", Relalg.Json.Int s.disconnects);
-      ("stalled", Relalg.Json.Int s.stalled);
-      ("forced_disconnects", Relalg.Json.Int s.forced_disconnects);
-      ("garbled", Relalg.Json.Int s.garbled);
       ( "closed",
         Relalg.Json.List
           (List.map

@@ -8,8 +8,8 @@
     single-threaded [select] loop; planning and execution stay on the
     service's {!Par} pool. Because every cache access happens on the
     loop thread, session isolation holds by construction: a malformed,
-    slow or faulted connection can corrupt neither another session's
-    response stream nor the shared plan cache.
+    slow, stalled or vanished connection can corrupt neither another
+    session's response stream nor the shared plan cache.
 
     Sessions are tenant-scoped: each starts under
     {!Tenancy.default_id} and may switch with [\tenant use <id>]
@@ -34,14 +34,15 @@
       accumulates output up to a high-water mark, after which the
       server stops {e reading} it (never drops what it owes).
     - {b graceful shutdown} — {!stop} (wired to SIGTERM/SIGINT by the
-      CLI) closes the listener, drains every admitted and delayed
-      request through the service, flushes each session's output
-      within a grace budget, and {!run} returns with final stats.
+      CLI) closes the listener, drains every admitted request through
+      the service, flushes each session's output within a grace
+      budget, and {!run} returns with final stats.
 
-    A {!Netfaults} plan turns the server into its own chaos harness:
-    per-session seeded slow/stall/disconnect/garbage schedules are
-    injected at the connection layer while the contract above is
-    asserted by [test/test_server.ml]. *)
+    A final request line that arrives without its newline (the client
+    half-closes right after it) is still a request and is answered.
+    The server carries no fault injection of its own: the contract
+    above is exercised from the client side of real sockets — late,
+    garbled, stalled and hung-up sessions — by [test/test_server.ml]. *)
 
 type addr = Tcp of int | Unix_path of string
     (** [Tcp port] listens on the IPv4 loopback; [Tcp 0] picks a free
@@ -57,9 +58,8 @@ val addr_to_string : addr -> string
 type config = {
   backlog : int;  (** global admitted-request bound (default 64) *)
   deadline_ms : int option;
-      (** per-request budget from line arrival (default none) *)
-  netfaults : Netfaults.spec;  (** chaos plan (default {!Netfaults.none}) *)
-  fault_seed : int;  (** seed for per-session fault derivation *)
+      (** per-request budget, counted from the moment the request line
+          is read (default none) *)
 }
 (** The fixed limits are not configurable: at most 16 requests are
     handed to the service per loop iteration, at most 64 sessions are
@@ -81,7 +81,7 @@ type summary = {
 type stats = {
   sessions : int;  (** sessions accepted *)
   sessions_refused : int;  (** refused at the 64-session bound *)
-  requests : int;  (** request lines read (after chaos injection) *)
+  requests : int;  (** request lines read *)
   accepted : int;  (** admitted to the backlog *)
   tables : int;
   rejected : int;  (** policy rejections (and refused directives) *)
@@ -89,9 +89,6 @@ type stats = {
   expired : int;
   parse_errors : int;
   disconnects : int;  (** sessions that vanished owing output *)
-  stalled : int;  (** chaos: inbound cut by [stall\@K] *)
-  forced_disconnects : int;  (** chaos: outbound cut by [disconnect\@K] *)
-  garbled : int;  (** chaos: request lines corrupted *)
   closed : summary list;
       (** final counters of every closed session, {e sorted by session
           id}: sessions die in whatever order drain timing dictates, so

@@ -11,50 +11,39 @@ type verdict =
   | Planned of Planner.Optimizer.result
   | Denied of { message : string; kind : denial_kind }
 
-(* What the cache stores per key. [deps] is the entry's authorization
-   dependency set (empty for denials — see [set_policy]); [qfp] the
-   structural query fingerprint, kept so surviving entries can be
-   rekeyed under a new environment fingerprint without the query;
-   [env] the environment the verdict was computed under, so entries
-   stranded by a non-policy rotation are never migrated into the
-   current epoch by a later policy delta; [tenant] the id of the
-   tenant the verdict belongs to — redundant with the tenant component
-   inside [env] (keys of different tenants cannot collide), carried
-   explicitly so a hit can assert it and fail closed if the key-space
-   argument were ever broken. *)
-type cached = {
-  verdict : verdict;
+(* What a plan-cache entry holds. [exec_plan] is the hash-consed
+   (DAG-interned) executable form of the extended plan, when sharing is
+   on: structurally identical to [extended.plan], with subtrees shared
+   across every cached plan of the service. Execution runs this form
+   so the sub-plan result cache and the batch grouping see one
+   physical node per distinct shape. *)
+type plan_value = { verdict : verdict; exec_plan : Plan.t option }
+
+(* What either cache tier stores per key: a plan-cache [plan_value],
+   or a sub-plan tier's result table. A sub-plan key covers everything
+   the bytes depend on — subtree structure, preorder position when
+   ciphertext is produced inside (encryption randomness is
+   position-derived), the key clusters and schemes over the subtree's
+   encrypted attributes, the executor assignment, and the environment
+   fingerprint — so equal key implies equal bytes by construction.
+
+   [deps] is the authorization dependency set (Analysis.Deps; empty
+   for denials — see [set_policy]). [base] is the key minus the
+   environment — the structural query fingerprint for a plan, the base
+   key for a sub-plan — kept so surviving entries can be rekeyed under
+   a new environment fingerprint. [env] is the environment the value
+   was computed under, so entries stranded by a non-policy rotation
+   are never migrated into the current epoch by a later policy delta.
+   [tenant] is redundant with the tenant component inside [env] (keys
+   of different tenants cannot collide), carried explicitly so a hit
+   can assert it ([owned]) and fail closed if the key-space argument
+   were ever broken. *)
+type 'v entry = {
+  value : 'v;
   deps : Analysis.Fact.Set.t;
-  qfp : string;
+  base : string;
   env : string;
   tenant : string;
-  exec_plan : Plan.t option;
-      (* the hash-consed (DAG-interned) executable form of the
-         extended plan, when sharing is on: structurally identical to
-         [extended.plan], with subtrees shared across every cached
-         plan of the service. Execution runs this form so the sub-plan
-         result cache and the batch grouping see one physical node per
-         distinct shape. *)
-}
-
-(* A cached sub-plan result: one subtree's output table, reusable by
-   any plan occurrence whose subcache key matches. The key covers
-   everything the bytes depend on — subtree structure, preorder
-   position when ciphertext is produced inside (encryption randomness
-   is position-derived), the key clusters and schemes over the
-   subtree's encrypted attributes, the executor assignment, and the
-   environment fingerprint — so equal key implies equal bytes by
-   construction. [sub_deps] is the subtree's authorization dependency
-   set (Analysis.Deps.of_subplan), consulted by incremental policy
-   migration exactly like the plan cache's [deps]. [sub_tenant]
-   mirrors the plan cache's [tenant]: the worker-side lookup checks it
-   and refuses a foreign entry rather than serving it. *)
-type subentry = {
-  table : Engine.Table.t;
-  sub_deps : Analysis.Fact.Set.t;
-  sub_env : string;
-  sub_tenant : string;
-  base_key : string;  (* key minus the environment component *)
 }
 
 type t = {
@@ -66,10 +55,10 @@ type t = {
   pool : Par.pool option;
   max_batch : int;
   now : unit -> float;  (* deadline clock, injectable for tests *)
-  cache : cached Lru.t;
+  cache : plan_value entry Lru.t;
   sharing : bool;
   dag : Planner.Dag.t;
-  subcache : subentry Lru.t;
+  subcache : Engine.Table.t entry Lru.t;
   derive_memo : Verify.Derive.memo;
   mutable queries : int;
   mutable rejections : int;
@@ -170,6 +159,17 @@ let tenant_stats t =
   Tenancy.iter (fun tn -> acc := (tn.Tenancy.id, Tenancy.stats tn) :: !acc)
     t.tenants;
   List.rev !acc
+
+let owned (tn : Tenancy.t) (e : _ entry) = String.equal e.tenant tn.Tenancy.id
+
+(* one static verifier pass over a plan, under the tenant's policy *)
+let verify (tn : Tenancy.t) (r : Planner.Optimizer.result) =
+  Verify.Verifier.run
+    { Verify.Verifier.policy = tn.Tenancy.policy;
+      config = r.Planner.Optimizer.config;
+      extended = r.Planner.Optimizer.extended;
+      clusters = r.Planner.Optimizer.clusters;
+      requests = r.Planner.Optimizer.requests }
 
 (* ---- sub-plan cache keys ----
 
@@ -331,13 +331,12 @@ let make_memo t (tn : Tenancy.t) keys =
           | None -> None
           | Some (key, _, _) -> (
               match Lru.peek t.subcache key with
-              | Some (se : subentry)
-                when not (String.equal se.sub_tenant tn.Tenancy.id) ->
+              | Some e when not (owned tn e) ->
                   record (Sub_foreign { pos; key });
                   None
-              | Some se ->
+              | Some e ->
                   record (Sub_hit { pos; key });
-                  Some se.table
+                  Some e.value
               | None -> None));
       store =
         (fun ~pos _plan table ->
@@ -370,7 +369,7 @@ let replay_subcache t (tn : Tenancy.t) (r : Planner.Optimizer.result) events =
           Obs.incr "serve.cross_tenant_hits"
       | Sub_store { pos; key; base; size; table } ->
           if not (Lru.mem t.subcache key) then begin
-            let sub_deps =
+            let deps =
               Analysis.Deps.of_subplan ?deliver_to:tn.Tenancy.deliver_to
                 ~derive_memo:t.derive_memo
                 ~extended:r.Planner.Optimizer.extended
@@ -379,10 +378,27 @@ let replay_subcache t (tn : Tenancy.t) (r : Planner.Optimizer.result) events =
             t.subplan_stores <- t.subplan_stores + 1;
             Obs.incr "serve.subcache.stores";
             Lru.add t.subcache key
-              { table; sub_deps; sub_env = tn.Tenancy.env;
-                sub_tenant = tn.Tenancy.id; base_key = base }
+              { value = table; deps; base; env = tn.Tenancy.env;
+                tenant = tn.Tenancy.id }
           end)
     evs
+
+(* An entry a policy change of [tn] must migrate: the tenant's own,
+   computed in the epoch that just ended. Another tenant's entries, and
+   ones stranded by an earlier non-policy rotation, are not ours. *)
+let migrating (tn : Tenancy.t) ~old_env (e : _ entry) =
+  owned tn e && String.equal e.env old_env
+
+(* One walk of a cache tier: each migrating entry is dropped unless
+   [keep] says otherwise, and a kept one is rekeyed under the new
+   environment fingerprint, recency intact. Everything else passes
+   through with its key and recency. Returns the number dropped. *)
+let migrate_tier lru ~key (tn : Tenancy.t) ~old_env keep =
+  Lru.remap lru (fun k (e : _ entry) ->
+      if not (migrating tn ~old_env e) then Some (k, e)
+      else if keep e then
+        Some (key ~env:tn.Tenancy.env e.base, { e with env = tn.Tenancy.env })
+      else None)
 
 (* Incremental invalidation (policy changes only): diff the old and new
    policies as fact sets and migrate each same-epoch entry {e of the
@@ -407,19 +423,24 @@ let replay_subcache t (tn : Tenancy.t) (r : Planner.Optimizer.result) events =
    revoking more, so they survive revoke-only deltas and are dropped
    on any grant; verifier denials are dropped on any view change
    (re-planning under the new policy may choose a different extension
-   entirely). *)
+   entirely).
+
+   Sub-plan results migrate under a simpler protocol: result bytes are
+   policy-independent (the key fixes them), so there is nothing to
+   re-verify — the dependency set gates only whether reusing the
+   result remains {e authorized}. A removed fact the subtree's
+   certification consumed drops the entry for every consumer at once
+   (shared nodes invalidate once, not per query); grants are monotone,
+   so any other delta rekeys the entry. *)
 let migrate t (tn : Tenancy.t) ~old_policy ~old_env =
-  let mine (c : cached) =
-    String.equal c.tenant tn.Tenancy.id && String.equal c.env old_env
-  in
   let dep_subjects = ref Authz.Subject.Set.empty in
   let _ =
-    Lru.remap t.cache (fun key c ->
-        if mine c then
+    Lru.remap t.cache (fun key e ->
+        if migrating tn ~old_env e then
           dep_subjects :=
-            Authz.Subject.Set.union (Analysis.Deps.subjects_of c.deps)
+            Authz.Subject.Set.union (Analysis.Deps.subjects_of e.deps)
               !dep_subjects;
-        Some (key, c))
+        Some (key, e))
   in
   let subjects =
     tn.Tenancy.subjects
@@ -437,52 +458,30 @@ let migrate t (tn : Tenancy.t) ~old_policy ~old_env =
          unreachable; leave them to age out. *)
       Obs.incr "serve.invalidation.incompatible"
   | `Delta d ->
-      let any_grant = not (Analysis.Fact.Set.is_empty d.Analysis.Delta.added) in
+      let removed = d.Analysis.Delta.removed
+      and added = d.Analysis.Delta.added in
+      let any_grant = not (Analysis.Fact.Set.is_empty added) in
       let any_change = not (Analysis.Delta.is_empty d) in
       let reverified = ref 0 and retained = ref 0 in
-      let rekey c =
-        Some
-          ( Planner.Optimizer.cache_key_of ~env:tn.Tenancy.env c.qfp,
-            { c with env = tn.Tenancy.env } )
+      let keep_plan (e : plan_value entry) =
+        let keep =
+          match e.value.verdict with
+          | Denied { kind = Verify_failed; _ } -> not any_change
+          | Denied _ -> not any_grant
+          | Planned r ->
+              Analysis.Fact.Set.disjoint removed e.deps
+              && (Analysis.Fact.Set.disjoint added e.deps
+                 || begin
+                      incr reverified;
+                      not (Verify.Diag.has_errors (verify tn r))
+                    end)
+        in
+        if keep then incr retained;
+        keep
       in
       let dropped =
-        Lru.remap t.cache (fun key c ->
-            if not (mine c) then
-              (* another tenant's entry, or one stranded by an earlier
-                 non-policy rotation: not ours to migrate *)
-              Some (key, c)
-            else
-              let keep c =
-                incr retained;
-                rekey c
-              in
-              match c.verdict with
-              | Denied { kind = Verify_failed; _ } ->
-                  if any_change then None else keep c
-              | Denied _ -> if any_grant then None else keep c
-              | Planned r ->
-                  if
-                    not
-                      (Analysis.Fact.Set.is_empty
-                         (Analysis.Fact.Set.inter d.Analysis.Delta.removed
-                            c.deps))
-                  then None
-                  else if
-                    Analysis.Fact.Set.is_empty
-                      (Analysis.Fact.Set.inter d.Analysis.Delta.added c.deps)
-                  then keep c
-                  else begin
-                    incr reverified;
-                    let diags =
-                      Verify.Verifier.run
-                        { Verify.Verifier.policy = tn.Tenancy.policy;
-                          config = r.Planner.Optimizer.config;
-                          extended = r.Planner.Optimizer.extended;
-                          clusters = r.Planner.Optimizer.clusters;
-                          requests = r.Planner.Optimizer.requests }
-                    in
-                    if Verify.Diag.has_errors diags then None else keep c
-                  end)
+        migrate_tier t.cache ~key:Planner.Optimizer.cache_key_of tn ~old_env
+          keep_plan
       in
       t.invalidated <- t.invalidated + dropped;
       tn.Tenancy.invalidated <- tn.Tenancy.invalidated + dropped;
@@ -491,33 +490,9 @@ let migrate t (tn : Tenancy.t) ~old_policy ~old_env =
       Obs.incr ~by:dropped "serve.invalidation.dropped";
       Obs.incr ~by:!reverified "serve.invalidation.reverified";
       Obs.incr ~by:!retained "serve.invalidation.retained";
-      (* Sub-plan results migrate under a simpler protocol than whole
-         plans: result bytes are policy-independent (the key fixes
-         them), so there is nothing to re-verify — the dependency set
-         gates only whether reusing the result remains {e authorized}.
-         A removed fact the subtree's certification consumed drops the
-         entry for every consumer at once (shared nodes invalidate
-         once, not per query); grants are monotone, so any other delta
-         rekeys the entry under the new environment, recency intact.
-         Again scoped to the mutated tenant: another tenant's entries
-         keep their keys and recency. *)
       let sub_dropped =
-        Lru.remap t.subcache (fun key se ->
-            if
-              not
-                (String.equal se.sub_tenant tn.Tenancy.id
-                && String.equal se.sub_env old_env)
-            then Some (key, se)
-            else if
-              not
-                (Analysis.Fact.Set.is_empty
-                   (Analysis.Fact.Set.inter d.Analysis.Delta.removed
-                      se.sub_deps))
-            then None
-            else
-              Some
-                ( subcache_key ~env:tn.Tenancy.env se.base_key,
-                  { se with sub_env = tn.Tenancy.env } ))
+        migrate_tier t.subcache ~key:subcache_key tn ~old_env (fun e ->
+            Analysis.Fact.Set.disjoint removed e.deps)
       in
       t.subplan_invalidated <- t.subplan_invalidated + sub_dropped;
       tn.Tenancy.invalidated <- tn.Tenancy.invalidated + sub_dropped;
@@ -576,10 +551,11 @@ let now_ms () = Unix.gettimeofday () *. 1000.0
 let plan_once t (tn : Tenancy.t) ~qfp query =
   Obs.with_span "serve.plan" @@ fun () ->
   let verified_by_planner = !Planner.Optimizer.self_check in
-  let denied kind message =
-    { verdict = Denied { message; kind }; deps = Analysis.Fact.Set.empty;
-      qfp; env = tn.Tenancy.env; tenant = tn.Tenancy.id; exec_plan = None }
+  let entry verdict =
+    { value = { verdict; exec_plan = None }; deps = Analysis.Fact.Set.empty;
+      base = qfp; env = tn.Tenancy.env; tenant = tn.Tenancy.id }
   in
+  let denied kind message = entry (Denied { message; kind }) in
   match
     let r =
       Planner.Optimizer.plan ~policy:tn.Tenancy.policy
@@ -589,14 +565,7 @@ let plan_once t (tn : Tenancy.t) ~qfp query =
         query
     in
     if not verified_by_planner then begin
-      let diags =
-        Verify.Verifier.run
-          { Verify.Verifier.policy = tn.Tenancy.policy;
-            config = r.Planner.Optimizer.config;
-            extended = r.Planner.Optimizer.extended;
-            clusters = r.Planner.Optimizer.clusters;
-            requests = r.Planner.Optimizer.requests }
-      in
+      let diags = verify tn r in
       if Verify.Diag.has_errors diags then
         raise
           (Planner.Optimizer.Verification_failed
@@ -610,8 +579,7 @@ let plan_once t (tn : Tenancy.t) ~qfp query =
          coordinator: both thread shared un-synchronized state (the
          derivation memo, the DAG store) and this function runs in the
          parallel plan phase *)
-      { verdict = Planned r; deps = Analysis.Fact.Set.empty; qfp;
-        env = tn.Tenancy.env; tenant = tn.Tenancy.id; exec_plan = None }
+      entry (Planned r)
   | exception Planner.Optimizer.No_candidate msg -> denied No_candidate msg
   | exception Planner.Optimizer.User_not_authorized msg ->
       denied User_denied msg
@@ -629,7 +597,7 @@ let plan_once t (tn : Tenancy.t) ~qfp query =
    derivations through the service memo) and intern the extended plan
    into the DAG so its subtrees join the shared-node store. *)
 let finalize t (tn : Tenancy.t) query entry =
-  match entry.verdict with
+  match entry.value.verdict with
   | Denied _ -> entry
   | Planned r ->
       let deps =
@@ -645,7 +613,7 @@ let finalize t (tn : Tenancy.t) query entry =
                r.Planner.Optimizer.extended.Authz.Extend.plan)
         else None
       in
-      { entry with deps; exec_plan }
+      { entry with deps; value = { entry.value with exec_plan } }
 
 let execute ?memo t (r : Planner.Optimizer.result) plan =
   Obs.with_span "serve.exec" @@ fun () ->
@@ -735,8 +703,7 @@ let serve_round t requests =
             let t0 = now_ms () in
             let hit =
               match Lru.find t.cache key with
-              | Some entry
-                when not (String.equal entry.tenant tn.Tenancy.id) ->
+              | Some entry when not (owned tn entry) ->
                   t.cross_tenant_hits <- t.cross_tenant_hits + 1;
                   Obs.incr "serve.cross_tenant_hits";
                   None
@@ -793,7 +760,7 @@ let serve_round t requests =
         | `Unknown tenant -> `Unknown tenant
         | `Expired tn -> `Expired tn
         | `Resolved (tn, key, entry, deadline, status, plan_ms) -> (
-            match entry.verdict with
+            match entry.value.verdict with
             | Denied { message; _ } ->
                 `Denied (tn, key, message, status, plan_ms)
             | Planned r -> (
@@ -806,7 +773,7 @@ let serve_round t requests =
                     else begin
                       Hashtbl.replace rep_seen key ();
                       let memo =
-                        match (t.sharing, entry.exec_plan) with
+                        match (t.sharing, entry.value.exec_plan) with
                         | true, Some ep ->
                             let keys = memo_positions t tn r ep in
                             let memo, events = make_memo t tn keys in
@@ -1014,29 +981,3 @@ let render_stats s =
     s.entries s.capacity s.evictions s.invalidated s.reverified s.retained
     s.subplan_hits s.subplan_stores s.subplan_entries s.subplan_invalidated
     s.shared_execs s.tenants s.cross_tenant_hits s.plan_ms s.exec_ms
-
-let stats_json s =
-  Json.Obj
-    [ ("queries", Json.Int s.queries);
-      ("rejections", Json.Int s.rejections);
-      ("expired", Json.Int s.expired);
-      ("hits", Json.Int s.hits);
-      ("misses", Json.Int s.misses);
-      ("hit_rate", Json.Float (hit_rate s));
-      ("insertions", Json.Int s.insertions);
-      ("evictions", Json.Int s.evictions);
-      ("invalidated", Json.Int s.invalidated);
-      ("reverified", Json.Int s.reverified);
-      ("retained", Json.Int s.retained);
-      ("entries", Json.Int s.entries);
-      ("capacity", Json.Int s.capacity);
-      ("subplan_hits", Json.Int s.subplan_hits);
-      ("subplan_stores", Json.Int s.subplan_stores);
-      ("subplan_hit_rate", Json.Float (subplan_hit_rate s));
-      ("subplan_invalidated", Json.Int s.subplan_invalidated);
-      ("subplan_entries", Json.Int s.subplan_entries);
-      ("shared_execs", Json.Int s.shared_execs);
-      ("tenants", Json.Int s.tenants);
-      ("cross_tenant_hits", Json.Int s.cross_tenant_hits);
-      ("plan_ms", Json.Float s.plan_ms);
-      ("exec_ms", Json.Float s.exec_ms) ]

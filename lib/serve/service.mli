@@ -334,5 +334,3 @@ val derivations_shared : t -> int
 
 val render_stats : stats -> string
 (** One line: queries, hits/misses/rate, evictions, latencies. *)
-
-val stats_json : stats -> Json.t

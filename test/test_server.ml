@@ -12,12 +12,13 @@
       shed lines (none admitted when the bound is zero), the session
       bound refuses the 65th connection with one shed line, deadlines
       are refused structurally at admission and between plan and exec;
-   4. shutdown — stop() drains admitted and delayed requests, flushes,
-      and ends every session with EOF, not a hang;
-   5. chaos — a 25-seed Netfaults sweep (slow, stall, disconnect,
-      garbage) never produces an unstructured outcome: every reply
-      parses, every table matches the oracle byte for byte, every
-      stream ends in EOF within the timeout. *)
+   4. shutdown — stop() drains a backlog deeper than one dispatch turn,
+      flushes, and ends every session with EOF, not a hang;
+   5. chaos — a 25-seed sweep of client-side faults (late lines,
+      garbled lines, stalled and hung-up sessions) never produces an
+      unstructured outcome: every reply parses, every table matches
+      the oracle byte for byte, every well-behaved stream ends in EOF
+      within the timeout. *)
 
 open Authz
 
@@ -101,6 +102,15 @@ let check_structured (r : Serve.Client.reply) =
       || String.starts_with ~prefix:"parse error" tag)
   then Alcotest.failf "unstructured reply tag %S" r.Serve.Client.tag
 
+(* one well-behaved session: send every line, half-close, read to EOF *)
+let exchange addr lines =
+  let c = Serve.Client.connect addr in
+  List.iter (Serve.Client.send c) lines;
+  Serve.Client.shutdown_send c;
+  let rs = Serve.Client.recv_all c in
+  Serve.Client.close c;
+  rs
+
 (* --- framing ---------------------------------------------------------- *)
 
 let test_two_sessions () =
@@ -126,50 +136,64 @@ let test_two_sessions () =
           oracle.(qi) csv
     | None -> Alcotest.failf "expected a table, got %s" r.Serve.Client.tag
   in
-  (match List.sort (fun (x : Serve.Client.reply) y -> compare x.line y.line) ra with
-  | [ r1; r2 ] ->
-      check_table 0 r1;
-      check_table 2 r2
-  | _ -> assert false);
-  (match List.sort (fun (x : Serve.Client.reply) y -> compare x.line y.line) rb with
-  | [ r1; r2 ] ->
-      check_table 1 r1;
-      check_table 0 r2
-  | _ -> assert false);
+  let by_line =
+    List.sort (fun (x : Serve.Client.reply) y -> compare x.line y.line)
+  in
+  List.iter2 check_table [ 0; 2 ] (by_line ra);
+  List.iter2 check_table [ 1; 0 ] (by_line rb);
   let st = Serve.Server.stats server in
   Alcotest.(check int) "two sessions" 2 st.Serve.Server.sessions;
   Alcotest.(check int) "four accepted" 4 st.Serve.Server.accepted;
   Alcotest.(check int) "four tables" 4 st.Serve.Server.tables
 
 let test_stats_directive () =
-  with_server @@ fun _server _service addr ->
-  let c = Serve.Client.connect addr in
-  Serve.Client.send c "\\stats";
-  Serve.Client.send c "\\policy /tmp/nope.mpq";
-  Serve.Client.shutdown_send c;
-  let rs = Serve.Client.recv_all c in
-  Serve.Client.close c;
-  match rs with
-  | [ stats; refused ] ->
-      Alcotest.(check string) "stats answered" "stats" stats.Serve.Client.tag;
-      Alcotest.(check string)
-        "mutating directive refused structurally" "rejected"
-        refused.Serve.Client.tag;
-      Alcotest.(check string) "refusal names what a socket honours"
-        "directive \\policy is not available over a socket \
-         (sessions are isolated; only \\stats and \\tenant)"
-        refused.Serve.Client.info
-  | rs -> Alcotest.failf "expected 2 replies, got %d" (List.length rs)
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false; Obs.reset ())
+  @@ fun () ->
+  let server, rs =
+    with_server @@ fun server _service addr ->
+    (server,
+     exchange addr
+       [ "\\stats"; "\\policy /tmp/nope.mpq"; "\\tenant use nope" ])
+  in
+  (* the mutating directive and the unknown tenant refused structurally *)
+  Alcotest.(check (list string)) "stats, then two refusals"
+    [ "stats"; "rejected"; "rejected" ]
+    (List.map (fun (r : Serve.Client.reply) -> r.Serve.Client.tag) rs);
+  Alcotest.(check string) "refusal names what a socket honours"
+    "directive \\policy is not available over a socket \
+     (sessions are isolated; only \\stats and \\tenant)"
+    (List.nth rs 1).Serve.Client.info;
+  (* the loop has returned: the stats record and Obs agree *)
+  Alcotest.(check (pair int int)) "refusals counted in stats and in Obs"
+    (2, 2)
+    ((Serve.Server.stats server).Serve.Server.rejected,
+     Obs.counter "server.rejected")
+
+(* Client.send always appends the newline, so this speaks raw Unix *)
+let test_unterminated_line () =
+  let oracle = (oracle_csv ()).(5) in
+  let text =
+    with_server @@ fun _server _service addr ->
+    let port = match addr with Serve.Server.Tcp p -> p | _ -> assert false in
+    let ic, oc =
+      Unix.open_connection (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
+    in
+    output_string oc queries.(5);
+    flush oc;
+    Unix.shutdown (Unix.descr_of_out_channel oc) Unix.SHUTDOWN_SEND;
+    Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+        In_channel.input_all ic)
+  in
+  Alcotest.(check bool) ("answered as line 1: " ^ text) true
+    (String.starts_with ~prefix:"-- [1] miss: " text
+    && String.ends_with ~suffix:(" 1 rows\n" ^ oracle) text)
 
 (* --- isolation -------------------------------------------------------- *)
 
 let victim_run addr =
-  let c = Serve.Client.connect addr in
-  Array.iteri (fun i _ -> Serve.Client.send c queries.(i)) queries;
-  Serve.Client.shutdown_send c;
-  let rs = Serve.Client.recv_all c in
-  Serve.Client.close c;
-  List.map normalize_reply rs
+  List.map normalize_reply (exchange addr (Array.to_list queries))
 
 let test_session_isolation () =
   (* the victim alone on a fresh server *)
@@ -209,13 +233,7 @@ let test_shed_structured () =
   with_server
     ~config:{ Serve.Server.default_config with Serve.Server.backlog = 0 }
   @@ fun server service addr ->
-  let c = Serve.Client.connect addr in
-  for i = 0 to 4 do
-    Serve.Client.send c queries.(i mod Array.length queries)
-  done;
-  Serve.Client.shutdown_send c;
-  let rs = Serve.Client.recv_all c in
-  Serve.Client.close c;
+  let rs = exchange addr (List.init 5 (fun i -> queries.(i))) in
   Alcotest.(check int) "every request answered" 5 (List.length rs);
   List.iter
     (fun (r : Serve.Client.reply) ->
@@ -275,13 +293,7 @@ let test_deadline_at_admission () =
       { Serve.Server.default_config with
         Serve.Server.deadline_ms = Some (-1) }
   @@ fun server service addr ->
-  let c = Serve.Client.connect addr in
-  for i = 0 to 3 do
-    Serve.Client.send c queries.(i)
-  done;
-  Serve.Client.shutdown_send c;
-  let rs = Serve.Client.recv_all c in
-  Serve.Client.close c;
+  let rs = exchange addr (List.init 4 (fun i -> queries.(i))) in
   Alcotest.(check int) "every request answered" 4 (List.length rs);
   List.iter
     (fun (r : Serve.Client.reply) ->
@@ -335,165 +347,149 @@ let test_deadline_between_plan_and_exec () =
 
 (* --- graceful shutdown ------------------------------------------------ *)
 
+(* 20 lines in one write: more than the 16 the loop hands the service
+   per turn, so stop() lands while part of the backlog is still queued
+   and must answer it rather than drop it *)
 let test_shutdown_drains () =
-  (* every request is held 5 s by a slow fault; stop() must promote and
-     answer them all rather than wait out the delays *)
-  let config =
-    { Serve.Server.default_config with
-      Serve.Server.netfaults = Serve.Netfaults.parse "slow=5000" }
-  in
-  let t0 = Unix.gettimeofday () in
+  let q = queries.(5) in
+  let oracle = (oracle_csv ()).(5) in
   let replies =
-    with_server ~config @@ fun server _service addr ->
+    with_server @@ fun server _service addr ->
     let c = Serve.Client.connect addr in
-    for i = 0 to 3 do
-      Serve.Client.send c queries.(i)
-    done;
-    (* give the loop time to read the lines into the delayed queue *)
-    Unix.sleepf 0.3;
+    Serve.Client.send c (String.concat "\n" (List.init 20 (fun _ -> q)));
+    let first = Option.to_list (Serve.Client.recv c) in
     Serve.Server.stop server;
-    let rs = Serve.Client.recv_all c in
+    let rs = first @ Serve.Client.recv_all c in
     Serve.Client.close c;
     rs
   in
-  let wall = Unix.gettimeofday () -. t0 in
-  Alcotest.(check int) "all four answered at shutdown" 4
-    (List.length replies);
-  List.iter
-    (fun (r : Serve.Client.reply) ->
-      match Serve.Client.table_csv r with
-      | Some _ -> ()
-      | None -> Alcotest.failf "expected a table, got %s" r.Serve.Client.tag)
-    replies;
-  Alcotest.(check bool)
-    (Printf.sprintf "drain promoted the delays (%.1f s)" wall)
-    true (wall < 4.0)
-
-(* --- netfaults determinism -------------------------------------------- *)
-
-let schedule_trace ~seed spec n =
-  let s = Serve.Netfaults.session ~seed spec n in
-  let reqs =
-    List.init 10 (fun _ ->
-        let v = Serve.Netfaults.on_request s in
-        (v.Serve.Netfaults.delay_ms, v.Serve.Netfaults.garbage))
-  in
-  ( Serve.Netfaults.active s,
-    Serve.Netfaults.stall_after s,
-    Serve.Netfaults.disconnect_after s,
-    reqs,
-    Serve.Netfaults.garble s "select x from y" )
-
-let test_netfaults_deterministic () =
-  let spec =
-    Serve.Netfaults.parse "sessions=0.6,slow=30@0.3,garbage=0.2,stall@6"
-  in
-  for i = 0 to 7 do
-    Alcotest.(check bool)
-      (Printf.sprintf "session %d schedule reproducible" i)
-      true
-      (schedule_trace ~seed:42 spec i = schedule_trace ~seed:42 spec i)
-  done;
-  (* the spec round-trips *)
-  Alcotest.(check string) "render/parse round-trip"
-    (Serve.Netfaults.render spec)
-    (Serve.Netfaults.render
-       (Serve.Netfaults.parse (Serve.Netfaults.render spec)));
-  (* and different seeds move at least one session's schedule *)
-  Alcotest.(check bool) "seed matters" true
-    (List.init 8 (fun i -> schedule_trace ~seed:1 spec i)
-    <> List.init 8 (fun i -> schedule_trace ~seed:2 spec i))
+  Alcotest.(check (list (option string))) "twenty tables, then EOF"
+    (List.init 20 (fun _ -> Some oracle))
+    (List.map Serve.Client.table_csv replies)
 
 (* --- the chaos sweep -------------------------------------------------- *)
 
-let chaos_spec = "sessions=0.7,slow=25@0.3,garbage=0.15,stall@6,disconnect@4"
 let chaos_sessions = 3
 let chaos_requests = 8
 
+(* One session's faults, a pure function of (seed, session). A faulty
+   session sends some lines 25 ms late, garbles others, and may end
+   badly: a stall sends 6 of its 8 lines, keeps the socket open and
+   reads only the 6 replies it is owed; a hang-up closes after 4
+   replies. *)
+type chaos = {
+  late : bool array;
+  garbled : bool array;
+  cut : [ `None | `Stall | `Hang_up ];
+  rng : Random.State.t;  (* the garbage bytes *)
+}
+
+let chaos_plan seed session =
+  let rng = Random.State.make [| seed; session |] in
+  let faulty = Random.State.float rng 1.0 < 0.7 in
+  let draws p =
+    Array.init chaos_requests (fun _ ->
+        faulty && Random.State.float rng 1.0 < p)
+  in
+  let late = draws 0.3 in
+  let garbled = draws 0.15 in
+  let cut =
+    match (faulty, Random.State.int rng 3) with
+    | false, _ | _, 0 -> `None
+    | _, 1 -> `Stall
+    | _ -> `Hang_up
+  in
+  { late; garbled; cut; rng }
+
+let owed p =
+  match p.cut with `None -> chaos_requests | `Stall -> 6 | `Hang_up -> 4
+
+(* seeded bytes behind a control byte: input the SQL lexer refuses *)
+let garble rng line =
+  "\x01" ^ String.init 6 (fun _ -> Char.chr (0x21 + Random.State.int rng 0x5e))
+  ^ line
+
 let run_chaos_seed ~oracle seed =
-  let config =
-    { Serve.Server.default_config with
-      Serve.Server.netfaults = Serve.Netfaults.parse chaos_spec;
-      fault_seed = seed }
-  in
-  with_server ~config @@ fun server _service addr ->
-  (* sequential connects pin the accept order, hence each session's
-     derived fault schedule *)
+  let plans = Array.init chaos_sessions (chaos_plan seed) in
+  with_server @@ fun _server _service addr ->
   let clients =
-    List.init chaos_sessions (fun _ -> Serve.Client.connect ~timeout_s:30.0 addr)
+    Array.init chaos_sessions (fun _ ->
+        Serve.Client.connect ~timeout_s:30.0 addr)
   in
+  (* (line, query) of each line sent intact; garbled lines are absent *)
   let sent = Array.make chaos_sessions [] in
   for r = 0 to chaos_requests - 1 do
-    List.iteri
+    Array.iteri
       (fun i c ->
-        let qi = (r + (i * 2)) mod Array.length queries in
-        sent.(i) <- (r + 1, qi) :: sent.(i);
-        try Serve.Client.send c queries.(qi)
-        with Unix.Unix_error _ -> () (* server already cut this session *))
+        let p = plans.(i) and qi = (r + (i * 2)) mod Array.length queries in
+        if r < 6 || p.cut <> `Stall then begin
+          if p.late.(r) then Unix.sleepf 0.025;
+          if p.garbled.(r) then Serve.Client.send c (garble p.rng queries.(qi))
+          else begin
+            sent.(i) <- (r + 1, qi) :: sent.(i);
+            Serve.Client.send c queries.(qi)
+          end
+        end)
       clients
   done;
-  List.iter
-    (fun c ->
-      try Serve.Client.shutdown_send c with Unix.Unix_error _ -> ())
+  Array.iteri
+    (fun i c -> if plans.(i).cut = `None then Serve.Client.shutdown_send c)
     clients;
-  let all_replies =
-    List.mapi
+  let replies =
+    Array.mapi
       (fun i c ->
-        (* recv_all must terminate with EOF — a hang (Timeout) or an
+        (* a well-behaved stream must end in EOF; a hang (Timeout) or an
            unparseable line (Protocol_error) fails the sweep *)
+        let p = plans.(i) in
         let rs =
-          try Serve.Client.recv_all c with
+          try
+            if p.cut = `None then Serve.Client.recv_all c
+            else
+              List.filter_map Fun.id
+                (List.init (owed p) (fun _ -> Serve.Client.recv c))
+          with
           | Serve.Client.Timeout ->
               Alcotest.failf "seed %d: session %d hung" seed i
           | Serve.Client.Protocol_error m ->
               Alcotest.failf "seed %d: session %d unstructured: %s" seed i m
         in
         Serve.Client.close c;
-        rs)
+        Alcotest.(check int)
+          (Printf.sprintf "seed %d session %d: one reply per line owed" seed i)
+          (owed p) (List.length rs);
+        (* an intact line answers with the oracle's bytes, a garbled one
+           never with a table *)
+        List.iter
+          (fun (r : Serve.Client.reply) ->
+            check_structured r;
+            let line = r.Serve.Client.line in
+            Alcotest.(check (option string))
+              (Printf.sprintf "seed %d session %d line %d" seed i line)
+              (Option.map (Array.get oracle) (List.assoc_opt line sent.(i)))
+              (Serve.Client.table_csv r))
+          rs;
+        List.length rs)
       clients
   in
-  List.iteri
-    (fun i rs ->
-      List.iter
-        (fun (r : Serve.Client.reply) ->
-          check_structured r;
-          match Serve.Client.table_csv r with
-          | None -> ()
-          | Some csv -> (
-              (* a served table answers the original request of that
-                 line byte-identically to the direct oracle (garbled
-                 lines can only come back as parse errors) *)
-              match List.assoc_opt r.Serve.Client.line sent.(i) with
-              | Some qi ->
-                  Alcotest.(check string)
-                    (Printf.sprintf "seed %d session %d line %d oracle"
-                       seed i r.Serve.Client.line)
-                    oracle.(qi) csv
-              | None ->
-                  Alcotest.failf "seed %d: reply to a line never sent: %d"
-                    seed r.Serve.Client.line))
-        rs)
-    all_replies;
-  (Serve.Server.stats server, List.length (List.concat all_replies))
+  (* and the server goes on serving a fresh session *)
+  Alcotest.(check (list (option string))) "a fresh session is served"
+    [ Some oracle.(5) ]
+    (List.map Serve.Client.table_csv (exchange addr [ queries.(5) ]));
+  (plans, Array.fold_left ( + ) 0 replies)
 
 let test_chaos_sweep () =
   let oracle = oracle_csv () in
-  let garbled = ref 0
-  and stalled = ref 0
-  and forced = ref 0
-  and replies = ref 0 in
-  for seed = 0 to 24 do
-    let st, n = run_chaos_seed ~oracle seed in
-    garbled := !garbled + st.Serve.Server.garbled;
-    stalled := !stalled + st.Serve.Server.stalled;
-    forced := !forced + st.Serve.Server.forced_disconnects;
-    replies := !replies + n
-  done;
-  (* the sweep exercised every chaos mode and still answered *)
-  Alcotest.(check bool) "garbage fired" true (!garbled > 0);
-  Alcotest.(check bool) "stalls fired" true (!stalled > 0);
-  Alcotest.(check bool) "disconnect cuts fired" true (!forced > 0);
-  Alcotest.(check bool) "plenty of structured replies" true (!replies > 100)
+  let runs = List.init 25 (run_chaos_seed ~oracle) in
+  let plans = List.concat_map (fun (ps, _) -> Array.to_list ps) runs in
+  let fired f = List.exists f plans in
+  (* the sweep exercised every fault and still answered *)
+  Alcotest.(check (list bool)) "late, garbled, stall, hang-up all fired"
+    [ true; true; true; true ]
+    [ fired (fun p -> Array.mem true p.late);
+      fired (fun p -> Array.mem true p.garbled);
+      fired (fun p -> p.cut = `Stall); fired (fun p -> p.cut = `Hang_up) ];
+  Alcotest.(check bool) "plenty of structured replies" true
+    (List.fold_left (fun n (_, k) -> n + k) 0 runs > 100)
 
 let () =
   Alcotest.run "server"
@@ -501,7 +497,9 @@ let () =
         [ Alcotest.test_case "two concurrent sessions" `Quick
             test_two_sessions;
           Alcotest.test_case "stats + refused directives" `Quick
-            test_stats_directive ] );
+            test_stats_directive;
+          Alcotest.test_case "an unterminated last line is answered" `Quick
+            test_unterminated_line ] );
       ( "isolation",
         [ Alcotest.test_case "faulty neighbours leave no trace" `Quick
             test_session_isolation ] );
@@ -515,9 +513,7 @@ let () =
           Alcotest.test_case "deadline between plan and exec" `Quick
             test_deadline_between_plan_and_exec ] );
       ( "shutdown",
-        [ Alcotest.test_case "stop drains delayed requests" `Quick
+        [ Alcotest.test_case "stop drains the backlog" `Quick
             test_shutdown_drains ] );
       ( "netfaults",
-        [ Alcotest.test_case "schedules are seed-deterministic" `Quick
-            test_netfaults_deterministic;
-          Alcotest.test_case "25-seed chaos sweep" `Slow test_chaos_sweep ] ) ]
+        [ Alcotest.test_case "25-seed chaos sweep" `Slow test_chaos_sweep ] ) ]
