@@ -180,11 +180,20 @@ let phe_unscale tag scaled =
 
 let ope_bytes = 7
 
-(* An OPE payload is [7-byte big-endian cipher | tag | det tail (strings
-   only)]. The cipher prefix carries the order; the tag byte and the det
-   tail do NOT (the old executor compared whole payloads, so two strings
-   sharing a 4-byte prefix were silently ordered by their
-   non-order-preserving det tails). *)
+(* An OPE payload is [7-byte big-endian cipher | tag | det tail]. The
+   tail holds the det-encrypted value where the image cannot recover
+   it: strings, and floats finer than a cent (an [avg] re-encrypted for
+   a later comparison); cent-exact floats keep their tail-free bytes.
+   The cipher prefix carries the order; the tag byte and the det tail do
+   NOT (the old executor compared whole payloads, so two strings sharing
+   a 4-byte prefix were silently ordered by their non-order-preserving
+   det tails). *)
+let ope_tail (ks : keys) v =
+  match v with
+  | Value.Str _ -> C.Det.encrypt ks.det (serialize v)
+  | Value.Float f when float_of_int (cents f) /. 100.0 <> f ->
+      C.Det.encrypt ks.det (serialize v)
+  | _ -> ""
 
 let tag_class = function
   | 'i' | 'f' -> `Num
@@ -240,13 +249,7 @@ let encrypt_with ?rng ctx (cluster : Authz.Plan_keys.cluster) v =
   | C.Scheme.Ope ->
       let image, tag = ope_image v in
       let prefix = C.Ope.encrypt_bytes ks.ope image in
-      let tail =
-        (* strings keep a deterministic tail for exact recovery *)
-        match v with
-        | Value.Str _ -> C.Det.encrypt ks.det (serialize v)
-        | _ -> ""
-      in
-      mk C.Scheme.Ope (prefix ^ String.make 1 tag ^ tail)
+      mk C.Scheme.Ope (prefix ^ String.make 1 tag ^ ope_tail ks v)
   | C.Scheme.Phe ->
       let image, tag = phe_image v in
       let pk, _ = C.Keyring.paillier ctx.keyring in
@@ -395,7 +398,10 @@ let encrypt_batch ctx ~rng_root ~start ~enc =
             | Column.Bools a ->
                 numeric 'b' (Array.map (fun b -> if b then 100 else 0) a)
             | Column.Floats a ->
-                numeric 'f' (Array.map (fun f -> ope_guard (cents f)) a)
+                let cs = encode (Array.map (fun f -> ope_guard (cents f)) a) in
+                Array.mapi
+                  (fun k f -> pack cs.(k) 'f' (ope_tail ks (Value.Float f)))
+                  a
             | Column.Strs a ->
                 let cs = encode (Array.map str_prefix a) in
                 Array.mapi
@@ -424,12 +430,7 @@ let encrypt_batch ctx ~rng_root ~start ~enc =
                 let out = Array.make (Array.length a) Value.Null in
                 Array.iteri
                   (fun j k ->
-                    let tail =
-                      match a.(k) with
-                      | Value.Str _ as v -> C.Det.encrypt ks.det (serialize v)
-                      | _ -> ""
-                    in
-                    out.(k) <- pack cs.(j) (snd images.(j)) tail)
+                    out.(k) <- pack cs.(j) (snd images.(j)) (ope_tail ks a.(k)))
                   live;
                 out)
         | C.Scheme.Phe -> (
@@ -482,8 +483,9 @@ let decrypt_gen ctx ~coder (c : Value.cipher) =
       | 'i' -> Value.Int (image / 100)
       | 'd' -> Value.Date (image / 100)
       | 'b' -> Value.Bool (image <> 0)
-      | 'f' -> Value.Float (float_of_int image /. 100.0)
-      | 's' ->
+      | 'f' when String.length p = ope_bytes + 1 ->
+          Value.Float (float_of_int image /. 100.0)
+      | 'f' | 's' ->
           let tail =
             String.sub p (ope_bytes + 1) (String.length p - ope_bytes - 1)
           in

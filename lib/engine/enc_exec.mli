@@ -7,8 +7,8 @@
     - [det]: SIV deterministic encryption of the serialized value —
       supports equality, grouping, equi-joins;
     - [ope]: order-preserving encryption of the cent-scaled numeric
-      image (strings by 4-byte prefix with a deterministic tail for
-      exact recovery) — supports range conditions and min/max;
+      image (strings by 4-byte prefix; strings and sub-cent floats keep
+      a det tail for exact recovery) — supports range conditions, min/max;
     - [phe]: Paillier over the cent-scaled numeric value — supports
       sum/avg; aggregated ciphertexts carry the divisor for avg;
     - [rnd]: randomized encryption — supports nothing, protects most.

@@ -1,5 +1,5 @@
 (** Minimal line-protocol client for {!Server} — the counterpart the
-    tests and the load bench speak through, with the response framing
+    tests and perfbench speak through, with the response framing
     knowledge in one place: a reply is one
     [-- \[N\] tag: info] status line, plus — when the tag is
     [hit]/[miss] with [K rows] — exactly [K + 1] CSV lines (header and

@@ -579,26 +579,3 @@ let render_stats (s : stats) =
                Printf.sprintf "#%d[%s] %d req / %d resp" c.sum_sid
                  c.sum_tenant c.sum_requests c.sum_responses)
              closed)
-
-let stats_json (s : stats) =
-  Relalg.Json.Obj
-    [ ("sessions", Relalg.Json.Int s.sessions);
-      ("sessions_refused", Relalg.Json.Int s.sessions_refused);
-      ("requests", Relalg.Json.Int s.requests);
-      ("accepted", Relalg.Json.Int s.accepted);
-      ("tables", Relalg.Json.Int s.tables);
-      ("rejected", Relalg.Json.Int s.rejected);
-      ("shed", Relalg.Json.Int s.shed);
-      ("expired", Relalg.Json.Int s.expired);
-      ("parse_errors", Relalg.Json.Int s.parse_errors);
-      ("disconnects", Relalg.Json.Int s.disconnects);
-      ( "closed",
-        Relalg.Json.List
-          (List.map
-             (fun c ->
-               Relalg.Json.Obj
-                 [ ("sid", Relalg.Json.Int c.sum_sid);
-                   ("tenant", Relalg.Json.String c.sum_tenant);
-                   ("requests", Relalg.Json.Int c.sum_requests);
-                   ("responses", Relalg.Json.Int c.sum_responses) ])
-             s.closed) ) ]

@@ -116,4 +116,3 @@ val run : t -> unit
 
 val stats : t -> stats
 val render_stats : stats -> string
-val stats_json : stats -> Relalg.Json.t

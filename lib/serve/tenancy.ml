@@ -79,13 +79,3 @@ let stats (t : t) =
   { queries = t.queries; hits = t.hits; misses = t.misses;
     rejections = t.rejections; expired = t.expired;
     invalidated = t.invalidated; epoch = t.epoch }
-
-let stats_json (s : stats) =
-  Relalg.Json.Obj
-    [ ("queries", Relalg.Json.Int s.queries);
-      ("hits", Relalg.Json.Int s.hits);
-      ("misses", Relalg.Json.Int s.misses);
-      ("rejections", Relalg.Json.Int s.rejections);
-      ("expired", Relalg.Json.Int s.expired);
-      ("invalidated", Relalg.Json.Int s.invalidated);
-      ("epoch", Relalg.Json.Int s.epoch) ]

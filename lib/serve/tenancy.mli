@@ -100,4 +100,3 @@ type stats = {
 }
 
 val stats : t -> stats
-val stats_json : stats -> Relalg.Json.t

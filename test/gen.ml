@@ -244,9 +244,8 @@ let arbitrary_extended =
 
 (* The serving layer's workload shape: long streams of queries where
    many repeat verbatim (cache hits) under a policy that occasionally
-   changes (invalidation). Shared by test_serve.ml and serve_bench.ml,
-   so both the differential tests and the benchmark replay the same
-   kind of traffic. *)
+   changes (invalidation). test_serve.ml replays these streams against
+   cache-less oracles, with pinned counters. *)
 
 type 'q stream_event =
   | Squery of 'q

@@ -13,8 +13,8 @@
       the retained plan never masks a query that should now be denied.
       (A fresh replan may land on a *differently shaped* equally valid
       plan — the optimizer's local search is not stable under deleting
-      never-chosen candidates — which is why the churn bench compares
-      responses as canonical row multisets, not bytes);
+      never-chosen candidates — which is why test_serve's churn replay
+      compares responses as canonical row multisets, not bytes);
    3. audit — who-sees-what on the paper's running example, including
       join paths, with filters and a stable rendering;
    4. canonical diagnostics — two independent builds of the same
@@ -188,7 +188,7 @@ let prop_deps_soundness =
                           may differ — the local search is not stable
                           under deleting never-chosen candidates — so
                           equal results are asserted over executions in
-                          the churn bench, canonically, not here.) *)
+                          test_serve's churn replay, canonically.) *)
                        match
                          Planner.Optimizer.plan ~policy:p'
                            ~subjects:Gen.subjects ~deliver_to:Gen.user plan

@@ -325,6 +325,49 @@ let agree ?crypto tables plan =
        (fun () -> Exec.context ?crypto:(Option.map (fun f -> f ()) crypto) tables)
        plan)
 
+(* Regression, the plan QCHECK_SEED=106754953 extended: an [avg]
+   re-encrypted under OPE came back rounded to cents (47.57 for 47.5714).
+   A lossy float now carries a det tail, like a string. *)
+let test_ope_float_precision () =
+  let row c b = [| Value.Int 0; Value.Int b; Value.Str c; Value.Int 0 |] in
+  let r1 =
+    Table.of_schema Gen.rel1
+      (List.map (row "zo") [ 40; 41; 42; 43; 44; 45; 78 ]
+      @ List.map (row "meu") [ 42; 45 ])
+  in
+  let b = Attr.make "b" and bs = Attr.Set.of_names [ "b" ] in
+  let bc = Attr.Set.of_names [ "b"; "c" ] in
+  let plan scan mid top =
+    Plan.order_by [ (Attr.make "c", Plan.Desc) ]
+      (top
+         (Plan.group_by (Attr.Set.of_names [ "c" ])
+            [ Aggregate.make (Aggregate.Avg b) ]
+            (mid
+               (Plan.order_by [ (b, Plan.Asc) ]
+                  (scan (Plan.project bc (Plan.base Gen.rel1)))))))
+  in
+  let enc = Plan.encrypt and dec = Plan.decrypt in
+  let extended = dec bc (plan (enc bc) (dec bs) (enc bs)) in
+  let crypto () =
+    Enc_exec.of_schemes (Mpq_crypto.Keyring.create ~seed:123L ())
+      [ ("b", Mpq_crypto.Scheme.Ope); ("c", Mpq_crypto.Scheme.Ope) ]
+  in
+  let run ?crypto tables p = Exec.run (Exec.context ?crypto tables) p in
+  Alcotest.(check bool) "ciphertext run = plaintext run" true
+    (Table.equal_bag
+       (run [ ("R1", r1) ] (plan Fun.id Fun.id Fun.id))
+       (run ~crypto:(crypto ()) [ ("R1", r1) ] extended));
+  agree ~crypto [ ("R1", r1) ] extended;
+  let ctx = crypto () in
+  let cells = [ Value.Float (333. /. 7.); Value.Int 3; Value.Null; Value.Float 0.1 ] in
+  let column = Table.create [ b ] (List.map (fun v -> [| v |]) cells) in
+  let m = Plan.base (Schema.make ~name:"M" ~owner:"H" [ ("b", Schema.Tfloat) ]) in
+  Alcotest.(check bool) "single values and a Values column round-trip" true
+    (List.map (fun v -> Enc_exec.decrypt_value ctx (Enc_exec.encrypt_value ctx b v)) cells
+     = cells
+    && Table.equal_bag column
+         (run ~crypto:(crypto ()) [ ("M", column) ] (dec bs (enc bs m))))
+
 (* Int and Float keys around 2^53 through the hash join and group-by, on
    typed (all-Int, all-Float) and mixed columns *)
 let test_keys_at_2_53 () =
@@ -406,7 +449,8 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_encrypted_equals_plain; prop_monitor_clean ] );
       ( "regressions",
-        [ ("mixed Int/Float hash join", `Quick, test_mixed_numeric_hash_join) ]
+        [ ("mixed Int/Float hash join", `Quick, test_mixed_numeric_hash_join);
+          ("OPE keeps an avg's full precision", `Quick, test_ope_float_precision) ]
       );
       ( "row oracle",
         [ QCheck_alcotest.to_alcotest prop_row_oracle;

@@ -352,6 +352,19 @@ let gen_service ?pool ?sharing policy =
   Serve.Service.create ?pool ?sharing ~policy ~subjects:Gen.subjects
     ~tables:(gen_catalog_tables ()) ~udfs:udf_impls ~deliver_to:Gen.user ()
 
+let tpch_service ~sf ~tables ?pool ?sharing ?max_batch sc =
+  Serve.Service.create ?pool ?sharing ?max_batch
+    ~policy:(Tpch.Scenarios.policy sc) ~subjects:Tpch.Scenarios.subjects
+    ~pricing:Tpch.Scenarios.pricing ~base:(Tpch.Tpch_schema.base_stats ~sf)
+    ~deliver_to:Tpch.Scenarios.user ~udfs:Tpch.Tpch_queries.udf_impls ~tables ()
+
+let tpch_tables sf =
+  let data = Tpch.Tpch_data.generate ~sf () in
+  List.map
+    (fun (s : Schema.t) ->
+      (s.Schema.name, Engine.Table.of_schema s (List.assoc s.Schema.name data)))
+    Tpch.Tpch_schema.all
+
 (* --- warm = cold ------------------------------------------------------ *)
 
 (* A warm hit must return a plan structurally identical to what cold
@@ -360,22 +373,10 @@ let gen_service ?pool ?sharing policy =
    also pins the structural nature of the key. *)
 let test_tpch_warm_equals_cold () =
   let sf = 0.0005 in
-  let data = Tpch.Tpch_data.generate ~sf () in
-  let tables =
-    List.map
-      (fun (s : Schema.t) ->
-        (s.Schema.name, Engine.Table.of_schema s (List.assoc s.Schema.name data)))
-      Tpch.Tpch_schema.all
-  in
+  let tables = tpch_tables sf in
   List.iter
     (fun sc ->
-      let service =
-        Serve.Service.create ~policy:(Tpch.Scenarios.policy sc)
-          ~subjects:Tpch.Scenarios.subjects ~pricing:Tpch.Scenarios.pricing
-          ~base:(Tpch.Tpch_schema.base_stats ~sf)
-          ~deliver_to:Tpch.Scenarios.user ~udfs:Tpch.Tpch_queries.udf_impls
-          ~tables ()
-      in
+      let service = tpch_service ~sf ~tables sc in
       List.iter
         (fun q ->
           let label fmt =
@@ -591,6 +592,77 @@ let test_config_invalidation () =
   | Serve.Service.Expired why ->
       Alcotest.failf "no deadline was set, yet expired: %s" why
 
+(* Concretize a stream's mutations (mixed grants and revokes) once, so
+   every replay sees the same policy at the same position. *)
+let concretize policy0 events rand =
+  List.rev
+    (snd
+       (List.fold_left
+          (fun (policy, acc) -> function
+            | Gen.Squery q -> (policy, `Query q :: acc)
+            | Gen.Smutate ->
+                let policy' = Gen.mutate_policy ~mode:`Mixed policy rand in
+                (policy', `Set policy' :: acc))
+          (policy0, []) events))
+
+(* A 500-event grant/revoke stream over a policy granting everything,
+   replayed by incremental [set_policy], by rotation ([~subjects]: new
+   fingerprint, nothing migrates) and by a fresh service per query.
+   Tables agree as row multisets ([canonical_equal]); a retained denial
+   may cite another first cause, so rejections agree as verdicts. *)
+let test_churn_vs_replan () =
+  let rule sch s =
+    Authorization.rule ~rel:sch.Schema.name
+      ~plain:(List.map Attr.name (Schema.attr_list sch)) (To s)
+  in
+  let generous =
+    Authorization.make ~schemas:Gen.schemas
+      (List.concat_map (fun sch -> List.map (rule sch) Gen.subjects) Gen.schemas)
+  in
+  let rand = Random.State.make [| 0xC0FFEE |] in
+  let plan_pool = Array.init 12 (fun _ -> Gen.gen_plan rand) in
+  let script =
+    concretize generous
+      (Gen.gen_stream ~repeat_rate:0.75 ~mutation_rate:0.45 ~pool:plan_pool
+         500 rand)
+      rand
+  in
+  let replay set_policy serve =
+    let s = gen_service generous and policy = ref generous in
+    let outcomes =
+      List.filter_map
+        (function
+          | `Query q -> Some (serve s !policy q).Serve.Service.outcome
+          | `Set p -> set_policy s p; policy := p; None)
+        script
+    in
+    (outcomes, Serve.Service.stats s)
+  in
+  let cached s _ q = Serve.Service.submit s q in
+  let inc, is = replay (fun s p -> Serve.Service.set_policy s p) cached in
+  let rot, rs =
+    replay (fun s p -> Serve.Service.set_policy ~subjects:Gen.subjects s p) cached
+  in
+  let oracle, _ =
+    replay (fun _ _ -> ()) (fun _ p q -> Serve.Service.submit (gen_service p) q)
+  in
+  let agree a b =
+    match (a, b) with
+    | Serve.Service.Table x, Serve.Service.Table y -> canonical_equal x y
+    | Serve.Service.Rejected _, Serve.Service.Rejected _ -> true
+    | _ -> false
+  in
+  let agreeing xs = List.length (List.filter Fun.id (List.map2 agree xs oracle)) in
+  Alcotest.(check (list int))
+    "queries, then those agreeing with the replan (incremental, rotation)"
+    [ 278; 278; 278 ] [ List.length oracle; agreeing inc; agreeing rot ];
+  Alcotest.(check (list int))
+    "hits, misses, retained, reverified, invalidated; rotation hits, misses"
+    [ 242; 36; 2142; 0; 24; 35; 243 ]
+    Serve.Service.
+      [ is.hits; is.misses; is.retained; is.reverified; is.invalidated;
+        rs.hits; rs.misses ]
+
 (* --- concurrency ------------------------------------------------------ *)
 
 (* Replay the same stream — queries with verbatim repeats, interleaved
@@ -608,21 +680,7 @@ let test_stream_determinism () =
     Gen.gen_stream ~repeat_rate:0.6 ~mutation_rate:0.05 ~pool:plan_pool 200
       rand
   in
-  (* concretize mutations once, so both replays see the same policies *)
-  let script =
-    List.rev
-      (snd
-         (List.fold_left
-            (fun (policy, acc) ev ->
-              match ev with
-              | Gen.Squery q -> (policy, `Query q :: acc)
-              | Gen.Smutate ->
-                  (* mixed grants and revokes: the differential also
-                     covers incremental retention and re-verification *)
-                  let policy' = Gen.mutate_policy ~mode:`Mixed policy rand in
-                  (policy', `Set policy' :: acc))
-            (policy0, []) events))
-  in
+  let script = concretize policy0 events rand in
   let queries =
     List.length
       (List.filter (function `Query _ -> true | _ -> false) script)
@@ -842,6 +900,48 @@ let prop_sharing_vs_isolated =
         || s1.Serve.Service.shared_execs <> sn.Serve.Service.shared_execs
       then QCheck.Test.fail_report "sub-plan statistics diverge across job counts";
       true)
+
+(* TPC-H sharing, pinned: q1, 3, 5, 10 under UA as a duplicate-heavy
+   stream in batches of 16 equal a fresh isolated service per event,
+   with exact counters at 1 and [MPQ_JOBS] domains. That sharing pays is
+   asserted by its cause, not by a timing ratio. *)
+let test_tpch_sharing_pinned () =
+  let sf = 0.001 and stream =
+    List.filter_map
+      (function Gen.Squery q -> Some (Tpch.Tpch_queries.query q) | Gen.Smutate -> None)
+      (Gen.gen_stream ~repeat_rate:0.7 ~pool:[| 1; 3; 5; 10 |] 24
+         (Random.State.make [| 0x3c0; 24 |]))
+  in
+  let tables = tpch_tables sf in
+  let service ?pool ?sharing () =
+    tpch_service ~sf ~tables ?pool ?sharing ~max_batch:16 Tpch.Scenarios.UA
+  in
+  let outcome (r : Serve.Service.response) = r.Serve.Service.outcome in
+  let isolated =
+    List.map (fun q -> outcome (Serve.Service.submit (service ~sharing:false ()) q)) stream
+  in
+  let run ?pool jobs =
+    let s = service ?pool () in
+    Alcotest.(check (list bool)) "every event: shared bytes = isolated"
+      (List.map (fun _ -> true) stream)
+      (List.map2 (fun r o -> outcome_equal (outcome r) o)
+         (Serve.Service.submit_batch s stream) isolated);
+    let st = Serve.Service.stats s and d = Serve.Service.dag_stats s in
+    Alcotest.(check bool) "fewer plannings than events, shared derivations"
+      true (st.Serve.Service.misses < 24 && Serve.Service.derivations_shared s > 0);
+    (* hits, misses, sub-plan hits and stores, shared execs, derivations,
+       DAG nodes, shared occurrences *)
+    Alcotest.(check (list int)) (Printf.sprintf "counters at %d jobs" jobs)
+      [ 20; 4; 5; 9; 17; 17; 46; 9 ]
+      Serve.Service.
+        [ st.hits; st.misses; st.subplan_hits; st.subplan_stores;
+          st.shared_execs; derivations_shared s; d.Planner.Dag.nodes;
+          d.Planner.Dag.shared_occurrences ]
+  in
+  run 1;
+  let pool = Par.create ~name:"serve-tpch-sharing" par_jobs in
+  Fun.protect ~finally:(fun () -> Par.shutdown pool) @@ fun () ->
+  run ~pool par_jobs
 
 (* Shared sub-plan lifecycle over one structurally repeated core:
 
@@ -1132,7 +1232,9 @@ let () =
       ( "invalidation",
         [ ("single-permission policy change", `Quick, test_policy_invalidation);
           ("pricing/network/config change", `Quick, test_config_invalidation);
-          ("set_policy spans", `Quick, test_set_policy_spans) ]
+          ("set_policy spans", `Quick, test_set_policy_spans);
+          ("500-event churn: incremental = rotation = replan", `Slow,
+           test_churn_vs_replan) ]
       );
       ( "concurrency",
         [ ("200-query stream, 1 vs 4 domains", `Slow, test_stream_determinism);
@@ -1141,6 +1243,8 @@ let () =
           ("batching transparency", `Slow, test_batching_transparent) ] );
       ( "sharing",
         [ QCheck_alcotest.to_alcotest prop_sharing_vs_isolated;
+          ("tpch stream: shared = isolated, pinned counters", `Slow,
+           test_tpch_sharing_pinned);
           ("shared sub-plan lifecycle: reuse, grants, revocation", `Slow,
            test_shared_subplan_lifecycle);
           ("no sharing across environments", `Quick,

@@ -39,9 +39,10 @@ let demo_tables (env : Policy_dsl.t) =
         [ [| s "alice"; n 120 |]; [| s "bob"; n 300 |];
           [| s "carol"; n 80 |]; [| s "dave"; n 150 |] ] ) ]
 
-let example_service () =
+let example_service ?policy () =
   let env = Policy_dsl.parse Policy_dsl.example in
-  Serve.Service.create ~policy:env.Policy_dsl.policy
+  Serve.Service.create
+    ~policy:(Option.value policy ~default:env.Policy_dsl.policy)
     ~subjects:env.Policy_dsl.subjects ~tables:(demo_tables env) ()
 
 let queries =
@@ -57,8 +58,8 @@ let queries =
    environment, seed) — independent of cache history and of how the
    query reached the service — so a fresh service is a valid oracle
    for any accepted request *)
-let oracle_csv () =
-  let service = example_service () in
+let oracle_csv ?policy () =
+  let service = example_service ?policy () in
   Array.map
     (fun q ->
       match (Serve.Service.submit_sql service q).Serve.Service.outcome with
@@ -67,8 +68,7 @@ let oracle_csv () =
       | Serve.Service.Expired m -> Alcotest.failf "oracle expired: %s" m)
     queries
 
-let with_server ?config f =
-  let service = example_service () in
+let with_server ?config ?(service = example_service ()) f =
   let server = Serve.Server.create ?config ~service (Serve.Server.Tcp 0) in
   let addr = Serve.Server.bound_addr server in
   let d = Domain.spawn (fun () -> Serve.Server.run server) in
@@ -226,6 +226,60 @@ let test_session_isolation () =
   in
   Alcotest.(check (list string))
     "victim stream identical next to faulty sessions" solo shared
+
+(* Two sessions per tenant ("blue": the example minus Y's plaintext P
+   on Ins) send the pool twice. Every table is its tenant's single-tenant
+   oracle, the second pass hits, no hit crosses tenants. *)
+let test_tenants_over_sockets () =
+  let blue =
+    (Policy_dsl.parse
+       (Str.global_replace
+          (Str.regexp_string "authorize Ins to Y plain P enc C")
+          "authorize Ins to Y enc C" Policy_dsl.example))
+      .Policy_dsl.policy
+  in
+  let default = Serve.Tenancy.default_id in
+  let oracles = [ (default, oracle_csv ()); ("blue", oracle_csv ~policy:blue ()) ] in
+  let service = example_service () in
+  Serve.Service.add_tenant service ~id:"blue" ~policy:blue ();
+  let server =
+    with_server ~service @@ fun server _service addr ->
+    let sessions =
+      List.map
+        (fun tenant ->
+          let c = Serve.Client.connect addr in
+          if tenant <> default then begin
+            Serve.Client.send c ("\\tenant use " ^ tenant);
+            Alcotest.(check (option string)) "switched" (Some "tenant")
+              (Option.map (fun r -> r.Serve.Client.tag) (Serve.Client.recv c))
+          end;
+          (tenant, c))
+        [ default; "blue"; default; "blue" ]
+    in
+    List.iter
+      (fun pass ->
+        List.iter (fun (_, c) -> Array.iter (Serve.Client.send c) queries) sessions;
+        List.iter
+          (fun (tenant, c) ->
+            let rs = Array.map (fun _ -> Option.get (Serve.Client.recv c)) queries in
+            let label = Printf.sprintf "%s, pass %d: " tenant pass in
+            Alcotest.(check (array (option string))) (label ^ "oracle bytes")
+              (Array.map Option.some (List.assoc tenant oracles))
+              (Array.map Serve.Client.table_csv rs);
+            if pass = 2 then
+              Alcotest.(check bool) (label ^ "hits") true
+                (Array.for_all (fun r -> r.Serve.Client.tag = "hit") rs))
+          sessions)
+      [ 1; 2 ];
+    List.iter (fun (_, c) -> Serve.Client.shutdown_send c; Serve.Client.close c) sessions;
+    server
+  in
+  Alcotest.(check int) "no cross-tenant hits" 0
+    (Serve.Service.stats service).Serve.Service.cross_tenant_hits;
+  let closed = (Serve.Server.stats server).Serve.Server.closed in
+  Alcotest.(check (list string)) "closed sessions name both tenants"
+    [ "blue"; "default" ]
+    (List.sort_uniq compare (List.map (fun c -> c.Serve.Server.sum_tenant) closed))
 
 (* --- overload --------------------------------------------------------- *)
 
@@ -502,7 +556,9 @@ let () =
             test_unterminated_line ] );
       ( "isolation",
         [ Alcotest.test_case "faulty neighbours leave no trace" `Quick
-            test_session_isolation ] );
+            test_session_isolation;
+          Alcotest.test_case "two tenants, four sessions, oracle bytes" `Quick
+            test_tenants_over_sockets ] );
       ( "overload",
         [ Alcotest.test_case "backlog full sheds structurally" `Quick
             test_shed_structured;
