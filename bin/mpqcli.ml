@@ -383,14 +383,6 @@ let retry_policy max_retries timeout_ms =
     Distsim.Runtime.max_retries;
     Distsim.Runtime.timeout_ms }
 
-let jobs_arg =
-  Arg.(value & opt int 1
-       & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:
-             "Execute the plan on $(docv) domains (default 1: fully \
-              sequential). Results are byte-identical at any value; the \
-              trace and simulated clock are unaffected.")
-
 let run_cmd =
   let trace_arg =
     Arg.(value & flag & info [ "trace" ] ~doc:"Print the dispatch/release trace.")
@@ -398,10 +390,9 @@ let run_cmd =
   (* [--trace] here predates the span tracer and prints the dispatch /
      release event log; span data is available through [--stats]. *)
   let run policy_path query table_specs trace stats faults_spec fault_seed
-      max_retries timeout_ms jobs =
+      max_retries timeout_ms =
     guard @@ fun () ->
     with_obs (stats, false) @@ fun () ->
-    Par.with_pool ~name:"exec" jobs @@ fun pool ->
     let env = load_policy policy_path in
     let plan = parse_query env query in
     let user = find_user env in
@@ -426,7 +417,7 @@ let run_cmd =
         ~pki:(Distsim.Pki.create ())
         ~keyring:(Mpq_crypto.Keyring.create ())
         ~user ~tables ~config:r.Planner.Optimizer.config ?faults
-        ~retry:(retry_policy max_retries timeout_ms) ~replan ?pool
+        ~retry:(retry_policy max_retries timeout_ms) ~replan
         ~extended:r.Planner.Optimizer.extended
         ~clusters:r.Planner.Optimizer.clusters ()
     in
@@ -452,8 +443,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc ~man:exit_status_man)
     Term.(
       const run $ policy_arg $ query_arg $ tables_arg $ trace_arg $ stats_arg
-      $ faults_arg $ fault_seed_arg $ max_retries_arg $ timeout_ms_arg
-      $ jobs_arg)
+      $ faults_arg $ fault_seed_arg $ max_retries_arg $ timeout_ms_arg)
 
 (* --- chaos ------------------------------------------------------------ *)
 
@@ -732,6 +722,13 @@ let check_cmd =
 (* --- serve ----------------------------------------------------------- *)
 
 let serve_cmd =
+  let jobs_arg =
+    Arg.(value & opt int 1
+         & info [ "j"; "jobs" ] ~docv:"N"
+             ~doc:"Plan and execute the distinct queries of a round on \
+                   $(docv) domains (default 1: fully sequential). Responses \
+                   are byte-identical at any value.")
+  in
   let file_arg =
     Arg.(value & opt (some file) None
          & info [ "f"; "file" ] ~docv:"FILE"
@@ -1018,10 +1015,11 @@ let serve_cmd =
           interruption notes and the final statistics line. SIGINT and \
           SIGTERM exit through the same drain as end of input: admitted \
           requests are answered, then the stats are reported.";
-      `P "With $(b,--jobs N) queued queries are planned and executed on N \
-          domains in admission-bounded rounds ($(b,--batch)); responses, \
-          response order and cache evolution are identical to sequential \
-          serving, byte for byte.";
+      `P "With $(b,--jobs N) the distinct queries of each \
+          admission-bounded round ($(b,--batch)) are planned and executed \
+          on N domains, each query on one domain; responses, response \
+          order and cache evolution are identical to sequential serving, \
+          byte for byte.";
       `P "With $(b,--listen ADDR) the same service is exposed on a socket \
           to many concurrent sessions at once, with overload behaviour \
           engineered in: a bounded global backlog ($(b,--backlog)) that \

@@ -33,8 +33,8 @@ let split t = create (next64 t)
 
 (* Pure: the child at index [i] is a function of the parent's current
    state only — the parent is not advanced, and children at distinct
-   indices are decorrelated by the SplitMix64 finalizer. Chunked
-   parallel consumers use this to give every item a private stream
-   whose output is independent of how the items were scheduled. *)
+   indices are decorrelated by the SplitMix64 finalizer. The executor
+   uses this to give every row a private stream whose output is
+   independent of evaluation order. *)
 let derive t i =
   create (mix (Int64.add t.state (Int64.mul golden (Int64.of_int (i + 1)))))

@@ -34,4 +34,4 @@ val derive : t -> int -> t
     advanced, and the child depends only on [t]'s current state and
     [i] — the same [(t, i)] always yields the same stream, regardless
     of any interleaving with other [derive] calls. This is what makes
-    randomized encryption reproducible under parallel execution. *)
+    randomized encryption a function of row position. *)

@@ -89,7 +89,7 @@ let tamper s =
 
 let execute ~policy ~pki ~keyring ~user ~tables ?(udfs = [])
     ?(config = Authz.Opreq.default) ?(self_check = true) ?faults
-    ?(retry = default_retry) ?replan ?pool ~extended ~clusters () =
+    ?(retry = default_retry) ?replan ~extended ~clusters () =
   let faults = match faults with Some f -> f | None -> Faults.none () in
   let trace = ref [] in
   let emit e = trace := e :: !trace in
@@ -351,7 +351,7 @@ let execute ~policy ~pki ~keyring ~user ~tables ?(udfs = [])
           end
     in
     Obs.with_span "distsim.exec" (fun () ->
-        Engine.Exec.run_with_hook ?pool ctx ~hook extended.Authz.Extend.plan)
+        Engine.Exec.run_with_hook ctx ~hook extended.Authz.Extend.plan)
   in
   (* --- supervision: failover re-planning around run_once --------------- *)
   let rec supervise extended clusters replans =

@@ -119,16 +119,12 @@ val execute :
   ?faults:Faults.t ->
   ?retry:retry_policy ->
   ?replan:replanner ->
-  ?pool:Par.pool ->
   extended:Authz.Extend.t ->
   clusters:Authz.Plan_keys.cluster list ->
   unit ->
   outcome
-(** [pool] fans plan evaluation out across domains (independent sibling
-    subplans run concurrently, operators chunk their rows — see
-    {!Engine.Exec}); release checks, transfers and fault injection replay
-    post-order on the calling domain, so the trace, the simulated clock
-    and the injected-fault schedule are identical under any job count.
+(** Release checks, transfers and fault injection run in post-order as
+    each node's table is produced (see {!Engine.Exec.run_with_hook}).
 
     Raises {!Distributed_violation} when a release check fails, an
     executor misses a key its fragment needs, or the pre-dispatch

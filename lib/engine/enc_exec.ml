@@ -9,7 +9,7 @@ let err fmt = Format.kasprintf (fun s -> raise (Crypto_error s)) fmt
    key schedule — far too expensive to repeat per value, which is what
    the first row-at-a-time executor did. A ctx derives every cluster's
    keys eagerly at construction (eager, not lazy: the table is read-only
-   afterwards, so worker domains can share it without synchronization;
+   afterwards, so several domains can share it without synchronization;
    [Lazy.force] is not domain-safe). *)
 type keys = { det : C.Det.key; rnd : C.Rnd.key; ope : C.Ope.key }
 
@@ -21,7 +21,7 @@ type ctx = {
      ope) are deterministic, so encrypting the same constant under the
      same cluster per row is pure waste — a selection over an encrypted
      column used to pay a full OPE traversal for every row. Guarded by
-     the mutex because selections run on worker domains. *)
+     the mutex because a ctx may be shared across domains. *)
   consts : (string * string * Value.t, Value.t) Hashtbl.t;
   consts_mu : Mutex.t;
 }
@@ -234,9 +234,8 @@ let ope_equal a b =
 let encrypt_with ?rng ctx (cluster : Authz.Plan_keys.cluster) v =
   (* [rng] supplies the encryption randomness (Rnd IVs, Paillier
      blinding). Without it we draw from the keyring's shared stream,
-     which is fine sequentially but order-dependent; parallel execution
-     passes position-derived generators so ciphertext bytes don't depend
-     on scheduling. *)
+     which is order-dependent; the executor passes position-derived
+     generators so ciphertext bytes don't depend on evaluation order. *)
   let draw () = match rng with Some r -> r | None -> C.Keyring.rng ctx.keyring in
   let key_id = cluster.Authz.Plan_keys.id in
   let ks = keys_of ctx key_id in
@@ -268,20 +267,14 @@ let encrypt_value ?rng ctx a v =
 let node_rng ctx id =
   C.Keyring.derived_rng ctx.keyring ("exec-node:" ^ string_of_int id)
 
-let prepare_parallel ctx =
-  (* optional warm-up: the keygen is lock-protected in Keyring, so this
-     only moves the one-time cost onto the calling domain *)
-  ignore (C.Keyring.paillier ctx.keyring)
-
 (* --- batched column kernels ------------------------------------------ *)
 
 (* Per-(column, row) randomness pool. The pool pass replays the exact
-   draw sequence of the row-at-a-time encryptor — per row [start + k]
-   one generator [Prng.derive rng_root (start + k)], consumed across the
-   encrypted columns in attribute order, Null cells drawing nothing —
-   so the kernels below produce byte-identical ciphertext at any
-   chunking/--jobs, while the expensive per-draw work (Paillier r^n)
-   moves into a tight per-column loop. *)
+   draw sequence of the row-at-a-time encryptor — per row [k] one
+   generator [Prng.derive rng_root k], consumed across the encrypted
+   columns in attribute order, Null cells drawing nothing — so the
+   kernels below produce byte-identical ciphertext, while the expensive
+   per-draw work (Paillier r^n) moves into a tight per-column loop. *)
 type pool_slot =
   | No_draws
   | Ivs of int64 array
@@ -292,7 +285,7 @@ let is_null_cell col k =
   | Column.Values a -> ( match a.(k) with Value.Null -> true | _ -> false)
   | _ -> false
 
-let encrypt_batch ctx ~rng_root ~start ~enc =
+let encrypt_batch ctx ~rng_root ~enc =
   let enc = List.map (fun (a, col) -> (a, cluster_of ctx a, col)) enc in
   let n = match enc with [] -> 0 | (_, _, c) :: _ -> Column.length c in
   let needs_phe =
@@ -320,7 +313,7 @@ let encrypt_batch ctx ~rng_root ~start ~enc =
   if any_draws then
     Obs.time "enc_exec.pool_s" (fun () ->
         for k = 0 to n - 1 do
-          let rng = C.Prng.derive rng_root (start + k) in
+          let rng = C.Prng.derive rng_root k in
           Array.iteri
             (fun e slot ->
               match slot with

@@ -43,8 +43,7 @@ val encrypt_value : ?rng:Mpq_crypto.Prng.t -> ctx -> Attr.t -> Value.t -> Value.
     shared randomness stream; the executor passes generators derived
     from (node preorder position, row index) so ciphertext bytes are a
     function of position, not of evaluation order or physical plan
-    identity — the property that makes parallel execution
-    byte-identical to sequential, and DAG-interned plans (where one
+    identity — the property that makes DAG-interned plans (where one
     physical node occurs at several positions) byte-identical to their
     tree-shaped originals. *)
 
@@ -53,29 +52,21 @@ val node_rng : ctx -> int -> Mpq_crypto.Prng.t
     occurrence at preorder position [pos]; derive one child per row
     ({!Mpq_crypto.Prng.derive}) to encrypt under it. *)
 
-val prepare_parallel : ctx -> unit
-(** Force lazily-generated key material (the Paillier pair) up front.
-    Optional: {!Mpq_crypto.Keyring.paillier} is itself domain-safe
-    (keygen runs once under a lock), so parallel runs work without this
-    call and plans that never touch phe values skip the keygen cost
-    entirely. Idempotent. *)
-
 val encrypt_batch :
   ctx ->
   rng_root:Mpq_crypto.Prng.t ->
-  start:int ->
   enc:(Attr.t * Column.t) list ->
   Column.t list
-(** [encrypt_batch ctx ~rng_root ~start ~enc] encrypts whole column
-    slices. [enc] pairs each encrypted attribute (in the randomness-draw
-    order — ascending attribute order) with its column slice for rows
-    [start .. start + n - 1] of the node's input; the result columns are
-    in the same order. Byte-identical to encrypting the same rows one at
-    a time with [encrypt_value ~rng:(Prng.derive rng_root row)]: a pool
-    pass replays the row-major randomness draws (Rnd IVs, Paillier
-    units; Null cells draw nothing), then per-scheme kernels run
-    column-major — one memoized OPE coder per column, Paillier blinding
-    off the hot path, unboxed loops on typed columns. *)
+(** [encrypt_batch ctx ~rng_root ~enc] encrypts whole columns. [enc]
+    pairs each encrypted attribute (in the randomness-draw order —
+    ascending attribute order) with its column of the node's input; the
+    result columns are in the same order. Byte-identical to encrypting
+    the same rows one at a time with
+    [encrypt_value ~rng:(Prng.derive rng_root row)]: a pool pass replays
+    the row-major randomness draws (Rnd IVs, Paillier units; Null cells
+    draw nothing), then per-scheme kernels run column-major — one
+    memoized OPE coder per column, Paillier blinding off the hot path,
+    unboxed loops on typed columns. *)
 
 val decrypt_batch : ctx -> Column.t -> Column.t
 (** Column counterpart of {!decrypt_value} (Null passes through), with

@@ -51,74 +51,43 @@ let null_at cols i =
     (function Column.Values a -> Value.is_null a.(i) | _ -> false)
     cols
 
-(* Index-range fan-out. Every parallel operator below is a pure function
-   of (range start, range length), so the concatenation of range results
-   equals the sequential result for any chunking — the property the
-   differential tests pin down. *)
-let pmap_ranges pool ~f n =
-  match pool with
-  | Some p -> Par.map_ranges p ~f n
-  | None -> if n <= 0 then [] else [ f 0 n ]
-
-let pconcat pool ~f n = Array.concat (pmap_ranges pool ~f n)
-
 (* --- per-column encryption (stored relations, Encrypt/Decrypt) ------- *)
 
 (* Columnar batch encryption. Randomness is rooted per (plan node, row
-   index) — Enc_exec's pool pass replays the row-major draw order — so
-   ciphertext bytes depend on the row's position, never on which domain
-   (or in which order) the batch was processed. Untouched columns are
-   shared, not copied. *)
-let encrypt_columns crypto pool ~node attrs table =
+   index), so ciphertext bytes depend on the row's position, never on
+   evaluation order. Untouched columns are shared, not copied. *)
+let encrypt_columns crypto ~node attrs table =
   let enc_attrs = Attr.Set.elements attrs in
   let enc_idx = List.map (Table.col_index table) enc_attrs in
-  let nrng = Enc_exec.node_rng crypto node in
   let cols = Table.columns table in
-  let n = Table.cardinality table in
-  let parts =
-    pmap_ranges pool
-      ~f:(fun start len ->
-        Enc_exec.encrypt_batch crypto ~rng_root:nrng ~start
-          ~enc:
-            (List.map2
-               (fun a i -> (a, Column.sub cols.(i) start len))
-               enc_attrs enc_idx))
-      n
+  let encrypted =
+    Enc_exec.encrypt_batch crypto ~rng_root:(Enc_exec.node_rng crypto node)
+      ~enc:(List.map2 (fun a i -> (a, cols.(i))) enc_attrs enc_idx)
   in
   let out = Array.copy cols in
-  List.iteri
-    (fun c_pos i ->
-      out.(i) <- Column.concat (List.map (fun p -> List.nth p c_pos) parts))
-    enc_idx;
-  Table.of_columns ~nrows:n (Table.attrs table) out
+  List.iter2 (fun i c -> out.(i) <- c) enc_idx encrypted;
+  Table.of_columns ~nrows:(Table.cardinality table) (Table.attrs table) out
 
-let decrypt_columns crypto pool attrs table =
-  let idx = List.map (Table.col_index table) (Attr.Set.elements attrs) in
+let decrypt_columns crypto attrs table =
   let cols = Table.columns table in
-  let n = Table.cardinality table in
   let out = Array.copy cols in
   List.iter
-    (fun i ->
-      let parts =
-        pmap_ranges pool
-          ~f:(fun start len ->
-            Enc_exec.decrypt_batch crypto (Column.sub cols.(i) start len))
-          n
-      in
-      out.(i) <- Column.concat parts)
-    idx;
-  Table.of_columns ~nrows:n (Table.attrs table) out
+    (fun a ->
+      let i = Table.col_index table a in
+      out.(i) <- Enc_exec.decrypt_batch crypto cols.(i))
+    (Attr.Set.elements attrs);
+  Table.of_columns ~nrows:(Table.cardinality table) (Table.attrs table) out
 
-let crypt ctx pool ~encrypt ~node attrs table =
+let crypt ctx ~encrypt ~node attrs table =
   match ctx.crypto with
   | None -> err "plan contains crypto operators but no crypto context given"
   | Some crypto ->
-      if encrypt then encrypt_columns crypto pool ~node attrs table
-      else decrypt_columns crypto pool attrs table
+      if encrypt then encrypt_columns crypto ~node attrs table
+      else decrypt_columns crypto attrs table
 
 (* --- relational operators over columns ------------------------------- *)
 
-let base ctx pool ~node s =
+let base ctx ~node s =
   match List.assoc_opt s.Schema.name ctx.tables with
   | None -> err "unknown base relation %s" s.Schema.name
   | Some t ->
@@ -130,28 +99,24 @@ let base ctx pool ~node s =
       else
         match ctx.crypto with
         | None -> err "outsourced relation %s needs a crypto context" s.Schema.name
-        | Some crypto -> encrypt_columns crypto pool ~node enc t
+        | Some crypto -> encrypt_columns crypto ~node enc t
 
 let project table attrs = Table.select_columns table (Attr.Set.elements attrs)
 
-(* the rows of [start, start + len) that pass [keep], in order *)
-let filter_range keep start len =
-  let out = Array.make len 0 and n = ref 0 in
-  for i = start to start + len - 1 do
-    if keep i then begin
-      out.(!n) <- i;
-      incr n
-    end
-  done;
-  Array.sub out 0 !n
-
-let select ?crypto pool table pred =
+let select ?crypto table pred =
   let keep =
     Eval.predicate ?ctx:crypto (fun a -> (Table.column table a, Fun.id)) pred
   in
   let n = Table.cardinality table in
-  let sel = pconcat pool ~f:(filter_range keep) n in
-  if Array.length sel = n then table else Table.gather table sel
+  (* the rows that pass [keep], in order *)
+  let sel = Array.make n 0 and kept = ref 0 in
+  for i = 0 to n - 1 do
+    if keep i then begin
+      sel.(!kept) <- i;
+      incr kept
+    end
+  done;
+  if !kept = n then table else Table.gather table (Array.sub sel 0 !kept)
 
 (* row [k] of the output pairs row [li.(k)] of [l] with row [ri.(k)] of [r] *)
 let pair_up l li r ri =
@@ -181,7 +146,7 @@ let equi_pairs pred l r =
         | _ -> None)
       pred
 
-let join ?crypto pool pred l r =
+let join ?crypto pred l r =
   let pairs = equi_pairs pred l r in
   let nr = Table.cardinality r in
   let stride = max nr 1 in
@@ -198,7 +163,7 @@ let join ?crypto pool pred l r =
         else ((Table.columns r).(p - width), fun x -> x mod stride))
       pred
   in
-  (* [out] collects the matches of a left range, newest first *)
+  (* [out] collects the matches, newest first *)
   let check out li rj = if keep ((li * stride) + rj) then out := (li, rj) :: !out in
   (* Hash-path matches re-check the whole predicate (equi clauses
      included), so the bucket key only has to be complete — any pair of
@@ -206,8 +171,7 @@ let join ?crypto pool pred l r =
      Rechecking keeps the hash path bit-identical to the nested loop even
      where the key encoding collapses distinct values. A bucket lists its
      right rows in descending order, the order [Hashtbl.find_all] gave
-     the row executor. The index is built once and only read while left
-     ranges probe it in parallel. *)
+     the row executor. *)
   let probe =
     match pairs with
     | [] -> fun out li -> for rj = 0 to nr - 1 do check out li rj done
@@ -241,14 +205,11 @@ let join ?crypto pool pred l r =
             buckets (key lk) (key rk))
   in
   let matches =
-    pconcat pool
-      ~f:(fun start len ->
-        let out = ref [] in
-        for li = start to start + len - 1 do
-          probe out li
-        done;
-        Array.of_list (List.rev !out))
-      (Table.cardinality l)
+    let out = ref [] in
+    for li = 0 to Table.cardinality l - 1 do
+      probe out li
+    done;
+    Array.of_list (List.rev !out)
   in
   pair_up l (Array.map fst matches) r (Array.map snd matches)
 
@@ -313,28 +274,23 @@ let aggregate ?crypto ?rng (agg : Aggregate.t) values =
       | first :: rest ->
           List.fold_left (fun best v -> if better v best then v else best) first rest)
 
-let group_by ?crypto pool ~node table keys aggs =
+let group_by ?crypto ~node table keys aggs =
   let key_attrs = Attr.Set.elements keys in
   let key_cols = List.map (Table.column table) key_attrs in
   (* phase 1 — the rows of each group, groups in first-appearance order
      and each group's rows in input order, as one sequential pass would
-     find them; only the key strings are computed in parallel *)
+     find them *)
   let groups =
-    let keys =
-      pconcat pool
-        ~f:(fun start len -> Array.init len (fun k -> row_key key_cols (start + k)))
-        (Table.cardinality table)
-    in
     let tbl = Hashtbl.create 64 and order = ref [] in
-    Array.iteri
-      (fun i k ->
-        match Hashtbl.find_opt tbl k with
-        | Some rows -> rows := i :: !rows
-        | None ->
-            let rows = ref [ i ] in
-            Hashtbl.add tbl k rows;
-            order := rows :: !order)
-      keys;
+    for i = 0 to Table.cardinality table - 1 do
+      let k = row_key key_cols i in
+      match Hashtbl.find_opt tbl k with
+      | Some rows -> rows := i :: !rows
+      | None ->
+          let rows = ref [ i ] in
+          Hashtbl.add tbl k rows;
+          order := rows :: !order
+    done;
     Array.of_list (List.rev_map (fun rows -> Array.of_list (List.rev !rows)) !order)
   in
   let agg_ops =
@@ -345,11 +301,9 @@ let group_by ?crypto pool ~node table keys aggs =
       aggs
   in
   let nrng = Option.map (fun c -> Enc_exec.node_rng c node) crypto in
-  (* phase 2 — one output row per group, fanned out over group ranges.
-     Aggregates run over each group's complete row list in input order
-     (never partial per-range sums), so float accumulation order — and
-     with it the result bytes — is independent of the chunking; group
-     [j]'s randomness is derived from [j]. *)
+  (* phase 2 — one output row per group. Aggregates run over each
+     group's complete row list in input order, which fixes the float
+     accumulation order; group [j]'s randomness is derived from [j]. *)
   let agg_row j =
     let rng = Option.map (fun r -> C.Prng.derive r j) nrng in
     List.map
@@ -363,9 +317,7 @@ let group_by ?crypto pool ~node table keys aggs =
       agg_ops
   in
   let ngroups = Array.length groups in
-  let agg_rows =
-    pconcat pool ~f:(fun start len -> Array.init len (fun k -> agg_row (start + k))) ngroups
-  in
+  let agg_rows = Array.init ngroups agg_row in
   let firsts = Array.map (fun rows -> rows.(0)) groups in
   Table.of_columns ~nrows:ngroups
     (key_attrs @ List.map (fun ((a : Aggregate.t), _) -> a.Aggregate.output) agg_ops)
@@ -375,7 +327,7 @@ let group_by ?crypto pool ~node table keys aggs =
            (fun k _ -> Column.of_values (Array.map (fun row -> List.nth row k) agg_rows))
            agg_ops))
 
-let udf_apply ctx pool name inputs output table =
+let udf_apply ctx name inputs output table =
   let f =
     match List.assoc_opt name ctx.udfs with
     | Some f -> f
@@ -394,11 +346,7 @@ let udf_apply ctx pool name inputs output table =
   let n = Table.cardinality table in
   let results =
     Column.of_values
-      (pconcat pool
-         ~f:(fun start len ->
-           Array.init len (fun k ->
-               f (List.map (fun c -> Column.get c (start + k)) input_cols)))
-         n)
+      (Array.init n (fun i -> f (List.map (fun c -> Column.get c i) input_cols)))
   in
   Table.of_columns ~nrows:n out_attrs
     (Array.of_list
@@ -425,10 +373,8 @@ let cell_compare c i j =
           try Value.compare v1 v2
           with Value.Incomparable _ -> err "order_by over incomparable values"))
 
-(* A stable sort of the row permutation by the key list. Parallel path:
-   stable-sort index ranges, then left-preferring merges — stable-sorted
-   output is unique, so it matches the sequential sort. *)
-let order_by pool table keys =
+(* A stable sort of the row permutation by the key list. *)
+let order_by table keys =
   let keys = List.map (fun (a, d) -> (Table.column table a, d)) keys in
   let cmp i j =
     let rec go = function
@@ -440,14 +386,7 @@ let order_by pool table keys =
     in
     go keys
   in
-  let sort start len = List.stable_sort cmp (List.init len (fun k -> start + k)) in
-  let n = Table.cardinality table in
-  let sorted =
-    match pool with
-    | Some p when n > 128 ->
-        Par.map_ranges p ~f:sort n |> List.fold_left (List.merge cmp) []
-    | _ -> sort 0 n
-  in
+  let sorted = List.stable_sort cmp (List.init (Table.cardinality table) Fun.id) in
   Table.gather table (Array.of_list sorted)
 
 let limit table n =
@@ -463,28 +402,20 @@ let operator_tag plan =
    sound only when the caller's key covers everything the subtree's
    bytes depend on (structure, preorder position when ciphertext is
    produced inside, key clusters, environment; see Serve.Service);
-   [store] observes every computed subtree. Both may be called from
-   worker domains concurrently when siblings run in parallel, so
-   implementations must synchronize their own state. *)
+   [store] observes every computed subtree. Both run on the executing
+   domain, but Serve.Service's pool runs several executions at once, so
+   state shared between memos must be synchronized. *)
 type subplan_memo = {
   lookup : pos:int -> Plan.t -> Table.t option;
   store : pos:int -> Plan.t -> Table.t -> unit;
 }
 
-let run_with_hook ?pool ?memo ctx ~hook plan =
-  (* Lazy key material (the Paillier pair) is generated under a lock in
-     Keyring, so worker domains may trigger it on demand; no eager
-     [Enc_exec.prepare_parallel] here — plans that never touch phe
-     values must not pay the keygen. *)
-  (* Execution first, hooks after: [go] returns the node's table plus the
-     post-order (node, table) log of its subtree; the log is replayed
-     sequentially on the calling domain once the plan has run. Hook
-     invocation order is therefore the plan's post-order — the same
-     whether siblings ran concurrently or not — and hooks may keep
-     unsynchronized state. A memo hit contributes only its root to the
-     log (the subtree was not executed here), so hook consumers are not
-     combined with [?memo] — the serving layer, which uses the memo,
-     runs hook-free. *)
+let run_with_hook ?memo ctx ~hook plan =
+  (* [hook] sees each node's table as soon as it exists, in post-order
+     (left subtree, right subtree, node); a raising hook stops the plan
+     there. A memo hit reports only its root (the subtree was not
+     executed here), so hook consumers are not combined with [?memo] —
+     the serving layer, which uses the memo, runs hook-free. *)
   (* Encryption randomness is rooted per plan node (see
      [encrypt_columns]), but raw node ids come from a global counter:
      two structurally identical plans built at different times carry
@@ -499,14 +430,15 @@ let run_with_hook ?pool ?memo ctx ~hook plan =
      first (now) visit's — diverging from the tree-planned oracle's
      ciphertext bytes (regression: test_dag.ml). *)
   let rec go pos plan =
-    match memo with
-    | Some m -> (
-        match m.lookup ~pos plan with
-        | Some t -> (t, [ (plan, t) ])
-        | None -> compute pos plan)
-    | None -> compute pos plan
+    let result =
+      match Option.bind memo (fun m -> m.lookup ~pos plan) with
+      | Some t -> t
+      | None -> compute pos plan
+    in
+    hook plan result;
+    result
   and compute pos plan =
-    let result, logs =
+    let result =
       Obs.with_span ("exec." ^ operator_tag plan) @@ fun () ->
       (* flat per-operator timer (child recursion excluded), so the
          bench can report a per-operator breakdown without untangling
@@ -514,39 +446,37 @@ let run_with_hook ?pool ?memo ctx ~hook plan =
       let op f = Obs.time ("exec.op_s." ^ operator_tag plan) f in
       try
         match Plan.node plan with
-        | Plan.Base s -> (op (fun () -> base ctx pool ~node:pos s), [])
+        | Plan.Base s -> op (fun () -> base ctx ~node:pos s)
         | Plan.Project (attrs, c) ->
-            let t, lg = go (pos + 1) c in
-            (op (fun () -> project t attrs), lg)
+            let t = go (pos + 1) c in
+            op (fun () -> project t attrs)
         | Plan.Select (pred, c) ->
-            let t, lg = go (pos + 1) c in
-            (op (fun () -> select ?crypto:ctx.crypto pool t pred), lg)
+            let t = go (pos + 1) c in
+            op (fun () -> select ?crypto:ctx.crypto t pred)
         | Plan.Product (l, r) ->
-            let (tl, ll), (tr, lr) = both_go pos l r in
-            (op (fun () -> product tl tr), ll @ lr)
+            let tl, tr = sides pos l r in
+            op (fun () -> product tl tr)
         | Plan.Join (pred, l, r) ->
-            let (tl, ll), (tr, lr) = both_go pos l r in
-            (op (fun () -> join ?crypto:ctx.crypto pool pred tl tr), ll @ lr)
+            let tl, tr = sides pos l r in
+            op (fun () -> join ?crypto:ctx.crypto pred tl tr)
         | Plan.Group_by (keys, aggs, c) ->
-            let t, lg = go (pos + 1) c in
-            ( op (fun () ->
-                  group_by ?crypto:ctx.crypto pool ~node:pos t keys aggs),
-              lg )
+            let t = go (pos + 1) c in
+            op (fun () -> group_by ?crypto:ctx.crypto ~node:pos t keys aggs)
         | Plan.Udf (name, inputs, output, c) ->
-            let t, lg = go (pos + 1) c in
-            (op (fun () -> udf_apply ctx pool name inputs output t), lg)
+            let t = go (pos + 1) c in
+            op (fun () -> udf_apply ctx name inputs output t)
         | Plan.Order_by (keys, c) ->
-            let t, lg = go (pos + 1) c in
-            (op (fun () -> order_by pool t keys), lg)
+            let t = go (pos + 1) c in
+            op (fun () -> order_by t keys)
         | Plan.Limit (n, c) ->
-            let t, lg = go (pos + 1) c in
-            (op (fun () -> limit t n), lg)
+            let t = go (pos + 1) c in
+            op (fun () -> limit t n)
         | Plan.Encrypt (attrs, c) ->
-            let t, lg = go (pos + 1) c in
-            (op (fun () -> crypt ctx pool ~encrypt:true ~node:pos attrs t), lg)
+            let t = go (pos + 1) c in
+            op (fun () -> crypt ctx ~encrypt:true ~node:pos attrs t)
         | Plan.Decrypt (attrs, c) ->
-            let t, lg = go (pos + 1) c in
-            (op (fun () -> crypt ctx pool ~encrypt:false ~node:pos attrs t), lg)
+            let t = go (pos + 1) c in
+            op (fun () -> crypt ctx ~encrypt:false ~node:pos attrs t)
       with Table.Unknown_attribute { attr; columns } ->
         err "%s: unknown attribute %s (table columns: %s)" (operator_tag plan)
           attr
@@ -556,24 +486,12 @@ let run_with_hook ?pool ?memo ctx ~hook plan =
       Obs.incr "exec.operators";
       Obs.incr ~by:(Table.cardinality result) "exec.rows_out"
     end;
-    (match memo with Some m -> m.store ~pos plan result | None -> ());
-    (result, logs @ [ (plan, result) ])
-  and both_go pos l r =
-    let lpos = pos + 1 in
-    let rpos = pos + 1 + Plan.size l in
-    (* run sibling subplans on separate domains when both are real
-       subtrees; trivial sides aren't worth a task *)
-    match pool with
-    | Some p when Plan.size l > 2 && Plan.size r > 2 ->
-        Par.both p (fun () -> go lpos l) (fun () -> go rpos r)
-    | _ ->
-        let a = go lpos l in
-        let b = go rpos r in
-        (a, b)
+    Option.iter (fun m -> m.store ~pos plan result) memo;
+    result
+  and sides pos l r =
+    let tl = go (pos + 1) l in
+    (tl, go (pos + 1 + Plan.size l) r)
   in
-  let result, log = go 0 plan in
-  List.iter (fun (n, t) -> hook n t) log;
-  result
+  go 0 plan
 
-let run ?pool ?memo ctx plan =
-  run_with_hook ?pool ?memo ctx ~hook:(fun _ _ -> ()) plan
+let run ?memo ctx plan = run_with_hook ?memo ctx ~hook:(fun _ _ -> ()) plan

@@ -12,17 +12,9 @@
     first-appearance order, and supports homomorphic [sum]/[avg] over
     Paillier ciphertexts and [min]/[max] over OPE ciphertexts.
 
-    {2 Parallel execution}
-
-    With [?pool] (a {!Par.pool}), operators fan index ranges out across
-    domains: selection, the join's probe side, group-by's keys and
-    aggregates, udf, order-by and the crypto operators split their
-    input into contiguous ranges, and independent sibling subplans of a
-    join/product run concurrently. The result is {e byte-identical} to
-    the sequential run: every operator reproduces the sequential output
-    order, and encryption randomness is derived from (plan-node preorder
-    position, row index) rather than a shared stream, so even
-    ciphertext bytes are a function of position, not scheduling. *)
+    A plan runs on the calling domain. Encryption randomness is derived
+    from (plan-node preorder position, row index) rather than a shared
+    stream, so ciphertext bytes are a function of position alone. *)
 
 open Relalg
 
@@ -30,7 +22,7 @@ exception Exec_error of string
 
 type udf = Value.t list -> Value.t
 (** Receives the values of the input attributes in attribute order.
-    Under a pool, a UDF may be called from several domains concurrently:
+    [Serve.Service]'s pool may run executions concurrently:
     implementations must be thread-safe (pure functions are). *)
 
 type context = {
@@ -56,11 +48,11 @@ type subplan_memo = {
     Soundness is the caller's burden: the memo key must cover
     everything the subtree's bytes depend on — structure, preorder
     position when ciphertext is produced inside, key clusters,
-    environment (see [Serve.Service]). Under [?pool] both callbacks
-    may run on worker domains concurrently; implementations
-    synchronize their own state. *)
+    environment (see [Serve.Service]). Both callbacks run on the
+    executing domain, but [Serve.Service]'s pool runs several executions
+    at once: state shared between memos must be synchronized. *)
 
-val run : ?pool:Par.pool -> ?memo:subplan_memo -> context -> Plan.t -> Table.t
+val run : ?memo:subplan_memo -> context -> Plan.t -> Table.t
 (** Positions passed to [?memo] are per-occurrence preorder positions,
     threaded through the traversal itself — sound on hash-consed DAG
     plans ({!Planner.Dag}) where one physical node occupies several
@@ -69,21 +61,15 @@ val run : ?pool:Par.pool -> ?memo:subplan_memo -> context -> Plan.t -> Table.t
     to its tree-shaped original. *)
 
 val run_with_hook :
-  ?pool:Par.pool ->
   ?memo:subplan_memo ->
   context ->
   hook:(Plan.t -> Table.t -> unit) ->
   Plan.t ->
   Table.t
-(** Like {!run}, invoking [hook] on every node's output; used by the
-    runtime monitor and the distributed simulator. A [?memo] hit
-    contributes only the subtree root to the hook log (its interior was
-    not executed here), so memoization and hook consumers are not
-    combined in practice — the serving layer runs hook-free.
-
-    Determinism guarantee: hooks are invoked sequentially on the calling
-    domain, in the plan's post-order (left subtree, right subtree, node),
-    {e regardless of [?pool]} — execution records the (node, table) log
-    and replays it after the plan has run. Hooks may therefore keep
-    unsynchronized mutable state, and a raising hook aborts at the same
-    node under any job count (after execution, rather than mid-plan). *)
+(** Like {!run}, invoking [hook] on every node's output as soon as it
+    exists, in the plan's post-order (left subtree, right subtree,
+    node); used by the runtime monitor and the distributed simulator.
+    A raising hook stops the plan at that node. A [?memo] hit reports
+    only the subtree root (its interior was not executed here), so
+    memoization and hook consumers are not combined in practice — the
+    serving layer runs hook-free. *)

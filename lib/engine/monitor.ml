@@ -46,7 +46,7 @@ let check_consistency (profile : Authz.Profile.t) table =
   in
   match bad with [] -> None | msgs -> Some (String.concat "; " msgs)
 
-let run ?(enforce = true) ?pool ~policy ctx (ext : Authz.Extend.t) =
+let run ?(enforce = true) ~policy ctx (ext : Authz.Extend.t) =
   let events = ref [] and violations = ref [] in
   let emit ~bad ev =
     Obs.incr "monitor.checks";
@@ -98,6 +98,6 @@ let run ?(enforce = true) ?pool ~policy ctx (ext : Authz.Extend.t) =
   in
   let table =
     Obs.with_span "engine.monitor" (fun () ->
-        Exec.run_with_hook ?pool ctx ~hook ext.Authz.Extend.plan)
+        Exec.run_with_hook ctx ~hook ext.Authz.Extend.plan)
   in
   (table, { events = List.rev !events; violations = List.rev !violations })

@@ -22,16 +22,15 @@ exception Violation of event
 
 val run :
   ?enforce:bool ->
-  ?pool:Par.pool ->
   policy:Authz.Authorization.t ->
   Exec.context ->
   Authz.Extend.t ->
   Table.t * report
-(** Execute under monitoring. With [enforce] (default [true]) the first
-    violation raises {!Violation}; otherwise violations are only
-    collected in the report. [pool] parallelizes the underlying
-    execution; checks replay post-order either way (see
-    {!Exec.run_with_hook}). *)
+(** Execute under monitoring, checking each node in post-order as soon
+    as its table exists (see {!Exec.run_with_hook}). With [enforce]
+    (default [true]) the first violation raises {!Violation} and stops
+    the plan there; otherwise violations are only collected in the
+    report. *)
 
 val check_consistency : Authz.Profile.t -> Table.t -> string option
 (** [None] when the table's columns match the profile's visible

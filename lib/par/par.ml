@@ -31,6 +31,14 @@ let worker pool slot () =
   loop ();
   Mutex.unlock pool.mutex
 
+let shutdown pool =
+  Mutex.lock pool.mutex;
+  pool.live <- false;
+  Condition.broadcast pool.cond;
+  Mutex.unlock pool.mutex;
+  List.iter Domain.join pool.workers;
+  pool.workers <- []
+
 let create ?(name = "pool") jobs =
   let pool =
     { jobs;
@@ -41,20 +49,18 @@ let create ?(name = "pool") jobs =
       live = true;
       workers = [] }
   in
-  if jobs > 1 then
-    pool.workers <-
-      List.init (jobs - 1) (fun i -> Domain.spawn (worker pool (i + 1)));
+  (* one at a time, so that when the runtime refuses a domain the ones
+     already running can be joined rather than leaked *)
+  (try
+     for slot = 1 to jobs - 1 do
+       pool.workers <- Domain.spawn (worker pool slot) :: pool.workers
+     done
+   with Failure _ ->
+     shutdown pool;
+     invalid_arg (Printf.sprintf "Par.create: cannot start %d domains" jobs));
   pool
 
 let size pool = pool.jobs
-
-let shutdown pool =
-  Mutex.lock pool.mutex;
-  pool.live <- false;
-  Condition.broadcast pool.cond;
-  Mutex.unlock pool.mutex;
-  List.iter Domain.join pool.workers;
-  pool.workers <- []
 
 let with_pool ?name jobs f =
   if jobs <= 1 then f None
@@ -130,27 +136,3 @@ let run_all pool thunks =
              | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
              | None -> assert false)
            results)
-
-let both pool f g =
-  match
-    run_all pool
-      [ (fun () -> Either.Left (f ())); (fun () -> Either.Right (g ())) ]
-  with
-  | [ Either.Left a; Either.Right b ] -> (a, b)
-  | _ -> assert false
-
-let default_chunk pool n = max 64 ((n + (4 * pool.jobs) - 1) / (4 * pool.jobs))
-
-let map_ranges pool ?chunk ~f n =
-  if n <= 0 then []
-  else
-    let size = match chunk with Some c -> max 1 c | None -> default_chunk pool n in
-    if n <= size then [ f 0 n ]
-    else
-      let rec ranges start =
-        if start >= n then []
-        else
-          let len = min size (n - start) in
-          (start, len) :: ranges (start + len)
-      in
-      run_all pool (List.map (fun (start, len) () -> f start len) (ranges 0))

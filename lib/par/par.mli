@@ -1,10 +1,11 @@
-(** Fixed-size domain pool for data-parallel execution.
+(** Fixed-size domain pool: [Serve.Service] plans and executes the
+    distinct queries of a batch on it, and the planner bench runs one
+    configuration per task.
 
     A pool spawns its worker domains once and reuses them for every
-    batch, so per-operator fan-out costs a queue push, not a domain
-    spawn. Scheduling is help-first: the submitting domain drains the
-    shared queue while it waits for its batch, which makes nested
-    submissions (an operator fanning out from inside a subplan task)
+    batch, so a task costs a queue push, not a domain spawn. Scheduling
+    is help-first: the submitting domain drains the shared queue while
+    it waits for its batch, which makes nested submissions
     deadlock-free — whoever waits, works.
 
     Worker exceptions are captured with their backtraces and re-raised
@@ -23,7 +24,9 @@ val create : ?name:string -> int -> pool
 (** [create jobs] builds a pool of [jobs] domains: [jobs - 1] spawned
     workers plus the submitting domain, which participates while
     waiting. [jobs <= 1] spawns nothing (every batch runs inline).
-    [name] labels the pool in observability counters. *)
+    [name] labels the pool in observability counters. Raises
+    [Invalid_argument] when the runtime cannot start that many domains;
+    the workers already spawned are joined first. *)
 
 val size : pool -> int
 (** The [jobs] the pool was created with (total domains, submitter
@@ -41,16 +44,3 @@ val run_all : pool -> (unit -> 'a) list -> 'a list
 (** Execute the thunks across the pool and return their results in
     input order. Re-raises the first (by input order) captured
     exception after the whole batch has settled. *)
-
-val both : pool -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
-(** Run two independent computations concurrently — e.g. the two
-    subtrees of a join. *)
-
-val map_ranges :
-  pool -> ?chunk:int -> f:(int -> int -> 'a) -> int -> 'a list
-(** [map_ranges pool ~f n] covers [0 .. n - 1] with contiguous ranges,
-    applies [f start len] to each across the pool, and returns the
-    results in range order. [start] is the range's first index, so
-    position-keyed work (derived RNG streams, stable indices) is
-    independent of the chunking. [chunk] overrides the default range
-    length (at least 64, or enough to give each domain a few ranges). *)

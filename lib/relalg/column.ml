@@ -116,53 +116,4 @@ let gather c idx =
   | Dates a -> Dates (pick a)
   | Values a -> Values (pick a)
 
-(* Concatenate segments of the same underlying type; falls back to a
-   Value array when segment types disagree (e.g. a chunk boundary split
-   a column into differently-sniffed parts). *)
-let concat = function
-  | [] -> Values [||]
-  | [ c ] -> c
-  | first :: _ as segs -> (
-      let same_shape =
-        let shape = function
-          | Ints _ -> 1
-          | Floats _ -> 2
-          | Bools _ -> 3
-          | Strs _ -> 4
-          | Dates _ -> 5
-          | Values _ -> 6
-        in
-        let s0 = shape first in
-        List.for_all (fun c -> shape c = s0) segs
-      in
-      if not same_shape then
-        Values
-          (Array.concat (List.map to_values segs))
-      else
-        match first with
-        | Ints _ ->
-            Ints
-              (Array.concat
-                 (List.map (function Ints a -> a | _ -> assert false) segs))
-        | Floats _ ->
-            Floats
-              (Array.concat
-                 (List.map (function Floats a -> a | _ -> assert false) segs))
-        | Bools _ ->
-            Bools
-              (Array.concat
-                 (List.map (function Bools a -> a | _ -> assert false) segs))
-        | Strs _ ->
-            Strs
-              (Array.concat
-                 (List.map (function Strs a -> a | _ -> assert false) segs))
-        | Dates _ ->
-            Dates
-              (Array.concat
-                 (List.map (function Dates a -> a | _ -> assert false) segs))
-        | Values _ ->
-            Values
-              (Array.concat
-                 (List.map (function Values a -> a | _ -> assert false) segs)))
-
 let is_unboxed = function Values _ -> false | _ -> true

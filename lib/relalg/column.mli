@@ -37,9 +37,5 @@ val gather : t -> int array -> t
 (** [gather c idx] is the column of cells [c.(idx.(k))], in [idx] order
     and in [c]'s representation (a typed column stays unboxed). *)
 
-val concat : t list -> t
-(** Concatenates segments; keeps the typed representation when all
-    segments share it, otherwise falls back to [Values]. *)
-
 val is_unboxed : t -> bool
 (** [true] for the typed (non-[Values]) representations. *)

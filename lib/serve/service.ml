@@ -304,8 +304,8 @@ let event_pos = function
 (* Worker-domain-safe memo closures over the subcache: lookups are
    pure [Lru.peek]s against a snapshot nothing mutates while workers
    run, every observation is buffered under a mutex, and the
-   coordinator replays the buffer — sorted by position, so
-   sibling-parallel execution order cannot leak into the replay —
+   coordinator replays the buffer — sorted by position, so recency
+   follows preorder, not the order the executor met the nodes in —
    after the exec phase. The subcache therefore evolves identically at
    any job count, like the plan cache.
 
@@ -624,7 +624,7 @@ let execute ?memo t (r : Planner.Optimizer.result) plan =
   let keyring = Mpq_crypto.Keyring.create ~seed:t.seed () in
   let crypto = Engine.Enc_exec.make keyring r.Planner.Optimizer.clusters in
   let ctx = Engine.Exec.context ~udfs:t.udfs ~crypto t.tables in
-  Engine.Exec.run ?pool:t.pool ?memo ctx plan
+  Engine.Exec.run ?memo ctx plan
 
 let run_tasks t thunks =
   match (t.pool, thunks) with

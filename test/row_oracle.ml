@@ -92,7 +92,6 @@ let encrypt crypto ~node attrs t =
   if n > 0 then begin
     let out =
       Enc_exec.encrypt_batch crypto ~rng_root:(Enc_exec.node_rng crypto node)
-        ~start:0
         ~enc:(List.map2 (fun a i -> (a, cols.(i))) enc_attrs enc_idx)
     in
     List.iter2 (fun i c -> cols.(i) <- c) enc_idx out

@@ -261,7 +261,7 @@ let ope_batch_vs_row cells =
   let nrng = Enc_exec.node_rng ctx 1 in
   let batch () =
     match
-      Enc_exec.encrypt_batch ctx ~rng_root:nrng ~start:0
+      Enc_exec.encrypt_batch ctx ~rng_root:nrng
         ~enc:[ (attr "x", Column.Values cells) ]
     with
     | [ col ] -> Column.to_values col
@@ -370,23 +370,10 @@ let test_batch_vs_row () =
           got)
       batch
   in
-  (* whole batch at once *)
-  check "single batch"
-    (Enc_exec.encrypt_batch ctx ~rng_root:nrng ~start:0
-       ~enc:(List.combine attrs cols));
-  (* split batches: results must not depend on the chunking *)
-  let split_at = 9 in
-  let part s l =
-    Enc_exec.encrypt_batch ctx ~rng_root:nrng ~start:s
-      ~enc:(List.map (fun (a, c) -> (a, Column.sub c s l)) (List.combine attrs cols))
+  let batch =
+    Enc_exec.encrypt_batch ctx ~rng_root:nrng ~enc:(List.combine attrs cols)
   in
-  let merged =
-    List.map2
-      (fun c1 c2 -> Column.concat [ c1; c2 ])
-      (part 0 split_at)
-      (part split_at (n - split_at))
-  in
-  check "split batches" merged;
+  check "batch" batch;
   (* and decrypt_batch inverts the lot *)
   List.iteri
     (fun j col ->
@@ -394,7 +381,7 @@ let test_batch_vs_row () =
       Array.iteri
         (fun k v -> check_value "decrypt_batch" (Column.get (List.nth cols j) k) v)
         plain)
-    merged
+    batch
 
 (* --- plan-level differential: tables built from rows (typed columns) vs
    the same cells in boxed columns ------------------------------------- *)
@@ -490,7 +477,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_ope_order;
           QCheck_alcotest.to_alcotest prop_ope_string_order ] );
       ( "columnar",
-        [ ("batch kernels == row-at-a-time (incl. split)", `Quick,
+        [ ("batch kernels == row-at-a-time (incl. decrypt)", `Quick,
            test_batch_vs_row);
           ("ope kernel over a mixed Values column", `Quick,
            test_ope_mixed_column);

@@ -180,13 +180,6 @@ let test_mixed_numeric_hash_join () =
 
 (* --- column executor vs the row oracle --------------------------------- *)
 
-let jobs_env =
-  match Sys.getenv_opt "MPQ_JOBS" with
-  | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> 4)
-  | None -> 4
-
-let pool = lazy (if jobs_env > 1 then Some (Par.create ~name:"oracle" jobs_env) else None)
-
 (* header, row order and every value (ciphertext payloads included) — or
    the same exception *)
 let outcome f =
@@ -206,25 +199,22 @@ let show = function
   | Ok (attrs, rows) -> Table.to_string ~limit:8 (Table.create attrs rows)
   | Error e -> "raised " ^ e
 
-(* [Exec.run] sequentially and on the shared pool, each against
-   [Row_oracle.run]; [ctx ()] must build a fresh crypto context *)
+(* [Exec.run] against [Row_oracle.run]; [ctx ()] must build a fresh
+   crypto context *)
 let check_against_oracle ~label ctx plan =
   let want = outcome (fun () -> Row_oracle.run (ctx ()) plan) in
-  List.for_all
-    (fun (jobs, pool) ->
-      let got = outcome (fun () -> Exec.run ?pool (ctx ()) plan) in
-      same_outcome want got
-      || QCheck.Test.fail_reportf "%s at %d jobs:\nrow oracle: %s\ncolumns: %s" label
-           jobs (show want) (show got))
-    [ (1, None); (jobs_env, Lazy.force pool) ]
+  let got = outcome (fun () -> Exec.run (ctx ()) plan) in
+  same_outcome want got
+  || QCheck.Test.fail_reportf "%s:\nrow oracle: %s\ncolumns: %s" label (show want)
+       (show got)
 
 let two_53 = 9007199254740992
 
 (* Gen's catalog with the cells that stress the operators: Nulls, Int and
    Float keys on both sides of 2^53 (where Int/Float equality stops
    being exact), few distinct values (duplicate join and group keys),
-   strings tied on their 4-byte OPE prefix, empty tables and tables big
-   enough to split into parallel ranges. Each column draws a style —
+   strings tied on their 4-byte OPE prefix, empty tables and tables of
+   64 to 103 rows. Each column draws a style —
    all Int, all Float, or mixed — so typed and boxed columns both
    meet on join keys and in predicates. *)
 let edge_values =
@@ -276,7 +266,7 @@ let gen_oracle_tables st =
 
 let prop_row_oracle =
   QCheck.Test.make ~count:200
-    ~name:"column executor = row oracle, byte for byte, at 1 and MPQ_JOBS jobs"
+    ~name:"column executor = row oracle, byte for byte"
     (QCheck.make
        ~print:(fun ((c : Gen.extended_case), _) ->
          Plan_printer.to_ascii c.Gen.executable)
@@ -442,8 +432,6 @@ let test_tpch_row_oracle () =
     Tpch.Tpch_queries.all
 
 let () =
-  Fun.protect ~finally:(fun () -> Option.iter Par.shutdown (Lazy.force pool))
-  @@ fun () ->
   Alcotest.run "exec-equivalence"
     [ ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -1,18 +1,10 @@
-(* The parallel-execution subsystem: pool mechanics (reuse, exception
-   propagation) plus the differential property the whole design hangs
-   on — running any plan, extended or not, on a domain pool produces a
-   result byte-identical to the sequential run: same attributes, same
-   rows in the same order, same ciphertext bytes. Exercised over random
-   plans at 2 and 4 domains, and over the full TPC-H suite (every query
-   x every scenario) at [MPQ_JOBS] domains. *)
+(* The domain pool's mechanics (reuse, exception propagation, a failed
+   start) and the executor's hook contract: hooks see every node in
+   post-order as soon as its table exists, and a raising hook stops the
+   plan there. *)
 
 open Relalg
 open Engine
-
-let jobs_env =
-  match Sys.getenv_opt "MPQ_JOBS" with
-  | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> 4)
-  | None -> 4
 
 (* --- pool unit tests -------------------------------------------------- *)
 
@@ -27,9 +19,6 @@ let test_pool_reuse () =
     let got = Par.run_all pool (List.init n (fun i () -> i * i)) in
     Alcotest.(check (list int)) "batch results in order" expected got
   done;
-  let a, b = Par.both pool (fun () -> "left") (fun () -> 42) in
-  Alcotest.(check string) "both left" "left" a;
-  Alcotest.(check int) "both right" 42 b;
   Par.shutdown pool;
   Par.shutdown pool (* idempotent *)
 
@@ -64,113 +53,33 @@ let test_with_pool () =
       match pool with
       | None -> Alcotest.fail "expected a pool"
       | Some p ->
-          Alcotest.(check (list int)) "map_ranges order"
+          Alcotest.(check (list int)) "run_all order"
             (List.init 100 (fun i -> 2 * i))
-            (List.concat
-               (Par.map_ranges p ~chunk:7
-                  ~f:(fun start len -> List.init len (fun k -> 2 * (start + k)))
-                  100)))
+            (Par.run_all p (List.init 100 (fun i () -> 2 * i))))
 
-let test_map_ranges_offsets () =
-  Par.with_pool 4 (fun pool ->
-      let p = Option.get pool in
-      (* each range's start is its offset in the input, and the ranges
-         tile the input in order: the executor keys derived randomness
-         on those offsets *)
-      let ranges = Par.map_ranges p ~chunk:64 ~f:(fun start len -> (start, len)) 500 in
-      List.iter
-        (fun (_, len) ->
-          Alcotest.(check bool) "1..64 indices per range" true (len >= 1 && len <= 64))
-        ranges;
-      Alcotest.(check (list int)) "ranges tile the input in order" (List.init 500 Fun.id)
-        (List.concat_map (fun (start, len) -> List.init len (fun k -> start + k)) ranges);
-      Alcotest.(check (list int)) "empty input, no range" []
-        (Par.map_ranges p ~f:(fun start _ -> start) 0))
+let test_create_failure () =
+  (* more domains than the runtime allows: the workers already spawned
+     are joined, so a later pool can still start *)
+  (match Par.create 1000 with
+  | p ->
+      Par.shutdown p;
+      Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "message" "Par.create: cannot start 1000 domains"
+        msg);
+  let p = Par.create 2 in
+  Alcotest.(check (list int)) "a later pool works" [ 1; 2 ]
+    (Par.run_all p [ (fun () -> 1); (fun () -> 2) ]);
+  Par.shutdown p
 
-(* --- differential property: parallel = sequential --------------------- *)
+(* --- hooks ------------------------------------------------------------- *)
 
-(* random tables for Gen's catalog, as in test_exec_equiv *)
-let gen_tables st =
-  let int () = Value.Int (QCheck.Gen.int_bound 120 st) in
-  let str () =
-    Value.Str (List.nth [ "ga"; "bu"; "zo"; "meu" ] (QCheck.Gen.int_bound 3 st))
-  in
-  let rows n mk = List.init n (fun _ -> mk ()) in
-  let t1 =
-    Table.of_schema Gen.rel1
-      (rows (3 + QCheck.Gen.int_bound 12 st) (fun () ->
-           [| int (); int (); str (); int () |]))
-  in
-  let t2 =
-    Table.of_schema Gen.rel2
-      (rows (3 + QCheck.Gen.int_bound 12 st) (fun () ->
-           [| int (); int (); str () |]))
-  in
-  let t3 =
-    Table.of_schema Gen.rel3
-      (rows (3 + QCheck.Gen.int_bound 8 st) (fun () -> [| int (); int () |]))
-  in
-  [ ("R1", t1); ("R2", t2); ("R3", t3) ]
+let r1_table n =
+  Table.of_schema Gen.rel1
+    (List.init n (fun i ->
+         [| Value.Int (i mod 7); Value.Int i; Value.Str "ga"; Value.Int (i * 3) |]))
 
-let udf_impls =
-  [ ( "f",
-      fun vals ->
-        let total =
-          List.fold_left
-            (fun acc v ->
-              match Value.to_float v with Some f -> acc +. f | None -> acc)
-            0.0 vals
-        in
-        Value.Int (int_of_float total mod 97) ) ]
-
-(* header, row order and every value — ciphertext payloads included *)
-let byte_identical a b =
-  List.equal Attr.equal (Table.attrs a) (Table.attrs b)
-  && List.equal
-       (fun (r1 : Value.t array) r2 -> r1 = r2)
-       (Table.rows a) (Table.rows b)
-
-let gen_diff_case =
-  QCheck.Gen.(
-    Gen.gen_extended >>= fun case ->
-    fun st -> (case, gen_tables st))
-
-(* shared pools: spawned once for the whole property, so the 2x150
-   parallel runs also stress batch-after-batch reuse *)
-let pool2 = lazy (Par.create ~name:"test2" 2)
-let pool4 = lazy (Par.create ~name:"test4" 4)
-
-let prop_parallel_identical =
-  QCheck.Test.make ~count:150
-    ~name:"pooled run (2 and 4 domains) byte-identical to sequential"
-    (QCheck.make
-       ~print:(fun ((c : Gen.extended_case), _) ->
-         Plan_printer.to_ascii c.Gen.executable)
-       gen_diff_case)
-    (fun (case, tables) ->
-      let ctx () =
-        (* fresh keyring per run: randomness is derived from (node, row)
-           position, so equal seeds must give equal ciphertexts *)
-        let keyring = Mpq_crypto.Keyring.create ~seed:123L () in
-        let crypto = Enc_exec.make keyring case.Gen.clusters in
-        Exec.context ~udfs:udf_impls ~crypto tables
-      in
-      let seq = Exec.run (ctx ()) case.Gen.executable in
-      let check pool tag =
-        let par = Exec.run ~pool (ctx ()) case.Gen.executable in
-        if byte_identical seq par then true
-        else
-          QCheck.Test.fail_reportf
-            "%s run differs from sequential:\nsequential:\n%s\nparallel:\n%s"
-            tag (Table.to_string seq) (Table.to_string par)
-      in
-      check (Lazy.force pool2) "2-domain" && check (Lazy.force pool4) "4-domain")
-
-(* --- hook post-order determinism -------------------------------------- *)
-
-let test_hook_determinism () =
-  (* both join sides deep enough (> 2 nodes) that the executor runs them
-     concurrently under a pool *)
+let test_hook_post_order () =
   let side schema att v =
     Plan.select
       (Predicate.conj [ Predicate.Cmp_const (Attr.make att, Predicate.Ge, v) ])
@@ -187,30 +96,32 @@ let test_hook_determinism () =
          l r)
   in
   let tables =
-    [ ("R1",
-       Table.of_schema Gen.rel1
-         (List.init 40 (fun i ->
-              [| Value.Int (i mod 7); Value.Int i; Value.Str "ga";
-                 Value.Int (i * 3) |])));
+    [ ("R1", r1_table 40);
       ("R2",
        Table.of_schema Gen.rel2
          (List.init 30 (fun i ->
               [| Value.Int (i mod 7); Value.Int i; Value.Str "bu" |]))) ]
   in
-  let trace pool =
-    let log = ref [] in
-    let hook n t = log := (Plan.id n, Table.cardinality t) :: !log in
-    let result = Exec.run_with_hook ?pool (Exec.context tables) ~hook plan in
-    (result, List.rev !log)
+  let rec post_order n = List.concat_map post_order (Plan.children n) @ [ Plan.id n ] in
+  let log = ref [] in
+  let hook n _ = log := Plan.id n :: !log in
+  ignore (Exec.run_with_hook (Exec.context tables) ~hook plan);
+  Alcotest.(check (list int)) "hooks in post-order over every node"
+    (post_order plan) (List.rev !log)
+
+let test_raising_hook () =
+  (* the hook refuses the base table, so the udf above it never runs *)
+  let calls = ref 0 in
+  let udfs = [ ("count", fun vs -> incr calls; List.hd vs) ] in
+  let a = Attr.make "a" in
+  let plan = Plan.udf "count" (Attr.Set.singleton a) a (Plan.base Gen.rel1) in
+  let hook n _ =
+    match Plan.node n with Plan.Base _ -> failwith "refused" | _ -> ()
   in
-  let seq, seq_log = trace None in
-  Par.with_pool 4 (fun pool ->
-      let par, par_log = trace pool in
-      Alcotest.(check bool) "same table" true (byte_identical seq par);
-      Alcotest.(check (list (pair int int)))
-        "hook order independent of jobs" seq_log par_log);
-  Alcotest.(check bool) "log covers every node" true
-    (List.length seq_log = Plan.size plan)
+  (match Exec.run_with_hook (Exec.context ~udfs [ ("R1", r1_table 10) ]) ~hook plan with
+  | _ -> Alcotest.fail "expected the hook's exception"
+  | exception Failure msg -> Alcotest.(check string) "propagates" "refused" msg);
+  Alcotest.(check int) "udf never called" 0 !calls
 
 (* --- named column-lookup errors --------------------------------------- *)
 
@@ -242,63 +153,15 @@ let test_unknown_attribute () =
         true
         (contains msg "unknown attribute b" && contains msg "a"))
 
-(* --- TPC-H: every query, every scenario ------------------------------- *)
-
-let test_tpch_byte_identity () =
-  let sf = 0.0005 in
-  let data = Tpch.Tpch_data.generate ~sf () in
-  let tables =
-    List.map
-      (fun (s : Schema.t) ->
-        (s.Schema.name, Table.of_schema s (List.assoc s.Schema.name data)))
-      Tpch.Tpch_schema.all
-  in
-  let queries = List.map (fun (q, _, _) -> q) Tpch.Tpch_queries.all in
-  let pool =
-    if jobs_env > 1 then Some (Par.create ~name:"tpch" jobs_env) else None
-  in
-  Planner.Optimizer.self_check := false;
-  List.iter
-    (fun q ->
-      List.iter
-        (fun sc ->
-          let r =
-            Tpch.Scenarios.optimize ~sf ~fold_leaf_filters:false ~scenario:sc
-              (Tpch.Tpch_queries.query q)
-          in
-          let plan = r.Planner.Optimizer.extended.Authz.Extend.plan in
-          let ctx () =
-            let keyring = Mpq_crypto.Keyring.create ~seed:42L () in
-            let crypto = Enc_exec.make keyring r.Planner.Optimizer.clusters in
-            Exec.context ~udfs:Tpch.Tpch_queries.udf_impls ~crypto tables
-          in
-          let seq = Exec.run (ctx ()) plan in
-          let par = Exec.run ?pool (ctx ()) plan in
-          Alcotest.(check bool)
-            (Printf.sprintf "q%d %s byte-identical at %d jobs" q
-               (Tpch.Scenarios.name sc) jobs_env)
-            true (byte_identical seq par))
-        Tpch.Scenarios.all)
-    queries;
-  Option.iter Par.shutdown pool
-
 let () =
-  let shutdown_shared () =
-    if Lazy.is_val pool2 then Par.shutdown (Lazy.force pool2);
-    if Lazy.is_val pool4 then Par.shutdown (Lazy.force pool4)
-  in
-  Fun.protect ~finally:shutdown_shared @@ fun () ->
   Alcotest.run "par"
     [ ( "pool",
         [ ("reuse across batches", `Quick, test_pool_reuse);
           ("exception propagation", `Quick, test_pool_exception);
           ("with_pool", `Quick, test_with_pool);
-          ("map_ranges offsets", `Quick, test_map_ranges_offsets) ] );
+          ("a failed create joins its domains", `Quick, test_create_failure) ] );
       ( "differential",
-        [ QCheck_alcotest.to_alcotest prop_parallel_identical;
-          ("hook post-order determinism", `Quick, test_hook_determinism) ] );
+        [ ("hook post-order determinism", `Quick, test_hook_post_order);
+          ("a raising hook stops the plan", `Quick, test_raising_hook) ] );
       ( "errors",
-        [ ("unknown attribute is named", `Quick, test_unknown_attribute) ] );
-      ( "tpch",
-        [ ("22 queries x 3 scenarios byte-identical", `Slow,
-           test_tpch_byte_identity) ] ) ]
+        [ ("unknown attribute is named", `Quick, test_unknown_attribute) ] ) ]
