@@ -5,46 +5,91 @@ exception Crypto_error of string
 
 let err fmt = Format.kasprintf (fun s -> raise (Crypto_error s)) fmt
 
-(* Scheme keys are derived from the cluster secret by PRF plus a Speck
-   key schedule — far too expensive to repeat per value, which is what
-   the first row-at-a-time executor did. A ctx derives every cluster's
-   keys eagerly at construction (eager, not lazy: the table is read-only
-   afterwards, so several domains can share it without synchronization;
-   [Lazy.force] is not domain-safe). *)
-type keys = { det : C.Det.key; rnd : C.Rnd.key; ope : C.Ope.key }
+(* --- keys and their ciphertext memos -------------------------------- *)
 
-type ctx = {
-  keyring : C.Keyring.t;
-  clusters : Authz.Plan_keys.cluster list;
-  keys : (string, keys) Hashtbl.t;
-  (* predicate-constant ciphertext memo: the comparable schemes (det,
-     ope) are deterministic, so encrypting the same constant under the
-     same cluster per row is pure waste — a selection over an encrypted
-     column used to pay a full OPE traversal for every row. Guarded by
-     the mutex because a ctx may be shared across domains. *)
-  consts : (string * string * Value.t, Value.t) Hashtbl.t;
-  consts_mu : Mutex.t;
+module Stbl = Hashtbl.Make (String)
+module Itbl = Hashtbl.Make (Int)
+
+(* Entries per memo table of one key; an insert that would pass it
+   clears that table first. *)
+let memo_cap = 1 lsl 16
+
+(* One cluster's scheme keys. Deriving them costs a PRF plus Speck key
+   schedules — far too expensive to repeat per value, which is what the
+   first row-at-a-time executor did — so a store derives each key once.
+   det and OPE are deterministic under the key, so the key also carries
+   what it has already produced: serialized plaintext -> det ciphertext
+   (the det tails of OPE payloads included), and cent/prefix image ->
+   OPE cipher. A memo hit returns exactly the bytes the key would
+   compute. [mu] guards both tables: executions sharing a store run on
+   several domains. *)
+type key = {
+  det : C.Det.key;
+  rnd : C.Rnd.key;
+  ope : C.Ope.key;
+  mu : Mutex.t;
+  det_memo : string Stbl.t;
+  ope_memo : int Itbl.t;
 }
 
-let derive_keys keyring id =
-  let s = C.Keyring.cluster_secret keyring id in
-  { det = C.Keyring.det_key_of_secret s;
-    rnd = C.Keyring.rnd_key_of_secret s;
-    ope = C.Keyring.ope_key_of_secret s }
+(* Keys are found by their cluster secret, not by cluster id, so a
+   store never answers for another seed or another key derivation. *)
+type store = {
+  keyring : C.Keyring.t;
+  by_secret : (string, key) Hashtbl.t;
+  lock : Mutex.t; (* guards [by_secret] *)
+  pair : (C.Paillier.public * C.Paillier.secret) option Atomic.t;
+}
 
-let make keyring clusters =
+type ctx = {
+  store : store;
+  clusters : Authz.Plan_keys.cluster list;
+  keys : (string, key) Hashtbl.t; (* cluster id -> key; read-only *)
+}
+
+let store keyring =
+  { keyring; by_secret = Hashtbl.create 16; lock = Mutex.create ();
+    pair = Atomic.make None }
+
+let store_key st id =
+  let s = C.Keyring.cluster_secret st.keyring id in
+  Mutex.protect st.lock @@ fun () ->
+  match Hashtbl.find_opt st.by_secret s with
+  | Some k -> k
+  | None ->
+      let k =
+        { det = C.Keyring.det_key_of_secret s;
+          rnd = C.Keyring.rnd_key_of_secret s;
+          ope = C.Keyring.ope_key_of_secret s;
+          mu = Mutex.create ();
+          det_memo = Stbl.create 16;
+          ope_memo = Itbl.create 16 }
+      in
+      Hashtbl.add st.by_secret s k;
+      k
+
+(* The keyring generates its Paillier pair on first use and keeps it;
+   the store remembers whether it has fetched it, so the keygen is
+   counted once per store however many executions need the pair. *)
+let paillier st =
+  match Atomic.get st.pair with
+  | Some pair -> pair
+  | None ->
+      let pair = C.Keyring.paillier st.keyring in
+      if Atomic.compare_and_set st.pair None (Some pair) then
+        Obs.incr "enc_exec.paillier.keygens";
+      pair
+
+let of_store st clusters =
   let keys = Hashtbl.create (List.length clusters + 1) in
   List.iter
     (fun (c : Authz.Plan_keys.cluster) ->
-      if not (Hashtbl.mem keys c.Authz.Plan_keys.id) then
-        Hashtbl.add keys c.Authz.Plan_keys.id
-          (derive_keys keyring c.Authz.Plan_keys.id))
+      let id = c.Authz.Plan_keys.id in
+      if not (Hashtbl.mem keys id) then Hashtbl.add keys id (store_key st id))
     clusters;
-  { keyring;
-    clusters;
-    keys;
-    consts = Hashtbl.create 16;
-    consts_mu = Mutex.create () }
+  { store = st; clusters; keys }
+
+let make keyring clusters = of_store (store keyring) clusters
 
 let of_schemes keyring pairs =
   let clusters =
@@ -77,7 +122,7 @@ let scheme_of ctx a = (cluster_of ctx a).Authz.Plan_keys.scheme
 let keys_of ctx id =
   match Hashtbl.find_opt ctx.keys id with
   | Some k -> k
-  | None -> derive_keys ctx.keyring id
+  | None -> store_key ctx.store id
 
 (* --- serialization ------------------------------------------------- *)
 
@@ -188,12 +233,7 @@ let ope_bytes = 7
    NOT (the old executor compared whole payloads, so two strings sharing
    a 4-byte prefix were silently ordered by their non-order-preserving
    det tails). *)
-let ope_tail (ks : keys) v =
-  match v with
-  | Value.Str _ -> C.Det.encrypt ks.det (serialize v)
-  | Value.Float f when float_of_int (cents f) /. 100.0 <> f ->
-      C.Det.encrypt ks.det (serialize v)
-  | _ -> ""
+let sub_cent f = float_of_int (cents f) /. 100.0 <> f
 
 let tag_class = function
   | 'i' | 'f' -> `Num
@@ -229,43 +269,142 @@ let ope_equal a b =
     else if ta = 's' then false (* distinct payload = distinct string *)
     else String.equal pa pb
 
+(* --- the memoized det and OPE kernels --------------------------------- *)
+
+(* the indices of [a] whose cells satisfy [p], ascending *)
+let where p a =
+  let r = ref [] in
+  for k = Array.length a - 1 downto 0 do
+    if p a.(k) then r := k :: !r
+  done;
+  Array.of_list !r
+
+(* [map ~dummy mu memo compute xs] is [compute xs] element by element,
+   with [compute] run only over the distinct elements [memo] lacks —
+   outside the lock, so other executions' lookups never wait on a PRF.
+   The lock is taken once for the lookups and once for the inserts. *)
+module Memo (H : Hashtbl.S) = struct
+  let map ~dummy mu memo compute xs =
+    let n = Array.length xs in
+    let out = Array.make n dummy and misses = ref [] in
+    Mutex.protect mu (fun () ->
+        for k = n - 1 downto 0 do
+          match H.find_opt memo xs.(k) with
+          | Some c -> out.(k) <- c
+          | None -> misses := k :: !misses
+        done);
+    let slot = H.create 16 and fresh = ref [] in
+    List.iter
+      (fun k ->
+        if not (H.mem slot xs.(k)) then begin
+          H.add slot xs.(k) (H.length slot);
+          fresh := xs.(k) :: !fresh
+        end)
+      !misses;
+    let m = H.length slot in
+    if m > 0 then begin
+      let fresh = Array.of_list (List.rev !fresh) in
+      let cs = compute fresh in
+      List.iter (fun k -> out.(k) <- cs.(H.find slot xs.(k))) !misses;
+      Mutex.protect mu (fun () ->
+          if H.length memo + m > memo_cap then H.reset memo;
+          Array.iteri
+            (fun j x -> if H.length memo < memo_cap then H.replace memo x cs.(j))
+            fresh)
+    end;
+    if n > 0 then begin
+      Obs.incr ~by:(n - m) "enc_exec.memo.hits";
+      Obs.incr ~by:m "enc_exec.memo.misses"
+    end;
+    out
+end
+
+module Smemo = Memo (Stbl)
+module Imemo = Memo (Itbl)
+
+let det_ciphers ks plains =
+  Smemo.map ~dummy:"" ks.mu ks.det_memo (Array.map (C.Det.encrypt ks.det)) plains
+
+(* one sorted tree walk over the misses: each partition-tree node's PRF
+   runs once however many values pass through it *)
+let ope_ciphers ks images =
+  Imemo.map ~dummy:0 ks.mu ks.ope_memo (C.Ope.encode_array ks.ope) images
+
+(* OPE payloads [cipher | tag | det tail] of [images]; value [j] has
+   tag [tag j]. [tails.(j)] is its serialized plaintext when it needs a
+   det tail, "" otherwise (no serialization is empty). *)
+let ope_payloads ks ~tag ?tails images =
+  let cs = ope_ciphers ks images in
+  let tail =
+    match tails with
+    | None -> fun _ -> ""
+    | Some plains ->
+        let tailed = where (fun p -> p <> "") plains in
+        let out = Array.make (Array.length plains) "" in
+        Array.iter2
+          (fun j c -> out.(j) <- c)
+          tailed
+          (det_ciphers ks (Array.map (fun j -> plains.(j)) tailed));
+        fun j -> out.(j)
+  in
+  Array.mapi
+    (fun j c -> C.Ope.bytes_of_cipher c ^ String.make 1 (tag j) ^ tail j)
+    cs
+
+(* OPE payloads of non-null boxed values; [image] runs over them first,
+   in order, so the first bad value raises as the row path would *)
+let ope_values ks ~image vs =
+  let images = Array.map image vs in
+  let tails =
+    Array.map
+      (fun v ->
+        match v with
+        | Value.Str _ -> serialize v
+        | Value.Float f when sub_cent f -> serialize v
+        | _ -> "")
+      vs
+  in
+  ope_payloads ks ~tag:(fun j -> snd images.(j)) ~tails (Array.map fst images)
+
 (* --- encryption (single value) -------------------------------------- *)
 
-let encrypt_with ?rng ctx (cluster : Authz.Plan_keys.cluster) v =
-  (* [rng] supplies the encryption randomness (Rnd IVs, Paillier
-     blinding). Without it we draw from the keyring's shared stream,
-     which is order-dependent; the executor passes position-derived
-     generators so ciphertext bytes don't depend on evaluation order. *)
-  let draw () = match rng with Some r -> r | None -> C.Keyring.rng ctx.keyring in
+let cipher_value scheme key_id payload =
+  Value.Enc { Value.scheme = C.Scheme.name scheme; key_id; payload }
+
+(* [draw] supplies the encryption randomness (Rnd IVs, Paillier
+   blinding); det and OPE draw nothing. *)
+let encrypt_with ~draw ctx (cluster : Authz.Plan_keys.cluster) v =
   let key_id = cluster.Authz.Plan_keys.id in
   let ks = keys_of ctx key_id in
-  let mk scheme payload =
-    Value.Enc { Value.scheme = C.Scheme.name scheme; key_id; payload }
-  in
-  match cluster.Authz.Plan_keys.scheme with
-  | C.Scheme.Det -> mk C.Scheme.Det (C.Det.encrypt ks.det (serialize v))
-  | C.Scheme.Rnd -> mk C.Scheme.Rnd (C.Rnd.encrypt ks.rnd (draw ()) (serialize v))
-  | C.Scheme.Ope ->
-      let image, tag = ope_image v in
-      let prefix = C.Ope.encrypt_bytes ks.ope image in
-      mk C.Scheme.Ope (prefix ^ String.make 1 tag ^ ope_tail ks v)
+  let scheme = cluster.Authz.Plan_keys.scheme in
+  let mk = cipher_value scheme key_id in
+  match scheme with
+  | C.Scheme.Det -> mk (det_ciphers ks [| serialize v |]).(0)
+  | C.Scheme.Rnd -> mk (C.Rnd.encrypt ks.rnd (draw ()) (serialize v))
+  | C.Scheme.Ope -> mk (ope_values ks ~image:ope_image [| v |]).(0)
   | C.Scheme.Phe ->
       let image, tag = phe_image v in
-      let pk, _ = C.Keyring.paillier ctx.keyring in
+      let pk, _ = paillier ctx.store in
       let cipher =
         C.Paillier.encrypt pk (draw ()) (C.Bignum.of_int image)
       in
-      mk C.Scheme.Phe
-        (Printf.sprintf "v|%s|%c" (C.Bignum.to_string cipher) tag)
+      mk (Printf.sprintf "v|%s|%c" (C.Bignum.to_string cipher) tag)
 
 let encrypt_value ?rng ctx a v =
   match v with
   | Value.Null -> Value.Null
   | Value.Enc _ -> err "attribute %s is already encrypted" (Attr.name a)
-  | _ -> encrypt_with ?rng ctx (cluster_of ctx a) v
+  | _ ->
+      (* without [rng], the keyring's shared stream, which is
+         order-dependent; the executor passes position-derived
+         generators so ciphertext bytes don't depend on evaluation order *)
+      let draw () =
+        match rng with Some r -> r | None -> C.Keyring.rng ctx.store.keyring
+      in
+      encrypt_with ~draw ctx (cluster_of ctx a) v
 
 let node_rng ctx id =
-  C.Keyring.derived_rng ctx.keyring ("exec-node:" ^ string_of_int id)
+  C.Keyring.derived_rng ctx.store.keyring ("exec-node:" ^ string_of_int id)
 
 (* --- batched column kernels ------------------------------------------ *)
 
@@ -294,7 +433,7 @@ let encrypt_batch ctx ~rng_root ~enc =
       enc
   in
   let pk =
-    if needs_phe then Some (fst (C.Keyring.paillier ctx.keyring)) else None
+    if needs_phe then Some (fst (paillier ctx.store)) else None
   in
   let cols = Array.of_list (List.map (fun (_, _, c) -> c) enc) in
   let slots =
@@ -331,30 +470,36 @@ let encrypt_batch ctx ~rng_root ~enc =
       let key_id = cl.Authz.Plan_keys.id in
       let ks = keys_of ctx key_id in
       let scheme = cl.Authz.Plan_keys.scheme in
-      let already () : Value.t =
+      let already () =
         err "attribute %s is already encrypted" (Attr.name attr)
       in
-      let mk payload =
-        Value.Enc { Value.scheme = C.Scheme.name scheme; key_id; payload }
+      let mk = cipher_value scheme key_id in
+      (* det and OPE over a boxed column: [f] maps the non-null cells,
+         in row order, to payloads; Nulls stay Null *)
+      let live a f =
+        let ix = where (fun v -> not (Value.is_null v)) a in
+        let ys = f (Array.map (fun k -> a.(k)) ix) in
+        let out = Array.make (Array.length a) Value.Null in
+        Array.iteri (fun j k -> out.(k) <- mk ys.(j)) ix;
+        out
       in
       let out =
         Obs.time ("enc_exec.enc_s." ^ C.Scheme.name scheme) @@ fun () ->
         match scheme with
         | C.Scheme.Det -> (
-            let enc s = mk (C.Det.encrypt ks.det s) in
+            let enc plains = Array.map mk (det_ciphers ks plains) in
             match col with
-            | Column.Ints a -> Array.map (fun i -> enc ("i" ^ string_of_int i)) a
-            | Column.Dates a -> Array.map (fun d -> enc ("d" ^ string_of_int d)) a
-            | Column.Floats a -> Array.map (fun f -> enc ("f" ^ hex_float f)) a
-            | Column.Bools a -> Array.map (fun b -> enc (if b then "b1" else "b0")) a
-            | Column.Strs a -> Array.map (fun s -> enc ("s" ^ s)) a
+            | Column.Ints a -> enc (Array.map (fun i -> "i" ^ string_of_int i) a)
+            | Column.Dates a -> enc (Array.map (fun d -> "d" ^ string_of_int d) a)
+            | Column.Floats a -> enc (Array.map (fun f -> "f" ^ hex_float f) a)
+            | Column.Bools a -> enc (Array.map (fun b -> if b then "b1" else "b0") a)
+            | Column.Strs a -> enc (Array.map (fun s -> "s" ^ s) a)
             | Column.Values a ->
-                Array.map
-                  (function
-                    | Value.Null -> Value.Null
-                    | Value.Enc _ -> already ()
-                    | v -> enc (serialize v))
-                  a)
+                live a (fun vs ->
+                    det_ciphers ks
+                      (Array.map
+                         (function Value.Enc _ -> already () | v -> serialize v)
+                         vs)))
         | C.Scheme.Rnd -> (
             let ivs = match slots.(e) with Ivs a -> a | _ -> assert false in
             let enc k s = mk (C.Rnd.encrypt_iv ks.rnd ivs.(k) s) in
@@ -374,58 +519,31 @@ let encrypt_batch ctx ~rng_root ~enc =
                     | v -> enc k (serialize v))
                   a)
         | C.Scheme.Ope -> (
-            (* one sorted tree walk per column: each partition-tree node's
-               PRF runs once however many values pass through it *)
-            let encode = C.Ope.encode_array ks.ope in
-            let pack c tag tail =
-              mk (C.Ope.bytes_of_cipher c ^ String.make 1 tag ^ tail)
-            in
-            let numeric tag images =
-              Array.map (fun c -> pack c tag "") (encode images)
+            let enc tag ?tails images =
+              Array.map mk (ope_payloads ks ~tag:(fun _ -> tag) ?tails images)
             in
             match col with
             | Column.Ints a ->
-                numeric 'i' (Array.map (fun i -> ope_guard (int_cents i)) a)
+                enc 'i' (Array.map (fun i -> ope_guard (int_cents i)) a)
             | Column.Dates a ->
-                numeric 'd' (Array.map (fun d -> ope_guard (int_cents d)) a)
+                enc 'd' (Array.map (fun d -> ope_guard (int_cents d)) a)
             | Column.Bools a ->
-                numeric 'b' (Array.map (fun b -> if b then 100 else 0) a)
+                enc 'b' (Array.map (fun b -> if b then 100 else 0) a)
             | Column.Floats a ->
-                let cs = encode (Array.map (fun f -> ope_guard (cents f)) a) in
-                Array.mapi
-                  (fun k f -> pack cs.(k) 'f' (ope_tail ks (Value.Float f)))
-                  a
+                let images = Array.map (fun f -> ope_guard (cents f)) a in
+                enc 'f' images
+                  ~tails:
+                    (Array.map
+                       (fun f -> if sub_cent f then "f" ^ hex_float f else "")
+                       a)
             | Column.Strs a ->
-                let cs = encode (Array.map str_prefix a) in
-                Array.mapi
-                  (fun k s -> pack cs.(k) 's' (C.Det.encrypt ks.det ("s" ^ s)))
-                  a
+                enc 's' (Array.map str_prefix a)
+                  ~tails:(Array.map (fun s -> "s" ^ s) a)
             | Column.Values a ->
-                (* gather the non-null cells' images in row order (so
-                   errors surface in row order), encode, scatter back *)
-                let live =
-                  List.filter
-                    (fun k -> not (is_null_cell col k))
-                    (List.init (Array.length a) Fun.id)
-                  |> Array.of_list
-                in
-                let images =
-                  Array.map
-                    (fun k ->
-                      match a.(k) with
-                      | Value.Enc _ ->
-                          err "attribute %s is already encrypted"
-                            (Attr.name attr)
-                      | v -> ope_image v)
-                    live
-                in
-                let cs = encode (Array.map fst images) in
-                let out = Array.make (Array.length a) Value.Null in
-                Array.iteri
-                  (fun j k ->
-                    out.(k) <- pack cs.(j) (snd images.(j)) (ope_tail ks a.(k)))
-                  live;
-                out)
+                live a
+                  (ope_values ks ~image:(function
+                    | Value.Enc _ -> already ()
+                    | v -> ope_image v)))
         | C.Scheme.Phe -> (
             let pk = match pk with Some pk -> pk | None -> assert false in
             let units =
@@ -461,7 +579,7 @@ let encrypt_batch ctx ~rng_root ~enc =
 
 (* --- decryption ------------------------------------------------------ *)
 
-let decrypt_gen ctx ~coder (c : Value.cipher) =
+let decrypt_payload ctx ~coder (c : Value.cipher) =
   ignore (cluster_by_id ctx c.Value.key_id);
   let ks = keys_of ctx c.Value.key_id in
   match c.Value.scheme with
@@ -485,7 +603,7 @@ let decrypt_gen ctx ~coder (c : Value.cipher) =
           deserialize (C.Det.decrypt ks.det tail)
       | t -> err "bad OPE tag %c" t)
   | "phe" -> (
-      let pk, sk = C.Keyring.paillier ctx.keyring in
+      let pk, sk = paillier ctx.store in
       match String.split_on_char '|' c.Value.payload with
       | [ "v"; cipher; tag ] ->
           let m =
@@ -512,7 +630,15 @@ let decrypt_gen ctx ~coder (c : Value.cipher) =
       | _ -> err "bad phe payload")
   | s -> err "unknown scheme %s" s
 
-let plain_coder _key_id (ks : keys) bytes = C.Ope.decrypt_bytes ks.ope bytes
+(* a malformed payload surfaces as [Crypto_error], never as the crypto
+   layer's own [Invalid_argument] or [Failure] *)
+let decrypt_gen ctx ~coder (c : Value.cipher) =
+  try decrypt_payload ctx ~coder c
+  with Invalid_argument m | Failure m ->
+    err "malformed %s ciphertext under key %s: %s" c.Value.scheme
+      c.Value.key_id m
+
+let plain_coder _key_id (ks : key) bytes = C.Ope.decrypt_bytes ks.ope bytes
 let decrypt_cipher ctx c = decrypt_gen ctx ~coder:plain_coder c
 
 let decrypt_value ctx = function
@@ -576,49 +702,30 @@ let decrypt_batch ctx col =
 
 (* --- constants in dispatched conditions ----------------------------- *)
 
-let const_cipher_uncached ctx (sample : Value.cipher) const =
-  let cluster = cluster_by_id ctx sample.Value.key_id in
-  (* A derived generator keeps this function pure: the comparable schemes
-     (det, ope) draw no randomness anyway, and rnd/phe constants only get
-     built on the way to an "unsupported comparison" error — but touching
-     the shared stream here would make predicate evaluation unsafe to run
-     on several domains. *)
-  let rng = C.Keyring.derived_rng ctx.keyring "const" in
-  match C.Scheme.of_name sample.Value.scheme with
-  | Some scheme when scheme = cluster.Authz.Plan_keys.scheme ->
-      encrypt_with ~rng ctx cluster const
-  | Some scheme ->
-      (* ciphertext produced under a different scheme than the cluster's
-         current one: re-derive with the observed scheme *)
-      encrypt_with ~rng ctx
-        { cluster with Authz.Plan_keys.scheme }
-        const
-  | None -> err "unknown scheme %s" sample.Value.scheme
-
 let const_cipher ctx (sample : Value.cipher) const =
-  (* The uncached function is deterministic (fresh derived generator per
-     call), so a cache hit returns exactly the bytes a recompute would;
-     racing misses compute duplicates outside the lock, harmlessly. *)
-  let key = (sample.Value.key_id, sample.Value.scheme, const) in
-  let cached =
-    Mutex.lock ctx.consts_mu;
-    let r = Hashtbl.find_opt ctx.consts key in
-    Mutex.unlock ctx.consts_mu;
-    r
+  let cluster = cluster_by_id ctx sample.Value.key_id in
+  let cluster =
+    match C.Scheme.of_name sample.Value.scheme with
+    | Some scheme when scheme = cluster.Authz.Plan_keys.scheme -> cluster
+    | Some scheme ->
+        (* ciphertext produced under a different scheme than the cluster's
+           current one: re-derive with the observed scheme *)
+        { cluster with Authz.Plan_keys.scheme }
+    | None -> err "unknown scheme %s" sample.Value.scheme
   in
-  match cached with
-  | Some v -> v
-  | None ->
-      let v = const_cipher_uncached ctx sample const in
-      Mutex.lock ctx.consts_mu;
-      if not (Hashtbl.mem ctx.consts key) then Hashtbl.add ctx.consts key v;
-      Mutex.unlock ctx.consts_mu;
-      v
+  (* det and OPE constants come from the key's memo. A derived
+     generator keeps this function pure: rnd/phe constants only get
+     built on the way to an "unsupported comparison" error, and
+     touching the shared stream here would make predicate evaluation
+     unsafe to run on several domains. *)
+  encrypt_with
+    ~draw:(fun () -> C.Keyring.derived_rng ctx.store.keyring "const")
+    ctx cluster const
 
 (* --- homomorphic aggregation ---------------------------------------- *)
 
 let phe_sum ctx values ~avg =
-  let pk, _ = C.Keyring.paillier ctx.keyring in
+  let pk, _ = paillier ctx.store in
   let parse v =
     match v with
     | Value.Enc c when c.Value.scheme = "phe" -> (

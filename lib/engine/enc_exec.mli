@@ -13,20 +13,50 @@
       sum/avg; aggregated ciphertexts carry the divisor for avg;
     - [rnd]: randomized encryption — supports nothing, protects most.
 
-    A ctx caches every cluster's derived scheme keys eagerly at
-    construction, so per-value work is the cipher itself, not the PRF
-    key schedule; the batched column kernels ({!encrypt_batch},
-    {!decrypt_batch}) additionally share OPE partition-tree PRF work
-    and split Paillier encryption into a pooled randomness pass plus a
-    per-column exponentiation loop. *)
+    Scheme keys live in a {!store}: each cluster's keys are derived
+    once per store, so per-value work is the cipher itself, not the PRF
+    key schedule. det and OPE are deterministic under a key, so each
+    key also memoizes what it has produced (see {!store}). The batched
+    column kernels ({!encrypt_batch}, {!decrypt_batch}) share OPE
+    partition-tree PRF work and split Paillier encryption into a pooled
+    randomness pass plus a per-column exponentiation loop. *)
 
 open Relalg
+
+type store
+(** A keyring's derived cluster keys, its Paillier pair, and each key's
+    ciphertext memo. A key is found by its cluster secret
+    ({!Mpq_crypto.Keyring.cluster_secret}), not by its cluster id, so a
+    store never answers for another seed. Per key, the memo maps a
+    serialized plaintext to its det ciphertext (the det tails of OPE
+    payloads included) and a cent/prefix image to its OPE cipher; rnd
+    and phe are randomized and never memoized. A hit returns exactly the
+    bytes the key would compute. Each of a key's two tables holds at
+    most {!memo_cap} entries: an insert that would pass the cap clears
+    that table first. The memo lives as long as the store, and a mutex
+    per key guards it, so contexts on several domains may share a
+    store. Obs counters [enc_exec.memo.hits] and [enc_exec.memo.misses]
+    count the det/OPE cells served from the memo and the distinct
+    values computed; [enc_exec.paillier.keygens] counts the Paillier
+    pairs stores fetch from their keyrings — one keygen each, since a
+    keyring generates its pair on first use. *)
 
 type ctx
 
 exception Crypto_error of string
 
+val store : Mpq_crypto.Keyring.t -> store
+(** An empty store over [keyring]. *)
+
+val memo_cap : int
+(** Entries per memo table of one key (2{^16}). *)
+
+val of_store : store -> Authz.Plan_keys.cluster list -> ctx
+(** A context whose keys and memos come from (and stay in) the store. *)
+
 val make : Mpq_crypto.Keyring.t -> Authz.Plan_keys.cluster list -> ctx
+(** [make keyring clusters] is [of_store (store keyring) clusters]: a
+    context with a private store. *)
 
 val of_schemes :
   Mpq_crypto.Keyring.t -> (string * Mpq_crypto.Scheme.t) list -> ctx
@@ -64,17 +94,21 @@ val encrypt_batch :
     the same rows one at a time with
     [encrypt_value ~rng:(Prng.derive rng_root row)]: a pool pass replays
     the row-major randomness draws (Rnd IVs, Paillier units; Null cells
-    draw nothing), then per-scheme kernels run column-major — one
-    memoized OPE coder per column, Paillier blinding off the hot path,
-    unboxed loops on typed columns. *)
+    draw nothing), then per-scheme kernels run column-major — det and
+    OPE look every cell up in the key's memo and encrypt only the
+    distinct misses (OPE in one sorted tree walk), Paillier blinding
+    runs off the hot path. Errors raise in row order, as the row path's
+    would. *)
 
 val decrypt_batch : ctx -> Column.t -> Column.t
-(** Column counterpart of {!decrypt_value} (Null passes through), with
-    per-key OPE coder caching across the batch. *)
+(** Column counterpart of {!decrypt_value} (Null passes through): the
+    column's OPE prefixes decode in one tree walk per key. Errors raise
+    in row order. *)
 
 val decrypt_value : ctx -> Value.t -> Value.t
 (** Dispatches on the ciphertext's own scheme/key tags; [Null] passes
-    through. Raises [Crypto_error] on plaintext input or unknown key. *)
+    through. Raises [Crypto_error] on plaintext input, an unknown key,
+    or a malformed payload (the message names the scheme and key id). *)
 
 val ope_compare : Value.cipher -> Value.cipher -> int
 (** Order of two OPE ciphertexts under the same key: compares the
@@ -93,7 +127,8 @@ val const_cipher : ctx -> Value.cipher -> Value.t -> Value.t
 (** [const_cipher ctx sample const] encrypts a comparison constant under
     the same scheme and key as [sample], so a dispatched condition can be
     evaluated on encrypted values (Sec. 5's "condition formulated on
-    encrypted values"). *)
+    encrypted values"). det and OPE constants go through the key's
+    memo. *)
 
 val phe_sum : ctx -> Value.t list -> avg:bool -> Value.t
 (** Homomorphic aggregation of Paillier ciphertexts: the encrypted sum,

@@ -82,9 +82,9 @@ let typed_compare (x : Column.t) (y : Column.t) =
 (* [compare_values ?ctx op cell v] for a fixed constant [v]. Against a
    ciphertext cell the constant is encrypted under the cell's cluster;
    the last (scheme, key) it was encrypted under is kept, so a column
-   whose cells share one cluster asks the context's locked memo once,
-   not once per cell. The encryption is deterministic, so the kept
-   cipher is the one the memo would return. *)
+   whose cells share one cluster asks the key's locked memo once, not
+   once per cell. The encryption is deterministic, so the kept cipher
+   is the one the memo would return. *)
 let against ?ctx op v =
   match ctx with
   | Some c when not (Value.is_null v || Value.is_encrypted v) ->

@@ -60,6 +60,7 @@ type t = {
   dag : Planner.Dag.t;
   subcache : Engine.Table.t entry Lru.t;
   derive_memo : Verify.Derive.memo;
+  mutable keys : Engine.Enc_exec.store;
   mutable queries : int;
   mutable rejections : int;
   mutable expired : int;
@@ -100,6 +101,10 @@ let request ?deadline ?(tenant = Tenancy.default_id) query =
 (* bound of the sub-plan result tier, in entries *)
 let subcache_capacity = 256
 
+(* Cluster keys derive from the seed alone, never from the policy, so
+   one store serves every execution until [invalidate]. *)
+let key_store seed = Engine.Enc_exec.store (Mpq_crypto.Keyring.create ~seed ())
+
 let create ?(cache_capacity = 128) ?(max_batch = 32) ?pool ?config ?pricing
     ?network ?(base = fun _ -> None) ?deliver_to ?max_latency ?(udfs = [])
     ?(seed = 42L) ?(sharing = true) ?(now = Unix.gettimeofday) ~policy
@@ -115,6 +120,7 @@ let create ?(cache_capacity = 128) ?(max_batch = 32) ?pool ?config ?pricing
     cache = Lru.create ~capacity:cache_capacity; sharing; dag;
     subcache = Lru.create ~capacity:subcache_capacity;
     derive_memo = Verify.Derive.memo ~fp:(Planner.Dag.fingerprint dag) ();
+    keys = key_store seed;
     queries = 0; rejections = 0; expired = 0; invalidated = 0;
     reverified = 0; retained = 0; subplan_hits = 0; subplan_stores = 0;
     subplan_invalidated = 0; shared_execs = 0; cross_tenant_hits = 0;
@@ -530,7 +536,8 @@ let invalidate t =
   Lru.clear t.cache;
   Lru.clear t.subcache;
   Planner.Dag.clear t.dag;
-  Verify.Derive.memo_clear t.derive_memo
+  Verify.Derive.memo_clear t.derive_memo;
+  t.keys <- key_store t.seed
 
 let environment ?(tenant = Tenancy.default_id) t =
   (tenant_exn t tenant).Tenancy.env
@@ -617,12 +624,13 @@ let finalize t (tn : Tenancy.t) query entry =
 
 let execute ?memo t (r : Planner.Optimizer.result) plan =
   Obs.with_span "serve.exec" @@ fun () ->
-  (* fresh keyring per execution: ciphertext randomness derives from
-     (node preorder position, row index), so equal seeds reproduce
-     equal bytes — on the DAG-interned plan exactly as on the original
-     tree, since the executor threads positions per occurrence *)
-  let keyring = Mpq_crypto.Keyring.create ~seed:t.seed () in
-  let crypto = Engine.Enc_exec.make keyring r.Planner.Optimizer.clusters in
+  (* the service's key store: ciphertext randomness derives from
+     (node preorder position, row index), never from the keyring's
+     shared stream, so equal seeds reproduce equal bytes — on the
+     DAG-interned plan exactly as on the original tree, since the
+     executor threads positions per occurrence — and a memo hit returns
+     the bytes its key would compute *)
+  let crypto = Engine.Enc_exec.of_store t.keys r.Planner.Optimizer.clusters in
   let ctx = Engine.Exec.context ~udfs:t.udfs ~crypto t.tables in
   Engine.Exec.run ?memo ctx plan
 

@@ -121,7 +121,9 @@ val create :
     32 — backpressure, so one huge batch cannot monopolize the pool).
     [deliver_to] defaults to the first [User] among [subjects], when
     any. [seed] fixes the keyring so ciphertext bytes are reproducible
-    across runs (default [42L]). [base] supplies cardinality
+    across runs (default [42L]); the service keeps that keyring's
+    cluster keys, Paillier pair and det/OPE ciphertext memos in one
+    {!Engine.Enc_exec.store} for its lifetime. [base] supplies cardinality
     statistics to the optimizer (default: none). [now] is the clock
     request deadlines are checked against (default
     [Unix.gettimeofday]; injectable so tests can force the
@@ -194,9 +196,12 @@ val set_pricing : ?tenant:string -> t -> Planner.Pricing.t -> unit
 val set_network : ?tenant:string -> t -> Planner.Network.t -> unit
 
 val invalidate : t -> unit
-(** Drop every cache entry (statistics survive). The [set_*] calls
-    above make this unnecessary for correctness; it exists for
-    explicit memory release. *)
+(** Drop every cache entry (statistics survive), and replace the key
+    store with an empty one: derived keys, the Paillier pair and every
+    det/OPE ciphertext memo go, so the next executions pay first-touch
+    crypto again. The [set_*] calls above make this unnecessary for
+    correctness (keys do not depend on the policy, so they leave the
+    store alone); it exists for explicit memory release. *)
 
 val environment : ?tenant:string -> t -> string
 (** The named tenant's current environment fingerprint (tests assert

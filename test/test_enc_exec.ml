@@ -460,6 +460,254 @@ let prop_columnar_layout_identical =
           "typed-column and boxed-column runs differ:\n%s\nvs\n%s"
           (Table.to_string by_rows) (Table.to_string by_cols))
 
+(* --- malformed ciphertexts -------------------------------------------- *)
+
+(* A malformed payload must surface as [Crypto_error] naming the scheme
+   and key, on the value path and on the batch path, and the batch path
+   must report the first bad row. *)
+let test_malformed_ciphertexts () =
+  let ctx =
+    ctx_of [ ("d", C.Scheme.Det); ("o", C.Scheme.Ope); ("r", C.Scheme.Rnd) ]
+  in
+  let forged scheme key_id payload =
+    Value.Enc { Value.scheme; key_id; payload }
+  in
+  let bad =
+    [ forged "ope" "o" (String.make 7 '\xff' ^ "i");
+      forged "det" "d" "short";
+      forged "det" "d" "0123456789abcdef";
+      forged "rnd" "r" "short";
+      forged "rnd" "r" (String.make 24 'x') ]
+  in
+  let message f =
+    match f () with
+    | _ -> Alcotest.fail "expected Crypto_error"
+    | exception Enc_exec.Crypto_error m -> m
+  in
+  let batch cells () =
+    Enc_exec.decrypt_batch ctx (Column.Values (Array.of_list cells))
+  in
+  let good = Enc_exec.encrypt_value ctx (attr "o") (Value.Int 5) in
+  let messages =
+    List.map
+      (fun v ->
+        let c = match v with Value.Enc c -> c | _ -> assert false in
+        let m = message (fun () -> Enc_exec.decrypt_value ctx v) in
+        let prefix =
+          Printf.sprintf "malformed %s ciphertext under key %s: " c.Value.scheme
+            c.Value.key_id
+        in
+        Alcotest.(check bool) (m ^ " names scheme and key") true
+          (String.starts_with ~prefix m);
+        Alcotest.(check string) "batch path, same message" m
+          (message (batch [ good; Value.Null; v; good ]));
+        m)
+      bad
+  in
+  Alcotest.(check string) "batch reports the first bad row" (List.hd messages)
+    (message (batch (good :: bad)));
+  Alcotest.(check string) "... in either order"
+    (List.hd (List.rev messages))
+    (message (batch (good :: List.rev bad)))
+
+(* --- the ciphertext memo ---------------------------------------------- *)
+
+let clusters_of pairs =
+  List.map
+    (fun (name, scheme) ->
+      { Authz.Plan_keys.id = name;
+        attrs = Attr.Set.singleton (attr name);
+        scheme;
+        holders = Authz.Subject.Set.empty })
+    pairs
+
+let memo_clusters =
+  clusters_of
+    [ ("p", C.Scheme.Det); ("q", C.Scheme.Det); ("o", C.Scheme.Ope);
+      ("u", C.Scheme.Ope) ]
+
+let encrypt_column ctx name col =
+  match
+    Enc_exec.encrypt_batch ctx ~rng_root:(Enc_exec.node_rng ctx 1)
+      ~enc:[ (attr name, col) ]
+  with
+  | [ out ] -> Column.to_values out
+  | _ -> assert false
+
+(* the schemes' own functions, called directly *)
+let direct keyring (cluster : Authz.Plan_keys.cluster) v =
+  let id = cluster.Authz.Plan_keys.id in
+  let det s = C.Det.encrypt (C.Keyring.det_key keyring id) s in
+  let mk payload =
+    Value.Enc
+      { Value.scheme = C.Scheme.name cluster.Authz.Plan_keys.scheme;
+        key_id = id;
+        payload }
+  in
+  match (v, cluster.Authz.Plan_keys.scheme) with
+  | Value.Null, _ -> Value.Null
+  | v, C.Scheme.Det -> mk (det (Enc_exec.serialize v))
+  | v, _ ->
+      let image, tag =
+        match v with
+        | Value.Str s ->
+            let b i = if i < String.length s then Char.code s.[i] else 0 in
+            ((b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3, 's')
+        | Value.Float _ -> (cents_of v, 'f')
+        | Value.Int _ -> (cents_of v, 'i')
+        | Value.Date _ -> (cents_of v, 'd')
+        | _ -> (cents_of v, 'b')
+      in
+      let tail =
+        match v with
+        | Value.Str _ -> det (Enc_exec.serialize v)
+        | Value.Float f when Float.round (f *. 100.0) /. 100.0 <> f ->
+            det (Enc_exec.serialize v)
+        | _ -> ""
+      in
+      let c = (C.Ope.encode_array (C.Keyring.ope_key keyring id) [| image |]).(0) in
+      mk (C.Ope.bytes_of_cipher c ^ String.make 1 tag ^ tail)
+
+let gen_memo_column =
+  let open QCheck.Gen in
+  let small_ints = int_range (-300) 300 in
+  let sub_cents = map (fun k -> float_of_int k /. 1000.0) (int_range (-3000) 3000) in
+  let strs = oneofl [ "abcdX"; "abcdY"; "abcd"; "abc"; ""; "zzzz1"; "zzzz2" ] in
+  let n = int_range 0 40 in
+  oneof
+    [ map (fun a -> Column.Ints a) (array_size n small_ints);
+      map (fun a -> Column.Floats a) (array_size n sub_cents);
+      map (fun a -> Column.Strs a) (array_size n strs);
+      map (fun a -> Column.Dates a) (array_size n (int_range 0 400));
+      map (fun a -> Column.Bools a) (array_size n bool);
+      map (fun a -> Column.Values a)
+        (array_size n
+           (frequency
+              [ (4, gen_value);
+                (1, map (fun f -> Value.Float f) sub_cents);
+                (1, return Value.Null) ])) ]
+
+let print_column col =
+  QCheck.Print.(array Value.to_string) (Column.to_values col)
+
+(* Columns of every kind, twice through one store with the clusters of
+   each scheme interleaved, are byte-equal to a store-less context and
+   to the schemes' own functions. *)
+let prop_memo_bytes =
+  QCheck.Test.make ~count:150 ~name:"memo: store = store-less = direct"
+    (QCheck.make ~print:QCheck.Print.(list print_column)
+       QCheck.Gen.(list_size (int_range 1 4) gen_memo_column))
+    (fun cols ->
+      let seed = 7L in
+      let st = Enc_exec.store (C.Keyring.create ~seed ()) in
+      let keyring = C.Keyring.create ~seed () in
+      List.for_all
+        (fun _pass ->
+          List.for_all
+            (fun col ->
+              List.for_all
+                (fun (cl : Authz.Plan_keys.cluster) ->
+                  let name = cl.Authz.Plan_keys.id in
+                  let via_store =
+                    encrypt_column (Enc_exec.of_store st memo_clusters) name col
+                  in
+                  let store_less =
+                    encrypt_column
+                      (Enc_exec.make (C.Keyring.create ~seed ()) memo_clusters)
+                      name col
+                  in
+                  via_store = store_less
+                  && via_store = Array.map (direct keyring cl) (Column.to_values col))
+                memo_clusters)
+            cols)
+        [ 1; 2 ])
+
+(* An error raised after memo hits carries the same message, for the
+   same row, as on a cold context. *)
+let test_memo_errors () =
+  let seed = 7L in
+  let st = Enc_exec.store (C.Keyring.create ~seed ()) in
+  let cold () = Enc_exec.make (C.Keyring.create ~seed ()) memo_clusters in
+  let enc =
+    Enc_exec.encrypt_value (cold ()) (attr "o") (Value.Int 1)
+  in
+  let outcome ctx name cells =
+    match encrypt_column ctx name (Column.Values cells) with
+    | _ -> Alcotest.fail "expected Crypto_error"
+    | exception Enc_exec.Crypto_error m -> m
+  in
+  let warm = [| Value.Int 1; Value.Int 2; Value.Str "abcdX"; Value.Float 0.125 |] in
+  List.iter
+    (fun name ->
+      ignore (encrypt_column (Enc_exec.of_store st memo_clusters) name (Column.Values warm)))
+    [ "p"; "o" ];
+  List.iter
+    (fun (name, cells) ->
+      Alcotest.(check string)
+        (Printf.sprintf "cluster %s, %d cells" name (Array.length cells))
+        (outcome (cold ()) name cells)
+        (outcome (Enc_exec.of_store st memo_clusters) name cells))
+    [ ("o", Array.append warm [| Value.Int (1 lsl 40); enc |]);
+      ("o", Array.append warm [| enc; Value.Int (1 lsl 40) |]);
+      ("o", Array.append warm [| Value.Null; Value.Float nan |]);
+      ("p", Array.append warm [| Value.Null; enc |]) ]
+
+(* The same plaintext under two cluster ids, or under two seeds, gives
+   different ciphertexts, and the second key computes its own: no memo
+   entry answers for another key. *)
+let test_memo_isolation () =
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false; Obs.reset ())
+  @@ fun () ->
+  let col = Column.Strs [| "abcdX"; "abcdY"; "abcdX" |] in
+  let misses f =
+    let before = Obs.counter "enc_exec.memo.misses" in
+    let out = f () in
+    (out, Obs.counter "enc_exec.memo.misses" - before)
+  in
+  let st seed = Enc_exec.store (C.Keyring.create ~seed ()) in
+  List.iter
+    (fun (a, b) ->
+      let s7 = st 7L in
+      let ctx s = Enc_exec.of_store s memo_clusters in
+      let first, m1 = misses (fun () -> encrypt_column (ctx s7) a col) in
+      let again, m2 = misses (fun () -> encrypt_column (ctx s7) a col) in
+      let other_id, m3 = misses (fun () -> encrypt_column (ctx s7) b col) in
+      let other_seed, m4 =
+        misses (fun () -> encrypt_column (ctx (st 8L)) a col)
+      in
+      let payloads vs =
+        Array.map (function Value.Enc c -> c.Value.payload | _ -> "") vs
+      in
+      Alcotest.(check bool) (a ^ ": memo hit, same bytes") true (first = again);
+      Alcotest.(check int) (a ^ ": hits compute nothing") 0 m2;
+      Alcotest.(check bool) (a ^ " vs " ^ b ^ ": bytes differ") true
+        (Array.for_all2 ( <> ) (payloads first) (payloads other_id));
+      Alcotest.(check bool) (a ^ " under two seeds: bytes differ") true
+        (Array.for_all2 ( <> ) (payloads first) (payloads other_seed));
+      Alcotest.(check (list int)) (a ^ ": misses per key") [ m1; m1 ] [ m3; m4 ];
+      Alcotest.(check bool) (a ^ ": the first pass computes") true (m1 > 0))
+    [ ("p", "q"); ("o", "u") ]
+
+(* A column with more distinct values than the cap clears the memo
+   midway and still gives the same bytes. *)
+let test_memo_cap () =
+  let n = Enc_exec.memo_cap + 100 in
+  let seed = 7L in
+  let st = Enc_exec.store (C.Keyring.create ~seed ()) in
+  let keyring = C.Keyring.create ~seed () in
+  let p = List.hd memo_clusters in
+  let col = Column.Ints (Array.init n (fun i -> (i * 7919) mod n)) in
+  let expected = Array.map (direct keyring p) (Column.to_values col) in
+  List.iter
+    (fun pass ->
+      Alcotest.(check bool)
+        (Printf.sprintf "pass %d: %d distinct values, same bytes" pass n)
+        true
+        (encrypt_column (Enc_exec.of_store st memo_clusters) "p" col = expected))
+    [ 1; 2 ]
+
 let () =
   Alcotest.run "enc_exec"
     [ ( "serialization",
@@ -482,4 +730,13 @@ let () =
           ("ope kernel over a mixed Values column", `Quick,
            test_ope_mixed_column);
           QCheck_alcotest.to_alcotest prop_ope_values_column;
-          QCheck_alcotest.to_alcotest prop_columnar_layout_identical ] ) ]
+          QCheck_alcotest.to_alcotest prop_columnar_layout_identical ] );
+      ( "decryption",
+        [ ("malformed ciphertexts raise Crypto_error, in row order", `Quick,
+           test_malformed_ciphertexts) ] );
+      ( "memo",
+        [ QCheck_alcotest.to_alcotest prop_memo_bytes;
+          ("errors after memo hits", `Quick, test_memo_errors);
+          ("no entry shared across cluster ids or seeds", `Quick,
+           test_memo_isolation);
+          ("a column past the cap", `Quick, test_memo_cap) ] ) ]

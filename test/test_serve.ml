@@ -1213,6 +1213,101 @@ let test_set_policy_spans () =
     [ ("", "serve.set_policy"); ("serve.set_policy", "serve.rotate");
       ("serve.set_policy", "serve.migrate"); ("serve.migrate", "analysis.diff") ]
 
+(* --- the key store ------------------------------------------------------ *)
+
+let with_obs f =
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false; Obs.reset ()) f
+
+(* A Service keeps its cluster keys, and their det/OPE ciphertext
+   memos, for its lifetime: a second TPC-H pass computes no det/OPE
+   ciphertext at all, and [invalidate] drops the store, so the pass
+   after it pays exactly what the first one paid. *)
+let test_key_store_lifetime () =
+  let sf = 0.0005 in
+  let service =
+    tpch_service ~sf ~tables:(tpch_tables sf) ~sharing:false Tpch.Scenarios.UAPenc
+  in
+  let pass () =
+    Obs.reset ();
+    List.iter
+      (fun q -> ignore (Serve.Service.submit service (Tpch.Tpch_queries.query q)))
+      (List.init 22 succ);
+    (Obs.counter "enc_exec.memo.hits", Obs.counter "enc_exec.memo.misses")
+  in
+  with_obs @@ fun () ->
+  let hits1, misses1 = pass () in
+  let hits2, misses2 = pass () in
+  Serve.Service.invalidate service;
+  let hits3, misses3 = pass () in
+  Alcotest.(check bool) "first pass encrypts" true (misses1 > 0 && hits1 > 0);
+  Alcotest.(check int) "second pass: every det/OPE value from the memo" 0
+    misses2;
+  Alcotest.(check bool) "second pass still encrypts" true (hits2 > 0);
+  Alcotest.(check (pair int int)) "after invalidate: the first pass again"
+    (hits1, misses1) (hits3, misses3)
+
+(* With no user to deliver to, computing priced near zero for the
+   authorities and million-row estimates, the plan sums P where it is
+   visible only encrypted: under Paillier. *)
+let test_phe_keygen_once () =
+  let env = example_env () in
+  let service =
+    Serve.Service.create ~sharing:false
+      ~pricing:(Planner.Pricing.make ~authority_factor:1e-6 ())
+      ~base:(fun r ->
+        Some
+          (Planner.Estimate.of_widths ~card:1e6
+             (if r = "Hosp" then [ ("S", 8.); ("B", 8.); ("D", 8.); ("T", 8.) ]
+              else [ ("C", 8.); ("P", 8.) ])))
+      ~policy:env.Policy_dsl.policy
+      ~subjects:
+        (List.filter
+           (fun s -> s.Subject.role <> Subject.User)
+           env.Policy_dsl.subjects)
+      ~tables:(demo_tables env) ()
+  in
+  with_obs @@ fun () ->
+  let run () =
+    Serve.Service.submit_sql service
+      "select T, sum(P) from Hosp join Ins on S=C group by T"
+  in
+  let first = run () in
+  let second = run () in
+  let keygens = Obs.counter "enc_exec.paillier.keygens" in
+  let planned = Option.get first.Serve.Service.planned in
+  let clusters = planned.Planner.Optimizer.clusters in
+  Alcotest.(check (list string)) "the plan sums under phe" [ "phe" ]
+    (List.map (fun c -> Mpq_crypto.Scheme.name c.Plan_keys.scheme) clusters);
+  Alcotest.(check bool) "second run is a plan-cache hit" true
+    (second.Serve.Service.status = Serve.Service.Hit);
+  Alcotest.(check bool) "same bytes" true
+    (outcome_equal first.Serve.Service.outcome second.Serve.Service.outcome);
+  Alcotest.(check int) "one Paillier keygen" 1 keygens;
+  (* the sums decrypt under the service's seed *)
+  let crypto =
+    Engine.Enc_exec.make (Mpq_crypto.Keyring.create ~seed:42L ()) clusters
+  in
+  match first.Serve.Service.outcome with
+  | Serve.Service.Table t ->
+      Alcotest.(check (list string)) "the sums"
+        [ "\"rest\",80"; "\"surgery\",300"; "\"tpa\",270" ]
+        (List.sort compare
+           (List.map
+              (fun row ->
+                String.concat ","
+                  (Array.to_list
+                     (Array.map
+                        (fun v ->
+                          Value.to_string
+                            (if Value.is_encrypted v then
+                               Engine.Enc_exec.decrypt_value crypto v
+                             else v))
+                        row)))
+              (Engine.Table.rows t)))
+  | _ -> Alcotest.fail "expected a table"
+
 let () =
   Alcotest.run "serve"
     [ ( "lru",
@@ -1250,4 +1345,9 @@ let () =
           ("no sharing across environments", `Quick,
            test_no_cross_environment_sharing) ] );
       ( "stats",
-        [ ("hit/miss accounting", `Quick, test_stats_accounting) ] ) ]
+        [ ("hit/miss accounting", `Quick, test_stats_accounting) ] );
+      ( "key store",
+        [ ("tpch: second pass all memo hits, invalidate resets", `Slow,
+           test_key_store_lifetime);
+          ("phe plan twice: same bytes, one keygen", `Quick,
+           test_phe_keygen_once) ] ) ]
