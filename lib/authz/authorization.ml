@@ -10,7 +10,16 @@ type rule = {
 }
 
 type view = { plain : Attr.Set.t; enc : Attr.Set.t }
-type t = { schemas : Schema.t list; rules : rule list }
+
+(* [views] holds the overall view of every subject some rule names;
+   every other subject sees [any_view]. Both are derived once, in
+   [make], so [view] is a lookup. *)
+type t = {
+  schemas : Schema.t list;
+  rules : rule list;
+  views : view Subject.Map.t;
+  any_view : view;
+}
 
 let rule ~rel ?(plain = []) ?(enc = []) grantee =
   let plain = Attr.Set.of_names plain and enc = Attr.Set.of_names enc in
@@ -61,6 +70,29 @@ let validate schemas rules =
   in
   check_dup rules
 
+let named_subjects rules =
+  List.fold_left
+    (fun acc r ->
+      match r.grantee with To s -> Subject.Set.add s acc | Any -> acc)
+    Subject.Set.empty rules
+
+let empty_view = { plain = Attr.Set.empty; enc = Attr.Set.empty }
+
+(* What subject [s] may see of relation [rel]: its explicit rule if any,
+   else the relation's [any] rule, else nothing. [None] stands for a
+   subject no rule names. *)
+let relation_view_in rules rel s =
+  let for_grantee g =
+    List.find_opt (fun r -> r.relation = rel && grantee_equal r.grantee g) rules
+  in
+  let explicit = match s with Some s -> for_grantee (To s) | None -> None in
+  match explicit with
+  | Some r -> { plain = r.plain; enc = r.enc }
+  | None -> (
+      match for_grantee Any with
+      | Some r -> { plain = r.plain; enc = r.enc }
+      | None -> empty_view)
+
 let make ~schemas rules =
   validate schemas rules;
   (* Implicit: each authority sees its own relation in plaintext, and an
@@ -99,39 +131,33 @@ let make ~schemas rules =
         List.filter_map Fun.id [ owner_rule; host_rule ])
       schemas
   in
-  { schemas; rules = rules @ implicit }
+  let rules = rules @ implicit in
+  let view_of s =
+    List.fold_left
+      (fun acc sch ->
+        let v = relation_view_in rules sch.Schema.name s in
+        { plain = Attr.Set.union acc.plain v.plain;
+          enc = Attr.Set.union acc.enc v.enc })
+      empty_view schemas
+  in
+  { schemas;
+    rules;
+    views =
+      Subject.Set.fold
+        (fun s acc -> Subject.Map.add s (view_of (Some s)) acc)
+        (named_subjects rules) Subject.Map.empty;
+    any_view = view_of None }
 
 let schemas t = t.schemas
 let rules t = t.rules
-
-let empty_view = { plain = Attr.Set.empty; enc = Attr.Set.empty }
-
-let relation_view t rel s =
-  let for_grantee g =
-    List.find_opt
-      (fun r -> r.relation = rel && grantee_equal r.grantee g)
-      t.rules
-  in
-  match for_grantee (To s) with
-  | Some r -> { plain = r.plain; enc = r.enc }
-  | None -> (
-      match for_grantee Any with
-      | Some r -> { plain = r.plain; enc = r.enc }
-      | None -> empty_view)
+let relation_view t rel s = relation_view_in t.rules rel (Some s)
 
 let view t s =
-  List.fold_left
-    (fun acc sch ->
-      let v = relation_view t sch.Schema.name s in
-      { plain = Attr.Set.union acc.plain v.plain;
-        enc = Attr.Set.union acc.enc v.enc })
-    empty_view t.schemas
+  match Subject.Map.find_opt s t.views with
+  | Some v -> v
+  | None -> t.any_view
 
-let explicit_subjects t =
-  List.fold_left
-    (fun acc r ->
-      match r.grantee with To s -> Subject.Set.add s acc | Any -> acc)
-    Subject.Set.empty t.rules
+let explicit_subjects t = named_subjects t.rules
 
 let pp_rule fmt (r : rule) =
   Format.fprintf fmt "[%s,%s]->%s on %s"

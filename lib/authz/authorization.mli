@@ -37,7 +37,10 @@ val make : schemas:Schema.t list -> rule list -> t
     (relation, grantee) pair carries more than one rule (the paper allows
     at most one authorization per subject per relation). The owner of
     each relation implicitly holds full plaintext visibility on it unless
-    it carries an explicit rule. *)
+    it carries an explicit rule.
+
+    The overall view of every subject some rule names, and the view of
+    any other subject, are derived here once: {!view} is a lookup. *)
 
 val schemas : t -> Schema.t list
 val rules : t -> rule list
@@ -49,7 +52,9 @@ val relation_view : t -> string -> Subject.t -> view
 
 val view : t -> Subject.t -> view
 (** Overall view across all relations (Fig. 4's "authorized attributes"),
-    unioning per-relation views. *)
+    unioning per-relation views. A lookup keyed by the whole subject,
+    role and name: an authority and a provider that share a name hold
+    distinct views. *)
 
 val explicit_subjects : t -> Subject.Set.t
 (** Subjects named by some rule (excluding [Any]). *)

@@ -24,19 +24,42 @@ let rebuild node children =
   | Plan.Decrypt (a, _), [ c ] -> Plan.decrypt a c
   | _ -> invalid_arg "Extend.rebuild: arity mismatch"
 
-let extend ~policy ~config ~assignment ?deliver_to plan =
-  let orig_profiles = Profile.annotate_logical plan in
+(* Attribute groups a node compares, which must be uniformly visible in
+   its (possibly pre-encrypted) operands: predicate pairs and udf input
+   sets. *)
+let uniformity_groups n =
+  match Plan.node n with
+  | Plan.Select (pred, _) | Plan.Join (pred, _, _) ->
+      List.map
+        (fun (x, y) -> Attr.Set.of_list [ x; y ])
+        (Predicate.attr_pairs pred)
+  | Plan.Udf (_, inputs, _, _) -> [ inputs ]
+  | _ -> []
+
+(* What the extension reads of an original node that no assignment
+   changes: the attributes its operation needs in plaintext, the groups
+   it compares, and the implicit attributes of its logical profile. *)
+type node_facts = {
+  ap : Attr.Set.t;
+  groups : Attr.Set.t list;
+  implicit : Attr.Set.t;
+}
+
+let node_facts ~config plan =
+  let logical = Profile.annotate_logical plan in
+  Plan.fold
+    (fun acc n ->
+      Imap.add (Plan.id n)
+        { ap = Opreq.plaintext_attrs config n;
+          groups = uniformity_groups n;
+          implicit = implicit_attrs (Hashtbl.find logical (Plan.id n)) }
+        acc)
+    Imap.empty plan
+
+let build_extension ~policy ?deliver_to ~facts ~assignment plan =
+  let view_of s = Authorization.view policy s in
   let profiles = Hashtbl.create 64 in
   let executors = ref Imap.empty in
-  let view_cache = Hashtbl.create 8 in
-  let view_of s =
-    match Hashtbl.find_opt view_cache (Subject.name s) with
-    | Some v -> v
-    | None ->
-        let v = Authorization.view policy s in
-        Hashtbl.add view_cache (Subject.name s) v;
-        v
-  in
   let executor n =
     match Imap.find_opt (Plan.id n) assignment with
     | Some s -> s
@@ -51,23 +74,21 @@ let extend ~policy ~config ~assignment ?deliver_to plan =
     Hashtbl.replace profiles (Plan.id node) profile;
     executors := Imap.add (Plan.id node) subject !executors
   in
-  (* Attribute groups a node compares, which must be uniformly visible in
-     its (possibly pre-encrypted) operands: predicate pairs and udf input
-     sets. *)
-  let uniformity_groups n =
-    match Plan.node n with
-    | Plan.Select (pred, _) | Plan.Join (pred, _, _) ->
-        List.map
-          (fun (x, y) -> Attr.Set.of_list [ x; y ])
-          (Predicate.attr_pairs pred)
-    | Plan.Udf (_, inputs, _, _) -> [ inputs ]
-    | _ -> []
-  in
-  let rec build n ancestors =
-    let ap = Opreq.plaintext_attrs config n in
+  (* [parent] is the node's parent and its executor; [ancestors_enc]
+     unions the encrypted views of every executor above the node *)
+  let rec build n ~parent ~ancestors_enc =
+    let facts_n = Imap.find (Plan.id n) facts in
+    let ap = facts_n.ap in
     let subject = executor n in
+    (* executors from here up that must not see plaintext *)
+    let protected_enc =
+      Attr.Set.union ancestors_enc (view_of subject).Authorization.enc
+    in
     let built =
-      List.map (fun c -> build c ((n, subject) :: ancestors)) (Plan.children n)
+      List.map
+        (fun c ->
+          build c ~parent:(Some (n, subject)) ~ancestors_enc:protected_enc)
+        (Plan.children n)
     in
     (* (i) decrypt operand attributes the operation needs in plaintext.
        Aggregate operands the assignee may read in plaintext are also
@@ -117,13 +138,8 @@ let extend ~policy ~config ~assignment ?deliver_to plan =
         (Attr.Set.empty, Attr.Set.empty)
         built after_ap
     in
-    let protected_enc =
-      List.fold_left
-        (fun acc (_, s) -> Attr.Set.union acc (view_of s).Authorization.enc)
-        (view_of subject).Authorization.enc ancestors
-    in
     let fix_dec, fix_enc =
-      let groups = uniformity_groups n in
+      let groups = facts_n.groups in
       let own_plain = (view_of subject).Authorization.plain in
       let rec go to_dec to_enc =
         let ve_cur =
@@ -189,19 +205,11 @@ let extend ~policy ~config ~assignment ?deliver_to plan =
     (* (ii) encrypt attributes the parent's assignee may not see plaintext,
        plus those turned implicit by the parent while some later assignee
        lacks plaintext visibility *)
-    match ancestors with
-    | [] -> (n', p')
-    | (parent, parent_subject) :: _ ->
+    match parent with
+    | None -> (n', p')
+    | Some (parent, parent_subject) ->
         let e_parent = (view_of parent_subject).Authorization.enc in
-        let parent_implicit =
-          implicit_attrs (Hashtbl.find orig_profiles (Plan.id parent))
-        in
-        let ancestors_enc =
-          List.fold_left
-            (fun acc (_, s) ->
-              Attr.Set.union acc (view_of s).Authorization.enc)
-            Attr.Set.empty ancestors
-        in
+        let parent_implicit = (Imap.find (Plan.id parent) facts).implicit in
         let a_term =
           Attr.Set.inter
             (Attr.Set.inter parent_implicit p'.Profile.vp)
@@ -218,13 +226,15 @@ let extend ~policy ~config ~assignment ?deliver_to plan =
           (ne, pe)
         end
   in
-  let root, root_profile = build plan [] in
+  let root, root_profile =
+    build plan ~parent:None ~ancestors_enc:Attr.Set.empty
+  in
   let root, _ =
     match deliver_to with
     | Some user ->
         let readable =
           Attr.Set.inter root_profile.Profile.ve
-            (Authorization.view policy user).Authorization.plain
+            (view_of user).Authorization.plain
         in
         if Attr.Set.is_empty readable then (root, root_profile)
         else begin
@@ -236,6 +246,13 @@ let extend ~policy ~config ~assignment ?deliver_to plan =
     | _ -> (root, root_profile)
   in
   { plan = root; assignment = !executors; profiles }
+
+let extender ~policy ~config ?deliver_to plan =
+  let facts = node_facts ~config plan in
+  fun assignment -> build_extension ~policy ?deliver_to ~facts ~assignment plan
+
+let extend ~policy ~config ~assignment ?deliver_to plan =
+  extender ~policy ~config ?deliver_to plan assignment
 
 let verify ~policy t =
   let check_node acc node =

@@ -38,6 +38,23 @@ val extend :
     visible attributes, executed by the given subject (normally the
     querying user, who must be authorized for the plaintext result). *)
 
+val extender :
+  policy:Authorization.t ->
+  config:Opreq.config ->
+  ?deliver_to:Subject.t ->
+  Plan.t ->
+  Subject.t Imap.t ->
+  t
+(** Staged {!extend}: [extender ~policy ~config plan] derives once what
+    no assignment changes — per original node, the attributes it needs
+    in plaintext, the attribute groups it compares, and the implicit
+    attributes of its logical profile — into an immutable map. Each
+    application to an assignment builds that assignment's extension; the
+    encrypted views of a node's ancestors reach it as one accumulated
+    set. A planner costing many assignments of one query builds the
+    extender once. [extend ~assignment plan] is
+    [extender plan assignment]. *)
+
 val verify : policy:Authorization.t -> t -> (unit, string) result
 (** Def. 4.2 re-checked on the extended plan: every node's executor is
     authorized for its operands and its result (Thm. 5.3(i)). *)

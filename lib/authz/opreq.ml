@@ -156,20 +156,54 @@ let resolve_conflicts config plan =
   in
   loop config 0
 
-let scheme_of_attr config plan a =
-  let class_of = eq_class_of plan in
-  let cls = class_of a in
-  let caps =
-    List.filter_map
-      (fun (b, cap, _) -> if Attr.Set.mem b cls then Some cap else None)
-      (cipher_demands config plan)
-    |> List.sort_uniq Stdlib.compare
+let class_schemes ~conflict eq demands =
+  let caps_by_attr =
+    List.fold_left
+      (fun m (a, cap) ->
+        Attr.Map.update a
+          (fun l -> Some (cap :: Option.value l ~default:[]))
+          m)
+      Attr.Map.empty demands
   in
-  match Scheme.strongest_supporting caps with
-  | Some s -> s
-  | None ->
-      invalid_arg
-        (Printf.sprintf
-           "Opreq.scheme_of_attr %s: unresolved capability conflict (run \
-            resolve_conflicts first)"
-           (Attr.name a))
+  let resolve cls =
+    Attr.Set.fold
+      (fun a acc ->
+        match Attr.Map.find_opt a caps_by_attr with
+        | Some caps -> caps @ acc
+        | None -> acc)
+      cls []
+    |> List.sort_uniq Stdlib.compare
+    |> Scheme.strongest_supporting
+  in
+  (* every member of a class, and every other demanded attribute as its
+     own singleton class; undemanded attributes fall to [unconstrained] *)
+  let by_class =
+    List.fold_left
+      (fun m cls ->
+        let s = resolve cls in
+        Attr.Set.fold (fun a m -> Attr.Map.add a s m) cls m)
+      Attr.Map.empty (Partition.sets eq)
+  in
+  let table =
+    Attr.Map.fold
+      (fun a _ m ->
+        if Attr.Map.mem a m then m
+        else Attr.Map.add a (resolve (Attr.Set.singleton a)) m)
+      caps_by_attr by_class
+  in
+  let unconstrained = resolve Attr.Set.empty in
+  fun a ->
+    let s =
+      match Attr.Map.find_opt a table with Some s -> s | None -> unconstrained
+    in
+    match s with Some s -> s | None -> invalid_arg (conflict a)
+
+let schemes config plan =
+  class_schemes
+    ~conflict:(fun a ->
+      Printf.sprintf
+        "Opreq.schemes %s: unresolved capability conflict (run \
+         resolve_conflicts first)"
+        (Attr.name a))
+    (Profile.of_plan_logical plan).Profile.eq
+    (List.map (fun (a, cap, _) -> (a, cap)) (cipher_demands config plan))

@@ -51,8 +51,26 @@ val resolve_conflicts : config -> Plan.t -> config
     it, while early plaintext would leave an implicit plaintext trace on
     everything above (Sec. 5's max-visibility pitfall). *)
 
-val scheme_of_attr :
-  config -> Plan.t -> Attr.t -> Mpq_crypto.Scheme.t
+val schemes : config -> Plan.t -> Attr.t -> Mpq_crypto.Scheme.t
 (** The paper's rule (Sec. 6): strongest scheme supporting every
     operation executed over the attribute's ciphertext ([Rnd] when no
-    such operation exists). Call after {!resolve_conflicts}. *)
+    such operation exists), per equivalence class of the root's logical
+    profile. Call after {!resolve_conflicts}.
+
+    Staged: [schemes config plan] derives the profile and the demands
+    over the whole plan once and resolves every class eagerly; the
+    returned lookup only reads an immutable map, so it may be called
+    from any domain. A class whose demands no scheme supports raises
+    [Invalid_argument] at lookup, naming the attribute. *)
+
+val class_schemes :
+  conflict:(Attr.t -> string) ->
+  Partition.t ->
+  (Attr.t * Mpq_crypto.Scheme.capability) list ->
+  Attr.t ->
+  Mpq_crypto.Scheme.t
+(** [class_schemes ~conflict eq demands]: the resolver behind {!schemes}
+    and [Plan_keys.actual_schemes]. Each class of [eq] (and each other
+    attribute, as a singleton) gets the strongest scheme supporting the
+    capabilities [demands] asks on its members; a lookup on a class no
+    scheme supports raises [Invalid_argument (conflict a)]. *)

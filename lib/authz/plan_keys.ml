@@ -39,25 +39,16 @@ let actual_demands (ext : Extend.t) =
         (Opreq.capability_demands n))
     (Plan.nodes ext.Extend.plan)
 
-let actual_schemes ~original (ext : Extend.t) =
+let actual_schemes ~original =
   let root_eq = (Profile.of_plan_logical original).Profile.eq in
-  let demands = actual_demands ext in
-  fun a ->
-    let cls = Partition.find root_eq a in
-    let caps =
-      List.filter_map
-        (fun (b, cap) -> if Attr.Set.mem b cls then Some cap else None)
-        demands
-      |> List.sort_uniq Stdlib.compare
-    in
-    match Scheme.strongest_supporting caps with
-    | Some s -> s
-    | None ->
-        (* cannot happen after Opreq.resolve_conflicts: conservative
-           demands are a superset of actual ones *)
-        invalid_arg
-          (Printf.sprintf "Plan_keys.actual_schemes %s: capability conflict"
-             (Attr.name a))
+  fun (ext : Extend.t) ->
+    (* cannot conflict after Opreq.resolve_conflicts: conservative
+       demands are a superset of actual ones *)
+    Opreq.class_schemes
+      ~conflict:(fun a ->
+        Printf.sprintf "Plan_keys.actual_schemes %s: capability conflict"
+          (Attr.name a))
+      root_eq (actual_demands ext)
 
 let compute ~config ~original (ext : Extend.t) =
   ignore config;

@@ -27,7 +27,13 @@ val actual_schemes : original:Plan.t -> Extend.t -> Attr.t -> Mpq_crypto.Scheme.
     only when it actually reads that attribute encrypted there; each key
     cluster (equivalence classes of the root profile) gets the strongest
     scheme supporting its demands, and [Rnd] when nothing computes on its
-    ciphertexts. *)
+    ciphertexts.
+
+    Staged: [actual_schemes ~original] derives the original plan's root
+    equivalence classes once; applying the result to an extension
+    resolves that extension's demands once per class, into an immutable
+    map (see {!Opreq.class_schemes}). Planning reuses the first stage
+    for every extension it costs. *)
 
 val compute :
   config:Opreq.config -> original:Plan.t -> Extend.t -> cluster list

@@ -79,11 +79,14 @@ let parse_authorize lineno rest subjects =
   let grantee =
     if grantee = "any" then Authorization.Any
     else
-      match
-        List.find_opt (fun s -> Subject.name s = grantee) subjects
-      with
-      | Some s -> Authorization.To s
-      | None -> fail lineno "unknown subject %s (declare it first)" grantee
+      match List.filter (fun s -> Subject.name s = grantee) subjects with
+      | [ s ] -> Authorization.To s
+      | [] -> fail lineno "unknown subject %s (declare it first)" grantee
+      | _ :: _ :: _ ->
+          (* an authority and a provider may share a name; a rule must
+             not silently pick one of them *)
+          fail lineno "ambiguous subject %s: declared in more than one role"
+            grantee
   in
   Authorization.rule ~rel ~plain ~enc grantee
 

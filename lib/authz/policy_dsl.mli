@@ -18,7 +18,13 @@
     Column types: [int], [float], [string], [date], [bool]. Authorities
     named as relation owners are declared implicitly, as are the storage
     views of [hosted] (outsourced) relations; [hosted ... enc] lists the
-    columns kept encrypted at the host (Sec. 9 extension). *)
+    columns kept encrypted at the host (Sec. 9 extension).
+
+    A subject name may be declared in more than one role (say authority
+    [H] and provider [H]); such subjects are distinct. An [authorize]
+    line naming one of them is then ambiguous and fails with a
+    line-numbered [Syntax_error] ("ambiguous subject H: declared in more
+    than one role"). *)
 
 open Relalg
 

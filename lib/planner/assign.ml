@@ -16,22 +16,21 @@ let width_of (s : Estimate.stats) a =
 
 let solve ?view_cache ~candidates ~policy ~config ~pricing ~stats ~scheme_of
     plan =
-  (* Subject views depend only on the policy; a caller planning several
-     DP rounds over the same policy shares one cache across them instead
-     of re-deriving every view per round. *)
+  (* Subject views depend only on the policy, and the policy already
+     holds them; the table shared across a caller's DP rounds feeds the
+     hit/miss counters. *)
   let view_cache =
     match view_cache with Some tbl -> tbl | None -> Hashtbl.create 8
   in
   let view s =
-    let k = Authz.Subject.name s in
-    match Hashtbl.find_opt view_cache k with
+    match Hashtbl.find_opt view_cache s with
     | Some v ->
         Obs.incr "planner.dp.view_cache_hits";
         v
     | None ->
         Obs.incr "planner.dp.view_cache_misses";
         let v = Authz.Authorization.view policy s in
-        Hashtbl.add view_cache k v;
+        Hashtbl.add view_cache s v;
         v
   in
   let enc_view s = (view s).Authz.Authorization.enc in

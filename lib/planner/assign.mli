@@ -17,7 +17,7 @@
 open Relalg
 
 val optimize :
-  ?view_cache:(string, Authz.Authorization.view) Hashtbl.t ->
+  ?view_cache:(Authz.Subject.t, Authz.Authorization.view) Hashtbl.t ->
   candidates:Authz.Candidates.t ->
   policy:Authz.Authorization.t ->
   config:Authz.Opreq.config ->
@@ -29,13 +29,15 @@ val optimize :
 (** Minimum-cost assignment drawn from the candidate sets. Raises
     [Invalid_argument] when some assignable node has no candidate.
 
-    [view_cache] (keyed by subject name) shares the derivation of
-    subject views across multiple DP rounds over the same policy; pass
-    the same table to each call. Views are policy-dependent only, so the
-    cache must not be reused across policies. *)
+    [view_cache] (keyed by subject, role and name) records the views the
+    DP reads across multiple rounds over the same policy; pass the same
+    table to each call. {!Authz.Authorization.view} is itself a lookup,
+    so the table only feeds the [planner.dp.view_cache_hits] and
+    [.misses] counters. Views are policy-dependent only, so the table
+    must not be reused across policies. *)
 
 val dp_cost :
-  ?view_cache:(string, Authz.Authorization.view) Hashtbl.t ->
+  ?view_cache:(Authz.Subject.t, Authz.Authorization.view) Hashtbl.t ->
   candidates:Authz.Candidates.t ->
   policy:Authz.Authorization.t ->
   config:Authz.Opreq.config ->

@@ -129,7 +129,14 @@ let plan ~policy ~subjects ?(config = Authz.Opreq.default)
                 "operation %s admits no authorized executor under the policy"
                 name)))
     candidates;
-  (* subject views are policy-derived and shared across the DP rounds *)
+  (* Facts that depend on the query and config only, derived once for
+     every round and local-search move below: the conservative schemes,
+     the first stage of the actual-scheme derivation, and the extender's
+     per-node facts. The DP's view table is shared across rounds for its
+     hit/miss counters. *)
+  let conservative = Authz.Opreq.schemes config query in
+  let actual_schemes = Authz.Plan_keys.actual_schemes ~original:query in
+  let extend = Authz.Extend.extender ~policy ~config ?deliver_to query in
   let view_cache = Hashtbl.create 8 in
   (* One planning round: DP under a scheme hypothesis, extend, then read
      the actual schemes and exact cost off the extended plan. The first
@@ -150,17 +157,15 @@ let plan ~policy ~subjects ?(config = Authz.Opreq.default)
             ~pricing ~stats ~scheme_of query)
     in
     let extended =
-      Obs.with_span "planner.extend" (fun () ->
-          Authz.Extend.extend ~policy ~config ~assignment ?deliver_to query)
+      Obs.with_span "planner.extend" (fun () -> extend assignment)
     in
-    let actual = Authz.Plan_keys.actual_schemes ~original:query extended in
+    let actual = actual_schemes extended in
     let cost =
       Obs.with_span "planner.cost" (fun () ->
           Cost.of_extended ~pricing ~network ~base ~scheme_of:actual extended)
     in
     (assignment, extended, actual, cost)
   in
-  let conservative a = Authz.Opreq.scheme_of_attr config query a in
   let ((_, _, scheme1, _) as r1) = round candidates conservative in
   (* Fallback round without providers: the DP's edge model is heuristic
      (Def. 5.4's ancestor-driven encryption is priced only approximately),
@@ -203,10 +208,8 @@ let plan ~policy ~subjects ?(config = Authz.Opreq.default)
      residual gap at a few dozen extensions' cost. *)
   let compute assignment =
     Obs.with_span "planner.evaluate" @@ fun () ->
-    let extended =
-      Authz.Extend.extend ~policy ~config ~assignment ?deliver_to query
-    in
-    let actual = Authz.Plan_keys.actual_schemes ~original:query extended in
+    let extended = extend assignment in
+    let actual = actual_schemes extended in
     let cost =
       Cost.of_extended ~pricing ~network ~base ~scheme_of:actual extended
     in

@@ -117,6 +117,69 @@ let test_uniformity_over_invisible_attrs () =
   Alcotest.(check bool) "uniformly encrypted class ok" true
     (Authorized.is_authorized uniform p)
 
+(* --- subjects sharing a name ------------------------------------------- *)
+
+(* A provider named like an authority (provider H beside authority H,
+   Hosp's owner) is a different subject: it holds the [any] view, not
+   the owner's. Views keyed by name alone once let authority H's view
+   answer for provider H, so the planner assigned work to the provider
+   that the verifier then rejected. Planning with the provider named H
+   must give the plan it gives with the provider named W. *)
+let shared_name_policy =
+  Authorization.make ~schemas:[ hosp; ins ]
+    (List.filter
+       (fun (r : Authorization.rule) -> r.Authorization.grantee <> Any)
+       (Authorization.rules Paper_example.policy)
+    @ [ Authorization.rule ~rel:"Hosp" ~plain:[ "D"; "T" ] ~enc:[ "S" ] Any;
+        Authorization.rule ~rel:"Ins" ~enc:[ "C"; "P" ] Any ])
+
+let test_shared_name_views () =
+  let any_view = Authorization.view shared_name_policy (Subject.provider "W") in
+  let vp = Authorization.view shared_name_policy (Subject.provider "H") in
+  let va = Authorization.view shared_name_policy Paper_example.h in
+  Alcotest.(check string) "provider H plain" "DT"
+    (Attr.Set.to_string vp.Authorization.plain);
+  Alcotest.(check string) "provider H enc" "CPS"
+    (Attr.Set.to_string vp.Authorization.enc);
+  Alcotest.(check bool) "provider H holds the any view" true
+    (Attr.Set.equal vp.Authorization.plain any_view.Authorization.plain
+    && Attr.Set.equal vp.Authorization.enc any_view.Authorization.enc);
+  Alcotest.(check string) "authority H keeps its own" "BCDST"
+    (Attr.Set.to_string va.Authorization.plain)
+
+let test_shared_name_plans () =
+  let query =
+    Mpq_sql.Sql_plan.parse_and_plan ~catalog:[ hosp; ins ]
+      "select T, avg(P) from Hosp join Ins on S=C where D='stroke' group by \
+       T having P>100"
+  in
+  let plan_with name =
+    let provider = Subject.provider name in
+    let r =
+      Planner.Optimizer.plan ~policy:shared_name_policy
+        ~subjects:(Paper_example.subjects @ [ provider ])
+        ~deliver_to:Paper_example.u query
+    in
+    let ext = r.Planner.Optimizer.extended in
+    (match Extend.verify ~policy:shared_name_policy ext with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "provider %s: %s" name e);
+    (* executors in preorder, the extra provider under one placeholder *)
+    let executors =
+      List.map
+        (fun n ->
+          match Imap.find_opt (Plan.id n) ext.Extend.assignment with
+          | Some s when Subject.equal s provider -> "provider*"
+          | Some s -> Planner.Fingerprint.of_subject s
+          | None -> "-")
+        (Plan.nodes ext.Extend.plan)
+    in
+    (executors, Printf.sprintf "%h" (Planner.Cost.total r.Planner.Optimizer.cost))
+  in
+  let exec_h, cost_h = plan_with "H" and exec_w, cost_w = plan_with "W" in
+  Alcotest.(check (list string)) "same executors" exec_w exec_h;
+  Alcotest.(check string) "same cost" cost_w cost_h
+
 let () =
   Alcotest.run "authorization"
     [ ( "policy-validation",
@@ -129,6 +192,10 @@ let () =
           ("closed policy", `Quick, test_no_rule_no_visibility);
           ("implicit owner rule", `Quick, test_implicit_owner_rule);
           ("explicit owner rule overrides", `Quick, test_explicit_owner_rule_overrides)
+        ] );
+      ( "shared-names",
+        [ ("provider H holds its own view", `Quick, test_shared_name_views);
+          ("provider H plans like provider W", `Quick, test_shared_name_plans)
         ] );
       ( "def-4.1-corners",
         [ ("plaintext implies encrypted", `Quick, test_plaintext_implies_encrypted_ok);

@@ -144,6 +144,21 @@ let test_dsl_errors () =
   expect_fail "relation R owner H (a int\n";
   expect_fail "frobnicate"
 
+(* An authority and a provider may share a name, but then an
+   [authorize ... to NAME] line cannot tell them apart: it must fail on
+   its own line rather than bind the first subject declared. *)
+let test_dsl_ambiguous_subject () =
+  let text =
+    "relation Hosp owner H (S string, D string)\nprovider H\nuser U\n\
+     authorize Hosp to U plain S,D\nauthorize Hosp to H enc S\n"
+  in
+  match Authz.Policy_dsl.parse text with
+  | exception Authz.Policy_dsl.Syntax_error (line, msg) ->
+      Alcotest.(check int) "line" 5 line;
+      Alcotest.(check string) "message"
+        "ambiguous subject H: declared in more than one role" msg
+  | _ -> Alcotest.fail "ambiguous grantee accepted"
+
 (* --- JSON export -------------------------------------------------------- *)
 
 let test_json_escaping () =
@@ -198,4 +213,5 @@ let () =
       ( "policy-dsl",
         [ ("running example parses to Fig. 4", `Quick, test_dsl_example);
           ("hosted relations", `Quick, test_dsl_hosted);
-          ("syntax errors", `Quick, test_dsl_errors) ] ) ]
+          ("syntax errors", `Quick, test_dsl_errors);
+          ("ambiguous subject", `Quick, test_dsl_ambiguous_subject) ] ) ]
