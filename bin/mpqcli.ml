@@ -45,7 +45,10 @@ let guard f =
   | Planner.Optimizer.User_not_authorized msg ->
       Printf.eprintf "mpqcli: query rejected: %s\n" msg;
       exit_verification
-  | Planner.Optimizer.Verification_failed msg
+  | Planner.Optimizer.Verification_failed diags ->
+      Printf.eprintf "mpqcli: %s\n"
+        (Planner.Optimizer.self_check_message diags);
+      exit_verification
   | Distsim.Runtime.Distributed_violation msg ->
       Printf.eprintf "mpqcli: %s\n" msg;
       exit_verification
@@ -618,12 +621,6 @@ let check_cmd =
   let run policy_path query tpch scenario json obs =
     guard @@ fun () ->
     with_obs obs @@ fun () ->
-    (* collect the diagnostics ourselves rather than letting the
-       planner's own assertion gate turn them into an exception *)
-    let was = !Planner.Optimizer.self_check in
-    Planner.Optimizer.self_check := false;
-    Fun.protect ~finally:(fun () -> Planner.Optimizer.self_check := was)
-    @@ fun () ->
     let targets =
       match (query, tpch) with
       | Some q, None ->
@@ -667,13 +664,19 @@ let check_cmd =
     let reports =
       List.map
         (fun (label, produce) ->
-          let policy, (r : Planner.Optimizer.result) = produce () in
+          (* a plan the self-check gate rejects reports the
+             diagnostics it was rejected with; a clean one is verified
+             again here for its warnings *)
           let diags =
-            Verify.Verifier.run
-              { Verify.Verifier.policy; config = r.Planner.Optimizer.config;
-                extended = r.Planner.Optimizer.extended;
-                clusters = r.Planner.Optimizer.clusters;
-                requests = r.Planner.Optimizer.requests }
+            match produce () with
+            | policy, (r : Planner.Optimizer.result) ->
+                Verify.Verifier.run
+                  { Verify.Verifier.policy;
+                    config = r.Planner.Optimizer.config;
+                    extended = r.Planner.Optimizer.extended;
+                    clusters = r.Planner.Optimizer.clusters;
+                    requests = r.Planner.Optimizer.requests }
+            | exception Planner.Optimizer.Verification_failed diags -> diags
           in
           (label, diags))
         targets
@@ -861,23 +864,7 @@ let serve_cmd =
             Serve.Service.submit_batch_requests service (List.map snd batch)
           in
           List.iter2
-            (fun (n, _) (r : Serve.Service.response) ->
-              match r.Serve.Service.outcome with
-              | Serve.Service.Table t ->
-                  Printf.printf "-- [%d] %s: plan %.2f ms, exec %.2f ms, %d rows\n"
-                    n
-                    (match r.Serve.Service.status with
-                    | Serve.Service.Hit -> "hit"
-                    | Serve.Service.Miss -> "miss")
-                    r.Serve.Service.plan_ms r.Serve.Service.exec_ms
-                    (Engine.Table.cardinality t);
-                  print_string (Engine.Csv.to_string t)
-              | Serve.Service.Rejected msg ->
-                  Printf.printf "-- [%d] rejected: %s\n" n msg
-              | Serve.Service.Expired why ->
-                  (* stdin mode never sets deadlines, but keep the
-                     rendering uniform with the socket server *)
-                  Printf.printf "-- [%d] deadline exceeded: %s\n" n why)
+            (fun (n, _) r -> print_string (Serve.Server.format_response n r))
             batch responses;
           flush stdout
     in

@@ -13,10 +13,11 @@ type result = {
 
 exception No_candidate of string
 exception User_not_authorized of string
-exception Verification_failed of string
+exception Verification_failed of Verify.Diag.t list
 
-let self_check =
-  ref (match Sys.getenv_opt "MPQ_SELF_CHECK" with Some "0" -> false | _ -> true)
+let self_check_message diags =
+  "planner self-check failed:\n"
+  ^ Verify.Diag.render (Verify.Diag.errors diags)
 
 (* Post-planning assertion gate: the independent verifier re-derives
    every invariant over the finished artifacts. Minimality findings are
@@ -26,11 +27,7 @@ let assert_verified ~policy ~config extended clusters requests =
     { Verify.Verifier.policy; config; extended; clusters; requests }
   in
   let diags = Obs.with_span "planner.self_check" (fun () -> Verify.Verifier.run input) in
-  if Verify.Diag.has_errors diags then
-    raise
-      (Verification_failed
-         ("planner self-check failed:\n"
-         ^ Verify.Diag.render (Verify.Diag.errors diags)))
+  if Verify.Diag.has_errors diags then raise (Verification_failed diags)
 
 (* Canonical text key for an assignment: Imap iterates in node-id order,
    so equal assignments always fingerprint identically. Fields are
@@ -85,11 +82,9 @@ let cache_key_of ~env qfp =
   Fingerprint.field buf env;
   Buffer.contents buf
 
-let cache_key ~env query = cache_key_of ~env (Fingerprint.of_plan query)
-
 let plan ~policy ~subjects ?(config = Authz.Opreq.default)
     ?(pricing = Pricing.make ()) ?(network = Network.make ())
-    ?(base = fun _ -> None) ?deliver_to ?max_latency ?(memoize = true) query =
+    ?(base = fun _ -> None) ?deliver_to ?max_latency query =
   Obs.with_span "planner.plan" @@ fun () ->
   let config = Authz.Opreq.resolve_conflicts config query in
   (* Sec. 6: the querying user must be authorized for the query's inputs
@@ -221,30 +216,27 @@ let plan ~policy ~subjects ?(config = Authz.Opreq.default)
      the first evaluation's outcome (value or planner rejection) is
      replayed. *)
   let memo = Hashtbl.create 64 in
-  let remember assignment outcome =
-    if memoize then Hashtbl.replace memo (fingerprint assignment) outcome
-  in
-  List.iter (fun ((a, _, _, _) as r) -> remember a (Ok r)) rounds;
+  List.iter
+    (fun ((a, _, _, _) as r) -> Hashtbl.replace memo (fingerprint a) (Ok r))
+    rounds;
   let evaluate assignment =
     Obs.incr "planner.evaluate.calls";
-    if not memoize then compute assignment
-    else
-      let key = fingerprint assignment in
-      match Hashtbl.find_opt memo key with
-      | Some (Ok r) ->
-          Obs.incr "planner.evaluate.memo_hits";
-          r
-      | Some (Error e) ->
-          Obs.incr "planner.evaluate.memo_hits";
-          raise e
-      | None -> (
-          match compute assignment with
-          | r ->
-              Hashtbl.add memo key (Ok r);
-              r
-          | exception ((No_candidate _ | Invalid_argument _) as e) ->
-              Hashtbl.add memo key (Error e);
-              raise e)
+    let key = fingerprint assignment in
+    match Hashtbl.find_opt memo key with
+    | Some (Ok r) ->
+        Obs.incr "planner.evaluate.memo_hits";
+        r
+    | Some (Error e) ->
+        Obs.incr "planner.evaluate.memo_hits";
+        raise e
+    | None -> (
+        match compute assignment with
+        | r ->
+            Hashtbl.add memo key (Ok r);
+            r
+        | exception ((No_candidate _ | Invalid_argument _) as e) ->
+            Hashtbl.add memo key (Error e);
+            raise e)
   in
   (* Only planner rejections (no candidate, or an extension refusing the
      assignment with Invalid_argument) discard a move; genuine failures —
@@ -278,7 +270,7 @@ let plan ~policy ~subjects ?(config = Authz.Opreq.default)
     Obs.with_span "planner.dispatch" (fun () ->
         Authz.Dispatch.requests extended clusters)
   in
-  if !self_check then assert_verified ~policy ~config extended clusters requests;
+  assert_verified ~policy ~config extended clusters requests;
   { config; candidates; assignment; extended; clusters; requests; cost;
     scheme_of }
 

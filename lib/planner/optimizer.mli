@@ -29,10 +29,16 @@ exception User_not_authorized of string
     query execution is required to be authorized to access all data that
     are input to the query"). *)
 
-exception Verification_failed of string
-(** Raised by the post-planning self-check when the independent static
-    verifier ([Verify.Verifier]) finds an [Error]-severity diagnostic in
-    the produced plan. Indicates a planner bug, never a policy problem. *)
+exception Verification_failed of Verify.Diag.t list
+(** Raised by {!plan}'s self-check when the independent static verifier
+    ([Verify.Verifier]) finds an [Error]-severity diagnostic in the
+    plan it produced. Carries every diagnostic of that plan, warnings
+    included. Indicates a planner bug, never a policy problem. *)
+
+val self_check_message : Verify.Diag.t list -> string
+(** ["planner self-check failed:\n"] followed by the rendered
+    [Error]-severity diagnostics: the text a {!Verification_failed}
+    rejection reports. *)
 
 val fingerprint : Authz.Subject.t Authz.Imap.t -> string
 (** Canonical key of an assignment (the local-search memo key): node
@@ -65,24 +71,13 @@ val environment_fingerprint :
     disjoint key spaces in every cache keyed by this fingerprint. *)
 
 val cache_key_of : env:string -> string -> string
-(** [cache_key_of ~env qfp] is {!cache_key} for a query whose
-    structural fingerprint [qfp] ({!Fingerprint.of_plan}) is already
-    known — the serve layer uses it to rekey surviving cache entries
-    under a new environment fingerprint without re-fingerprinting the
-    query. *)
-
-val cache_key : env:string -> Relalg.Plan.t -> string
-(** [cache_key ~env query] is the plan-cache key for planning [query]
-    under the environment fingerprinted as [env]: the structural query
-    fingerprint ({!Fingerprint.of_plan}, node-id independent — equal
-    for any two parses of the same query text) composed with [env],
-    each length-prefixed. *)
-
-val self_check : bool ref
-(** Whether {!plan} re-verifies its own output before returning it
-    (default [true]; initialized to [false] when the [MPQ_SELF_CHECK]
-    environment variable is ["0"]). The check is pure and adds one
-    verifier pass per planned query. *)
+(** [cache_key_of ~env qfp] is the plan-cache key for planning a query
+    whose structural fingerprint is [qfp] ({!Fingerprint.of_plan},
+    node-id independent — equal for any two parses of the same query
+    text) under the environment fingerprinted as [env], each field
+    length-prefixed. The serve layer also uses it to rekey surviving
+    cache entries under a new environment fingerprint without
+    re-fingerprinting the query. *)
 
 val plan :
   policy:Authz.Authorization.t ->
@@ -93,7 +88,6 @@ val plan :
   ?base:Estimate.base_stats ->
   ?deliver_to:Authz.Subject.t ->
   ?max_latency:float ->
-  ?memoize:bool ->
   Plan.t ->
   result
 (** [max_latency] (seconds) is the paper's performance threshold: among
@@ -101,12 +95,14 @@ val plan :
     stays under the bound wins; when none qualifies, the lowest-latency
     one is returned (cost is secondary at that point).
 
-    [memoize] (default [true]) caches the exact re-costing of the local
-    search by assignment fingerprint: the two polish sweeps (and the DP
-    round seeds) revisit many identical assignments, whose extension and
-    costing are deterministic in the assignment. Planning output is
-    identical either way — [false] exists for benchmarking the
-    unmemoized baseline (see [bench/planner_bench.ml]). *)
+    The local search re-costs each assignment once: the two polish
+    sweeps (and the DP round seeds) revisit many identical assignments,
+    so outcomes are memoized by assignment {!fingerprint}.
+
+    Before returning, [plan] re-verifies its own output with the
+    static verifier and raises {!Verification_failed} on any
+    [Error]-severity finding, so every result it returns is
+    verified. *)
 
 val report : result -> string
 (** Human-readable planning report: annotated plan, keys, requests,

@@ -96,6 +96,14 @@ type stats = {
           line nondeterministic across runs (and flake the CI grep) *)
 }
 
+val format_response : int -> Service.response -> string
+(** [format_response n r] frames the response to request line [n] as
+    the wire protocol carries it: [-- \[n\] hit|miss: …] followed by
+    the CSV table, or a single [-- \[n\] rejected: …] /
+    [-- \[n\] deadline exceeded: …] line (a multi-line message is
+    joined onto one line). The stdin mode of [mpqcli serve] prints the
+    same frames. *)
+
 type t
 
 val create : ?config:config -> service:Service.t -> addr -> t

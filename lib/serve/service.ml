@@ -550,36 +550,22 @@ let parse ?(tenant = Tenancy.default_id) t sql =
 
 let now_ms () = Unix.gettimeofday () *. 1000.0
 
-(* Plan + verify one cold query. Exactly one verifier pass guards every
-   insertion: the optimizer's own self-check when it is enabled
-   (the default), an explicit pass here when a caller has turned the
-   global gate off — the cache's "verified entries only" contract must
-   not depend on ambient flag state. *)
+(* Plan + verify one cold query: the optimizer's self-check is the one
+   verifier pass that guards every insertion, so a [Planned] entry is
+   verified by construction. *)
 let plan_once t (tn : Tenancy.t) ~qfp query =
   Obs.with_span "serve.plan" @@ fun () ->
-  let verified_by_planner = !Planner.Optimizer.self_check in
   let entry verdict =
     { value = { verdict; exec_plan = None }; deps = Analysis.Fact.Set.empty;
       base = qfp; env = tn.Tenancy.env; tenant = tn.Tenancy.id }
   in
   let denied kind message = entry (Denied { message; kind }) in
   match
-    let r =
-      Planner.Optimizer.plan ~policy:tn.Tenancy.policy
-        ~subjects:tn.Tenancy.subjects ~config:tn.Tenancy.config
-        ~pricing:tn.Tenancy.pricing ~network:tn.Tenancy.network ~base:t.base
-        ?deliver_to:tn.Tenancy.deliver_to ?max_latency:tn.Tenancy.max_latency
-        query
-    in
-    if not verified_by_planner then begin
-      let diags = verify tn r in
-      if Verify.Diag.has_errors diags then
-        raise
-          (Planner.Optimizer.Verification_failed
-             ("serve: cold plan failed verification:\n"
-             ^ Verify.Diag.render (Verify.Diag.errors diags)))
-    end;
-    r
+    Planner.Optimizer.plan ~policy:tn.Tenancy.policy
+      ~subjects:tn.Tenancy.subjects ~config:tn.Tenancy.config
+      ~pricing:tn.Tenancy.pricing ~network:tn.Tenancy.network ~base:t.base
+      ?deliver_to:tn.Tenancy.deliver_to ?max_latency:tn.Tenancy.max_latency
+      query
   with
   | r ->
       (* deps and the DAG interning happen in [finalize], on the
@@ -590,14 +576,14 @@ let plan_once t (tn : Tenancy.t) ~qfp query =
   | exception Planner.Optimizer.No_candidate msg -> denied No_candidate msg
   | exception Planner.Optimizer.User_not_authorized msg ->
       denied User_denied msg
-  | exception Planner.Optimizer.Verification_failed msg ->
+  | exception Planner.Optimizer.Verification_failed diags ->
       (* fail closed: a plan the verifier will not certify is never
          served (or cached as servable). The verdict — including the
          full diagnostic rendering — is deterministic in
          (query, environment): diagnostics cite canonical preorder
          positions, not allocation-counter node ids, so the complete
          message replays byte-identically from cache. *)
-      denied Verify_failed msg
+      denied Verify_failed (Planner.Optimizer.self_check_message diags)
 
 (* Coordinator-side completion of a freshly planned entry, at cache
    insertion: compute the dependency facts (sharing profile
@@ -793,7 +779,8 @@ let serve_round t requests =
       resolved
   in
   (* execute representatives in parallel (results are
-     position-deterministic) *)
+     position-deterministic). An engine error rejects only the failing
+     representative and its aliases, never the rest of the round. *)
   let executed =
     run_tasks t
       (List.filter_map
@@ -802,20 +789,30 @@ let serve_round t requests =
                Some
                  (fun () ->
                    let t0 = now_ms () in
-                   let table =
-                     match memo with
-                     | Some (ep, m, _) -> execute ~memo:m t r ep
-                     | None ->
-                         execute t r
-                           r.Planner.Optimizer.extended.Authz.Extend.plan
+                   let outcome =
+                     match
+                       match memo with
+                       | Some (ep, m, _) -> execute ~memo:m t r ep
+                       | None ->
+                           execute t r
+                             r.Planner.Optimizer.extended.Authz.Extend.plan
+                     with
+                     | table -> Table table
+                     | exception
+                         ( Engine.Exec.Exec_error msg
+                         | Engine.Enc_exec.Crypto_error msg ) ->
+                         Rejected ("execution failed: " ^ msg)
                    in
-                   (key, (table, now_ms () -. t0)))
+                   (key, (outcome, now_ms () -. t0)))
            | _ -> None)
          classified)
   in
   (* replay the buffered sub-plan cache events sequentially, in
      request order (and position order within one execution): the only
-     subcache mutations, so its evolution matches any job count *)
+     subcache mutations, so its evolution matches any job count. A
+     failed execution's events replay too: the engine runs a plan on
+     one domain, so what it looked up and stored before failing is the
+     same at any job count. *)
   List.iter
     (function
       | `Run (tn, _, r, _, _, Some (_, _, events)) ->
@@ -848,17 +845,18 @@ let serve_round t requests =
                 exec_ms = 0.0 },
               Some tn )
         | `Run (tn, key, r, status, plan_ms, _) ->
-            let table, exec_ms = List.assoc key executed in
-            ( { outcome = Table table; status; key; tenant = tn.Tenancy.id;
+            let outcome, exec_ms = List.assoc key executed in
+            ( { outcome; status; key; tenant = tn.Tenancy.id;
                 planned = Some r; plan_ms; exec_ms },
               Some tn )
         | `Alias (tn, key, r, status, plan_ms) ->
             (* aliased onto the representative execution of the same
-               key: same immutable table, no second execution *)
+               key: same immutable table (or the same execution
+               failure), no second execution *)
             t.shared_execs <- t.shared_execs + 1;
             Obs.incr "serve.exec.shared";
-            let table, _ = List.assoc key executed in
-            ( { outcome = Table table; status; key; tenant = tn.Tenancy.id;
+            let outcome, _ = List.assoc key executed in
+            ( { outcome; status; key; tenant = tn.Tenancy.id;
                 planned = Some r; plan_ms; exec_ms = 0.0 },
               Some tn ))
       classified
@@ -971,11 +969,6 @@ let cache_keys t = Lru.keys t.cache
 let subcache_keys t = Lru.keys t.subcache
 let dag_stats t = Planner.Dag.stats t.dag
 let derivations_shared t = Verify.Derive.memo_hits t.derive_memo
-
-let subplan_hit_rate s =
-  let looked = s.subplan_hits + s.subplan_stores in
-  if looked = 0 then 0.0
-  else float_of_int s.subplan_hits /. float_of_int looked
 
 let render_stats s =
   Printf.sprintf

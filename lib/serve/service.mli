@@ -218,7 +218,12 @@ type outcome =
           policy (no authorized executor, the recipient lacks a
           required input authorization, or no produced plan passes the
           static verifier — the service fails closed) — a policy
-          verdict, not an error, and itself cacheable *)
+          verdict, not an error, and itself cacheable. Also the answer
+          when the engine fails executing a planned query
+          ([Engine.Exec.Exec_error] or [Engine.Enc_exec.Crypto_error],
+          e.g. an aggregate over a non-numeric attribute): only that
+          query's requests are rejected, the rest of the batch is
+          served, and the plan stays cached *)
   | Expired of string
       (** the request's deadline passed before the service would have
           done the work: either at admission (before the cache is even
@@ -237,7 +242,7 @@ type response = {
       (** the tenant the request was served under (echoed verbatim for
           an unknown-tenant rejection) *)
   planned : Planner.Optimizer.result option;
-      (** [None] on rejection or admission expiry *)
+      (** [None] on a planning rejection or admission expiry *)
   plan_ms : float;
       (** fingerprint + cache lookup + (on miss) planning and
           verification — the latency the cache exists to cut *)
@@ -316,11 +321,6 @@ type stats = {
 }
 
 val stats : t -> stats
-val hit_rate : stats -> float
-
-val subplan_hit_rate : stats -> float
-(** [subplan_hits / (subplan_hits + subplan_stores)] — the fraction of
-    memoizable subtree executions answered from cache. *)
 
 val cache_keys : t -> string list
 (** Most recently used first ({!Lru.keys}) — the deterministic final

@@ -69,12 +69,12 @@ let pricing =
     ~provider_multipliers:[ ("P1", 1.0); ("P2", 0.8); ("P3", 1.2) ]
     ()
 
-let optimize ?(sf = 1.0) ?(fold_leaf_filters = true) ?memoize ~scenario plan =
+let optimize ?(sf = 1.0) ?(fold_leaf_filters = true) ~scenario plan =
   let plan, base =
     if fold_leaf_filters then
       let plan', factors = Planner.Leaf_filters.fold plan in
       (plan', Planner.Leaf_filters.scale_stats (Tpch_schema.base_stats ~sf) factors)
     else (plan, Tpch_schema.base_stats ~sf)
   in
-  Planner.Optimizer.plan ?memoize ~policy:(policy scenario) ~subjects ~pricing
+  Planner.Optimizer.plan ~policy:(policy scenario) ~subjects ~pricing
     ~base ~deliver_to:user plan

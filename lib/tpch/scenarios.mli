@@ -27,7 +27,6 @@ val pricing : Planner.Pricing.t
 val optimize :
   ?sf:float ->
   ?fold_leaf_filters:bool ->
-  ?memoize:bool ->
   scenario:t ->
   Relalg.Plan.t ->
   Planner.Optimizer.result
@@ -39,8 +38,4 @@ val optimize :
     on base relations into the leaf boxes, as the PostgreSQL plans the
     paper consumes do (see {!Planner.Leaf_filters}); pass [false] to
     keep them as explicit, delegable — but implicit-trace-leaving —
-    selection nodes.
-
-    [memoize] is forwarded to {!Planner.Optimizer.plan}: pass [false]
-    to re-evaluate every local-search move from scratch (the planner
-    benchmark uses this to measure the memo's effect). *)
+    selection nodes. *)

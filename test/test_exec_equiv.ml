@@ -410,7 +410,6 @@ let test_tpch_row_oracle () =
         (s.Schema.name, Table.of_schema s (List.assoc s.Schema.name data)))
       Tpch.Tpch_schema.all
   in
-  Planner.Optimizer.self_check := false;
   List.iter
     (fun (q, _, _) ->
       List.iter

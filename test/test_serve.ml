@@ -1177,6 +1177,55 @@ let test_stats_accounting () =
   Alcotest.(check int) "cache emptied" 0 s'.Serve.Service.entries;
   Alcotest.(check int) "history kept" 2 s'.Serve.Service.misses
 
+(* An engine error while one query executes rejects only that query's
+   requests, its representative and every alias; the rest of the round
+   is served and the failing plan stays cached. Responses, both caches
+   and the counters are the same at 1 and [MPQ_JOBS] domains. *)
+let test_exec_error_isolated () =
+  let good1 = "select T from Hosp" and bad = "select sum(T) from Hosp"
+  and good2 = "select D from Hosp" in
+  let run ?pool () =
+    let service = example_service ?pool () in
+    let submit sqls =
+      List.map
+        (fun (r : Serve.Service.response) ->
+          match r.Serve.Service.outcome with
+          | Serve.Service.Table t -> "table " ^ Engine.Csv.to_string t
+          | Serve.Service.Rejected m -> "rejected: " ^ m
+          | Serve.Service.Expired m -> "expired: " ^ m)
+        (Serve.Service.submit_batch service
+           (List.map (Serve.Service.parse service) sqls))
+    in
+    let first = submit [ good1; bad; good2 ] in
+    let second = submit [ bad; good1; bad ] in
+    let s = Serve.Service.stats service in
+    ( (first, second),
+      (Serve.Service.cache_keys service, Serve.Service.subcache_keys service),
+      Serve.Service.
+        [ s.hits; s.misses; s.rejections; s.shared_execs; s.subplan_hits;
+          s.subplan_stores ] )
+  in
+  let ((first, second), _, counters) as serial = run () in
+  let kinds = List.map (fun r -> List.hd (String.split_on_char ' ' r)) in
+  Alcotest.(check (list string)) "good, bad, good" [ "table"; "rejected:"; "table" ]
+    (kinds first);
+  Alcotest.(check string) "the engine's message"
+    "rejected: execution failed: aggregate over non-numeric \"tpa\""
+    (List.nth first 1);
+  Alcotest.(check (list string)) "a cached failing plan fails again, aliased"
+    [ "rejected:"; "table"; "rejected:" ] (kinds second);
+  (* hits, misses, rejections, shared execs, sub-plan hits and stores *)
+  Alcotest.(check (list int)) "counters" [ 3; 3; 3; 1; 2; 3 ] counters;
+  let pool = Par.create ~name:"serve-exec-error" par_jobs in
+  let parallel =
+    Fun.protect ~finally:(fun () -> Par.shutdown pool) @@ fun () ->
+    run ~pool ()
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "same responses, caches and counters at %d domains"
+       par_jobs)
+    true (serial = parallel)
+
 (* set_policy runs under its own span, with the diff, the environment
    rotation and the cache migration as children *)
 let test_set_policy_spans () =
@@ -1345,7 +1394,9 @@ let () =
           ("no sharing across environments", `Quick,
            test_no_cross_environment_sharing) ] );
       ( "stats",
-        [ ("hit/miss accounting", `Quick, test_stats_accounting) ] );
+        [ ("hit/miss accounting", `Quick, test_stats_accounting);
+          ("an execution error rejects one query", `Quick,
+           test_exec_error_isolated) ] );
       ( "key store",
         [ ("tpch: second pass all memo hits, invalidate resets", `Slow,
            test_key_store_lifetime);

@@ -190,6 +190,29 @@ let test_unterminated_line () =
     (String.starts_with ~prefix:"-- [1] miss: " text
     && String.ends_with ~suffix:(" 1 rows\n" ^ oracle) text)
 
+(* An engine error while one request executes rejects that request
+   alone: [good; bad; good] pipelined on one session answer table,
+   rejected, table, and a neighbour session is served normally. *)
+let test_exec_error_pipelined () =
+  let text =
+    with_server @@ fun _server _service addr ->
+    let a = Serve.Client.connect addr and b = Serve.Client.connect addr in
+    List.iter (Serve.Client.send a)
+      [ "select T from Hosp"; "select sum(T) from Hosp"; "select D from Hosp" ];
+    Serve.Client.send b queries.(5);
+    Serve.Client.shutdown_send a;
+    Serve.Client.shutdown_send b;
+    let ra = Serve.Client.recv_all a and rb = Serve.Client.recv_all b in
+    Serve.Client.close a;
+    Serve.Client.close b;
+    List.map
+      (fun (r : Serve.Client.reply) ->
+        Printf.sprintf "[%d] %s" r.Serve.Client.line r.Serve.Client.tag)
+      (ra @ rb)
+  in
+  Alcotest.(check (list string)) "only the failing request is rejected"
+    [ "[1] miss"; "[2] rejected"; "[3] miss"; "[1] miss" ] text
+
 (* --- isolation -------------------------------------------------------- *)
 
 let victim_run addr =
@@ -553,7 +576,9 @@ let () =
           Alcotest.test_case "stats + refused directives" `Quick
             test_stats_directive;
           Alcotest.test_case "an unterminated last line is answered" `Quick
-            test_unterminated_line ] );
+            test_unterminated_line;
+          Alcotest.test_case "an execution error rejects one request" `Quick
+            test_exec_error_pipelined ] );
       ( "isolation",
         [ Alcotest.test_case "faulty neighbours leave no trace" `Quick
             test_session_isolation;

@@ -37,6 +37,9 @@ let prop_optimizer_clean =
           QCheck.assume_fail ()
       | exception Planner.Optimizer.User_not_authorized _ ->
           QCheck.assume_fail ()
+      | exception Planner.Optimizer.Verification_failed diags ->
+          QCheck.Test.fail_reportf "self-check rejected the plan:\n%s"
+            (Verify.Diag.render diags)
       | r ->
           let diags =
             run
@@ -436,10 +439,6 @@ let test_catalog_documented () =
       "MPQ052"; "MPQ053"; "MPQ054"; "MPQ055" ]
 
 let () =
-  (* the properties drive the optimizer; its own self-check gate would
-     turn verifier findings into exceptions before the property sees
-     them, so exercise the verifier explicitly *)
-  Planner.Optimizer.self_check := false;
   Alcotest.run "verify"
     [ ( "properties",
         List.map QCheck_alcotest.to_alcotest
