@@ -9,8 +9,7 @@ open Authz
    keeps everything; [of_subplan] keeps one subtree's position range,
    giving the sub-plan result cache a dependency set that covers
    exactly the checks whose certification the reused bytes embody. *)
-let collect ?deliver_to ?original ?derive_memo ~(extended : Extend.t)
-    ~clusters ~keep () =
+let collect ?deliver_to ?original ~(extended : Extend.t) ~clusters ~keep () =
   let acc = ref Fact.Set.empty in
   let add s = acc := Fact.Set.union s !acc in
   let positions = Plan.preorder_positions extended.Extend.plan in
@@ -20,23 +19,25 @@ let collect ?deliver_to ?original ?derive_memo ~(extended : Extend.t)
     | None -> true (* unreachable on trees; stay conservative *)
   in
   (* V2/V3 — Check_authz and the Check_minimal probes: executor [s]
-     against operand and result profiles, re-derived like the verifier
-     derives them. Minimality probes check the same executors against
-     profiles over the same attribute carrier (a dropped encryption
-     only moves attributes between plain and encrypted form), so the
-     facts of_profile lists for the lenient derivation cover them. *)
-  let derived, _diags =
-    Verify.Derive.lenient ?memo:derive_memo extended.Extend.plan
-  in
+     against operand and result profiles, read off the verified plan
+     (MPQ001 proved them equal to the verifier's own derivation).
+     Minimality probes check the same executors against profiles over
+     the same attribute carrier (a dropped encryption only moves
+     attributes between plain and encrypted form), so the facts
+     of_profile lists for these profiles cover them. A missing profile
+     fails closed: skipping it would shrink the dependency set. *)
   List.iter
     (fun n ->
       match Imap.find_opt (Plan.id n) extended.Extend.assignment with
       | None -> ()
       | Some subject when kept n ->
           let against m =
-            match Hashtbl.find_opt derived (Plan.id m) with
+            match Hashtbl.find_opt extended.Extend.profiles (Plan.id m) with
             | Some p -> add (Fact.of_profile subject p)
-            | None -> ()
+            | None ->
+                invalid_arg
+                  (Printf.sprintf "Deps: %s (node %d) carries no stored profile"
+                     (Plan.operator_name m) (Plan.id m))
           in
           List.iter against (Plan.children n);
           against n
@@ -109,16 +110,13 @@ let collect ?deliver_to ?original ?derive_memo ~(extended : Extend.t)
         | None -> Plan.strip_crypto extended.Extend.plan));
   !acc
 
-let of_extended ?deliver_to ?original ?derive_memo ~extended ~clusters () =
+let of_extended ?deliver_to ?original ~extended ~clusters () =
   Obs.with_span "analysis.deps" @@ fun () ->
-  collect ?deliver_to ?original ?derive_memo ~extended ~clusters
-    ~keep:(fun _ -> true)
-    ()
+  collect ?deliver_to ?original ~extended ~clusters ~keep:(fun _ -> true) ()
 
-let of_subplan ?deliver_to ?original ?derive_memo ~extended ~clusters
-    ~range:(lo, len) () =
+let of_subplan ?deliver_to ?original ~extended ~clusters ~range:(lo, len) () =
   Obs.with_span "analysis.subdeps" @@ fun () ->
-  collect ?deliver_to ?original ?derive_memo ~extended ~clusters
+  collect ?deliver_to ?original ~extended ~clusters
     ~keep:(fun p -> lo <= p && p < lo + len)
     ()
 

@@ -1,16 +1,16 @@
 (** Per-plan authorization dependency sets.
 
-    [of_extended] re-derives, for a finished (extended, clusters) plan,
+    [of_extended] computes, for a finished (extended, clusters) plan,
     the exact set of {!Fact}s the static verifier's policy-consulting
     checks and the planner's user-input gate read when certifying it —
-    by replaying the same derivations, not by conservatively returning
-    every fact of every subject:
+    by replaying the same reads, not by conservatively returning every
+    fact of every subject:
 
     - {b assignees} (Def. 4.1/4.2, [MPQ010–012] and the [MPQ020]
       minimality probes): for every node with executor [s], the facts
       {!Fact.of_profile} lists for [s] against each operand profile and
-      the node's result profile, with profiles re-derived from the plan
-      exactly as {!Verify.Derive} does;
+      the node's result profile, read from the plan's stored profiles
+      ([extended.profiles]);
     - {b key distribution} (Def. 6.1, [MPQ030]): for every cluster and
       every subject with encryption/decryption duty over it
       ({!Verify.Check_keys.duty_map}), the [Plain] facts over the
@@ -32,28 +32,32 @@
     {e adds} facts can never turn a passing check failing (grants are
     monotone for Def. 4.1), so entries overlapping the delta on added
     facts alone are safely revalidated by one verifier pass without
-    replanning; removed facts in the set force invalidation. *)
+    replanning; removed facts in the set force invalidation.
+
+    {b Precondition}: [extended] has passed the verifier, as every plan
+    {!Planner.Optimizer.plan} returns has. Its profile check ([MPQ001])
+    then proved each stored profile {!Authz.Profile.equal} to the
+    verifier's own re-derivation ({!Verify.Derive}), and
+    {!Fact.of_profile} reads only the fields that comparison covers,
+    so the stored profiles give the facts the re-derivation would.
+    Both functions raise [Invalid_argument] naming the node when an
+    assigned node or one of its operands carries no stored profile:
+    contributing no facts for it would shrink the set and let a cached
+    entry survive a revocation it depends on. *)
 
 open Authz
 
 val of_extended :
   ?deliver_to:Subject.t ->
   ?original:Relalg.Plan.t ->
-  ?derive_memo:Verify.Derive.memo ->
   extended:Extend.t ->
   clusters:Plan_keys.cluster list ->
   unit ->
   Fact.Set.t
-(** [derive_memo] shares the lenient profile re-derivation across
-    calls by structural fingerprint (identical result either way);
-    the serve layer threads one memo through every dependency
-    computation of a service so a subtree shared by many cached plans
-    is derived once. *)
 
 val of_subplan :
   ?deliver_to:Subject.t ->
   ?original:Relalg.Plan.t ->
-  ?derive_memo:Verify.Derive.memo ->
   extended:Extend.t ->
   clusters:Plan_keys.cluster list ->
   range:int * int ->

@@ -106,9 +106,6 @@ let compute ~config ~original (ext : Extend.t) =
 let cluster_of_attr clusters a =
   List.find_opt (fun c -> Attr.Set.mem a c.attrs) clusters
 
-let keys_for clusters s =
-  List.filter (fun c -> Subject.Set.mem s c.holders) clusters
-
 let pp_cluster fmt c =
   Format.fprintf fmt "k%s (%a) -> {%s}" c.id Scheme.pp c.scheme
     (String.concat ","

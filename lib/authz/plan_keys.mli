@@ -42,7 +42,4 @@ val compute :
 
 val cluster_of_attr : cluster list -> Attr.t -> cluster option
 
-val keys_for : cluster list -> Subject.t -> cluster list
-(** Clusters whose key the subject must receive. *)
-
 val pp_cluster : Format.formatter -> cluster -> unit

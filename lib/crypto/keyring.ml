@@ -22,7 +22,6 @@ let rnd_key_of_secret = Rnd.key_of_string
 let ope_key_of_secret = Ope.key_of_string
 
 let det_key t key_id = det_key_of_secret (cluster_secret t key_id)
-let rnd_key t key_id = rnd_key_of_secret (cluster_secret t key_id)
 let ope_key t key_id = ope_key_of_secret (cluster_secret t key_id)
 
 (* Double-checked under the lock: keygen is expensive (prime search) and

@@ -17,7 +17,6 @@ val cluster_secret : t -> string -> string
 (** [cluster_secret t key_id] is the 16-byte secret for the cluster. *)
 
 val det_key : t -> string -> Det.key
-val rnd_key : t -> string -> Rnd.key
 val ope_key : t -> string -> Ope.key
 
 val det_key_of_secret : string -> Det.key

@@ -67,4 +67,3 @@ let add pk c1 c2 = Bignum.Mont.mul pk.mont c1 c2
 let mul_scalar pk c k = Bignum.Mont.pow pk.mont c (encode pk k)
 
 let cipher_to_string = Bignum.to_string
-let cipher_of_string = Bignum.of_string

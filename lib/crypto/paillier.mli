@@ -51,4 +51,3 @@ val mul_scalar : public -> Bignum.t -> Bignum.t -> Bignum.t
 (** [mul_scalar pk c k]: [dec = m * k]. *)
 
 val cipher_to_string : Bignum.t -> string
-val cipher_of_string : string -> Bignum.t

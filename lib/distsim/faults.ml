@@ -1,5 +1,4 @@
 module C = Mpq_crypto
-module Core = Mpq_faults.Fault_core
 
 type fault =
   | Crash_at of int
@@ -9,16 +8,55 @@ type fault =
 
 type spec = (string * fault) list
 
-exception Bad_spec = Core.Bad_spec
+exception Bad_spec of string
 
-let bad = Core.bad
+let bad fmt = Printf.ksprintf (fun m -> raise (Bad_spec m)) fmt
+
+let split_entries s =
+  String.split_on_char ',' s
+  |> List.concat_map (String.split_on_char ';')
+  |> List.filter_map (fun entry ->
+         let entry = String.trim entry in
+         if entry = "" then None else Some entry)
+
+let parse_prob what s =
+  match float_of_string_opt s with
+  | Some p when p >= 0.0 && p <= 1.0 -> p
+  | _ -> bad "%s wants a probability in [0,1], got %S" what s
+
+let parse_nonneg_int what s =
+  match int_of_string_opt s with
+  | Some k when k >= 0 -> k
+  | _ -> bad "%s wants a non-negative integer, got %S" what s
+
+(* [KEY:FAULT] entries: split at the first [:], reject empty keys, and
+   hand the fault body (plus the whole entry, for diagnostics) to
+   [parse_fault]. *)
+let parse_keyed ~what parse_fault spec =
+  split_entries spec
+  |> List.map (fun entry ->
+         match String.index_opt entry ':' with
+         | None -> bad "entry %S is not %s" entry what
+         | Some i ->
+             let key = String.trim (String.sub entry 0 i) in
+             let body =
+               String.trim (String.sub entry (i + 1) (String.length entry - i - 1))
+             in
+             if key = "" then bad "entry %S names no subject" entry;
+             (key, parse_fault ~entry body))
+
+(* Consumes randomness even when [p <= 0], so schedules stay aligned
+   across spec variations. *)
+let draw rng p =
+  let u = C.Prng.float rng 1.0 in
+  p > 0.0 && u < p
 
 let parse_fault ~entry body =
   match String.index_opt body '@' with
   | _ when String.length body = 0 -> bad "empty fault in %S" entry
   | Some _ when String.length body > 6 && String.sub body 0 6 = "crash@" ->
       Crash_at
-        (Core.parse_nonneg_int "crash@K"
+        (parse_nonneg_int "crash@K"
            (String.sub body 6 (String.length body - 6)))
   | _ -> (
       match String.index_opt body '=' with
@@ -27,8 +65,8 @@ let parse_fault ~entry body =
           let kind = String.sub body 0 i in
           let arg = String.sub body (i + 1) (String.length body - i - 1) in
           match kind with
-          | "transient" -> Transient (Core.parse_prob "transient" arg)
-          | "corrupt" -> Corrupt (Core.parse_prob "corrupt" arg)
+          | "transient" -> Transient (parse_prob "transient" arg)
+          | "corrupt" -> Corrupt (parse_prob "corrupt" arg)
           | "slow" ->
               let ms, prob =
                 match String.index_opt arg '@' with
@@ -38,11 +76,11 @@ let parse_fault ~entry body =
                       String.sub arg (j + 1) (String.length arg - j - 1) )
               in
               Slow
-                { delay_ms = Core.parse_nonneg_int "slow=MS" ms;
-                  prob = Core.parse_prob "slow" prob }
+                { delay_ms = parse_nonneg_int "slow=MS" ms;
+                  prob = parse_prob "slow" prob }
           | k -> bad "unknown fault kind %S in %S" k entry))
 
-let parse s = Core.parse_keyed ~what:"SUBJECT:FAULT" parse_fault s
+let parse s = parse_keyed ~what:"SUBJECT:FAULT" parse_fault s
 
 let render_fault = function
   | Crash_at k -> Printf.sprintf "crash@%d" k
@@ -114,12 +152,12 @@ let interact t participants =
               match f with
               | Crash_at _ -> ()
               | Transient p ->
-                  if Core.draw t.rng p && !dropped = None then dropped := Some s
+                  if draw t.rng p && !dropped = None then dropped := Some s
               | Corrupt p ->
-                  if Core.draw t.rng p && !corrupted = None then
+                  if draw t.rng p && !corrupted = None then
                     corrupted := Some s
               | Slow { delay_ms; prob } ->
-                  if Core.draw t.rng prob then begin
+                  if draw t.rng prob then begin
                     latency := !latency + delay_ms;
                     slow_by := Some s
                   end)

@@ -185,8 +185,3 @@ let to_string table =
     Buffer.add_char buf '\n'
   done;
   Buffer.contents buf
-
-let save table path =
-  let oc = open_out path in
-  output_string oc (to_string table);
-  close_out oc

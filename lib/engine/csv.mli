@@ -19,5 +19,3 @@ val load : ?header:bool -> Schema.t -> string -> Table.t
 val to_string : Table.t -> string
 (** Render with a header row; ciphertext values are hex-encoded with a
     [enc:] prefix (not re-importable — export decrypted data instead). *)
-
-val save : Table.t -> string -> unit

@@ -232,14 +232,6 @@ let optimize ?view_cache ~candidates ~policy ~config ~pricing ~stats ~scheme_of
     (fun acc (id, s) -> Authz.Imap.add id s acc)
     Authz.Imap.empty e.choice
 
-let dp_cost ?view_cache ~candidates ~policy ~config ~pricing ~stats ~scheme_of
-    plan =
-  let table =
-    solve ?view_cache ~candidates ~policy ~config ~pricing ~stats ~scheme_of
-      plan
-  in
-  (snd (best_entry table)).cost
-
 let enumerate candidates plan =
   let assignable =
     List.filter

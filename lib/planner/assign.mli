@@ -36,18 +36,6 @@ val optimize :
     [.misses] counters. Views are policy-dependent only, so the table
     must not be reused across policies. *)
 
-val dp_cost :
-  ?view_cache:(Authz.Subject.t, Authz.Authorization.view) Hashtbl.t ->
-  candidates:Authz.Candidates.t ->
-  policy:Authz.Authorization.t ->
-  config:Authz.Opreq.config ->
-  pricing:Pricing.t ->
-  stats:Estimate.stats Authz.Imap.t ->
-  scheme_of:(Attr.t -> Mpq_crypto.Scheme.t) ->
-  Plan.t ->
-  float
-(** The DP's own estimate of the optimum (model cost, USD). *)
-
 val enumerate : Authz.Candidates.t -> Plan.t -> Authz.Subject.t Authz.Imap.t list
 (** Every assignment in [Π Λ(n)] — exponential; for tests and small
     plans only. *)

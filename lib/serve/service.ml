@@ -59,7 +59,6 @@ type t = {
   sharing : bool;
   dag : Planner.Dag.t;
   subcache : Engine.Table.t entry Lru.t;
-  derive_memo : Verify.Derive.memo;
   mutable keys : Engine.Enc_exec.store;
   mutable queries : int;
   mutable rejections : int;
@@ -119,7 +118,6 @@ let create ?(cache_capacity = 128) ?(max_batch = 32) ?pool ?config ?pricing
   { tenants; base; udfs; tables; seed; pool; max_batch; now;
     cache = Lru.create ~capacity:cache_capacity; sharing; dag;
     subcache = Lru.create ~capacity:subcache_capacity;
-    derive_memo = Verify.Derive.memo ~fp:(Planner.Dag.fingerprint dag) ();
     keys = key_store seed;
     queries = 0; rejections = 0; expired = 0; invalidated = 0;
     reverified = 0; retained = 0; subplan_hits = 0; subplan_stores = 0;
@@ -377,7 +375,6 @@ let replay_subcache t (tn : Tenancy.t) (r : Planner.Optimizer.result) events =
           if not (Lru.mem t.subcache key) then begin
             let deps =
               Analysis.Deps.of_subplan ?deliver_to:tn.Tenancy.deliver_to
-                ~derive_memo:t.derive_memo
                 ~extended:r.Planner.Optimizer.extended
                 ~clusters:r.Planner.Optimizer.clusters ~range:(pos, size) ()
             in
@@ -536,7 +533,6 @@ let invalidate t =
   Lru.clear t.cache;
   Lru.clear t.subcache;
   Planner.Dag.clear t.dag;
-  Verify.Derive.memo_clear t.derive_memo;
   t.keys <- key_store t.seed
 
 let environment ?(tenant = Tenancy.default_id) t =
@@ -569,9 +565,8 @@ let plan_once t (tn : Tenancy.t) ~qfp query =
   with
   | r ->
       (* deps and the DAG interning happen in [finalize], on the
-         coordinator: both thread shared un-synchronized state (the
-         derivation memo, the DAG store) and this function runs in the
-         parallel plan phase *)
+         coordinator: the DAG store is shared un-synchronized state and
+         this function runs in the parallel plan phase *)
       entry (Planned r)
   | exception Planner.Optimizer.No_candidate msg -> denied No_candidate msg
   | exception Planner.Optimizer.User_not_authorized msg ->
@@ -586,17 +581,15 @@ let plan_once t (tn : Tenancy.t) ~qfp query =
       denied Verify_failed (Planner.Optimizer.self_check_message diags)
 
 (* Coordinator-side completion of a freshly planned entry, at cache
-   insertion: compute the dependency facts (sharing profile
-   derivations through the service memo) and intern the extended plan
-   into the DAG so its subtrees join the shared-node store. *)
+   insertion: compute the dependency facts and intern the extended
+   plan into the DAG so its subtrees join the shared-node store. *)
 let finalize t (tn : Tenancy.t) query entry =
   match entry.value.verdict with
   | Denied _ -> entry
   | Planned r ->
       let deps =
         Analysis.Deps.of_extended ?deliver_to:tn.Tenancy.deliver_to
-          ~original:query ~derive_memo:t.derive_memo
-          ~extended:r.Planner.Optimizer.extended
+          ~original:query ~extended:r.Planner.Optimizer.extended
           ~clusters:r.Planner.Optimizer.clusters ()
       in
       let exec_plan =
@@ -968,7 +961,6 @@ let hit_rate s =
 let cache_keys t = Lru.keys t.cache
 let subcache_keys t = Lru.keys t.subcache
 let dag_stats t = Planner.Dag.stats t.dag
-let derivations_shared t = Verify.Derive.memo_hits t.derive_memo
 
 let render_stats s =
   Printf.sprintf

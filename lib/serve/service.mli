@@ -56,7 +56,7 @@
     With [~sharing:true] (the default) the service hash-conses every
     cached executable plan into a shared-node DAG ({!Planner.Dag}):
     structurally identical authorized subplans across the cached
-    queries become one physical node. Three kinds of work are then
+    queries become one physical node. Two kinds of work are then
     shared, all without changing a single response byte:
 
     - {b batch grouping}: requests in one round that resolve to the
@@ -76,11 +76,7 @@
       positions). Structurally equal subtrees under {e different
       environments} (policy epoch, subject population, recipient,
       config) never share — the environment fingerprint in the key is
-      the leakage gate for the paper's series-of-queries rule;
-    - {b derivation sharing}: the dependency-analysis profile
-      re-derivations share a fingerprint-keyed memo
-      ({!Verify.Derive.memo}), so a shared subtree is derived once per
-      service, not once per consuming query.
+      the leakage gate for the paper's series-of-queries rule.
 
     During the parallel exec phase the sub-plan cache is a frozen
     snapshot (pure {!Lru.peek} lookups); hits and stores are buffered
@@ -332,10 +328,6 @@ val subcache_keys : t -> string list
 
 val dag_stats : t -> Planner.Dag.stats
 (** Node/occurrence/sharing counts of the hash-consed plan store. *)
-
-val derivations_shared : t -> int
-(** Profile derivations answered from the service's fingerprint-keyed
-    derivation memo. *)
 
 val render_stats : stats -> string
 (** One line: queries, hits/misses/rate, evictions, latencies. *)

@@ -48,49 +48,13 @@ let product_of (l : Profile.t) (r : Profile.t) =
     ie = union l.Profile.ie r.Profile.ie;
     eq = Partition.merge l.Profile.eq r.Profile.eq }
 
-(* Cross-plan derivation sharing. Keyed by structural fingerprint, a
-   memo stores the full preorder profile vector of a subtree whose
-   derivation raised no diagnostic; a later derivation of a
-   structurally identical subtree — in another query of a serve batch,
-   or the same shared DAG node reached again — replays the vector into
-   its node-id table instead of re-running the Fig. 2 set computations.
-   Only clean subtrees are stored: a diagnostic carries the node id of
-   one specific plan and cannot be replayed onto another. *)
-type memo = {
-  fp : Plan.t -> string;
-  profiles : (string, Profile.t array) Hashtbl.t;
-  mutable hits : int;
-  mutable misses : int;
-}
-
-let memo ~fp () = { fp; profiles = Hashtbl.create 256; hits = 0; misses = 0 }
-let memo_hits m = m.hits
-let memo_clear m = Hashtbl.reset m.profiles
-
-(* Preorder walk pairing each node of [plan] with an index into a
-   profile vector — the same occurrence arithmetic Exec uses
-   (Plan.child_positions), so vectors replay correctly even onto
-   hash-consed DAG nodes reached from several parents. *)
-let preorder_iter f plan =
-  let rec go i n =
-    f i n;
-    List.iter (fun (c, j) -> go j c) (Plan.child_positions n i)
-  in
-  go 0 plan
-
 (* Violating a precondition calls [bad]; either way only attributes in
    the expected state actually move, so continuing after a report stays
    well-defined. [drop] simulates removing one attribute from one Encrypt
    node (minimality probe): the attribute stays plaintext there and later
-   decryptions of it become no-ops. [memo] is consulted/extended per
-   subtree; sound only without [drop] (the lenient path). *)
-let run ~(bad : int -> string -> unit) ?drop ?memo plan =
+   decryptions of it become no-ops. *)
+let run ~(bad : int -> string -> unit) ?drop plan =
   let tbl = Hashtbl.create 64 in
-  let dirty = ref 0 in
-  let bad id m =
-    incr dirty;
-    bad id m
-  in
   let dropped id =
     match drop with
     | Some (i, a) when i = id -> Attr.Set.singleton a
@@ -106,32 +70,6 @@ let run ~(bad : int -> string -> unit) ?drop ?memo plan =
       attrs
   in
   let rec go n =
-    match memo with
-    | None -> compute n
-    | Some m -> (
-        let key = m.fp n in
-        match Hashtbl.find_opt m.profiles key with
-        | Some arr ->
-            m.hits <- m.hits + 1;
-            preorder_iter
-              (fun i node -> Hashtbl.replace tbl (Plan.id node) arr.(i))
-              n;
-            arr.(0)
-        | None ->
-            m.misses <- m.misses + 1;
-            let before = !dirty in
-            let p = compute n in
-            (* store clean subtrees only: a diagnostic names one
-               plan's node id and cannot replay onto another plan *)
-            if !dirty = before then begin
-              let arr = Array.make (Plan.size n) p in
-              preorder_iter
-                (fun i node -> arr.(i) <- Hashtbl.find tbl (Plan.id node))
-                n;
-              Hashtbl.replace m.profiles key arr
-            end;
-            p)
-  and compute n =
     let children = List.map go (Plan.children n) in
     let id = Plan.id n in
     let badf fmt = Format.kasprintf (bad id) fmt in
@@ -233,7 +171,7 @@ let strict ?drop plan =
   let bad id m = raise (Not_derivable (id, m)) in
   run ~bad ?drop plan
 
-let lenient ?paths ?memo plan =
+let lenient ?paths plan =
   let diags = ref [] in
   let bad id m =
     let path = Option.bind paths (fun t -> Hashtbl.find_opt t id) in
@@ -241,5 +179,5 @@ let lenient ?paths ?memo plan =
       Diag.make ~node_id:id ?path ~code:"MPQ002" ~severity:Diag.Error m
       :: !diags
   in
-  let tbl = run ~bad ?memo plan in
+  let tbl = run ~bad plan in
   (tbl, List.rev !diags)

@@ -1,4 +1,4 @@
-(* The static authorization-dependency analysis (lib/analysis). Four
+(* The static authorization-dependency analysis (lib/analysis). Five
    pillars:
 
    1. deltas — policies diff structurally at the view level: no-op rule
@@ -19,7 +19,10 @@
       join paths, with filters and a stable rendering;
    4. canonical diagnostics — two independent builds of the same
       failing verification render byte-identically, node ids cited as
-      preorder positions rather than allocation-counter values. *)
+      preorder positions rather than allocation-counter values;
+   5. stored profiles — dependency sets read off a verified plan's
+      stored profiles equal those over the verifier's re-derivation,
+      whole-plan and per subtree, and a missing profile raises. *)
 
 open Relalg
 open Authz
@@ -203,6 +206,80 @@ let prop_deps_soundness =
           in
           walk policy0 4)
 
+(* --- stored profiles ---------------------------------------------------- *)
+
+(* [Deps] reads the verified plan's stored profiles. On every plan the
+   optimizer returns, whole-plan and per-subtree dependency sets must
+   equal those computed over the verifier's own lenient re-derivation. *)
+let deps_match_derivation ?deliver_to ?original (r : Planner.Optimizer.result) =
+  let extended = r.Planner.Optimizer.extended
+  and clusters = r.Planner.Optimizer.clusters in
+  let derived =
+    { extended with
+      Extend.profiles = fst (Verify.Derive.lenient extended.Extend.plan) }
+  in
+  let same f = Analysis.Fact.Set.equal (f extended) (f derived) in
+  let positions = Plan.preorder_positions extended.Extend.plan in
+  same (fun extended ->
+      Analysis.Deps.of_extended ?deliver_to ?original ~extended ~clusters ())
+  && List.for_all
+       (fun n ->
+         let range = (Hashtbl.find positions (Plan.id n), Plan.size n) in
+         same (fun extended ->
+             Analysis.Deps.of_subplan ?deliver_to ?original ~extended
+               ~clusters ~range ()))
+       (Plan.nodes extended.Extend.plan)
+
+let prop_deps_stored_profiles =
+  QCheck.Test.make ~count:60
+    ~name:"stored profiles give the re-derivation's dependency sets"
+    Gen.arbitrary_plan_policy
+    (fun (plan, policy) ->
+      match
+        Planner.Optimizer.plan ~policy ~subjects:Gen.subjects
+          ~deliver_to:Gen.user plan
+      with
+      | exception Planner.Optimizer.No_candidate _ -> true
+      | exception Planner.Optimizer.User_not_authorized _ -> true
+      | exception Planner.Optimizer.Verification_failed _ -> true
+      | r -> deps_match_derivation ~deliver_to:Gen.user ~original:plan r)
+
+let test_deps_stored_profiles_tpch () =
+  List.iter
+    (fun (n, _, build) ->
+      List.iter
+        (fun sc ->
+          Alcotest.(check bool)
+            (Printf.sprintf "Q%d %s" n (Tpch.Scenarios.name sc))
+            true
+            (deps_match_derivation ~deliver_to:Tpch.Scenarios.user
+               (Tpch.Scenarios.optimize ~scenario:sc (build ()))))
+        Tpch.Scenarios.all)
+    Tpch.Tpch_queries.all
+
+(* A missing stored profile fails closed instead of contributing no
+   facts, which would let an entry outlive a revocation it depends on. *)
+let test_deps_missing_profile () =
+  let r =
+    Planner.Optimizer.plan ~policy ~subjects:env.Policy_dsl.subjects
+      ~deliver_to:user (parse_running ())
+  in
+  let extended = r.Planner.Optimizer.extended in
+  let assigned =
+    List.find
+      (fun n -> Imap.mem (Plan.id n) extended.Extend.assignment)
+      (Plan.nodes extended.Extend.plan)
+  in
+  let profiles = Hashtbl.copy extended.Extend.profiles in
+  Hashtbl.remove profiles (Plan.id assigned);
+  match
+    Analysis.Deps.of_extended ~deliver_to:user
+      ~extended:{ extended with Extend.profiles }
+      ~clusters:r.Planner.Optimizer.clusters ()
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a missing stored profile must raise Invalid_argument"
+
 (* --- audit ------------------------------------------------------------ *)
 
 let has_line findings line =
@@ -308,6 +385,9 @@ let test_canonical_diagnostics () =
 let () =
   let qsuite =
     List.map (QCheck_alcotest.to_alcotest ~verbose:false) [ prop_deps_soundness ]
+  and stored =
+    List.map (QCheck_alcotest.to_alcotest ~verbose:false)
+      [ prop_deps_stored_profiles ]
   in
   Alcotest.run "analysis"
     [ ( "delta",
@@ -316,6 +396,11 @@ let () =
           ("implicit owner rule", `Quick, test_delta_implicit_rule);
           ("schema change incompatible", `Quick, test_delta_incompatible) ] );
       ("soundness", qsuite);
+      ( "profiles",
+        stored
+        @ [ ("tpch: equal to re-derivation", `Quick,
+             test_deps_stored_profiles_tpch);
+            ("missing profile raises", `Quick, test_deps_missing_profile) ] );
       ( "audit",
         [ ("running example", `Quick, test_audit_running_example);
           ("filters and stability", `Quick, test_audit_filters) ] );
