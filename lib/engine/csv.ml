@@ -161,13 +161,14 @@ let render_value = function
         c.Value.payload;
       Printf.sprintf "enc:%s:%s" c.Value.scheme (Buffer.contents hex)
 
-(* [render_value] of a cell, written unboxed from typed columns *)
+(* [render_value] of a cell, written unboxed from typed columns; a
+   sealed cell's bytes are produced here *)
 let render_cell buf c i =
   match c with
   | Column.Ints a -> Buffer.add_string buf (string_of_int a.(i))
   | Column.Strs a -> Buffer.add_string buf (escape a.(i))
   | Column.Bools a -> Buffer.add_string buf (string_of_bool a.(i))
-  | Column.Floats _ | Column.Dates _ | Column.Values _ ->
+  | Column.Floats _ | Column.Dates _ | Column.Values _ | Column.Sealed _ ->
       Buffer.add_string buf (render_value (Column.get c i))
 
 let to_string table =

@@ -416,13 +416,12 @@ let node_rng ctx id =
    per-draw work (Paillier r^n) moves into a tight per-column loop. *)
 type pool_slot =
   | No_draws
-  | Ivs of int64 array
+  | Ivs of Bytes.t (* row [k]'s IV at bytes [8k .. 8k+7] *)
   | Units of C.Bignum.t array
 
-let is_null_cell col k =
-  match col with
-  | Column.Values a -> ( match a.(k) with Value.Null -> true | _ -> false)
-  | _ -> false
+(* an rnd payload is the serialized plaintext between an 8-byte IV and
+   an 8-byte tag (see [Rnd]) *)
+let rnd_payload_length v = String.length (serialize v) + 16
 
 let encrypt_batch ctx ~rng_root ~enc =
   let enc = List.map (fun (a, col) -> (a, cluster_of ctx a, col)) enc in
@@ -441,7 +440,7 @@ let encrypt_batch ctx ~rng_root ~enc =
       (List.map
          (fun (_, cl, _) ->
            match cl.Authz.Plan_keys.scheme with
-           | C.Scheme.Rnd -> Ivs (Array.make n 0L)
+           | C.Scheme.Rnd -> Ivs (Bytes.make (8 * n) '\000')
            | C.Scheme.Phe -> Units (Array.make n C.Bignum.zero)
            | C.Scheme.Det | C.Scheme.Ope -> No_draws)
          enc)
@@ -457,11 +456,11 @@ let encrypt_batch ctx ~rng_root ~enc =
             (fun e slot ->
               match slot with
               | No_draws -> ()
-              | Ivs a ->
-                  if not (is_null_cell cols.(e) k) then
-                    a.(k) <- C.Prng.next64 rng
+              | Ivs b ->
+                  if not (Column.is_null cols.(e) k) then
+                    Bytes.set_int64_le b (8 * k) (C.Prng.next64 rng)
               | Units a ->
-                  if not (is_null_cell cols.(e) k) then
+                  if not (Column.is_null cols.(e) k) then
                     a.(k) <- C.Paillier.draw_unit (Option.get pk) rng)
             slots
         done);
@@ -473,6 +472,15 @@ let encrypt_batch ctx ~rng_root ~enc =
       let already () =
         err "attribute %s is already encrypted" (Attr.name attr)
       in
+      (* every live cell of a sealed input is ciphertext: its first
+         non-null row raises, as that cell would in a boxed column, and
+         an all-Null one stays all Null *)
+      let resealed () =
+        for k = 0 to n - 1 do
+          if not (Column.is_null col k) then already ()
+        done;
+        Column.Values (Array.make n Value.Null)
+      in
       let mk = cipher_value scheme key_id in
       (* det and OPE over a boxed column: [f] maps the non-null cells,
          in row order, to payloads; Nulls stay Null *)
@@ -483,98 +491,113 @@ let encrypt_batch ctx ~rng_root ~enc =
         Array.iteri (fun j k -> out.(k) <- mk ys.(j)) ix;
         out
       in
-      let out =
-        Obs.time ("enc_exec.enc_s." ^ C.Scheme.name scheme) @@ fun () ->
-        match scheme with
-        | C.Scheme.Det -> (
-            let enc plains = Array.map mk (det_ciphers ks plains) in
-            match col with
-            | Column.Ints a -> enc (Array.map (fun i -> "i" ^ string_of_int i) a)
-            | Column.Dates a -> enc (Array.map (fun d -> "d" ^ string_of_int d) a)
-            | Column.Floats a -> enc (Array.map (fun f -> "f" ^ hex_float f) a)
-            | Column.Bools a -> enc (Array.map (fun b -> if b then "b1" else "b0") a)
-            | Column.Strs a -> enc (Array.map (fun s -> "s" ^ s) a)
-            | Column.Values a ->
-                live a (fun vs ->
-                    det_ciphers ks
-                      (Array.map
-                         (function Value.Enc _ -> already () | v -> serialize v)
-                         vs)))
-        | C.Scheme.Rnd -> (
-            let ivs = match slots.(e) with Ivs a -> a | _ -> assert false in
-            let enc k s = mk (C.Rnd.encrypt_iv ks.rnd ivs.(k) s) in
-            match col with
-            | Column.Ints a -> Array.mapi (fun k i -> enc k ("i" ^ string_of_int i)) a
-            | Column.Dates a -> Array.mapi (fun k d -> enc k ("d" ^ string_of_int d)) a
-            | Column.Floats a -> Array.mapi (fun k f -> enc k ("f" ^ hex_float f)) a
-            | Column.Bools a ->
-                Array.mapi (fun k b -> enc k (if b then "b1" else "b0")) a
-            | Column.Strs a -> Array.mapi (fun k s -> enc k ("s" ^ s)) a
-            | Column.Values a ->
-                Array.mapi
-                  (fun k v ->
-                    match v with
-                    | Value.Null -> Value.Null
-                    | Value.Enc _ -> already ()
-                    | v -> enc k (serialize v))
-                  a)
-        | C.Scheme.Ope -> (
-            let enc tag ?tails images =
-              Array.map mk (ope_payloads ks ~tag:(fun _ -> tag) ?tails images)
-            in
-            match col with
-            | Column.Ints a ->
-                enc 'i' (Array.map (fun i -> ope_guard (int_cents i)) a)
-            | Column.Dates a ->
-                enc 'd' (Array.map (fun d -> ope_guard (int_cents d)) a)
-            | Column.Bools a ->
-                enc 'b' (Array.map (fun b -> if b then 100 else 0) a)
-            | Column.Floats a ->
-                let images = Array.map (fun f -> ope_guard (cents f)) a in
-                enc 'f' images
-                  ~tails:
-                    (Array.map
-                       (fun f -> if sub_cent f then "f" ^ hex_float f else "")
-                       a)
-            | Column.Strs a ->
-                enc 's' (Array.map str_prefix a)
-                  ~tails:(Array.map (fun s -> "s" ^ s) a)
-            | Column.Values a ->
-                live a
-                  (ope_values ks ~image:(function
-                    | Value.Enc _ -> already ()
-                    | v -> ope_image v)))
-        | C.Scheme.Phe -> (
-            let pk = match pk with Some pk -> pk | None -> assert false in
-            let units =
-              match slots.(e) with Units a -> a | _ -> assert false
-            in
-            let enc k img tag =
-              let rn = C.Paillier.blinding_of_unit pk units.(k) in
-              let c = C.Paillier.encrypt_blinded pk rn (C.Bignum.of_int img) in
-              mk (Printf.sprintf "v|%s|%c" (C.Paillier.cipher_to_string c) tag)
-            in
-            match col with
-            | Column.Ints a -> Array.mapi (fun k i -> enc k (int_cents i) 'i') a
-            | Column.Dates a -> Array.mapi (fun k d -> enc k (int_cents d) 'd') a
-            | Column.Bools a ->
-                Array.mapi (fun k b -> enc k (if b then 100 else 0) 'b') a
-            | Column.Floats a -> Array.mapi (fun k f -> enc k (cents f) 'f') a
-            | Column.Strs _ ->
-                err "no additive image for attribute %s (string)"
-                  (Attr.name attr)
-            | Column.Values a ->
-                Array.mapi
-                  (fun k v ->
-                    match v with
-                    | Value.Null -> Value.Null
-                    | Value.Enc _ -> already ()
-                    | v ->
-                        let img, tag = phe_image v in
-                        enc k img tag)
-                  a)
-      in
-      Column.Values out)
+      let boxed out = Column.Values out in
+      Obs.time ("enc_exec.enc_s." ^ C.Scheme.name scheme) @@ fun () ->
+      match scheme with
+      | C.Scheme.Det -> (
+          let enc plains = boxed (Array.map mk (det_ciphers ks plains)) in
+          match col with
+          | Column.Ints a -> enc (Array.map (fun i -> "i" ^ string_of_int i) a)
+          | Column.Dates a -> enc (Array.map (fun d -> "d" ^ string_of_int d) a)
+          | Column.Floats a -> enc (Array.map (fun f -> "f" ^ hex_float f) a)
+          | Column.Bools a -> enc (Array.map (fun b -> if b then "b1" else "b0") a)
+          | Column.Strs a -> enc (Array.map (fun s -> "s" ^ s) a)
+          | Column.Values a ->
+              boxed
+                (live a (fun vs ->
+                     det_ciphers ks
+                       (Array.map
+                          (function Value.Enc _ -> already () | v -> serialize v)
+                          vs)))
+          | Column.Sealed _ -> resealed ())
+      | C.Scheme.Rnd -> (
+          let ivs = match slots.(e) with Ivs a -> a | _ -> assert false in
+          (* sealed, not encrypted: the column keeps its plaintext and
+             the IVs the pool drew, and [seal] produces a cell's payload
+             — the bytes [Rnd.encrypt_iv] would have produced here —
+             when something reads the cell. The key is immutable, so
+             that may happen on any domain, long after this execution. *)
+          let seal v iv =
+            Obs.incr "enc_exec.rnd.materialized";
+            C.Rnd.encrypt_iv ks.rnd iv (serialize v)
+          in
+          let sealed live =
+            Obs.incr ~by:live "enc_exec.rnd.sealed";
+            Column.Sealed { Column.plain = col; ivs; key_id; seal }
+          in
+          match col with
+          | Column.Ints _ | Column.Floats _ | Column.Bools _ | Column.Strs _
+          | Column.Dates _ ->
+              sealed n
+          | Column.Values a ->
+              sealed
+                (Array.fold_left
+                   (fun live v ->
+                     match v with
+                     | Value.Null -> live
+                     | Value.Enc _ -> already ()
+                     | _ -> live + 1)
+                   0 a)
+          | Column.Sealed _ -> resealed ())
+      | C.Scheme.Ope -> (
+          let enc tag ?tails images =
+            boxed (Array.map mk (ope_payloads ks ~tag:(fun _ -> tag) ?tails images))
+          in
+          match col with
+          | Column.Ints a ->
+              enc 'i' (Array.map (fun i -> ope_guard (int_cents i)) a)
+          | Column.Dates a ->
+              enc 'd' (Array.map (fun d -> ope_guard (int_cents d)) a)
+          | Column.Bools a ->
+              enc 'b' (Array.map (fun b -> if b then 100 else 0) a)
+          | Column.Floats a ->
+              let images = Array.map (fun f -> ope_guard (cents f)) a in
+              enc 'f' images
+                ~tails:
+                  (Array.map
+                     (fun f -> if sub_cent f then "f" ^ hex_float f else "")
+                     a)
+          | Column.Strs a ->
+              enc 's' (Array.map str_prefix a)
+                ~tails:(Array.map (fun s -> "s" ^ s) a)
+          | Column.Values a ->
+              boxed
+                (live a
+                   (ope_values ks ~image:(function
+                     | Value.Enc _ -> already ()
+                     | v -> ope_image v)))
+          | Column.Sealed _ -> resealed ())
+      | C.Scheme.Phe -> (
+          let pk = match pk with Some pk -> pk | None -> assert false in
+          let units =
+            match slots.(e) with Units a -> a | _ -> assert false
+          in
+          let enc k img tag =
+            let rn = C.Paillier.blinding_of_unit pk units.(k) in
+            let c = C.Paillier.encrypt_blinded pk rn (C.Bignum.of_int img) in
+            mk (Printf.sprintf "v|%s|%c" (C.Paillier.cipher_to_string c) tag)
+          in
+          match col with
+          | Column.Ints a -> boxed (Array.mapi (fun k i -> enc k (int_cents i) 'i') a)
+          | Column.Dates a -> boxed (Array.mapi (fun k d -> enc k (int_cents d) 'd') a)
+          | Column.Bools a ->
+              boxed (Array.mapi (fun k b -> enc k (if b then 100 else 0) 'b') a)
+          | Column.Floats a -> boxed (Array.mapi (fun k f -> enc k (cents f) 'f') a)
+          | Column.Strs _ ->
+              err "no additive image for attribute %s (string)"
+                (Attr.name attr)
+          | Column.Values a ->
+              boxed
+                (Array.mapi
+                   (fun k v ->
+                     match v with
+                     | Value.Null -> Value.Null
+                     | Value.Enc _ -> already ()
+                     | v ->
+                         let img, tag = phe_image v in
+                         enc k img tag)
+                   a)
+          | Column.Sealed _ -> resealed ()))
     enc
 
 (* --- decryption ------------------------------------------------------ *)
@@ -677,7 +700,20 @@ let ope_images ctx cells =
           by_key);
   images
 
-let decrypt_batch ctx col =
+(* A sealed column decrypts to its plaintext without running the
+   cipher: each live cell comes back as [deserialize (serialize v)],
+   what decrypting its bytes would give. The key check stays, at the
+   first live row, as that row's payload would make it. *)
+let unseal ctx (s : Column.sealed) =
+  let cells = Column.to_values s.Column.plain in
+  if Array.exists (fun v -> not (Value.is_null v)) cells then
+    ignore (cluster_by_id ctx s.Column.key_id);
+  Column.of_values
+    (Array.map
+       (function Value.Null -> Value.Null | v -> deserialize (serialize v))
+       cells)
+
+let decrypt_cells ctx col =
   let cells = Column.to_values col in
   let images = ope_images ctx cells in
   let dec k c =
@@ -699,6 +735,12 @@ let decrypt_batch ctx col =
       cells
   in
   Column.of_values out
+
+let decrypt_batch ctx = function
+  | Column.Sealed s -> unseal ctx s
+  | ( Column.Ints _ | Column.Floats _ | Column.Bools _ | Column.Strs _
+    | Column.Dates _ | Column.Values _ ) as col ->
+      decrypt_cells ctx col
 
 (* --- constants in dispatched conditions ----------------------------- *)
 
@@ -730,7 +772,12 @@ let phe_sum ctx values ~avg =
     match v with
     | Value.Enc c when c.Value.scheme = "phe" -> (
         match String.split_on_char '|' c.Value.payload with
-        | [ "v"; cipher; tag ] -> Some (c, C.Bignum.of_string cipher, tag.[0])
+        | [ "v"; cipher; tag ] -> (
+            (* a malformed payload raises [Crypto_error], as in
+               [decrypt_gen] *)
+            try Some (c, C.Bignum.of_string cipher, tag.[0])
+            with Invalid_argument m | Failure m ->
+              err "malformed phe ciphertext under key %s: %s" c.Value.key_id m)
         | _ -> err "cannot aggregate an already-aggregated phe value")
     | Value.Null -> None
     | _ -> err "phe aggregation over a non-phe value"

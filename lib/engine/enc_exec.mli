@@ -11,7 +11,12 @@
       a det tail for exact recovery) — supports range conditions, min/max;
     - [phe]: Paillier over the cent-scaled numeric value — supports
       sum/avg; aggregated ciphertexts carry the divisor for avg;
-    - [rnd]: randomized encryption — supports nothing, protects most.
+    - [rnd]: randomized encryption — supports nothing, protects most. No
+      operator reads an rnd ciphertext, so {!encrypt_batch} seals an rnd
+      column ({!Relalg.Column.Sealed}) and its bytes are produced only
+      where a cell is read: {!Relalg.Column.get} and
+      {!Relalg.Column.to_values}, hence [Table.rows], CSV export and any
+      operator that boxes the cell.
 
     Scheme keys live in a {!store}: each cluster's keys are derived
     once per store, so per-value work is the cipher itself, not the PRF
@@ -98,12 +103,24 @@ val encrypt_batch :
     OPE look every cell up in the key's memo and encrypt only the
     distinct misses (OPE in one sorted tree walk), Paillier blinding
     runs off the hot path. Errors raise in row order, as the row path's
-    would. *)
+    would; a sealed input column counts as the ciphertext it stands for
+    ("already encrypted" at its first live row).
+
+    An rnd result column is [Column.Sealed]: the input column, the
+    pool's IVs and a closure that computes a cell's [Rnd.encrypt_iv]
+    payload when the cell is read, so the bytes any reader sees are
+    the row path's. The [enc_exec.enc_s.rnd] timer covers the sealing.
+    Obs counters: [enc_exec.rnd.sealed] counts the live cells sealed,
+    [enc_exec.rnd.materialized] the cells whose payload was computed
+    later (on whichever domain read them). *)
 
 val decrypt_batch : ctx -> Column.t -> Column.t
 (** Column counterpart of {!decrypt_value} (Null passes through): the
     column's OPE prefixes decode in one tree walk per key. Errors raise
-    in row order. *)
+    in row order. A sealed column runs no cipher: its live cells come
+    back as [deserialize (serialize v)] — what decrypting their payloads
+    would give — after the same key check (an unknown key raises
+    [Crypto_error] when the column has a live cell). *)
 
 val decrypt_value : ctx -> Value.t -> Value.t
 (** Dispatches on the ciphertext's own scheme/key tags; [Null] passes
@@ -132,7 +149,13 @@ val const_cipher : ctx -> Value.cipher -> Value.t -> Value.t
 
 val phe_sum : ctx -> Value.t list -> avg:bool -> Value.t
 (** Homomorphic aggregation of Paillier ciphertexts: the encrypted sum,
-    or the encrypted average (sum plus divisor) when [avg] is set. *)
+    or the encrypted average (sum plus divisor) when [avg] is set.
+    Raises [Crypto_error] on a non-phe value, an aggregated input, or a
+    malformed payload (the message names the scheme and key id). *)
 
 val serialize : Value.t -> string
 val deserialize : string -> Value.t
+
+val rnd_payload_length : Value.t -> int
+(** Length of an rnd payload of a (non-Null) plaintext, computed without
+    encrypting: what a sealed cell's bytes will weigh. *)

@@ -46,10 +46,7 @@ let row_key cols i =
   | [ c ] -> hash_key (Column.get c i)
   | _ -> String.concat "\x01" (List.map (fun c -> hash_key (Column.get c i)) cols)
 
-let null_at cols i =
-  List.exists
-    (function Column.Values a -> Value.is_null a.(i) | _ -> false)
-    cols
+let null_at cols i = List.exists (fun c -> Column.is_null c i) cols
 
 (* --- per-column encryption (stored relations, Encrypt/Decrypt) ------- *)
 
@@ -222,27 +219,42 @@ let numeric v =
 
 let all_ints vs = List.for_all (function Value.Int _ -> true | _ -> false) vs
 
-let aggregate ?crypto ?rng (agg : Aggregate.t) values =
-  let non_null = List.filter (fun v -> not (Value.is_null v)) values in
-  let encrypted = List.exists Value.is_encrypted non_null in
+(* [aggregate agg operand rows] folds [agg] over the operand's cells at
+   [rows], in order. Count reads only their null-ness and encryptedness,
+   so it never produces a sealed operand's bytes. *)
+let aggregate ?crypto ?rng (agg : Aggregate.t) operand rows =
+  let live =
+    match operand with
+    | Some c -> List.filter (fun i -> not (Column.is_null c i)) rows
+    | None -> []
+  in
+  let encrypted =
+    match operand with
+    | Some c -> List.exists (Column.is_encrypted c) live
+    | None -> false
+  in
+  let non_null () =
+    match operand with Some c -> List.map (Column.get c) live | None -> []
+  in
   let with_crypto what f =
     match crypto with
     | Some c -> f c
     | None -> err "encrypted %s requires a crypto context" what
   in
   match agg.Aggregate.func with
-  | Aggregate.Count_star -> Value.Int (List.length values)
+  | Aggregate.Count_star -> Value.Int (List.length rows)
   | Aggregate.Count a when encrypted ->
       (* the output keeps the operand's (encrypted) profile entry: wrap
          the count under the operand's cluster so data matches profile *)
       with_crypto "count" (fun c ->
-          Enc_exec.encrypt_value ?rng c a (Value.Int (List.length non_null)))
-  | Aggregate.Count _ -> Value.Int (List.length non_null)
+          Enc_exec.encrypt_value ?rng c a (Value.Int (List.length live)))
+  | Aggregate.Count _ -> Value.Int (List.length live)
   | Aggregate.Sum _ when encrypted ->
-      with_crypto "sum" (fun c -> Enc_exec.phe_sum c non_null ~avg:false)
+      with_crypto "sum" (fun c -> Enc_exec.phe_sum c (non_null ()) ~avg:false)
   | Aggregate.Avg _ when encrypted ->
-      with_crypto "avg" (fun c -> Enc_exec.phe_sum c non_null ~avg:true)
+      with_crypto "avg" (fun c -> Enc_exec.phe_sum c (non_null ()) ~avg:true)
   | Aggregate.Sum _ ->
+      let non_null = non_null () in
       if non_null = [] then Value.Null
       else if all_ints non_null then
         Value.Int
@@ -251,6 +263,7 @@ let aggregate ?crypto ?rng (agg : Aggregate.t) values =
              0 non_null)
       else Value.Float (List.fold_left (fun acc v -> acc +. numeric v) 0.0 non_null)
   | Aggregate.Avg _ ->
+      let non_null = non_null () in
       if non_null = [] then Value.Null
       else
         Value.Float
@@ -269,7 +282,7 @@ let aggregate ?crypto ?rng (agg : Aggregate.t) values =
             err "min/max over non-OPE ciphertext"
         | _ -> ( try Value.compare a b * order < 0 with Value.Incomparable _ -> false)
       in
-      match non_null with
+      match non_null () with
       | [] -> Value.Null
       | first :: rest ->
           List.fold_left (fun best v -> if better v best then v else best) first rest)
@@ -308,12 +321,7 @@ let group_by ?crypto ~node table keys aggs =
     let rng = Option.map (fun r -> C.Prng.derive r j) nrng in
     List.map
       (fun ((agg : Aggregate.t), operand) ->
-        let operand_values =
-          match operand with
-          | Some c -> Array.fold_right (fun i acc -> Column.get c i :: acc) groups.(j) []
-          | None -> Array.fold_right (fun _ acc -> Value.Null :: acc) groups.(j) []
-        in
-        aggregate ?crypto ?rng agg operand_values)
+        aggregate ?crypto ?rng agg operand (Array.to_list groups.(j)))
       agg_ops
   in
   let ngroups = Array.length groups in
@@ -360,8 +368,8 @@ let cell_compare c i j =
   | Column.Floats a -> Float.compare a.(i) a.(j)
   | Column.Strs a -> String.compare a.(i) a.(j)
   | Column.Bools a -> Bool.compare a.(i) a.(j)
-  | Column.Values a -> (
-      match (a.(i), a.(j)) with
+  | Column.Values _ | Column.Sealed _ -> (
+      match (Column.get c i, Column.get c j) with
       | Value.Enc c1, Value.Enc c2 ->
           if c1.Value.scheme = "ope" && c2.Value.scheme = "ope" then
             (* order lives in the OPE prefix only; comparing whole

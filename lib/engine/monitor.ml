@@ -12,9 +12,19 @@ exception Violation of event
 
 let check_consistency (profile : Authz.Profile.t) table =
   (* one scan of the attribute's column; typed columns hold neither
-     Null nor ciphertext *)
+     Null nor ciphertext, and a sealed column's live cells are all
+     ciphertext (read without producing their bytes) *)
   let column_kind a =
-    match Table.column table a with
+    let c = Table.column table a in
+    let n = Column.length c in
+    match c with
+    | Column.Ints _ | Column.Floats _ | Column.Bools _ | Column.Strs _
+    | Column.Dates _ ->
+        if n = 0 then `Unknown else `Plain
+    | Column.Sealed _ ->
+        if Seq.exists (fun i -> not (Column.is_null c i)) (Seq.init n Fun.id)
+        then `Encrypted
+        else `Unknown
     | Column.Values vs -> (
         let kind = ref `Unknown in
         Array.iter
@@ -28,7 +38,6 @@ let check_consistency (profile : Authz.Profile.t) table =
                 | _ -> `Mixed)
           vs;
         !kind)
-    | c -> if Column.length c = 0 then `Unknown else `Plain
   in
   let bad =
     List.filter_map

@@ -88,6 +88,8 @@ let equal_bag a b =
   in
   List.equal String.equal (canon a) (canon b)
 
+let enc_bytes payload_length = payload_length + 8
+
 let value_bytes = function
   | Value.Null -> 1
   | Value.Bool _ -> 1
@@ -95,7 +97,12 @@ let value_bytes = function
   | Value.Float _ -> 8
   | Value.Str s -> String.length s
   | Value.Date _ -> 4
-  | Value.Enc c -> String.length c.Value.payload + 8
+  | Value.Enc c -> enc_bytes (String.length c.Value.payload)
+
+(* a sealed cell weighs what its bytes will, without producing them *)
+let sealed_bytes = function
+  | Value.Null -> 1
+  | v -> enc_bytes (Enc_exec.rnd_payload_length v)
 
 let byte_size t =
   Array.fold_left
@@ -106,7 +113,12 @@ let byte_size t =
       | Column.Floats a -> acc + (8 * Array.length a)
       | Column.Bools a -> acc + Array.length a
       | Column.Strs a -> Array.fold_left (fun acc s -> acc + String.length s) acc a
-      | Column.Values a -> Array.fold_left (fun acc v -> acc + value_bytes v) acc a)
+      | Column.Values a -> Array.fold_left (fun acc v -> acc + value_bytes v) acc a
+      | Column.Sealed s ->
+          Array.fold_left
+            (fun acc v -> acc + sealed_bytes v)
+            acc
+            (Column.to_values s.Column.plain))
     0 t.cols
 
 let to_string ?(limit = 20) t =

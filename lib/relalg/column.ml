@@ -2,7 +2,9 @@
    a batch of rows; homogeneous non-null columns use unboxed int / float
    / string arrays so per-scheme crypto kernels and scans run without
    boxing a Value per cell, while mixed, nullable or encrypted columns
-   fall back to a plain Value array (zero-copy in both directions). *)
+   fall back to a plain Value array (zero-copy in both directions). A
+   sealed column is randomized ciphertext whose bytes are produced only
+   when a cell is read. *)
 
 type t =
   | Ints of int array
@@ -11,15 +13,26 @@ type t =
   | Strs of string array
   | Dates of int array
   | Values of Value.t array
+  | Sealed of sealed
 
-let length = function
+and sealed = {
+  plain : t;
+  ivs : Bytes.t;
+  key_id : string;
+  seal : Value.t -> int64 -> string;
+}
+
+let iv s i = Bytes.get_int64_le s.ivs (8 * i)
+
+let rec length = function
   | Ints a | Dates a -> Array.length a
   | Floats a -> Array.length a
   | Bools a -> Array.length a
   | Strs a -> Array.length a
   | Values a -> Array.length a
+  | Sealed s -> length s.plain
 
-let get c i =
+let rec get c i =
   match c with
   | Ints a -> Value.Int a.(i)
   | Floats a -> Value.Float a.(i)
@@ -27,6 +40,24 @@ let get c i =
   | Strs a -> Value.Str a.(i)
   | Dates a -> Value.Date a.(i)
   | Values a -> a.(i)
+  | Sealed s -> (
+      match get s.plain i with
+      | Value.Null -> Value.Null
+      | v ->
+          Value.Enc
+            { Value.scheme = "rnd"; key_id = s.key_id; payload = s.seal v (iv s i) })
+
+let rec is_null c i =
+  match c with
+  | Ints _ | Floats _ | Bools _ | Strs _ | Dates _ -> false
+  | Values a -> Value.is_null a.(i)
+  | Sealed s -> is_null s.plain i
+
+let is_encrypted c i =
+  match c with
+  | Ints _ | Floats _ | Bools _ | Strs _ | Dates _ -> false
+  | Values a -> Value.is_encrypted a.(i)
+  | Sealed s -> not (is_null s.plain i)
 
 (* One type-sniffing pass; the typed representations are only used when
    the whole column is homogeneous and null-free, so [get] needs no null
@@ -90,7 +121,7 @@ let to_values = function
   | Values a -> a
   | c -> Array.init (length c) (get c)
 
-let sub c pos len =
+let rec sub c pos len =
   if pos = 0 && len = length c then c
   else
     match c with
@@ -100,10 +131,13 @@ let sub c pos len =
     | Strs a -> Strs (Array.sub a pos len)
     | Dates a -> Dates (Array.sub a pos len)
     | Values a -> Values (Array.sub a pos len)
+    | Sealed s ->
+        Sealed
+          { s with plain = sub s.plain pos len; ivs = Bytes.sub s.ivs (8 * pos) (8 * len) }
 
 (* Floats gather through a loop into a flat float array, so no cell is
-   boxed on the way *)
-let gather c idx =
+   boxed on the way. A sealed column keeps only the gathered rows' IVs. *)
+let rec gather c idx =
   let pick a = Array.map (fun i -> a.(i)) idx in
   match c with
   | Ints a -> Ints (pick a)
@@ -115,5 +149,11 @@ let gather c idx =
   | Strs a -> Strs (pick a)
   | Dates a -> Dates (pick a)
   | Values a -> Values (pick a)
+  | Sealed s ->
+      let ivs = Bytes.create (8 * Array.length idx) in
+      Array.iteri (fun k i -> Bytes.set_int64_le ivs (8 * k) (iv s i)) idx;
+      Sealed { s with plain = gather s.plain idx; ivs }
 
-let is_unboxed = function Values _ -> false | _ -> true
+let is_unboxed = function
+  | Ints _ | Floats _ | Bools _ | Strs _ | Dates _ -> true
+  | Values _ | Sealed _ -> false

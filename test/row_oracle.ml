@@ -4,7 +4,9 @@
    [Value.t] row arrays; every operator runs sequentially in one pass
    over it. Crypto nodes use the engine's own batch kernels over one
    whole-table range, so ciphertext bytes come from the same (plan
-   position, row index) randomness; join matches come out in the order
+   position, row index) randomness — except rnd, which the engine seals
+   and encrypts only when read: the oracle encrypts every rnd cell
+   eagerly, a row at a time; join matches come out in the order
    [Hashtbl.find_all] gives (most recent binding first, i.e. descending
    right row); groups in first-appearance order. *)
 
@@ -84,17 +86,43 @@ let to_columns t =
 let of_columns attrs n cols =
   make attrs (List.init n (fun i -> Array.map (fun c -> Column.get c i) cols))
 
+(* The batch kernels encrypt det, OPE and phe (and raise the errors);
+   rnd cells are then encrypted eagerly, by the contract [encrypt_batch]
+   states: row [k]'s generator [Prng.derive root k] is consumed across
+   the encrypted attributes in attribute order, the phe cells drawing
+   their Paillier units, Null cells drawing nothing. *)
 let encrypt crypto ~node attrs t =
   let enc_attrs = Attr.Set.elements attrs in
   let enc_idx = List.map (col_index t) enc_attrs in
   let cols = to_columns t in
   let n = List.length t.rows in
   if n > 0 then begin
+    let root = Enc_exec.node_rng crypto node in
     let out =
-      Enc_exec.encrypt_batch crypto ~rng_root:(Enc_exec.node_rng crypto node)
+      Enc_exec.encrypt_batch crypto ~rng_root:root
         ~enc:(List.map2 (fun a i -> (a, cols.(i))) enc_attrs enc_idx)
     in
-    List.iter2 (fun i c -> cols.(i) <- c) enc_idx out
+    let drawing =
+      List.filter
+        (fun (a, _) ->
+          match Enc_exec.scheme_of crypto a with
+          | C.Scheme.Rnd | C.Scheme.Phe -> true
+          | C.Scheme.Det | C.Scheme.Ope -> false)
+        (List.combine enc_attrs enc_idx)
+    in
+    let eager =
+      List.mapi
+        (fun k row ->
+          let rng = C.Prng.derive root k in
+          List.map (fun (a, i) -> Enc_exec.encrypt_value ~rng crypto a row.(i)) drawing)
+        t.rows
+    in
+    List.iter2 (fun i c -> cols.(i) <- c) enc_idx out;
+    List.iteri
+      (fun j (a, i) ->
+        if Enc_exec.scheme_of crypto a = C.Scheme.Rnd then
+          cols.(i) <- Column.Values (Array.of_list (List.map (fun r -> List.nth r j) eager)))
+      drawing
   end;
   of_columns t.attrs n cols
 
@@ -338,10 +366,15 @@ let operator_tag plan =
 
 (* [run ctx plan]: the same preorder positions as [Exec.run] (they root
    the encryption randomness) and the same [Exec_error] wrapping of
-   unknown attributes. *)
-let run (ctx : Exec.context) plan =
+   unknown attributes. [hook] sees each node's table in the post-order
+   [Exec.run_with_hook] reports them. *)
+let run ?hook (ctx : Exec.context) plan =
   let crypto = ctx.Exec.crypto in
   let rec go pos plan =
+    let t = node pos plan in
+    Option.iter (fun h -> h plan (Table.create t.attrs t.rows)) hook;
+    t
+  and node pos plan =
     let child () = go (pos + 1) (List.hd (Plan.children plan)) in
     let sides l = (go (pos + 1) l, go (pos + 1 + Plan.size l)) in
     try

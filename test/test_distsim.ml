@@ -184,6 +184,44 @@ let test_sim_7b_also_works () =
   Alcotest.(check bool) "7(b) result" true
     (Engine.Table.equal_bag (Distsim.Runtime.result outcome) (expected ()))
 
+(* Transfers are priced by [Table.byte_size] as if every ciphertext
+   were materialized. In [select T, P from Hosp join Ins on S=C] the
+   insurer ships P encrypted under rnd (nothing operates on it), and
+   the transfer sizes are pinned to what eager encryption gave. *)
+let test_sim_transfer_bytes () =
+  let plan =
+    Plan.project (attrs [ "T"; "P" ])
+      (Plan.join
+         (Predicate.conj [ Predicate.Cmp_attr (a "S", Predicate.Eq, a "C") ])
+         (Plan.project (attrs [ "S"; "T" ]) (Plan.base hosp))
+         (Plan.base ins))
+  in
+  let r = Planner.Optimizer.plan ~policy ~subjects ~deliver_to:u plan in
+  let outcome =
+    Distsim.Runtime.execute ~policy ~pki:(Distsim.Pki.create ())
+      ~keyring:(Mpq_crypto.Keyring.create ~seed:5L ())
+      ~user:u ~tables:(Test_engine_data.tables ())
+      ~extended:r.Planner.Optimizer.extended ~clusters:r.Planner.Optimizer.clusters ()
+  in
+  let transfers =
+    List.filter_map
+      (function
+        | Distsim.Runtime.Data_transfer { from_; to_; rows; bytes; _ } ->
+            Some
+              (Printf.sprintf "%s->%s %d rows %d bytes" (Subject.name from_)
+                 (Subject.name to_) rows bytes)
+        | _ -> None)
+      outcome.Distsim.Runtime.trace
+  in
+  Alcotest.(check (list string)) "P is the one cluster, under rnd" [ "P rnd" ]
+    (List.map
+       (fun (c : Plan_keys.cluster) ->
+         c.Plan_keys.id ^ " " ^ Mpq_crypto.Scheme.name c.Plan_keys.scheme)
+       r.Planner.Optimizer.clusters);
+  Alcotest.(check (list string)) "transfers"
+    [ "H->Z 5 rows 45 bytes"; "I->Z 5 rows 160 bytes"; "Z->U 4 rows 128 bytes" ]
+    transfers
+
 let test_sim_detects_missing_key () =
   let _, ext, clusters = planned assignment_7a in
   (* strip Y from kP's holders: the decrypt at Y must be flagged *)
@@ -222,4 +260,5 @@ let () =
         [ ("correct result (7a)", `Quick, test_sim_correct_result);
           ("trace is complete and clean", `Quick, test_sim_trace_complete);
           ("correct result (7b)", `Quick, test_sim_7b_also_works);
-          ("missing key detected", `Quick, test_sim_detects_missing_key) ] ) ]
+          ("missing key detected", `Quick, test_sim_detects_missing_key);
+          ("transfer sizes unchanged", `Quick, test_sim_transfer_bytes) ] ) ]

@@ -708,6 +708,212 @@ let test_memo_cap () =
         (encrypt_column (Enc_exec.of_store st memo_clusters) "p" col = expected))
     [ 1; 2 ]
 
+(* --- sealed rnd columns -------------------------------------------------- *)
+
+let rnd_ctx_of () = ctx_of [ ("r", C.Scheme.Rnd) ]
+let rnd_root ctx = Enc_exec.node_rng ctx 1
+
+let seal ctx col =
+  match
+    Enc_exec.encrypt_batch ctx ~rng_root:(rnd_root ctx) ~enc:[ (attr "r", col) ]
+  with
+  | [ (Column.Sealed _ as out) ] -> out
+  | _ -> Alcotest.fail "an rnd column did not come back sealed"
+
+(* the eager oracle: each row encrypted on its own, under the generator
+   the executor derives for that row *)
+let eager ctx col =
+  Array.init (Column.length col) (fun k ->
+      Enc_exec.encrypt_value ~rng:(C.Prng.derive (rnd_root ctx) k) ctx (attr "r")
+        (Column.get col k))
+
+let edge_cells =
+  [| Value.Null; Value.Float nan; Value.Float (-0.0); Value.Float infinity;
+     Value.Float neg_infinity; Value.Float 0.1; Value.Int max_int;
+     Value.Int min_int; Value.Str ""; Value.Str "abcdX"; Value.Date 0;
+     Value.Date 20_000; Value.Bool true |]
+
+let gen_sealed_input =
+  let open QCheck.Gen in
+  let n = int_range 0 30 in
+  oneof
+    [ gen_memo_column;
+      map (fun a -> Column.Floats a)
+        (array_size n (oneofl [ nan; -0.0; 0.0; infinity; neg_infinity; 1e300 ]));
+      map (fun a -> Column.Ints a) (array_size n (oneofl [ max_int; min_int; 0 ]));
+      map (fun a -> Column.Values a) (array_size n (oneofl (Array.to_list edge_cells))) ]
+
+let one_column col =
+  Table.of_columns ~nrows:(Column.length col) [ attr "r" ] [| col |]
+
+(* Every reader sees the eager bytes: cell by cell, whole-column,
+   through row and column movers, as table rows, as CSV and as a byte
+   count. *)
+let prop_sealed_bytes =
+  QCheck.Test.make ~count:150 ~name:"sealed: every path = eager rnd"
+    (QCheck.make ~print:print_column gen_sealed_input)
+    (fun col ->
+      let ctx = rnd_ctx_of () in
+      let sealed = seal ctx col and want = eager ctx col in
+      let n = Column.length col in
+      let idx = Array.init (2 * n) (fun k -> (k * 7) mod max n 1) in
+      let pos = n / 3 and len = n - (n / 3) in
+      let plain_table = one_column (Column.Values want) in
+      Array.for_all2 ( = ) want (Array.init n (Column.get sealed))
+      && Column.to_values sealed = want
+      && Column.to_values (Column.gather sealed idx) = Array.map (fun k -> want.(k)) idx
+      && Column.to_values (Column.sub sealed pos len) = Array.sub want pos len
+      && Table.rows (one_column sealed) = Table.rows plain_table
+      && Csv.to_string (one_column sealed) = Csv.to_string plain_table
+      && Table.byte_size (one_column sealed) = Table.byte_size plain_table)
+
+let rnd_cell = function
+  | Value.Null -> true
+  | Value.Enc { Value.scheme = "rnd"; key_id = "r"; _ } -> true
+  | _ -> false
+
+(* No way out of a sealed column hands back a plaintext cell. *)
+let prop_sealed_no_plaintext =
+  QCheck.Test.make ~count:150 ~name:"sealed: no path yields plaintext"
+    (QCheck.make ~print:print_column gen_sealed_input)
+    (fun col ->
+      let sealed = seal (rnd_ctx_of ()) col in
+      let n = Column.length sealed in
+      let csv_lines =
+        List.tl (String.split_on_char '\n' (Csv.to_string (one_column sealed)))
+      in
+      List.for_all
+        (fun k -> Column.is_null sealed k || Column.is_encrypted sealed k)
+        (List.init n Fun.id)
+      && List.for_all rnd_cell (List.init n (Column.get sealed))
+      && Array.for_all rnd_cell (Column.to_values sealed)
+      && Array.for_all rnd_cell
+           (Column.to_values (Column.gather sealed (Array.init n (fun k -> n - 1 - k))))
+      && List.for_all (fun row -> rnd_cell row.(0)) (Table.rows (one_column sealed))
+      && List.for_all
+           (fun l -> l = "" || String.starts_with ~prefix:"enc:rnd:" l)
+           csv_lines)
+
+(* floats compared by their bits: a nan's payload included *)
+let bit_equal a b =
+  match (a, b) with
+  | Value.Float x, Value.Float y -> bits x = bits y
+  | a, b -> a = b
+
+(* Decrypting a sealed column gives what decrypting its bytes would:
+   [deserialize (serialize v)] for every live cell, Null for Null. *)
+let prop_sealed_decrypt =
+  QCheck.Test.make ~count:150 ~name:"sealed: decrypt = deserialize . serialize"
+    (QCheck.make ~print:print_column gen_sealed_input)
+    (fun col ->
+      let ctx = rnd_ctx_of () in
+      let sealed = seal ctx col in
+      let want =
+        Array.map
+          (function
+            | Value.Null -> Value.Null
+            | v -> Enc_exec.deserialize (Enc_exec.serialize v))
+          (Column.to_values col)
+      in
+      let opened = Column.to_values (Enc_exec.decrypt_batch ctx sealed) in
+      let by_bytes =
+        Column.to_values
+          (Enc_exec.decrypt_batch ctx (Column.Values (Column.to_values sealed)))
+      in
+      Array.for_all2 bit_equal want opened && Array.for_all2 bit_equal by_bytes opened)
+
+(* Encrypting a sealed column raises "already encrypted" where its
+   materialized cells would, after the errors of the columns before it;
+   an all-Null one encrypts to Nulls. A sealed column under a key the
+   context does not hold fails its decryption. *)
+let test_sealed_reencrypt () =
+  let schemes =
+    [ ("r", C.Scheme.Rnd); ("d", C.Scheme.Det); ("o", C.Scheme.Ope);
+      ("p", C.Scheme.Phe); ("q", C.Scheme.Rnd) ]
+  in
+  let ctx = ctx_of schemes in
+  let outcome enc =
+    match Enc_exec.encrypt_batch ctx ~rng_root:(rnd_root ctx) ~enc with
+    | cols -> Ok (List.map Column.to_values cols)
+    | exception Enc_exec.Crypto_error m -> Error m
+  in
+  let check label ~before cells expected =
+    let sealed = seal ctx (Column.Values cells) in
+    let boxed = Column.Values (Column.to_values sealed) in
+    List.iter
+      (fun target ->
+        let enc col = before @ [ (attr target, col) ] in
+        let got = outcome (enc sealed) and today = outcome (enc boxed) in
+        Alcotest.(check bool) (label ^ ", under " ^ target) true (got = today);
+        match (expected target, got) with
+        | Some m, Error g -> Alcotest.(check string) (label ^ ": message") m g
+        | None, Ok _ -> ()
+        | Some _, Ok _ -> Alcotest.failf "%s under %s: no error" label target
+        | None, Error g -> Alcotest.failf "%s under %s: raised %s" label target g)
+      [ "d"; "o"; "p"; "q" ]
+  in
+  let already t = Some (Printf.sprintf "attribute %s is already encrypted" t) in
+  check "live cells" ~before:[] [| Value.Null; Value.Int 3; Value.Null; Value.Str "" |]
+    already;
+  check "all Null" ~before:[] [| Value.Null; Value.Null |] (fun _ -> None);
+  let out_of_domain =
+    Printf.sprintf "cent-scaled value %d outside the OPE plaintext domain"
+      (100 lsl 40)
+  in
+  check "an earlier column fails first"
+    ~before:[ (attr "o", Column.Ints [| 1; 1 lsl 40; 2 |]) ]
+    [| Value.Int 1; Value.Null; Value.Int 2 |]
+    (fun _ -> Some out_of_domain);
+  let foreign = seal (rnd_ctx_of ()) (Column.Ints [| 4 |]) in
+  (match Enc_exec.decrypt_batch (ctx_of [ ("z", C.Scheme.Rnd) ]) foreign with
+  | _ -> Alcotest.fail "a sealed column decrypted under a missing key"
+  | exception Enc_exec.Crypto_error m ->
+      Alcotest.(check string) "unknown key" "unknown key cluster r" m);
+  ignore
+    (Enc_exec.decrypt_batch (ctx_of [ ("z", C.Scheme.Rnd) ])
+       (seal (rnd_ctx_of ()) (Column.Values [| Value.Null |])))
+
+(* Sealing counts its cells; only a read produces bytes. *)
+let test_sealed_counters () =
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false; Obs.reset ())
+  @@ fun () ->
+  let ctx = rnd_ctx_of () in
+  let cells = [| Value.Int 1; Value.Null; Value.Str "a"; Value.Null; Value.Int 9 |] in
+  let sealed = seal ctx (Column.Values cells) in
+  let made () = Obs.counter "enc_exec.rnd.materialized" in
+  let table = one_column sealed in
+  Alcotest.(check int) "cells sealed" 3 (Obs.counter "enc_exec.rnd.sealed");
+  ignore (Enc_exec.decrypt_batch ctx sealed);
+  ignore (Table.byte_size table);
+  ignore (Column.gather sealed [| 4; 0; 1 |]);
+  ignore (Column.sub sealed 1 3);
+  ignore
+    (List.init 5 (fun k -> Column.is_null sealed k || Column.is_encrypted sealed k));
+  Alcotest.(check (option string)) "the monitor sees ciphertext" None
+    (Monitor.check_consistency (Authz.Profile.make ~ve:[ "r" ] ()) table);
+  Alcotest.(check (option string)) "... where plaintext is profiled"
+    (Some "r encrypted but profiled plaintext")
+    (Monitor.check_consistency (Authz.Profile.make ~vp:[ "r" ] ()) table);
+  Alcotest.(check int) "no reader above produced bytes" 0 (made ());
+  ignore (Table.rows table);
+  Alcotest.(check int) "reading the rows encrypts the live cells" 3 (made ())
+
+(* A malformed Paillier payload is a [Crypto_error] naming the scheme
+   and key, as in decryption. *)
+let test_phe_sum_malformed () =
+  let ctx = Lazy.force phe_ctx in
+  List.iter
+    (fun payload ->
+      let v = Value.Enc { Value.scheme = "phe"; key_id = "x"; payload } in
+      match Enc_exec.phe_sum ctx [ v ] ~avg:false with
+      | _ -> Alcotest.failf "%s: expected Crypto_error" payload
+      | exception Enc_exec.Crypto_error m ->
+          Alcotest.(check bool) (payload ^ ": " ^ m) true
+            (String.starts_with ~prefix:"malformed phe ciphertext under key x: " m))
+    [ "v|zz|i"; "v||i"; "v|123|" ]
+
 let () =
   Alcotest.run "enc_exec"
     [ ( "serialization",
@@ -739,4 +945,11 @@ let () =
           ("errors after memo hits", `Quick, test_memo_errors);
           ("no entry shared across cluster ids or seeds", `Quick,
            test_memo_isolation);
-          ("a column past the cap", `Quick, test_memo_cap) ] ) ]
+          ("a column past the cap", `Quick, test_memo_cap) ] );
+      ( "sealed",
+        [ QCheck_alcotest.to_alcotest prop_sealed_bytes;
+          QCheck_alcotest.to_alcotest prop_sealed_no_plaintext;
+          QCheck_alcotest.to_alcotest prop_sealed_decrypt;
+          ("re-encrypting raises as before", `Quick, test_sealed_reencrypt);
+          ("only reads produce bytes", `Quick, test_sealed_counters);
+          ("phe_sum: malformed payloads", `Quick, test_phe_sum_malformed) ] ) ]

@@ -180,30 +180,51 @@ let test_mixed_numeric_hash_join () =
 
 (* --- column executor vs the row oracle --------------------------------- *)
 
-(* header, row order and every value (ciphertext payloads included) — or
-   the same exception *)
-let outcome f =
-  match f () with
-  | t -> Ok (Table.attrs t, Table.rows t)
-  | exception e -> Error (Printexc.to_string e)
+(* what a reader can observe of a table: the header, row order and
+   every value (ciphertext payloads included), its CSV and its byte
+   size *)
+let observe t = (Table.attrs t, Table.rows t, Csv.to_string t, Table.byte_size t)
 
-let same_outcome a b =
+let same_view (aa, ar, ac, ab) (ba, br, bc, bb) =
+  List.equal Attr.equal aa ba
+  && List.equal (fun (x : Value.t array) y -> x = y) ar br
+  && String.equal ac bc && ab = bb
+
+(* every node's table, in post-order, then the result — or the same
+   exception after the same nodes *)
+let outcome run =
+  let nodes = ref [] in
+  let hook _ t = nodes := observe t :: !nodes in
+  let result =
+    match run ~hook with
+    | t -> Ok (observe t)
+    | exception e -> Error (Printexc.to_string e)
+  in
+  (List.rev !nodes, result)
+
+let same_outcome (an, a) (bn, b) =
+  List.equal same_view an bn
+  &&
   match (a, b) with
-  | Ok (aa, ar), Ok (ba, br) ->
-      List.equal Attr.equal aa ba
-      && List.equal (fun (x : Value.t array) y -> x = y) ar br
+  | Ok x, Ok y -> same_view x y
   | Error x, Error y -> String.equal x y
   | _ -> false
 
-let show = function
-  | Ok (attrs, rows) -> Table.to_string ~limit:8 (Table.create attrs rows)
-  | Error e -> "raised " ^ e
+let show_view (attrs, rows, _, bytes) =
+  Printf.sprintf "%s(%d bytes)" (Table.to_string ~limit:8 (Table.create attrs rows)) bytes
 
-(* [Exec.run] against [Row_oracle.run]; [ctx ()] must build a fresh
-   crypto context *)
+let show (nodes, result) =
+  match result with
+  | Ok v -> show_view v
+  | Error e ->
+      Printf.sprintf "raised %s after %d nodes, the last:\n%s" e (List.length nodes)
+        (match List.rev nodes with v :: _ -> show_view v | [] -> "none")
+
+(* [Exec.run] against [Row_oracle.run], at every node; [ctx ()] must
+   build a fresh crypto context *)
 let check_against_oracle ~label ctx plan =
-  let want = outcome (fun () -> Row_oracle.run (ctx ()) plan) in
-  let got = outcome (fun () -> Exec.run (ctx ()) plan) in
+  let want = outcome (fun ~hook -> Row_oracle.run ~hook (ctx ()) plan) in
+  let got = outcome (fun ~hook -> Exec.run_with_hook (ctx ()) ~hook plan) in
   same_outcome want got
   || QCheck.Test.fail_reportf "%s:\nrow oracle: %s\ncolumns: %s" label (show want)
        (show got)

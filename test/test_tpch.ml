@@ -203,6 +203,60 @@ let test_encrypted_execution_matches f n =
 
 let bag_equal = Engine.Table.equal_bag
 
+(* --- sealed rnd columns ----------------------------------------------- *)
+
+(* Over all 22 queries x 3 scenarios, rnd columns are sealed and no
+   operator, result row or CSV export ever needs their bytes: the
+   served path never runs the rnd cipher. Every node's byte count is
+   the one its materialized table would have. *)
+let test_rnd_never_read () =
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false; Obs.reset ())
+  @@ fun () ->
+  let sizes = ref [] in
+  let sealed = function Column.Sealed _ -> true | _ -> false in
+  let hook _ t =
+    if Array.exists sealed (Engine.Table.columns t) then
+      sizes := (t, Engine.Table.byte_size t) :: !sizes
+  in
+  List.iter
+    (fun (q, _, _) ->
+      List.iter
+        (fun sc ->
+          let r =
+            Tpch.Scenarios.optimize ~sf ~fold_leaf_filters:false ~scenario:sc
+              (Tpch.Tpch_queries.query q)
+          in
+          let keyring = Mpq_crypto.Keyring.create ~seed:99L () in
+          let crypto = Engine.Enc_exec.make keyring r.Planner.Optimizer.clusters in
+          let ctx =
+            Engine.Exec.context ~udfs:Tpch.Tpch_queries.udf_impls ~crypto (tables ())
+          in
+          let result =
+            Engine.Exec.run_with_hook ctx ~hook
+              r.Planner.Optimizer.extended.Authz.Extend.plan
+          in
+          ignore (Engine.Table.rows result);
+          ignore (Engine.Csv.to_string result))
+        Tpch.Scenarios.all)
+    Tpch.Tpch_queries.all;
+  Alcotest.(check bool) "rnd cells sealed" true
+    (Obs.counter "enc_exec.rnd.sealed" > 0 && !sizes <> []);
+  Alcotest.(check int) "rnd cells materialized" 0
+    (Obs.counter "enc_exec.rnd.materialized");
+  List.iter
+    (fun (t, bytes) ->
+      let materialized =
+        Engine.Table.of_columns ~nrows:(Engine.Table.cardinality t)
+          (Engine.Table.attrs t)
+          (Array.map
+             (fun c -> Column.Values (Column.to_values c))
+             (Engine.Table.columns t))
+      in
+      Alcotest.(check int) "byte size" (Engine.Table.byte_size materialized) bytes)
+    !sizes
+
 let () =
   Alcotest.run "tpch"
     [ ( "generator",
@@ -223,4 +277,6 @@ let () =
             ( Printf.sprintf "Q%d over ciphertext" q,
               `Slow,
               fun () -> test_encrypted_execution_matches bag_equal q ))
-          Tpch.Tpch_queries.all ) ]
+          Tpch.Tpch_queries.all );
+      ( "sealed-rnd",
+        [ ("22 x 3: rnd never read", `Slow, test_rnd_never_read) ] ) ]
