@@ -19,6 +19,11 @@ let column_type line = function
   | "bool" -> Schema.Tbool
   | ty -> fail line "unknown column type %s" ty
 
+(* The model's own validation ([Schema.make], [Authorization.rule])
+   reports on the line that triggered it. *)
+let on_line lineno f =
+  try f () with Invalid_argument msg -> fail lineno "%s" msg
+
 let split_words s =
   String.split_on_char ' ' s
   |> List.concat_map (String.split_on_char '\t')
@@ -59,15 +64,20 @@ let parse_relation lineno rest =
             | _ -> fail lineno "expected 'column type' in %s" col)
           (split_commas body)
       in
-      Schema.make ~name ~owner ~storage columns
+      on_line lineno (fun () -> Schema.make ~name ~owner ~storage columns)
 
 (* "authorize REL to SUBJ [plain a,b] [enc c,d]" *)
-let parse_authorize lineno rest subjects =
+let parse_authorize lineno rest schemas subjects =
   let words = split_words rest in
   let rel, grantee, attrs_rest =
     match words with
     | rel :: "to" :: grantee :: rest -> (rel, grantee, rest)
     | _ -> fail lineno "expected: authorize REL to SUBJECT ..."
+  in
+  let schema =
+    match List.find_opt (fun s -> s.Schema.name = rel) schemas with
+    | Some s -> s
+    | None -> fail lineno "unknown relation %s" rel
   in
   let rec sections plain enc = function
     | [] -> (plain, enc)
@@ -76,6 +86,11 @@ let parse_authorize lineno rest subjects =
     | w :: _ -> fail lineno "unexpected token %s" w
   in
   let plain, enc = sections [] [] attrs_rest in
+  (match
+     List.filter (fun a -> not (Schema.mem schema (Attr.make a))) (plain @ enc)
+   with
+  | [] -> ()
+  | foreign -> fail lineno "%s has no column %s" rel (String.concat "," foreign));
   let grantee =
     if grantee = "any" then Authorization.Any
     else
@@ -88,7 +103,12 @@ let parse_authorize lineno rest subjects =
           fail lineno "ambiguous subject %s: declared in more than one role"
             grantee
   in
-  Authorization.rule ~rel ~plain ~enc grantee
+  on_line lineno (fun () -> Authorization.rule ~rel ~plain ~enc grantee)
+
+(* [line] past its leading keyword [kw] *)
+let after kw line =
+  let n = String.length kw in
+  String.trim (String.sub line n (String.length line - n))
 
 let parse input =
   let lines = String.split_on_char '\n' input in
@@ -108,9 +128,10 @@ let parse input =
       let line = String.trim line in
       if line <> "" then
         match split_words line with
-        | "relation" :: _ ->
-            let rest = String.sub line 9 (String.length line - 9) in
-            let s = parse_relation lineno (String.trim rest) in
+        | ("relation" as kw) :: _ ->
+            let s = parse_relation lineno (after kw line) in
+            if List.exists (fun s' -> s'.Schema.name = s.Schema.name) !schemas
+            then fail lineno "relation %s declared twice" s.Schema.name;
             schemas := s :: !schemas;
             add_subject (Subject.authority s.Schema.owner);
             (match s.Schema.storage with
@@ -120,20 +141,25 @@ let parse input =
         | [ "user"; name ] -> add_subject (Subject.user name)
         | [ "authority"; name ] -> add_subject (Subject.authority name)
         | [ "provider"; name ] -> add_subject (Subject.provider name)
-        | "authorize" :: _ ->
-            let rest = String.sub line 10 (String.length line - 10) in
-            rules := (lineno, String.trim rest) :: !rules
+        | ("authorize" as kw) :: _ -> rules := (lineno, after kw line) :: !rules
         | w :: _ -> fail lineno "unknown directive %s" w
         | [] -> ())
     lines;
-  let subjects = List.rev !subjects in
+  let subjects = List.rev !subjects and schemas = List.rev !schemas in
   let rules =
-    List.rev_map
-      (fun (lineno, rest) -> parse_authorize lineno rest subjects)
-      !rules
+    List.fold_left
+      (fun seen (lineno, rest) ->
+        let r = parse_authorize lineno rest schemas subjects in
+        if
+          List.exists
+            (fun (r' : Authorization.rule) ->
+              r'.relation = r.relation && r'.grantee = r.grantee)
+            seen
+        then fail lineno "second rule for %s to the same grantee" r.relation;
+        r :: seen)
+      [] (List.rev !rules)
   in
-  let schemas = List.rev !schemas in
-  { schemas; subjects; policy = Authorization.make ~schemas rules }
+  { schemas; subjects; policy = Authorization.make ~schemas (List.rev rules) }
 
 let load path =
   let ic = open_in path in

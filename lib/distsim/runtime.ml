@@ -77,6 +77,93 @@ let optimizer_replanner ~policy ~subjects ?config ?deliver_to plan ~exclude =
    [execute]. *)
 exception Dead_subject of Authz.Subject.t * string
 
+(* Every refusal is fatal: a node the extension does not describe is
+   never released. *)
+let refuse fmt = Format.kasprintf (fun m -> raise (Distributed_violation m)) fmt
+
+let executor_of (extended : Authz.Extend.t) n =
+  match Authz.Imap.find_opt (Plan.id n) extended.Authz.Extend.assignment with
+  | Some s -> s
+  | None -> refuse "node %d has no executor" (Plan.id n)
+
+(* [None] when the table's columns match the profile's visible
+   plaintext/encrypted split. One scan per column: typed columns hold
+   neither Null nor ciphertext, and a sealed column's live cells are all
+   ciphertext (read without producing their bytes). *)
+let mismatch (profile : Authz.Profile.t) table =
+  let column_kind a =
+    let c = Engine.Table.column table a in
+    let n = Column.length c in
+    match c with
+    | Column.Ints _ | Column.Floats _ | Column.Bools _ | Column.Strs _
+    | Column.Dates _ ->
+        if n = 0 then `Unknown else `Plain
+    | Column.Sealed _ ->
+        if Seq.exists (fun i -> not (Column.is_null c i)) (Seq.init n Fun.id)
+        then `Encrypted
+        else `Unknown
+    | Column.Values vs ->
+        Array.fold_left
+          (fun kind v ->
+            if Value.is_null v then kind
+            else
+              let k = if Value.is_encrypted v then `Encrypted else `Plain in
+              if kind = `Unknown || kind = k then k else `Mixed)
+          `Unknown vs
+  in
+  let bad a =
+    match (column_kind a, Attr.Set.mem a profile.Authz.Profile.ve) with
+    | `Mixed, _ -> Some (Attr.name a ^ " mixed plaintext/ciphertext")
+    | `Encrypted, false ->
+        Some (Attr.name a ^ " encrypted but profiled plaintext")
+    | `Plain, true -> Some (Attr.name a ^ " plaintext but profiled encrypted")
+    | _ -> None
+  in
+  match List.filter_map bad (Engine.Table.attrs table) with
+  | [] -> None
+  | msgs -> Some (String.concat "; " msgs)
+
+let check_node ~policy (extended : Authz.Extend.t) =
+  let parent_of =
+    let tbl = Hashtbl.create 64 in
+    Plan.iter
+      (fun n ->
+        List.iter (fun c -> Hashtbl.replace tbl (Plan.id c) n) (Plan.children n))
+      extended.Authz.Extend.plan;
+    fun n -> Hashtbl.find_opt tbl (Plan.id n)
+  in
+  fun node table ->
+    let id = Plan.id node in
+    let s_from = executor_of extended node in
+    let profile =
+      match Hashtbl.find_opt extended.Authz.Extend.profiles id with
+      | Some p -> p
+      | None -> refuse "no profile recorded for node %d" id
+    in
+    let released =
+      match parent_of node with
+      | None -> None
+      | Some parent ->
+          let s_to = executor_of extended parent in
+          if Authz.Subject.equal s_from s_to then None
+          else begin
+            Obs.incr "distsim.release_checks";
+            match
+              Authz.Authorized.check (Authz.Authorization.view policy s_to)
+                profile
+            with
+            | Ok () -> Some (s_from, s_to)
+            | Error v ->
+                refuse "%s refuses to release node %d to %s: %a"
+                  (Authz.Subject.name s_from) id (Authz.Subject.name s_to)
+                  Authz.Authorized.pp_violation v
+          end
+    in
+    (match mismatch profile table with
+    | Some detail -> refuse "node %d does not match its profile: %s" id detail
+    | None -> ());
+    released
+
 (* Flip one bit in the middle of a ciphertext: injected in-transit
    corruption, to be caught by the envelope MAC. *)
 let tamper s =
@@ -114,10 +201,8 @@ let execute ~policy ~pki ~keyring ~user ~tables ?(udfs = [])
               { Verify.Verifier.policy; config; extended; clusters; requests })
       in
       if Verify.Diag.has_errors diags then
-        raise
-          (Distributed_violation
-             ("pre-dispatch verification failed:\n"
-             ^ Verify.Diag.render (Verify.Diag.errors diags)))
+        refuse "pre-dispatch verification failed:\n%s"
+          (Verify.Diag.render (Verify.Diag.errors diags))
     end;
     (* resolve a blamed subject name back to the subject *)
     let subject_named =
@@ -241,15 +326,12 @@ let execute ~policy ~pki ~keyring ~user ~tables ?(udfs = [])
     (* 2. key distribution check: each executor holds exactly the clusters
        whose enc/dec operations it performs. A failed key check is an
        authorization violation — fatal, never retried. *)
-    let executor n =
-      Authz.Imap.find (Plan.id n) extended.Authz.Extend.assignment
-    in
     Obs.with_span "distsim.key_checks" (fun () ->
         Plan.iter
           (fun n ->
             match Plan.node n with
             | Plan.Encrypt (attrs, _) | Plan.Decrypt (attrs, _) ->
-                let s = executor n in
+                let s = executor_of extended n in
                 Attr.Set.iter
                   (fun a ->
                     match Authz.Plan_keys.cluster_of_attr clusters a with
@@ -261,94 +343,50 @@ let execute ~policy ~pki ~keyring ~user ~tables ?(udfs = [])
                           (Key_check
                              { by = s; cluster = c.Authz.Plan_keys.id; ok });
                         if not ok then
-                          raise
-                            (Distributed_violation
-                               (Printf.sprintf "%s lacks key k%s for node %d"
-                                  (Authz.Subject.name s) c.Authz.Plan_keys.id
-                                  (Plan.id n)))
+                          refuse "%s lacks key k%s for node %d"
+                            (Authz.Subject.name s) c.Authz.Plan_keys.id
+                            (Plan.id n)
                     | None ->
-                        raise
-                          (Distributed_violation
-                             (Printf.sprintf
-                                "attribute %s of node %d has no key cluster"
-                                (Attr.name a) (Plan.id n))))
+                        refuse "attribute %s of node %d has no key cluster"
+                          (Attr.name a) (Plan.id n))
                   attrs
             | _ -> ())
           extended.Authz.Extend.plan);
-    (* 3. evaluation with per-boundary release checks (each sender re-checks
-       Def. 4.1 for the receiver before handing data over). The check is
-       local and fatal when denied; only the transfer itself is retried. *)
+    (* 3. evaluation under [check_node] on every node's table (each sender
+       re-checks Def. 4.1 for the receiver before handing data over). The
+       check is local and fatal when denied; only the transfer itself is
+       retried. *)
     let crypto = Engine.Enc_exec.make keyring clusters in
     let ctx = Engine.Exec.context ~udfs ~crypto tables in
-    let parent_of =
-      let tbl = Hashtbl.create 64 in
-      Plan.iter
-        (fun n ->
-          List.iter
-            (fun c -> Hashtbl.replace tbl (Plan.id c) n)
-            (Plan.children n))
-        extended.Authz.Extend.plan;
-      fun n -> Hashtbl.find_opt tbl (Plan.id n)
-    in
+    let check = check_node ~policy extended in
     let hook node table =
-      match parent_of node with
+      match check node table with
       | None -> ()
-      | Some parent ->
-          let s_from = executor node and s_to = executor parent in
-          if not (Authz.Subject.equal s_from s_to) then begin
-            let profile =
-              match
-                Hashtbl.find_opt extended.Authz.Extend.profiles (Plan.id node)
-              with
-              | Some p -> p
-              | None ->
-                  raise
-                    (Distributed_violation
-                       (Printf.sprintf
-                          "no profile recorded for node %d: %s cannot run \
-                           the release check for %s"
-                          (Plan.id node)
-                          (Authz.Subject.name s_from)
-                          (Authz.Subject.name s_to)))
-            in
-            let ok =
-              Authz.Authorized.is_authorized
-                (Authz.Authorization.view policy s_to)
-                profile
-            in
-            Obs.incr "distsim.release_checks";
-            emit
-              (Release_check
-                 { by = s_from; for_ = s_to; node_id = Plan.id node; ok });
-            if not ok then
-              raise
-                (Distributed_violation
-                   (Printf.sprintf "%s refuses to release node %d to %s"
-                      (Authz.Subject.name s_from) (Plan.id node)
-                      (Authz.Subject.name s_to)));
-            let what =
-              Printf.sprintf "transfer n%d %s->%s" (Plan.id node)
-                (Authz.Subject.name s_from) (Authz.Subject.name s_to)
-            in
-            attempt ~what
-              ~participants:
-                [ Authz.Subject.name s_from; Authz.Subject.name s_to ]
-              (fun ~corrupted ->
-                (* a corrupted transfer is detected by the receiver's
-                   checksum and discarded; nothing is delivered *)
-                if not corrupted then begin
-                  let bytes = Engine.Table.byte_size table in
-                  Obs.incr "distsim.transfers";
-                  Obs.record "distsim.transfer_bytes" (float_of_int bytes);
-                  emit
-                    (Data_transfer
-                       { from_ = s_from;
-                         to_ = s_to;
-                         node_id = Plan.id node;
-                         rows = Engine.Table.cardinality table;
-                         bytes })
-                end)
-          end
+      | Some (s_from, s_to) ->
+          emit
+            (Release_check
+               { by = s_from; for_ = s_to; node_id = Plan.id node; ok = true });
+          let what =
+            Printf.sprintf "transfer n%d %s->%s" (Plan.id node)
+              (Authz.Subject.name s_from) (Authz.Subject.name s_to)
+          in
+          attempt ~what
+            ~participants:[ Authz.Subject.name s_from; Authz.Subject.name s_to ]
+            (fun ~corrupted ->
+              (* a corrupted transfer is detected by the receiver's
+                 checksum and discarded; nothing is delivered *)
+              if not corrupted then begin
+                let bytes = Engine.Table.byte_size table in
+                Obs.incr "distsim.transfers";
+                Obs.record "distsim.transfer_bytes" (float_of_int bytes);
+                emit
+                  (Data_transfer
+                     { from_ = s_from;
+                       to_ = s_to;
+                       node_id = Plan.id node;
+                       rows = Engine.Table.cardinality table;
+                       bytes })
+              end)
     in
     Obs.with_span "distsim.exec" (fun () ->
         Engine.Exec.run_with_hook ctx ~hook extended.Authz.Extend.plan)

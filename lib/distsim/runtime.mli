@@ -7,9 +7,9 @@
     executor holds (Def. 6.1); executors evaluate their fragment, pulling
     operand relations from their callees; every data authority checks
     authorizations before releasing data across a subject boundary
-    (Sec. 6), and each executor verifies it received the keys its
-    encryption/decryption operations need. The whole exchange is traced
-    for inspection and testing.
+    (Sec. 6, {!check_node}), and each executor verifies it received the
+    keys its encryption/decryption operations need. The whole exchange
+    is traced for inspection and testing.
 
     Every network interaction (request dispatch, cross-boundary data
     transfer) runs under a retry policy against a {!Faults} plan:
@@ -107,6 +107,28 @@ val optimizer_replanner :
     original plan with the dead subjects removed from [subjects];
     [No_candidate] / [User_not_authorized] map to [None]. *)
 
+val check_node :
+  policy:Authz.Authorization.t ->
+  Authz.Extend.t ->
+  Relalg.Plan.t ->
+  Engine.Table.t ->
+  (Authz.Subject.t * Authz.Subject.t) option
+(** The runtime release check, run on each node's table as soon as it
+    exists. [check_node ~policy extended] builds the extension's parent
+    map once; its application to a node and its table
+    - at an edge whose endpoints have different executors, checks
+      Def. 4.1 for the receiver's view against the node's recorded
+      profile, and returns [Some (sender, receiver)];
+    - checks that the table's columns match the profile's visible
+      plaintext/encrypted split (sealed columns are not decrypted or
+      materialized);
+    - returns [None] for an edge inside one subject, or at the root.
+
+    Fails closed: a refused release (naming the violated condition), a
+    column that contradicts the profile, or a node without an executor
+    or a recorded profile raises {!Distributed_violation} naming the
+    node. *)
+
 val execute :
   policy:Authz.Authorization.t ->
   pki:Pki.t ->
@@ -123,7 +145,7 @@ val execute :
   clusters:Authz.Plan_keys.cluster list ->
   unit ->
   outcome
-(** Release checks, transfers and fault injection run in post-order as
+(** {!check_node}, transfers and fault injection run in post-order as
     each node's table is produced (see {!Engine.Exec.run_with_hook}).
 
     Raises {!Distributed_violation} when a release check fails, an

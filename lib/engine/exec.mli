@@ -68,7 +68,7 @@ val run_with_hook :
   Table.t
 (** Like {!run}, invoking [hook] on every node's output as soon as it
     exists, in the plan's post-order (left subtree, right subtree,
-    node); used by the runtime monitor and the distributed simulator.
+    node); the distributed runtime runs its release check this way.
     A raising hook stops the plan at that node. A [?memo] hit reports
     only the subtree root (its interior was not executed here), so
     memoization and hook consumers are not combined in practice — the

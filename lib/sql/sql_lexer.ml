@@ -31,8 +31,9 @@ let tokenize input =
           go !j (Float (float_of_string s) :: acc)
         end
         else
-          let s = String.sub input i (!j - i) in
-          go !j (Int (int_of_string s) :: acc)
+          match int_of_string_opt (String.sub input i (!j - i)) with
+          | Some v -> go !j (Int v :: acc)
+          | None -> raise (Lex_error ("integer literal out of range", i))
       end
       else if is_ident_char c then begin
         let j = ref i in

@@ -159,6 +159,61 @@ let test_dsl_ambiguous_subject () =
         "ambiguous subject H: declared in more than one role" msg
   | _ -> Alcotest.fail "ambiguous grantee accepted"
 
+(* What the model itself refuses (a duplicate column, a rule on an
+   unknown relation or column, plain ∩ enc, an unknown at-rest column, a
+   relation or rule given twice) is a [Syntax_error] on its own line, as
+   are bare [relation] and [authorize] lines. *)
+let test_dsl_model_errors () =
+  let head = "relation R owner H (a int, b int)\nuser U\n" in
+  List.iter
+    (fun (text, line, msg) ->
+      match Authz.Policy_dsl.parse text with
+      | exception Authz.Policy_dsl.Syntax_error (l, m) ->
+          Alcotest.(check (pair int string)) (String.escaped text) (line, msg)
+            (l, m)
+      | _ -> Alcotest.failf "accepted %S" text)
+    [ ("relation", 1, "relation declaration needs a column list");
+      (head ^ "authorize", 3, "expected: authorize REL to SUBJECT ...");
+      ("relation S owner H (a int, a int)", 1, "Schema.make S: duplicate column");
+      ( "relation S owner H hosted W enc z (a int)", 1,
+        "Schema.make S: storage mentions unknown columns z" );
+      (head ^ "relation R owner I (c int)", 3, "relation R declared twice");
+      (head ^ "authorize Q to U plain a", 3, "unknown relation Q");
+      (head ^ "authorize R to U plain a,z", 3, "R has no column z");
+      ( head ^ "authorize R to U plain a enc a", 3,
+        "Authorization.rule R: P and E intersect on a" );
+      ( head ^ "authorize R to U plain a\nauthorize R to U enc b", 4,
+        "second rule for R to the same grantee" ) ]
+
+(* Totality: DSL-like noise either parses or fails with a [Syntax_error]
+   whose line exists; no other exception escapes. *)
+let prop_dsl_total =
+  QCheck.Test.make ~count:2000 ~name:"policy parser is total over DSL noise"
+    (QCheck.make ~print:Fun.id
+       QCheck.Gen.(
+         let word =
+           oneofl
+             [ "relation"; "authorize"; "user"; "provider"; "authority";
+               "owner"; "hosted"; "enc"; "plain"; "to"; "any"; "R"; "S"; "H";
+               "U"; "W"; "a"; "b"; "a,b"; "a,a"; "z"; "int"; "text"; "(";
+               ")"; "(a int, b int)"; "(a int, a int)"; "(a int"; "#"; "," ]
+         in
+         let line =
+           oneof
+             [ map (String.concat " ") (list_size (int_bound 8) word);
+               oneofl
+                 [ "relation R owner H (a int, b int)";
+                   "relation S owner H hosted W enc a (a int)";
+                   "user U"; "provider W"; "authorize R to U plain a enc b";
+                   "authorize R to any enc a,b"; "authorize S to W plain a" ] ]
+         in
+         map (String.concat "\n") (list_size (int_bound 8) line)))
+    (fun text ->
+      match Authz.Policy_dsl.parse text with
+      | _ -> true
+      | exception Authz.Policy_dsl.Syntax_error (line, _) ->
+          line >= 1 && line <= List.length (String.split_on_char '\n' text))
+
 (* --- JSON export -------------------------------------------------------- *)
 
 let test_json_escaping () =
@@ -214,4 +269,6 @@ let () =
         [ ("running example parses to Fig. 4", `Quick, test_dsl_example);
           ("hosted relations", `Quick, test_dsl_hosted);
           ("syntax errors", `Quick, test_dsl_errors);
-          ("ambiguous subject", `Quick, test_dsl_ambiguous_subject) ] ) ]
+          ("ambiguous subject", `Quick, test_dsl_ambiguous_subject);
+          ("model errors are line-numbered", `Quick, test_dsl_model_errors);
+          QCheck_alcotest.to_alcotest prop_dsl_total ] ) ]

@@ -48,25 +48,34 @@ let test_extended_7b () =
     "7(b) over ciphertext = plain result" true
     (Table.equal_bag result (expected ()))
 
-let test_monitor_clean () =
+let extended_7a () =
   let n = build_plan () in
   let config = Opreq.resolve_conflicts Opreq.default n.plan in
   let ext =
     Extend.extend ~policy ~config ~assignment:(assignment_7a n) ~deliver_to:u
       n.plan
   in
-  let keyring = Mpq_crypto.Keyring.create ~seed:7L () in
-  let clusters = Plan_keys.compute ~config ~original:n.plan ext in
-  let crypto = Enc_exec.make keyring clusters in
-  let ctx = Exec.context ~crypto (tables ()) in
-  let result, report = Monitor.run ~policy ctx ext in
-  Alcotest.(check bool) "result ok" true (Table.equal_bag result (expected ()));
-  Alcotest.(check int) "no violations" 0 (List.length report.Monitor.violations);
+  (config, ext, Plan_keys.compute ~config ~original:n.plan ext)
+
+(* 7(a) through the distributed runtime, whose hook runs the release
+   check on every node's table *)
+let test_monitor_clean () =
+  let config, ext, clusters = extended_7a () in
+  let outcome =
+    Distsim.Runtime.execute ~policy ~pki:(Distsim.Pki.create ())
+      ~keyring:(Mpq_crypto.Keyring.create ~seed:7L ())
+      ~user:u ~tables:(tables ()) ~config ~extended:ext ~clusters ()
+  in
+  (match outcome.Distsim.Runtime.status with
+  | Distsim.Runtime.Completed result ->
+      Alcotest.(check bool) "result ok" true
+        (Table.equal_bag result (expected ()))
+  | Distsim.Runtime.Degraded d -> Alcotest.failf "degraded: %s" d.reason);
   Alcotest.(check bool)
     "some cross-subject transfers were checked" true
     (List.exists
-       (fun e -> match e.Monitor.kind with `Transfer _ -> true | _ -> false)
-       report.Monitor.events)
+       (function Distsim.Runtime.Release_check _ -> true | _ -> false)
+       outcome.Distsim.Runtime.trace)
 
 (* The consistency audit scans one column per attribute: a typed
    (plaintext) column profiled encrypted, a ciphertext column profiled
@@ -80,25 +89,18 @@ let test_monitor_consistency () =
   in
   let check ~vp ~ve expected =
     Alcotest.(check (option string)) (String.concat "," ve) expected
-      (Monitor.check_consistency (Profile.make ~vp ~ve ()) t)
+      (Test_engine_data.mismatch (Profile.make ~vp ~ve ()) t)
   in
   check ~vp:[ "p"; "m"; "n" ] ~ve:[ "e" ] (Some "m mixed plaintext/ciphertext");
   check ~vp:[ "e" ] ~ve:[ "p"; "n" ]
     (Some "p plaintext but profiled encrypted; e encrypted but profiled plaintext; \
            m mixed plaintext/ciphertext")
 
-let test_monitor_catches_unauthorized () =
-  (* Hand-build a "bad" extension: assign the join to X but skip the
-     encryption of S — the monitor must flag the transfer. *)
-  let n = build_plan () in
-  let config = Opreq.resolve_conflicts Opreq.default n.plan in
-  let ext =
-    Extend.extend ~policy ~config ~assignment:(assignment_7a n) ~deliver_to:u
-      n.plan
-  in
-  (* strip every Encrypt node, keeping assignments by position: easiest is
-     to rebuild an extension with an empty-policy... instead we lie about
-     the profiles: point every node's profile at an all-plaintext one. *)
+(* Hand-build a "bad" extension: keep 7(a)'s assignment but claim every
+   node's profile is all plaintext, as if the encryption of S were
+   skipped. *)
+let bad_extension () =
+  let _, ext, clusters = extended_7a () in
   let bad_profiles = Hashtbl.copy ext.Extend.profiles in
   Hashtbl.iter
     (fun id (p : Profile.t) ->
@@ -106,10 +108,67 @@ let test_monitor_catches_unauthorized () =
       Hashtbl.replace bad_profiles id
         { p with Profile.vp = all; Profile.ve = Attr.Set.empty })
     ext.Extend.profiles;
-  let bad_ext = { ext with Extend.profiles = bad_profiles } in
+  ({ ext with Extend.profiles = bad_profiles }, clusters)
+
+let test_monitor_catches_unauthorized () =
+  let bad_ext, _ = bad_extension () in
   match Extend.verify ~policy bad_ext with
   | Ok () -> Alcotest.fail "expected verification failure"
   | Error _ -> ()
+
+(* The runtime release check refuses the same extension at its first
+   cross-subject edge, naming the violated condition; a node the
+   assignment leaves out is refused, not looked up into [Not_found]. *)
+let test_runtime_refuses_unauthorized () =
+  let bad_ext, clusters = bad_extension () in
+  let plan = bad_ext.Extend.plan in
+  let parent = Hashtbl.create 32 in
+  Plan.iter
+    (fun n ->
+      List.iter (fun c -> Hashtbl.replace parent (Plan.id c) n) (Plan.children n))
+    plan;
+  let executor n = Imap.find (Plan.id n) bad_ext.Extend.assignment in
+  let receiver n =
+    match Hashtbl.find_opt parent (Plan.id n) with
+    | Some p when not (Subject.equal (executor n) (executor p)) -> Some p
+    | _ -> None
+  in
+  (* the nodes the hook saw, newest first, and the refusal *)
+  let run ext =
+    let check = Distsim.Runtime.check_node ~policy ext in
+    let seen = ref [] in
+    let hook n t =
+      seen := n :: !seen;
+      ignore (check n t)
+    in
+    let crypto =
+      Enc_exec.make (Mpq_crypto.Keyring.create ~seed:7L ()) clusters
+    in
+    match Exec.run_with_hook (Exec.context ~crypto (tables ())) ~hook plan with
+    | _ -> Alcotest.fail "expected Distributed_violation"
+    | exception Distsim.Runtime.Distributed_violation m -> (!seen, m)
+  in
+  let seen, msg = run bad_ext in
+  let refused = List.hd seen in
+  Alcotest.(check bool) "no earlier edge crossed subjects" true
+    (List.for_all (fun n -> receiver n = None) (List.tl seen));
+  (match receiver refused with
+  | None -> Alcotest.failf "refused inside one subject: %s" msg
+  | Some p ->
+      Alcotest.(check string) "the refusal names the violated condition"
+        (Printf.sprintf
+           "%s refuses to release node %d to %s: no plaintext visibility of S"
+           (Subject.name (executor refused)) (Plan.id refused)
+           (Subject.name (executor p)))
+        msg);
+  let first = Plan.id (List.nth seen (List.length seen - 1)) in
+  let unassigned =
+    { bad_ext with
+      Extend.assignment = Imap.remove first bad_ext.Extend.assignment }
+  in
+  Alcotest.(check string) "an unassigned node is refused"
+    (Printf.sprintf "node %d has no executor" first)
+    (snd (run unassigned))
 
 (* --- small operator-level checks ---------------------------------- *)
 
@@ -202,7 +261,10 @@ let () =
           ( "verify rejects plaintext-leaking extension",
             `Quick,
             test_monitor_catches_unauthorized );
-          ("monitor: consistency per column", `Quick, test_monitor_consistency) ] );
+          ("monitor: consistency per column", `Quick, test_monitor_consistency);
+          ( "runtime refuses the plaintext-leaking extension",
+            `Quick,
+            test_runtime_refuses_unauthorized ) ] );
       ( "operators",
         [ ("hash join", `Quick, test_join_hash_vs_nested);
           ("group-by sum", `Quick, test_group_by_aggregates);

@@ -32,3 +32,32 @@ let expected () =
     [ Attr.make "P"; Attr.make "T" ]
     [ [| Value.Float 135.0; v_str "tpa" |];
       [| Value.Float 300.0; v_str "surgery" |] ]
+
+(* What the runtime release check says of [t] against [profile]: [t] is
+   the root of a one-node extension, so only the consistency audit
+   runs. [None] when the columns match the profile. *)
+let mismatch profile t =
+  let schema =
+    Schema.make ~name:"R" ~owner:"H"
+      (List.map (fun a -> (Attr.name a, Schema.Tint)) (Table.attrs t))
+  in
+  let node = Plan.base schema in
+  let profiles = Hashtbl.create 1 in
+  Hashtbl.replace profiles (Plan.id node) profile;
+  let ext =
+    { Authz.Extend.plan = node;
+      assignment =
+        Authz.Imap.singleton (Plan.id node) (Authz.Subject.authority "H");
+      profiles }
+  in
+  match Distsim.Runtime.check_node ~policy:Paper_example.policy ext node t with
+  | _ -> None
+  | exception Distsim.Runtime.Distributed_violation m ->
+      let prefix =
+        Printf.sprintf "node %d does not match its profile: " (Plan.id node)
+      in
+      Some
+        (if String.starts_with ~prefix m then
+           String.sub m (String.length prefix)
+             (String.length m - String.length prefix)
+         else m)

@@ -122,12 +122,16 @@ let prop_monitor_clean =
       let keyring = Mpq_crypto.Keyring.create ~seed:7L () in
       let clusters = Plan_keys.compute ~config ~original:plan ext in
       let crypto = Enc_exec.make keyring clusters in
-      let _, report =
-        Monitor.run ~enforce:false ~policy
+      let check = Distsim.Runtime.check_node ~policy ext in
+      match
+        Exec.run_with_hook
           (Exec.context ~udfs:udf_impls ~crypto tables)
-          ext
-      in
-      report.Monitor.violations = [])
+          ~hook:(fun n t -> ignore (check n t))
+          ext.Extend.plan
+      with
+      | _ -> true
+      | exception Distsim.Runtime.Distributed_violation m ->
+          QCheck.Test.fail_reportf "%s\nextended:\n%s" m (Extend.to_ascii ext))
 
 (* Regression: numerically equal Int/Float join keys must land in the
    same hash bucket. The old key encoding sent [Int i] to ["N<i>"]

@@ -213,6 +213,31 @@ let test_exec_error_pipelined () =
   Alcotest.(check (list string)) "only the failing request is rejected"
     [ "[1] miss"; "[2] rejected"; "[3] miss"; "[1] miss" ] text
 
+(* An integer literal past [max_int] is a lexical error: its line gets a
+   parse error reply, and the server goes on serving that session and a
+   second one. *)
+let test_out_of_range_literal () =
+  let oracle = oracle_csv () in
+  let ra, rb =
+    with_server @@ fun _server _service addr ->
+    let ra =
+      exchange addr
+        [ "select T from Hosp limit 99999999999999999999"; queries.(5) ]
+    in
+    (ra, exchange addr [ queries.(5) ])
+  in
+  (match ra with
+  | [ bad; good ] ->
+      Alcotest.(check (pair string string)) "a parse error at the literal"
+        ("parse error at 25", "integer literal out of range")
+        (bad.Serve.Client.tag, bad.Serve.Client.info);
+      Alcotest.(check (option string)) "the next line is served"
+        (Some oracle.(5)) (Serve.Client.table_csv good)
+  | rs -> Alcotest.failf "expected two replies, got %d" (List.length rs));
+  Alcotest.(check (list (option string))) "a second session is served"
+    [ Some oracle.(5) ]
+    (List.map Serve.Client.table_csv rb)
+
 (* --- isolation -------------------------------------------------------- *)
 
 let victim_run addr =
@@ -578,7 +603,9 @@ let () =
           Alcotest.test_case "an unterminated last line is answered" `Quick
             test_unterminated_line;
           Alcotest.test_case "an execution error rejects one request" `Quick
-            test_exec_error_pipelined ] );
+            test_exec_error_pipelined;
+          Alcotest.test_case "an out-of-range literal is a parse error" `Quick
+            test_out_of_range_literal ] );
       ( "isolation",
         [ Alcotest.test_case "faulty neighbours leave no trace" `Quick
             test_session_isolation;

@@ -21,7 +21,10 @@ let test_lexer_basics () =
 
 let test_lexer_error () =
   Alcotest.check_raises "bad char" (Sql_lexer.Lex_error ("unexpected '&'", 7))
-    (fun () -> ignore (Sql_lexer.tokenize "select &"))
+    (fun () -> ignore (Sql_lexer.tokenize "select &"));
+  Alcotest.check_raises "int overflow"
+    (Sql_lexer.Lex_error ("integer literal out of range", 6))
+    (fun () -> ignore (Sql_lexer.tokenize "limit 99999999999999999999"))
 
 (* --- parser --------------------------------------------------------- *)
 
@@ -178,7 +181,7 @@ let prop_parser_total_sqlish =
                "or"; "join"; "on"; "in"; "like"; "between"; "order"; "limit";
                "distinct"; "T"; "P"; "S"; "C"; "D"; "Hosp"; "Ins"; "avg";
                "count"; "sum"; "("; ")"; ","; "="; "<"; ">="; "'x'"; "42";
-               "3.5"; "*" ]
+               "3.5"; "*"; "99999999999999999999" ]
          in
          list_size (int_bound 25) word >>= fun ws -> return (String.concat " " ws)))
     (fun input ->
