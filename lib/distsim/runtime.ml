@@ -14,9 +14,8 @@ type event =
       by : Authz.Subject.t;
       for_ : Authz.Subject.t;
       node_id : int;
-      ok : bool;
     }
-  | Key_check of { by : Authz.Subject.t; cluster : string; ok : bool }
+  | Key_check of { by : Authz.Subject.t; cluster : string }
   | Fault_injected of {
       what : string;
       subject : string;
@@ -336,16 +335,12 @@ let execute ~policy ~pki ~keyring ~user ~tables ?(udfs = [])
                   (fun a ->
                     match Authz.Plan_keys.cluster_of_attr clusters a with
                     | Some c ->
-                        let ok =
-                          Authz.Subject.Set.mem s c.Authz.Plan_keys.holders
-                        in
-                        emit
-                          (Key_check
-                             { by = s; cluster = c.Authz.Plan_keys.id; ok });
-                        if not ok then
+                        if not (Authz.Subject.Set.mem s c.Authz.Plan_keys.holders)
+                        then
                           refuse "%s lacks key k%s for node %d"
                             (Authz.Subject.name s) c.Authz.Plan_keys.id
-                            (Plan.id n)
+                            (Plan.id n);
+                        emit (Key_check { by = s; cluster = c.Authz.Plan_keys.id })
                     | None ->
                         refuse "attribute %s of node %d has no key cluster"
                           (Attr.name a) (Plan.id n))
@@ -364,8 +359,7 @@ let execute ~policy ~pki ~keyring ~user ~tables ?(udfs = [])
       | None -> ()
       | Some (s_from, s_to) ->
           emit
-            (Release_check
-               { by = s_from; for_ = s_to; node_id = Plan.id node; ok = true });
+            (Release_check { by = s_from; for_ = s_to; node_id = Plan.id node });
           let what =
             Printf.sprintf "transfer n%d %s->%s" (Plan.id node)
               (Authz.Subject.name s_from) (Authz.Subject.name s_to)
@@ -464,14 +458,12 @@ let pp_event fmt = function
   | Data_transfer { from_; to_; node_id; rows; bytes } ->
       Format.fprintf fmt "data n%d: %s -> %s (%d rows, %d bytes)" node_id
         (Authz.Subject.name from_) (Authz.Subject.name to_) rows bytes
-  | Release_check { by; for_; node_id; ok } ->
-      Format.fprintf fmt "release check n%d by %s for %s: %s" node_id
+  | Release_check { by; for_; node_id } ->
+      Format.fprintf fmt "release check n%d by %s for %s: authorized" node_id
         (Authz.Subject.name by) (Authz.Subject.name for_)
-        (if ok then "authorized" else "DENIED")
-  | Key_check { by; cluster; ok } ->
-      Format.fprintf fmt "key check k%s at %s: %s" cluster
+  | Key_check { by; cluster } ->
+      Format.fprintf fmt "key check k%s at %s: held" cluster
         (Authz.Subject.name by)
-        (if ok then "held" else "MISSING")
   | Fault_injected { what; subject; kind; step } ->
       Format.fprintf fmt "fault[%s] on %s at %s (step %d)" kind what subject
         step

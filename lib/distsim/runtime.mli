@@ -39,9 +39,13 @@ type event =
       by : Authz.Subject.t;
       for_ : Authz.Subject.t;
       node_id : int;
-      ok : bool;
     }
-  | Key_check of { by : Authz.Subject.t; cluster : string; ok : bool }
+      (** [by] may release node [node_id]'s table to [for_]; emitted
+          before each cross-boundary transfer. A refused check raises
+          {!Distributed_violation}, so a trace holds only passed checks. *)
+  | Key_check of { by : Authz.Subject.t; cluster : string }
+      (** [by] holds cluster [cluster]'s key; a missing key raises, as a
+          refused release does *)
   | Fault_injected of {
       what : string;  (** operation label, e.g. ["dispatch req_X"] *)
       subject : string;  (** blamed subject *)

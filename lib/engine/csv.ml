@@ -161,8 +161,7 @@ let render_value = function
         c.Value.payload;
       Printf.sprintf "enc:%s:%s" c.Value.scheme (Buffer.contents hex)
 
-(* [render_value] of a cell, written unboxed from typed columns; a
-   sealed cell's bytes are produced here *)
+(* [render_value] of a cell, written unboxed from typed columns *)
 let render_cell buf c i =
   match c with
   | Column.Ints a -> Buffer.add_string buf (string_of_int a.(i))
@@ -176,7 +175,12 @@ let to_string table =
   Buffer.add_string buf
     (String.concat "," (List.map Attr.name (Table.attrs table)));
   Buffer.add_char buf '\n';
-  let cols = Table.columns table in
+  (* a sealed column's bytes are produced here, in one batch *)
+  let cols =
+    Array.map
+      (function Column.Sealed _ as c -> Column.Values (Column.to_values c) | c -> c)
+      (Table.columns table)
+  in
   for i = 0 to Table.cardinality table - 1 do
     Array.iteri
       (fun j c ->

@@ -5,32 +5,13 @@ exception Crypto_error of string
 
 let err fmt = Format.kasprintf (fun s -> raise (Crypto_error s)) fmt
 
-(* --- keys and their ciphertext memos -------------------------------- *)
-
-module Stbl = Hashtbl.Make (String)
-module Itbl = Hashtbl.Make (Int)
-
-(* Entries per memo table of one key; an insert that would pass it
-   clears that table first. *)
-let memo_cap = 1 lsl 16
+(* --- keys ---------------------------------------------------------- *)
 
 (* One cluster's scheme keys. Deriving them costs a PRF plus Speck key
    schedules — far too expensive to repeat per value, which is what the
    first row-at-a-time executor did — so a store derives each key once.
-   det and OPE are deterministic under the key, so the key also carries
-   what it has already produced: serialized plaintext -> det ciphertext
-   (the det tails of OPE payloads included), and cent/prefix image ->
-   OPE cipher. A memo hit returns exactly the bytes the key would
-   compute. [mu] guards both tables: executions sharing a store run on
-   several domains. *)
-type key = {
-  det : C.Det.key;
-  rnd : C.Rnd.key;
-  ope : C.Ope.key;
-  mu : Mutex.t;
-  det_memo : string Stbl.t;
-  ope_memo : int Itbl.t;
-}
+   Keys are immutable, so any domain may use them. *)
+type key = { det : C.Det.key; rnd : C.Rnd.key; ope : C.Ope.key }
 
 (* Keys are found by their cluster secret, not by cluster id, so a
    store never answers for another seed or another key derivation. *)
@@ -60,12 +41,10 @@ let store_key st id =
       let k =
         { det = C.Keyring.det_key_of_secret s;
           rnd = C.Keyring.rnd_key_of_secret s;
-          ope = C.Keyring.ope_key_of_secret s;
-          mu = Mutex.create ();
-          det_memo = Stbl.create 16;
-          ope_memo = Itbl.create 16 }
+          ope = C.Keyring.ope_key_of_secret s }
       in
       Hashtbl.add st.by_secret s k;
+      Obs.incr "enc_exec.keys.derived";
       k
 
 (* The keyring generates its Paillier pair on first use and keeps it;
@@ -197,6 +176,14 @@ let str_prefix s =
    across them: Int 4 must land above Float 3.5 (the old unit-scale Int
    image put 4 below 350 = cents 3.50 — orderings involving an Int
    column and a Float constant came out wrong). *)
+let ope_tag = function
+  | Value.Int _ -> 'i'
+  | Value.Date _ -> 'd'
+  | Value.Bool _ -> 'b'
+  | Value.Float _ -> 'f'
+  | Value.Str _ -> 's'
+  | Value.Null | Value.Enc _ -> err "no OPE image for this value"
+
 let ope_image = function
   | Value.Int i -> (ope_guard (int_cents i), 'i')
   | Value.Date d -> (ope_guard (int_cents d), 'd')
@@ -235,12 +222,24 @@ let ope_bytes = 7
    det tails). *)
 let sub_cent f = float_of_int (cents f) /. 100.0 <> f
 
+let ope_tailed = function
+  | Value.Str _ -> true
+  | Value.Float f -> sub_cent f
+  | _ -> false
+
 let tag_class = function
   | 'i' | 'f' -> `Num
   | 'd' -> `Date
   | 'b' -> `Bool
   | 's' -> `Str
   | t -> err "bad OPE tag %c" t
+
+let incomparable ta tb = err "incomparable OPE ciphertexts (tags %c / %c)" ta tb
+
+let tied_prefix () =
+  err
+    "OPE order undefined: distinct strings share a 4-byte prefix \
+     (ordering beyond the prefix needs plaintext)"
 
 let ope_parts (c : Value.cipher) =
   let p = c.Value.payload in
@@ -249,16 +248,11 @@ let ope_parts (c : Value.cipher) =
 
 let ope_compare a b =
   let pa, ta = ope_parts a and pb, tb = ope_parts b in
-  if tag_class ta <> tag_class tb then
-    err "incomparable OPE ciphertexts (tags %c / %c)" ta tb;
+  if tag_class ta <> tag_class tb then incomparable ta tb;
   let c = String.compare pa pb in
   if c <> 0 then c
   else if ta = 's' then
-    if String.equal a.Value.payload b.Value.payload then 0
-    else
-      err
-        "OPE order undefined: distinct strings share a 4-byte prefix \
-         (ordering beyond the prefix needs plaintext)"
+    if String.equal a.Value.payload b.Value.payload then 0 else tied_prefix ()
   else (* numeric images tied at cent precision are equal *) 0
 
 let ope_equal a b =
@@ -269,107 +263,37 @@ let ope_equal a b =
     else if ta = 's' then false (* distinct payload = distinct string *)
     else String.equal pa pb
 
-(* --- the memoized det and OPE kernels --------------------------------- *)
+(* one letter per OPE type class: Int and Float share one *)
+let class_letter = function 'i' | 'f' -> 'N' | t -> t
 
-(* the indices of [a] whose cells satisfy [p], ascending *)
-let where p a =
-  let r = ref [] in
-  for k = Array.length a - 1 downto 0 do
-    if p a.(k) then r := k :: !r
-  done;
-  Array.of_list !r
-
-(* [map ~dummy mu memo compute xs] is [compute xs] element by element,
-   with [compute] run only over the distinct elements [memo] lacks —
-   outside the lock, so other executions' lookups never wait on a PRF.
-   The lock is taken once for the lookups and once for the inserts. *)
-module Memo (H : Hashtbl.S) = struct
-  let map ~dummy mu memo compute xs =
-    let n = Array.length xs in
-    let out = Array.make n dummy and misses = ref [] in
-    Mutex.protect mu (fun () ->
-        for k = n - 1 downto 0 do
-          match H.find_opt memo xs.(k) with
-          | Some c -> out.(k) <- c
-          | None -> misses := k :: !misses
-        done);
-    let slot = H.create 16 and fresh = ref [] in
-    List.iter
-      (fun k ->
-        if not (H.mem slot xs.(k)) then begin
-          H.add slot xs.(k) (H.length slot);
-          fresh := xs.(k) :: !fresh
-        end)
-      !misses;
-    let m = H.length slot in
-    if m > 0 then begin
-      let fresh = Array.of_list (List.rev !fresh) in
-      let cs = compute fresh in
-      List.iter (fun k -> out.(k) <- cs.(H.find slot xs.(k))) !misses;
-      Mutex.protect mu (fun () ->
-          if H.length memo + m > memo_cap then H.reset memo;
-          Array.iteri
-            (fun j x -> if H.length memo < memo_cap then H.replace memo x cs.(j))
-            fresh)
-    end;
-    if n > 0 then begin
-      Obs.incr ~by:(n - m) "enc_exec.memo.hits";
-      Obs.incr ~by:m "enc_exec.memo.misses"
-    end;
-    out
-end
-
-module Smemo = Memo (Stbl)
-module Imemo = Memo (Itbl)
-
-let det_ciphers ks plains =
-  Smemo.map ~dummy:"" ks.mu ks.det_memo (Array.map (C.Det.encrypt ks.det)) plains
-
-(* one sorted tree walk over the misses: each partition-tree node's PRF
-   runs once however many values pass through it *)
-let ope_ciphers ks images =
-  Imemo.map ~dummy:0 ks.mu ks.ope_memo (C.Ope.encode_array ks.ope) images
-
-(* OPE payloads [cipher | tag | det tail] of [images]; value [j] has
-   tag [tag j]. [tails.(j)] is its serialized plaintext when it needs a
-   det tail, "" otherwise (no serialization is empty). *)
-let ope_payloads ks ~tag ?tails images =
-  let cs = ope_ciphers ks images in
-  let tail =
-    match tails with
-    | None -> fun _ -> ""
-    | Some plains ->
-        let tailed = where (fun p -> p <> "") plains in
-        let out = Array.make (Array.length plains) "" in
-        Array.iter2
-          (fun j c -> out.(j) <- c)
-          tailed
-          (det_ciphers ks (Array.map (fun j -> plains.(j)) tailed));
-        fun j -> out.(j)
-  in
-  Array.mapi
-    (fun j c -> C.Ope.bytes_of_cipher c ^ String.make 1 (tag j) ^ tail j)
-    cs
-
-(* OPE payloads of non-null boxed values; [image] runs over them first,
-   in order, so the first bad value raises as the row path would *)
-let ope_values ks ~image vs =
-  let images = Array.map image vs in
-  let tails =
-    Array.map
-      (fun v ->
-        match v with
-        | Value.Str _ -> serialize v
-        | Value.Float f when sub_cent f -> serialize v
-        | _ -> "")
-      vs
-  in
-  ope_payloads ks ~tag:(fun j -> snd images.(j)) ~tails (Array.map fst images)
+(* a key shared by every OPE ciphertext [ope_equal] to [c]: type class
+   and order prefix, or the whole payload for a string (its det tail
+   decides) and for a payload too short to parse *)
+let ope_equal_key (c : Value.cipher) =
+  let p = c.Value.payload in
+  if String.length p < ope_bytes + 1 then p
+  else
+    match p.[ope_bytes] with
+    | ('i' | 'f' | 'd' | 'b') as t ->
+        String.make 1 (class_letter t) ^ String.sub p 0 ope_bytes
+    | _ -> p
 
 (* --- encryption (single value) -------------------------------------- *)
 
 let cipher_value scheme key_id payload =
   Value.Enc { Value.scheme = C.Scheme.name scheme; key_id; payload }
+
+(* The OPE payloads of non-null plaintexts [vs] whose images are
+   [images], in one sorted tree walk over the images: each
+   partition-tree node's PRF runs once however many values pass through
+   it. *)
+let ope_payloads ks vs images =
+  Array.map2
+    (fun v c ->
+      let tail = if ope_tailed v then C.Det.encrypt ks.det (serialize v) else "" in
+      String.concat "" [ C.Ope.bytes_of_cipher c; String.make 1 (ope_tag v); tail ])
+    vs
+    (C.Ope.encode_array ks.ope images)
 
 (* [draw] supplies the encryption randomness (Rnd IVs, Paillier
    blinding); det and OPE draw nothing. *)
@@ -379,9 +303,9 @@ let encrypt_with ~draw ctx (cluster : Authz.Plan_keys.cluster) v =
   let scheme = cluster.Authz.Plan_keys.scheme in
   let mk = cipher_value scheme key_id in
   match scheme with
-  | C.Scheme.Det -> mk (det_ciphers ks [| serialize v |]).(0)
+  | C.Scheme.Det -> mk (C.Det.encrypt ks.det (serialize v))
   | C.Scheme.Rnd -> mk (C.Rnd.encrypt ks.rnd (draw ()) (serialize v))
-  | C.Scheme.Ope -> mk (ope_values ks ~image:ope_image [| v |]).(0)
+  | C.Scheme.Ope -> mk (ope_payloads ks [| v |] [| fst (ope_image v) |]).(0)
   | C.Scheme.Phe ->
       let image, tag = phe_image v in
       let pk, _ = paillier ctx.store in
@@ -406,6 +330,118 @@ let encrypt_value ?rng ctx a v =
 let node_rng ctx id =
   C.Keyring.derived_rng ctx.store.keyring ("exec-node:" ^ string_of_int id)
 
+(* --- sealed columns --------------------------------------------------- *)
+
+(* A sealed column over [plain] under [scheme] and key [ks]. [seal]
+   computes cells' payloads — the bytes eager encryption would have
+   produced — when something reads them: from the words, which are the
+   rnd IVs the pool drew or the OPE images. Keys are immutable, so that
+   may happen on any domain, long after this execution. *)
+let sealed_column ks scheme ~key_id plain words =
+  let name = C.Scheme.name scheme in
+  let materialized = "enc_exec." ^ name ^ ".materialized" in
+  let seal =
+    match scheme with
+    | C.Scheme.Det ->
+        fun vs _ -> Array.map (fun v -> C.Det.encrypt ks.det (serialize v)) vs
+    | C.Scheme.Ope -> fun vs ws -> ope_payloads ks vs (Array.map Int64.to_int ws)
+    | C.Scheme.Rnd ->
+        fun vs ivs ->
+          Array.map2 (fun v iv -> C.Rnd.encrypt_iv ks.rnd iv (serialize v)) vs ivs
+    | C.Scheme.Phe -> invalid_arg "Enc_exec: phe columns are never sealed"
+  in
+  { Column.scheme = name;
+    plain;
+    words;
+    key_id;
+    seal =
+      (fun vs ws ->
+        Obs.incr ~by:(Array.length vs) materialized;
+        seal vs ws) }
+
+let plain_cell (s : Column.sealed) i = Column.get s.Column.plain i
+let image (s : Column.sealed) i = Int64.to_int (Column.word s i)
+
+(* A live det cell's payload is a function of its serialized plaintext
+   under the key, and SIV is injective, so det equality is equality of
+   [serialize]: Int 4 and Float 4.0 differ, and so do [-0.0] and [0.0].
+   Ints, dates and strings serialize injectively, so they compare
+   directly. *)
+let det_equal a b =
+  match (a, b) with
+  | Value.Int x, Value.Int y | Value.Date x, Value.Date y -> Int.equal x y
+  | Value.Str x, Value.Str y -> String.equal x y
+  | _ -> String.equal (serialize a) (serialize b)
+
+(* OPE is strictly monotone and its cipher bytes are fixed-width
+   big-endian, so comparing images compares the ciphertexts' order
+   prefixes *)
+let sealed_equal (a : Column.sealed) i (b : Column.sealed) j =
+  let va = plain_cell a i and vb = plain_cell b j in
+  match a.Column.scheme with
+  | "ope" -> (
+      tag_class (ope_tag va) = tag_class (ope_tag vb)
+      &&
+      match (va, vb) with
+      | Value.Str x, Value.Str y -> String.equal x y
+      | _ -> image a i = image b j)
+  | _ -> det_equal va vb
+
+let sealed_order (a : Column.sealed) i (b : Column.sealed) j =
+  let va = plain_cell a i and vb = plain_cell b j in
+  let ta = ope_tag va and tb = ope_tag vb in
+  if tag_class ta <> tag_class tb then incomparable ta tb;
+  let c = Int.compare (image a i) (image b j) in
+  if c <> 0 then c
+  else
+    match (va, vb) with
+    | Value.Str x, Value.Str y when not (String.equal x y) -> tied_prefix ()
+    | _ -> 0
+
+let sealed_key ~join (s : Column.sealed) i =
+  match plain_cell s i with
+  | Value.Null -> "_"
+  | v -> (
+      let own =
+        match s.Column.scheme with
+        | "det" -> serialize v
+        | _ when join -> (
+            match v with
+            | Value.Str x -> "s" ^ x
+            | v -> String.make 1 (class_letter (ope_tag v)) ^ string_of_int (image s i))
+        | _ ->
+            if ope_tailed v then "~" ^ serialize v
+            else String.make 1 (ope_tag v) ^ string_of_int (image s i)
+      in
+      if join then
+        String.concat "" [ "P"; s.Column.scheme; "/"; s.Column.key_id; "/"; own ]
+      else own)
+
+let sealed_int_keys (a : Column.sealed) (b : Column.sealed) =
+  if
+    not
+      (String.equal a.Column.scheme b.Column.scheme
+      && String.equal a.Column.key_id b.Column.key_id)
+  then None
+  else
+    match (a.Column.scheme, a.Column.plain, b.Column.plain) with
+    | "det", Column.Ints x, Column.Ints y | "det", Column.Dates x, Column.Dates y ->
+        Some ((fun i -> x.(i)), fun j -> y.(j))
+    | "ope", (Column.Ints _ | Column.Floats _), (Column.Ints _ | Column.Floats _)
+    | "ope", Column.Dates _, Column.Dates _
+    | "ope", Column.Bools _, Column.Bools _ ->
+        Some (image a, image b)
+    | _ -> None
+
+(* payload lengths: det is [iv | serialized plaintext]; rnd adds a tag;
+   OPE is [cipher | tag] plus a det tail where the image is lossy *)
+let sealed_payload_length (s : Column.sealed) v =
+  let plain = String.length (serialize v) in
+  match s.Column.scheme with
+  | "det" -> plain + 8
+  | "ope" -> ope_bytes + 1 + if ope_tailed v then plain + 8 else 0
+  | _ -> plain + 16
+
 (* --- batched column kernels ------------------------------------------ *)
 
 (* Per-(column, row) randomness pool. The pool pass replays the exact
@@ -419,9 +455,29 @@ type pool_slot =
   | Ivs of Bytes.t (* row [k]'s IV at bytes [8k .. 8k+7] *)
   | Units of C.Bignum.t array
 
-(* an rnd payload is the serialized plaintext between an 8-byte IV and
-   an 8-byte tag (see [Rnd]) *)
-let rnd_payload_length v = String.length (serialize v) + 16
+(* Each column's OPE images, at bytes [8k .. 8k+7], computed in row
+   order so the first bad cell raises as the row path would;
+   [already] raises for a ciphertext cell. *)
+let ope_words ~already col =
+  let n = Column.length col in
+  let w = Bytes.make (8 * n) '\000' in
+  let set k img = Bytes.set_int64_le w (8 * k) (Int64.of_int img) in
+  (match col with
+  | Column.Ints a -> Array.iteri (fun k i -> set k (ope_guard (int_cents i))) a
+  | Column.Dates a -> Array.iteri (fun k d -> set k (ope_guard (int_cents d))) a
+  | Column.Bools a -> Array.iteri (fun k b -> set k (if b then 100 else 0)) a
+  | Column.Floats a -> Array.iteri (fun k f -> set k (ope_guard (cents f))) a
+  | Column.Strs a -> Array.iteri (fun k s -> set k (str_prefix s)) a
+  | Column.Values a ->
+      Array.iteri
+        (fun k v ->
+          match v with
+          | Value.Null -> ()
+          | Value.Enc _ -> already ()
+          | v -> set k (fst (ope_image v)))
+        a
+  | Column.Sealed _ -> ());
+  w
 
 let encrypt_batch ctx ~rng_root ~enc =
   let enc = List.map (fun (a, col) -> (a, cluster_of ctx a, col)) enc in
@@ -482,92 +538,36 @@ let encrypt_batch ctx ~rng_root ~enc =
         Column.Values (Array.make n Value.Null)
       in
       let mk = cipher_value scheme key_id in
-      (* det and OPE over a boxed column: [f] maps the non-null cells,
-         in row order, to payloads; Nulls stay Null *)
-      let live a f =
-        let ix = where (fun v -> not (Value.is_null v)) a in
-        let ys = f (Array.map (fun k -> a.(k)) ix) in
-        let out = Array.make (Array.length a) Value.Null in
-        Array.iteri (fun j k -> out.(k) <- mk ys.(j)) ix;
-        out
-      in
       let boxed out = Column.Values out in
       Obs.time ("enc_exec.enc_s." ^ C.Scheme.name scheme) @@ fun () ->
-      match scheme with
-      | C.Scheme.Det -> (
-          let enc plains = boxed (Array.map mk (det_ciphers ks plains)) in
-          match col with
-          | Column.Ints a -> enc (Array.map (fun i -> "i" ^ string_of_int i) a)
-          | Column.Dates a -> enc (Array.map (fun d -> "d" ^ string_of_int d) a)
-          | Column.Floats a -> enc (Array.map (fun f -> "f" ^ hex_float f) a)
-          | Column.Bools a -> enc (Array.map (fun b -> if b then "b1" else "b0") a)
-          | Column.Strs a -> enc (Array.map (fun s -> "s" ^ s) a)
-          | Column.Values a ->
-              boxed
-                (live a (fun vs ->
-                     det_ciphers ks
-                       (Array.map
-                          (function Value.Enc _ -> already () | v -> serialize v)
-                          vs)))
-          | Column.Sealed _ -> resealed ())
-      | C.Scheme.Rnd -> (
-          let ivs = match slots.(e) with Ivs a -> a | _ -> assert false in
+      match (scheme, col) with
+      | _, Column.Sealed _ -> resealed ()
+      | (C.Scheme.Det | C.Scheme.Rnd | C.Scheme.Ope), _ ->
           (* sealed, not encrypted: the column keeps its plaintext and
-             the IVs the pool drew, and [seal] produces a cell's payload
-             — the bytes [Rnd.encrypt_iv] would have produced here —
-             when something reads the cell. The key is immutable, so
-             that may happen on any domain, long after this execution. *)
-          let seal v iv =
-            Obs.incr "enc_exec.rnd.materialized";
-            C.Rnd.encrypt_iv ks.rnd iv (serialize v)
+             one word per row, and no cipher runs until a cell is read.
+             The encrypt-time errors still raise here, in row order: an
+             OPE image out of range, a cell already encrypted. *)
+          let words =
+            match (scheme, slots.(e)) with
+            | C.Scheme.Rnd, Ivs ivs -> ivs
+            | C.Scheme.Ope, _ -> ope_words ~already col
+            | _ -> Bytes.empty
           in
-          let sealed live =
-            Obs.incr ~by:live "enc_exec.rnd.sealed";
-            Column.Sealed { Column.plain = col; ivs; key_id; seal }
+          let live =
+            match col with
+            | Column.Values a ->
+                Array.fold_left
+                  (fun live v ->
+                    match v with
+                    | Value.Null -> live
+                    | Value.Enc _ -> already ()
+                    | _ -> live + 1)
+                  0 a
+            | _ -> n
           in
-          match col with
-          | Column.Ints _ | Column.Floats _ | Column.Bools _ | Column.Strs _
-          | Column.Dates _ ->
-              sealed n
-          | Column.Values a ->
-              sealed
-                (Array.fold_left
-                   (fun live v ->
-                     match v with
-                     | Value.Null -> live
-                     | Value.Enc _ -> already ()
-                     | _ -> live + 1)
-                   0 a)
-          | Column.Sealed _ -> resealed ())
-      | C.Scheme.Ope -> (
-          let enc tag ?tails images =
-            boxed (Array.map mk (ope_payloads ks ~tag:(fun _ -> tag) ?tails images))
-          in
-          match col with
-          | Column.Ints a ->
-              enc 'i' (Array.map (fun i -> ope_guard (int_cents i)) a)
-          | Column.Dates a ->
-              enc 'd' (Array.map (fun d -> ope_guard (int_cents d)) a)
-          | Column.Bools a ->
-              enc 'b' (Array.map (fun b -> if b then 100 else 0) a)
-          | Column.Floats a ->
-              let images = Array.map (fun f -> ope_guard (cents f)) a in
-              enc 'f' images
-                ~tails:
-                  (Array.map
-                     (fun f -> if sub_cent f then "f" ^ hex_float f else "")
-                     a)
-          | Column.Strs a ->
-              enc 's' (Array.map str_prefix a)
-                ~tails:(Array.map (fun s -> "s" ^ s) a)
-          | Column.Values a ->
-              boxed
-                (live a
-                   (ope_values ks ~image:(function
-                     | Value.Enc _ -> already ()
-                     | v -> ope_image v)))
-          | Column.Sealed _ -> resealed ())
-      | C.Scheme.Phe -> (
+          Obs.incr ~by:live ("enc_exec." ^ C.Scheme.name scheme ^ ".sealed");
+          Column.Sealed (sealed_column ks scheme ~key_id col words)
+      | C.Scheme.Phe, _ -> (
           let pk = match pk with Some pk -> pk | None -> assert false in
           let units =
             match slots.(e) with Units a -> a | _ -> assert false
@@ -597,7 +597,7 @@ let encrypt_batch ctx ~rng_root ~enc =
                          let img, tag = phe_image v in
                          enc k img tag)
                    a)
-          | Column.Sealed _ -> resealed ()))
+          | Column.Sealed _ -> assert false))
     enc
 
 (* --- decryption ------------------------------------------------------ *)
@@ -701,16 +701,23 @@ let ope_images ctx cells =
   images
 
 (* A sealed column decrypts to its plaintext without running the
-   cipher: each live cell comes back as [deserialize (serialize v)],
-   what decrypting its bytes would give. The key check stays, at the
-   first live row, as that row's payload would make it. *)
+   cipher: each live cell comes back as what decrypting its bytes would
+   give — [deserialize (serialize v)], except that a tail-free OPE
+   float opens from its cent image (so [-0.0] opens as [0.0]). The key
+   check stays, at the first live row, as that row's payload would make
+   it. *)
 let unseal ctx (s : Column.sealed) =
   let cells = Column.to_values s.Column.plain in
   if Array.exists (fun v -> not (Value.is_null v)) cells then
     ignore (cluster_by_id ctx s.Column.key_id);
+  let ope = String.equal s.Column.scheme "ope" in
   Column.of_values
-    (Array.map
-       (function Value.Null -> Value.Null | v -> deserialize (serialize v))
+    (Array.mapi
+       (fun k -> function
+         | Value.Null -> Value.Null
+         | Value.Float f when ope && not (sub_cent f) ->
+             Value.Float (float_of_int (image s k) /. 100.0)
+         | v -> deserialize (serialize v))
        cells)
 
 let decrypt_cells ctx col =
@@ -744,25 +751,43 @@ let decrypt_batch ctx = function
 
 (* --- constants in dispatched conditions ----------------------------- *)
 
+(* the cluster [sample]'s ciphertext is under, with the scheme it was
+   produced with (which may differ from the cluster's current one) *)
+let sample_cluster ctx ~key_id ~scheme =
+  let cluster = cluster_by_id ctx key_id in
+  match C.Scheme.of_name scheme with
+  | Some s when s = cluster.Authz.Plan_keys.scheme -> cluster
+  | Some s -> { cluster with Authz.Plan_keys.scheme = s }
+  | None -> err "unknown scheme %s" scheme
+
+(* A derived generator keeps constant encryption pure: rnd/phe constants
+   only get built on the way to an "unsupported comparison" error, and
+   touching the shared stream here would make predicate evaluation
+   unsafe to run on several domains. *)
+let const_rng ctx = C.Keyring.derived_rng ctx.store.keyring "const"
+
 let const_cipher ctx (sample : Value.cipher) const =
-  let cluster = cluster_by_id ctx sample.Value.key_id in
-  let cluster =
-    match C.Scheme.of_name sample.Value.scheme with
-    | Some scheme when scheme = cluster.Authz.Plan_keys.scheme -> cluster
-    | Some scheme ->
-        (* ciphertext produced under a different scheme than the cluster's
-           current one: re-derive with the observed scheme *)
-        { cluster with Authz.Plan_keys.scheme }
-    | None -> err "unknown scheme %s" sample.Value.scheme
-  in
-  (* det and OPE constants come from the key's memo. A derived
-     generator keeps this function pure: rnd/phe constants only get
-     built on the way to an "unsupported comparison" error, and
-     touching the shared stream here would make predicate evaluation
-     unsafe to run on several domains. *)
   encrypt_with
-    ~draw:(fun () -> C.Keyring.derived_rng ctx.store.keyring "const")
-    ctx cluster const
+    ~draw:(fun () -> const_rng ctx)
+    ctx
+    (sample_cluster ctx ~key_id:sample.Value.key_id ~scheme:sample.Value.scheme)
+    const
+
+let const_sealed ctx (sample : Column.sealed) const =
+  let key_id = sample.Column.key_id in
+  let cluster = sample_cluster ctx ~key_id ~scheme:sample.Column.scheme in
+  let scheme = cluster.Authz.Plan_keys.scheme in
+  let words =
+    match scheme with
+    | C.Scheme.Ope ->
+        ope_words ~already:(fun () -> ()) (Column.Values [| const |])
+    | C.Scheme.Rnd ->
+        let w = Bytes.create 8 in
+        Bytes.set_int64_le w 0 (C.Prng.next64 (const_rng ctx));
+        w
+    | C.Scheme.Det | C.Scheme.Phe -> Bytes.empty
+  in
+  sealed_column (keys_of ctx key_id) scheme ~key_id (Column.Values [| const |]) words
 
 (* --- homomorphic aggregation ---------------------------------------- *)
 

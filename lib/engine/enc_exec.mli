@@ -11,40 +11,37 @@
       a det tail for exact recovery) — supports range conditions, min/max;
     - [phe]: Paillier over the cent-scaled numeric value — supports
       sum/avg; aggregated ciphertexts carry the divisor for avg;
-    - [rnd]: randomized encryption — supports nothing, protects most. No
-      operator reads an rnd ciphertext, so {!encrypt_batch} seals an rnd
-      column ({!Relalg.Column.Sealed}) and its bytes are produced only
-      where a cell is read: {!Relalg.Column.get} and
-      {!Relalg.Column.to_values}, hence [Table.rows], CSV export and any
-      operator that boxes the cell.
+    - [rnd]: randomized encryption — supports nothing, protects most.
+
+    No operator needs a det, OPE or rnd ciphertext's bytes: operators
+    compare cells, and under one key a det or OPE comparison is a
+    function of the plaintext. So {!encrypt_batch} seals such a column
+    ({!Relalg.Column.Sealed}) and its bytes are produced only where a
+    cell is read: {!Relalg.Column.get} and {!Relalg.Column.to_values},
+    hence [Table.rows], CSV export and any operator that boxes the
+    cell. Comparisons read the plaintext instead ({!sealed_equal},
+    {!sealed_order}, {!sealed_key}), so a cipher runs only when a cell
+    is materialized. phe columns stay eager: they draw Paillier units.
 
     Scheme keys live in a {!store}: each cluster's keys are derived
     once per store, so per-value work is the cipher itself, not the PRF
-    key schedule. det and OPE are deterministic under a key, so each
-    key also memoizes what it has produced (see {!store}). The batched
-    column kernels ({!encrypt_batch}, {!decrypt_batch}) share OPE
-    partition-tree PRF work and split Paillier encryption into a pooled
-    randomness pass plus a per-column exponentiation loop. *)
+    key schedule. The batched column kernels ({!encrypt_batch},
+    {!decrypt_batch}) split Paillier encryption into a pooled
+    randomness pass plus a per-column exponentiation loop, and decode
+    a column's OPE prefixes in one partition-tree walk per key. *)
 
 open Relalg
 
 type store
-(** A keyring's derived cluster keys, its Paillier pair, and each key's
-    ciphertext memo. A key is found by its cluster secret
-    ({!Mpq_crypto.Keyring.cluster_secret}), not by its cluster id, so a
-    store never answers for another seed. Per key, the memo maps a
-    serialized plaintext to its det ciphertext (the det tails of OPE
-    payloads included) and a cent/prefix image to its OPE cipher; rnd
-    and phe are randomized and never memoized. A hit returns exactly the
-    bytes the key would compute. Each of a key's two tables holds at
-    most {!memo_cap} entries: an insert that would pass the cap clears
-    that table first. The memo lives as long as the store, and a mutex
-    per key guards it, so contexts on several domains may share a
-    store. Obs counters [enc_exec.memo.hits] and [enc_exec.memo.misses]
-    count the det/OPE cells served from the memo and the distinct
-    values computed; [enc_exec.paillier.keygens] counts the Paillier
-    pairs stores fetch from their keyrings — one keygen each, since a
-    keyring generates its pair on first use. *)
+(** A keyring's derived cluster keys and its Paillier pair. A key is
+    found by its cluster secret ({!Mpq_crypto.Keyring.cluster_secret}),
+    not by its cluster id, so a store never answers for another seed.
+    Keys are immutable once derived and a lock guards the key table, so
+    contexts on several domains may share a store. Obs counters:
+    [enc_exec.keys.derived] counts the cluster keys stores derive, and
+    [enc_exec.paillier.keygens] the Paillier pairs stores fetch from
+    their keyrings — one keygen each, since a keyring generates its
+    pair on first use. *)
 
 type ctx
 
@@ -53,11 +50,8 @@ exception Crypto_error of string
 val store : Mpq_crypto.Keyring.t -> store
 (** An empty store over [keyring]. *)
 
-val memo_cap : int
-(** Entries per memo table of one key (2{^16}). *)
-
 val of_store : store -> Authz.Plan_keys.cluster list -> ctx
-(** A context whose keys and memos come from (and stay in) the store. *)
+(** A context whose keys come from (and stay in) the store. *)
 
 val make : Mpq_crypto.Keyring.t -> Authz.Plan_keys.cluster list -> ctx
 (** [make keyring clusters] is [of_store (store keyring) clusters]: a
@@ -99,27 +93,28 @@ val encrypt_batch :
     the same rows one at a time with
     [encrypt_value ~rng:(Prng.derive rng_root row)]: a pool pass replays
     the row-major randomness draws (Rnd IVs, Paillier units; Null cells
-    draw nothing), then per-scheme kernels run column-major — det and
-    OPE look every cell up in the key's memo and encrypt only the
-    distinct misses (OPE in one sorted tree walk), Paillier blinding
-    runs off the hot path. Errors raise in row order, as the row path's
-    would; a sealed input column counts as the ciphertext it stands for
-    ("already encrypted" at its first live row).
+    draw nothing), then per-scheme kernels run column-major. Errors
+    raise in row order, as the row path's would — OPE images out of
+    range included, though no OPE cipher runs here; a sealed input
+    column counts as the ciphertext it stands for ("already encrypted"
+    at its first live row).
 
-    An rnd result column is [Column.Sealed]: the input column, the
-    pool's IVs and a closure that computes a cell's [Rnd.encrypt_iv]
-    payload when the cell is read, so the bytes any reader sees are
-    the row path's. The [enc_exec.enc_s.rnd] timer covers the sealing.
-    Obs counters: [enc_exec.rnd.sealed] counts the live cells sealed,
-    [enc_exec.rnd.materialized] the cells whose payload was computed
-    later (on whichever domain read them). *)
+    A det, OPE or rnd result column is [Column.Sealed]: the input
+    column, one word per row (the pool's IV for rnd, the cent/prefix
+    image for OPE, none for det) and a closure that computes a cell's
+    payload when the cell is read, so the bytes any reader sees are the
+    row path's. The [enc_exec.enc_s.<scheme>] timers cover the sealing.
+    Obs counters: [enc_exec.<scheme>.sealed] counts the live cells
+    sealed, [enc_exec.<scheme>.materialized] the cells whose payload was
+    computed later (on whichever domain read them). *)
 
 val decrypt_batch : ctx -> Column.t -> Column.t
 (** Column counterpart of {!decrypt_value} (Null passes through): the
     column's OPE prefixes decode in one tree walk per key. Errors raise
     in row order. A sealed column runs no cipher: its live cells come
-    back as [deserialize (serialize v)] — what decrypting their payloads
-    would give — after the same key check (an unknown key raises
+    back as what decrypting their payloads would give —
+    [deserialize (serialize v)], or for a tail-free OPE float its cent
+    image over 100 — after the same key check (an unknown key raises
     [Crypto_error] when the column has a live cell). *)
 
 val decrypt_value : ctx -> Value.t -> Value.t
@@ -140,12 +135,58 @@ val ope_equal : Value.cipher -> Value.cipher -> bool
     numeric images (Int 4 = Float 4.0 at cent precision). Never
     raises on tied string prefixes — the deterministic tail decides. *)
 
+val ope_equal_key : Value.cipher -> string
+(** A string shared by any two OPE ciphertexts under one key that
+    {!ope_equal} accepts: the type class and the order prefix, or the
+    whole payload for a string. *)
+
 val const_cipher : ctx -> Value.cipher -> Value.t -> Value.t
 (** [const_cipher ctx sample const] encrypts a comparison constant under
     the same scheme and key as [sample], so a dispatched condition can be
     evaluated on encrypted values (Sec. 5's "condition formulated on
-    encrypted values"). det and OPE constants go through the key's
-    memo. *)
+    encrypted values"). Raises [Crypto_error] for a key the context
+    lacks and for a constant with no image under the scheme. *)
+
+(** {2 Sealed cells}
+
+    What comparing two live sealed cells' ciphertexts would say, read
+    off their plaintexts and words. The callers check that both cells
+    are live and share scheme and key, as [Eval] checks ciphertexts. *)
+
+val sealed_equal : Column.sealed -> int -> Column.sealed -> int -> bool
+(** Equality of two det or OPE cells. det: equality of {!serialize}
+    (Int 4 and Float 4.0 differ, so do [-0.0] and [0.0], and [nan] and
+    [-nan]). OPE: {!ope_equal} — the same type class, then the same cent
+    image, or for strings the same string. *)
+
+val sealed_order : Column.sealed -> int -> Column.sealed -> int -> int
+(** {!ope_compare} of two OPE cells, errors included: the order of the
+    images, numeric ties equal, and [Crypto_error] for distinct strings
+    sharing a 4-byte prefix or for incomparable type classes. *)
+
+val sealed_key : join:bool -> Column.sealed -> int -> string
+(** A bucket key for a det or OPE cell (["_"] for Null). With [~join],
+    it names the scheme and key, and two cells of any sealed columns
+    share it iff {!sealed_equal} holds: a hash join's key. Without, two
+    cells of one column share it iff their payloads are equal: a
+    group-by's key (OPE Int 4 and Float 4.0 then differ). *)
+
+val sealed_int_keys :
+  Column.sealed -> Column.sealed -> ((int -> int) * (int -> int)) option
+(** For two typed sealed columns under one scheme and key whose cells an
+    int identifies under {!sealed_equal} — det over ints or over dates,
+    OPE over numbers, dates or booleans (the image) — that int for a row
+    of either column. *)
+
+val sealed_payload_length : Column.sealed -> Value.t -> int
+(** Length of the payload a sealed column's (non-Null) plaintext would
+    encrypt to, computed without encrypting. *)
+
+val const_sealed : ctx -> Column.sealed -> Value.t -> Column.sealed
+(** [const_sealed ctx sample const] is {!const_cipher} for a sealed
+    sample: a one-cell sealed column holding the plaintext constant under
+    [sample]'s scheme and key, with no cipher run. Raises as
+    {!const_cipher} would. *)
 
 val phe_sum : ctx -> Value.t list -> avg:bool -> Value.t
 (** Homomorphic aggregation of Paillier ciphertexts: the encrypted sum,
@@ -155,7 +196,3 @@ val phe_sum : ctx -> Value.t list -> avg:bool -> Value.t
 
 val serialize : Value.t -> string
 val deserialize : string -> Value.t
-
-val rnd_payload_length : Value.t -> int
-(** Length of an rnd payload of a (non-Null) plaintext, computed without
-    encrypting: what a sealed cell's bytes will weigh. *)

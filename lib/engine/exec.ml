@@ -32,8 +32,20 @@ let int_key i =
   if Float.abs (float_of_int i) < exact_int_float then "N" ^ string_of_int i
   else float_key (float_of_int i)
 
-let hash_key = function
-  | Value.Enc c -> String.concat "" [ "E"; c.Value.scheme; "/"; c.Value.key_id; "/"; c.Value.payload ]
+(* The bucket key of a cell. A group-by partitions ciphertext by its
+   payload; a join only needs rows that its predicate finds equal to
+   share a bucket, and the predicate finds OPE ciphertexts equal by type
+   class and cent image ([Enc_exec.ope_equal]: Int 4 = Float 4.0), so
+   [~join] keys them that way. A sealed det or OPE cell is keyed by its
+   plaintext ([Enc_exec.sealed_key]) with no cipher run; a sealed rnd
+   cell by its payload. *)
+let hash_key ~join = function
+  | Value.Enc c ->
+      let own =
+        if join && String.equal c.Value.scheme "ope" then Enc_exec.ope_equal_key c
+        else c.Value.payload
+      in
+      String.concat "" [ "E"; c.Value.scheme; "/"; c.Value.key_id; "/"; own ]
   | Value.Int i -> int_key i
   | Value.Float f -> float_key f
   | Value.Str s -> "S" ^ s
@@ -41,10 +53,16 @@ let hash_key = function
   | Value.Bool b -> if b then "B1" else "B0"
   | Value.Null -> "_"
 
-let row_key cols i =
+let cell_key ~join c i =
+  match c with
+  | Column.Sealed s when not (String.equal s.Column.scheme "rnd") ->
+      Enc_exec.sealed_key ~join s i
+  | c -> hash_key ~join (Column.get c i)
+
+let row_key ~join cols i =
   match cols with
-  | [ c ] -> hash_key (Column.get c i)
-  | _ -> String.concat "\x01" (List.map (fun c -> hash_key (Column.get c i)) cols)
+  | [ c ] -> cell_key ~join c i
+  | _ -> String.concat "\x01" (List.map (fun c -> cell_key ~join c i) cols)
 
 let null_at cols i = List.exists (fun c -> Column.is_null c i) cols
 
@@ -191,14 +209,37 @@ let join ?crypto pred l r =
             | None -> ()
         in
         (* one typed int key per side, every value below 2^53: the int
-           itself partitions rows exactly as its key string would *)
+           itself partitions rows exactly as its key string would; so
+           does the int that identifies a typed sealed cell *)
         let exact = Array.for_all (fun x -> Float.abs (float_of_int x) < exact_int_float) in
-        match (lk, rk) with
-        | [ Column.Ints la ], [ Column.Ints ra ] when exact la && exact ra ->
+        let sealed_ints =
+          match (lk, rk) with
+          | [ Column.Sealed sl ], [ Column.Sealed sr ] -> Enc_exec.sealed_int_keys sl sr
+          | _ -> None
+        in
+        match (lk, rk, sealed_ints) with
+        | [ Column.Ints la ], [ Column.Ints ra ], _ when exact la && exact ra ->
             buckets (fun i -> Some la.(i)) (fun j -> Some ra.(j))
+        | _, _, Some (lkey, rkey) ->
+            buckets (fun i -> Some (lkey i)) (fun j -> Some (rkey j))
         | _ ->
-            (* a row with a Null key matches nothing *)
-            let key cols i = if null_at cols i then None else Some (row_key cols i) in
+            (* A sealed key meeting a boxed column is materialized: the
+               boxed side may hold ciphertext, which only its payload
+               keys. A row with a Null key matches nothing. *)
+            let lk, rk =
+              List.split
+                (List.map2
+                   (fun l r ->
+                     let bytes c = Column.Values (Column.to_values c) in
+                     match (l, r) with
+                     | Column.Sealed _, Column.Values _ -> (bytes l, r)
+                     | Column.Values _, Column.Sealed _ -> (l, bytes r)
+                     | _ -> (l, r))
+                   lk rk)
+            in
+            let key cols i =
+              if null_at cols i then None else Some (row_key ~join:true cols i)
+            in
             buckets (key lk) (key rk))
   in
   let matches =
@@ -287,6 +328,21 @@ let aggregate ?crypto ?rng (agg : Aggregate.t) operand rows =
       | first :: rest ->
           List.fold_left (fun best v -> if better v best then v else best) first rest)
 
+(* min/max over a sealed operand: the fold [aggregate] makes, over row
+   numbers, comparing cells by their plaintext, so the result is a row
+   of the operand and the output column stays sealed. A group with no
+   live cell gives its first row, a Null. *)
+let sealed_extreme (agg : Aggregate.t) (s : Column.sealed) rows =
+  let order = match agg.Aggregate.func with Aggregate.Min _ -> -1 | _ -> 1 in
+  let better i j =
+    if String.equal s.Column.scheme "ope" then Enc_exec.sealed_order s i s j * order < 0
+    else err "min/max over non-OPE ciphertext"
+  in
+  match List.filter (fun i -> not (Column.is_null s.Column.plain i)) rows with
+  | [] -> List.hd rows
+  | first :: rest ->
+      List.fold_left (fun best i -> if better i best then i else best) first rest
+
 let group_by ?crypto ~node table keys aggs =
   let key_attrs = Attr.Set.elements keys in
   let key_cols = List.map (Table.column table) key_attrs in
@@ -296,7 +352,7 @@ let group_by ?crypto ~node table keys aggs =
   let groups =
     let tbl = Hashtbl.create 64 and order = ref [] in
     for i = 0 to Table.cardinality table - 1 do
-      let k = row_key key_cols i in
+      let k = row_key ~join:false key_cols i in
       match Hashtbl.find_opt tbl k with
       | Some rows -> rows := i :: !rows
       | None ->
@@ -319,21 +375,34 @@ let group_by ?crypto ~node table keys aggs =
      accumulation order; group [j]'s randomness is derived from [j]. *)
   let agg_row j =
     let rng = Option.map (fun r -> C.Prng.derive r j) nrng in
+    let rows = Array.to_list groups.(j) in
     List.map
       (fun ((agg : Aggregate.t), operand) ->
-        aggregate ?crypto ?rng agg operand (Array.to_list groups.(j)))
+        match (agg.Aggregate.func, operand) with
+        | (Aggregate.Min _ | Aggregate.Max _), Some (Column.Sealed s) ->
+            Either.Right (sealed_extreme agg s rows)
+        | _ -> Either.Left (aggregate ?crypto ?rng agg operand rows))
       agg_ops
   in
   let ngroups = Array.length groups in
   let agg_rows = Array.init ngroups agg_row in
   let firsts = Array.map (fun rows -> rows.(0)) groups in
+  (* a value per group, or the operand's rows that a sealed min/max
+     picked *)
+  let agg_column k (_, operand) =
+    let cells = Array.map (fun row -> List.nth row k) agg_rows in
+    match operand with
+    | Some c when ngroups > 0 && Array.for_all Either.is_right cells ->
+        Column.gather c (Array.map (Either.fold ~left:(fun _ -> 0) ~right:Fun.id) cells)
+    | _ ->
+        Column.of_values
+          (Array.map (Either.fold ~left:Fun.id ~right:(fun _ -> Value.Null)) cells)
+  in
   Table.of_columns ~nrows:ngroups
     (key_attrs @ List.map (fun ((a : Aggregate.t), _) -> a.Aggregate.output) agg_ops)
     (Array.of_list
        (List.map (fun c -> Column.gather c firsts) key_cols
-       @ List.mapi
-           (fun k _ -> Column.of_values (Array.map (fun row -> List.nth row k) agg_rows))
-           agg_ops))
+       @ List.mapi agg_column agg_ops))
 
 let udf_apply ctx name inputs output table =
   let f =
@@ -368,6 +437,13 @@ let cell_compare c i j =
   | Column.Floats a -> Float.compare a.(i) a.(j)
   | Column.Strs a -> String.compare a.(i) a.(j)
   | Column.Bools a -> Bool.compare a.(i) a.(j)
+  | Column.Sealed s when String.equal s.Column.scheme "ope" -> (
+      (* Nulls first, as [Value.compare] puts them *)
+      match (Column.is_null s.Column.plain i, Column.is_null s.Column.plain j) with
+      | true, true -> 0
+      | true, false -> -1
+      | false, true -> 1
+      | false, false -> Enc_exec.sealed_order s i s j)
   | Column.Values _ | Column.Sealed _ -> (
       match (Column.get c i, Column.get c j) with
       | Value.Enc c1, Value.Enc c2 ->
@@ -381,14 +457,24 @@ let cell_compare c i j =
           try Value.compare v1 v2
           with Value.Incomparable _ -> err "order_by over incomparable values"))
 
-(* A stable sort of the row permutation by the key list. *)
+(* A stable sort of the row permutation by the key list. A sealed det
+   or rnd key orders by its payload bytes, so it is materialized once,
+   at its first comparison; the output keeps the sealed column. *)
 let order_by table keys =
-  let keys = List.map (fun (a, d) -> (Table.column table a, d)) keys in
+  let keys =
+    List.map
+      (fun (a, d) ->
+        match Table.column table a with
+        | Column.Sealed s as c when not (String.equal s.Column.scheme "ope") ->
+            (lazy (Column.Values (Column.to_values c)), d)
+        | c -> (Lazy.from_val c, d))
+      keys
+  in
   let cmp i j =
     let rec go = function
       | [] -> 0
       | (c, d) :: rest ->
-          let s = cell_compare c i j in
+          let s = cell_compare (Lazy.force c) i j in
           let s = match d with Plan.Asc -> s | Plan.Desc -> -s in
           if s <> 0 then s else go rest
     in

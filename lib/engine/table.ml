@@ -50,7 +50,10 @@ let attrs t = t.attrs
 let cardinality t = t.nrows
 let columns t = t.cols
 let row t i = Array.map (fun c -> Column.get c i) t.cols
-let rows t = List.init t.nrows (row t)
+(* column by column, so a sealed column materializes in one batch *)
+let rows t =
+  let cols = Array.map Column.to_values t.cols in
+  List.init t.nrows (fun i -> Array.map (fun c -> c.(i)) cols)
 
 exception Unknown_attribute of { attr : string; columns : string list }
 
@@ -100,9 +103,9 @@ let value_bytes = function
   | Value.Enc c -> enc_bytes (String.length c.Value.payload)
 
 (* a sealed cell weighs what its bytes will, without producing them *)
-let sealed_bytes = function
+let sealed_bytes s = function
   | Value.Null -> 1
-  | v -> enc_bytes (Enc_exec.rnd_payload_length v)
+  | v -> enc_bytes (Enc_exec.sealed_payload_length s v)
 
 let byte_size t =
   Array.fold_left
@@ -116,7 +119,7 @@ let byte_size t =
       | Column.Values a -> Array.fold_left (fun acc v -> acc + value_bytes v) acc a
       | Column.Sealed s ->
           Array.fold_left
-            (fun acc v -> acc + sealed_bytes v)
+            (fun acc v -> acc + sealed_bytes s v)
             acc
             (Column.to_values s.Column.plain))
     0 t.cols

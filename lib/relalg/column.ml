@@ -3,8 +3,8 @@
    / string arrays so per-scheme crypto kernels and scans run without
    boxing a Value per cell, while mixed, nullable or encrypted columns
    fall back to a plain Value array (zero-copy in both directions). A
-   sealed column is randomized ciphertext whose bytes are produced only
-   when a cell is read. *)
+   sealed column is det, OPE or rnd ciphertext whose bytes are produced
+   only when a cell is read. *)
 
 type t =
   | Ints of int array
@@ -16,13 +16,15 @@ type t =
   | Sealed of sealed
 
 and sealed = {
+  scheme : string;
   plain : t;
-  ivs : Bytes.t;
+  words : Bytes.t;
   key_id : string;
-  seal : Value.t -> int64 -> string;
+  seal : Value.t array -> int64 array -> string array;
 }
 
-let iv s i = Bytes.get_int64_le s.ivs (8 * i)
+let word s i =
+  if Bytes.length s.words = 0 then 0L else Bytes.get_int64_le s.words (8 * i)
 
 let rec length = function
   | Ints a | Dates a -> Array.length a
@@ -31,6 +33,8 @@ let rec length = function
   | Strs a -> Array.length a
   | Values a -> Array.length a
   | Sealed s -> length s.plain
+
+let enc s payload = Value.Enc { Value.scheme = s.scheme; key_id = s.key_id; payload }
 
 let rec get c i =
   match c with
@@ -43,9 +47,7 @@ let rec get c i =
   | Sealed s -> (
       match get s.plain i with
       | Value.Null -> Value.Null
-      | v ->
-          Value.Enc
-            { Value.scheme = "rnd"; key_id = s.key_id; payload = s.seal v (iv s i) })
+      | v -> enc s (s.seal [| v |] [| word s i |]).(0))
 
 let rec is_null c i =
   match c with
@@ -117,8 +119,21 @@ let of_values (vs : Value.t array) =
                  vs)
     end
 
+(* a sealed column's live cells are sealed in one call *)
 let to_values = function
   | Values a -> a
+  | Sealed s ->
+      let cells = Array.init (length s.plain) (get s.plain) in
+      let live = ref [] in
+      for i = Array.length cells - 1 downto 0 do
+        if not (Value.is_null cells.(i)) then live := i :: !live
+      done;
+      let live = Array.of_list !live in
+      let payloads =
+        s.seal (Array.map (fun i -> cells.(i)) live) (Array.map (word s) live)
+      in
+      Array.iteri (fun k i -> cells.(i) <- enc s payloads.(k)) live;
+      cells
   | c -> Array.init (length c) (get c)
 
 let rec sub c pos len =
@@ -132,11 +147,15 @@ let rec sub c pos len =
     | Dates a -> Dates (Array.sub a pos len)
     | Values a -> Values (Array.sub a pos len)
     | Sealed s ->
-        Sealed
-          { s with plain = sub s.plain pos len; ivs = Bytes.sub s.ivs (8 * pos) (8 * len) }
+        let words =
+          if Bytes.length s.words = 0 then s.words
+          else Bytes.sub s.words (8 * pos) (8 * len)
+        in
+        Sealed { s with plain = sub s.plain pos len; words }
 
 (* Floats gather through a loop into a flat float array, so no cell is
-   boxed on the way. A sealed column keeps only the gathered rows' IVs. *)
+   boxed on the way. A sealed column keeps only the gathered rows'
+   words. *)
 let rec gather c idx =
   let pick a = Array.map (fun i -> a.(i)) idx in
   match c with
@@ -150,9 +169,15 @@ let rec gather c idx =
   | Dates a -> Dates (pick a)
   | Values a -> Values (pick a)
   | Sealed s ->
-      let ivs = Bytes.create (8 * Array.length idx) in
-      Array.iteri (fun k i -> Bytes.set_int64_le ivs (8 * k) (iv s i)) idx;
-      Sealed { s with plain = gather s.plain idx; ivs }
+      let words =
+        if Bytes.length s.words = 0 then s.words
+        else begin
+          let w = Bytes.create (8 * Array.length idx) in
+          Array.iteri (fun k i -> Bytes.set_int64_le w (8 * k) (word s i)) idx;
+          w
+        end
+      in
+      Sealed { s with plain = gather s.plain idx; words }
 
 let is_unboxed = function
   | Ints _ | Floats _ | Bools _ | Strs _ | Dates _ -> true

@@ -7,15 +7,18 @@
     nullable or encrypted columns fall back to a plain [Value.t array].
     Conversions round-trip exactly: [get (of_values vs) i = vs.(i)].
 
-    A [Sealed] column is a randomized (rnd) ciphertext column whose
-    bytes have not been computed yet. It keeps the plaintext column,
-    each row's already-drawn IV and the key that will encrypt it; a
-    cell's ciphertext is produced only when {!get} (or {!to_values},
-    which calls it) reads that cell. The bytes are the ones eager
-    encryption would have produced, so no reader can tell the two apart.
-    Readers that need only null-ness or encryptedness ({!is_null},
-    {!is_encrypted}, {!length}) and the row movers ({!sub}, {!gather})
-    never produce them. *)
+    A [Sealed] column is a det, OPE or rnd ciphertext column whose
+    bytes have not been computed yet. It keeps the scheme, the
+    plaintext column, one word per row (an rnd cell's already-drawn IV,
+    an OPE cell's order image) and the key cluster that will encrypt
+    it; a cell's ciphertext is produced only when {!get} (or
+    {!to_values}, which calls it) reads that cell. The bytes are the
+    ones eager encryption would have produced, so no reader can tell
+    the two apart. Readers that need only null-ness or encryptedness
+    ({!is_null}, {!is_encrypted}, {!length}) and the row movers
+    ({!sub}, {!gather}) never produce them; operators that compare det
+    or OPE cells read the plaintext and the words instead (see
+    [Engine.Enc_exec]). *)
 
 type t =
   | Ints of int array
@@ -27,27 +30,33 @@ type t =
   | Sealed of sealed
 
 and sealed = {
+  scheme : string;  (** ["det"], ["ope"] or ["rnd"]: the cells' cipher scheme *)
   plain : t;  (** the plaintext cells; a Null cell stays Null *)
-  ivs : Bytes.t;
-      (** row [i]'s IV, little-endian at bytes [8i .. 8i+7] (unboxed, so
-          a sealed column holds no pointer per cell); unused at Null
-          rows *)
+  words : Bytes.t;
+      (** row [i]'s word, little-endian at bytes [8i .. 8i+7] (unboxed,
+          so a sealed column holds no pointer per cell): the IV of an
+          rnd cell, the cent/prefix image of an OPE cell; unused at Null
+          rows, and empty for det *)
   key_id : string;  (** the key cluster the cells encrypt under *)
-  seal : Value.t -> int64 -> string;
-      (** [seal v iv] is the rnd payload of plaintext [v] under [iv];
-          pure, and safe to call from any domain *)
+  seal : Value.t array -> int64 array -> string array;
+      (** [seal vs ws] is the payloads of the live plaintexts [vs],
+          whose words are [ws]; pure, and safe to call from any domain.
+          A batch, so a column materializes in one call. *)
 }
 
 val length : t -> int
 
 val get : t -> int -> Value.t
 (** [get c i] boxes cell [i]. No bounds promises beyond the arrays'. A
-    sealed cell comes back as [Value.Enc] with scheme ["rnd"] (its
-    payload computed now), or as [Null]. *)
+    sealed cell comes back as [Value.Enc] under the column's scheme and
+    key (its payload computed now), or as [Null]. *)
 
 val is_null : t -> int -> bool
 (** [is_null c i] is [Value.is_null (get c i)], without boxing the cell
     or producing a sealed cell's bytes. *)
+
+val word : sealed -> int -> int64
+(** [word s i] is row [i]'s word ([0L] when the column keeps none). *)
 
 val is_encrypted : t -> int -> bool
 (** [is_encrypted c i] is [Value.is_encrypted (get c i)], on the same
@@ -60,8 +69,8 @@ val of_values : Value.t array -> t
 
 val to_values : t -> Value.t array
 (** Boxing conversion; [Values] input is returned without copying (do
-    not mutate the result in that case). A sealed column's cells are
-    encrypted here. *)
+    not mutate the result in that case). A sealed column's live cells
+    are encrypted here, in one [seal] call. *)
 
 val sub : t -> int -> int -> t
 (** [sub c pos len] — same contract as [Array.sub], except that the
@@ -71,7 +80,7 @@ val sub : t -> int -> int -> t
 val gather : t -> int array -> t
 (** [gather c idx] is the column of cells [c.(idx.(k))], in [idx] order
     and in [c]'s representation (a typed column stays unboxed, a sealed
-    one stays sealed and keeps only the gathered rows' IVs). *)
+    one stays sealed and keeps only the gathered rows' words). *)
 
 val is_unboxed : t -> bool
 (** [true] for the typed representations; [false] for [Values] and

@@ -27,14 +27,14 @@ type plan_value = { verdict : verdict; exec_plan : Plan.t option }
    encrypted attributes, the executor assignment, and the environment
    fingerprint — so equal key implies equal bytes by construction.
 
-   A cached table may hold sealed rnd columns (Engine.Enc_exec), whose
-   bytes are computed when a cell is read, possibly by a later hit on
-   another domain. That is sound: the cache is this service's own
-   memory, keyed by tenant and position like any other entry; a sealed
-   column's closure holds the same store key its bytes would have come
-   from when it was built, so a later read gives the bytes an eager
-   encryption would have; and [Rnd.encrypt_iv] only reads that
-   immutable key, so concurrent reads need no lock.
+   A cached table may hold sealed det, OPE and rnd columns
+   (Engine.Enc_exec), whose bytes are computed when a cell is read,
+   possibly by a later hit on another domain. That is sound: the cache
+   is this service's own memory, keyed by tenant and position like any
+   other entry; a sealed column's closure holds the same store key its
+   bytes would have come from when it was built, so a later read gives
+   the bytes an eager encryption would have; and the ciphers only read
+   that immutable key, so concurrent reads need no lock.
 
    [deps] is the authorization dependency set (Analysis.Deps; empty
    for denials — see [set_policy]). [base] is the key minus the

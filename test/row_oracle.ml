@@ -3,12 +3,12 @@
    differential oracle for [Engine.Exec]. A relation is a list of
    [Value.t] row arrays; every operator runs sequentially in one pass
    over it. Crypto nodes use the engine's own batch kernels over one
-   whole-table range, so ciphertext bytes come from the same (plan
-   position, row index) randomness — except rnd, which the engine seals
-   and encrypts only when read: the oracle encrypts every rnd cell
-   eagerly, a row at a time; join matches come out in the order
-   [Hashtbl.find_all] gives (most recent binding first, i.e. descending
-   right row); groups in first-appearance order. *)
+   whole-table range for phe bytes and for the errors, so ciphertext
+   comes from the same (plan position, row index) randomness; det, OPE
+   and rnd, which the engine seals and encrypts only when read, the
+   oracle encrypts eagerly, a row at a time. Join matches come out in
+   the order [Hashtbl.find_all] gives (most recent binding first, i.e.
+   descending right row); groups in first-appearance order. *)
 
 open Relalg
 open Engine
@@ -45,7 +45,15 @@ let float_key f =
     Printf.sprintf "N%d" (int_of_float f)
   else Printf.sprintf "F%h" f
 
-let hash_key = function
+(* A group-by keys a ciphertext by its payload. A join keys an OPE
+   ciphertext as its predicate compares it: numeric images tied at cent
+   precision are equal whatever their tag byte and det tail, so a
+   number keys by its type class and 7-byte order prefix. *)
+let hash_key ~join = function
+  | Value.Enc { Value.scheme = "ope"; key_id; payload }
+    when join && String.length payload > 7 && String.contains "ifdb" payload.[7] ->
+      let cls = match payload.[7] with 'i' | 'f' -> 'N' | t -> t in
+      Printf.sprintf "Eope/%s/%c%s" key_id cls (String.sub payload 0 7)
   | Value.Enc c -> Printf.sprintf "E%s/%s/%s" c.Value.scheme c.Value.key_id c.Value.payload
   | Value.Int i ->
       if Float.abs (float_of_int i) < exact_int_float then Printf.sprintf "N%d" i
@@ -86,11 +94,14 @@ let to_columns t =
 let of_columns attrs n cols =
   make attrs (List.init n (fun i -> Array.map (fun c -> Column.get c i) cols))
 
-(* The batch kernels encrypt det, OPE and phe (and raise the errors);
-   rnd cells are then encrypted eagerly, by the contract [encrypt_batch]
-   states: row [k]'s generator [Prng.derive root k] is consumed across
-   the encrypted attributes in attribute order, the phe cells drawing
-   their Paillier units, Null cells drawing nothing. *)
+(* The batch kernels encrypt phe (and raise the errors); det, OPE and
+   rnd cells are then encrypted eagerly, by the contract
+   [encrypt_batch] states: row [k]'s generator [Prng.derive root k] is
+   consumed across the encrypted attributes in attribute order, the phe
+   cells drawing their Paillier units, Null cells drawing nothing. det
+   and OPE draw nothing and are deterministic under their key, so a
+   table local to the call keeps each distinct serialized cell's
+   ciphertext. *)
 let encrypt crypto ~node attrs t =
   let enc_attrs = Attr.Set.elements attrs in
   let enc_idx = List.map (col_index t) enc_attrs in
@@ -102,27 +113,34 @@ let encrypt crypto ~node attrs t =
       Enc_exec.encrypt_batch crypto ~rng_root:root
         ~enc:(List.map2 (fun a i -> (a, cols.(i))) enc_attrs enc_idx)
     in
-    let drawing =
-      List.filter
-        (fun (a, _) ->
-          match Enc_exec.scheme_of crypto a with
-          | C.Scheme.Rnd | C.Scheme.Phe -> true
-          | C.Scheme.Det | C.Scheme.Ope -> false)
-        (List.combine enc_attrs enc_idx)
+    let known = Hashtbl.create 64 in
+    let encrypt rng a v =
+      match Enc_exec.scheme_of crypto a with
+      | C.Scheme.Rnd | C.Scheme.Phe -> Enc_exec.encrypt_value ~rng crypto a v
+      | C.Scheme.Det | C.Scheme.Ope -> (
+          let key = (Attr.name a, Enc_exec.serialize v) in
+          match Hashtbl.find_opt known key with
+          | Some c -> c
+          | None ->
+              let c = Enc_exec.encrypt_value ~rng crypto a v in
+              Hashtbl.add known key c;
+              c)
     in
     let eager =
       List.mapi
         (fun k row ->
           let rng = C.Prng.derive root k in
-          List.map (fun (a, i) -> Enc_exec.encrypt_value ~rng crypto a row.(i)) drawing)
+          List.map (fun (a, i) -> encrypt rng a row.(i)) (List.combine enc_attrs enc_idx))
         t.rows
     in
-    List.iter2 (fun i c -> cols.(i) <- c) enc_idx out;
     List.iteri
-      (fun j (a, i) ->
-        if Enc_exec.scheme_of crypto a = C.Scheme.Rnd then
-          cols.(i) <- Column.Values (Array.of_list (List.map (fun r -> List.nth r j) eager)))
-      drawing
+      (fun j ((a, i), c) ->
+        cols.(i) <-
+          (match Enc_exec.scheme_of crypto a with
+          | C.Scheme.Phe -> c
+          | C.Scheme.Det | C.Scheme.Ope | C.Scheme.Rnd ->
+              Column.Values (Array.of_list (List.map (fun r -> List.nth r j) eager))))
+      (List.combine (List.combine enc_attrs enc_idx) out)
   end;
   of_columns t.attrs n cols
 
@@ -199,7 +217,7 @@ let join ?crypto pred l r =
         let lk = List.map (fun (a, _) -> col_index l a) pairs in
         let rk = List.map (fun (_, b) -> col_index r b) pairs in
         let key idxs row =
-          String.concat "\x01" (List.map (fun i -> hash_key row.(i)) idxs)
+          String.concat "\x01" (List.map (fun i -> hash_key ~join:true row.(i)) idxs)
         in
         let has_null idxs row = List.exists (fun i -> Value.is_null row.(i)) idxs in
         let index = Hashtbl.create 64 in
@@ -269,7 +287,7 @@ let group_by ?crypto ~node t keys aggs =
   let key_attrs = Attr.Set.elements keys in
   let key_idx = List.map (col_index t) key_attrs in
   let row_key row =
-    String.concat "\x01" (List.map (fun i -> hash_key row.(i)) key_idx)
+    String.concat "\x01" (List.map (fun i -> hash_key ~join:false row.(i)) key_idx)
   in
   let tbl = Hashtbl.create 64 and order = ref [] in
   List.iter

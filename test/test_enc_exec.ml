@@ -510,7 +510,7 @@ let test_malformed_ciphertexts () =
     (List.hd (List.rev messages))
     (message (batch (good :: List.rev bad)))
 
-(* --- the ciphertext memo ---------------------------------------------- *)
+(* --- sealed det and OPE columns: bytes --------------------------------- *)
 
 let clusters_of pairs =
   List.map
@@ -521,18 +521,20 @@ let clusters_of pairs =
         holders = Authz.Subject.Set.empty })
     pairs
 
-let memo_clusters =
+let det_ope_clusters =
   clusters_of
     [ ("p", C.Scheme.Det); ("q", C.Scheme.Det); ("o", C.Scheme.Ope);
       ("u", C.Scheme.Ope) ]
 
-let encrypt_column ctx name col =
+let sealed_of ctx name col =
   match
     Enc_exec.encrypt_batch ctx ~rng_root:(Enc_exec.node_rng ctx 1)
       ~enc:[ (attr name, col) ]
   with
-  | [ out ] -> Column.to_values out
-  | _ -> assert false
+  | [ (Column.Sealed _ as out) ] -> out
+  | _ -> Alcotest.failf "a %s column did not come back sealed" name
+
+let encrypt_column ctx name col = Column.to_values (sealed_of ctx name col)
 
 (* the schemes' own functions, called directly *)
 let direct keyring (cluster : Authz.Plan_keys.cluster) v =
@@ -568,7 +570,7 @@ let direct keyring (cluster : Authz.Plan_keys.cluster) v =
       let c = (C.Ope.encode_array (C.Keyring.ope_key keyring id) [| image |]).(0) in
       mk (C.Ope.bytes_of_cipher c ^ String.make 1 tag ^ tail)
 
-let gen_memo_column =
+let gen_plain_column =
   let open QCheck.Gen in
   let small_ints = int_range (-300) 300 in
   let sub_cents = map (fun k -> float_of_int k /. 1000.0) (int_range (-3000) 3000) in
@@ -591,12 +593,12 @@ let print_column col =
   QCheck.Print.(array Value.to_string) (Column.to_values col)
 
 (* Columns of every kind, twice through one store with the clusters of
-   each scheme interleaved, are byte-equal to a store-less context and
-   to the schemes' own functions. *)
-let prop_memo_bytes =
-  QCheck.Test.make ~count:150 ~name:"memo: store = store-less = direct"
+   each scheme interleaved, seal to bytes equal to a store-less
+   context's and to the schemes' own functions. *)
+let prop_sealed_direct =
+  QCheck.Test.make ~count:150 ~name:"sealed det/ope: store = store-less = direct"
     (QCheck.make ~print:QCheck.Print.(list print_column)
-       QCheck.Gen.(list_size (int_range 1 4) gen_memo_column))
+       QCheck.Gen.(list_size (int_range 1 4) gen_plain_column))
     (fun cols ->
       let seed = 7L in
       let st = Enc_exec.store (C.Keyring.create ~seed ()) in
@@ -609,25 +611,26 @@ let prop_memo_bytes =
                 (fun (cl : Authz.Plan_keys.cluster) ->
                   let name = cl.Authz.Plan_keys.id in
                   let via_store =
-                    encrypt_column (Enc_exec.of_store st memo_clusters) name col
+                    encrypt_column (Enc_exec.of_store st det_ope_clusters) name col
                   in
                   let store_less =
                     encrypt_column
-                      (Enc_exec.make (C.Keyring.create ~seed ()) memo_clusters)
+                      (Enc_exec.make (C.Keyring.create ~seed ()) det_ope_clusters)
                       name col
                   in
                   via_store = store_less
                   && via_store = Array.map (direct keyring cl) (Column.to_values col))
-                memo_clusters)
+                det_ope_clusters)
             cols)
         [ 1; 2 ])
 
-(* An error raised after memo hits carries the same message, for the
-   same row, as on a cold context. *)
-let test_memo_errors () =
+(* Sealing raises the encrypt-time errors eagerly, with the row path's
+   message for the row path's first bad row, on a cold context and on a
+   store that has already sealed other columns. *)
+let test_sealed_errors () =
   let seed = 7L in
   let st = Enc_exec.store (C.Keyring.create ~seed ()) in
-  let cold () = Enc_exec.make (C.Keyring.create ~seed ()) memo_clusters in
+  let cold () = Enc_exec.make (C.Keyring.create ~seed ()) det_ope_clusters in
   let enc =
     Enc_exec.encrypt_value (cold ()) (attr "o") (Value.Int 1)
   in
@@ -636,68 +639,83 @@ let test_memo_errors () =
     | _ -> Alcotest.fail "expected Crypto_error"
     | exception Enc_exec.Crypto_error m -> m
   in
+  let row_path name cells =
+    match Array.map (Enc_exec.encrypt_value (cold ()) (attr name)) cells with
+    | _ -> Alcotest.fail "expected Crypto_error"
+    | exception Enc_exec.Crypto_error m -> m
+  in
   let warm = [| Value.Int 1; Value.Int 2; Value.Str "abcdX"; Value.Float 0.125 |] in
   List.iter
     (fun name ->
-      ignore (encrypt_column (Enc_exec.of_store st memo_clusters) name (Column.Values warm)))
+      ignore
+        (encrypt_column (Enc_exec.of_store st det_ope_clusters) name (Column.Values warm)))
     [ "p"; "o" ];
   List.iter
-    (fun (name, cells) ->
-      Alcotest.(check string)
-        (Printf.sprintf "cluster %s, %d cells" name (Array.length cells))
-        (outcome (cold ()) name cells)
-        (outcome (Enc_exec.of_store st memo_clusters) name cells))
-    [ ("o", Array.append warm [| Value.Int (1 lsl 40); enc |]);
-      ("o", Array.append warm [| enc; Value.Int (1 lsl 40) |]);
-      ("o", Array.append warm [| Value.Null; Value.Float nan |]);
-      ("p", Array.append warm [| Value.Null; enc |]) ]
+    (fun (name, cells, expected) ->
+      let label = Printf.sprintf "cluster %s, %d cells" name (Array.length cells) in
+      Alcotest.(check string) (label ^ ": cold") expected (outcome (cold ()) name cells);
+      Alcotest.(check string) (label ^ ": warm store") expected
+        (outcome (Enc_exec.of_store st det_ope_clusters) name cells);
+      Alcotest.(check string) (label ^ ": row path") expected (row_path name cells))
+    [ ( "o",
+        Array.append warm [| Value.Int (1 lsl 40); enc |],
+        Printf.sprintf "cent-scaled value %d outside the OPE plaintext domain"
+          (100 lsl 40) );
+      ( "o",
+        Array.append warm [| enc; Value.Int (1 lsl 40) |],
+        "attribute o is already encrypted" );
+      ( "o",
+        Array.append warm [| Value.Null; Value.Float nan |],
+        "cannot encode non-finite float nan as cents" );
+      ( "u",
+        Array.append warm [| Value.Float 1e17 |],
+        "float 0x1.6345785d8ap+56 overflows the cent encoding" );
+      ("p", Array.append warm [| Value.Null; enc |], "attribute p is already encrypted") ]
 
-(* The same plaintext under two cluster ids, or under two seeds, gives
-   different ciphertexts, and the second key computes its own: no memo
-   entry answers for another key. *)
-let test_memo_isolation () =
+(* The same plaintext under two cluster ids, or under two seeds, seals to
+   different bytes; a store derives each key once, so a second pass
+   derives none and gives the same bytes. *)
+let test_sealed_isolation () =
   Obs.reset ();
   Obs.set_enabled true;
   Fun.protect ~finally:(fun () -> Obs.set_enabled false; Obs.reset ())
   @@ fun () ->
   let col = Column.Strs [| "abcdX"; "abcdY"; "abcdX" |] in
-  let misses f =
-    let before = Obs.counter "enc_exec.memo.misses" in
+  let derived f =
+    let before = Obs.counter "enc_exec.keys.derived" in
     let out = f () in
-    (out, Obs.counter "enc_exec.memo.misses" - before)
+    (out, Obs.counter "enc_exec.keys.derived" - before)
   in
   let st seed = Enc_exec.store (C.Keyring.create ~seed ()) in
   List.iter
     (fun (a, b) ->
       let s7 = st 7L in
-      let ctx s = Enc_exec.of_store s memo_clusters in
-      let first, m1 = misses (fun () -> encrypt_column (ctx s7) a col) in
-      let again, m2 = misses (fun () -> encrypt_column (ctx s7) a col) in
-      let other_id, m3 = misses (fun () -> encrypt_column (ctx s7) b col) in
-      let other_seed, m4 =
-        misses (fun () -> encrypt_column (ctx (st 8L)) a col)
-      in
+      let ctx s = Enc_exec.of_store s det_ope_clusters in
+      let first, k1 = derived (fun () -> encrypt_column (ctx s7) a col) in
+      let again, k2 = derived (fun () -> encrypt_column (ctx s7) a col) in
+      let other_id = encrypt_column (ctx s7) b col in
+      let other_seed, k3 = derived (fun () -> encrypt_column (ctx (st 8L)) a col) in
       let payloads vs =
         Array.map (function Value.Enc c -> c.Value.payload | _ -> "") vs
       in
-      Alcotest.(check bool) (a ^ ": memo hit, same bytes") true (first = again);
-      Alcotest.(check int) (a ^ ": hits compute nothing") 0 m2;
+      Alcotest.(check bool) (a ^ ": a second pass, same bytes") true (first = again);
+      Alcotest.(check int) (a ^ ": a second pass derives no key") 0 k2;
+      Alcotest.(check int) (a ^ ": a fresh store derives its keys") k1 k3;
+      Alcotest.(check bool) (a ^ ": the first pass derives") true (k1 > 0);
       Alcotest.(check bool) (a ^ " vs " ^ b ^ ": bytes differ") true
         (Array.for_all2 ( <> ) (payloads first) (payloads other_id));
       Alcotest.(check bool) (a ^ " under two seeds: bytes differ") true
-        (Array.for_all2 ( <> ) (payloads first) (payloads other_seed));
-      Alcotest.(check (list int)) (a ^ ": misses per key") [ m1; m1 ] [ m3; m4 ];
-      Alcotest.(check bool) (a ^ ": the first pass computes") true (m1 > 0))
+        (Array.for_all2 ( <> ) (payloads first) (payloads other_seed)))
     [ ("p", "q"); ("o", "u") ]
 
-(* A column with more distinct values than the cap clears the memo
-   midway and still gives the same bytes. *)
-let test_memo_cap () =
-  let n = Enc_exec.memo_cap + 100 in
+(* A column with more distinct values than one memo table used to hold
+   (2^16) seals to the schemes' own bytes. *)
+let test_sealed_large_column () =
+  let n = (1 lsl 16) + 100 in
   let seed = 7L in
   let st = Enc_exec.store (C.Keyring.create ~seed ()) in
   let keyring = C.Keyring.create ~seed () in
-  let p = List.hd memo_clusters in
+  let p = List.hd det_ope_clusters in
   let col = Column.Ints (Array.init n (fun i -> (i * 7919) mod n)) in
   let expected = Array.map (direct keyring p) (Column.to_values col) in
   List.iter
@@ -705,7 +723,7 @@ let test_memo_cap () =
       Alcotest.(check bool)
         (Printf.sprintf "pass %d: %d distinct values, same bytes" pass n)
         true
-        (encrypt_column (Enc_exec.of_store st memo_clusters) "p" col = expected))
+        (encrypt_column (Enc_exec.of_store st det_ope_clusters) "p" col = expected))
     [ 1; 2 ]
 
 (* --- sealed rnd columns -------------------------------------------------- *)
@@ -737,7 +755,7 @@ let gen_sealed_input =
   let open QCheck.Gen in
   let n = int_range 0 30 in
   oneof
-    [ gen_memo_column;
+    [ gen_plain_column;
       map (fun a -> Column.Floats a)
         (array_size n (oneofl [ nan; -0.0; 0.0; infinity; neg_infinity; 1e300 ]));
       map (fun a -> Column.Ints a) (array_size n (oneofl [ max_int; min_int; 0 ]));
@@ -746,26 +764,27 @@ let gen_sealed_input =
 let one_column col =
   Table.of_columns ~nrows:(Column.length col) [ attr "r" ] [| col |]
 
-(* Every reader sees the eager bytes: cell by cell, whole-column,
-   through row and column movers, as table rows, as CSV and as a byte
-   count. *)
+(* Every reader of [sealed] sees [want], the eager cells: cell by cell,
+   whole-column, through row and column movers, as table rows, as CSV
+   and as a byte count. *)
+let every_path_eager sealed want =
+  let n = Array.length want in
+  let idx = Array.init (2 * n) (fun k -> (k * 7) mod max n 1) in
+  let pos = n / 3 and len = n - (n / 3) in
+  let plain_table = one_column (Column.Values want) in
+  Array.for_all2 ( = ) want (Array.init n (Column.get sealed))
+  && Column.to_values sealed = want
+  && Column.to_values (Column.gather sealed idx) = Array.map (fun k -> want.(k)) idx
+  && Column.to_values (Column.sub sealed pos len) = Array.sub want pos len
+  && Table.rows (one_column sealed) = Table.rows plain_table
+  && Csv.to_string (one_column sealed) = Csv.to_string plain_table
+  && Table.byte_size (one_column sealed) = Table.byte_size plain_table
 let prop_sealed_bytes =
   QCheck.Test.make ~count:150 ~name:"sealed: every path = eager rnd"
     (QCheck.make ~print:print_column gen_sealed_input)
     (fun col ->
       let ctx = rnd_ctx_of () in
-      let sealed = seal ctx col and want = eager ctx col in
-      let n = Column.length col in
-      let idx = Array.init (2 * n) (fun k -> (k * 7) mod max n 1) in
-      let pos = n / 3 and len = n - (n / 3) in
-      let plain_table = one_column (Column.Values want) in
-      Array.for_all2 ( = ) want (Array.init n (Column.get sealed))
-      && Column.to_values sealed = want
-      && Column.to_values (Column.gather sealed idx) = Array.map (fun k -> want.(k)) idx
-      && Column.to_values (Column.sub sealed pos len) = Array.sub want pos len
-      && Table.rows (one_column sealed) = Table.rows plain_table
-      && Csv.to_string (one_column sealed) = Csv.to_string plain_table
-      && Table.byte_size (one_column sealed) = Table.byte_size plain_table)
+      every_path_eager (seal ctx col) (eager ctx col))
 
 let rnd_cell = function
   | Value.Null -> true
@@ -822,8 +841,9 @@ let prop_sealed_decrypt =
       in
       Array.for_all2 bit_equal want opened && Array.for_all2 bit_equal by_bytes opened)
 
-(* Encrypting a sealed column raises "already encrypted" where its
-   materialized cells would, after the errors of the columns before it;
+(* Encrypting a sealed column (rnd, det or OPE) raises "already
+   encrypted" where its materialized cells would, after the errors of
+   the columns before it;
    an all-Null one encrypts to Nulls. A sealed column under a key the
    context does not hold fails its decryption. *)
 let test_sealed_reencrypt () =
@@ -838,19 +858,32 @@ let test_sealed_reencrypt () =
     | exception Enc_exec.Crypto_error m -> Error m
   in
   let check label ~before cells expected =
-    let sealed = seal ctx (Column.Values cells) in
-    let boxed = Column.Values (Column.to_values sealed) in
     List.iter
-      (fun target ->
-        let enc col = before @ [ (attr target, col) ] in
-        let got = outcome (enc sealed) and today = outcome (enc boxed) in
-        Alcotest.(check bool) (label ^ ", under " ^ target) true (got = today);
-        match (expected target, got) with
-        | Some m, Error g -> Alcotest.(check string) (label ^ ": message") m g
-        | None, Ok _ -> ()
-        | Some _, Ok _ -> Alcotest.failf "%s under %s: no error" label target
-        | None, Error g -> Alcotest.failf "%s under %s: raised %s" label target g)
-      [ "d"; "o"; "p"; "q" ]
+      (fun sealer ->
+        let sealed =
+          match
+            Enc_exec.encrypt_batch ctx ~rng_root:(rnd_root ctx)
+              ~enc:[ (attr sealer, Column.Values cells) ]
+          with
+          | [ (Column.Sealed _ as out) ] -> out
+          | _ -> Alcotest.failf "a %s column did not come back sealed" sealer
+        in
+        let boxed = Column.Values (Column.to_values sealed) in
+        List.iter
+          (fun target ->
+            let label =
+              Printf.sprintf "%s, sealed under %s, under %s" label sealer target
+            in
+            let enc col = before @ [ (attr target, col) ] in
+            let got = outcome (enc sealed) and today = outcome (enc boxed) in
+            Alcotest.(check bool) label true (got = today);
+            match (expected target, got) with
+            | Some m, Error g -> Alcotest.(check string) (label ^ ": message") m g
+            | None, Ok _ -> ()
+            | Some _, Ok _ -> Alcotest.failf "%s: no error" label
+            | None, Error g -> Alcotest.failf "%s: raised %s" label g)
+          [ "d"; "o"; "p"; "q" ])
+      [ "r"; "d"; "o" ]
   in
   let already t = Some (Printf.sprintf "attribute %s is already encrypted" t) in
   check "live cells" ~before:[] [| Value.Null; Value.Int 3; Value.Null; Value.Str "" |]
@@ -900,6 +933,376 @@ let test_sealed_counters () =
   ignore (Table.rows table);
   Alcotest.(check int) "reading the rows encrypts the live cells" 3 (made ())
 
+(* --- sealed det and OPE columns: every reader, every comparison ------- *)
+
+let det_ope_ctx () = ctx_of [ ("d", C.Scheme.Det); ("o", C.Scheme.Ope) ]
+
+let outcome f =
+  match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
+
+(* a det or OPE column through [encrypt_batch], or its error *)
+let sealed_under ctx name col =
+  outcome (fun () ->
+      match
+        Enc_exec.encrypt_batch ctx ~rng_root:(Enc_exec.node_rng ctx 1)
+          ~enc:[ (attr name, col) ]
+      with
+      | [ (Column.Sealed _ as out) ] -> out
+      | _ -> Alcotest.failf "a %s column did not come back sealed" name)
+
+let prop_sealed_det_ope_bytes =
+  QCheck.Test.make ~count:150 ~name:"sealed: every path = eager det/ope"
+    (QCheck.make ~print:print_column gen_sealed_input)
+    (fun col ->
+      let ctx = det_ope_ctx () in
+      List.for_all
+        (fun name ->
+          let eager () =
+            Array.map (Enc_exec.encrypt_value ctx (attr name)) (Column.to_values col)
+          in
+          match (sealed_under ctx name col, outcome eager) with
+          | Ok sealed, Ok want -> every_path_eager sealed want
+          | Error got, Error want -> String.equal got want
+          | _ -> false)
+        [ "d"; "o" ])
+
+(* Decrypting a sealed det/OPE column runs no cipher and gives what
+   decrypting its bytes gives, bit for bit (an OPE [-0.0] opens as
+   [0.0], as its cent image says). *)
+let prop_sealed_det_ope_decrypt =
+  QCheck.Test.make ~count:150 ~name:"sealed: det/ope decrypt = decrypting the bytes"
+    (QCheck.make ~print:print_column gen_sealed_input)
+    (fun col ->
+      let ctx = det_ope_ctx () in
+      List.for_all
+        (fun name ->
+          match sealed_under ctx name col with
+          | Error _ -> true
+          | Ok sealed ->
+              let opened = Column.to_values (Enc_exec.decrypt_batch ctx sealed) in
+              let by_bytes =
+                Column.to_values
+                  (Enc_exec.decrypt_batch ctx (Column.Values (Column.to_values sealed)))
+              in
+              Array.for_all2 bit_equal by_bytes opened)
+        [ "d"; "o" ])
+
+(* The cells whose comparisons are traps: Int 4 / Float 4.0, cent ties
+   and sub-cent floats, the signed zeros, the two NaNs, strings tied on
+   their 4-byte prefix, mixed type classes, Null. *)
+let trap_cells =
+  [| Value.Int 4; Value.Float 4.0; Value.Float 4.001; Value.Float 4.004;
+     Value.Float 4.006; Value.Float (-0.0); Value.Float 0.0; Value.Float nan;
+     Value.Float (-.nan); Value.Str "abcdX"; Value.Str "abcdY"; Value.Str "abcd";
+     Value.Str ""; Value.Date 4; Value.Bool true; Value.Bool false; Value.Int (-5);
+     Value.Null |]
+
+let gen_trap = QCheck.Gen.oneofl (Array.to_list trap_cells)
+let ops = Predicate.[ Eq; Neq; Lt; Le; Gt; Ge ]
+
+let cluster id scheme names =
+  { Authz.Plan_keys.id;
+    attrs = Attr.Set.of_list (List.map attr names);
+    scheme;
+    holders = Authz.Subject.Set.empty }
+
+(* [a] and [b] under one key, under two keys of one scheme, or under two
+   schemes *)
+let pair_clusters scheme = function
+  | `Shared -> [ cluster "k" scheme [ "a"; "b" ] ]
+  | `Two_keys -> [ cluster "ka" scheme [ "a" ]; cluster "kb" scheme [ "b" ] ]
+  | `Two_schemes ->
+      let other = if scheme = C.Scheme.Det then C.Scheme.Ope else C.Scheme.Det in
+      [ cluster "ka" scheme [ "a" ]; cluster "kb" other [ "b" ] ]
+
+let pair_ctx scheme keys =
+  Enc_exec.make (C.Keyring.create ~seed:7L ()) (pair_clusters scheme keys)
+
+let print_pair (scheme, keys, va, vb) =
+  Printf.sprintf "%s %s: %s vs %s" (C.Scheme.name scheme)
+    (match keys with
+    | `Shared -> "one key"
+    | `Two_keys -> "two keys"
+    | `Two_schemes -> "two schemes")
+    (Value.to_string va) (Value.to_string vb)
+
+(* one-cell columns [a] and [b], sealed, and [Eval.predicate] over them *)
+let seal_pair ctx va vb =
+  Enc_exec.encrypt_batch ctx ~rng_root:(Enc_exec.node_rng ctx 1)
+    ~enc:[ (attr "a", Column.Values [| va |]); (attr "b", Column.Values [| vb |]) ]
+
+let eval_atom ctx cols atom =
+  outcome (fun () ->
+      Eval.predicate ~ctx
+        (fun x -> (List.assoc (Attr.name x) cols, fun () -> 0))
+        [ [ atom ] ] ())
+
+(* Every comparison of two sealed cells — with each other, with a
+   plaintext constant, with a boxed ciphertext — gives what comparing
+   their ciphertexts gives, errors included; the keys a join and a
+   group-by bucket them by agree with ciphertext equality and payload
+   equality. *)
+let prop_sealed_comparisons =
+  QCheck.Test.make ~count:600 ~name:"sealed: det/ope comparisons = ciphertext comparisons"
+    (QCheck.make ~print:print_pair
+       QCheck.Gen.(
+         quad
+           (oneofl [ C.Scheme.Det; C.Scheme.Ope ])
+           (frequency
+              [ (6, return `Shared); (1, return `Two_keys); (1, return `Two_schemes) ])
+           gen_trap gen_trap))
+    (fun (scheme, keys, va, vb) ->
+      let ctx = pair_ctx scheme keys in
+      match seal_pair ctx va vb with
+      | exception Enc_exec.Crypto_error _ -> QCheck.assume_fail ()
+      | [ ca; cb ] ->
+          let boxed c = Column.Values (Column.to_values c) in
+          let a = attr "a" and b = attr "b" in
+          let ea = Column.get ca 0 and eb = Column.get cb 0 in
+          let want f = outcome (fun () -> f (Eval.compare_values ~ctx)) in
+          let cmp_ab op = Predicate.Cmp_attr (a, op, b) in
+          let sealed_ops =
+            List.for_all
+              (fun op ->
+                let cells = [ ("a", ca); ("b", cb) ] in
+                let pair = want (fun cmp -> cmp op ea eb) in
+                eval_atom ctx cells (cmp_ab op) = pair
+                && eval_atom ctx [ ("a", ca); ("b", boxed cb) ] (cmp_ab op) = pair
+                && eval_atom ctx [ ("a", boxed ca); ("b", cb) ] (cmp_ab op) = pair
+                && eval_atom ctx cells (Predicate.Cmp_const (a, op, vb))
+                   = want (fun cmp -> cmp op ea vb)
+                && eval_atom ctx cells (Predicate.Cmp_const (b, op, va))
+                   = want (fun cmp -> cmp op eb va)
+                && eval_atom ctx cells (Predicate.In_list (a, [ vb; va ]))
+                   = want (fun cmp -> List.exists (cmp Predicate.Eq ea) [ vb; va ]))
+              ops
+          in
+          let keys_agree =
+            match (ca, cb, ea, eb) with
+            | Column.Sealed sa, Column.Sealed sb, Value.Enc xa, Value.Enc xb ->
+                let same_payload = Value.equal ea eb in
+                let cipher_equal =
+                  xa.Value.scheme = xb.Value.scheme
+                  && xa.Value.key_id = xb.Value.key_id
+                  && if xa.Value.scheme = "ope" then Enc_exec.ope_equal xa xb
+                     else same_payload
+                in
+                let key ~join s = Enc_exec.sealed_key ~join s 0 in
+                Bool.equal cipher_equal (key ~join:true sa = key ~join:true sb)
+                && (keys <> `Shared
+                   || Bool.equal same_payload (key ~join:false sa = key ~join:false sb))
+                && (keys <> `Shared || xa.Value.scheme <> "ope"
+                   || outcome (fun () -> compare (Enc_exec.sealed_order sa 0 sb 0) 0)
+                      = outcome (fun () -> compare (Enc_exec.ope_compare xa xb) 0))
+            | _ -> true
+          in
+          sealed_ops && keys_agree
+      | _ -> false)
+
+(* Tables of trap cells through every operator that compares cells —
+   selections against each other, constants and boxed ciphertext, hash
+   joins (sealed against sealed and against boxed), group-by, order-by,
+   min/max — against the eager row oracle: the same rows, CSV and byte
+   size, or the same error. *)
+let agrees_with_oracle ctx tables plan =
+  let view f =
+    match f () with
+    | t -> Ok (List.map Array.to_list (Table.rows t), Csv.to_string t, Table.byte_size t)
+    | exception e -> Error (Printexc.to_string e)
+  in
+  let context () = Exec.context ~crypto:(ctx ()) tables in
+  match
+    ( view (fun () -> Row_oracle.run (context ()) plan),
+      view (fun () -> Exec.run (context ()) plan) )
+  with
+  | Ok (ra, ca, ba), Ok (rb, cb, bb) ->
+      List.equal (List.equal bit_equal) ra rb && String.equal ca cb && ba = bb
+  | Error a, Error b -> String.equal a b
+  | _ -> false
+
+let trap_schema =
+  Schema.make ~name:"T" ~owner:"H"
+    [ ("a", Schema.Tfloat); ("b", Schema.Tfloat); ("g", Schema.Tint); ("x", Schema.Tfloat) ]
+
+let trap_schema' = Schema.make ~name:"U" ~owner:"H" [ ("b", Schema.Tfloat) ]
+let boxed_schema = Schema.make ~name:"V" ~owner:"H" [ ("x", Schema.Tfloat) ]
+
+(* T(a, b, g, x), U(b) and V(x), where each [x] is a [b] encrypted
+   eagerly under [a]'s cluster: boxed ciphertext *)
+let trap_tables ctx rows rows' =
+  let x v = Enc_exec.encrypt_value ctx (attr "a") v in
+  [ ( "T",
+      Table.create (Schema.attr_list trap_schema)
+        (List.mapi (fun i (va, vb) -> [| va; vb; Value.Int (i mod 2); x vb |]) rows) );
+    ("U", Table.create [ attr "b" ] (List.map (fun v -> [| v |]) rows'));
+    ("V", Table.create [ attr "x" ] (List.map (fun v -> [| x v |]) rows')) ]
+
+let a = attr "a" and b = attr "b" and g = attr "g" and x = attr "x"
+let where atom p = Plan.select (Predicate.conj [ atom ]) p
+let enc names p = Plan.encrypt (Attr.Set.of_list (List.map attr names)) p
+let enc_ab = enc [ "a"; "b" ] (Plan.base trap_schema)
+let enc_a_g = Plan.project (Attr.Set.of_list [ a; g ]) (enc [ "a" ] (Plan.base trap_schema))
+let count_by keys p =
+  Plan.group_by (Attr.Set.of_list keys) [ Aggregate.make Aggregate.Count_star ] p
+
+let trap_plans ~const =
+  List.concat_map
+    (fun op ->
+      [ where (Predicate.Cmp_attr (a, op, b)) enc_ab;
+        where (Predicate.Cmp_const (a, op, const)) enc_ab;
+        where (Predicate.Cmp_attr (a, op, x)) (enc [ "a" ] (Plan.base trap_schema)) ])
+    ops
+  @ [ Plan.join (Predicate.conj [ Predicate.Cmp_attr (a, Predicate.Eq, b) ])
+        enc_a_g (enc [ "b" ] (Plan.base trap_schema'));
+      Plan.join (Predicate.conj [ Predicate.Cmp_attr (a, Predicate.Eq, x) ])
+        enc_a_g (Plan.base boxed_schema);
+      where (Predicate.In_list (a, [ const; Value.Int 4 ])) enc_ab;
+      count_by [ a ] enc_ab;
+      count_by [ a; b ] enc_ab;
+      Plan.order_by [ (a, Plan.Asc); (g, Plan.Desc) ] enc_ab;
+      Plan.order_by [ (b, Plan.Desc) ] enc_ab;
+      Plan.group_by (Attr.Set.singleton g)
+        [ Aggregate.make (Aggregate.Min a); Aggregate.make (Aggregate.Max b);
+          Aggregate.make (Aggregate.Count a) ]
+        enc_ab;
+      Plan.decrypt (Attr.Set.of_list [ a; b ])
+        (where (Predicate.Cmp_attr (a, Predicate.Eq, b)) enc_ab) ]
+
+let prop_sealed_operators =
+  QCheck.Test.make ~count:300 ~name:"sealed: det/ope operators = eager oracle"
+    (QCheck.make
+       ~print:(fun (scheme, rows, rows', const) ->
+         let cells vs = String.concat "; " (List.map Value.to_string vs) in
+         Printf.sprintf "%s T=[%s] U=[%s] const %s" (C.Scheme.name scheme)
+           (String.concat "; "
+              (List.map (fun (va, vb) -> cells [ va ] ^ "," ^ cells [ vb ]) rows))
+           (cells rows') (Value.to_string const))
+       QCheck.Gen.(
+         quad
+           (oneofl [ C.Scheme.Det; C.Scheme.Ope ])
+           (list_size (int_range 0 7) (pair gen_trap gen_trap))
+           (list_size (int_range 0 5) gen_trap)
+           gen_trap))
+    (fun (scheme, rows, rows', const) ->
+      let ctx () = pair_ctx scheme `Shared in
+      match trap_tables (ctx ()) rows rows' with
+      | exception Enc_exec.Crypto_error _ -> QCheck.assume_fail ()
+      | tables -> List.for_all (agrees_with_oracle ctx tables) (trap_plans ~const))
+
+(* The traps one by one, with what the ciphertexts say. *)
+let test_sealed_traps () =
+  let check scheme keys va op vb expected =
+    let ctx = pair_ctx scheme keys in
+    let got =
+      eval_atom ctx
+        (List.combine [ "a"; "b" ] (seal_pair ctx va vb))
+        (Predicate.Cmp_attr (a, op, b))
+    in
+    let label =
+      Printf.sprintf "%s, %s" (print_pair (scheme, keys, va, vb))
+        (match op with Predicate.Eq -> "=" | _ -> "<")
+    in
+    let contains m g =
+      match Str.search_forward (Str.regexp_string m) g 0 with
+      | _ -> true
+      | exception Not_found -> false
+    in
+    match (expected, got) with
+    | Ok e, Ok g -> Alcotest.(check bool) label e g
+    | Error m, Error g -> Alcotest.(check bool) (label ^ " raises " ^ m) true (contains m g)
+    | _, Ok g -> Alcotest.failf "%s: got %b" label g
+    | _, Error g -> Alcotest.failf "%s: raised %s" label g
+  in
+  let det = C.Scheme.Det and ope = C.Scheme.Ope in
+  let eq = Predicate.Eq and lt = Predicate.Lt in
+  let f v = Value.Float v and s v = Value.Str v in
+  check det `Shared (Value.Int 4) eq (f 4.0) (Ok false);
+  check ope `Shared (Value.Int 4) eq (f 4.0) (Ok true);
+  check ope `Shared (Value.Int 4) eq (f 4.001) (Ok true);
+  check ope `Shared (Value.Int 4) lt (f 4.006) (Ok true);
+  check det `Shared (f (-0.0)) eq (f 0.0) (Ok false);
+  check ope `Shared (f (-0.0)) eq (f 0.0) (Ok true);
+  check det `Shared (f nan) eq (f (-.nan)) (Ok false);
+  check det `Shared (f nan) eq (f nan) (Ok true);
+  check det `Shared (f 4.0) lt (f 5.0)
+    (Error "deterministic encryption supports only equality");
+  check ope `Shared (s "abcdX") eq (s "abcdY") (Ok false);
+  check ope `Shared (s "abcdX") lt (s "abcdY") (Error "OPE order undefined");
+  check ope `Shared (s "abcdX") lt (s "abce") (Ok true);
+  check ope `Shared (Value.Int 4) lt (Value.Date 4) (Error "incomparable OPE ciphertexts");
+  check ope `Shared (Value.Int 4) eq (Value.Date 4) (Ok false);
+  check det `Two_keys (Value.Int 4) eq (Value.Int 4)
+    (Error "comparison of ciphertexts under different schemes/keys");
+  check ope `Two_schemes (Value.Int 4) eq (Value.Int 4)
+    (Error "comparison of ciphertexts under different schemes/keys");
+  check det `Two_keys Value.Null eq (Value.Int 4) (Ok false);
+  check ope `Shared (Value.Int 4) eq Value.Null (Ok false);
+  (* all-Null columns through every operator *)
+  List.iter
+    (fun scheme ->
+      let ctx () = pair_ctx scheme `Shared in
+      let nulls = [ (Value.Null, Value.Null); (Value.Null, Value.Null) ] in
+      let tables = trap_tables (ctx ()) nulls [ Value.Null ] in
+      Alcotest.(check bool)
+        (C.Scheme.name scheme ^ ": all-Null columns = eager oracle")
+        true
+        (List.for_all (agrees_with_oracle ctx tables) (trap_plans ~const:(Value.Int 4))))
+    [ det; ope ]
+
+(* Comparing sealed cells, joining and grouping by them, and OPE
+   order-by and min/max produce no bytes; a sealed cell meeting a boxed
+   ciphertext is materialized, and so is a det key that orders rows. *)
+let test_sealed_det_ope_counters () =
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false; Obs.reset ())
+  @@ fun () ->
+  let made () =
+    Obs.counter "enc_exec.det.materialized" + Obs.counter "enc_exec.ope.materialized"
+  in
+  let rows =
+    [ (Value.Int 4, Value.Float 4.0); (Value.Null, Value.Int 3);
+      (Value.Str "abcdX", Value.Null); (Value.Int 4, Value.Int 4) ]
+  in
+  let g1 =
+    where (Predicate.Cmp_const (g, Predicate.Eq, Value.Int 1)) (Plan.base trap_schema)
+  in
+  List.iter
+    (fun scheme ->
+      let ctx () = pair_ctx scheme `Shared in
+      let tables = trap_tables (ctx ()) rows [ Value.Int 4; Value.Null; Value.Float 4.0 ] in
+      let run plan = ignore (Exec.run (Exec.context ~crypto:(ctx ()) tables) plan) in
+      let name = C.Scheme.name scheme in
+      Obs.reset ();
+      List.iter run
+        [ where (Predicate.Cmp_attr (a, Predicate.Eq, b)) enc_ab;
+          where (Predicate.Cmp_const (a, Predicate.Neq, Value.Int 4)) enc_ab;
+          Plan.join (Predicate.conj [ Predicate.Cmp_attr (a, Predicate.Eq, b) ])
+            enc_a_g (enc [ "b" ] (Plan.base trap_schema'));
+          count_by [ a; b ] enc_ab ];
+      Alcotest.(check int) (name ^ ": comparing produces no bytes") 0 (made ());
+      Alcotest.(check bool) (name ^ ": cells sealed") true
+        (Obs.counter ("enc_exec." ^ name ^ ".sealed") > 0);
+      if scheme = C.Scheme.Ope then begin
+        (* rows 1 and 3: Null and Int 4 *)
+        run (Plan.order_by [ (a, Plan.Asc) ] (enc [ "a" ] g1));
+        run
+          (Plan.group_by (Attr.Set.singleton g)
+             [ Aggregate.make (Aggregate.Max a) ]
+             (enc [ "a" ] g1));
+        Alcotest.(check int) "ope: order-by and max produce no bytes" 0 (made ())
+      end
+      else begin
+        run (Plan.order_by [ (b, Plan.Asc) ] enc_ab);
+        Alcotest.(check int) "det: an order-by key is materialized once" 3 (made ())
+      end;
+      Obs.reset ();
+      run
+        (where (Predicate.Cmp_attr (a, Predicate.Eq, x)) (enc [ "a" ] (Plan.base trap_schema)));
+      Alcotest.(check int)
+        (name ^ ": the live cells meeting boxed ciphertext are materialized") 2 (made ()))
+    [ C.Scheme.Det; C.Scheme.Ope ]
+
 (* A malformed Paillier payload is a [Crypto_error] naming the scheme
    and key, as in decryption. *)
 let test_phe_sum_malformed () =
@@ -940,16 +1343,23 @@ let () =
       ( "decryption",
         [ ("malformed ciphertexts raise Crypto_error, in row order", `Quick,
            test_malformed_ciphertexts) ] );
-      ( "memo",
-        [ QCheck_alcotest.to_alcotest prop_memo_bytes;
-          ("errors after memo hits", `Quick, test_memo_errors);
-          ("no entry shared across cluster ids or seeds", `Quick,
-           test_memo_isolation);
-          ("a column past the cap", `Quick, test_memo_cap) ] );
+      ( "det-ope bytes",
+        [ QCheck_alcotest.to_alcotest prop_sealed_direct;
+          ("encrypt-time errors in row order", `Quick, test_sealed_errors);
+          ("no key shared across cluster ids or seeds", `Quick,
+           test_sealed_isolation);
+          ("more than 2^16 distinct values", `Quick,
+           test_sealed_large_column) ] );
       ( "sealed",
         [ QCheck_alcotest.to_alcotest prop_sealed_bytes;
           QCheck_alcotest.to_alcotest prop_sealed_no_plaintext;
           QCheck_alcotest.to_alcotest prop_sealed_decrypt;
           ("re-encrypting raises as before", `Quick, test_sealed_reencrypt);
           ("only reads produce bytes", `Quick, test_sealed_counters);
+          QCheck_alcotest.to_alcotest prop_sealed_det_ope_bytes;
+          QCheck_alcotest.to_alcotest prop_sealed_det_ope_decrypt;
+          QCheck_alcotest.to_alcotest prop_sealed_comparisons;
+          QCheck_alcotest.to_alcotest prop_sealed_operators;
+          ("det/ope traps, one by one", `Quick, test_sealed_traps);
+          ("det/ope: comparisons produce no bytes", `Quick, test_sealed_det_ope_counters);
           ("phe_sum: malformed payloads", `Quick, test_phe_sum_malformed) ] ) ]

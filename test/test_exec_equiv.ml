@@ -383,6 +383,42 @@ let test_ope_float_precision () =
     && Table.equal_bag column
          (run ~crypto:(crypto ()) [ ("M", column) ] (dec bs (enc bs m))))
 
+(* Regression: the hash join keyed an OPE ciphertext by its whole
+   payload, while its own predicate finds numeric images tied at cent
+   precision equal whatever their tag byte and det tail. An OPE Int 4
+   joined with an OPE Float 4.0 or 4.001 gave no row, where the same
+   predicate over the product gave one. *)
+let test_ope_join_cent_ties () =
+  let a = Attr.make "a" and c = Attr.make "c" in
+  let cluster =
+    { Authz.Plan_keys.id = "k";
+      attrs = Attr.Set.of_list [ a; c ];
+      scheme = Mpq_crypto.Scheme.Ope;
+      holders = Authz.Subject.Set.empty }
+  in
+  let crypto () = Enc_exec.make (Mpq_crypto.Keyring.create ~seed:3L ()) [ cluster ] in
+  let l = Plan.base (Schema.make ~name:"L" ~owner:"H" [ ("a", Schema.Tint) ]) in
+  let r = Plan.base (Schema.make ~name:"R" ~owner:"H" [ ("c", Schema.Tfloat) ]) in
+  let eq = Predicate.conj [ Predicate.Cmp_attr (a, Predicate.Eq, c) ] in
+  let enc x p = Plan.encrypt (Attr.Set.singleton x) p in
+  let joined = Plan.join eq (enc a l) (enc c r) in
+  let selected = Plan.select eq (Plan.product (enc a l) (enc c r)) in
+  List.iter
+    (fun f ->
+      let tables =
+        [ ("L", Table.create [ a ] [ [| Value.Int 4 |] ]);
+          ("R", Table.create [ c ] [ [| Value.Float f |]; [| Value.Float 5.0 |] ]) ]
+      in
+      let run plan = Exec.run (Exec.context ~crypto:(crypto ()) tables) plan in
+      let label = Printf.sprintf "Int 4 = Float %g" f in
+      Alcotest.(check int) (label ^ ": one match over the product") 1
+        (Table.cardinality (run selected));
+      Alcotest.(check bool) (label ^ ": join = select over product") true
+        (Table.equal_bag (run joined) (run selected));
+      agree ~crypto tables joined;
+      agree ~crypto tables selected)
+    [ 4.0; 4.001 ]
+
 (* Int and Float keys around 2^53 through the hash join and group-by, on
    typed (all-Int, all-Float) and mixed columns *)
 let test_keys_at_2_53 () =
@@ -462,7 +498,8 @@ let () =
           [ prop_encrypted_equals_plain; prop_monitor_clean ] );
       ( "regressions",
         [ ("mixed Int/Float hash join", `Quick, test_mixed_numeric_hash_join);
-          ("OPE keeps an avg's full precision", `Quick, test_ope_float_precision) ]
+          ("OPE keeps an avg's full precision", `Quick, test_ope_float_precision);
+          ("OPE join keys tie at cent precision", `Quick, test_ope_join_cent_ties) ]
       );
       ( "row oracle",
         [ QCheck_alcotest.to_alcotest prop_row_oracle;

@@ -264,8 +264,8 @@ let test_no_replanner_degrades () =
 
 (* Acceptance: across >= 20 seeds of crash + transient + slow faults,
    every completed run equals the fault-free result, every re-planned
-   extension verifies clean (verified_replanner), and no denied release
-   or key check is ever followed by a transfer to that subject. *)
+   extension verifies clean (verified_replanner), and every transfer
+   follows the release check that allows it. *)
 let test_safety_sweep () =
   let spec =
     Distsim.Faults.parse
@@ -278,18 +278,26 @@ let test_safety_sweep () =
         ~faults:(Distsim.Faults.make ~seed spec)
         ~replan:verified_replanner ()
     in
-    (* trace safety: after a denied check, never a transfer to that subject *)
-    let denied = ref [] in
+    (* trace safety: every transfer of node n from S to R follows a
+       release check of n by S for R, in the same pass (a failover
+       starts a new one) *)
+    let checked = ref [] in
     List.iter
       (fun e ->
         match e with
-        | Distsim.Runtime.Release_check { for_; ok = false; _ }
-        | Distsim.Runtime.Key_check { by = for_; ok = false; _ } ->
-            denied := for_ :: !denied
-        | Distsim.Runtime.Data_transfer { to_; _ } ->
-            if List.exists (Subject.equal to_) !denied then
-              Alcotest.failf "seed %d: transfer to %s after a denied check"
-                seed (Subject.name to_)
+        | Distsim.Runtime.Release_check { by; for_; node_id } ->
+            checked := (node_id, by, for_) :: !checked
+        | Distsim.Runtime.Failover_replanned _ -> checked := []
+        | Distsim.Runtime.Data_transfer { from_; to_; node_id; _ } ->
+            if
+              not
+                (List.exists
+                   (fun (n, by, for_) ->
+                     n = node_id && Subject.equal by from_ && Subject.equal for_ to_)
+                   !checked)
+            then
+              Alcotest.failf "seed %d: transfer n%d %s->%s without a release check"
+                seed node_id (Subject.name from_) (Subject.name to_)
         | _ -> ())
       outcome.Distsim.Runtime.trace;
     match completed outcome with

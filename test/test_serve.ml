@@ -1269,10 +1269,11 @@ let with_obs f =
   Obs.set_enabled true;
   Fun.protect ~finally:(fun () -> Obs.set_enabled false; Obs.reset ()) f
 
-(* A Service keeps its cluster keys, and their det/OPE ciphertext
-   memos, for its lifetime: a second TPC-H pass computes no det/OPE
-   ciphertext at all, and [invalidate] drops the store, so the pass
-   after it pays exactly what the first one paid. *)
+(* A Service keeps its cluster keys for its lifetime: a second TPC-H
+   pass derives no key, and neither pass runs a det or OPE cipher (every
+   such column stays sealed and no served result reads one); [invalidate]
+   drops the store, so the pass after it derives exactly what the first
+   one derived. *)
 let test_key_store_lifetime () =
   let sf = 0.0005 in
   let service =
@@ -1283,19 +1284,23 @@ let test_key_store_lifetime () =
     List.iter
       (fun q -> ignore (Serve.Service.submit service (Tpch.Tpch_queries.query q)))
       (List.init 22 succ);
-    (Obs.counter "enc_exec.memo.hits", Obs.counter "enc_exec.memo.misses")
+    ( Obs.counter "enc_exec.keys.derived",
+      Obs.counter "enc_exec.det.sealed" + Obs.counter "enc_exec.ope.sealed",
+      Obs.counter "enc_exec.det.materialized" + Obs.counter "enc_exec.ope.materialized" )
   in
   with_obs @@ fun () ->
-  let hits1, misses1 = pass () in
-  let hits2, misses2 = pass () in
+  let derived1, sealed1, made1 = pass () in
+  let derived2, sealed2, made2 = pass () in
   Serve.Service.invalidate service;
-  let hits3, misses3 = pass () in
-  Alcotest.(check bool) "first pass encrypts" true (misses1 > 0 && hits1 > 0);
-  Alcotest.(check int) "second pass: every det/OPE value from the memo" 0
-    misses2;
-  Alcotest.(check bool) "second pass still encrypts" true (hits2 > 0);
+  let derived3, sealed3, made3 = pass () in
+  Alcotest.(check bool) "first pass derives keys and seals" true
+    (derived1 > 0 && sealed1 > 0);
+  Alcotest.(check int) "second pass: no key derived" 0 derived2;
+  Alcotest.(check bool) "second pass still seals" true (sealed2 > 0);
+  Alcotest.(check (list int)) "no det/OPE cell materialized" [ 0; 0; 0 ]
+    [ made1; made2; made3 ];
   Alcotest.(check (pair int int)) "after invalidate: the first pass again"
-    (hits1, misses1) (hits3, misses3)
+    (derived1, sealed1) (derived3, sealed3)
 
 (* With no user to deliver to, computing priced near zero for the
    authorities and million-row estimates, the plan sums P where it is
@@ -1398,7 +1403,7 @@ let () =
           ("an execution error rejects one query", `Quick,
            test_exec_error_isolated) ] );
       ( "key store",
-        [ ("tpch: second pass all memo hits, invalidate resets", `Slow,
+        [ ("tpch: second pass derives no key, invalidate resets", `Slow,
            test_key_store_lifetime);
           ("phe plan twice: same bytes, one keygen", `Quick,
            test_phe_keygen_once) ] ) ]

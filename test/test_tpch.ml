@@ -203,48 +203,76 @@ let test_encrypted_execution_matches f n =
 
 let bag_equal = Engine.Table.equal_bag
 
-(* --- sealed rnd columns ----------------------------------------------- *)
+(* --- sealed columns ------------------------------------------------ *)
 
-(* Over all 22 queries x 3 scenarios, rnd columns are sealed and no
-   operator, result row or CSV export ever needs their bytes: the
-   served path never runs the rnd cipher. Every node's byte count is
-   the one its materialized table would have. *)
-let test_rnd_never_read () =
-  Obs.reset ();
-  Obs.set_enabled true;
-  Fun.protect ~finally:(fun () -> Obs.set_enabled false; Obs.reset ())
-  @@ fun () ->
-  let sizes = ref [] in
-  let sealed = function Column.Sealed _ -> true | _ -> false in
-  let hook _ t =
-    if Array.exists sealed (Engine.Table.columns t) then
-      sizes := (t, Engine.Table.byte_size t) :: !sizes
-  in
+(* All 22 queries x 3 scenarios, once, with the result rows and CSV read:
+   the sealed/materialized counters of each scheme, and every node table
+   that holds a sealed column with its byte count. *)
+let sealed_run =
+  lazy
+    (Obs.reset ();
+     Obs.set_enabled true;
+     Fun.protect ~finally:(fun () -> Obs.set_enabled false; Obs.reset ())
+     @@ fun () ->
+     let nodes = ref [] in
+     let sealed = function Column.Sealed _ -> true | _ -> false in
+     let hook _ t =
+       if Array.exists sealed (Engine.Table.columns t) then
+         nodes := (t, Engine.Table.byte_size t) :: !nodes
+     in
+     List.iter
+       (fun (q, _, _) ->
+         List.iter
+           (fun sc ->
+             let r =
+               Tpch.Scenarios.optimize ~sf ~fold_leaf_filters:false ~scenario:sc
+                 (Tpch.Tpch_queries.query q)
+             in
+             let keyring = Mpq_crypto.Keyring.create ~seed:99L () in
+             let crypto = Engine.Enc_exec.make keyring r.Planner.Optimizer.clusters in
+             let ctx =
+               Engine.Exec.context ~udfs:Tpch.Tpch_queries.udf_impls ~crypto (tables ())
+             in
+             let result =
+               Engine.Exec.run_with_hook ctx ~hook
+                 r.Planner.Optimizer.extended.Authz.Extend.plan
+             in
+             ignore (Engine.Table.rows result);
+             ignore (Engine.Csv.to_string result))
+           Tpch.Scenarios.all)
+       Tpch.Tpch_queries.all;
+     let counts =
+       List.concat_map
+         (fun scheme ->
+           List.map
+             (fun what ->
+               let name = "enc_exec." ^ scheme ^ "." ^ what in
+               (name, Obs.counter name))
+             [ "sealed"; "materialized" ])
+         [ "det"; "ope"; "rnd" ]
+     in
+     let counter scheme what = List.assoc ("enc_exec." ^ scheme ^ "." ^ what) counts in
+     (counter, List.rev !nodes))
+
+(* Over all 22 queries x 3 scenarios, columns under [schemes] are
+   sealed and no operator, result row or CSV export ever needs their
+   bytes: the served path never runs their cipher. Every node holding
+   one weighs what its materialized table would. *)
+let test_never_read schemes () =
+  let counter, nodes = Lazy.force sealed_run in
   List.iter
-    (fun (q, _, _) ->
-      List.iter
-        (fun sc ->
-          let r =
-            Tpch.Scenarios.optimize ~sf ~fold_leaf_filters:false ~scenario:sc
-              (Tpch.Tpch_queries.query q)
-          in
-          let keyring = Mpq_crypto.Keyring.create ~seed:99L () in
-          let crypto = Engine.Enc_exec.make keyring r.Planner.Optimizer.clusters in
-          let ctx =
-            Engine.Exec.context ~udfs:Tpch.Tpch_queries.udf_impls ~crypto (tables ())
-          in
-          let result =
-            Engine.Exec.run_with_hook ctx ~hook
-              r.Planner.Optimizer.extended.Authz.Extend.plan
-          in
-          ignore (Engine.Table.rows result);
-          ignore (Engine.Csv.to_string result))
-        Tpch.Scenarios.all)
-    Tpch.Tpch_queries.all;
-  Alcotest.(check bool) "rnd cells sealed" true
-    (Obs.counter "enc_exec.rnd.sealed" > 0 && !sizes <> []);
-  Alcotest.(check int) "rnd cells materialized" 0
-    (Obs.counter "enc_exec.rnd.materialized");
+    (fun scheme ->
+      Alcotest.(check bool) (scheme ^ " cells sealed") true (counter scheme "sealed" > 0);
+      Alcotest.(check int) (scheme ^ " cells materialized") 0
+        (counter scheme "materialized"))
+    schemes;
+  let holds t =
+    Array.exists
+      (function Column.Sealed s -> List.mem s.Column.scheme schemes | _ -> false)
+      (Engine.Table.columns t)
+  in
+  let nodes = List.filter (fun (t, _) -> holds t) nodes in
+  Alcotest.(check bool) "some node holds a sealed column" true (nodes <> []);
   List.iter
     (fun (t, bytes) ->
       let materialized =
@@ -255,7 +283,7 @@ let test_rnd_never_read () =
              (Engine.Table.columns t))
       in
       Alcotest.(check int) "byte size" (Engine.Table.byte_size materialized) bytes)
-    !sizes
+    nodes
 
 let () =
   Alcotest.run "tpch"
@@ -279,4 +307,7 @@ let () =
               fun () -> test_encrypted_execution_matches bag_equal q ))
           Tpch.Tpch_queries.all );
       ( "sealed-rnd",
-        [ ("22 x 3: rnd never read", `Slow, test_rnd_never_read) ] ) ]
+        [ ("22 x 3: rnd never read", `Slow, test_never_read [ "rnd" ]) ] );
+      ( "sealed-det-ope",
+        [ ("22 x 3: det and OPE never read", `Slow, test_never_read [ "det"; "ope" ]) ]
+      ) ]
