@@ -10,8 +10,18 @@ open Authz
    giving the sub-plan result cache a dependency set that covers
    exactly the checks whose certification the reused bytes embody. *)
 let collect ?deliver_to ?original ~(extended : Extend.t) ~clusters ~keep () =
-  let acc = ref Fact.Set.empty in
-  let add s = acc := Fact.Set.union s !acc in
+  (* per subject, the attributes read at the Plain and at the Enc level;
+     the facts are built once, at the end *)
+  let acc = ref Subject.Map.empty in
+  let read subject (plain, enc) =
+    acc :=
+      Subject.Map.update subject
+        (function
+          | None -> Some (plain, enc)
+          | Some (p, e) -> Some (Attr.Set.union p plain, Attr.Set.union e enc))
+        !acc
+  in
+  let add subject p = read subject (Fact.profile_reads p) in
   let positions = Plan.preorder_positions extended.Extend.plan in
   let kept n =
     match Hashtbl.find_opt positions (Plan.id n) with
@@ -23,8 +33,8 @@ let collect ?deliver_to ?original ~(extended : Extend.t) ~clusters ~keep () =
      (MPQ001 proved them equal to the verifier's own derivation).
      Minimality probes check the same executors against profiles over
      the same attribute carrier (a dropped encryption only moves
-     attributes between plain and encrypted form), so the facts
-     of_profile lists for these profiles cover them. A missing profile
+     attributes between plain and encrypted form), so the attributes
+     profile_reads lists for these profiles cover them. A missing profile
      fails closed: skipping it would shrink the dependency set. *)
   List.iter
     (fun n ->
@@ -33,7 +43,7 @@ let collect ?deliver_to ?original ~(extended : Extend.t) ~clusters ~keep () =
       | Some subject when kept n ->
           let against m =
             match Hashtbl.find_opt extended.Extend.profiles (Plan.id m) with
-            | Some p -> add (Fact.of_profile subject p)
+            | Some p -> add subject p
             | None ->
                 invalid_arg
                   (Printf.sprintf "Deps: %s (node %d) carries no stored profile"
@@ -66,12 +76,7 @@ let collect ?deliver_to ?original ~(extended : Extend.t) ~clusters ~keep () =
     (fun (c : Plan_keys.cluster) ->
       Subject.Map.iter
         (fun subject handled ->
-          Attr.Set.iter
-            (fun attr ->
-              if Attr.Set.mem attr crypto_attrs then
-                acc :=
-                  Fact.Set.add { Fact.subject; attr; level = Fact.Plain } !acc)
-            handled)
+          read subject (Attr.Set.inter handled crypto_attrs, Attr.Set.empty))
         (Verify.Check_keys.duty_map extended c.Plan_keys.attrs))
     clusters;
   (* The optimizer's recipient gate: deliver_to must be authorized for
@@ -100,7 +105,7 @@ let collect ?deliver_to ?original ~(extended : Extend.t) ~clusters ~keep () =
             List.for_all
               (fun (sch : Schema.t) -> List.mem sch.Schema.name kept_bases)
               (Plan.base_relations n)
-          then add (Fact.of_profile user (Profile.of_plan n))
+          then add user (Profile.of_plan n)
         end
         else List.iter inputs (Plan.children n)
       in
@@ -108,7 +113,10 @@ let collect ?deliver_to ?original ~(extended : Extend.t) ~clusters ~keep () =
         (match original with
         | Some q -> q
         | None -> Plan.strip_crypto extended.Extend.plan));
-  !acc
+  Subject.Map.fold
+    (fun subject (plain, enc) facts ->
+      Fact.Set.union (Fact.of_levels subject ~plain ~enc) facts)
+    !acc Fact.Set.empty
 
 let of_extended ?deliver_to ?original ~extended ~clusters () =
   Obs.with_span "analysis.deps" @@ fun () ->

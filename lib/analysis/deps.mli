@@ -8,9 +8,9 @@
 
     - {b assignees} (Def. 4.1/4.2, [MPQ010–012] and the [MPQ020]
       minimality probes): for every node with executor [s], the facts
-      {!Fact.of_profile} lists for [s] against each operand profile and
-      the node's result profile, read from the plan's stored profiles
-      ([extended.profiles]);
+      of [s] over the attributes {!Fact.profile_reads} lists for each
+      operand profile and the node's result profile, read from the
+      plan's stored profiles ([extended.profiles]);
     - {b key distribution} (Def. 6.1, [MPQ030]): for every cluster and
       every subject with encryption/decryption duty over it
       ({!Verify.Check_keys.duty_map}), the [Plain] facts over the
@@ -38,7 +38,7 @@
     {!Planner.Optimizer.plan} returns has. Its profile check ([MPQ001])
     then proved each stored profile {!Authz.Profile.equal} to the
     verifier's own re-derivation ({!Verify.Derive}), and
-    {!Fact.of_profile} reads only the fields that comparison covers,
+    {!Fact.profile_reads} reads only the fields that comparison covers,
     so the stored profiles give the facts the re-derivation would.
     Both functions raise [Invalid_argument] naming the node when an
     assigned node or one of its operands carries no stored profile:

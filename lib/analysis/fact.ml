@@ -40,23 +40,19 @@ module Set = struct
     String.concat " " (List.map to_string (elements s))
 end
 
-let of_view subject (view : Authorization.view) =
+let of_levels subject ~plain ~enc =
   let add level attrs acc =
-    Attr.Set.fold (fun attr acc -> Set.add { subject; attr; level } acc)
-      attrs acc
+    Attr.Set.fold (fun attr acc -> { subject; attr; level } :: acc) attrs acc
   in
-  add Plain view.Authorization.plain
-    (add Enc view.Authorization.enc Set.empty)
+  Set.of_list (add Plain plain (add Enc enc []))
 
-let of_profile subject (p : Profile.t) =
-  let add level attrs acc =
-    Attr.Set.fold (fun attr acc -> Set.add { subject; attr; level } acc)
-      attrs acc
+let of_view subject (view : Authorization.view) =
+  of_levels subject ~plain:view.Authorization.plain ~enc:view.Authorization.enc
+
+let profile_reads (p : Profile.t) =
+  let anything =
+    List.fold_left Attr.Set.union
+      (Attr.Set.union p.Profile.ve p.Profile.ie)
+      (Partition.sets p.Profile.eq)
   in
-  let both attrs acc = add Plain attrs (add Enc attrs acc) in
-  let plaintext = Attr.Set.union p.Profile.vp p.Profile.ip in
-  let anything = Attr.Set.union p.Profile.ve p.Profile.ie in
-  let acc = add Plain plaintext Set.empty in
-  let acc = both anything acc in
-  List.fold_left (fun acc cls -> both cls acc) acc
-    (Partition.sets p.Profile.eq)
+  (Attr.Set.union (Attr.Set.union p.Profile.vp p.Profile.ip) anything, anything)

@@ -33,16 +33,20 @@ module Set : sig
   val to_string : t -> string
 end
 
+val of_levels : Subject.t -> plain:Attr.Set.t -> enc:Attr.Set.t -> Set.t
+(** [(s, a, Plain)] for [a ∈ plain] and [(s, a, Enc)] for [a ∈ enc]. *)
+
 val of_view : Subject.t -> Authorization.view -> Set.t
 (** Every fact a view grants: [(s, a, Plain)] for [a ∈ view.plain],
     [(s, a, Enc)] for [a ∈ view.enc]. *)
 
-val of_profile : Subject.t -> Profile.t -> Set.t
-(** The facts Def. 4.1 consults when checking [s] against a relation
-    profile ({!Verify.Check_authz.check_view}):
-    plaintext content ([vp ∪ ip]) reads the [Plain] facts; encrypted
-    content ([ve ∪ ie]) reads both levels (membership in [P ∪ E]); and
-    every attribute of every equivalence class reads both levels
-    (uniform-visibility needs the class inside [P] or inside [E]).
-    Mutating any fact outside this set cannot change the check's
-    verdict on this (subject, profile) pair. *)
+val profile_reads : Profile.t -> Attr.Set.t * Attr.Set.t
+(** [(plain, enc)]: the attributes Def. 4.1 consults at each level when
+    checking a subject [s] against a relation profile
+    ({!Verify.Check_authz.check_view}). Plaintext content ([vp ∪ ip])
+    reads the [Plain] facts; encrypted content ([ve ∪ ie]) reads both
+    levels (membership in [P ∪ E]); and every attribute of every
+    equivalence class reads both levels (uniform visibility needs the
+    class inside [P] or inside [E]). Mutating any fact outside
+    [of_levels s ~plain ~enc] cannot change the check's verdict on this
+    (subject, profile) pair. *)

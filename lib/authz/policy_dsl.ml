@@ -87,7 +87,11 @@ let parse_authorize lineno rest schemas subjects =
   in
   let plain, enc = sections [] [] attrs_rest in
   (match
-     List.filter (fun a -> not (Schema.mem schema (Attr.make a))) (plain @ enc)
+     (* by string: a name the schema lacks is refused, never interned *)
+     List.filter
+       (fun a ->
+         not (List.exists (fun b -> Attr.name b = a) (Schema.attr_list schema)))
+       (plain @ enc)
    with
   | [] -> ()
   | foreign -> fail lineno "%s has no column %s" rel (String.concat "," foreign));

@@ -59,10 +59,21 @@ let cell_key ~join c i =
       Enc_exec.sealed_key ~join s i
   | c -> hash_key ~join (Column.get c i)
 
+(* A multi-column key prefixes each cell's key with its length (4
+   bytes), so no cell's bytes can shift a boundary: ("a\x01Sb", "c") and
+   ("a", "b\x01Sc") stay two keys. *)
 let row_key ~join cols i =
   match cols with
   | [ c ] -> cell_key ~join c i
-  | _ -> String.concat "\x01" (List.map (fun c -> cell_key ~join c i) cols)
+  | _ ->
+      let buf = Buffer.create 32 in
+      List.iter
+        (fun c ->
+          let k = cell_key ~join c i in
+          Buffer.add_int32_le buf (Int32.of_int (String.length k));
+          Buffer.add_string buf k)
+        cols;
+      Buffer.contents buf
 
 let null_at cols i = List.exists (fun c -> Column.is_null c i) cols
 
@@ -161,8 +172,27 @@ let equi_pairs pred l r =
         | _ -> None)
       pred
 
+(* Whether a column holds a ciphertext cell, and whether it holds a
+   plaintext one (Nulls are neither). *)
+let cell_kinds = function
+  | Column.Sealed _ -> (true, false)
+  | Column.Values vs ->
+      ( Array.exists Value.is_encrypted vs,
+        Array.exists (fun v -> not (Value.is_null v || Value.is_encrypted v)) vs )
+  | _ -> (false, true)
+
+(* A key pair can bucket only if no ciphertext cell on one side may meet
+   a plaintext cell on the other: the predicate compares those by
+   encrypting the plaintext ([Eval.compare_values]), which their keys
+   ("E…" against "N…") cannot mirror. Such pairs are left to the
+   recheck. *)
+let bucketable l r (a, b) =
+  let l_enc, l_plain = cell_kinds (Table.column l a)
+  and r_enc, r_plain = cell_kinds (Table.column r b) in
+  not ((l_enc && r_plain) || (l_plain && r_enc))
+
 let join ?crypto pred l r =
-  let pairs = equi_pairs pred l r in
+  let pairs = List.filter (bucketable l r) (equi_pairs pred l r) in
   let nr = Table.cardinality r in
   let stride = max nr 1 in
   (* the predicate reads a (left, right) pair packed as [li * stride + rj];

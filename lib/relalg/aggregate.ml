@@ -12,11 +12,13 @@ let operand_of_func = function
   | Count_star -> None
   | Count a | Sum a | Avg a | Min a | Max a -> Some a
 
+let count = Attr.make "count"
+
 let make func =
   let output =
     match operand_of_func func with
     | Some a -> a
-    | None -> Attr.make "count"
+    | None -> count
   in
   { func; output }
 
@@ -36,6 +38,6 @@ let pp fmt t =
   if
     match operand_of_func t.func with
     | Some a -> Attr.equal a t.output
-    | None -> Attr.equal t.output (Attr.make "count")
+    | None -> Attr.equal t.output count
   then Format.pp_print_string fmt (func_name t.func)
   else Format.fprintf fmt "%s as %s" (func_name t.func) (Attr.name t.output)

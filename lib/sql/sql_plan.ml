@@ -20,23 +20,24 @@ let op_of = function
   | Gt -> Predicate.Gt
   | Ge -> Predicate.Ge
 
-(* A condition becomes one or more CNF clauses. *)
-let rec clauses_of_condition cond : Predicate.t =
+(* A condition becomes one or more CNF clauses; [attr] resolves a
+   column name. *)
+let rec clauses_of_condition attr cond : Predicate.t =
   match cond with
   | Cmp_const (a, op, c) ->
-      [ [ Predicate.Cmp_const (Attr.make a, op_of op, value_of c) ] ]
+      [ [ Predicate.Cmp_const (attr a, op_of op, value_of c) ] ]
   | Cmp_attr (a, op, b) ->
-      [ [ Predicate.Cmp_attr (Attr.make a, op_of op, Attr.make b) ] ]
-  | In (a, cs) -> [ [ Predicate.In_list (Attr.make a, List.map value_of cs) ] ]
-  | Like (a, p) -> [ [ Predicate.Like (Attr.make a, p) ] ]
+      [ [ Predicate.Cmp_attr (attr a, op_of op, attr b) ] ]
+  | In (a, cs) -> [ [ Predicate.In_list (attr a, List.map value_of cs) ] ]
+  | Like (a, p) -> [ [ Predicate.Like (attr a, p) ] ]
   | Between (a, lo, hi) ->
-      [ [ Predicate.Cmp_const (Attr.make a, Predicate.Ge, value_of lo) ];
-        [ Predicate.Cmp_const (Attr.make a, Predicate.Le, value_of hi) ] ]
+      [ [ Predicate.Cmp_const (attr a, Predicate.Ge, value_of lo) ];
+        [ Predicate.Cmp_const (attr a, Predicate.Le, value_of hi) ] ]
   | Or cs ->
       let atoms =
         List.concat_map
           (fun c ->
-            match clauses_of_condition c with
+            match clauses_of_condition attr c with
             | [ clause ] -> clause
             | _ -> fail "BETWEEN is not supported inside OR")
           cs
@@ -48,11 +49,11 @@ let rec condition_attrs = function
   | Cmp_attr (a, _, b) -> [ a; b ]
   | Or cs -> List.concat_map condition_attrs cs
 
-let agg_of item =
+let agg_of attr item =
   match item with
   | Agg ("count", None) -> Aggregate.make Aggregate.Count_star
   | Agg (f, Some a) ->
-      let a = Attr.make a in
+      let a = attr a in
       let func =
         match f with
         | "count" -> Aggregate.Count a
@@ -127,14 +128,24 @@ let to_plan ~catalog (q : Sql_ast.t) =
     | None -> fail "unknown relation %s" rel
   in
   let schemas = List.map schema_of q.from in
-  let owner_of a =
-    match
-      List.filter (fun s -> Schema.mem s (Attr.make a)) schemas
-    with
-    | [ s ] -> s.Schema.name
+  (* Names resolve against the FROM relations' columns by string: a
+     name no schema declares is refused before it could be interned. *)
+  let owners a =
+    List.filter_map
+      (fun s ->
+        List.find_opt (fun b -> String.equal (Attr.name b) a) (Schema.attr_list s)
+        |> Option.map (fun b -> (s, b)))
+      schemas
+  in
+  let resolve a =
+    match owners a with
+    | [ found ] -> found
     | [] -> fail "unknown column %s" a
     | _ -> fail "ambiguous column %s" a
   in
+  let owner_of a = (fst (resolve a)).Schema.name in
+  let attr a = snd (resolve a) in
+  let clauses_of_condition = clauses_of_condition attr in
   (* columns each relation must expose *)
   let needed = Hashtbl.create 8 in
   let need a =
@@ -142,7 +153,7 @@ let to_plan ~catalog (q : Sql_ast.t) =
     let prev =
       Option.value ~default:Attr.Set.empty (Hashtbl.find_opt needed rel)
     in
-    Hashtbl.replace needed rel (Attr.Set.add (Attr.make a) prev)
+    Hashtbl.replace needed rel (Attr.Set.add (attr a) prev)
   in
   List.iter
     (function
@@ -191,15 +202,11 @@ let to_plan ~catalog (q : Sql_ast.t) =
                 (fun c ->
                   match c with
                   | Cmp_attr (a, _, b) ->
-                      let sa = Attr.Set.mem (Attr.make a) (Plan.schema acc)
-                      and sb =
-                        Attr.Set.mem (Attr.make b) (Plan.schema right)
-                      in
-                      let sa' =
-                        Attr.Set.mem (Attr.make b) (Plan.schema acc)
-                      and sb' =
-                        Attr.Set.mem (Attr.make a) (Plan.schema right)
-                      in
+                      let a = attr a and b = attr b in
+                      let sa = Attr.Set.mem a (Plan.schema acc)
+                      and sb = Attr.Set.mem b (Plan.schema right) in
+                      let sa' = Attr.Set.mem b (Plan.schema acc)
+                      and sb' = Attr.Set.mem a (Plan.schema right) in
                       (sa && sb) || (sa' && sb')
                   | _ -> false)
                 remaining
@@ -227,7 +234,7 @@ let to_plan ~catalog (q : Sql_ast.t) =
   in
   let result =
     if agg_items = [] && q.group_by = [] then
-      let cols = Attr.Set.of_names col_items in
+      let cols = Attr.Set.of_list (List.map attr col_items) in
       if q.distinct then
         (* DISTINCT = duplicate elimination: a group-by with no
            aggregates over the selected columns *)
@@ -240,8 +247,8 @@ let to_plan ~catalog (q : Sql_ast.t) =
           if not (List.mem c q.group_by) then
             fail "column %s must appear in GROUP BY" c)
         col_items;
-      let keys = Attr.Set.of_names q.group_by in
-      Plan.group_by keys (List.map agg_of agg_items) joined
+      let keys = Attr.Set.of_list (List.map attr q.group_by) in
+      Plan.group_by keys (List.map (agg_of attr) agg_items) joined
     end
   in
   let result =
@@ -256,7 +263,7 @@ let to_plan ~catalog (q : Sql_ast.t) =
         Plan.order_by
           (List.map
              (fun (c, desc) ->
-               (Attr.make c, if desc then Plan.Desc else Plan.Asc))
+               (attr c, if desc then Plan.Desc else Plan.Asc))
              keys)
           result
   in

@@ -114,9 +114,13 @@ let base_cardinality ~sf = function
   | "lineitem" -> Float.max 1.0 (6_000_000.0 *. sf)
   | t -> invalid_arg ("Tpch_schema.base_cardinality: " ^ t)
 
-let base_stats ~sf name =
-  match List.assoc_opt name widths with
-  | None -> None
-  | Some cols ->
-      Some
-        (Planner.Estimate.of_widths ~card:(base_cardinality ~sf name) cols)
+(* Built once per [~sf]: a planner consults its base statistics at
+   every base relation of every candidate it estimates. *)
+let base_stats ~sf =
+  let table =
+    List.map
+      (fun (name, cols) ->
+        (name, Planner.Estimate.of_widths ~card:(base_cardinality ~sf name) cols))
+      widths
+  in
+  fun name -> List.assoc_opt name table

@@ -199,6 +199,30 @@ let equi_pairs pred l r =
         | _ -> None)
       pred
 
+(* Multi-column keys length-prefix each cell's key, so a cell's bytes
+   never shift a boundary between cells. *)
+let row_key ~join idxs row =
+  String.concat ""
+    (List.map
+       (fun i ->
+         let k = hash_key ~join row.(i) in
+         string_of_int (String.length k) ^ ":" ^ k)
+       idxs)
+
+(* A key pair where one side holds ciphertext and the other plaintext
+   cannot bucket: the predicate encrypts the plaintext to compare them,
+   which the keys do not mirror. Such pairs are left to the recheck. *)
+let bucketable l r (a, b) =
+  let kinds t i =
+    ( List.exists (fun row -> Value.is_encrypted row.(i)) t.rows,
+      List.exists
+        (fun row -> not (Value.is_null row.(i) || Value.is_encrypted row.(i)))
+        t.rows )
+  in
+  let l_enc, l_plain = kinds l (col_index l a)
+  and r_enc, r_plain = kinds r (col_index r b) in
+  not ((l_enc && r_plain) || (l_plain && r_enc))
+
 let join ?crypto pred l r =
   let attrs = l.attrs @ r.attrs in
   let header = make attrs [] in
@@ -211,14 +235,12 @@ let join ?crypto pred l r =
       rrs
   in
   let rows =
-    match equi_pairs pred l r with
+    match List.filter (bucketable l r) (equi_pairs pred l r) with
     | [] -> List.concat_map (fun rl -> matches rl r.rows) l.rows
     | pairs ->
         let lk = List.map (fun (a, _) -> col_index l a) pairs in
         let rk = List.map (fun (_, b) -> col_index r b) pairs in
-        let key idxs row =
-          String.concat "\x01" (List.map (fun i -> hash_key ~join:true row.(i)) idxs)
-        in
+        let key = row_key ~join:true in
         let has_null idxs row = List.exists (fun i -> Value.is_null row.(i)) idxs in
         let index = Hashtbl.create 64 in
         List.iter
@@ -286,9 +308,7 @@ let aggregate ?crypto ?rng (agg : Aggregate.t) values =
 let group_by ?crypto ~node t keys aggs =
   let key_attrs = Attr.Set.elements keys in
   let key_idx = List.map (col_index t) key_attrs in
-  let row_key row =
-    String.concat "\x01" (List.map (fun i -> hash_key ~join:false row.(i)) key_idx)
-  in
+  let row_key = row_key ~join:false key_idx in
   let tbl = Hashtbl.create 64 and order = ref [] in
   List.iter
     (fun row ->

@@ -419,6 +419,54 @@ let test_ope_join_cent_ties () =
       agree ~crypto tables selected)
     [ 4.0; 4.001 ]
 
+(* Regression: a multi-column group key joined the cells' keys with
+   "\x01", so string cells holding "\x01" shifted the boundary and
+   ("a\x01Sb", "c") fell into one group with ("a", "b\x01Sc"). *)
+let test_group_key_boundaries () =
+  let s1 = Attr.make "s1" and s2 = Attr.make "s2" in
+  let t =
+    Table.create [ s1; s2 ]
+      [ [| Value.Str "a\x01Sb"; Value.Str "c" |];
+        [| Value.Str "a"; Value.Str "b\x01Sc" |] ]
+  in
+  let schema =
+    Schema.make ~name:"T" ~owner:"H" [ ("s1", Schema.Tstring); ("s2", Schema.Tstring) ]
+  in
+  let plan =
+    Plan.group_by (Attr.Set.of_list [ s1; s2 ])
+      [ Aggregate.make Aggregate.Count_star ] (Plan.base schema)
+  in
+  Alcotest.(check int) "two groups" 2
+    (Table.cardinality (Exec.run (Exec.context [ ("T", t) ]) plan));
+  agree [ ("T", t) ] plan
+
+(* Regression: the hash join keyed a det ciphertext ("E…") and a
+   plaintext cell ("N…") apart, while its predicate encrypts the
+   plaintext and finds them equal: det a = plain c on Int 4 gave no row
+   where select over the product gave one. *)
+let test_cipher_plain_join () =
+  let a = Attr.make "a" and c = Attr.make "c" in
+  let crypto () =
+    Enc_exec.of_schemes (Mpq_crypto.Keyring.create ~seed:11L ())
+      [ ("a", Mpq_crypto.Scheme.Det) ]
+  in
+  let l = Plan.base (Schema.make ~name:"L" ~owner:"H" [ ("a", Schema.Tint) ]) in
+  let r = Plan.base (Schema.make ~name:"R" ~owner:"H" [ ("c", Schema.Tint) ]) in
+  let eq = Predicate.conj [ Predicate.Cmp_attr (a, Predicate.Eq, c) ] in
+  let enc_l = Plan.encrypt (Attr.Set.singleton a) l in
+  let joined = Plan.join eq enc_l r in
+  let selected = Plan.select eq (Plan.product enc_l r) in
+  let tables =
+    [ ("L", Table.create [ a ] [ [| Value.Int 4 |]; [| Value.Int 6 |] ]);
+      ("R", Table.create [ c ] [ [| Value.Int 4 |]; [| Value.Int 5 |] ]) ]
+  in
+  let run plan = Exec.run (Exec.context ~crypto:(crypto ()) tables) plan in
+  Alcotest.(check int) "one match over the product" 1 (Table.cardinality (run selected));
+  Alcotest.(check int) "one match through the join" 1 (Table.cardinality (run joined));
+  Alcotest.(check bool) "join = select over product" true
+    (Table.equal_bag (run joined) (run selected));
+  agree ~crypto tables joined
+
 (* Int and Float keys around 2^53 through the hash join and group-by, on
    typed (all-Int, all-Float) and mixed columns *)
 let test_keys_at_2_53 () =
@@ -499,7 +547,9 @@ let () =
       ( "regressions",
         [ ("mixed Int/Float hash join", `Quick, test_mixed_numeric_hash_join);
           ("OPE keeps an avg's full precision", `Quick, test_ope_float_precision);
-          ("OPE join keys tie at cent precision", `Quick, test_ope_join_cent_ties) ]
+          ("OPE join keys tie at cent precision", `Quick, test_ope_join_cent_ties);
+          ("group key cells keep their boundaries", `Quick, test_group_key_boundaries);
+          ("det column = plain column on Int 4", `Quick, test_cipher_plain_join) ]
       );
       ( "row oracle",
         [ QCheck_alcotest.to_alcotest prop_row_oracle;

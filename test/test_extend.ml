@@ -149,11 +149,12 @@ let justified_encryptions policy (ext : Extend.t) plan_orig =
                 Attr.Set.mem a view.Authorization.enc)
               ancs
           in
-          Attr.Set.for_all
+          List.for_all
             (fun a ->
               protected_above a
-              || Attr.Set.exists protected_above (Partition.find root_eq a))
-            attrs
+              || List.exists protected_above
+                   (Attr.Set.elements (Partition.find root_eq a)))
+            (Attr.Set.elements attrs)
       | _ -> acc)
     true ext.Extend.plan
 

@@ -238,6 +238,54 @@ let test_out_of_range_literal () =
     [ Some oracle.(5) ]
     (List.map Serve.Client.table_csv rb)
 
+(* An unknown column is refused by name and never interned: a client
+   could otherwise grow the process's attribute table without bound, one
+   fresh name per request. 10 000 distinct names, in every position a
+   column name can take, through Service.parse and over the wire. *)
+let unknown_column_sql i =
+  let n = Printf.sprintf "nosuch%05d" i in
+  match i mod 6 with
+  | 0 -> Printf.sprintf "select %s from Hosp" n
+  | 1 -> Printf.sprintf "select S from Hosp where %s = 'x'" n
+  | 2 -> Printf.sprintf "select D, count(T) from Hosp group by D, %s" n
+  | 3 -> Printf.sprintf "select S from Hosp order by %s" n
+  | 4 -> Printf.sprintf "select T from Hosp join Ins on S = %s" n
+  | _ -> Printf.sprintf "select avg(%s) from Ins" n
+
+let test_unknown_columns_not_interned () =
+  let count = 10_000 in
+  let service = example_service () in
+  let before = Relalg.Attr.interned () in
+  for i = 0 to count - 1 do
+    match Serve.Service.parse service (unknown_column_sql i) with
+    | _ -> Alcotest.failf "accepted: %s" (unknown_column_sql i)
+    | exception Mpq_sql.Sql_plan.Plan_error msg ->
+        let want = Printf.sprintf "unknown column nosuch%05d" i in
+        if msg <> want then Alcotest.failf "%S: want %S" msg want
+  done;
+  Alcotest.(check int) "Service.parse interns nothing" before
+    (Relalg.Attr.interned ());
+  with_server ~service @@ fun _server _service addr ->
+  let c = Serve.Client.connect addr in
+  let batch = 500 in
+  for b = 0 to (count / batch) - 1 do
+    for i = b * batch to ((b + 1) * batch) - 1 do
+      Serve.Client.send c (unknown_column_sql i)
+    done;
+    for i = b * batch to ((b + 1) * batch) - 1 do
+      match Serve.Client.recv c with
+      | Some r ->
+          Alcotest.(check (pair string string))
+            (Printf.sprintf "line %d" (i + 1))
+            ("parse error", Printf.sprintf "unknown column nosuch%05d" i)
+            (r.Serve.Client.tag, r.Serve.Client.info)
+      | None -> Alcotest.failf "EOF before reply %d" (i + 1)
+    done
+  done;
+  Serve.Client.close c;
+  Alcotest.(check int) "the line protocol interns nothing" before
+    (Relalg.Attr.interned ())
+
 (* --- isolation -------------------------------------------------------- *)
 
 let victim_run addr =
@@ -605,7 +653,9 @@ let () =
           Alcotest.test_case "an execution error rejects one request" `Quick
             test_exec_error_pipelined;
           Alcotest.test_case "an out-of-range literal is a parse error" `Quick
-            test_out_of_range_literal ] );
+            test_out_of_range_literal;
+          Alcotest.test_case "10000 unknown columns refused, none interned" `Quick
+            test_unknown_columns_not_interned ] );
       ( "isolation",
         [ Alcotest.test_case "faulty neighbours leave no trace" `Quick
             test_session_isolation;
