@@ -709,7 +709,7 @@ let check_cmd =
           prints the findings as $(b,MPQ)$(i,NNN) diagnostics: profile \
           propagation (MPQ001-003), authorized assignees (MPQ010-012), \
           encryption minimality (MPQ020), key distribution (MPQ030-033), \
-          scheme sufficiency (MPQ040) and dispatch well-formedness \
+          scheme sufficiency (MPQ040-041) and dispatch well-formedness \
           (MPQ050-055).";
       `P "Exits with status 2 when any Error-severity diagnostic is \
           reported; warnings alone keep the exit status at 0." ]

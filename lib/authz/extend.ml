@@ -56,39 +56,161 @@ let node_facts ~config plan =
         acc)
     Imap.empty plan
 
-let build_extension ~policy ?deliver_to ~facts ~assignment plan =
-  let view_of s = Authorization.view policy s in
-  let profiles = Hashtbl.create 64 in
-  let executors = ref Imap.empty in
-  let executor n =
-    match Imap.find_opt (Plan.id n) assignment with
-    | Some s -> s
-    | None ->
-        if Candidates.is_source_side n then Candidates.owner_of_source n
-        else
+(* An original node with what the extension reads of it that no
+   assignment changes, the authority owning it when it is source-side,
+   the preorder positions its subtree spans ([pos] up to [stop],
+   exclusive), and the attributes its subtree's nodes output: every
+   profile of the subtree's extension holds only these. *)
+type shape = {
+  node : Plan.t;
+  facts : node_facts;
+  owner : Subject.t option;
+  pos : int;
+  stop : int;
+  attrs : Attr.Set.t;
+  children : shape list;
+}
+
+let shape_of ~config plan =
+  let facts = node_facts ~config plan in
+  let rec go pos n =
+    let children, stop =
+      List.fold_left
+        (fun (acc, next) c ->
+          let sc = go next c in
+          (sc :: acc, sc.stop))
+        ([], pos + 1) (Plan.children n)
+    in
+    let children = List.rev children in
+    { node = n; facts = Imap.find (Plan.id n) facts;
+      owner =
+        (if Candidates.is_source_side n then
+           Some (Candidates.owner_of_source n)
+         else None);
+      pos; stop;
+      attrs =
+        List.fold_left
+          (fun acc c -> Attr.Set.union acc c.attrs)
+          (Plan.schema n) children;
+      children }
+  in
+  go 0 plan
+
+(* Everything a subtree's extension reads beyond the query: the
+   assignment of its own nodes (subject codes by preorder position, -1
+   where unassigned), the encrypted view of its parent's executor, and
+   the union of the encrypted views of the executors above it, both
+   cut to the attributes the subtree holds. *)
+module Key = struct
+  type t = {
+    pos : int;
+    parent_enc : Attr.Set.t;
+    above : Attr.Set.t;
+    slots : int array;
+  }
+
+  let equal a b =
+    a.pos = b.pos
+    && Attr.Set.equal a.parent_enc b.parent_enc
+    && Attr.Set.equal a.above b.above
+    && a.slots = b.slots
+
+  (* the views rarely tell two keys of one assignment apart: [equal]
+     does *)
+  let hash k = Array.fold_left (fun h c -> (h * 31) + c) k.pos k.slots
+end
+
+module Memo = Hashtbl.Make (Key)
+
+(* What an extender keeps across the assignments it extends. Node ids
+   are unique, so a node's profile and executor are recorded once, when
+   it is built, and read by every later extension holding it. *)
+type state = {
+  view_of : Subject.t -> Authorization.view;
+  deliver_to : Subject.t option;
+  shape : shape;
+  profiles : (int, Profile.t) Hashtbl.t;
+  mutable executors : Subject.t Imap.t;
+  memo : (Plan.t * Profile.t) Memo.t;
+  mutable subjects : Subject.t array;  (** by code *)
+}
+
+let build_extension st assignment =
+  let view_of = st.view_of in
+  let code_of s =
+    let rec find i =
+      if i = Array.length st.subjects then begin
+        st.subjects <- Array.append st.subjects [| s |];
+        i
+      end
+      else if Subject.equal st.subjects.(i) s then i
+      else find (i + 1)
+    in
+    find 0
+  in
+  let codes = Array.make st.shape.stop (-1) in
+  let rec fill sh =
+    (match Imap.find_opt (Plan.id sh.node) assignment with
+    | Some s -> codes.(sh.pos) <- code_of s
+    | None -> ());
+    List.iter fill sh.children
+  in
+  fill st.shape;
+  let executor sh =
+    let c = codes.(sh.pos) in
+    if c >= 0 then st.subjects.(c)
+    else
+      match sh.owner with
+      | Some owner -> owner
+      | None ->
           invalid_arg
             (Printf.sprintf "Extend.extend: node %d (%s) has no assignee"
-               (Plan.id n) (Plan.operator_name n))
+               (Plan.id sh.node) (Plan.operator_name sh.node))
   in
   let record node profile subject =
-    Hashtbl.replace profiles (Plan.id node) profile;
-    executors := Imap.add (Plan.id node) subject !executors
+    Hashtbl.replace st.profiles (Plan.id node) profile;
+    st.executors <- Imap.add (Plan.id node) subject st.executors
   in
-  (* [parent] is the node's parent and its executor; [ancestors_enc]
-     unions the encrypted views of every executor above the node *)
-  let rec build n ~parent ~ancestors_enc =
-    let facts_n = Imap.find (Plan.id n) facts in
+  (* [parent] is the node's parent and the encrypted view of its
+     executor; [ancestors_enc] unions the encrypted views of every
+     executor above the node. The subtree's extension reads both only
+     against its own profiles, so both are cut to [sh.attrs] first. A
+     subtree whose key was met before is the same extension: it is
+     reused as built. *)
+  let rec build sh ~parent ~ancestors_enc =
+    let parent =
+      Option.map (fun (p, enc) -> (p, Attr.Set.inter enc sh.attrs)) parent
+    in
+    let ancestors_enc = Attr.Set.inter ancestors_enc sh.attrs in
+    let key =
+      { Key.pos = sh.pos;
+        parent_enc =
+          (match parent with None -> Attr.Set.empty | Some (_, e) -> e);
+        above = ancestors_enc;
+        slots = Array.sub codes sh.pos (sh.stop - sh.pos) }
+    in
+    match Memo.find_opt st.memo key with
+    | Some built -> built
+    | None ->
+        let built = build_node sh ~parent ~ancestors_enc in
+        Memo.add st.memo key built;
+        built
+  and build_node sh ~parent ~ancestors_enc =
+    let n = sh.node in
+    let facts_n = sh.facts in
     let ap = facts_n.ap in
-    let subject = executor n in
+    let subject = executor sh in
+    let view = view_of subject in
     (* executors from here up that must not see plaintext *)
     let protected_enc =
-      Attr.Set.union ancestors_enc (view_of subject).Authorization.enc
+      Attr.Set.union ancestors_enc view.Authorization.enc
     in
     let built =
       List.map
         (fun c ->
-          build c ~parent:(Some (n, subject)) ~ancestors_enc:protected_enc)
-        (Plan.children n)
+          build c ~parent:(Some (sh, view.Authorization.enc))
+            ~ancestors_enc:protected_enc)
+        sh.children
     in
     (* (i) decrypt operand attributes the operation needs in plaintext.
        Aggregate operands the assignee may read in plaintext are also
@@ -109,7 +231,7 @@ let build_extension ~policy ?deliver_to ~facts ~assignment plan =
           in
           Attr.Set.inter
             (Attr.Set.diff operands keys)
-            (view_of subject).Authorization.plain
+            view.Authorization.plain
       | _ -> Attr.Set.empty
     in
     let ap = Attr.Set.union ap agg_plain in
@@ -140,7 +262,7 @@ let build_extension ~policy ?deliver_to ~facts ~assignment plan =
     in
     let fix_dec, fix_enc =
       let groups = facts_n.groups in
-      let own_plain = (view_of subject).Authorization.plain in
+      let own_plain = view.Authorization.plain in
       let rec go to_dec to_enc =
         let ve_cur =
           Attr.Set.union
@@ -188,7 +310,7 @@ let build_extension ~policy ?deliver_to ~facts ~assignment plan =
           if Attr.Set.is_empty e_fix then (ec, pc)
           else begin
             let producer =
-              match Imap.find_opt (Plan.id ec) !executors with
+              match Imap.find_opt (Plan.id ec) st.executors with
               | Some s -> s
               | None -> subject
             in
@@ -207,9 +329,8 @@ let build_extension ~policy ?deliver_to ~facts ~assignment plan =
        lacks plaintext visibility *)
     match parent with
     | None -> (n', p')
-    | Some (parent, parent_subject) ->
-        let e_parent = (view_of parent_subject).Authorization.enc in
-        let parent_implicit = (Imap.find (Plan.id parent) facts).implicit in
+    | Some (parent, e_parent) ->
+        let parent_implicit = parent.facts.implicit in
         let a_term =
           Attr.Set.inter
             (Attr.Set.inter parent_implicit p'.Profile.vp)
@@ -227,32 +348,49 @@ let build_extension ~policy ?deliver_to ~facts ~assignment plan =
         end
   in
   let root, root_profile =
-    build plan ~parent:None ~ancestors_enc:Attr.Set.empty
+    build st.shape ~parent:None ~ancestors_enc:Attr.Set.empty
   in
-  let root, _ =
-    match deliver_to with
+  let root =
+    match st.deliver_to with
     | Some user ->
         let readable =
           Attr.Set.inter root_profile.Profile.ve
             (view_of user).Authorization.plain
         in
-        if Attr.Set.is_empty readable then (root, root_profile)
+        if Attr.Set.is_empty readable then root
         else begin
           let nd = Plan.decrypt readable root in
-          let pd = Profile.decrypt readable root_profile in
-          record nd pd user;
-          (nd, pd)
+          record nd (Profile.decrypt readable root_profile) user;
+          nd
         end
-    | _ -> (root, root_profile)
+    | None -> root
   in
-  { plan = root; assignment = !executors; profiles }
+  { plan = root; assignment = st.executors; profiles = st.profiles }
 
 let extender ~policy ~config ?deliver_to plan =
-  let facts = node_facts ~config plan in
-  fun assignment -> build_extension ~policy ?deliver_to ~facts ~assignment plan
+  build_extension
+    { view_of = Authorization.view policy;
+      deliver_to;
+      shape = shape_of ~config plan;
+      profiles = Hashtbl.create 256;
+      executors = Imap.empty;
+      memo = Memo.create 256;
+      subjects = [||] }
+
+let own (t : t) =
+  let profiles = Hashtbl.create 64 in
+  let assignment =
+    Plan.fold
+      (fun acc n ->
+        let id = Plan.id n in
+        Hashtbl.replace profiles id (Hashtbl.find t.profiles id);
+        Imap.add id (Imap.find id t.assignment) acc)
+      Imap.empty t.plan
+  in
+  { t with assignment; profiles }
 
 let extend ~policy ~config ~assignment ?deliver_to plan =
-  extender ~policy ~config ?deliver_to plan assignment
+  own (extender ~policy ~config ?deliver_to plan assignment)
 
 let verify ~policy t =
   let check_node acc node =

@@ -32,7 +32,8 @@ val extend :
   t
 (** [extend ~policy ~config ~assignment plan] builds the minimally
     extended plan for [assignment] (keyed by original node ids, covering
-    every assignable node — see {!Candidates.is_source_side}).
+    every assignable node — see {!Candidates.is_source_side}), through a
+    fresh {!extender}.
 
     [deliver_to] appends a final decryption of the root's encrypted
     visible attributes, executed by the given subject (normally the
@@ -45,15 +46,36 @@ val extender :
   Plan.t ->
   Subject.t Imap.t ->
   t
-(** Staged {!extend}: [extender ~policy ~config plan] derives once what
-    no assignment changes — per original node, the attributes it needs
-    in plaintext, the attribute groups it compares, and the implicit
-    attributes of its logical profile — into an immutable map. Each
-    application to an assignment builds that assignment's extension; the
-    encrypted views of a node's ancestors reach it as one accumulated
-    set. A planner costing many assignments of one query builds the
-    extender once. [extend ~assignment plan] is
-    [extender plan assignment]. *)
+(** Staged, incremental {!extend}: [extender ~policy ~config plan]
+    derives once what no assignment changes — per original node, the
+    attributes it needs in plaintext, the attribute groups it compares,
+    and the implicit attributes of its logical profile. Each application
+    to an assignment builds that assignment's extension.
+
+    What a node's subtree extends to depends on three things only: the
+    assignment of the subtree's own nodes, the encrypted view of its
+    parent's assignee (who must not receive plaintext that view
+    encrypts), and the union of the encrypted views of every assignee
+    above it (Def. 5.4's ancestor term, which reaches the node as one
+    accumulated set). Both views are read only against the subtree's
+    own profiles, so only their part over the attributes the subtree's
+    nodes output matters. The extender keeps every subtree it builds
+    under those three inputs, the views cut to those attributes. An
+    assignment that meets a subtree's inputs again reuses that subtree
+    physically, with its node ids, profiles and executors: a move that
+    reassigns one node rebuilds its path to the root, plus the subtrees
+    below it whose cut views changed.
+
+    The extensions of one extender share their [assignment] map and
+    [profiles] table, which hold every node it has built; a lookup by a
+    node of the extension reads that node's entry. {!own} restricts an
+    extension to its own nodes. The extender is mutable: do not share
+    it between domains. A planner costing many assignments of one
+    query builds the extender once. *)
+
+val own : t -> t
+(** [own t] is [t] with an [assignment] and [profiles] holding exactly
+    the nodes of [t.plan]. *)
 
 val verify : policy:Authorization.t -> t -> (unit, string) result
 (** Def. 4.2 re-checked on the extended plan: every node's executor is

@@ -67,6 +67,44 @@ let capability_demands plan =
   | Plan.Limit _ | Plan.Encrypt _ | Plan.Decrypt _ ->
       []
 
+(* Attributes of [plan]'s output that hold sums or averages computed
+   in [plan]: a Paillier ciphertext of one already carries its own sum
+   and count, and cannot be added into another. *)
+let rec aggregated plan =
+  match Plan.node plan with
+  | Plan.Base _ -> Attr.Set.empty
+  | Plan.Group_by (keys, aggs, c) ->
+      List.fold_left
+        (fun acc (agg : Aggregate.t) ->
+          match agg.func with
+          | Aggregate.Sum _ | Aggregate.Avg _ -> Attr.Set.add agg.output acc
+          | _ -> Attr.Set.remove agg.output acc)
+        (Attr.Set.inter keys (aggregated c))
+        aggs
+  | Plan.Project (attrs, c) -> Attr.Set.inter attrs (aggregated c)
+  | Plan.Udf (_, _, output, c) -> Attr.Set.remove output (aggregated c)
+  | Plan.Product (l, r) | Plan.Join (_, l, r) ->
+      Attr.Set.union (aggregated l) (aggregated r)
+  | Plan.Select (_, c) | Plan.Order_by (_, c) | Plan.Limit (_, c)
+  | Plan.Encrypt (_, c) | Plan.Decrypt (_, c) ->
+      aggregated c
+
+(* Sum and average operands that are sums or averages themselves. *)
+let reaggregated plan =
+  match Plan.node plan with
+  | Plan.Group_by (_, aggs, c) ->
+      let operands =
+        List.fold_left
+          (fun acc (agg : Aggregate.t) ->
+            match agg.func with
+            | Aggregate.Sum a | Aggregate.Avg a -> Attr.Set.add a acc
+            | _ -> acc)
+          Attr.Set.empty aggs
+      in
+      if Attr.Set.is_empty operands then operands
+      else Attr.Set.inter operands (aggregated c)
+  | _ -> Attr.Set.empty
+
 let plaintext_attrs config plan =
   let forced =
     match Imap.find_opt (Plan.id plan) config.forced_plaintext with
@@ -93,7 +131,8 @@ let plaintext_attrs config plan =
         Attr.Set.elements inputs
     | _ -> []
   in
-  Attr.Set.union forced
+  Attr.Set.union
+    (Attr.Set.union forced (reaggregated plan))
     (Attr.Set.of_list (demanded @ like_attrs @ udf_attrs))
 
 (* Capability sets per attribute over the whole plan, counting only
@@ -156,45 +195,60 @@ let resolve_conflicts config plan =
   in
   loop config 0
 
-let class_schemes ~conflict eq demands =
-  let caps_by_attr =
-    List.fold_left
-      (fun m (a, cap) ->
-        Attr.Map.update a
-          (fun l -> Some (cap :: Option.value l ~default:[]))
-          m)
-      Attr.Map.empty demands
-  in
+module Attr_table = Hashtbl.Make (Attr)
+
+type demands = {
+  equality : Attr.Set.t;
+  order : Attr.Set.t;
+  addition : Attr.Set.t;
+}
+
+let no_demands =
+  { equality = Attr.Set.empty; order = Attr.Set.empty; addition = Attr.Set.empty }
+
+let add_demand d (a, cap) =
+  match cap with
+  | Scheme.Cap_equality -> { d with equality = Attr.Set.add a d.equality }
+  | Scheme.Cap_order -> { d with order = Attr.Set.add a d.order }
+  | Scheme.Cap_addition -> { d with addition = Attr.Set.add a d.addition }
+
+let union_demands a b =
+  if a == no_demands then b
+  else if b == no_demands then a
+  else
+    { equality = Attr.Set.union a.equality b.equality;
+      order = Attr.Set.union a.order b.order;
+      addition = Attr.Set.union a.addition b.addition }
+
+let class_schemes ~conflict eq d =
+  (* the capabilities demanded on some member of [cls] *)
   let resolve cls =
-    Attr.Set.fold
-      (fun a acc ->
-        match Attr.Map.find_opt a caps_by_attr with
-        | Some caps -> caps @ acc
-        | None -> acc)
-      cls []
-    |> List.sort_uniq Stdlib.compare
-    |> Scheme.strongest_supporting
+    let on set cap caps =
+      if Attr.Set.disjoint cls set then caps else cap :: caps
+    in
+    Scheme.strongest_supporting
+      (on d.equality Scheme.Cap_equality
+         (on d.order Scheme.Cap_order (on d.addition Scheme.Cap_addition [])))
   in
   (* every member of a class, and every other demanded attribute as its
      own singleton class; undemanded attributes fall to [unconstrained] *)
-  let by_class =
-    List.fold_left
-      (fun m cls ->
-        let s = resolve cls in
-        Attr.Set.fold (fun a m -> Attr.Map.add a s m) cls m)
-      Attr.Map.empty (Partition.sets eq)
-  in
-  let table =
-    Attr.Map.fold
-      (fun a _ m ->
-        if Attr.Map.mem a m then m
-        else Attr.Map.add a (resolve (Attr.Set.singleton a)) m)
-      caps_by_attr by_class
-  in
+  let table = Attr_table.create 16 in
+  List.iter
+    (fun cls ->
+      let s = resolve cls in
+      Attr.Set.iter (fun a -> Attr_table.replace table a s) cls)
+    (Partition.sets eq);
+  Attr.Set.iter
+    (fun a ->
+      if not (Attr_table.mem table a) then
+        Attr_table.replace table a (resolve (Attr.Set.singleton a)))
+    (Attr.Set.union d.equality (Attr.Set.union d.order d.addition));
   let unconstrained = resolve Attr.Set.empty in
   fun a ->
     let s =
-      match Attr.Map.find_opt a table with Some s -> s | None -> unconstrained
+      match Attr_table.find_opt table a with
+      | Some s -> s
+      | None -> unconstrained
     in
     match s with Some s -> s | None -> invalid_arg (conflict a)
 
@@ -206,4 +260,6 @@ let schemes config plan =
          resolve_conflicts first)"
         (Attr.name a))
     (Profile.of_plan_logical plan).Profile.eq
-    (List.map (fun (a, cap, _) -> (a, cap)) (cipher_demands config plan))
+    (List.fold_left
+       (fun d (a, cap, _) -> add_demand d (a, cap))
+       no_demands (cipher_demands config plan))

@@ -34,7 +34,10 @@ val force_plaintext : config -> int -> Attr.Set.t -> config
 
 val plaintext_attrs : config -> Plan.t -> Attr.Set.t
 (** [Ap] for the given node: attributes of its operands it must read in
-    plaintext. Empty for leaves, projections, products, crypto ops. *)
+    plaintext. Empty for leaves, projections, products, crypto ops. A
+    sum or average over an attribute that is itself a sum or average
+    computed below needs it in plaintext: an aggregated Paillier value
+    cannot be added again. *)
 
 val capability_demands : Plan.t -> (Attr.t * Mpq_crypto.Scheme.capability) list
 (** Computation classes each attribute is subjected to at this node
@@ -59,18 +62,33 @@ val schemes : config -> Plan.t -> Attr.t -> Mpq_crypto.Scheme.t
 
     Staged: [schemes config plan] derives the profile and the demands
     over the whole plan once and resolves every class eagerly; the
-    returned lookup only reads an immutable map, so it may be called
-    from any domain. A class whose demands no scheme supports raises
-    [Invalid_argument] at lookup, naming the attribute. *)
+    returned lookup only reads a table nothing writes after [schemes]
+    returns, so it may be called from any domain. A class whose demands
+    no scheme supports raises [Invalid_argument] at lookup, naming the
+    attribute. *)
+
+type demands = {
+  equality : Attr.Set.t;
+  order : Attr.Set.t;
+  addition : Attr.Set.t;
+}
+(** Capability demands as one attribute set per capability: the
+    attributes some operation compares for equality, orders, or adds
+    over ciphertext. *)
+
+val no_demands : demands
+val add_demand : demands -> Attr.t * Mpq_crypto.Scheme.capability -> demands
+val union_demands : demands -> demands -> demands
 
 val class_schemes :
   conflict:(Attr.t -> string) ->
   Partition.t ->
-  (Attr.t * Mpq_crypto.Scheme.capability) list ->
+  demands ->
   Attr.t ->
   Mpq_crypto.Scheme.t
 (** [class_schemes ~conflict eq demands]: the resolver behind {!schemes}
     and [Plan_keys.actual_schemes]. Each class of [eq] (and each other
     attribute, as a singleton) gets the strongest scheme supporting the
     capabilities [demands] asks on its members; a lookup on a class no
-    scheme supports raises [Invalid_argument (conflict a)]. *)
+    scheme supports raises [Invalid_argument (conflict a)]. The lookup
+    reads a table that is complete when [class_schemes] returns. *)

@@ -8,22 +8,27 @@ type t = Attr.Set.t list
 let empty = []
 let is_empty t = t = []
 
-let canonical sets =
-  List.sort
-    (fun a b -> Attr.Set.compare a b)
-    (List.filter (fun s -> Attr.Set.cardinal s >= 2) sets)
-
+(* [t] is in canonical order (by [Attr.Set.compare]): the classes [a]
+   does not meet stay in order and the merged class goes in at its
+   place; a class that already holds [a] leaves [t] as it is. *)
 let union_set t a =
   if Attr.Set.cardinal a < 2 then t
   else
     let intersecting, rest =
-      List.partition (fun s -> not (Attr.Set.is_empty (Attr.Set.inter s a))) t
+      List.partition (fun s -> not (Attr.Set.disjoint s a)) t
     in
-    let merged = List.fold_left Attr.Set.union a intersecting in
-    canonical (merged :: rest)
+    match intersecting with
+    | [ s ] when Attr.Set.subset a s -> t
+    | _ ->
+        let merged = List.fold_left Attr.Set.union a intersecting in
+        let rec insert = function
+          | s :: more when Attr.Set.compare s merged < 0 -> s :: insert more
+          | l -> merged :: l
+        in
+        insert rest
 
 let union_pair t a b = union_set t (Attr.Set.of_list [ a; b ])
-let merge t u = List.fold_left union_set t u
+let merge t u = if t = [] then u else List.fold_left union_set t u
 let sets t = t
 
 let find t a =

@@ -23,32 +23,61 @@ let crypto_attrs plan =
 
 (* Capability demands evaluated on the extended plan: an operator demands
    a capability over an attribute only when the attribute is visible
-   encrypted in its operand there. *)
-let actual_demands (ext : Extend.t) =
-  let profile_of n = Hashtbl.find ext.Extend.profiles (Plan.id n) in
-  List.concat_map
-    (fun n ->
-      let operand_ve =
-        List.fold_left
-          (fun acc c -> Attr.Set.union acc (profile_of c).Profile.ve)
-          Attr.Set.empty (Plan.children n)
-      in
-      List.filter_map
-        (fun (a, cap) ->
-          if Attr.Set.mem a operand_ve then Some (a, cap) else None)
-        (Opreq.capability_demands n))
-    (Plan.nodes ext.Extend.plan)
-
+   encrypted in its operand there. A subtree's demands depend on the
+   subtree alone, so they are kept by its root's id and read back for
+   every later extension holding it. *)
 let actual_schemes ~original =
   let root_eq = (Profile.of_plan_logical original).Profile.eq in
+  let memo = Imap.Tbl.create 256 in
+  (* one resolution per distinct demand set: most moves leave it alone *)
+  let resolved = Hashtbl.create 8 in
+  let resolve d =
+    match Hashtbl.find_opt resolved d with
+    | Some scheme_of -> scheme_of
+    | None ->
+        (* cannot conflict after Opreq.resolve_conflicts: conservative
+           demands are a superset of actual ones *)
+        let scheme_of =
+          Opreq.class_schemes
+            ~conflict:(fun a ->
+              Printf.sprintf "Plan_keys.actual_schemes %s: capability conflict"
+                (Attr.name a))
+            root_eq d
+        in
+        Hashtbl.add resolved d scheme_of;
+        scheme_of
+  in
   fun (ext : Extend.t) ->
-    (* cannot conflict after Opreq.resolve_conflicts: conservative
-       demands are a superset of actual ones *)
-    Opreq.class_schemes
-      ~conflict:(fun a ->
-        Printf.sprintf "Plan_keys.actual_schemes %s: capability conflict"
-          (Attr.name a))
-      root_eq (actual_demands ext)
+    let profile_of n = Hashtbl.find ext.Extend.profiles (Plan.id n) in
+    let rec demands n =
+      match Imap.Tbl.find_opt memo (Plan.id n) with
+      | Some d -> d
+      | None ->
+          let children = Plan.children n in
+          let operand_ve =
+            List.fold_left
+              (fun acc c -> Attr.Set.union acc (profile_of c).Profile.ve)
+              Attr.Set.empty children
+          in
+          let own =
+            if Attr.Set.is_empty operand_ve then Opreq.no_demands
+            else
+              List.fold_left
+                (fun d ((a, _) as demand) ->
+                  if Attr.Set.mem a operand_ve then Opreq.add_demand d demand
+                  else d)
+                Opreq.no_demands
+                (Opreq.capability_demands n)
+          in
+          let d =
+            List.fold_left
+              (fun d c -> Opreq.union_demands d (demands c))
+              own children
+          in
+          Imap.Tbl.add memo (Plan.id n) d;
+          d
+    in
+    resolve (demands ext.Extend.plan)
 
 let compute ~config ~original (ext : Extend.t) =
   ignore config;

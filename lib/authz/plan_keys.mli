@@ -30,10 +30,13 @@ val actual_schemes : original:Plan.t -> Extend.t -> Attr.t -> Mpq_crypto.Scheme.
     ciphertexts.
 
     Staged: [actual_schemes ~original] derives the original plan's root
-    equivalence classes once; applying the result to an extension
-    resolves that extension's demands once per class, into an immutable
-    map (see {!Opreq.class_schemes}). Planning reuses the first stage
-    for every extension it costs. *)
+    equivalence classes once. Applying the result to an extension
+    resolves that extension's demands once per class (see
+    {!Opreq.class_schemes}). The demands of each extended subtree are
+    kept by its root's id, so a later extension that holds the subtree
+    reads them back: sound for extensions whose nodes keep one profile
+    each, as the extensions of one {!Extend.extender} do. Planning
+    reuses the first stage for every extension it costs. *)
 
 val compute :
   config:Opreq.config -> original:Plan.t -> Extend.t -> cluster list

@@ -14,7 +14,7 @@ let compare a b =
   | 0 -> String.compare a.name b.name
   | c -> c
 
-let equal a b = compare a b = 0
+let equal a b = a == b || (a.role = b.role && String.equal a.name b.name)
 let pp fmt t = Format.pp_print_string fmt t.name
 
 module Ord = struct

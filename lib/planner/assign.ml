@@ -11,8 +11,7 @@ type entry = {
   choice : (int * Authz.Subject.t) list;  (* assignments in the subtree *)
 }
 
-let width_of (s : Estimate.stats) a =
-  match Attr.Map.find_opt a s.Estimate.widths with Some w -> w | None -> 8.0
+let width_of = Estimate.width
 
 let solve ?view_cache ~candidates ~policy ~config ~pricing ~stats ~scheme_of
     plan =
@@ -46,12 +45,12 @@ let solve ?view_cache ~candidates ~policy ~config ~pricing ~stats ~scheme_of
   in
   let bytes_with_enc st enc =
     st.Estimate.card
-    *. Attr.Map.fold
+    *. Estimate.fold_widths
          (fun a w acc ->
            if Attr.Map.mem a enc then
              acc +. (w *. Scheme.expansion (scheme_of a))
            else acc +. w)
-         st.Estimate.widths 0.0
+         st 0.0
   in
   (* returns the per-candidate table for node n *)
   let rec options n : (Authz.Subject.t * entry) list =

@@ -12,29 +12,6 @@ type breakdown = {
 
 let total b = b.cpu +. b.io +. b.net
 
-let zero =
-  { cpu = 0.0; io = 0.0; net = 0.0; seconds = 0.0; latency = 0.0;
-    per_subject = [] }
-
-let add_subject per_subject s v =
-  let rec go = function
-    | [] -> [ (s, v) ]
-    | (s', v') :: rest when Authz.Subject.equal s s' -> (s', v' +. v) :: rest
-    | x :: rest -> x :: go rest
-  in
-  if v = 0.0 then per_subject else go per_subject
-
-let add a b =
-  { cpu = a.cpu +. b.cpu;
-    io = a.io +. b.io;
-    net = a.net +. b.net;
-    seconds = a.seconds +. b.seconds;
-    latency = Float.max a.latency b.latency;
-    per_subject =
-      List.fold_left
-        (fun acc (s, v) -> add_subject acc s v)
-        a.per_subject b.per_subject }
-
 (* Relational throughput in tuples per minute, and the udf slowdown. *)
 let tuples_per_minute = 2e6
 let udf_factor = 100.0
@@ -79,85 +56,171 @@ let cpu_minutes ~scheme_of ~node ~child_stats ~out_stats =
       in
       Attr.Set.fold
         (fun a acc ->
-          let w =
-            match Attr.Map.find_opt a child.Estimate.widths with
-            | Some w -> w
-            | None -> 8.0
-          in
+          let w = Estimate.width child a in
           let mb = child.Estimate.card *. w /. 1e6 in
           acc +. crypto_minutes (scheme_of a) mb)
         attrs 0.0
 
-let of_extended ~pricing ~network ~base ~scheme_of (ext : Authz.Extend.t) =
-  let stats = Estimate.annotate ~scheme_of ~base ext.Authz.Extend.plan in
-  let stat_of n = Authz.Imap.find (Plan.id n) stats in
-  let executor n = Authz.Imap.find (Plan.id n) ext.Authz.Extend.assignment in
-  let acc = ref zero in
-  let charge s ~cpu ~io ~net ~seconds =
-    let r = Pricing.rates_for pricing s in
-    let cpu_usd = cpu *. r.Pricing.cpu_per_min in
-    let io_usd = io /. 1e9 *. r.Pricing.io_per_gb in
-    let net_usd = net /. 1e9 *. r.Pricing.net_out_per_gb in
-    acc :=
-      add !acc
-        { cpu = cpu_usd;
-          io = io_usd;
-          net = net_usd;
-          seconds;
-          latency = 0.0;
-          per_subject = [ (s, cpu_usd +. io_usd +. net_usd) ] }
-  in
-  Plan.iter
-    (fun n ->
-      let s = executor n in
-      let child_stats = List.map stat_of (Plan.children n) in
-      let out = stat_of n in
-      let cpu =
-        cpu_minutes ~scheme_of ~node:n ~child_stats ~out_stats:out
-      in
+(* What one subject is charged for one node's work or one transfer, in
+   USD, and the seconds it takes. *)
+type charge = {
+  payer : Authz.Subject.t;
+  cpu_usd : float;
+  io_usd : float;
+  net_usd : float;
+  work_seconds : float;
+}
+
+(* One extended node's part of the cost: its executor, its output
+   statistics, its charges (its own work, then a transfer from each
+   child on another executor, in child order), its critical-path
+   completion time, and its children's parts. It is a function of the
+   node's subtree and of the schemes of the attributes that subtree
+   encrypts or decrypts. *)
+type part = {
+  executor : Authz.Subject.t;
+  stats : Estimate.stats;
+  charges : charge list;
+  finish : float;
+  below : part list;
+}
+
+(* The parts of one extended node, one per scheme choice over
+   [crypto], the attributes its subtree's nodes encrypt or decrypt, in
+   preorder and with repeats. A part found valid under a [scheme_of]
+   function is listed again under it, so that function finds it by
+   physical equality. *)
+type node_parts = {
+  crypto : Attr.t array;
+  mutable parts : ((Attr.t -> Scheme.t) * Scheme.t array Lazy.t * part) list;
+}
+
+(* The running sums of a costing, in charge order. *)
+type totals = {
+  mutable cpu_sum : float;
+  mutable io_sum : float;
+  mutable net_sum : float;
+  mutable seconds_sum : float;
+}
+
+let coster ~pricing ~network ~base =
+  let memo = Authz.Imap.Tbl.create 256 in
+  fun ~scheme_of (ext : Authz.Extend.t) ->
+    let charge s ~cpu ~io ~net ~seconds =
+      let r = Pricing.rates_for pricing s in
+      { payer = s;
+        cpu_usd = cpu *. r.Pricing.cpu_per_min;
+        io_usd = io /. 1e9 *. r.Pricing.io_per_gb;
+        net_usd = net /. 1e9 *. r.Pricing.net_out_per_gb;
+        work_seconds = seconds }
+    in
+    let rec node_parts n =
+      match Authz.Imap.Tbl.find_opt memo (Plan.id n) with
+      | Some np -> np
+      | None ->
+          let own =
+            match Plan.node n with
+            | Plan.Encrypt (attrs, _) | Plan.Decrypt (attrs, _) ->
+                Array.of_list (Attr.Set.elements attrs)
+            | _ -> [||]
+          in
+          let crypto =
+            match (own, Plan.children n) with
+            | [||], [ c ] -> (node_parts c).crypto
+            | _, children ->
+                Array.concat
+                  (own :: List.map (fun c -> (node_parts c).crypto) children)
+          in
+          let np = { crypto; parts = [] } in
+          Authz.Imap.Tbl.add memo (Plan.id n) np;
+          np
+    and part n =
+      let np = node_parts n in
+      match List.find_opt (fun (f, _, _) -> f == scheme_of) np.parts with
+      | Some (_, _, p) -> p
+      | None ->
+          let schemes = lazy (Array.map scheme_of np.crypto) in
+          let p =
+            match
+              List.find_opt
+                (fun (_, s, _) -> Lazy.force s = Lazy.force schemes)
+                np.parts
+            with
+            | Some (_, _, p) -> p
+            | None -> price n
+          in
+          np.parts <- (scheme_of, schemes, p) :: np.parts;
+          p
+    and price n =
+      let s = Authz.Imap.find (Plan.id n) ext.Authz.Extend.assignment in
+      let below = List.map part (Plan.children n) in
+      let child_stats = List.map (fun p -> p.stats) below in
+      let stats = Estimate.node_stats ~scheme_of ~base n child_stats in
+      let cpu = cpu_minutes ~scheme_of ~node:n ~child_stats ~out_stats:stats in
       let io_bytes =
-        Estimate.table_bytes out
+        Estimate.table_bytes stats
         +. List.fold_left
              (fun a cs -> a +. Estimate.table_bytes cs)
              0.0 child_stats
       in
-      charge s ~cpu ~io:io_bytes ~net:0.0 ~seconds:(cpu *. 60.0);
-      (* network: edges whose endpoints differ *)
+      let own = charge s ~cpu ~io:io_bytes ~net:0.0 ~seconds:(cpu *. 60.0) in
+      (* network: edges whose endpoints differ; children complete in
+         parallel, and a transfer is paid when the edge crosses
+         subjects *)
+      let transfers, ready =
+        List.fold_left
+          (fun (transfers, ready) p ->
+            let cs = p.executor in
+            if Authz.Subject.equal cs s then
+              (transfers, Float.max ready p.finish)
+            else
+              let bytes = Estimate.table_bytes p.stats in
+              let seconds = Network.transfer_seconds network cs s bytes in
+              ( charge cs ~cpu:0.0 ~io:0.0 ~net:bytes ~seconds :: transfers,
+                Float.max ready (p.finish +. seconds) ))
+          ([], 0.0) below
+      in
+      { executor = s; stats; charges = own :: List.rev transfers;
+        finish = ready +. (cpu *. 60.0); below }
+    in
+    let root = part ext.Authz.Extend.plan in
+    (* summed in preorder, each node's own charge before its transfers;
+       subjects are listed in the order they are first charged *)
+    let t = { cpu_sum = 0.0; io_sum = 0.0; net_sum = 0.0; seconds_sum = 0.0 } in
+    let payers = ref [||] and amounts = ref [||] in
+    let charge_payer s v =
+      let ps = !payers in
+      let rec find i =
+        if i = Array.length ps then begin
+          payers := Array.append ps [| s |];
+          amounts := Array.append !amounts [| v |]
+        end
+        else if Authz.Subject.equal ps.(i) s then
+          !amounts.(i) <- !amounts.(i) +. v
+        else find (i + 1)
+      in
+      find 0
+    in
+    let rec sum p =
       List.iter
         (fun c ->
-          let cs = executor c in
-          if not (Authz.Subject.equal cs s) then begin
-            let bytes = Estimate.table_bytes (stat_of c) in
-            charge cs ~cpu:0.0 ~io:0.0 ~net:bytes
-              ~seconds:(Network.transfer_seconds network cs s bytes)
-          end)
-        (Plan.children n))
-    ext.Authz.Extend.plan;
-  (* critical-path latency: children complete in parallel; a transfer is
-     paid when the edge crosses subjects *)
-  let rec finish n =
-    let s = executor n in
-    let children = Plan.children n in
-    let ready =
-      List.fold_left
-        (fun acc c ->
-          let cs = executor c in
-          let transfer =
-            if Authz.Subject.equal cs s then 0.0
-            else
-              Network.transfer_seconds network cs s
-                (Estimate.table_bytes (stat_of c))
-          in
-          Float.max acc (finish c +. transfer))
-        0.0 children
+          t.cpu_sum <- t.cpu_sum +. c.cpu_usd;
+          t.io_sum <- t.io_sum +. c.io_usd;
+          t.net_sum <- t.net_sum +. c.net_usd;
+          t.seconds_sum <- t.seconds_sum +. c.work_seconds;
+          let v = c.cpu_usd +. c.io_usd +. c.net_usd in
+          if v <> 0.0 then charge_payer c.payer v)
+        p.charges;
+      List.iter sum p.below
     in
-    let cpu =
-      cpu_minutes ~scheme_of ~node:n ~child_stats:(List.map stat_of children)
-        ~out_stats:(stat_of n)
-    in
-    ready +. (cpu *. 60.0)
-  in
-  { !acc with latency = finish ext.Authz.Extend.plan }
+    sum root;
+    { cpu = t.cpu_sum; io = t.io_sum; net = t.net_sum;
+      seconds = t.seconds_sum; latency = root.finish;
+      per_subject =
+        Array.to_list (Array.map2 (fun s v -> (s, v)) !payers !amounts) }
+
+let of_extended ~pricing ~network ~base ~scheme_of ext =
+  coster ~pricing ~network ~base ~scheme_of ext
 
 let pp fmt b =
   Format.fprintf fmt

@@ -23,8 +23,6 @@ type breakdown = {
 }
 
 val total : breakdown -> float
-val zero : breakdown
-val add : breakdown -> breakdown -> breakdown
 
 val cpu_minutes :
   scheme_of:(Attr.t -> Mpq_crypto.Scheme.t) ->
@@ -35,6 +33,26 @@ val cpu_minutes :
 (** CPU minutes to execute one node (crypto operators are charged by
     volume and scheme; udfs at 100× the relational per-tuple cost). *)
 
+val coster :
+  pricing:Pricing.t ->
+  network:Network.t ->
+  base:Estimate.base_stats ->
+  scheme_of:(Attr.t -> Mpq_crypto.Scheme.t) ->
+  Authz.Extend.t ->
+  breakdown
+(** Staged {!of_extended}: [coster ~pricing ~network ~base] keeps, per
+    extended node, the statistics, charges and completion time it
+    computed, keyed by the node (its id) and the schemes of the
+    attributes its subtree encrypts or decrypts. Costing another
+    extension that holds the node, under the same schemes for those
+    attributes, reads them back instead of recomputing the subtree.
+    Charges are summed in preorder, each node's own before its
+    transfers, so every float matches a from-scratch costing.
+
+    Sound only for extensions whose nodes keep one executor each, as
+    the extensions of one {!Authz.Extend.extender} do. Not safe to share
+    between domains. *)
+
 val of_extended :
   pricing:Pricing.t ->
   network:Network.t ->
@@ -42,6 +60,7 @@ val of_extended :
   scheme_of:(Attr.t -> Mpq_crypto.Scheme.t) ->
   Authz.Extend.t ->
   breakdown
-(** Exact cost of a minimally extended plan under a given assignment. *)
+(** Exact cost of a minimally extended plan under a given assignment:
+    a fresh {!coster} applied once. *)
 
 val pp : Format.formatter -> breakdown -> unit

@@ -1,18 +1,103 @@
 open Relalg
 module Scheme = Mpq_crypto.Scheme
 
-type stats = { card : float; widths : float Attr.Map.t }
+(* Byte widths by attribute: the attributes in name order, each with its
+   width at the same index. Plans keep a few dozen attributes per node,
+   so a scan beats a balanced tree. *)
+type widths = { names : Attr.t array; bytes : float array }
+
+type stats = { card : float; widths : widths; row_bytes : float }
 type base_stats = string -> stats option
 
-let row_bytes s = Attr.Map.fold (fun _ w acc -> acc +. w) s.widths 0.0
-let table_bytes s = s.card *. row_bytes s
+let make ~card widths =
+  { card; widths; row_bytes = Array.fold_left ( +. ) 0.0 widths.bytes }
+
+let row_bytes s = s.row_bytes
+let table_bytes s = s.card *. s.row_bytes
+
+(* The width of [a] in [w], 8 bytes when [w] lacks it. *)
+let width_in w a =
+  let rec find i =
+    if i = Array.length w.names then 8.0
+    else if Attr.equal w.names.(i) a then w.bytes.(i)
+    else find (i + 1)
+  in
+  find 0
+
+let width s a = width_in s.widths a
+
+let fold_widths f s acc =
+  let acc = ref acc in
+  Array.iteri (fun i a -> acc := f a s.widths.bytes.(i) !acc) s.widths.names;
+  !acc
+
+(* The entries of [w] whose attribute satisfies [keep]. *)
+let filter_widths keep w =
+  let n = Array.length w.names in
+  let kept = ref 0 in
+  Array.iter (fun a -> if keep a then incr kept) w.names;
+  if !kept = n then w
+  else begin
+    let names = Array.make !kept w.names.(0) in
+    let bytes = Array.make !kept 0.0 in
+    let k = ref 0 in
+    Array.iteri
+      (fun i a ->
+        if keep a then begin
+          names.(!k) <- a;
+          bytes.(!k) <- w.bytes.(i);
+          incr k
+        end)
+      w.names;
+    { names; bytes }
+  end
+
+(* Every attribute of [l] or [r], with [l]'s width where both have it. *)
+let union_widths l r =
+  let nl = Array.length l.names and nr = Array.length r.names in
+  if nr = 0 then l
+  else if nl = 0 then r
+  else begin
+    let names = Array.make (nl + nr) l.names.(0) in
+    let bytes = Array.make (nl + nr) 0.0 in
+    let k = ref 0 in
+    let push a w =
+      names.(!k) <- a;
+      bytes.(!k) <- w;
+      incr k
+    in
+    let rec go i j =
+      if i < nl || j < nr then begin
+        let c =
+          if i = nl then 1
+          else if j = nr then -1
+          else Attr.compare l.names.(i) r.names.(j)
+        in
+        if c <= 0 then push l.names.(i) l.bytes.(i)
+        else push r.names.(j) r.bytes.(j);
+        go (if c <= 0 then i + 1 else i) (if c >= 0 then j + 1 else j)
+      end
+    in
+    go 0 0;
+    if !k = nl + nr then { names; bytes }
+    else { names = Array.sub names 0 !k; bytes = Array.sub bytes 0 !k }
+  end
+
+(* [w] with each attribute of [attrs] set to [f] of its width in [w]. *)
+let update_widths attrs f w =
+  let names = Array.of_list (Attr.Set.elements attrs) in
+  let bytes = Array.map (fun a -> f a (width_in w a)) names in
+  union_widths { names; bytes } w
 
 let of_widths ~card widths =
-  { card;
-    widths =
-      List.fold_left
-        (fun m (n, w) -> Attr.Map.add (Attr.make n) w m)
-        Attr.Map.empty widths }
+  let m =
+    List.fold_left
+      (fun m (n, w) -> Attr.Map.add (Attr.make n) w m)
+      Attr.Map.empty widths
+  in
+  make ~card
+    { names = Array.of_list (List.map fst (Attr.Map.bindings m));
+      bytes = Array.of_list (List.map snd (Attr.Map.bindings m)) }
 
 let default_selectivity = function
   | Predicate.Cmp_const (_, (Predicate.Eq | Predicate.Neq), _) -> 0.1
@@ -35,103 +120,66 @@ let predicate_selectivity pred =
       acc *. s)
     1.0 pred
 
-let restrict_widths widths attrs =
-  Attr.Map.filter (fun a _ -> Attr.Set.mem a attrs) widths
+let node_stats ~scheme_of ~base n children =
+  match (Plan.node n, children) with
+  | Plan.Base sch, _ -> (
+      match base sch.Schema.name with
+      | Some s -> s
+      | None ->
+          (* default: small relation, 8-byte columns *)
+          let names = Array.of_list (Attr.Set.elements (Schema.attrs sch)) in
+          make ~card:1000.0
+            { names; bytes = Array.make (Array.length names) 8.0 })
+  | Plan.Project (attrs, _), [ cs ] ->
+      make ~card:cs.card (filter_widths (fun a -> Attr.Set.mem a attrs) cs.widths)
+  | Plan.Select (pred, _), [ cs ] ->
+      { cs with card = Float.max 1.0 (cs.card *. predicate_selectivity pred) }
+  | Plan.Product _, [ ls; rs ] ->
+      make ~card:(ls.card *. rs.card) (union_widths ls.widths rs.widths)
+  | Plan.Join (pred, _, _), [ ls; rs ] ->
+      let pairs = List.length (Predicate.attr_pairs pred) in
+      (* classic equi-join estimate: |L|*|R| / max(|L|,|R|) per pair *)
+      let card =
+        if pairs > 0 then
+          Float.max 1.0 (ls.card *. rs.card /. Float.max ls.card rs.card)
+        else ls.card *. rs.card *. predicate_selectivity pred
+      in
+      make ~card (union_widths ls.widths rs.widths)
+  | Plan.Group_by (keys, aggs, _), [ cs ] ->
+      (* distinct groups: a tenth of the input, floored *)
+      let card = Float.max 1.0 (cs.card /. 10.0) in
+      let kept =
+        List.fold_left
+          (fun acc (a : Aggregate.t) -> Attr.Set.add a.Aggregate.output acc)
+          keys aggs
+      in
+      let names = Array.of_list (Attr.Set.elements kept) in
+      make ~card { names; bytes = Array.map (width cs) names }
+  | Plan.Udf (_, inputs, output, _), [ cs ] ->
+      let dropped = Attr.Set.remove output inputs in
+      make ~card:cs.card
+        (filter_widths (fun a -> not (Attr.Set.mem a dropped)) cs.widths)
+  | Plan.Order_by _, [ cs ] -> cs
+  | Plan.Limit (n, _), [ cs ] ->
+      { cs with card = Float.min cs.card (float_of_int n) }
+  | Plan.Encrypt (attrs, _), [ cs ] ->
+      make ~card:cs.card
+        (update_widths attrs
+           (fun a w -> w *. Scheme.expansion (scheme_of a))
+           cs.widths)
+  | Plan.Decrypt (attrs, _), [ cs ] ->
+      make ~card:cs.card
+        (update_widths attrs
+           (fun a w -> w /. Scheme.expansion (scheme_of a))
+           cs.widths)
+  | _ -> invalid_arg "Estimate.node_stats: arity mismatch"
 
 let annotate ?(scheme_of = fun _ -> Scheme.Det) ~base plan =
   let table = ref Authz.Imap.empty in
-  let record n s =
+  let rec go n =
+    let s = node_stats ~scheme_of ~base n (List.map go (Plan.children n)) in
     table := Authz.Imap.add (Plan.id n) s !table;
     s
-  in
-  let width widths a =
-    match Attr.Map.find_opt a widths with Some w -> w | None -> 8.0
-  in
-  let rec go n =
-    let s =
-      match Plan.node n with
-      | Plan.Base sch -> (
-          match base sch.Schema.name with
-          | Some s -> s
-          | None ->
-              (* default: small relation, 8-byte columns *)
-              { card = 1000.0;
-                widths =
-                  List.fold_left
-                    (fun m a -> Attr.Map.add a 8.0 m)
-                    Attr.Map.empty
-                    (Schema.attr_list sch) })
-      | Plan.Project (attrs, c) ->
-          let cs = go c in
-          { cs with widths = restrict_widths cs.widths attrs }
-      | Plan.Select (pred, c) ->
-          let cs = go c in
-          { cs with card = Float.max 1.0 (cs.card *. predicate_selectivity pred) }
-      | Plan.Product (l, r) ->
-          let ls = go l and rs = go r in
-          { card = ls.card *. rs.card;
-            widths = Attr.Map.union (fun _ a _ -> Some a) ls.widths rs.widths }
-      | Plan.Join (pred, l, r) ->
-          let ls = go l and rs = go r in
-          let pairs = List.length (Predicate.attr_pairs pred) in
-          (* classic equi-join estimate: |L|*|R| / max(|L|,|R|) per pair *)
-          let card =
-            if pairs > 0 then
-              Float.max 1.0
-                (ls.card *. rs.card /. Float.max ls.card rs.card)
-            else ls.card *. rs.card *. predicate_selectivity pred
-          in
-          { card;
-            widths = Attr.Map.union (fun _ a _ -> Some a) ls.widths rs.widths }
-      | Plan.Group_by (keys, aggs, c) ->
-          let cs = go c in
-          (* distinct groups: a tenth of the input, floored *)
-          let card = Float.max 1.0 (cs.card /. 10.0) in
-          let kept =
-            List.fold_left
-              (fun acc (a : Aggregate.t) -> Attr.Set.add a.Aggregate.output acc)
-              keys aggs
-          in
-          let widths =
-            Attr.Set.fold
-              (fun a m -> Attr.Map.add a (width cs.widths a) m)
-              kept Attr.Map.empty
-          in
-          { card; widths }
-      | Plan.Udf (_, inputs, output, c) ->
-          let cs = go c in
-          let dropped = Attr.Set.remove output inputs in
-          { cs with
-            widths =
-              Attr.Map.filter (fun a _ -> not (Attr.Set.mem a dropped)) cs.widths }
-      | Plan.Order_by (_, c) -> go c
-      | Plan.Limit (n, c) ->
-          let cs = go c in
-          { cs with card = Float.min cs.card (float_of_int n) }
-      | Plan.Encrypt (attrs, c) ->
-          let cs = go c in
-          let widths =
-            Attr.Set.fold
-              (fun a m ->
-                Attr.Map.add a
-                  (width cs.widths a *. Scheme.expansion (scheme_of a))
-                  m)
-              attrs cs.widths
-          in
-          { cs with widths }
-      | Plan.Decrypt (attrs, c) ->
-          let cs = go c in
-          let widths =
-            Attr.Set.fold
-              (fun a m ->
-                Attr.Map.add a
-                  (width cs.widths a /. Scheme.expansion (scheme_of a))
-                  m)
-              attrs cs.widths
-          in
-          { cs with widths }
-    in
-    record n s
   in
   ignore (go plan);
   !table

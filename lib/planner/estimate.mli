@@ -8,9 +8,13 @@
 
 open Relalg
 
+type widths
+(** Average bytes per attribute. *)
+
 type stats = {
   card : float;  (** estimated row count *)
-  widths : float Attr.Map.t;  (** average bytes per attribute *)
+  widths : widths;
+  row_bytes : float;  (** the sum of [widths], added in name order *)
 }
 
 type base_stats = string -> stats option
@@ -20,6 +24,14 @@ val row_bytes : stats -> float
 val table_bytes : stats -> float
 
 val of_widths : card:float -> (string * float) list -> stats
+(** Stats of [card] rows whose attributes, named, have the given widths
+    (a later entry for a name wins). *)
+
+val width : stats -> Attr.t -> float
+(** The width of an attribute, 8 bytes when the stats lack it. *)
+
+val fold_widths : (Attr.t -> float -> 'a -> 'a) -> stats -> 'a -> 'a
+(** Over the attributes in name order, with their widths. *)
 
 val default_selectivity : Predicate.atom -> float
 (** 0.1 for equality with a constant, 1/3 for ranges, 0.05 for LIKE,
@@ -28,6 +40,15 @@ val default_selectivity : Predicate.atom -> float
 val predicate_selectivity : Predicate.t -> float
 (** CNF combination: clauses multiply, atoms of a disjunction add
     (capped at 1). *)
+
+val node_stats :
+  scheme_of:(Attr.t -> Mpq_crypto.Scheme.t) ->
+  base:base_stats ->
+  Plan.t ->
+  stats list ->
+  stats
+(** [node_stats ~scheme_of ~base n children] is [n]'s output statistics
+    given its children's, in child order: one step of {!annotate}. *)
 
 val annotate :
   ?scheme_of:(Attr.t -> Mpq_crypto.Scheme.t) ->

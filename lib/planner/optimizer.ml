@@ -15,6 +15,13 @@ exception No_candidate of string
 exception User_not_authorized of string
 exception Verification_failed of Verify.Diag.t list
 
+module Assignment_memo = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) b = a = b
+  let hash (a : t) = Array.fold_left (fun h i -> (h * 31) + i) 0 a
+end)
+
 let self_check_message diags =
   "planner self-check failed:\n"
   ^ Verify.Diag.render (Verify.Diag.errors diags)
@@ -128,11 +135,54 @@ let plan ~policy ~subjects ?(config = Authz.Opreq.default)
      every round and local-search move below: the conservative schemes,
      the first stage of the actual-scheme derivation, and the extender's
      per-node facts. The DP's view table is shared across rounds for its
-     hit/miss counters. *)
+     hit/miss counters.
+
+     The extender, the actual-scheme derivation and the coster also keep
+     what they build per subtree for the rest of this call (see
+     DESIGN.md, "Incremental evaluation"): an assignment that differs
+     from an earlier one in one node rebuilds only that node's path to
+     the root and the subtrees whose inputs changed. *)
   let conservative = Authz.Opreq.schemes config query in
   let actual_schemes = Authz.Plan_keys.actual_schemes ~original:query in
   let extend = Authz.Extend.extender ~policy ~config ?deliver_to query in
+  let price = Cost.coster ~pricing ~network ~base in
   let view_cache = Hashtbl.create 8 in
+  (* Extended nodes an evaluation built, against those it took from an
+     earlier one: the extender's shared profile table gains one entry
+     per node it builds (extend.mli). Only counted when tracing. *)
+  let recorded = ref 0 in
+  let count_nodes ~counted (ext : Authz.Extend.t) =
+    let total = Hashtbl.length ext.Authz.Extend.profiles in
+    let built = total - !recorded in
+    recorded := total;
+    if counted && Obs.enabled () then begin
+      Obs.incr ~by:built "planner.evaluate.nodes_built";
+      Obs.incr
+        ~by:(Plan.size ext.Authz.Extend.plan - built)
+        "planner.evaluate.nodes_reused"
+    end
+  in
+  (* The local search's memo key: per assignable node, in id order, the
+     index of its assignee among the node's candidates. *)
+  let slots =
+    Array.of_list
+      (List.map
+         (fun (id, set) -> (id, Array.of_list (Authz.Subject.Set.elements set)))
+         (Authz.Imap.bindings candidates))
+  in
+  let key_of assignment =
+    Array.map
+      (fun (id, cands) ->
+        let s = Authz.Imap.find id assignment in
+        let rec index i =
+          if i = Array.length cands then
+            invalid_arg "Optimizer: an assignee outside its candidates"
+          else if Authz.Subject.equal cands.(i) s then i
+          else index (i + 1)
+        in
+        index 0)
+      slots
+  in
   (* One planning round: DP under a scheme hypothesis, extend, then read
      the actual schemes and exact cost off the extended plan. The first
      round uses the conservative (worst-case) schemes; the second re-runs
@@ -154,14 +204,15 @@ let plan ~policy ~subjects ?(config = Authz.Opreq.default)
     let extended =
       Obs.with_span "planner.extend" (fun () -> extend assignment)
     in
+    count_nodes ~counted:false extended;
     let actual = actual_schemes extended in
     let cost =
       Obs.with_span "planner.cost" (fun () ->
-          Cost.of_extended ~pricing ~network ~base ~scheme_of:actual extended)
+          price ~scheme_of:actual extended)
     in
-    (assignment, extended, actual, cost)
+    (key_of assignment, (assignment, extended, actual, cost))
   in
-  let ((_, _, scheme1, _) as r1) = round candidates conservative in
+  let ((_, (_, _, scheme1, _)) as r1) = round candidates conservative in
   (* Fallback round without providers: the DP's edge model is heuristic
      (Def. 5.4's ancestor-driven encryption is priced only approximately),
      so guarantee we never lose to the provider-free plan. *)
@@ -180,7 +231,7 @@ let plan ~policy ~subjects ?(config = Authz.Opreq.default)
   in
   (* the paper's threshold: minimize cost subject to latency <= bound;
      if nothing qualifies, minimize latency instead *)
-  let better ((_, _, _, a) as ra) ((_, _, _, b) as rb) =
+  let better ((_, (_, _, _, a)) as ra) ((_, (_, _, _, b)) as rb) =
     match max_latency with
     | None -> if Cost.total b < Cost.total a then rb else ra
     | Some bound ->
@@ -204,25 +255,21 @@ let plan ~policy ~subjects ?(config = Authz.Opreq.default)
   let compute assignment =
     Obs.with_span "planner.evaluate" @@ fun () ->
     let extended = extend assignment in
+    count_nodes ~counted:true extended;
     let actual = actual_schemes extended in
-    let cost =
-      Cost.of_extended ~pricing ~network ~base ~scheme_of:actual extended
-    in
+    let cost = price ~scheme_of:actual extended in
     (assignment, extended, actual, cost)
   in
-  (* Memo over assignment fingerprints: the two sweeps (and the round
-     seeds) revisit many identical assignments — the extension, scheme
+  (* Memo over assignment keys: the two sweeps (and the round seeds)
+     revisit many identical assignments — the extension, scheme
      derivation and exact costing are deterministic in the assignment, so
      the first evaluation's outcome (value or planner rejection) is
      replayed. *)
-  let memo = Hashtbl.create 64 in
-  List.iter
-    (fun ((a, _, _, _) as r) -> Hashtbl.replace memo (fingerprint a) (Ok r))
-    rounds;
-  let evaluate assignment =
+  let memo = Assignment_memo.create 64 in
+  List.iter (fun (key, r) -> Assignment_memo.replace memo key (Ok r)) rounds;
+  let evaluate key assignment =
     Obs.incr "planner.evaluate.calls";
-    let key = fingerprint assignment in
-    match Hashtbl.find_opt memo key with
+    match Assignment_memo.find_opt memo key with
     | Some (Ok r) ->
         Obs.incr "planner.evaluate.memo_hits";
         r
@@ -232,10 +279,10 @@ let plan ~policy ~subjects ?(config = Authz.Opreq.default)
     | None -> (
         match compute assignment with
         | r ->
-            Hashtbl.add memo key (Ok r);
+            Assignment_memo.add memo key (Ok r);
             r
         | exception ((No_candidate _ | Invalid_argument _) as e) ->
-            Hashtbl.add memo key (Error e);
+            Assignment_memo.add memo key (Error e);
             raise e)
   in
   (* Only planner rejections (no candidate, or an extension refusing the
@@ -243,25 +290,27 @@ let plan ~policy ~subjects ?(config = Authz.Opreq.default)
      Stack_overflow, Out_of_memory, verifier bugs — must propagate. *)
   let sweep current =
     Obs.with_span "planner.sweep" @@ fun () ->
-    Authz.Imap.fold
-      (fun id cands best ->
-        Authz.Subject.Set.fold
-          (fun s best ->
-            let (assignment, _, _, _) = best in
-            match Authz.Imap.find_opt id assignment with
-            | Some cur when Authz.Subject.equal cur s -> best
-            | _ -> (
-                Obs.incr "planner.sweep.moves";
-                let candidate = Authz.Imap.add id s assignment in
-                match evaluate candidate with
-                | result -> better best result
-                | exception (No_candidate _ | Invalid_argument _) ->
-                    Obs.incr "planner.sweep.discarded";
-                    best))
-          cands best)
-      candidates current
+    let best = ref current in
+    Array.iteri
+      (fun k (id, cands) ->
+        Array.iteri
+          (fun j s ->
+            let key, (assignment, _, _, _) = !best in
+            if key.(k) <> j then begin
+              Obs.incr "planner.sweep.moves";
+              let key' = Array.copy key in
+              key'.(k) <- j;
+              match evaluate key' (Authz.Imap.add id s assignment) with
+              | result -> best := better !best (key', result)
+              | exception (No_candidate _ | Invalid_argument _) ->
+                  Obs.incr "planner.sweep.discarded"
+            end)
+          cands)
+      slots;
+    !best
   in
-  let assignment, extended, scheme_of, cost = sweep (sweep seed) in
+  let _, (assignment, extended, scheme_of, cost) = sweep (sweep seed) in
+  let extended = Authz.Extend.own extended in
   let clusters =
     Obs.with_span "planner.keys" (fun () ->
         Authz.Plan_keys.compute ~config ~original:query extended)

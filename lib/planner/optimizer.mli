@@ -41,9 +41,10 @@ val self_check_message : Verify.Diag.t list -> string
     rejection reports. *)
 
 val fingerprint : Authz.Subject.t Authz.Imap.t -> string
-(** Canonical key of an assignment (the local-search memo key): node
-    ids and subjects, length-prefixed so distinct assignments cannot
-    collide by concatenation (see {!Fingerprint}). *)
+(** Canonical text key of an assignment: node ids and subjects,
+    length-prefixed so distinct assignments cannot collide by
+    concatenation (see {!Fingerprint}). {!plan}'s local search does not
+    use it: its memo is keyed by candidate indices. *)
 
 val environment_fingerprint :
   ?tenant:string ->
@@ -97,7 +98,11 @@ val plan :
 
     The local search re-costs each assignment once: the two polish
     sweeps (and the DP round seeds) revisit many identical assignments,
-    so outcomes are memoized by assignment {!fingerprint}.
+    so outcomes are memoized by assignment, keyed by the index of each
+    assignable node's assignee among its candidates. Evaluating an
+    assignment is incremental: the extension, its demands and its cost
+    are kept per subtree for the whole call, and a move rebuilds only
+    what it changes (see {!Authz.Extend.extender}).
 
     Before returning, [plan] re-verifies its own output with the
     static verifier and raises {!Verification_failed} on any

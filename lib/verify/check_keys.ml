@@ -163,6 +163,28 @@ let node_demands ~config n =
         inputs []
   | _ -> []
 
+(* The verifier's own scan of which attributes of a node's output hold
+   sums or averages computed below it. *)
+let rec aggregated n =
+  match Plan.node n with
+  | Plan.Base _ -> Attr.Set.empty
+  | Plan.Group_by (keys, aggs, c) ->
+      List.fold_left
+        (fun acc (agg : Aggregate.t) ->
+          match agg.Aggregate.func with
+          | Aggregate.Sum _ | Aggregate.Avg _ ->
+              Attr.Set.add agg.Aggregate.output acc
+          | _ -> Attr.Set.remove agg.Aggregate.output acc)
+        (Attr.Set.inter keys (aggregated c))
+        aggs
+  | Plan.Project (attrs, c) -> Attr.Set.inter attrs (aggregated c)
+  | Plan.Udf (_, _, output, c) -> Attr.Set.remove output (aggregated c)
+  | Plan.Product (l, r) | Plan.Join (_, l, r) ->
+      Attr.Set.union (aggregated l) (aggregated r)
+  | Plan.Select (_, c) | Plan.Order_by (_, c) | Plan.Limit (_, c)
+  | Plan.Encrypt (_, c) | Plan.Decrypt (_, c) ->
+      aggregated c
+
 let schemes ~config ~(extended : Extend.t) ~clusters ~derived ~paths =
   let diags = ref [] in
   let emit d = diags := d :: !diags in
@@ -204,6 +226,26 @@ let schemes ~config ~(extended : Extend.t) ~clusters ~derived ~paths =
                             support it"
                            d.what (Attr.name d.attr)
                            (Scheme.name c.Plan_keys.scheme))))
-        (node_demands ~config n))
+        (node_demands ~config n);
+      (* a sum or average reading, encrypted, a sum or average *)
+      match Plan.node n with
+      | Plan.Group_by (_, aggs, c) ->
+          List.iter
+            (fun (agg : Aggregate.t) ->
+              match agg.Aggregate.func with
+              | (Aggregate.Sum a | Aggregate.Avg a)
+                when Attr.Set.mem a operand_enc
+                     && Attr.Set.mem a (aggregated c) ->
+                  let id = Plan.id n in
+                  emit
+                    (Diag.makef ~node_id:id ?path:(Hashtbl.find_opt paths id)
+                       ~code:"MPQ041" ~severity:Diag.Error
+                       ~suggestion:"decrypt the aggregated attribute first"
+                       "additive aggregate over encrypted %s, itself a sum \
+                        or average"
+                       (Attr.name a))
+              | _ -> ())
+            aggs
+      | _ -> ())
     (Plan.nodes extended.Extend.plan);
   List.rev !diags

@@ -12,7 +12,9 @@
     runs over ciphertext and checks the owning cluster's scheme supports
     them ([MPQ040]): equality tests need Det or Ope, order tests Ope,
     additive aggregation Phe, LIKE patterns and non-capable udfs nothing
-    at all. *)
+    at all. A sum or average over an encrypted sum or average is refused
+    whatever the scheme ([MPQ041]): an aggregated Paillier value carries
+    its own sum and count and cannot be added again. *)
 
 open Relalg
 open Authz

@@ -48,6 +48,9 @@ let catalog =
     ("MPQ040", Error,
      "operation computes on ciphertext its cluster's scheme does not \
       support (Sec. 6)");
+    ("MPQ041", Error,
+     "sum or average over an encrypted sum or average: an aggregated \
+      Paillier ciphertext cannot be added again (Sec. 6)");
     ("MPQ050", Error,
      "dispatch request references an unknown sub-query (Fig. 8)");
     ("MPQ051", Error, "dispatch fragment call graph is cyclic (Fig. 8)");

@@ -26,7 +26,7 @@ type check =
   | Assignees  (** V2 — Def. 4.2 authorization (MPQ010–012) *)
   | Minimality  (** V3 — Thm. 5.3 minimal encryption (MPQ020) *)
   | Keys  (** V4 — Def. 6.1 key distribution (MPQ030–033) *)
-  | Schemes  (** V5 — Sec. 6 scheme sufficiency (MPQ040) *)
+  | Schemes  (** V5 — Sec. 6 scheme sufficiency (MPQ040–041) *)
   | Dispatch  (** V6 — Fig. 8 request well-formedness (MPQ050–055) *)
 
 val all_checks : check list

@@ -467,6 +467,82 @@ let test_cipher_plain_join () =
     (Table.equal_bag (run joined) (run selected));
   agree ~crypto tables joined
 
+(* Regression (QCHECK_SEED=303273332, "properties 0"): an average over
+   an average, both at a provider that sees b only encrypted. The inner
+   avg left b as an aggregated Paillier value, and the outer one raised
+   "cannot aggregate an already-aggregated phe value". A sum or average
+   over a sum or average now needs its operand in plaintext, so the
+   provider is no candidate for the outer average. *)
+let test_avg_over_avg () =
+  let attr = Attr.make in
+  let b = attr "b" and d = attr "d" and f = attr "f" in
+  let avg_b = [ Aggregate.make (Aggregate.Avg b) ] in
+  let ds = Attr.Set.singleton d in
+  let inner =
+    Plan.group_by ds [ Aggregate.make (Aggregate.Count b) ]
+      (Plan.project (Attr.Set.of_list [ b; d ]) (Plan.base Gen.rel1))
+  in
+  let outer = Plan.group_by ds avg_b (Plan.group_by ds avg_b inner) in
+  let plan =
+    Plan.join
+      (Predicate.conj [ Predicate.Cmp_attr (b, Predicate.Eq, f) ])
+      outer
+      (Plan.project (Attr.Set.of_names [ "e"; "f"; "g" ]) (Plan.base Gen.rel2))
+  in
+  let x = Subject.provider "X" in
+  let policy =
+    Authorization.make ~schemas:Gen.schemas
+      [ Authorization.rule ~rel:"R1" ~plain:[ "a"; "b"; "c"; "d" ] (To Gen.user);
+        Authorization.rule ~rel:"R2" ~plain:[ "e"; "f"; "g" ] (To Gen.user);
+        Authorization.rule ~rel:"R1" ~enc:[ "a"; "b"; "c"; "d" ] (To x);
+        Authorization.rule ~rel:"R2" ~enc:[ "e"; "f"; "g" ] (To x) ]
+  in
+  let config = Opreq.resolve_conflicts Opreq.default plan in
+  Alcotest.(check bool) "the outer average needs b in plaintext" true
+    (Attr.Set.mem b (Opreq.plaintext_attrs config outer));
+  (* QCHECK_SEED=18627367: a sum over an average, where Paillier's cent
+     image rounded 59.3333 to 59.33 *)
+  let sum_over_avg =
+    Plan.group_by ds [ Aggregate.make (Aggregate.Sum b) ]
+      (Plan.group_by ds avg_b inner)
+  in
+  Alcotest.(check bool) "a sum over an average needs b in plaintext" true
+    (Attr.Set.mem b (Opreq.plaintext_attrs config sum_over_avg));
+  (* every node at X where X may run it, as the seed's draw had it *)
+  let lam = Candidates.compute ~policy ~subjects:Gen.subjects ~config plan in
+  let assignment =
+    Plan.fold
+      (fun acc n ->
+        if Candidates.is_source_side n then acc
+        else
+          let cands = Candidates.candidates_of lam n in
+          Imap.add (Plan.id n)
+            (if Subject.Set.mem x cands then x else Subject.Set.min_elt cands)
+            acc)
+      Imap.empty plan
+  in
+  Alcotest.(check bool) "X aggregates the inner average" true
+    (Subject.equal x (Imap.find (Plan.id (List.hd (Plan.children outer))) assignment));
+  let tables =
+    [ ("R1",
+       Table.of_schema Gen.rel1
+         (List.map
+            (fun (b, d) -> [| Value.Int 1; Value.Int b; Value.Str "ga"; Value.Int d |])
+            [ (3, 1); (5, 1); (8, 2); (2, 2); (9, 2) ]));
+      ("R2",
+       Table.of_schema Gen.rel2
+         (List.map
+            (fun e -> [| Value.Int e; Value.Int e; Value.Str "bu" |])
+            [ 1; 2; 3 ])) ]
+  in
+  let ext = Extend.extend ~policy ~config ~assignment ~deliver_to:Gen.user plan in
+  let clusters = Plan_keys.compute ~config ~original:plan ext in
+  let crypto = Enc_exec.make (Mpq_crypto.Keyring.create ~seed:123L ()) clusters in
+  Alcotest.(check bool) "encrypted run = plaintext run" true
+    (Table.equal_bag
+       (Exec.run (Exec.context tables) plan)
+       (Exec.run (Exec.context ~crypto tables) ext.Extend.plan))
+
 (* Int and Float keys around 2^53 through the hash join and group-by, on
    typed (all-Int, all-Float) and mixed columns *)
 let test_keys_at_2_53 () =
@@ -549,7 +625,8 @@ let () =
           ("OPE keeps an avg's full precision", `Quick, test_ope_float_precision);
           ("OPE join keys tie at cent precision", `Quick, test_ope_join_cent_ties);
           ("group key cells keep their boundaries", `Quick, test_group_key_boundaries);
-          ("det column = plain column on Int 4", `Quick, test_cipher_plain_join) ]
+          ("det column = plain column on Int 4", `Quick, test_cipher_plain_join);
+          ("sum or avg over avg under PHE", `Quick, test_avg_over_avg) ]
       );
       ( "row oracle",
         [ QCheck_alcotest.to_alcotest prop_row_oracle;

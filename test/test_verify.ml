@@ -304,6 +304,42 @@ let test_insufficient_scheme () =
   in
   check_has "MPQ040" (run { input with Verify.Verifier.clusters = clusters })
 
+let test_sum_over_encrypted_sum () =
+  (* P averages b under Paillier, then averages the aggregated
+     ciphertexts again: an aggregated Paillier value carries its own sum
+     and count and cannot be added into another *)
+  let a = Attr.Set.of_names [ "a" ] and b = Attr.make "b" in
+  let avg_b = [ Aggregate.make (Aggregate.Avg b) ] in
+  let plan =
+    Plan.group_by a avg_b
+      (Plan.group_by a avg_b
+         (Plan.encrypt (Attr.Set.singleton b) (Plan.base schema_r)))
+  in
+  let base = find_node plan (function Plan.Base _ -> true | _ -> false) in
+  let assignment =
+    List.fold_left
+      (fun acc n ->
+        Imap.add (Plan.id n)
+          (if n == base then Subject.authority "A" else prov_p)
+          acc)
+      Imap.empty (Plan.nodes plan)
+  in
+  let ext = { Extend.plan; assignment; profiles = Profile.annotate plan } in
+  let clusters =
+    [ { Plan_keys.id = "b"; attrs = Attr.Set.singleton b;
+        scheme = Mpq_crypto.Scheme.Phe;
+        holders = Subject.Set.singleton (Subject.authority "A") } ]
+  in
+  let diags =
+    run ~checks:[ Verify.Verifier.Schemes ]
+      { Verify.Verifier.policy = fixture_policy; config = Opreq.default;
+        extended = ext; clusters; requests = [] }
+  in
+  check_has "MPQ041" diags;
+  Alcotest.(check int) "only the outer average" 1
+    (List.length
+       (List.filter (fun (d : Verify.Diag.t) -> d.Verify.Diag.code = "MPQ041") diags))
+
 let test_spurious_encryption () =
   (* P is plaintext-authorized, yet the plan encrypts a around P's
      select: safe but over-protective (Thm. 5.3 says the extension
@@ -435,7 +471,8 @@ let test_catalog_documented () =
       Alcotest.(check bool) (c ^ " described") true
         (Verify.Diag.describe c <> None))
     [ "MPQ001"; "MPQ002"; "MPQ003"; "MPQ010"; "MPQ011"; "MPQ012"; "MPQ020";
-      "MPQ030"; "MPQ031"; "MPQ032"; "MPQ033"; "MPQ040"; "MPQ050"; "MPQ051";
+      "MPQ030"; "MPQ031"; "MPQ032"; "MPQ033"; "MPQ040"; "MPQ041"; "MPQ050";
+      "MPQ051";
       "MPQ052"; "MPQ053"; "MPQ054"; "MPQ055" ]
 
 let () =
@@ -456,7 +493,8 @@ let () =
           ("missing key -> MPQ031", `Quick, test_missing_key);
           ("clusterless attribute -> MPQ033", `Quick, test_clusterless_attr);
           ("insufficient scheme -> MPQ040", `Quick, test_insufficient_scheme);
-          ("spurious encryption -> MPQ020", `Quick, test_spurious_encryption) ]
+          ("spurious encryption -> MPQ020", `Quick, test_spurious_encryption);
+          ("sum over encrypted sum -> MPQ041", `Quick, test_sum_over_encrypted_sum) ]
       );
       ( "dispatch",
         [ ("dropped request -> MPQ055", `Quick, test_dropped_request);
