@@ -41,6 +41,11 @@ let guard f =
   | Sys_error msg | Failure msg | Invalid_argument msg ->
       Printf.eprintf "mpqcli: %s\n" msg;
       exit_input_error
+  | Unix.Unix_error (e, fn, arg) ->
+      Printf.eprintf "mpqcli: %s%s: %s\n" fn
+        (if arg = "" then "" else " " ^ arg)
+        (Unix.error_message e);
+      exit_input_error
   | Planner.Optimizer.No_candidate msg
   | Planner.Optimizer.User_not_authorized msg ->
       Printf.eprintf "mpqcli: query rejected: %s\n" msg;
@@ -779,7 +784,7 @@ let serve_cmd =
                    $(b,-- [N] deadline exceeded:) and is never half-served.")
   in
   let tenants_arg =
-    Arg.(value & opt_all string []
+    Arg.(value & opt_all (pair ~sep:'=' string file) []
          & info [ "tenant" ] ~docv:"ID=FILE"
              ~doc:"Register tenant $(b,ID) with the policy environment \
                    loaded from $(b,FILE) (repeatable). Each tenant plans \
@@ -787,8 +792,8 @@ let serve_cmd =
                    cache keys embed the tenant id, so tenants can never \
                    observe each other's cached plans or sub-plan results. \
                    Requests target a tenant with the $(b,\\\\tenant use ID) \
-                   directive (stdin mode and per socket session); the \
-                   unnamed environment is tenant $(b,default).")
+                   directive; the unnamed environment is tenant \
+                   $(b,default).")
   in
   let run policy_path table_specs file cache batch listen backlog deadline_ms
       tenants jobs obs =
@@ -802,40 +807,29 @@ let serve_cmd =
         ~policy:env.Authz.Policy_dsl.policy
         ~subjects:env.Authz.Policy_dsl.subjects ~tables ()
     in
-    (* tenant subject populations, for the \policy same-subjects check *)
-    let tenant_subjects = Hashtbl.create 4 in
-    Hashtbl.replace tenant_subjects Serve.Tenancy.default_id
-      env.Authz.Policy_dsl.subjects;
     List.iter
-      (fun spec ->
-        match String.index_opt spec '=' with
-        | None ->
-            failwith
-              (Printf.sprintf
-                 "--tenant %s: expected ID=FILE (a policy file per tenant)"
-                 spec)
-        | Some i ->
-            let id = String.sub spec 0 i in
-            let path = String.sub spec (i + 1) (String.length spec - i - 1) in
-            if id = "" || path = "" then
-              failwith (Printf.sprintf "--tenant %s: expected ID=FILE" spec);
-            let tenv = load_policy (Some path) in
-            Serve.Service.add_tenant service ~id
-              ~policy:tenv.Authz.Policy_dsl.policy
-              ~subjects:tenv.Authz.Policy_dsl.subjects ();
-            Hashtbl.replace tenant_subjects id tenv.Authz.Policy_dsl.subjects)
+      (fun (id, path) ->
+        if id = "" then failwith "--tenant: expected ID=FILE, got an empty ID";
+        let tenv = load_policy (Some path) in
+        Serve.Service.add_tenant service ~id
+          ~policy:tenv.Authz.Policy_dsl.policy
+          ~subjects:tenv.Authz.Policy_dsl.subjects ())
       tenants;
-    match listen with
+    (* SIGTERM/SIGINT leave through the same drain as end of input:
+       answer what was read, flush, report *)
+    let on_signal stop =
+      List.iter
+        (fun s -> Sys.set_signal s (Sys.Signal_handle (fun _ -> stop ())))
+        [ Sys.sigint; Sys.sigterm ]
+    in
+    (match listen with
     | Some addr_spec ->
-        (* socket mode: the event loop owns the service; SIGTERM/SIGINT
-           request a graceful drain (answer everything admitted, flush,
-           report) rather than killing mid-response *)
-        let addr = Serve.Server.addr_of_string addr_spec in
-        let config = { Serve.Server.backlog; deadline_ms } in
-        let server = Serve.Server.create ~config ~service addr in
-        let stop _ = Serve.Server.stop server in
-        Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-        Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
+        let server =
+          Serve.Server.create ~config:{ Serve.Server.backlog; deadline_ms }
+            ~service
+            (Serve.Server.addr_of_string addr_spec)
+        in
+        on_signal (fun () -> Serve.Server.stop server);
         Printf.eprintf "-- serving on %s (backlog %d%s)\n%!"
           (Serve.Server.addr_to_string (Serve.Server.bound_addr server))
           backlog
@@ -843,179 +837,70 @@ let serve_cmd =
           | Some t -> Printf.sprintf ", deadline %d ms" t
           | None -> "");
         Serve.Server.run server;
-        prerr_endline
-          (Serve.Server.render_stats (Serve.Server.stats server));
-        prerr_endline
-          (Serve.Service.render_stats (Serve.Service.stats service));
-        exit_ok
+        prerr_endline (Serve.Server.render_stats (Serve.Server.stats server))
     | None ->
-    let ic = match file with Some p -> open_in p | None -> stdin in
-    let line_no = ref 0 in
-    let tenant = ref Serve.Tenancy.default_id in
-    let pending = ref [] in
-    (* newest first; (line, request) — the request carries the tenant
-       that was current when the line was read *)
-    let drain () =
-      match List.rev !pending with
-      | [] -> ()
-      | batch ->
-          pending := [];
-          let responses =
-            Serve.Service.submit_batch_requests service (List.map snd batch)
-          in
-          List.iter2
-            (fun (n, _) r -> print_string (Serve.Server.format_response n r))
-            batch responses;
-          flush stdout
-    in
-    let directive line =
-      (* a directive flushes the backlog first: its effect must order
-         with the queries around it exactly as written *)
-      drain ();
-      match
-        List.filter (fun s -> s <> "") (String.split_on_char ' ' line)
-      with
-      | [ "\\stats" ] ->
-          (* the channel contract: anything answering a request line is a
-             response and belongs on stdout; stderr carries operational
-             notices only *)
-          Printf.printf "%s\n%!"
-            (Serve.Service.render_stats (Serve.Service.stats service))
-      | [ "\\invalidate" ] -> Serve.Service.invalidate service
-      | [ "\\tenant" ] -> Printf.printf "-- tenant: %s\n%!" !tenant
-      | [ "\\tenant"; "list" ] ->
-          Printf.printf "-- tenants: %s\n%!"
-            (String.concat ", " (Serve.Service.tenant_ids service))
-      | [ "\\tenant"; "use"; id ] ->
-          if List.mem id (Serve.Service.tenant_ids service) then begin
-            tenant := id;
-            Printf.printf "-- tenant: %s\n%!" id
-          end
-          else
-            Printf.printf "-- [%d] rejected: unknown tenant %S\n%!" !line_no
-              id
-      | [ "\\policy"; path ] -> (
-          match Authz.Policy_dsl.load path with
-          | e ->
-              (* applies to the current tenant. An unchanged subject
-                 population keeps the incremental migration path; a
-                 swap forces the rotation fallback *)
-              let same_subjects =
-                List.sort compare e.Authz.Policy_dsl.subjects
-                = List.sort compare
-                    (Option.value ~default:[]
-                       (Hashtbl.find_opt tenant_subjects !tenant))
-              in
-              if same_subjects then
-                Serve.Service.set_policy ~tenant:!tenant service
-                  e.Authz.Policy_dsl.policy
-              else
-                Serve.Service.set_policy
-                  ~subjects:e.Authz.Policy_dsl.subjects ~tenant:!tenant
-                  service e.Authz.Policy_dsl.policy;
-              Hashtbl.replace tenant_subjects !tenant
-                e.Authz.Policy_dsl.subjects;
-              Printf.printf "-- policy %s installed for %s, cache %s\n%!"
-                path !tenant
-                (if same_subjects then "migrated incrementally"
-                 else "rotated (subjects changed)")
-          | exception Authz.Policy_dsl.Syntax_error (l, msg) ->
-              Printf.printf "-- [%d] policy %s rejected: line %d: %s\n%!"
-                !line_no path l msg
-          | exception Sys_error msg ->
-              Printf.printf "-- [%d] policy load failed: %s\n%!" !line_no msg)
-      | d :: _ ->
-          Printf.printf
-            "-- [%d] unknown directive %s (try \\stats, \\policy FILE, \
-             \\invalidate, \\tenant [use ID|list])\n%!"
-            !line_no d
-      | [] -> ()
-    in
-    (* SIGINT/SIGTERM leave through the same drain-and-report path as
-       end of input: answer what was admitted, then the final stats *)
-    let interrupted = ref false in
-    let break _ = raise Sys.Break in
-    let old_int = Sys.signal Sys.sigint (Sys.Signal_handle break) in
-    let old_term = Sys.signal Sys.sigterm (Sys.Signal_handle break) in
-    (try
-       while true do
-         let raw = input_line ic in
-         incr line_no;
-         let line = String.trim raw in
-         if line = "" || line.[0] = '#' then ()
-         else if line.[0] = '\\' then directive line
-         else begin
-           (* report parse errors after the backlog so responses keep
-              line order *)
-           (match Serve.Service.parse ~tenant:!tenant service line with
-           | plan ->
-               pending :=
-                 (!line_no, Serve.Service.request ~tenant:!tenant plan)
-                 :: !pending
-           | exception Mpq_sql.Sql_lexer.Lex_error (msg, pos) ->
-               drain ();
-               Printf.printf "-- [%d] parse error at %d: %s\n" !line_no pos msg
-           | exception Mpq_sql.Sql_parser.Parse_error msg
-           | exception Mpq_sql.Sql_plan.Plan_error msg ->
-               drain ();
-               Printf.printf "-- [%d] parse error: %s\n" !line_no msg);
-           if List.length !pending >= batch then drain ()
-         end
-       done
-     with
-    | End_of_file -> ()
-    | Sys.Break -> interrupted := true);
-    (* a second signal during the drain kills the process as usual *)
-    Sys.set_signal Sys.sigint old_int;
-    Sys.set_signal Sys.sigterm old_term;
-    if !interrupted then
-      prerr_endline "-- interrupted: draining admitted requests";
-    drain ();
-    if file <> None then close_in ic;
+        let stop = Atomic.make false in
+        on_signal (fun () ->
+            prerr_endline "-- interrupted: draining admitted requests";
+            Atomic.set stop true;
+            (* a second signal kills the process as usual *)
+            Sys.set_signal Sys.sigint Sys.Signal_default;
+            Sys.set_signal Sys.sigterm Sys.Signal_default);
+        let fd =
+          match file with
+          | Some p -> Unix.openfile p [ Unix.O_RDONLY ] 0
+          | None -> Unix.stdin
+        in
+        Serve.Server.serve_channel ~stop ~service fd stdout);
     prerr_endline (Serve.Service.render_stats (Serve.Service.stats service));
     exit_ok
   in
   let doc = "serve a stream of queries through the verified plan cache" in
   let man =
     [ `S Manpage.s_description;
-      `P "Reads one request per line from $(b,--file) or standard input and \
-          answers each on standard output: a $(b,-- [LINE] hit|miss) status \
-          comment with the planning and execution latency, then the result \
-          as CSV. Optimized plans are cached after passing the static \
-          verifier once, keyed by (query structure, policy, configuration); \
-          a repeated query skips planning $(i,and) re-verification. Queries \
-          the policy rejects report $(b,rejected) and the verdict is cached \
-          too.";
+      `P "Reads one request per line, from standard input, from \
+          $(b,--file), or from each session of a $(b,--listen) socket, and \
+          answers every request line with exactly one reply, in line \
+          order: a $(b,-- [LINE] hit|miss) status comment with the planning \
+          and execution latency followed by the result as CSV, or one \
+          structured $(b,-- [LINE] tag:) line ($(b,rejected), \
+          $(b,parse error), $(b,shed), $(b,deadline exceeded), or a \
+          directive's result). Optimized plans are cached after passing \
+          the static verifier once, keyed by (query structure, policy, \
+          configuration); a repeated query skips planning $(i,and) \
+          re-verification. Queries the policy rejects report \
+          $(b,rejected), and the verdict is cached too.";
       `P "Blank lines and $(b,#) comments are skipped. Directives: \
-          $(b,\\\\stats) prints cache statistics, \
-          $(b,\\\\policy FILE) installs a new policy for the current \
-          tenant — every cached plan keyed under its old policy becomes \
-          unreachable at once — $(b,\\\\invalidate) drops the cache, and \
-          $(b,\\\\tenant use ID) switches subsequent requests to a tenant \
-          registered with $(b,--tenant) ($(b,\\\\tenant list) enumerates \
-          them). Base relations are fixed at startup ($(b,--table)); a \
-          swapped policy must keep the relations it queries.";
-      `P "Channel contract: standard output carries exactly the responses \
-          to request lines — status comments, CSV tables, rejections, \
-          parse errors and directive results, in request order. Standard \
-          error carries operational notices only: the listening banner, \
-          interruption notes and the final statistics line. SIGINT and \
-          SIGTERM exit through the same drain as end of input: admitted \
-          requests are answered, then the stats are reported.";
+          $(b,\\\\stats) reports cache statistics, $(b,\\\\tenant) names \
+          the current tenant, $(b,\\\\tenant list) lists them and \
+          $(b,\\\\tenant use ID) switches the following requests to a \
+          tenant registered with $(b,--tenant). Standard input and \
+          $(b,--file) are the operator's channel and take two more, which \
+          a socket session is refused: $(b,\\\\policy FILE) installs a new \
+          policy for the current tenant (every cached plan keyed under its \
+          old policy becomes unreachable at once; base relations are fixed \
+          at startup, so the policy must keep the relations it queries), \
+          and $(b,\\\\invalidate) drops the caches. A directive takes \
+          effect after every request before it is answered.";
+      `P "Channel contract: standard output carries exactly the replies to \
+          request lines, in line order. Standard error carries operational \
+          notices only: the listening banner, interruption notes and the \
+          final statistics. SIGINT and SIGTERM exit through the same drain \
+          as end of input: requests already read are answered, then the \
+          statistics are reported.";
       `P "With $(b,--jobs N) the distinct queries of each \
           admission-bounded round ($(b,--batch)) are planned and executed \
           on N domains, each query on one domain; responses, response \
           order and cache evolution are identical to sequential serving, \
           byte for byte.";
-      `P "With $(b,--listen ADDR) the same service is exposed on a socket \
-          to many concurrent sessions at once, with overload behaviour \
-          engineered in: a bounded global backlog ($(b,--backlog)) that \
-          refuses excess requests with structured $(b,shed) lines, \
-          per-request deadlines ($(b,--deadline-ms)) checked at admission \
-          and between the plan and exec phases, per-session isolation (a \
-          malformed or stalled connection cannot corrupt another session's \
-          responses or the shared cache), and graceful shutdown on \
-          SIGTERM/SIGINT (drain, flush, report)." ]
+      `P "With $(b,--listen ADDR) many concurrent sessions share the \
+          service, with overload behaviour engineered in: a bounded global \
+          backlog ($(b,--backlog)) that refuses excess requests with \
+          $(b,shed) lines, per-request deadlines ($(b,--deadline-ms)) \
+          checked at admission and between the plan and exec phases, \
+          per-session isolation (a malformed or stalled connection cannot \
+          corrupt another session's replies or the shared cache), and \
+          graceful shutdown on SIGTERM/SIGINT (drain, flush, report)." ]
     @ exit_status_man
   in
   Cmd.v (Cmd.info "serve" ~doc ~man)

@@ -29,24 +29,22 @@ type info = {
 
 type t = {
   store : (string, info) Hashtbl.t;  (* structural fingerprint -> node *)
-  fps : (int, string) Hashtbl.t;  (* physical node id -> fp memo *)
+  fps : (int, string) Hashtbl.t;  (* representative's node id -> fp *)
   mutable interned : int;  (* plans interned (root-level calls) *)
 }
 
 let create () =
   { store = Hashtbl.create 256; fps = Hashtbl.create 1024; interned = 0 }
 
-(* Bottom-up memoized structural fingerprint: one Fingerprint.of_plan_via
-   level per physical node, children read from the memo — linear total
-   work over a batch even though subtree fingerprints nest. Byte-identical
-   to Fingerprint.of_plan, so DAG keys line up with plan-cache keys. *)
+(* Structural fingerprint, byte-identical to Fingerprint.of_plan so DAG
+   keys line up with plan-cache keys. Only representatives are memoized:
+   [intern_node] fingerprints a node after interning its children, so
+   every level reads its children from the memo (linear work per plan),
+   and a plan whose nodes are not kept adds nothing to the store. *)
 let rec fingerprint t p =
   match Hashtbl.find_opt t.fps (Plan.id p) with
   | Some fp -> fp
-  | None ->
-      let fp = Fingerprint.of_plan_via (fingerprint t) p in
-      Hashtbl.add t.fps (Plan.id p) fp;
-      fp
+  | None -> Fingerprint.of_plan_via (fingerprint t) p
 
 (* A subtree is crypto-free when it produces no ciphertext: no
    Encrypt/Decrypt operation and no outsourced (encrypted-at-rest) base
@@ -78,6 +76,7 @@ let rec intern_node t p =
       Hashtbl.add t.store fp
         { rep = p; size = Plan.size p; crypto_free = crypto_free p;
           occurrences = 1 };
+      Hashtbl.add t.fps (Plan.id p) fp;
       p
 
 let intern t p =

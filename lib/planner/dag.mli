@@ -43,8 +43,10 @@ val intern : t -> Plan.t -> Plan.t
     synchronized. *)
 
 val fingerprint : t -> Plan.t -> string
-(** Memoized structural fingerprint, byte-identical to
-    {!Fingerprint.of_plan}. *)
+(** Structural fingerprint, byte-identical to {!Fingerprint.of_plan}.
+    Memoized for the store's representatives (the nodes {!intern}
+    returns) and computed afresh for any other node, so the store grows
+    only with distinct shapes. *)
 
 val find : t -> Plan.t -> info option
 val occurrences : t -> Plan.t -> int

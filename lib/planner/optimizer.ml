@@ -36,20 +36,6 @@ let assert_verified ~policy ~config extended clusters requests =
   let diags = Obs.with_span "planner.self_check" (fun () -> Verify.Verifier.run input) in
   if Verify.Diag.has_errors diags then raise (Verification_failed diags)
 
-(* Canonical text key for an assignment: Imap iterates in node-id order,
-   so equal assignments always fingerprint identically. Fields are
-   length-prefixed (Fingerprint.field): with the earlier bare
-   `id ":" name ";"` concatenation, a subject named "A;2:B" on node 1
-   collided with subjects A and B on nodes 1 and 2. *)
-let fingerprint assignment =
-  let buf = Buffer.create 64 in
-  Authz.Imap.iter
-    (fun id s ->
-      Fingerprint.int_field buf id;
-      Fingerprint.field buf (Fingerprint.of_subject s))
-    assignment;
-  Buffer.contents buf
-
 (* The serving layer's cache key is the planner's entire input: the
    environment half (policy, config, prices, network, recipient,
    latency bound) changes rarely and is cached by the service; the

@@ -40,12 +40,6 @@ val self_check_message : Verify.Diag.t list -> string
     [Error]-severity diagnostics: the text a {!Verification_failed}
     rejection reports. *)
 
-val fingerprint : Authz.Subject.t Authz.Imap.t -> string
-(** Canonical text key of an assignment: node ids and subjects,
-    length-prefixed so distinct assignments cannot collide by
-    concatenation (see {!Fingerprint}). {!plan}'s local search does not
-    use it: its memo is keyed by candidate indices. *)
-
 val environment_fingerprint :
   ?tenant:string ->
   policy:Authz.Authorization.t ->

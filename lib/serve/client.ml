@@ -8,22 +8,18 @@ type t = {
   mutable eof : bool;
 }
 
-let connect ?(timeout_s = 10.0) addr =
-  let fd =
-    match addr with
-    | Server.Tcp port ->
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        (try
-           Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
-         with e -> Unix.close fd; raise e);
-        fd
-    | Server.Unix_path path ->
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        (try Unix.connect fd (Unix.ADDR_UNIX path)
-         with e -> Unix.close fd; raise e);
-        fd
-  in
+let of_fd ?(timeout_s = 10.0) fd =
   { fd; buf = Buffer.create 256; timeout_s; eof = false }
+
+let connect ?timeout_s addr =
+  let sa =
+    match addr with
+    | Server.Tcp port -> Unix.ADDR_INET (Unix.inet_addr_loopback, port)
+    | Server.Unix_path path -> Unix.ADDR_UNIX path
+  in
+  let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
+  (try Unix.connect fd sa with e -> Unix.close fd; raise e);
+  of_fd ?timeout_s fd
 
 let send t line =
   let data = line ^ "\n" in
@@ -77,44 +73,23 @@ let rec read_line t deadline =
         read_line t deadline
       end
 
+(* "-- [N] tag: info" -> (N, tag, info); a tag without ": " has no info *)
 let parse_status line =
-  let fail () =
-    raise (Protocol_error (Printf.sprintf "unparseable status line %S" line))
+  let parts n tag rest =
+    (* [rest] is empty, or ':' and the info *)
+    let k = String.length rest in
+    let info = if k = 0 then "" else String.sub rest 1 (k - 1) in
+    (n, String.trim tag, String.trim info)
   in
-  if not (String.starts_with ~prefix:"-- [" line) then fail ();
-  match String.index_opt line ']' with
-  | None -> fail ()
-  | Some j -> (
-      let n =
-        match int_of_string_opt (String.sub line 4 (j - 4)) with
-        | Some n -> n
-        | None -> fail ()
-      in
-      let rest =
-        String.trim (String.sub line (j + 1) (String.length line - j - 1))
-      in
-      match String.index_opt rest ':' with
-      | None -> (n, rest, "")
-      | Some c ->
-          ( n,
-            String.sub rest 0 c,
-            String.trim
-              (String.sub rest (c + 1) (String.length rest - c - 1)) ))
+  try Scanf.sscanf line "-- [%d] %[^:]%[^\n]" parts
+  with Scanf.Scan_failure _ | Failure _ | End_of_file ->
+    raise (Protocol_error (Printf.sprintf "unparseable status line %S" line))
 
 (* "plan 0.12 ms, exec 0.05 ms, 3 rows" -> 3 *)
 let rows_of_info info =
-  let toks =
-    List.filter
-      (fun x -> x <> "")
-      (String.split_on_char ' '
-         (String.map (fun c -> if c = ',' then ' ' else c) info))
-  in
-  let rec go = function
-    | a :: "rows" :: _ -> int_of_string_opt a
-    | _ :: rest -> go rest
-    | [] -> None
-  in
-  go toks
+  let rows _ _ r = r in
+  try Some (Scanf.sscanf info "plan %f ms, exec %f ms, %d rows%!" rows)
+  with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
 
 let recv t =
   let deadline = Unix.gettimeofday () +. t.timeout_s in

@@ -14,6 +14,10 @@ type t
 val connect : ?timeout_s:float -> Server.addr -> t
 (** Default timeout 10 s per {!recv}. *)
 
+val of_fd : ?timeout_s:float -> Unix.file_descr -> t
+(** A client over an open descriptor: a connected socket, or a file
+    of replies to parse. *)
+
 val send : t -> string -> unit
 (** Send one request line (the newline is appended). *)
 

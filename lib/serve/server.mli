@@ -1,48 +1,31 @@
-(** Overload-safe socket front-end for the query {!Service}.
+(** The two transports of the line protocol ({!Session}): sockets and a
+    channel. A transport moves bytes and decides when to dispatch; the
+    one difference it fixes is that the channel's single session is the
+    operator's and honours [\policy FILE] and [\invalidate], while a
+    socket session, one of many, refuses them.
 
-    One process, one {!Service}, many concurrent client sessions over
-    the same line protocol [mpqcli serve] speaks on stdin: one request
-    per line, one framed response per request — a
-    [-- \[N\] hit|miss: …] status line followed by the CSV table, or a
-    single structured refusal line. The accept path is a
-    single-threaded [select] loop; planning and execution stay on the
-    service's {!Par} pool. Because every cache access happens on the
-    loop thread, session isolation holds by construction: a malformed,
-    slow, stalled or vanished connection can corrupt neither another
-    session's response stream nor the shared plan cache.
+    {b Sockets} ({!create}, {!run}): one {!Service}, many concurrent
+    sessions. The accept path is a single-threaded [select] loop;
+    planning and execution stay on the service's {!Par} pool. Every
+    cache access happens on the loop thread, so a malformed, slow,
+    stalled or vanished connection can corrupt neither another
+    session's replies nor the shared cache. Overload is engineered in:
 
-    Sessions are tenant-scoped: each starts under
-    {!Tenancy.default_id} and may switch with [\tenant use <id>]
-    (plus [\tenant] / [\tenant list] to inspect); every subsequent
-    request is parsed and served under that tenant's policy
-    environment. Tenants are registered at startup
-    ({!Service.add_tenant}) — no wire input can create or mutate one —
-    and tenant isolation itself is the service's key-space guarantee,
-    not a server concern.
+    - {b admission control} — a request arriving when the global
+      backlog is full is refused at once, [-- \[N\] shed: backlog full …].
+    - {b deadlines} — a request's budget starts when its line is taken;
+      the service checks it at admission and between the plan and exec
+      phases, answering [-- \[N\] deadline exceeded: …].
+    - {b backpressure} — a session is not read while its unread output
+      passes a high-water mark or while its directive waits on its
+      earlier requests; nothing owed is ever dropped.
+    - {b graceful shutdown} — {!stop} closes the listener, answers every
+      request already read, flushes within a grace budget, and {!run}
+      returns.
 
-    The overload behaviour is engineered in, not bolted on:
-
-    - {b admission control} — a bounded global backlog; a request
-      arriving when it is full is refused {e immediately} with
-      [-- \[N\] shed: backlog full …]. Requests are never silently
-      dropped and a response is never a partial table.
-    - {b deadlines} — each request's budget starts when its line is
-      read; the service checks it at admission and again between the
-      plan and exec phases, answering
-      [-- \[N\] deadline exceeded: …].
-    - {b backpressure} — a session that stops reading its responses
-      accumulates output up to a high-water mark, after which the
-      server stops {e reading} it (never drops what it owes).
-    - {b graceful shutdown} — {!stop} (wired to SIGTERM/SIGINT by the
-      CLI) closes the listener, drains every admitted request through
-      the service, flushes each session's output within a grace
-      budget, and {!run} returns with final stats.
-
-    A final request line that arrives without its newline (the client
-    half-closes right after it) is still a request and is answered.
-    The server carries no fault injection of its own: the contract
-    above is exercised from the client side of real sockets — late,
-    garbled, stalled and hung-up sessions — by [test/test_server.ml]. *)
+    The contract is exercised from the client side of real sockets —
+    late, garbled, stalled and hung-up sessions — by
+    [test/test_server.ml]. *)
 
 type addr = Tcp of int | Unix_path of string
     (** [Tcp port] listens on the IPv4 loopback; [Tcp 0] picks a free
@@ -59,7 +42,7 @@ type config = {
   backlog : int;  (** global admitted-request bound (default 64) *)
   deadline_ms : int option;
       (** per-request budget, counted from the moment the request line
-          is read (default none) *)
+          is taken (default none) *)
 }
 (** The fixed limits are not configurable: at most 16 requests are
     handed to the service per loop iteration, at most 64 sessions are
@@ -91,18 +74,8 @@ type stats = {
   disconnects : int;  (** sessions that vanished owing output *)
   closed : summary list;
       (** final counters of every closed session, {e sorted by session
-          id}: sessions die in whatever order drain timing dictates, so
-          presenting them in close order would make the final stats
-          line nondeterministic across runs (and flake the CI grep) *)
+          id}: close order depends on drain timing *)
 }
-
-val format_response : int -> Service.response -> string
-(** [format_response n r] frames the response to request line [n] as
-    the wire protocol carries it: [-- \[n\] hit|miss: …] followed by
-    the CSV table, or a single [-- \[n\] rejected: …] /
-    [-- \[n\] deadline exceeded: …] line (a multi-line message is
-    joined onto one line). The stdin mode of [mpqcli serve] prints the
-    same frames. *)
 
 type t
 
@@ -121,6 +94,20 @@ val stop : t -> unit
 val run : t -> unit
 (** The event loop. Blocks until {!stop} (or a fatal listener error),
     then drains and returns. Ignores SIGPIPE for the process. *)
+
+val serve_channel :
+  stop:bool Atomic.t ->
+  service:Service.t ->
+  Unix.file_descr ->
+  out_channel ->
+  unit
+(** The channel transport ([mpqcli serve]'s stdin or [--file]): serve
+    the operator's session read from [fd], replies to [oc], until end of
+    input or until [stop] is set (a signal handler may set it; it is
+    seen within 0.25 s). Each read's requests are answered and flushed
+    before the next read, in rounds of {!Service.create}'s [max_batch].
+    On [stop], an incomplete last line is dropped and everything else
+    already read is answered. *)
 
 val stats : t -> stats
 val render_stats : stats -> string

@@ -547,6 +547,9 @@ let invalidate t =
 let environment ?(tenant = Tenancy.default_id) t =
   (tenant_exn t tenant).Tenancy.env
 
+let subjects ?(tenant = Tenancy.default_id) t =
+  (tenant_exn t tenant).Tenancy.subjects
+
 let parse ?(tenant = Tenancy.default_id) t sql =
   let tn = tenant_exn t tenant in
   let catalog = Authz.Authorization.schemas tn.Tenancy.policy in

@@ -118,7 +118,7 @@ val create :
     [deliver_to] defaults to the first [User] among [subjects], when
     any. [seed] fixes the keyring so ciphertext bytes are reproducible
     across runs (default [42L]); the service keeps that keyring's
-    cluster keys, Paillier pair and det/OPE ciphertext memos in one
+    derived cluster keys and Paillier pair in one
     {!Engine.Enc_exec.store} for its lifetime. [base] supplies cardinality
     statistics to the optimizer (default: none). [now] is the clock
     request deadlines are checked against (default
@@ -193,15 +193,18 @@ val set_network : ?tenant:string -> t -> Planner.Network.t -> unit
 
 val invalidate : t -> unit
 (** Drop every cache entry (statistics survive), and replace the key
-    store with an empty one: derived keys, the Paillier pair and every
-    det/OPE ciphertext memo go, so the next executions pay first-touch
-    crypto again. The [set_*] calls above make this unnecessary for
-    correctness (keys do not depend on the policy, so they leave the
-    store alone); it exists for explicit memory release. *)
+    store with an empty one: derived keys and the Paillier pair go, so
+    the next executions derive them again. The [set_*] calls above make
+    this unnecessary for correctness (keys do not depend on the policy,
+    so they leave the store alone); it exists for explicit memory
+    release. *)
 
 val environment : ?tenant:string -> t -> string
 (** The named tenant's current environment fingerprint (tests assert
     rotation and cross-tenant distinctness). *)
+
+val subjects : ?tenant:string -> t -> Authz.Subject.t list
+(** The named tenant's current subject population. *)
 
 (** {2 Serving} *)
 

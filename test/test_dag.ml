@@ -116,6 +116,25 @@ let test_near_collision_shapes_do_not_merge () =
   Alcotest.(check int) "base shared underneath" 2
     (Planner.Dag.occurrences d (Plan.base schema))
 
+(* Re-interning shapes the store already holds (fresh node ids, as every
+   re-parsed request has) must not grow it: only representatives are
+   memoized. Before that, every interned node id stayed in the
+   fingerprint memo, ~3.5 KB per TPC-H plan. *)
+let test_reintern_keeps_store_size () =
+  let d = Planner.Dag.create () in
+  let intern_all () =
+    List.iter
+      (fun (_, _, build) -> ignore (Planner.Dag.intern d (build ())))
+      Tpch.Tpch_queries.all
+  in
+  intern_all ();
+  let words () = Obj.reachable_words (Obj.repr d) in
+  let before = words () in
+  for _ = 1 to 5 do intern_all () done;
+  Alcotest.(check int) "store words after 5 more passes" before (words ());
+  Alcotest.(check int) "plans counted" (6 * List.length Tpch.Tpch_queries.all)
+    (Planner.Dag.stats d).Planner.Dag.plans
+
 (* --- crypto-free classification --------------------------------------- *)
 
 let test_crypto_free () =
@@ -226,7 +245,9 @@ let () =
           ("shared subtree spliced across plans", `Quick,
            test_intern_splices_shared_subtree);
           ("near-collision shapes stay distinct", `Quick,
-           test_near_collision_shapes_do_not_merge) ] );
+           test_near_collision_shapes_do_not_merge);
+          ("re-interning equal shapes keeps the store's size", `Quick,
+           test_reintern_keeps_store_size) ] );
       ( "crypto-free",
         [ ("classification", `Quick, test_crypto_free) ] );
       ( "positions",

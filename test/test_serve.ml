@@ -213,24 +213,6 @@ let test_lru_model_differential () =
 
 (* --- fingerprints ----------------------------------------------------- *)
 
-(* the regression the length prefixes exist for: under the old
-   `id ":" name ";"` concatenation both assignments rendered as
-   "1:A;2:B;" *)
-let test_assignment_fingerprint_collision () =
-  let one =
-    Imap.add 1 (Subject.provider "A;2:B") Imap.empty
-  in
-  let two =
-    Imap.add 1 (Subject.provider "A") (Imap.add 2 (Subject.provider "B") Imap.empty)
-  in
-  Alcotest.(check bool) "crafted assignments no longer collide" false
-    (Planner.Optimizer.fingerprint one = Planner.Optimizer.fingerprint two);
-  (* same names, different roles: also distinct *)
-  let p = Imap.add 1 (Subject.provider "A") Imap.empty in
-  let a = Imap.add 1 (Subject.authority "A") Imap.empty in
-  Alcotest.(check bool) "role is part of the key" false
-    (Planner.Optimizer.fingerprint p = Planner.Optimizer.fingerprint a)
-
 let test_plan_fingerprint_no_set_collision () =
   (* {ab} vs {a,b}: naive set concatenation renders both as "ab" *)
   let schema =
@@ -1369,9 +1351,7 @@ let () =
           ("recency-list vs stamp model, 600 random ops", `Quick,
            test_lru_model_differential) ] );
       ( "fingerprint",
-        [ ("assignment collision regression", `Quick,
-           test_assignment_fingerprint_collision);
-          ("attribute-set collision regression", `Quick,
+        [ ("attribute-set collision regression", `Quick,
            test_plan_fingerprint_no_set_collision);
           ("structural stability", `Quick, test_plan_fingerprint_structural);
           ("environment sensitivity", `Quick, test_environment_sensitivity) ] );

@@ -286,6 +286,208 @@ let test_unknown_columns_not_interned () =
   Alcotest.(check int) "the line protocol interns nothing" before
     (Relalg.Attr.interned ())
 
+(* --- one protocol, two transports ------------------------------------ *)
+
+(* raw bytes in (so a last line may lack its newline), half-close, and
+   every reply parsed by Client *)
+let socket_script addr script =
+  let port = match addr with Serve.Server.Tcp p -> p | _ -> assert false in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  let off = ref 0 in
+  while !off < String.length script do
+    off :=
+      !off
+      + Unix.write_substring fd script !off (String.length script - !off)
+  done;
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  let c = Serve.Client.of_fd fd in
+  Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () ->
+      Serve.Client.recv_all c)
+
+(* the channel transport (mpqcli serve's stdin) over temporary files *)
+let channel_script ~service script =
+  let inp = Filename.temp_file "mpq_script" ".in" in
+  let out = Filename.temp_file "mpq_script" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove inp; Sys.remove out)
+    (fun () ->
+      Out_channel.with_open_bin inp (fun oc -> output_string oc script);
+      let fd = Unix.openfile inp [ Unix.O_RDONLY ] 0 in
+      Out_channel.with_open_bin out (fun oc ->
+          Serve.Server.serve_channel ~stop:(Atomic.make false) ~service fd oc);
+      Unix.close fd;
+      let c = Serve.Client.of_fd (Unix.openfile out [ Unix.O_RDONLY ] 0) in
+      Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () ->
+          Serve.Client.recv_all c))
+
+let scrub_ms = Str.global_replace (Str.regexp "[0-9]+\\.[0-9]+ ms") "_ ms"
+
+let framed (r : Serve.Client.reply) =
+  Printf.sprintf "[%d] %s: %s%s" r.Serve.Client.line r.Serve.Client.tag
+    (scrub_ms r.Serve.Client.info)
+    (match Serve.Client.table_csv r with Some csv -> "\n" ^ csv | None -> "")
+
+(* A directive, a parse error and a query pipelined behind a query: each
+   reply waits for the lines before it, and \stats counts line 1. The
+   socket used to answer [2] [3] [5] [1] [4], its \stats reading 0
+   queries. *)
+let order_script =
+  String.concat "\n"
+    [ queries.(0); "\\stats"; "select from where"; queries.(3); "\\tenant" ]
+  ^ "\n"
+
+let test_socket_line_order () =
+  let rs = with_server (fun _ _ addr -> socket_script addr order_script) in
+  Alcotest.(check (list string)) "replies in line order"
+    [ "[1] miss"; "[2] stats"; "[3] parse error"; "[4] miss"; "[5] tenant" ]
+    (List.map
+       (fun (r : Serve.Client.reply) ->
+         Printf.sprintf "[%d] %s" r.Serve.Client.line r.Serve.Client.tag)
+       rs);
+  Alcotest.(check bool) "\\stats counts the query before it" true
+    (String.starts_with ~prefix:"1 queries" (List.nth rs 1).Serve.Client.info)
+
+let test_transports_agree () =
+  let socket = with_server (fun _ _ addr -> socket_script addr order_script) in
+  let stdin = channel_script ~service:(example_service ()) order_script in
+  Alcotest.(check (list string)) "same framed replies, ms aside"
+    (List.map framed socket) (List.map framed stdin)
+
+(* The grammar fuzzer: random mixes of queries, garbage, every directive
+   (\policy of a missing and of a malformed file, \tenant use of an
+   unknown id), blank and comment lines, very long lines, and a last
+   line with or without its newline, through both transports. Every
+   request line gets exactly one reply, in line order, that Client
+   parses; nothing is an internal error; and the two transports give the
+   same replies except to the operator-only directives. *)
+let bare_policy =
+  lazy
+    (let f = Filename.temp_file "mpq_bare" ".mpq" in
+     Out_channel.with_open_bin f (fun oc -> output_string oc "relation\n");
+     f)
+
+let fuzz_line =
+  let open QCheck.Gen in
+  frequency
+    [ (5, map (Array.get queries) (int_bound (Array.length queries - 1)));
+      (1, return "select sum(T) from Hosp");
+      ( 2,
+        oneofl
+          [ "select from"; "select T from Nope"; "select nosuch from Hosp";
+            ")))) ((((" ; "select T from Hosp limit 99999999999999999999";
+            "\x01\x02 not sql \x03"; "-- [3] miss: not a reply";
+            "select T, from Hosp"; "select 'unterminated from Hosp" ] );
+      (1, string_size ~gen:(char_range ' ' '~') (int_range 1 40));
+      ( 4,
+        oneofl
+          [ "\\stats"; "\\tenant"; "\\tenant list"; "\\tenant use blue";
+            "\\tenant use default"; "\\tenant use nope"; "\\tenant use";
+            "\\policy /nonexistent/policy.mpq"; "\\invalidate"; "\\bogus";
+            "\\stats now"; "\\"; "  \\stats  "; "\\policy a b" ] );
+      (1, map (fun () -> "\\policy " ^ Lazy.force bare_policy) unit);
+      (2, oneofl [ ""; "   "; "# a comment"; "#"; "\t"; "\r" ]);
+      (1, map (fun n -> String.make n 'x') (int_range 5000 20000));
+      (1, map (fun n -> "# " ^ String.make n 'c') (int_range 5000 20000));
+      (1, map (fun n -> "\\" ^ String.make n 'z') (int_range 5000 20000)) ]
+
+let fuzz_script =
+  QCheck.make
+    ~print:(fun (lines, nl) ->
+      String.concat "\n" (List.map (fun l -> Printf.sprintf "%S" l) lines)
+      ^ if nl then "\n(newline-terminated)" else "\n(no final newline)")
+    QCheck.Gen.(pair (list_size (int_range 1 25) fuzz_line) bool)
+
+(* the request lines of a script, numbered as the protocol numbers them *)
+let request_lines script =
+  let parts = String.split_on_char '\n' script in
+  let parts =
+    if String.ends_with ~suffix:"\n" script || script = "" then
+      List.filteri (fun i _ -> i < List.length parts - 1) parts
+    else parts
+  in
+  List.concat
+    (List.mapi
+       (fun i l ->
+         let l = String.trim l in
+         if l = "" || l.[0] = '#' then [] else [ (i + 1, l) ])
+       parts)
+
+let fuzz_service () =
+  let service = example_service () in
+  Serve.Service.add_tenant service ~id:"blue" ();
+  service
+
+let operator_only line =
+  String.starts_with ~prefix:"\\policy" line
+  || String.starts_with ~prefix:"\\invalidate" line
+
+(* what must agree across transports: tables by bytes, hit/miss and the
+   cache statistics aside (\invalidate changes both on stdin only) *)
+let comparable (r : Serve.Client.reply) =
+  match r.Serve.Client.tag with
+  | "hit" | "miss" ->
+      "served\n" ^ Option.value ~default:"" (Serve.Client.table_csv r)
+  | "stats" -> "stats"
+  | tag -> tag ^ ": " ^ r.Serve.Client.info
+
+let prop_fuzz addr (lines, nl) =
+  let script = String.concat "\n" lines ^ if nl then "\n" else "" in
+  let want = request_lines script in
+  let run name serve =
+    let rs =
+      try serve () with
+      | Serve.Client.Protocol_error m ->
+          QCheck.Test.fail_reportf "%s: unparseable reply: %s" name m
+      | Serve.Client.Timeout -> QCheck.Test.fail_reportf "%s: hung" name
+    in
+    if List.map (fun (r : Serve.Client.reply) -> r.Serve.Client.line) rs
+       <> List.map fst want
+    then
+      QCheck.Test.fail_reportf "%s: replied to lines [%s], owed [%s]" name
+        (String.concat "; "
+           (List.map (fun (r : Serve.Client.reply) -> string_of_int r.line) rs))
+        (String.concat "; " (List.map (fun (n, _) -> string_of_int n) want));
+    List.iter
+      (fun (r : Serve.Client.reply) ->
+        let contains sub s =
+          try ignore (Str.search_forward (Str.regexp_string sub) s 0); true
+          with Not_found -> false
+        in
+        if contains "internal error" r.Serve.Client.info then
+          QCheck.Test.fail_reportf "%s line %d: %s" name r.line r.info)
+      rs;
+    rs
+  in
+  let socket = run "socket" (fun () -> socket_script addr script) in
+  let stdin =
+    run "stdin" (fun () -> channel_script ~service:(fuzz_service ()) script)
+  in
+  List.iter2
+    (fun ((_, line), a) b ->
+      if (not (operator_only line)) && comparable a <> comparable b then
+        QCheck.Test.fail_reportf "line %d %S: socket %S, stdin %S" a.line line
+          (comparable a) (comparable b))
+    (List.combine want socket) stdin;
+  true
+
+(* one server for the whole run: a warm cache changes only hit/miss and
+   the statistics, which [comparable] folds *)
+let test_fuzz =
+  let addr = ref None in
+  let name, speed, run =
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:60
+         ~name:"line-protocol grammar fuzzer, both transports" fuzz_script
+         (fun x -> prop_fuzz (Option.get !addr) x))
+  in
+  ( name,
+    speed,
+    fun () ->
+      with_server ~service:(fuzz_service ()) (fun _ _ a ->
+          addr := Some a;
+          run ()) )
+
 (* --- isolation -------------------------------------------------------- *)
 
 let victim_run addr =
@@ -656,6 +858,12 @@ let () =
             test_out_of_range_literal;
           Alcotest.test_case "10000 unknown columns refused, none interned" `Quick
             test_unknown_columns_not_interned ] );
+      ( "protocol",
+        [ Alcotest.test_case "a socket answers in line order" `Quick
+            test_socket_line_order;
+          Alcotest.test_case "stdin and socket replies agree" `Quick
+            test_transports_agree;
+          test_fuzz ] );
       ( "isolation",
         [ Alcotest.test_case "faulty neighbours leave no trace" `Quick
             test_session_isolation;
