@@ -327,10 +327,68 @@ let encrypt_value ?rng ctx a v =
       in
       encrypt_with ~draw ctx (cluster_of ctx a) v
 
+(* [ope_payloads] of each value, in one tree walk over the values that
+   have an image; a value without one gets the error its image raises *)
+let ope_each ks vs =
+  let images = Array.map (fun v -> match ope_image v with i, _ -> Ok i | exception e -> Error e) vs in
+  let live =
+    Array.of_list (List.filter (fun k -> Result.is_ok images.(k)) (List.init (Array.length vs) Fun.id))
+  in
+  let payloads =
+    ope_payloads ks (Array.map (Array.get vs) live) (Array.map (fun k -> Result.get_ok images.(k)) live)
+  in
+  let out = Array.map (Result.map (fun _ -> "")) images in
+  Array.iteri (fun j k -> out.(k) <- Ok payloads.(j)) live;
+  out
+
+let encrypt_each ctx a ~rng vs =
+  let already () = err "attribute %s is already encrypted" (Attr.name a) in
+  match Array.find_opt (fun v -> not (Value.is_null v)) vs with
+  | None -> vs
+  | Some (Value.Enc _) -> already ()
+  | Some _ -> (
+      let cluster = cluster_of ctx a in
+      let key_id = cluster.Authz.Plan_keys.id in
+      let each =
+        match cluster.Authz.Plan_keys.scheme with
+        | C.Scheme.Ope ->
+            let payloads = ope_each (keys_of ctx key_id) vs in
+            fun k _ -> cipher_value C.Scheme.Ope key_id (Result.fold ~ok:Fun.id ~error:raise payloads.(k))
+        | _ -> fun k v -> encrypt_with ~draw:(fun () -> rng k) ctx cluster v
+      in
+      (* cell by cell, so the first bad cell raises first *)
+      Array.mapi
+        (fun k v ->
+          match v with
+          | Value.Null -> Value.Null
+          | Value.Enc _ -> already ()
+          | v -> each k v)
+        vs)
+
 let node_rng ctx id =
   C.Keyring.derived_rng ctx.store.keyring ("exec-node:" ^ string_of_int id)
 
 (* --- sealed columns --------------------------------------------------- *)
+
+(* Obs names per scheme, as literals: none is built while tracing is
+   off *)
+let materialized_counter = function
+  | C.Scheme.Det -> "enc_exec.det.materialized"
+  | C.Scheme.Ope -> "enc_exec.ope.materialized"
+  | C.Scheme.Rnd -> "enc_exec.rnd.materialized"
+  | C.Scheme.Phe -> "enc_exec.phe.materialized"
+
+let sealed_counter = function
+  | C.Scheme.Det -> "enc_exec.det.sealed"
+  | C.Scheme.Ope -> "enc_exec.ope.sealed"
+  | C.Scheme.Rnd -> "enc_exec.rnd.sealed"
+  | C.Scheme.Phe -> "enc_exec.phe.sealed"
+
+let enc_timer = function
+  | C.Scheme.Det -> "enc_exec.enc_s.det"
+  | C.Scheme.Ope -> "enc_exec.enc_s.ope"
+  | C.Scheme.Rnd -> "enc_exec.enc_s.rnd"
+  | C.Scheme.Phe -> "enc_exec.enc_s.phe"
 
 (* A sealed column over [plain] under [scheme] and key [ks]. [seal]
    computes cells' payloads — the bytes eager encryption would have
@@ -339,7 +397,7 @@ let node_rng ctx id =
    may happen on any domain, long after this execution. *)
 let sealed_column ks scheme ~key_id plain words =
   let name = C.Scheme.name scheme in
-  let materialized = "enc_exec." ^ name ^ ".materialized" in
+  let materialized = materialized_counter scheme in
   let seal =
     match scheme with
     | C.Scheme.Det ->
@@ -416,6 +474,59 @@ let sealed_key ~join (s : Column.sealed) i =
       if join then
         String.concat "" [ "P"; s.Column.scheme; "/"; s.Column.key_id; "/"; own ]
       else own)
+
+(* [det_equal] of two floats: [serialize] is exact, so it tells floats
+   apart by their bits, except that every nan of one sign prints alike *)
+let det_float_equal x y =
+  Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  || Float.is_nan x && Float.is_nan y
+     && String.equal (serialize (Value.Float x)) (serialize (Value.Float y))
+
+(* the OPE tag every cell of a typed plain column carries *)
+let typed_tag = function
+  | Column.Ints _ -> Some 'i'
+  | Column.Floats _ -> Some 'f'
+  | Column.Dates _ -> Some 'd'
+  | Column.Bools _ -> Some 'b'
+  | Column.Strs _ -> Some 's'
+  | Column.Values _ | Column.Sealed _ -> None
+
+let typed_equal (a : Column.sealed) (b : Column.sealed) =
+  match (a.Column.scheme, typed_tag a.Column.plain, typed_tag b.Column.plain) with
+  | "det", Some _, Some _ -> (
+      match (a.Column.plain, b.Column.plain) with
+      | Column.Ints x, Column.Ints y | Column.Dates x, Column.Dates y ->
+          Some (fun i j -> Int.equal x.(i) y.(j))
+      | Column.Strs x, Column.Strs y -> Some (fun i j -> String.equal x.(i) y.(j))
+      | Column.Bools x, Column.Bools y -> Some (fun i j -> Bool.equal x.(i) y.(j))
+      | Column.Floats x, Column.Floats y -> Some (fun i j -> det_float_equal x.(i) y.(j))
+      | _ -> (* kinds serialize under distinct tags *) Some (fun _ _ -> false))
+  | "ope", Some ta, Some tb -> (
+      if tag_class ta <> tag_class tb then Some (fun _ _ -> false)
+      else
+        match (a.Column.plain, b.Column.plain) with
+        | Column.Strs x, Column.Strs y -> Some (fun i j -> String.equal x.(i) y.(j))
+        | _ -> Some (fun i j -> Int.equal (image a i) (image b j)))
+  | _ -> None
+
+let typed_order (a : Column.sealed) (b : Column.sealed) =
+  match (typed_tag a.Column.plain, typed_tag b.Column.plain) with
+  | Some ta, Some tb -> (
+      if tag_class ta <> tag_class tb then Some (fun _ _ -> incomparable ta tb)
+      else
+        match (a.Column.plain, b.Column.plain) with
+        | Column.Strs x, Column.Strs y ->
+            Some
+              (fun i j ->
+                let c = Int.compare (image a i) (image b j) in
+                if c = 0 && not (String.equal x.(i) y.(j)) then tied_prefix () else c)
+        | _ -> Some (fun i j -> Int.compare (image a i) (image b j)))
+  | _ -> None
+
+let ope_const_image (a : Column.sealed) (k : Column.sealed) =
+  match (a.Column.scheme, typed_tag a.Column.plain, typed_tag k.Column.plain) with
+  | "ope", Some ta, Some tk when ta <> 's' && tag_class ta = tag_class tk -> Some (image k 0)
+  | _ -> None
 
 let sealed_int_keys (a : Column.sealed) (b : Column.sealed) =
   if
@@ -539,7 +650,7 @@ let encrypt_batch ctx ~rng_root ~enc =
       in
       let mk = cipher_value scheme key_id in
       let boxed out = Column.Values out in
-      Obs.time ("enc_exec.enc_s." ^ C.Scheme.name scheme) @@ fun () ->
+      Obs.time (enc_timer scheme) @@ fun () ->
       match (scheme, col) with
       | _, Column.Sealed _ -> resealed ()
       | (C.Scheme.Det | C.Scheme.Rnd | C.Scheme.Ope), _ ->
@@ -565,7 +676,7 @@ let encrypt_batch ctx ~rng_root ~enc =
                   0 a
             | _ -> n
           in
-          Obs.incr ~by:live ("enc_exec." ^ C.Scheme.name scheme ^ ".sealed");
+          Obs.incr ~by:live (sealed_counter scheme);
           Column.Sealed (sealed_column ks scheme ~key_id col words)
       | C.Scheme.Phe, _ -> (
           let pk = match pk with Some pk -> pk | None -> assert false in
@@ -707,18 +818,26 @@ let ope_images ctx cells =
    check stays, at the first live row, as that row's payload would make
    it. *)
 let unseal ctx (s : Column.sealed) =
-  let cells = Column.to_values s.Column.plain in
-  if Array.exists (fun v -> not (Value.is_null v)) cells then
-    ignore (cluster_by_id ctx s.Column.key_id);
-  let ope = String.equal s.Column.scheme "ope" in
-  Column.of_values
-    (Array.mapi
-       (fun k -> function
-         | Value.Null -> Value.Null
-         | Value.Float f when ope && not (sub_cent f) ->
-             Value.Float (float_of_int (image s k) /. 100.0)
-         | v -> deserialize (serialize v))
-       cells)
+  match s.Column.plain with
+  | (Column.Ints _ | Column.Dates _ | Column.Bools _ | Column.Strs _) as plain
+    when Column.length plain > 0 ->
+      (* ints, dates, booleans and strings come back from [serialize]
+         as they went in, so the plain column itself is the decryption *)
+      ignore (cluster_by_id ctx s.Column.key_id);
+      plain
+  | _ ->
+      let cells = Column.to_values s.Column.plain in
+      if Array.exists (fun v -> not (Value.is_null v)) cells then
+        ignore (cluster_by_id ctx s.Column.key_id);
+      let ope = String.equal s.Column.scheme "ope" in
+      Column.of_values
+        (Array.mapi
+           (fun k -> function
+             | Value.Null -> Value.Null
+             | Value.Float f when ope && not (sub_cent f) ->
+                 Value.Float (float_of_int (image s k) /. 100.0)
+             | v -> deserialize (serialize v))
+           cells)
 
 let decrypt_cells ctx col =
   let cells = Column.to_values col in
@@ -773,6 +892,16 @@ let const_cipher ctx (sample : Value.cipher) const =
     (sample_cluster ctx ~key_id:sample.Value.key_id ~scheme:sample.Value.scheme)
     const
 
+let const_ciphers ctx (sample : Value.cipher) consts =
+  match sample_cluster ctx ~key_id:sample.Value.key_id ~scheme:sample.Value.scheme with
+  | { Authz.Plan_keys.scheme = C.Scheme.Ope; id = key_id; _ } ->
+      Array.map (Result.map (cipher_value C.Scheme.Ope key_id)) (ope_each (keys_of ctx key_id) consts)
+  | _ ->
+      Array.map
+        (fun v -> match const_cipher ctx sample v with c -> Ok c | exception e -> Error e)
+        consts
+  | exception e -> Array.map (fun _ -> Error e) consts
+
 let const_sealed ctx (sample : Column.sealed) const =
   let key_id = sample.Column.key_id in
   let cluster = sample_cluster ctx ~key_id ~scheme:sample.Column.scheme in
@@ -787,7 +916,7 @@ let const_sealed ctx (sample : Column.sealed) const =
         w
     | C.Scheme.Det | C.Scheme.Phe -> Bytes.empty
   in
-  sealed_column (keys_of ctx key_id) scheme ~key_id (Column.Values [| const |]) words
+  sealed_column (keys_of ctx key_id) scheme ~key_id (Column.of_values [| const |]) words
 
 (* --- homomorphic aggregation ---------------------------------------- *)
 

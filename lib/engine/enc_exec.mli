@@ -76,6 +76,14 @@ val encrypt_value : ?rng:Mpq_crypto.Prng.t -> ctx -> Attr.t -> Value.t -> Value.
     physical node occurs at several positions) byte-identical to their
     tree-shaped originals. *)
 
+val encrypt_each :
+  ctx -> Attr.t -> rng:(int -> Mpq_crypto.Prng.t) -> Value.t array -> Value.t array
+(** [encrypt_each ctx a ~rng vs] is
+    [Array.mapi (fun k v -> encrypt_value ~rng:(rng k) ctx a v) vs],
+    byte for byte and error for error, with an OPE attribute's cells
+    encoded in one tree walk ({!Mpq_crypto.Ope.encode_array}) instead of
+    one walk per cell. *)
+
 val node_rng : ctx -> int -> Mpq_crypto.Prng.t
 (** [node_rng ctx pos] is the randomness root for the plan-node
     occurrence at preorder position [pos]; derive one child per row
@@ -171,6 +179,26 @@ val sealed_key : join:bool -> Column.sealed -> int -> string
     cells of one column share it iff their payloads are equal: a
     group-by's key (OPE Int 4 and Float 4.0 then differ). *)
 
+val typed_equal :
+  Column.sealed -> Column.sealed -> (int -> int -> bool) option
+(** For two det or OPE columns under one scheme and key whose plain
+    columns are typed (no Null), {!sealed_equal} of row [i] of the first
+    and row [j] of the second, with the type class checked once for the
+    pair of columns. [None] for another scheme or a boxed plain column. *)
+
+val typed_order :
+  Column.sealed -> Column.sealed -> (int -> int -> int) option
+(** {!sealed_order} over two OPE columns with typed plain columns, the
+    type classes checked once; its errors raise at the cell pair that
+    makes them. [None] for a boxed plain column. *)
+
+val ope_const_image : Column.sealed -> Column.sealed -> int option
+(** [ope_const_image s k], for an OPE column [s] whose plain column is
+    typed and not strings and a one-cell constant [k] ({!const_sealed})
+    of the same type class: [k]'s image, which row [i] of [s] compares
+    with as its word ({!Relalg.Column.word}) does — {!sealed_equal} is
+    equality of the two, {!sealed_order} their order. *)
+
 val sealed_int_keys :
   Column.sealed -> Column.sealed -> ((int -> int) * (int -> int)) option
 (** For two typed sealed columns under one scheme and key whose cells an
@@ -181,6 +209,12 @@ val sealed_int_keys :
 val sealed_payload_length : Column.sealed -> Value.t -> int
 (** Length of the payload a sealed column's (non-Null) plaintext would
     encrypt to, computed without encrypting. *)
+
+val const_ciphers :
+  ctx -> Value.cipher -> Value.t array -> (Value.t, exn) result array
+(** [const_ciphers ctx sample consts] is {!const_cipher} of each plaintext
+    constant, or the exception it raises, with an OPE cluster's
+    constants encoded in one tree walk. *)
 
 val const_sealed : ctx -> Column.sealed -> Value.t -> Column.sealed
 (** [const_sealed ctx sample const] is {!const_cipher} for a sealed

@@ -91,6 +91,21 @@ let typed_compare (x : Column.t) (y : Column.t) =
   | Column.Floats a, Column.Ints b ->
       Some (fun i j -> Float.compare a.(i) (float_of_int b.(j)))
   | Column.Strs a, Column.Strs b -> Some (fun i j -> String.compare a.(i) b.(j))
+  | Column.Bools a, Column.Bools b -> Some (fun i j -> Bool.compare a.(i) b.(j))
+  | _ -> None
+
+(* [typed_compare] against the one-cell column of the constant [v] *)
+let typed_const (x : Column.t) v =
+  match (x, v) with
+  | Column.Ints a, Value.Int c | Column.Dates a, Value.Date c ->
+      Some (fun i -> Int.compare a.(i) c)
+  | Column.Floats a, Value.Float c -> Some (fun i -> Float.compare a.(i) c)
+  | Column.Ints a, Value.Float c -> Some (fun i -> Float.compare (float_of_int a.(i)) c)
+  | Column.Floats a, Value.Int c ->
+      let c = float_of_int c in
+      Some (fun i -> Float.compare a.(i) c)
+  | Column.Strs a, Value.Str c -> Some (fun i -> String.compare a.(i) c)
+  | Column.Bools a, Value.Bool c -> Some (fun i -> Bool.compare a.(i) c)
   | _ -> None
 
 (* [f ()], computed at the first call and kept; a race between domains
@@ -130,6 +145,45 @@ let against ?ctx op v =
         | Value.Enc ca -> compare_values ~ctx:c op cell (encrypted ca)
         | _ -> compare_values ~ctx:c op cell v)
   | _ -> fun cell -> compare_values ?ctx op cell v
+
+(* [against ?ctx op] for each of [vs], sharing the constants' ciphers:
+   at the first ciphertext cell the plaintext constants are encrypted
+   together under its cluster — an OPE cluster's in one tree walk — and
+   the last cluster's ciphers are kept. A constant that cannot be
+   encrypted raises only where its test is reached, as in [against]. *)
+let against_all ?ctx op vs =
+  match ctx with
+  | None -> List.map (against op) vs
+  | Some c ->
+      let plain = List.filter (fun v -> not (Value.is_null v || Value.is_encrypted v)) vs in
+      let plain = Array.of_list plain in
+      let last = Atomic.make None in
+      let encrypted (ca : Value.cipher) =
+        match Atomic.get last with
+        | Some (scheme, key_id, es)
+          when String.equal scheme ca.Value.scheme && String.equal key_id ca.Value.key_id ->
+            es
+        | _ ->
+            let es = Enc_exec.const_ciphers c ca plain in
+            Atomic.set last (Some (ca.Value.scheme, ca.Value.key_id, es));
+            es
+      in
+      let next = ref 0 in
+      List.map
+        (fun v ->
+          if Value.is_null v || Value.is_encrypted v then against ~ctx:c op v
+          else begin
+            let k = !next in
+            incr next;
+            fun cell ->
+              match cell with
+              | Value.Enc ca -> (
+                  match (encrypted ca).(k) with
+                  | Ok e -> compare_values ~ctx:c op cell e
+                  | Error e -> raise e)
+              | _ -> compare_values ~ctx:c op cell v
+          end)
+        vs
 
 (* [compare_values ?ctx op] between the sealed cell [(s, i)] — on the
    left when [left] — and [other], a boxed cell or a constant. A
@@ -181,7 +235,12 @@ let atom ?ctx cell a =
   in
   match a with
   | Predicate.Cmp_const (attr, op, v) -> (
-      match (unboxed attr (Column.of_values [| v |], fun _ -> 0), sealed attr) with
+      let typed =
+        match resolve attr with
+        | Ok (c, ix) -> Option.map (fun cmp r -> cmp (ix r)) (typed_const c v)
+        | Error _ -> None
+      in
+      match (typed, sealed attr) with
       | Some cmp, _ -> fun r -> of_comparison op (cmp r)
       | None, Some (s, ix) ->
           let test = against_sealed ?ctx op s v in
@@ -218,7 +277,7 @@ let atom ?ctx cell a =
             let i = ix r in
             List.exists (fun test -> test i) tests
       | None ->
-          let g = get attr and tests = List.map (against ?ctx Predicate.Eq) vs in
+          let g = get attr and tests = against_all ?ctx Predicate.Eq vs in
           fun r -> List.exists (fun test -> test (g r)) tests)
   | Predicate.Like (attr, pattern) -> (
       match sealed attr with
@@ -238,3 +297,231 @@ let atom ?ctx cell a =
 let predicate ?ctx cell p =
   let clauses = List.map (List.map (atom ?ctx cell)) p in
   fun r -> List.for_all (List.exists (fun a -> a r)) clauses
+
+(* --- column kernels --------------------------------------------------- *)
+
+(* A selection runs an atom as one loop over its column: [k sel len hit]
+   marks in [hit], a byte per row of the table, the rows of
+   [sel.(0 .. len - 1)] where the atom holds. Choices that depend on the
+   columns alone — representation, type class, scheme and key, a
+   constant's sealed image — are made once, before the loop. A kernel
+   may raise where the row loop could raise (or [Row_path] for "the row
+   loop raises here"); [select] then replays the row loop, which raises
+   the same error at the same row, or keeps the same rows when no row
+   reached the atom. *)
+type kernel = int array -> int -> Bytes.t -> unit
+
+exception Row_path
+
+let mark hit i = Bytes.unsafe_set hit i '\001'
+
+let by_test test : kernel =
+ fun sel len hit ->
+  for k = 0 to len - 1 do
+    let i = Array.unsafe_get sel k in
+    if test i then mark hit i
+  done
+
+(* the rows whose comparison [cmp i] satisfies [op] *)
+let by_sign op cmp : kernel =
+  let lt = of_comparison op (-1) and eq = of_comparison op 0 and gt = of_comparison op 1 in
+  fun sel len hit ->
+    for k = 0 to len - 1 do
+      let i = Array.unsafe_get sel k in
+      let c = cmp i in
+      if if c < 0 then lt else if c = 0 then eq else gt then mark hit i
+    done
+
+(* [by_sign] with the comparison written into the loop: ints, OPE
+   images in a sealed column's words, floats *)
+let int_sign op (x : int array) c : kernel =
+  let lt = of_comparison op (-1) and eq = of_comparison op 0 and gt = of_comparison op 1 in
+  fun sel len hit ->
+    for k = 0 to len - 1 do
+      let i = Array.unsafe_get sel k in
+      let v = Array.unsafe_get x i in
+      if if v < c then lt else if v = c then eq else gt then mark hit i
+    done
+
+let word_sign op words c : kernel =
+  let lt = of_comparison op (-1) and eq = of_comparison op 0 and gt = of_comparison op 1 in
+  fun sel len hit ->
+    for k = 0 to len - 1 do
+      let i = Array.unsafe_get sel k in
+      let v = Int64.to_int (Bytes.get_int64_le words (8 * i)) in
+      if if v < c then lt else if v = c then eq else gt then mark hit i
+    done
+
+let float_sign op (x : float array) c : kernel =
+  let lt = of_comparison op (-1) and eq = of_comparison op 0 and gt = of_comparison op 1 in
+  fun sel len hit ->
+    for k = 0 to len - 1 do
+      let i = Array.unsafe_get sel k in
+      let s = Float.compare (Array.unsafe_get x i) c in
+      if if s < 0 then lt else if s = 0 then eq else gt then mark hit i
+    done
+
+(* [op] is [Eq] or [Neq]: string equality, or its negation *)
+let str_eq op (x : string array) c : kernel =
+  let eq = op = Predicate.Eq in
+  by_test (fun i -> String.equal (Array.unsafe_get x i) c = eq)
+
+(* the rows whose string is one of [cs] *)
+let str_member (x : string array) cs : kernel =
+  by_test (fun i ->
+      let s = Array.unsafe_get x i in
+      List.exists (String.equal s) cs)
+
+let no_row : kernel = fun _ _ _ -> ()
+let raising : kernel = fun _ len _ -> if len > 0 then raise Row_path
+
+(* Rows [sel] keeps: those not marked in [hit], or the marked ones with
+   their marks cleared. *)
+let compact ~marked sel len hit =
+  let m = ref 0 in
+  for q = 0 to len - 1 do
+    let i = Array.unsafe_get sel q in
+    if (Bytes.unsafe_get hit i <> '\000') = marked then begin
+      if marked then Bytes.unsafe_set hit i '\000';
+      Array.unsafe_set sel !m i;
+      incr m
+    end
+  done;
+  !m
+
+(* atoms in order, each over the rows no earlier one marked *)
+let disjunction = function
+  | [ k ] -> k
+  | ks ->
+      fun sel len hit ->
+        let pending = Array.sub sel 0 len and n = ref len in
+        List.iter
+          (fun k ->
+            if !n > 0 then begin
+              k pending !n hit;
+              n := compact ~marked:false pending !n hit
+            end)
+          ks
+
+(* [sealed_compare op] of two sealed columns with typed plain columns,
+   as a sign: equality is 0 or 1, as [under_scheme] reads it *)
+let sealed_typed op (x : Column.sealed) (y : Column.sealed) =
+  if not (Column.is_unboxed x.Column.plain && Column.is_unboxed y.Column.plain) then None
+  else if
+    not (String.equal x.Column.scheme y.Column.scheme && String.equal x.Column.key_id y.Column.key_id)
+  then raise Row_path
+  else
+    match (x.Column.scheme, op) with
+    | ("det" | "ope"), (Predicate.Eq | Predicate.Neq) ->
+        Option.map (fun eq i j -> if eq i j then 0 else 1) (Enc_exec.typed_equal x y)
+    | "ope", _ -> Enc_exec.typed_order x y
+    | _ -> raise Row_path
+
+let atom_kernel ?ctx column a : kernel =
+  let generic () = by_test (atom ?ctx (fun attr -> (column attr, Fun.id)) a) in
+  let or_generic = function Some k -> k | None -> generic () in
+  let typed_const_kernel op x v =
+    match (x, v) with
+    | Column.Ints a, Value.Int c | Column.Dates a, Value.Date c -> Some (int_sign op a c)
+    | Column.Floats a, Value.Float c -> Some (float_sign op a c)
+    | Column.Strs a, Value.Str c when op = Predicate.Eq || op = Predicate.Neq ->
+        Some (str_eq op a c)
+    | x, v -> Option.map (by_sign op) (typed_const x v)
+  in
+  (* [against_sealed]: the constant is sealed once, under the column's
+     scheme and key *)
+  let sealed_const op s v =
+    match (ctx, v) with
+    | _, Value.Null -> Some no_row
+    | Some c, v when Column.is_unboxed s.Column.plain && not (Value.is_encrypted v) -> (
+        let k = Enc_exec.const_sealed c s v in
+        (* det and OPE equality of same-kind ints or strings is theirs *)
+        let det_or_ope = String.equal s.Column.scheme "det" || String.equal s.Column.scheme "ope" in
+        match (s.Column.plain, v, Enc_exec.ope_const_image s k) with
+        | Column.Strs a, Value.Str x, _ when det_or_ope && (op = Predicate.Eq || op = Predicate.Neq) ->
+            Some (str_eq op a x)
+        | (Column.Ints a, Value.Int x, _ | Column.Dates a, Value.Date x, _)
+          when String.equal s.Column.scheme "det" && (op = Predicate.Eq || op = Predicate.Neq) ->
+            Some (int_sign op a x)
+        | _, _, Some image -> Some (word_sign op s.Column.words image)
+        | _ -> (
+            match sealed_typed op s k with
+            | Some cmp -> Some (by_sign op (fun i -> cmp i 0))
+            | None -> None))
+    | _ -> None
+  in
+  match a with
+  | Predicate.Cmp_const (attr, op, v) -> (
+      match column attr with
+      | Column.Sealed s -> or_generic (sealed_const op s v)
+      | x -> or_generic (typed_const_kernel op x v))
+  | Predicate.Cmp_attr (x, op, y) -> (
+      let cmp =
+        match (column x, column y) with
+        | Column.Sealed sx, Column.Sealed sy -> sealed_typed op sx sy
+        | cx, cy -> typed_compare cx cy
+      in
+      or_generic (Option.map (fun cmp -> by_sign op (fun i -> cmp i i)) cmp))
+  | Predicate.In_list (attr, vs) -> (
+      let col = column attr in
+      let strs = List.filter_map (function Value.Str x -> Some x | _ -> None) vs in
+      let all_strs = List.compare_lengths strs vs = 0 in
+      (* one test per constant, in order, each over the rows no earlier
+         one kept *)
+      let each () =
+        let eq v =
+          match (col, v) with
+          | Column.Sealed s, v -> sealed_const Predicate.Eq s v
+          | _, (Value.Null | Value.Enc _) | Column.Values _, _ -> None
+          | x, v ->
+              (* [Value.equal] of typed kinds that do not compare is false *)
+              Some (Option.fold ~none:no_row ~some:(by_sign Predicate.Eq) (typed_const x v))
+        in
+        let ks = List.map eq vs in
+        if List.for_all Option.is_some ks then disjunction (List.map Option.get ks)
+        else generic ()
+      in
+      match (col, ctx) with
+      | Column.Strs a, _ when all_strs -> str_member a strs
+      | Column.Sealed ({ Column.plain = Column.Strs a; scheme = "det" | "ope"; _ } as s), Some c
+        when all_strs ->
+          (* each constant is still sealed, for its key check *)
+          List.iter (fun v -> ignore (Enc_exec.const_sealed c s v)) vs;
+          str_member a strs
+      | _ -> each ())
+  | Predicate.Like (attr, pattern) -> (
+      match column attr with
+      | Column.Strs a -> by_test (fun i -> Predicate.like_matches ~pattern a.(i))
+      | Column.Sealed s when not (Column.is_unboxed s.Column.plain) -> generic ()
+      | Column.Values _ -> generic ()
+      | _ -> (* a live ciphertext or a non-string cell *) raising)
+
+let select ?ctx column p n =
+  let row_loop () =
+    let keep = predicate ?ctx (fun a -> (column a, Fun.id)) p in
+    let sel = Array.make n 0 and kept = ref 0 in
+    for i = 0 to n - 1 do
+      if keep i then begin
+        sel.(!kept) <- i;
+        incr kept
+      end
+    done;
+    Array.sub sel 0 !kept
+  in
+  match
+    let clauses = List.map (fun c -> disjunction (List.map (atom_kernel ?ctx column) c)) p in
+    let sel = Array.make n 0 and len = ref n and hit = Bytes.make n '\000' in
+    for i = 1 to n - 1 do
+      Array.unsafe_set sel i i
+    done;
+    List.iter
+      (fun k ->
+        if !len > 0 then begin
+          k sel !len hit;
+          len := compact ~marked:true sel !len hit
+        end)
+      clauses;
+    if !len = n then sel else Array.sub sel 0 !len
+  with
+  | rows -> rows
+  | exception _ -> row_loop ()

@@ -28,3 +28,15 @@ val predicate :
     loop, and an exception from [cell] surfaces only when a row reaches
     the atom that needed it. The result is safe to share across
     domains. *)
+
+val select :
+  ?ctx:Enc_exec.ctx -> (Attr.t -> Column.t) -> Predicate.t -> int -> int array
+(** [select ?ctx column p n] is the rows [0 .. n - 1] where the CNF [p]
+    holds, in order, for the table whose columns [column] names: what
+    [predicate] keeps, found column by column. Each atom over a typed
+    column, or over a det or OPE column with a typed plain column, runs
+    as one loop that boxes no cell; atoms over boxed ([Values]) columns
+    run [predicate]'s per-row test. Clauses are ANDed and a clause's
+    atoms ORed on selection vectors, an atom seeing only the rows still
+    undecided, so it reads exactly the cells the row loop would. Where
+    the row loop raises, so does [select], with the same error. *)

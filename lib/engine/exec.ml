@@ -77,6 +77,14 @@ let row_key ~join cols i =
 
 let null_at cols i = List.exists (fun c -> Column.is_null c i) cols
 
+(* [Array.init] for ints, stored without a write barrier *)
+let init_ints n f =
+  let a = Array.make n 0 in
+  for i = 0 to n - 1 do
+    Array.unsafe_set a i (f i)
+  done;
+  a
+
 (* --- per-column encryption (stored relations, Encrypt/Decrypt) ------- *)
 
 (* Columnar batch encryption. Randomness is rooted per (plan node, row
@@ -130,31 +138,120 @@ let base ctx ~node s =
 let project table attrs = Table.select_columns table (Attr.Set.elements attrs)
 
 let select ?crypto table pred =
-  let keep =
-    Eval.predicate ?ctx:crypto (fun a -> (Table.column table a, Fun.id)) pred
-  in
   let n = Table.cardinality table in
-  (* the rows that pass [keep], in order *)
-  let sel = Array.make n 0 and kept = ref 0 in
-  for i = 0 to n - 1 do
-    if keep i then begin
-      sel.(!kept) <- i;
-      incr kept
-    end
-  done;
-  if !kept = n then table else Table.gather table (Array.sub sel 0 !kept)
+  let rows = Eval.select ?ctx:crypto (Table.column table) pred n in
+  if Array.length rows = n then table else Table.gather table rows
 
 (* row [k] of the output pairs row [li.(k)] of [l] with row [ri.(k)] of [r] *)
 let pair_up l li r ri =
+  let pick t idx = Array.map (fun c -> Column.gather c idx) (Table.columns t) in
   Table.of_columns ~nrows:(Array.length li)
     (Table.attrs l @ Table.attrs r)
-    (Array.append (Table.columns (Table.gather l li))
-       (Table.columns (Table.gather r ri)))
+    (Array.append (pick l li) (pick r ri))
 
 let product l r =
   let nr = Table.cardinality r in
   let n = Table.cardinality l * nr in
-  pair_up l (Array.init n (fun k -> k / nr)) r (Array.init n (fun k -> k mod nr))
+  pair_up l (init_ints n (fun k -> k / nr)) r (init_ints n (fun k -> k mod nr))
+
+(* --- dense codes ------------------------------------------------------- *)
+
+(* Dense codes for int keys, numbered in first-appearance order. Keys
+   spanning a range not much wider than their count index an array
+   directly (TPC-H keys do); others go through an open-addressing
+   table. Either way a lookup boxes nothing. *)
+module Codes = struct
+  type t = {
+    lo : int;
+    hi : int;
+    direct : bool;
+    slots : int array; (* the code by [key - lo], or a hashed key's; -1: none *)
+    keys : int array; (* a hashed slot's key *)
+    mutable size : int;
+  }
+
+  let slot t k =
+    let mask = Array.length t.slots - 1 in
+    let h = k * 0x9E3779B97F4A7C1 in
+    let i = ref ((h lxor (h lsr 29)) land mask) in
+    while t.slots.(!i) >= 0 && t.keys.(!i) <> k do
+      i := (!i + 1) land mask
+    done;
+    !i
+
+  (* the key's code, or -1 *)
+  let find t k =
+    if t.direct then if k < t.lo || k > t.hi then -1 else t.slots.(k - t.lo)
+    else t.slots.(slot t k)
+
+  let add t k =
+    let i = if t.direct then k - t.lo else slot t k in
+    let c = t.slots.(i) in
+    if c >= 0 then c
+    else begin
+      if not t.direct then t.keys.(i) <- k;
+      t.slots.(i) <- t.size;
+      t.size <- t.size + 1;
+      t.size - 1
+    end
+
+  (* [keys]' codes, and the table that found them; a key equal to
+     [absent] has none (-1) *)
+  let number ?absent keys =
+    let n = Array.length keys in
+    let skip k = match absent with Some a -> k = a | None -> false in
+    let lo = ref max_int and hi = ref min_int in
+    Array.iter
+      (fun k ->
+        if not (skip k) then begin
+          if k < !lo then lo := k;
+          if k > !hi then hi := k
+        end)
+      keys;
+    let span = !hi - !lo in
+    let t =
+      if !hi >= !lo && span >= 0 && span < (4 * n) + 64 then
+        { lo = !lo; hi = !hi; direct = true; slots = Array.make (span + 1) (-1);
+          keys = [||]; size = 0 }
+      else begin
+        let cap = ref 16 in
+        while !cap < 2 * n do
+          cap := 2 * !cap
+        done;
+        { lo = 0; hi = 0; direct = false; slots = Array.make !cap (-1);
+          keys = Array.make !cap 0; size = 0 }
+      end
+    in
+    (t, init_ints n (fun i -> let k = keys.(i) in if skip k then -1 else add t k))
+end
+
+(* Dense codes for string keys, the same way. *)
+let string_codes n =
+  let tbl = Hashtbl.create (min n 1024 + 1) in
+  let add k =
+    match Hashtbl.find tbl k with
+    | c -> c
+    | exception Not_found ->
+        let c = Hashtbl.length tbl in
+        Hashtbl.add tbl k c;
+        c
+  in
+  let find k = match Hashtbl.find tbl k with c -> c | exception Not_found -> -1 in
+  (add, find, fun () -> Hashtbl.length tbl)
+
+(* A growable int array. *)
+type ibuf = { mutable buf : int array; mutable len : int }
+
+let push b x =
+  if b.len = Array.length b.buf then begin
+    let a = Array.make (2 * b.len + 16) 0 in
+    Array.blit b.buf 0 a 0 b.len;
+    b.buf <- a
+  end;
+  Array.unsafe_set b.buf b.len x;
+  b.len <- b.len + 1
+
+(* --- join ------------------------------------------------------------- *)
 
 (* Equality pairs usable for hashing: conjunctive (singleton-clause)
    atoms 'a = b' with one side in each operand. *)
@@ -191,95 +288,191 @@ let bucketable l r (a, b) =
   and r_enc, r_plain = cell_kinds (Table.column r b) in
   not ((l_enc && r_plain) || (l_plain && r_enc))
 
+(* Bucket codes for both sides of a join: [right.(j)] is right row [j]'s
+   bucket (-1: none), [left i] left row [i]'s (-1: no right row shares
+   its key), and buckets are numbered [0 .. count - 1]. *)
+type buckets = { right : int array; left : int -> int; count : int }
+
+let int_buckets lv rkeys =
+  let codes, right = Codes.number rkeys in
+  { right; left = (fun i -> Codes.find codes (lv i)); count = codes.Codes.size }
+
+let string_buckets lk rk nr =
+  let add, find, count = string_codes nr in
+  let right = init_ints nr (fun j -> match rk j with Some k -> add k | None -> -1) in
+  { right; left = (fun i -> match lk i with Some k -> find k | None -> -1); count = count () }
+
+(* the tuple of two pairs' buckets *)
+let both a b nr =
+  let codes, right =
+    Codes.number ~absent:(-1)
+      (init_ints nr (fun j ->
+           let x = a.right.(j) and y = b.right.(j) in
+           if x < 0 || y < 0 then -1 else (x * b.count) + y))
+  in
+  let left i =
+    let x = a.left i in
+    if x < 0 then -1
+    else
+      let y = b.left i in
+      if y < 0 then -1 else Codes.find codes ((x * b.count) + y)
+  in
+  { right; left; count = codes.Codes.size }
+
+(* One pair's buckets where a cell's key is exact — rows share a bucket
+   iff the predicate's [a = b] holds of them: typed ints, dates or
+   strings, and det or OPE cells that an int or their string identify
+   ({!Enc_exec.sealed_int_keys}). [None] for any other pair. *)
+let exact_buckets nr lc rc =
+  let strs x y nr = Some (string_buckets (fun i -> Some x.(i)) (fun j -> Some y.(j)) nr) in
+  match (lc, rc) with
+  | Column.Ints x, Column.Ints y | Column.Dates x, Column.Dates y ->
+      Some (int_buckets (Array.get x) y)
+  | Column.Strs x, Column.Strs y -> strs x y nr
+  | Column.Sealed sl, Column.Sealed sr -> (
+      match Enc_exec.sealed_int_keys sl sr with
+      | Some (lkey, rkey) -> Some (int_buckets lkey (init_ints nr rkey))
+      | None -> (
+          match (sl.Column.plain, sr.Column.plain) with
+          | Column.Strs x, Column.Strs y
+            when String.equal sl.Column.scheme sr.Column.scheme
+                 && String.equal sl.Column.key_id sr.Column.key_id
+                 && (String.equal sl.Column.scheme "det" || String.equal sl.Column.scheme "ope") ->
+              strs x y nr
+          | _ -> None))
+  | _ -> None
+
+(* Keys for any other pairs: the cells' strings, which are complete but
+   may collapse distinct values, so matches are rechecked.
+   A sealed key meeting a boxed column is materialized: the boxed side
+   may hold ciphertext, which only its payload keys. A row with a Null
+   key matches nothing. *)
+let string_keyed lk rk nr =
+  let lk, rk =
+    List.split
+      (List.map2
+         (fun l r ->
+           let bytes c = Column.Values (Column.to_values c) in
+           match (l, r) with
+           | Column.Sealed _, Column.Values _ -> (bytes l, r)
+           | Column.Values _, Column.Sealed _ -> (l, bytes r)
+           | _ -> (l, r))
+         lk rk)
+  in
+  let key cols i = if null_at cols i then None else Some (row_key ~join:true cols i) in
+  string_buckets (key lk) (key rk) nr
+
 let join ?crypto pred l r =
   let pairs = List.filter (bucketable l r) (equi_pairs pred l r) in
-  let nr = Table.cardinality r in
+  let nl = Table.cardinality l and nr = Table.cardinality r in
   let stride = max nr 1 in
   (* the predicate reads a (left, right) pair packed as [li * stride + rj];
      names resolve as in the concatenated header (a repeated attribute is
      the right side's) *)
-  let header = Table.create (Table.attrs l @ Table.attrs r) [] in
-  let width = List.length (Table.attrs l) in
-  let keep =
-    Eval.predicate ?ctx:crypto
-      (fun a ->
-        let p = Table.col_index header a in
-        if p < width then ((Table.columns l).(p), fun x -> x / stride)
-        else ((Table.columns r).(p - width), fun x -> x mod stride))
-      pred
+  let cell a =
+    match Table.col_index_opt r a with
+    | Some j -> ((Table.columns r).(j), fun x -> x mod stride)
+    | None -> (
+        match Table.col_index_opt l a with
+        | Some i -> ((Table.columns l).(i), fun x -> x / stride)
+        | None ->
+            raise
+              (Table.Unknown_attribute
+                 { attr = Attr.name a;
+                   columns = List.map Attr.name (Table.attrs l @ Table.attrs r) }))
   in
-  (* [out] collects the matches, newest first *)
-  let check out li rj = if keep ((li * stride) + rj) then out := (li, rj) :: !out in
-  (* Hash-path matches re-check the whole predicate (equi clauses
-     included), so the bucket key only has to be complete — any pair of
-     rows equal on the keys must share a bucket — never collision-free.
-     Rechecking keeps the hash path bit-identical to the nested loop even
-     where the key encoding collapses distinct values. A bucket lists its
-     right rows in descending order, the order [Hashtbl.find_all] gave
-     the row executor. *)
-  let probe =
+  let keep = lazy (Eval.predicate ?ctx:crypto cell pred) in
+  let keep li rj = Lazy.force keep ((li * stride) + rj) in
+  (* the matches, left rows ascending and each one's right rows
+     descending *)
+  let checked candidates =
+    let lis = { buf = [||]; len = 0 } and rjs = { buf = [||]; len = 0 } in
+    candidates (fun li rj ->
+        if keep li rj then begin
+          push lis li;
+          push rjs rj
+        end);
+    (Array.sub lis.buf 0 lis.len, Array.sub rjs.buf 0 rjs.len)
+  in
+  let li, rj =
     match pairs with
-    | [] -> fun out li -> for rj = 0 to nr - 1 do check out li rj done
-    | _ -> (
+    | _ when nl = 0 || nr = 0 ->
+        (* no pair to test, and no key to build: an empty side's
+           columns are boxed, and keying a sealed column against one
+           would produce its bytes *)
+        ([||], [||])
+    | [] ->
+        checked (fun emit ->
+            for li = 0 to nl - 1 do
+              for rj = 0 to nr - 1 do
+                emit li rj
+              done
+            done)
+    | _ ->
         let lk = List.map (fun (a, _) -> Table.column l a) pairs in
         let rk = List.map (fun (_, b) -> Table.column r b) pairs in
-        let buckets lkey rkey =
-          let index = Hashtbl.create (nr + 1) in
-          for rj = 0 to nr - 1 do
-            Option.iter
-              (fun k ->
-                match Hashtbl.find_opt index k with
-                | Some js -> js := rj :: !js
-                | None -> Hashtbl.add index k (ref [ rj ]))
-              (rkey rj)
-          done;
-          fun out li ->
-            match Option.bind (lkey li) (Hashtbl.find_opt index) with
-            | Some js -> List.iter (check out li) !js
-            | None -> ()
+        let exact = List.map2 (exact_buckets nr) lk rk in
+        let b =
+          if List.for_all Option.is_some exact then
+            match List.map Option.get exact with
+            | first :: rest -> List.fold_left (fun a b -> both a b nr) first rest
+            | [] -> assert false
+          else string_keyed lk rk nr
         in
-        (* one typed int key per side, every value below 2^53: the int
-           itself partitions rows exactly as its key string would; so
-           does the int that identifies a typed sealed cell *)
-        let exact = Array.for_all (fun x -> Float.abs (float_of_int x) < exact_int_float) in
-        let sealed_ints =
-          match (lk, rk) with
-          | [ Column.Sealed sl ], [ Column.Sealed sr ] -> Enc_exec.sealed_int_keys sl sr
-          | _ -> None
-        in
-        match (lk, rk, sealed_ints) with
-        | [ Column.Ints la ], [ Column.Ints ra ], _ when exact la && exact ra ->
-            buckets (fun i -> Some la.(i)) (fun j -> Some ra.(j))
-        | _, _, Some (lkey, rkey) ->
-            buckets (fun i -> Some (lkey i)) (fun j -> Some (rkey j))
-        | _ ->
-            (* A sealed key meeting a boxed column is materialized: the
-               boxed side may hold ciphertext, which only its payload
-               keys. A row with a Null key matches nothing. *)
-            let lk, rk =
-              List.split
-                (List.map2
-                   (fun l r ->
-                     let bytes c = Column.Values (Column.to_values c) in
-                     match (l, r) with
-                     | Column.Sealed _, Column.Values _ -> (bytes l, r)
-                     | Column.Values _, Column.Sealed _ -> (l, bytes r)
-                     | _ -> (l, r))
-                   lk rk)
-            in
-            let key cols i =
-              if null_at cols i then None else Some (row_key ~join:true cols i)
-            in
-            buckets (key lk) (key rk))
+        (* right rows by bucket, counted then placed: a bucket lists its
+           rows in descending order, the order [Hashtbl.find_all] gave
+           the row executor *)
+        let start = Array.make (b.count + 1) 0 in
+        Array.iter (fun k -> if k >= 0 then start.(k + 1) <- start.(k + 1) + 1) b.right;
+        for k = 1 to b.count do
+          start.(k) <- start.(k) + start.(k - 1)
+        done;
+        let next = Array.sub start 0 b.count and rows = Array.make start.(b.count) 0 in
+        for rj = nr - 1 downto 0 do
+          let k = b.right.(rj) in
+          if k >= 0 then begin
+            rows.(next.(k)) <- rj;
+            next.(k) <- next.(k) + 1
+          end
+        done;
+        let buckets = init_ints nl b.left in
+        (* Where every pair's key is exact and the predicate is exactly
+           these pairs, each left attribute read from the left side, a
+           bucket's rows all match, so the matches are counted and
+           written straight into place. Elsewhere a match re-checks the
+           whole predicate (equi clauses included): a key then only has
+           to be complete — rows equal on the keys share a bucket — and
+           the result is the nested loop's. *)
+        if
+          List.for_all Option.is_some exact
+          && List.compare_lengths pairs pred = 0
+          && List.for_all (fun (a, _) -> Table.col_index_opt r a = None) pairs
+        then begin
+          let total = ref 0 in
+          Array.iter (fun k -> if k >= 0 then total := !total + start.(k + 1) - start.(k)) buckets;
+          let lis = Array.make !total 0 and rjs = Array.make !total 0 and m = ref 0 in
+          Array.iteri
+            (fun li k ->
+              if k >= 0 then
+                for p = start.(k) to start.(k + 1) - 1 do
+                  Array.unsafe_set lis !m li;
+                  Array.unsafe_set rjs !m rows.(p);
+                  incr m
+                done)
+            buckets;
+          (lis, rjs)
+        end
+        else
+          checked (fun emit ->
+              Array.iteri
+                (fun li k ->
+                  if k >= 0 then
+                    for p = start.(k) to start.(k + 1) - 1 do
+                      emit li rows.(p)
+                    done)
+                buckets)
   in
-  let matches =
-    let out = ref [] in
-    for li = 0 to Table.cardinality l - 1 do
-      probe out li
-    done;
-    Array.of_list (List.rev !out)
-  in
-  pair_up l (Array.map fst matches) r (Array.map snd matches)
+  pair_up l li r rj
 
 (* --- aggregation ----------------------------------------------------- *)
 
@@ -373,25 +566,97 @@ let sealed_extreme (agg : Aggregate.t) (s : Column.sealed) rows =
   | first :: rest ->
       List.fold_left (fun best i -> if better i best then i else best) first rest
 
+(* Each row's code for one key column, dense in first-appearance order:
+   two rows share a code iff [cell_key ~join:false] gives them one key.
+   Typed ints (below 2^53), dates and booleans key by their int, strings
+   by themselves, and det or OPE cells over typed ints, dates, booleans
+   or strings by their plaintext, which their key is a function of; any
+   other column by [cell_key]'s string. *)
+let column_codes c n =
+  let by_int keys =
+    let codes, a = Codes.number keys in
+    (a, codes.Codes.size)
+  in
+  let by_string f =
+    let add, _, count = string_codes n in
+    let a = init_ints n (fun i -> add (f i)) in
+    (a, count ())
+  in
+  let exact = Array.for_all (fun x -> Float.abs (float_of_int x) < exact_int_float) in
+  match c with
+  | Column.Ints a when exact a -> by_int a
+  | Column.Dates a -> by_int a
+  | Column.Bools a -> by_int (init_ints n (fun i -> Bool.to_int a.(i)))
+  | Column.Strs a -> by_string (Array.get a)
+  | Column.Sealed { Column.scheme = "det" | "ope"; plain; _ } -> (
+      match plain with
+      | Column.Ints a | Column.Dates a -> by_int a
+      | Column.Bools a -> by_int (init_ints n (fun i -> Bool.to_int a.(i)))
+      | Column.Strs a -> by_string (Array.get a)
+      | _ -> by_string (cell_key ~join:false c))
+  | _ -> by_string (cell_key ~join:false c)
+
+(* Each row's group id, groups numbered in first-appearance order, and
+   the number of groups: the key columns' codes, combined column by
+   column into dense codes. No key column makes one group. *)
+let group_ids cols n =
+  match cols with
+  | [] -> (Array.make n 0, min n 1)
+  | c :: rest ->
+      List.fold_left
+        (fun (a, _) c ->
+          let b, kb = column_codes c n in
+          let codes, ab = Codes.number (init_ints n (fun i -> (a.(i) * kb) + b.(i))) in
+          (ab, codes.Codes.size))
+        (column_codes c n) rest
+
+(* The unboxed order of two cells of a typed column. *)
+let typed_order = function
+  | Column.Ints a | Column.Dates a -> Some (fun i j -> Int.compare a.(i) a.(j))
+  | Column.Floats a -> Some (fun i j -> Float.compare a.(i) a.(j))
+  | Column.Strs a -> Some (fun i j -> String.compare a.(i) a.(j))
+  | Column.Bools a -> Some (fun i j -> Bool.compare a.(i) a.(j))
+  | Column.Sealed ({ Column.scheme = "ope"; _ } as s) -> Enc_exec.typed_order s s
+  | Column.Values _ | Column.Sealed _ -> None
+
+(* Per-group float sums of a typed numeric column's cells, read as
+   [numeric] reads them and added in row order; [None] for another
+   column. *)
+let float_sums c gid ng =
+  let sums = Array.make ng 0.0 in
+  let add i x =
+    let g = Array.unsafe_get gid i in
+    sums.(g) <- sums.(g) +. x
+  in
+  match c with
+  | Column.Floats a ->
+      Array.iteri add a;
+      Some sums
+  | Column.Ints a | Column.Dates a ->
+      Array.iteri (fun i x -> add i (float_of_int x)) a;
+      Some sums
+  | Column.Bools a ->
+      Array.iteri (fun i b -> add i (if b then 1.0 else 0.0)) a;
+      Some sums
+  | _ -> None
+
+(* Groups' values in [aggregate]'s representation: [Column.of_values]
+   of them, built unboxed. *)
+let per_group ng typed f = if ng = 0 then Column.of_values [||] else typed (Array.init ng f)
+
 let group_by ?crypto ~node table keys aggs =
   let key_attrs = Attr.Set.elements keys in
   let key_cols = List.map (Table.column table) key_attrs in
-  (* phase 1 — the rows of each group, groups in first-appearance order
-     and each group's rows in input order, as one sequential pass would
-     find them *)
-  let groups =
-    let tbl = Hashtbl.create 64 and order = ref [] in
-    for i = 0 to Table.cardinality table - 1 do
-      let k = row_key ~join:false key_cols i in
-      match Hashtbl.find_opt tbl k with
-      | Some rows -> rows := i :: !rows
-      | None ->
-          let rows = ref [ i ] in
-          Hashtbl.add tbl k rows;
-          order := rows :: !order
-    done;
-    Array.of_list (List.rev_map (fun rows -> Array.of_list (List.rev !rows)) !order)
-  in
+  let n = Table.cardinality table in
+  (* every row's group, groups in first-appearance order, as one
+     sequential pass would find them; each group's first row and size *)
+  let gid, ng = group_ids key_cols n in
+  let firsts = Array.make ng 0 and sizes = Array.make ng 0 in
+  for i = n - 1 downto 0 do
+    let g = gid.(i) in
+    firsts.(g) <- i;
+    sizes.(g) <- sizes.(g) + 1
+  done;
   let agg_ops =
     List.filter_map
       (fun (agg : Aggregate.t) ->
@@ -400,39 +665,136 @@ let group_by ?crypto ~node table keys aggs =
       aggs
   in
   let nrng = Option.map (fun c -> Enc_exec.node_rng c node) crypto in
-  (* phase 2 — one output row per group. Aggregates run over each
-     group's complete row list in input order, which fixes the float
-     accumulation order; group [j]'s randomness is derived from [j]. *)
-  let agg_row j =
-    let rng = Option.map (fun r -> C.Prng.derive r j) nrng in
-    let rows = Array.to_list groups.(j) in
-    List.map
-      (fun ((agg : Aggregate.t), operand) ->
-        match (agg.Aggregate.func, operand) with
-        | (Aggregate.Min _ | Aggregate.Max _), Some (Column.Sealed s) ->
-            Either.Right (sealed_extreme agg s rows)
-        | _ -> Either.Left (aggregate ?crypto ?rng agg operand rows))
+  (* each group's rows, in input order *)
+  let groups =
+    lazy
+      (let start = Array.make (ng + 1) 0 in
+       Array.iteri (fun g k -> start.(g + 1) <- start.(g) + k) sizes;
+       let rows = Array.make n 0 in
+       Array.iteri
+         (fun i g ->
+           rows.(start.(g)) <- i;
+           start.(g) <- start.(g) + 1)
+         gid;
+       Array.init ng (fun g -> Array.sub rows (start.(g) - sizes.(g)) sizes.(g)))
+  in
+  (* Group [j]'s randomness is derived from [j], one generator shared by
+     the group's aggregates in order. The row-at-a-time reference: every
+     aggregate over each group's complete row list in input order, which
+     fixes the float accumulation order, one group after the other. *)
+  let by_groups () =
+    let agg_row j =
+      let rng = Option.map (fun r -> C.Prng.derive r j) nrng in
+      let rows = Array.to_list (Lazy.force groups).(j) in
+      List.map
+        (fun ((agg : Aggregate.t), operand) ->
+          match (agg.Aggregate.func, operand) with
+          | (Aggregate.Min _ | Aggregate.Max _), Some (Column.Sealed s) ->
+              Either.Right (sealed_extreme agg s rows)
+          | _ -> Either.Left (aggregate ?crypto ?rng agg operand rows))
+        agg_ops
+    in
+    let agg_rows = Array.init ng agg_row in
+    (* a value per group, or the operand's rows that a sealed min/max
+       picked *)
+    List.mapi
+      (fun k (_, operand) ->
+        let cells = Array.map (fun row -> List.nth row k) agg_rows in
+        match operand with
+        | Some c when ng > 0 && Array.for_all Either.is_right cells ->
+            Column.gather c (Array.map (Either.fold ~left:(fun _ -> 0) ~right:Fun.id) cells)
+        | _ ->
+            Column.of_values
+              (Array.map (Either.fold ~left:Fun.id ~right:(fun _ -> Value.Null)) cells))
       agg_ops
   in
-  let ngroups = Array.length groups in
-  let agg_rows = Array.init ngroups agg_row in
-  let firsts = Array.map (fun rows -> rows.(0)) groups in
-  (* a value per group, or the operand's rows that a sealed min/max
-     picked *)
-  let agg_column k (_, operand) =
-    let cells = Array.map (fun row -> List.nth row k) agg_rows in
-    match operand with
-    | Some c when ngroups > 0 && Array.for_all Either.is_right cells ->
-        Column.gather c (Array.map (Either.fold ~left:(fun _ -> 0) ~right:Fun.id) cells)
-    | _ ->
-        Column.of_values
-          (Array.map (Either.fold ~left:Fun.id ~right:(fun _ -> Value.Null)) cells)
+  (* The column kernels: each aggregate in one pass over the rows, in row
+     order, into per-group accumulators, so each group still adds its
+     floats in input order. An operand these do not cover (boxed, or a
+     sum over strings or ciphertext) runs the reference's fold per group.
+     Errors are the reference's, raised by replaying it: it meets the
+     same cells in its own order. *)
+  let rngs = Array.make ng None in
+  let rng g =
+    match rngs.(g) with
+    | Some r -> r
+    | None ->
+        let r = C.Prng.derive (Option.get nrng) g in
+        rngs.(g) <- Some r;
+        r
   in
-  Table.of_columns ~nrows:ngroups
+  let kernel ((agg : Aggregate.t), operand) =
+    let fold_groups f = Array.init ng (fun g -> f (Array.to_list (Lazy.force groups).(g))) in
+    let folded () = Column.of_values (fold_groups (aggregate ?crypto agg operand)) in
+    match (agg.Aggregate.func, operand) with
+    | Aggregate.Count_star, _ | Aggregate.Count _, None ->
+        per_group ng (fun a -> Column.Ints a) (Array.get sizes)
+    | Aggregate.Count a, Some c ->
+        (* the live cells per group; a group holding a ciphertext cell
+           gets its count encrypted under the operand's cluster, the
+           groups' counts in one batch *)
+        let live, encrypted =
+          match c with
+          | Column.Values _ | Column.Sealed { Column.plain = Column.Values _; _ } ->
+              let live = Array.make ng 0 and encrypted = Array.make ng false in
+              for i = 0 to n - 1 do
+                if not (Column.is_null c i) then begin
+                  let g = gid.(i) in
+                  live.(g) <- live.(g) + 1;
+                  if Column.is_encrypted c i then encrypted.(g) <- true
+                end
+              done;
+              (live, encrypted)
+          | Column.Sealed _ -> (sizes, Array.make ng true)
+          | _ -> (sizes, Array.make ng false)
+        in
+        let out = Array.map (fun k -> Value.Int k) live in
+        let enc = List.filter (Array.get encrypted) (List.init ng Fun.id) |> Array.of_list in
+        if Array.length enc > 0 then begin
+          let ctx =
+            match crypto with
+            | Some c -> c
+            | None -> err "encrypted count requires a crypto context"
+          in
+          let cells =
+            Enc_exec.encrypt_each ctx a ~rng:(fun k -> rng enc.(k)) (Array.map (Array.get out) enc)
+          in
+          Array.iteri (fun k g -> out.(g) <- cells.(k)) enc
+        end;
+        Column.of_values out
+    | Aggregate.Sum _, Some (Column.Ints a) ->
+        let sums = Array.make ng 0 in
+        Array.iteri (fun i g -> sums.(g) <- sums.(g) + a.(i)) gid;
+        per_group ng (fun a -> Column.Ints a) (Array.get sums)
+    | (Aggregate.Sum _ | Aggregate.Avg _), Some c -> (
+        match float_sums c gid ng with
+        | Some sums ->
+            let avg = match agg.Aggregate.func with Aggregate.Avg _ -> true | _ -> false in
+            per_group ng
+              (fun a -> Column.Floats a)
+              (fun g -> if avg then sums.(g) /. float_of_int sizes.(g) else sums.(g))
+        | None -> folded ())
+    | (Aggregate.Min _ | Aggregate.Max _), Some c -> (
+        let order = match agg.Aggregate.func with Aggregate.Min _ -> -1 | _ -> 1 in
+        match (typed_order c, c) with
+        | _ when ng = 0 -> Column.of_values [||]
+        | Some cmp, _ ->
+            (* the first row no later row beats, as the fold keeps it *)
+            let best = Array.make ng (-1) in
+            Array.iteri
+              (fun i g ->
+                let b = best.(g) in
+                if b < 0 || cmp i b * order < 0 then best.(g) <- i)
+              gid;
+            Column.gather c best
+        | None, Column.Sealed s -> Column.gather c (fold_groups (sealed_extreme agg s))
+        | None, _ -> folded ())
+    | _ -> folded ()
+  in
+  let columns = try List.map kernel agg_ops with _ -> by_groups () in
+  Table.of_columns ~nrows:ng
     (key_attrs @ List.map (fun ((a : Aggregate.t), _) -> a.Aggregate.output) agg_ops)
-    (Array.of_list
-       (List.map (fun c -> Column.gather c firsts) key_cols
-       @ List.mapi agg_column agg_ops))
+    (Array.of_list (List.map (fun c -> Column.gather c firsts) key_cols @ columns))
 
 let udf_apply ctx name inputs output table =
   let f =
@@ -521,6 +883,25 @@ let operator_tag plan =
   | Plan.Base _ -> "base"
   | _ -> Plan.operator_name plan
 
+(* An operator's span and timer names, literals but for a udf's, which
+   are built only while tracing is on. *)
+let obs_names plan =
+  match Plan.node plan with
+  | Plan.Base _ -> ("exec.base", "exec.op_s.base")
+  | Plan.Project _ -> ("exec.project", "exec.op_s.project")
+  | Plan.Select _ -> ("exec.select", "exec.op_s.select")
+  | Plan.Product _ -> ("exec.product", "exec.op_s.product")
+  | Plan.Join _ -> ("exec.join", "exec.op_s.join")
+  | Plan.Group_by _ -> ("exec.group_by", "exec.op_s.group_by")
+  | Plan.Order_by _ -> ("exec.order_by", "exec.op_s.order_by")
+  | Plan.Limit _ -> ("exec.limit", "exec.op_s.limit")
+  | Plan.Encrypt _ -> ("exec.encrypt", "exec.op_s.encrypt")
+  | Plan.Decrypt _ -> ("exec.decrypt", "exec.op_s.decrypt")
+  | Plan.Udf _ when Obs.enabled () ->
+      let tag = operator_tag plan in
+      ("exec." ^ tag, "exec.op_s." ^ tag)
+  | Plan.Udf _ -> ("", "")
+
 (* Sub-plan result memoization hooks (multi-query work sharing).
    [lookup] may satisfy a whole subtree from a previous execution —
    sound only when the caller's key covers everything the subtree's
@@ -562,12 +943,13 @@ let run_with_hook ?memo ctx ~hook plan =
     hook plan result;
     result
   and compute pos plan =
+    let span, timer = obs_names plan in
     let result =
-      Obs.with_span ("exec." ^ operator_tag plan) @@ fun () ->
+      Obs.with_span span @@ fun () ->
       (* flat per-operator timer (child recursion excluded), so the
          bench can report a per-operator breakdown without untangling
          the span tree *)
-      let op f = Obs.time ("exec.op_s." ^ operator_tag plan) f in
+      let op f = Obs.time timer f in
       try
         match Plan.node plan with
         | Plan.Base s -> op (fun () -> base ctx ~node:pos s)

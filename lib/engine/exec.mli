@@ -3,14 +3,16 @@
     Executes both original plans and extended plans (with
     [Encrypt]/[Decrypt] nodes, which require a crypto context). Every
     operator runs on {!Table}'s column layout: projection selects
-    columns without copying, selection and joins produce row indices
-    and gather the kept rows, group-by, order-by and limit work on index
-    arrays. Joins use a hash join on conjunctive equality pairs —
-    including pairs of deterministic ciphertexts — with a nested-loop
-    fallback; a left row's matches come out in descending right-row
-    order. Group-by hashes on the key tuple, keeps groups in
-    first-appearance order, and supports homomorphic [sum]/[avg] over
-    Paillier ciphertexts and [min]/[max] over OPE ciphertexts.
+    columns without copying, selection ({!Eval.select}) and joins
+    produce row indices and gather the kept rows, group-by, order-by and
+    limit work on index arrays. Joins bucket the right side by dense
+    key codes on conjunctive equality pairs — including pairs of det or
+    OPE ciphertexts — with a nested-loop fallback; a left row's matches
+    come out in descending right-row order. Group-by numbers groups
+    densely in first-appearance order, folds typed operands in one pass
+    into per-group accumulators, and supports homomorphic [sum]/[avg]
+    over Paillier ciphertexts and [min]/[max] over OPE ciphertexts.
+    Boxed ([Values]) columns take the per-row paths.
 
     A plan runs on the calling domain. Encryption randomness is derived
     from (plan-node preorder position, row index) rather than a shared

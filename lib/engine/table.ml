@@ -3,19 +3,13 @@ open Relalg
 (* One immutable layout: a typed column per attribute plus an explicit
    row count (a zero-column table still has a cardinality). Operators
    share columns freely across tables and domains; nothing is cached or
-   filled in later. *)
+   filled in later. A column is found by scanning the header for the
+   attribute's id: tables are a few columns wide, so no index is kept. *)
 type t = {
   attrs : Attr.t list;
-  index : int Attr.Map.t;
   nrows : int;
   cols : Column.t array;
 }
-
-let build_index attrs =
-  List.fold_left
-    (fun (i, m) a -> (i + 1, Attr.Map.add a i m))
-    (0, Attr.Map.empty) attrs
-  |> snd
 
 let of_columns ~nrows attrs cols =
   let n = List.length attrs in
@@ -30,7 +24,7 @@ let of_columns ~nrows attrs cols =
           (Printf.sprintf "Table.of_columns: column %d has %d rows, expected %d"
              j (Column.length c) nrows))
     cols;
-  { attrs; index = build_index attrs; nrows; cols }
+  { attrs; nrows; cols }
 
 let create attrs rows =
   let n = List.length attrs in
@@ -57,13 +51,24 @@ let rows t =
 
 exception Unknown_attribute of { attr : string; columns : string list }
 
+(* the last position of [a] in [attrs], or -1 *)
+let position attrs a =
+  let rec go i found = function
+    | [] -> found
+    | b :: rest -> go (i + 1) (if Attr.equal a b then i else found) rest
+  in
+  go 0 (-1) attrs
+
+let col_index_opt t a =
+  match position t.attrs a with -1 -> None | i -> Some i
+
 let col_index t a =
-  match Attr.Map.find_opt a t.index with
-  | Some i -> i
-  | None ->
+  match position t.attrs a with
+  | -1 ->
       raise
         (Unknown_attribute
            { attr = Attr.name a; columns = List.map Attr.name t.attrs })
+  | i -> i
 
 let column t a = t.cols.(col_index t a)
 let value t row a = row.(col_index t a)

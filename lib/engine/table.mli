@@ -39,6 +39,9 @@ val col_index : t -> Attr.t -> int
 (** Raises {!Unknown_attribute} for a foreign attribute. A repeated
     attribute resolves to its last position. *)
 
+val col_index_opt : t -> Attr.t -> int option
+(** {!col_index} without the exception. *)
+
 val column : t -> Attr.t -> Column.t
 (** [column t a] is [columns t].(col_index t a). *)
 

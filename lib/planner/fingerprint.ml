@@ -177,13 +177,7 @@ let of_schema (s : Schema.t) =
     (fun (a, ty) ->
       in_buf (fun b ->
           field b (of_attr a);
-          field b
-            (match (ty : Schema.column_type) with
-            | Tint -> "int"
-            | Tfloat -> "float"
-            | Tstring -> "string"
-            | Tdate -> "date"
-            | Tbool -> "bool")))
+          field b (Schema.type_name ty)))
     s.Schema.columns
 
 let of_rule (r : Authz.Authorization.rule) =

@@ -157,16 +157,32 @@ let rec sub c pos len =
    boxed on the way. A sealed column keeps only the gathered rows'
    words. *)
 let rec gather c idx =
+  let n = Array.length idx in
   let pick a = Array.map (fun i -> a.(i)) idx in
+  (* ints and booleans are stored with no write barrier *)
+  let ints (a : int array) =
+    let out = Array.make n 0 in
+    for k = 0 to n - 1 do
+      Array.unsafe_set out k a.(Array.unsafe_get idx k)
+    done;
+    out
+  in
   match c with
-  | Ints a -> Ints (pick a)
+  | Ints a -> Ints (ints a)
   | Floats a ->
-      let out = Array.create_float (Array.length idx) in
-      Array.iteri (fun k i -> out.(k) <- a.(i)) idx;
+      let out = Array.create_float n in
+      for k = 0 to n - 1 do
+        Array.unsafe_set out k a.(Array.unsafe_get idx k)
+      done;
       Floats out
-  | Bools a -> Bools (pick a)
+  | Bools a ->
+      let out = Array.make n false in
+      for k = 0 to n - 1 do
+        Array.unsafe_set out k a.(Array.unsafe_get idx k)
+      done;
+      Bools out
   | Strs a -> Strs (pick a)
-  | Dates a -> Dates (pick a)
+  | Dates a -> Dates (ints a)
   | Values a -> Values (pick a)
   | Sealed s ->
       let words =

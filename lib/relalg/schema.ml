@@ -1,5 +1,12 @@
 type column_type = Tint | Tfloat | Tstring | Tdate | Tbool
 
+let type_name = function
+  | Tint -> "int"
+  | Tfloat -> "float"
+  | Tstring -> "string"
+  | Tdate -> "date"
+  | Tbool -> "bool"
+
 type storage =
   | At_authority
   | Outsourced of { host : string; encrypted : Attr.Set.t }

@@ -6,6 +6,10 @@
 
 type column_type = Tint | Tfloat | Tstring | Tdate | Tbool
 
+val type_name : column_type -> string
+(** The policy language's name for a type: ["int"], ["float"],
+    ["string"], ["date"], ["bool"]. *)
+
 (** Where the relation physically lives. The paper's Sec. 9 extension:
     a source relation may be stored, possibly in encrypted form, at a
     third party rather than at its data authority. [host] names the

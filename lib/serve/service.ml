@@ -510,18 +510,88 @@ let migrate t (tn : Tenancy.t) ~old_policy ~old_env =
       tn.Tenancy.invalidated <- tn.Tenancy.invalidated + sub_dropped;
       Obs.incr ~by:sub_dropped "serve.subcache.invalidated"
 
+type policy_conflict =
+  | Dropped_relation of string
+  | Missing_column of { relation : string; attr : string }
+  | Column_type of { relation : string; attr : string; declared : Schema.column_type }
+
+let conflict_message = function
+  | Dropped_relation r -> Printf.sprintf "policy drops loaded relation %s" r
+  | Missing_column { relation; attr } ->
+      Printf.sprintf "%s.%s is not a column of the loaded table" relation attr
+  | Column_type { relation; attr; declared } ->
+      Printf.sprintf "%s.%s is declared %s but the loaded column holds other values"
+        relation attr (Schema.type_name declared)
+
+(* whether every cell of a loaded column is Null or of the declared type
+   (an int counts as a float) *)
+let holds ty col =
+  let cell = function
+    | Value.Null -> true
+    | Value.Int _ -> ty = Schema.Tint || ty = Schema.Tfloat
+    | Value.Float _ -> ty = Schema.Tfloat
+    | Value.Str _ -> ty = Schema.Tstring
+    | Value.Date _ -> ty = Schema.Tdate
+    | Value.Bool _ -> ty = Schema.Tbool
+    | Value.Enc _ -> false
+  in
+  match col with
+  | Column.Values a -> Array.for_all cell a
+  | Column.Sealed _ -> false
+  | typed -> (* one kind throughout *) Column.length typed = 0 || cell (Column.get typed 0)
+
+(* The first way [policy] disagrees with the loaded tables: it drops a
+   relation the tenant's policy has and a table holds, or declares a
+   loaded relation with a column the table lacks or whose cells are not
+   of the declared type. A relation declared as the current policy
+   declares it was checked when that policy was installed. *)
+let policy_conflict t (tn : Tenancy.t) policy =
+  let current = Authz.Authorization.schemas tn.Tenancy.policy
+  and fresh = Authz.Authorization.schemas policy in
+  let named name = List.find_opt (fun s -> String.equal s.Schema.name name) in
+  let loaded s = List.assoc_opt s.Schema.name t.tables in
+  let dropped =
+    List.find_opt (fun s -> loaded s <> None && named s.Schema.name fresh = None) current
+  in
+  match dropped with
+  | Some s -> Some (Dropped_relation s.Schema.name)
+  | None ->
+      List.find_map
+        (fun s ->
+          match loaded s with
+          | Some table
+            when not
+                   (match named s.Schema.name current with
+                   | Some c -> c.Schema.columns = s.Schema.columns
+                   | None -> false) ->
+              List.find_map
+                (fun (a, ty) ->
+                  let relation = s.Schema.name and attr = Attr.name a in
+                  match Engine.Table.col_index_opt table a with
+                  | None -> Some (Missing_column { relation; attr })
+                  | Some i when not (holds ty (Engine.Table.columns table).(i)) ->
+                      Some (Column_type { relation; attr; declared = ty })
+                  | Some _ -> None)
+                s.Schema.columns
+          | _ -> None)
+        fresh
+
 let set_policy ?subjects ?(tenant = Tenancy.default_id) t policy =
   Obs.with_span "serve.set_policy" @@ fun () ->
   let tn = tenant_exn t tenant in
-  let old_policy = tn.Tenancy.policy and old_env = tn.Tenancy.env in
-  tn.Tenancy.policy <- policy;
-  (match subjects with Some s -> tn.Tenancy.subjects <- s | None -> ());
-  Obs.with_span "serve.rotate" (fun () -> Tenancy.rotate tn);
-  (* a subject-population swap changes which views matter in ways the
-     per-entry dependency sets cannot bound: fall back to the rotation
-     the fingerprint change already performed *)
-  if subjects = None then
-    Obs.with_span "serve.migrate" (fun () -> migrate t tn ~old_policy ~old_env)
+  match policy_conflict t tn policy with
+  | Some conflict -> Error conflict
+  | None ->
+      let old_policy = tn.Tenancy.policy and old_env = tn.Tenancy.env in
+      tn.Tenancy.policy <- policy;
+      (match subjects with Some s -> tn.Tenancy.subjects <- s | None -> ());
+      Obs.with_span "serve.rotate" (fun () -> Tenancy.rotate tn);
+      (* a subject-population swap changes which views matter in ways
+         the per-entry dependency sets cannot bound: fall back to the
+         rotation the fingerprint change already performed *)
+      if subjects = None then
+        Obs.with_span "serve.migrate" (fun () -> migrate t tn ~old_policy ~old_env);
+      Ok ()
 
 let set_config ?(tenant = Tenancy.default_id) t config =
   let tn = tenant_exn t tenant in

@@ -170,14 +170,32 @@ val tenant_stats : t -> (string * Tenancy.stats) list
 
 (** {2 Environment mutation — explicit invalidation} *)
 
+type policy_conflict =
+  | Dropped_relation of string
+      (** a relation of the tenant's current policy that a loaded table
+          holds is missing *)
+  | Missing_column of { relation : string; attr : string }
+      (** a loaded relation is declared with a column its table lacks *)
+  | Column_type of { relation : string; attr : string; declared : Schema.column_type }
+      (** a loaded column holds a cell that is neither Null nor of the
+          declared type (an int counts as a float) *)
+(** Why {!set_policy} refused a policy: its schemas disagree with the
+    tables the service was created with. *)
+
+val conflict_message : policy_conflict -> string
+
 val set_policy :
   ?subjects:Authz.Subject.t list ->
   ?tenant:string ->
   t ->
   Authz.Authorization.t ->
-  unit
+  (unit, policy_conflict) result
 (** Swap the named tenant's policy (default tenant when unnamed, and
-    optionally its subject population). Always rotates that tenant's
+    optionally its subject population), unless its schemas disagree
+    with the loaded tables: then the first disagreement is returned and
+    the tenant's policy, subjects, environment and cache entries stay
+    as they were. A relation declared exactly as the current policy
+    declares it is not re-checked. Always rotates that tenant's
     environment fingerprint; when [subjects] is not supplied the
     tenant's surviving entries are then migrated to the new
     fingerprint per the dependency protocol above, so its unaffected

@@ -76,12 +76,16 @@ let policy t path =
         List.sort compare subjects
         = List.sort compare (Service.subjects ~tenant:t.tenant t.service)
       in
-      Service.set_policy
-        ?subjects:(if same then None else Some subjects)
-        ~tenant:t.tenant t.service e.Authz.Policy_dsl.policy;
-      Printf.sprintf "policy: %s installed for %s, cache %s" path t.tenant
-        (if same then "migrated incrementally"
-         else "rotated (subjects changed)")
+      match
+        Service.set_policy
+          ?subjects:(if same then None else Some subjects)
+          ~tenant:t.tenant t.service e.Authz.Policy_dsl.policy
+      with
+      | Error conflict -> refused (Service.conflict_message conflict)
+      | Ok () ->
+          Printf.sprintf "policy: %s installed for %s, cache %s" path t.tenant
+            (if same then "migrated incrementally"
+             else "rotated (subjects changed)")
 
 (* \stats and \tenant are all a shared socket honours: \tenant only
    retargets the session's own later requests (tenants are registered at

@@ -1317,6 +1317,90 @@ let test_phe_sum_malformed () =
             (String.starts_with ~prefix:"malformed phe ciphertext under key x: " m))
     [ "v|zz|i"; "v||i"; "v|123|" ]
 
+(* --- batched counts and constants -------------------------------------- *)
+
+let outcome f =
+  match f () with
+  | vs -> Ok (Array.to_list vs)
+  | exception e -> Error (Printexc.to_string e)
+
+(* [encrypt_each] is [encrypt_value] cell by cell, byte for byte and
+   error for error: cell [k] draws from generator [k], and OPE cells are
+   encoded in one tree walk. *)
+let test_encrypt_each () =
+  let x = attr "x" in
+  let cipher = Enc_exec.encrypt_value (Lazy.force det_ctx) x (Value.Int 1) in
+  let cases =
+    [ [| Value.Int 1; Value.Int 5; Value.Int 1; Value.Int 1000; Value.Int 0 |];
+      [| Value.Null; Value.Int 3; Value.Null; Value.Float 2.5; Value.Str "abcdX" |];
+      [| Value.Int 2; Value.Int (1 lsl 40); cipher |];
+      [| Value.Int 2; cipher; Value.Int (1 lsl 40) |];
+      [| Value.Null; Value.Null |];
+      [||] ]
+  in
+  List.iter
+    (fun (name, ctx) ->
+      let ctx = Lazy.force ctx in
+      let rng k = C.Prng.derive (Enc_exec.node_rng ctx 3) k in
+      List.iteri
+        (fun i vs ->
+          let label = Printf.sprintf "%s case %d" name i in
+          Alcotest.(check bool) label true
+            (outcome (fun () -> Array.mapi (fun k v -> Enc_exec.encrypt_value ~rng:(rng k) ctx x v) vs)
+            = outcome (fun () -> Enc_exec.encrypt_each ctx x ~rng vs)))
+        cases)
+    [ ("det", det_ctx); ("ope", ope_ctx); ("rnd", rnd_ctx); ("phe", phe_ctx) ]
+
+(* [const_ciphers] is [const_cipher] constant by constant, a constant
+   with no image failing alone. *)
+let test_const_ciphers () =
+  let consts =
+    [| Value.Int 4; Value.Float 2.5; Value.Int (1 lsl 40); Value.Str "abcdX";
+       Value.Bool true; Value.Date 19000 |]
+  in
+  List.iter
+    (fun (name, ctx) ->
+      let ctx = Lazy.force ctx in
+      match Enc_exec.encrypt_value ctx (attr "x") (Value.Int 3) with
+      | Value.Enc sample ->
+          let one v =
+            match Enc_exec.const_cipher ctx sample v with
+            | c -> Ok c
+            | exception e -> Error (Printexc.to_string e)
+          in
+          Alcotest.(check bool) name true
+            (Array.map one consts
+            = Array.map (Result.map_error Printexc.to_string)
+                (Enc_exec.const_ciphers ctx sample consts))
+      | _ -> Alcotest.fail "expected a ciphertext")
+    [ ("det", det_ctx); ("ope", ope_ctx); ("rnd", rnd_ctx) ]
+
+(* Encrypted counts come out of a group-by in one batch per aggregate;
+   their bytes are the row oracle's, which encrypts them one group at a
+   time, two counts of one group drawing from the group's one generator
+   in aggregate order. The last group's operand is all Null, so its
+   counts stay plaintext. *)
+let test_group_count_bytes () =
+  let g = attr "g" and x = attr "x" in
+  let schema = Schema.make ~name:"T" ~owner:"H" [ ("g", Schema.Tint); ("x", Schema.Tint) ] in
+  let rows =
+    List.init 40 (fun i -> [| Value.Int (i mod 7); (if i mod 7 = 6 then Value.Null else Value.Int i) |])
+  in
+  let tables = [ ("T", Table.of_schema schema rows) ] in
+  let plan =
+    Plan.group_by (Attr.Set.singleton g)
+      [ Aggregate.make_named (Aggregate.Count x) "n1";
+        Aggregate.make_named (Aggregate.Count x) "n2";
+        Aggregate.make Aggregate.Count_star ]
+      (Plan.encrypt (Attr.Set.singleton x) (Plan.base schema))
+  in
+  List.iter
+    (fun scheme ->
+      let context () = Exec.context ~crypto:(ctx_of [ ("x", scheme) ]) tables in
+      Alcotest.(check bool) (C.Scheme.name scheme) true
+        (Table.rows (Exec.run (context ()) plan) = Table.rows (Row_oracle.run (context ()) plan)))
+    [ C.Scheme.Det; C.Scheme.Ope; C.Scheme.Rnd; C.Scheme.Phe ]
+
 let () =
   Alcotest.run "enc_exec"
     [ ( "serialization",
@@ -1362,4 +1446,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_sealed_operators;
           ("det/ope traps, one by one", `Quick, test_sealed_traps);
           ("det/ope: comparisons produce no bytes", `Quick, test_sealed_det_ope_counters);
-          ("phe_sum: malformed payloads", `Quick, test_phe_sum_malformed) ] ) ]
+          ("phe_sum: malformed payloads", `Quick, test_phe_sum_malformed) ] );
+      ( "batches",
+        [ ("encrypt_each = encrypt_value per cell", `Quick, test_encrypt_each);
+          ("const_ciphers = const_cipher per constant", `Quick, test_const_ciphers);
+          ("encrypted group counts: the row oracle's bytes", `Quick,
+           test_group_count_bytes) ] ) ]

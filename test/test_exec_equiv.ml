@@ -307,6 +307,261 @@ let prop_row_oracle =
            (fun () -> Exec.context ~udfs:udf_impls tables)
            case.Gen.original)
 
+(* --- column kernels against the row oracle ------------------------------ *)
+
+(* Tables T(a, b, s, d) and U(c, t) whose every column draws a kind and
+   a representation: typed (homogeneous, no Null — the kernels' input),
+   or boxed ([Values]: Nulls, and Int/Float mixes at equal values). The
+   kinds stress the kernels' type rules: small ints, ints beyond 2^53,
+   floats with -0.0 and 0.0, strings tied on their 4-byte OPE prefix,
+   dates and booleans. Each column is then left plaintext or sealed
+   under det, OPE or rnd, one key per scheme, so sealed columns meet in
+   comparisons, join keys and multi-column group keys, beside typed and
+   boxed ones. *)
+type kernel_case = {
+  plan : Plan.t;
+  tables : (string * Table.t) list;
+  clusters : Authz.Plan_keys.cluster list;
+  all_typed : bool;  (** no [Values] column, so no empty table *)
+}
+
+let kernel_cell st kind ~boxed =
+  let pick a = a.(QCheck.Gen.int_bound (Array.length a - 1) st) in
+  if boxed && QCheck.Gen.int_bound 4 st = 0 then Value.Null
+  else
+    match kind with
+    | `Int when boxed && QCheck.Gen.bool st -> Value.Float (float_of_int (QCheck.Gen.int_bound 4 st))
+    | `Int -> Value.Int (QCheck.Gen.int_bound 4 st)
+    | `Big when boxed && QCheck.Gen.bool st -> Value.Float 9007199254740992.0
+    | `Big -> Value.Int (pick [| two_53 - 1; two_53; two_53 + 1; two_53 + 2; 4 |])
+    | `Float when boxed && QCheck.Gen.bool st -> Value.Int 4
+    | `Float -> Value.Float (pick [| -0.0; 0.0; 1.0; 2.5; 4.0; 0.125 |])
+    | `Str -> Value.Str (pick [| "abcdX"; "abcdY"; "abcd"; "ga"; "bu" |])
+    | `Date -> Value.Date (pick [| 100; 200; 300 |])
+    | `Bool -> Value.Bool (QCheck.Gen.bool st)
+
+(* constants of a column's kind, mostly, so selections keep some rows *)
+let kernel_const st kind =
+  let pick a = a.(QCheck.Gen.int_bound (Array.length a - 1) st) in
+  if QCheck.Gen.int_bound 4 st = 0 then
+    pick
+      [| Value.Int 1; Value.Float 4.0; Value.Float (-0.0); Value.Int (two_53 + 1);
+         Value.Str "abcdY"; Value.Date 200; Value.Bool true; Value.Null |]
+  else kernel_cell st kind ~boxed:false
+
+let gen_kernel_case st =
+  let module G = QCheck.Gen in
+  let pick a = a.(G.int_bound (Array.length a - 1) st) in
+  let pickl l = List.nth l (G.int_bound (List.length l - 1) st) in
+  let numeric () = pick [| `Int; `Int; `Float; `Big |] in
+  (* a and c share a kind, so they join; s and t are strings *)
+  let key = numeric () in
+  let kinds =
+    [ ("a", key); ("b", numeric ()); ("s", `Str); ("d", pick [| `Date; `Bool |]);
+      ("c", key); ("t", `Str) ]
+  in
+  let kind a = List.assoc a kinds in
+  let boxing = G.int_bound 2 st in
+  let schemes = ref [] in
+  (* a relation over [attrs], sealing some of them *)
+  let relation name attrs =
+    let cols =
+      List.map
+        (fun a ->
+          (a, boxing = 0 && G.bool st))
+        attrs
+    in
+    let rows = if G.int_bound 7 st = 0 then 0 else 1 + G.int_bound 20 st in
+    let schema = Schema.make ~name ~owner:"H" (List.map (fun a -> (a, Schema.Tint)) attrs) in
+    let table =
+      Table.of_schema schema
+        (List.init rows (fun _ ->
+             Array.of_list (List.map (fun (a, boxed) -> kernel_cell st (kind a) ~boxed) cols)))
+    in
+    List.iter
+      (fun a ->
+        match G.int_bound 5 st with
+        | 0 | 1 -> schemes := (a, Mpq_crypto.Scheme.Det) :: !schemes
+        | 2 | 3 when kind a <> `Big -> schemes := (a, Mpq_crypto.Scheme.Ope) :: !schemes
+        | 4 -> schemes := (a, Mpq_crypto.Scheme.Rnd) :: !schemes
+        | _ -> ())
+      attrs;
+    let sealed = List.filter (fun a -> List.mem_assoc a !schemes) attrs in
+    let scan =
+      if sealed = [] then Plan.base schema
+      else Plan.encrypt (Attr.Set.of_names sealed) (Plan.base schema)
+    in
+    (scan, (name, table))
+  in
+  let t_attrs = [ "a"; "b"; "s"; "d" ] and u_attrs = [ "c"; "t" ] in
+  let t, t_table = relation "T" t_attrs in
+  let u, u_table = relation "U" u_attrs in
+  let at = Attr.make in
+  let op () =
+    pick [| Predicate.Eq; Predicate.Eq; Predicate.Neq; Predicate.Lt; Predicate.Le; Predicate.Gt; Predicate.Ge |]
+  in
+  let atom attrs =
+    let x = pickl attrs in
+    match G.int_bound 7 st with
+    | 0 | 1 | 2 -> Predicate.Cmp_const (at x, op (), kernel_const st (kind x))
+    | 3 -> Predicate.Cmp_attr (at x, op (), at (pickl attrs))
+    | 4 | 5 ->
+        Predicate.In_list
+          (at x, List.init (1 + G.int_bound 2 st) (fun _ -> kernel_const st (kind x)))
+    | 6 -> Predicate.Like (at x, pick [| "abcd%"; "g_"; "%u"; "%" |])
+    | _ -> Predicate.Like (at "s", "abcd_")
+  in
+  let pred attrs =
+    List.init (1 + G.int_bound 1 st) (fun _ ->
+        List.init (if G.int_bound 3 st = 0 then 2 else 1) (fun _ -> atom attrs))
+  in
+  let join_pred () =
+    let pairs =
+      List.filter (fun _ -> G.bool st)
+        [ [ Predicate.Cmp_attr (at "a", Predicate.Eq, at "c") ];
+          [ Predicate.Cmp_attr (at "s", Predicate.Eq, at "t") ];
+          [ Predicate.Cmp_attr (at (pickl t_attrs), Predicate.Eq, at (pickl u_attrs)) ] ]
+    in
+    let extra =
+      match G.int_bound 4 st with
+      | 0 -> [ [ atom t_attrs ] ]
+      | 1 ->
+          [ [ Predicate.Cmp_attr (at "a", Predicate.Eq, at "c");
+              Predicate.Cmp_attr (at "b", op (), at "c") ] ]
+      | _ -> []
+    in
+    let p = pairs @ extra in
+    if Predicate.attr_pairs p = [] then [ Predicate.Cmp_attr (at "a", Predicate.Eq, at "c") ] :: p
+    else p
+  in
+  let group input attrs =
+    let keys = List.filter (fun _ -> G.int_bound 2 st = 0) attrs in
+    let aggs =
+      List.init (1 + G.int_bound 2 st) (fun k ->
+          let x = at (pickl attrs) in
+          let f =
+            match G.int_bound 5 st with
+            | 0 -> Aggregate.Count_star
+            | 1 -> Aggregate.Count x
+            | 2 -> Aggregate.Sum x
+            | 3 -> Aggregate.Avg x
+            | 4 -> Aggregate.Min x
+            | _ -> Aggregate.Max x
+          in
+          Aggregate.make_named f (Printf.sprintf "o%d" k))
+    in
+    Plan.group_by (Attr.Set.of_names keys) aggs input
+  in
+  let plan =
+    match G.int_bound 4 st with
+    | 0 -> Plan.select (pred t_attrs) t
+    | 1 -> group t t_attrs
+    | 2 -> Plan.join (join_pred ()) t u
+    | 3 -> Plan.select (pred (t_attrs @ u_attrs)) (Plan.join (join_pred ()) t u)
+    | _ -> group (Plan.join (join_pred ()) t u) (t_attrs @ u_attrs)
+  in
+  let clusters =
+    List.filter_map
+      (fun scheme ->
+        let attrs = List.filter_map (fun (a, s) -> if s = scheme then Some a else None) !schemes in
+        if attrs = [] then None
+        else
+          Some
+            { Authz.Plan_keys.id = Mpq_crypto.Scheme.name scheme;
+              attrs = Attr.Set.of_names attrs;
+              scheme;
+              holders = Authz.Subject.Set.empty })
+      [ Mpq_crypto.Scheme.Det; Mpq_crypto.Scheme.Ope; Mpq_crypto.Scheme.Rnd ]
+  in
+  let tables = [ t_table; u_table ] in
+  let all_typed =
+    List.for_all (fun (_, t) -> Array.for_all Column.is_unboxed (Table.columns t)) tables
+  in
+  { plan; tables; clusters; all_typed }
+
+let materialized () =
+  List.fold_left
+    (fun acc s -> acc + Obs.counter ("enc_exec." ^ s ^ ".materialized"))
+    0 [ "det"; "ope"; "rnd" ]
+
+(* Every node's bytes and every error message are the row oracle's; and
+   over typed and sealed det/OPE columns the kernels produce no
+   ciphertext bytes. *)
+let prop_kernels =
+  QCheck.Test.make ~count:250 ~name:"select, group_by, join kernels = row oracle"
+    (QCheck.make ~print:(fun c -> Plan_printer.to_ascii c.plan) gen_kernel_case)
+    (fun c ->
+      let ctx () =
+        Exec.context ~crypto:(Enc_exec.make (Mpq_crypto.Keyring.create ~seed:5L ()) c.clusters)
+          c.tables
+      in
+      check_against_oracle ~label:"kernels" ctx c.plan
+      &&
+      let rnd = List.exists (fun cl -> cl.Authz.Plan_keys.scheme = Mpq_crypto.Scheme.Rnd) c.clusters in
+      (not c.all_typed) || rnd
+      ||
+      (Obs.reset ();
+       Obs.set_enabled true;
+       Fun.protect ~finally:(fun () -> Obs.set_enabled false; Obs.reset ()) @@ fun () ->
+       match Exec.run (ctx ()) c.plan with
+       | _ -> materialized () = 0 || QCheck.Test.fail_reportf "%d cells materialized" (materialized ())
+       | exception _ -> true))
+
+(* The kernels' edge cases, one by one, against the row oracle: -0.0 and
+   0.0 tie in min/max (the first row wins), string IN lists over each
+   sealed scheme (rnd must refuse), and the errors the row loop raises —
+   OPE tied prefixes, det order comparisons, LIKE on ciphertext,
+   incomparable kinds, keys under different schemes. *)
+let test_kernel_edges () =
+  let x = Attr.make "x" and y = Attr.make "y" and g = Attr.make "g" in
+  let schema = Schema.make ~name:"E" ~owner:"H" [ ("g", Schema.Tint); ("x", Schema.Tint); ("y", Schema.Tint) ] in
+  let table rows = [ ("E", Table.of_schema schema (List.map Array.of_list rows)) ] in
+  let floats = table (List.map (fun (k, f) -> [ Value.Int k; Value.Float f; Value.Float 1.0 ]) [ (0, 0.0); (0, -0.0); (1, -0.0); (1, 0.0); (1, 2.0) ]) in
+  let strs =
+    table (List.map (fun (k, s) -> [ Value.Int k; Value.Str s; Value.Str "abcdY" ]) [ (0, "abcdX"); (1, "ga"); (0, "abcdY"); (1, "bu") ])
+  in
+  let ints = table (List.map (fun k -> [ Value.Int (k mod 2); Value.Int k; Value.Date k ]) [ 3; 1; 4; 1; 5 ]) in
+  let scan scheme attrs =
+    match scheme with
+    | None -> Plan.base schema
+    | Some _ -> Plan.encrypt (Attr.Set.of_list attrs) (Plan.base schema)
+  in
+  let minmax = [ Aggregate.make_named (Aggregate.Min x) "lo"; Aggregate.make_named (Aggregate.Max x) "hi" ] in
+  let cases =
+    [ (floats, None, [ x ], Plan.group_by (Attr.Set.singleton g) minmax);
+      (floats, Some Mpq_crypto.Scheme.Ope, [ x ], Plan.group_by (Attr.Set.singleton g) minmax);
+      (strs, Some Mpq_crypto.Scheme.Ope, [ x ], Plan.group_by (Attr.Set.singleton g) minmax);
+      (floats, None, [ x ], Plan.select [ [ Predicate.Cmp_const (x, Predicate.Le, Value.Float (-0.0)) ] ]) ]
+    @ List.concat_map
+        (fun scheme ->
+          let sealed = Some scheme in
+          [ (strs, sealed, [ x ], Plan.select [ [ Predicate.In_list (x, [ Value.Str "ga"; Value.Str "abcdX" ]) ] ]);
+            (strs, sealed, [ x ], Plan.select [ [ Predicate.Cmp_const (x, Predicate.Lt, Value.Str "abcdZ") ] ]);
+            (strs, sealed, [ x; y ], Plan.select [ [ Predicate.Cmp_attr (x, Predicate.Ge, y) ] ]);
+            (strs, sealed, [ x ], Plan.select [ [ Predicate.Like (x, "g%") ] ]);
+            (ints, sealed, [ x ], Plan.select [ [ Predicate.Cmp_const (x, Predicate.Gt, Value.Int 2) ] ]);
+            (ints, sealed, [ x ], Plan.select [ [ Predicate.Cmp_const (x, Predicate.Eq, Value.Float 4.0) ] ]);
+            (ints, sealed, [ x; y ], Plan.select [ [ Predicate.Cmp_attr (x, Predicate.Eq, y) ] ]) ])
+        [ Mpq_crypto.Scheme.Det; Mpq_crypto.Scheme.Ope; Mpq_crypto.Scheme.Rnd ]
+    @ [ (ints, None, [], Plan.select [ [ Predicate.Cmp_const (y, Predicate.Lt, Value.Int 2) ] ]);
+        (ints, None, [], Plan.select [ [ Predicate.Like (x, "1") ] ]) ]
+  in
+  List.iteri
+    (fun i (tables, scheme, attrs, op) ->
+      let clusters =
+        Option.fold ~none:[]
+          ~some:(fun scheme ->
+            [ { Authz.Plan_keys.id = "k"; attrs = Attr.Set.of_list attrs; scheme;
+                holders = Authz.Subject.Set.empty } ])
+          scheme
+      in
+      let ctx () =
+        Exec.context ~crypto:(Enc_exec.make (Mpq_crypto.Keyring.create ~seed:9L ()) clusters) tables
+      in
+      Alcotest.(check bool) (Printf.sprintf "case %d" i) true
+        (check_against_oracle ~label:(string_of_int i) ctx (op (scan scheme attrs))))
+    cases
+
 (* A left row's matches come out in descending right-row order: the row
    executor probed with [Hashtbl.find_all], most recent binding first. *)
 let test_join_match_order () =
@@ -339,6 +594,36 @@ let agree ?crypto tables plan =
     (check_against_oracle ~label:"case"
        (fun () -> Exec.context ?crypto:(Option.map (fun f -> f ()) crypto) tables)
        plan)
+
+(* A join with an empty side produces no ciphertext: the empty side's
+   columns are boxed ([Values [||]]), and keying the other side's sealed
+   column against them used to materialize every cell. *)
+let test_empty_join_seals () =
+  let t = Schema.make ~name:"T" ~owner:"H" [ ("a", Schema.Tint) ] in
+  let u = Schema.make ~name:"U" ~owner:"H" [ ("c", Schema.Tint) ] in
+  let a = Attr.make "a" and c = Attr.make "c" in
+  let tables =
+    [ ("T", Table.of_schema t (List.init 31 (fun i -> [| Value.Int i |])));
+      ("U", Table.of_schema u []) ]
+  in
+  let cluster =
+    { Authz.Plan_keys.id = "k"; attrs = Attr.Set.singleton a; scheme = Mpq_crypto.Scheme.Det;
+      holders = Authz.Subject.Set.empty }
+  in
+  let plan =
+    Plan.join
+      (Predicate.conj [ Predicate.Cmp_attr (a, Predicate.Eq, c) ])
+      (Plan.encrypt (Attr.Set.singleton a) (Plan.base t))
+      (Plan.base u)
+  in
+  let crypto () = Enc_exec.make (Mpq_crypto.Keyring.create ~seed:5L ()) [ cluster ] in
+  agree ~crypto tables plan;
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false; Obs.reset ()) @@ fun () ->
+  Alcotest.(check int) "no rows" 0
+    (Table.cardinality (Exec.run (Exec.context ~crypto:(crypto ()) tables) plan));
+  Alcotest.(check int) "no cell materialized" 0 (materialized ())
 
 (* Regression, the plan QCHECK_SEED=106754953 extended: an [avg]
    re-encrypted under OPE came back rounded to cents (47.57 for 47.5714).
@@ -630,7 +915,10 @@ let () =
       );
       ( "row oracle",
         [ QCheck_alcotest.to_alcotest prop_row_oracle;
+          QCheck_alcotest.to_alcotest prop_kernels;
           ("join match order", `Quick, test_join_match_order);
+          ("kernel edge cases", `Quick, test_kernel_edges);
+          ("a join with an empty side seals", `Quick, test_empty_join_seals);
           ("Int/Float keys at 2^53", `Quick, test_keys_at_2_53);
           ("per-group randomness", `Quick, test_group_randomness);
           ("22 queries x 3 scenarios", `Slow, test_tpch_row_oracle) ] ) ]

@@ -20,6 +20,13 @@
 open Relalg
 open Authz
 
+(* [Serve.Service.set_policy] of a policy that agrees with the loaded
+   tables *)
+let set_policy ?subjects ?tenant service policy =
+  match Serve.Service.set_policy ?subjects ?tenant service policy with
+  | Ok () -> ()
+  | Error c -> Alcotest.fail (Serve.Service.conflict_message c)
+
 let byte_identical a b =
   List.equal Attr.equal (Engine.Table.attrs a) (Engine.Table.attrs b)
   && List.equal
@@ -489,7 +496,7 @@ let test_policy_invalidation () =
   (* 1 — a disjoint delta: the entry survives, rekeyed, and keeps
      hitting with the very same plan (hence raw byte equality) *)
   let env_before = Serve.Service.environment service in
-  Serve.Service.set_policy service granted.Policy_dsl.policy;
+  set_policy service granted.Policy_dsl.policy;
   Alcotest.(check bool) "policy change rotates the environment" false
     (Serve.Service.environment service = env_before);
   let ra = Serve.Service.submit_sql service running_query in
@@ -501,7 +508,7 @@ let test_policy_invalidation () =
     (outcome_equal r1.Serve.Service.outcome ra.Serve.Service.outcome);
   (* 2 — revoking a fact the plan depends on drops the entry: miss,
      full replan, and the replanned entry re-passes the verifier *)
-  Serve.Service.set_policy service revoked.Policy_dsl.policy;
+  set_policy service revoked.Policy_dsl.policy;
   let r2 = Serve.Service.submit_sql service running_query in
   Alcotest.(check bool) "dependent revocation forces a miss" true
     (r2.Serve.Service.status = Serve.Service.Miss);
@@ -529,7 +536,7 @@ let test_policy_invalidation () =
      (revocation-era) entry is re-certified by an incremental verifier
      pass and keeps serving — no replanning, answers canonically equal
      to both the original response and a cache-less replan *)
-  Serve.Service.set_policy service original.Policy_dsl.policy;
+  set_policy service original.Policy_dsl.policy;
   let r3 = Serve.Service.submit_sql service running_query in
   Alcotest.(check bool) "grant-only delta retains the entry" true
     (r3.Serve.Service.status = Serve.Service.Hit);
@@ -621,9 +628,9 @@ let test_churn_vs_replan () =
     (outcomes, Serve.Service.stats s)
   in
   let cached s _ q = Serve.Service.submit s q in
-  let inc, is = replay (fun s p -> Serve.Service.set_policy s p) cached in
+  let inc, is = replay (fun s p -> set_policy s p) cached in
   let rot, rs =
-    replay (fun s p -> Serve.Service.set_policy ~subjects:Gen.subjects s p) cached
+    replay (fun s p -> set_policy ~subjects:Gen.subjects s p) cached
   in
   let oracle, _ =
     replay (fun _ _ -> ()) (fun _ p q -> Serve.Service.submit (gen_service p) q)
@@ -683,7 +690,7 @@ let test_stream_determinism () =
           | `Query q -> (acc, q :: batch)
           | `Set policy ->
               let acc = flush batch acc in
-              Serve.Service.set_policy service policy;
+              set_policy service policy;
               (acc, []))
         ([], []) script
     in
@@ -1041,7 +1048,7 @@ let test_shared_subplan_lifecycle () =
   in
   let granted = find_grant 0 policy in
   let before = Serve.Service.stats service in
-  Serve.Service.set_policy service granted;
+  set_policy service granted;
   let after = Serve.Service.stats service in
   Alcotest.(check int) "grant-only delta drops no sub-plan entry"
     before.Serve.Service.subplan_invalidated
@@ -1065,7 +1072,7 @@ let test_shared_subplan_lifecycle () =
     | None -> Alcotest.fail "no dependency-hitting revocation found"
   in
   let pre_revoke = Serve.Service.stats service in
-  Serve.Service.set_policy service revoked;
+  set_policy service revoked;
   let after = Serve.Service.stats service in
   Alcotest.(check bool)
     "dependent revocation drops sub-plan entries (once, for every consumer)"
@@ -1131,7 +1138,7 @@ let test_no_cross_environment_sharing () =
   (* epochs of one service: a policy change rotates the environment,
      so pre-mutation keys are unreachable afterwards — even for
      entries the migration retained (they are rekeyed) *)
-  Serve.Service.set_policy sa pb;
+  set_policy sa pb;
   ignore (Serve.Service.submit sa q);
   Alcotest.(check bool) "old-epoch keys unreachable after set_policy" true
     (List.for_all
@@ -1208,6 +1215,49 @@ let test_exec_error_isolated () =
        par_jobs)
     true (serial = parallel)
 
+(* A policy whose schemas disagree with the loaded tables is refused
+   with the disagreement, and the service keeps its policy, environment
+   and cache: the next request hits with the same bytes. *)
+let test_policy_schema_refused () =
+  let service = example_service () in
+  let r1 = Serve.Service.submit_sql service running_query in
+  let env = Serve.Service.environment service
+  and keys = Serve.Service.cache_keys service in
+  let variant edit = (Policy_dsl.parse (edit Policy_dsl.example)).Policy_dsl.policy in
+  let replace a b = Str.global_replace (Str.regexp_string a) b in
+  let refused label policy want =
+    match Serve.Service.set_policy service policy with
+    | Ok () -> Alcotest.failf "%s: installed" label
+    | Error got ->
+        Alcotest.(check string) label (Serve.Service.conflict_message want)
+          (Serve.Service.conflict_message got);
+        Alcotest.(check bool) (label ^ ": the conflict itself") true (got = want)
+  in
+  refused "Ins.P retyped"
+    (variant (replace "(C string, P int)" "(C string, P string)"))
+    (Serve.Service.Column_type { relation = "Ins"; attr = "P"; declared = Schema.Tstring });
+  refused "Ins.Q added"
+    (variant (replace "(C string, P int)" "(C string, P int, Q int)"))
+    (Serve.Service.Missing_column { relation = "Ins"; attr = "Q" });
+  refused "Ins dropped"
+    (variant (fun text ->
+         String.concat "\n"
+           (List.filter
+              (* Ins, and the grants to its owner I *)
+              (fun line -> not (Str.string_match (Str.regexp ".*\\(Ins\\| to I \\)") line 0))
+              (String.split_on_char '\n' text))))
+    (Serve.Service.Dropped_relation "Ins");
+  Alcotest.(check string) "environment kept" env (Serve.Service.environment service);
+  Alcotest.(check (list string)) "cache kept" keys (Serve.Service.cache_keys service);
+  let r2 = Serve.Service.submit_sql service running_query in
+  Alcotest.(check bool) "still a hit" true (r2.Serve.Service.status = Serve.Service.Hit);
+  Alcotest.(check bool) "same bytes" true
+    (outcome_equal r1.Serve.Service.outcome r2.Serve.Service.outcome);
+  Alcotest.(check bool) "Ins.P as float is installed" true
+    (Serve.Service.set_policy service
+       (variant (replace "(C string, P int)" "(C string, P float)"))
+    = Ok ())
+
 (* set_policy runs under its own span, with the diff, the environment
    rotation and the cache migration as children *)
 let test_set_policy_spans () =
@@ -1216,7 +1266,7 @@ let test_set_policy_spans () =
   Obs.reset ();
   Obs.set_enabled true;
   Fun.protect ~finally:(fun () -> Obs.set_enabled false; Obs.reset ()) @@ fun () ->
-  Serve.Service.set_policy service (example_env ()).Policy_dsl.policy;
+  set_policy service (example_env ()).Policy_dsl.policy;
   let rec edges parent = function
     | Json.Obj fields ->
         let name =
@@ -1362,6 +1412,7 @@ let () =
         [ ("single-permission policy change", `Quick, test_policy_invalidation);
           ("pricing/network/config change", `Quick, test_config_invalidation);
           ("set_policy spans", `Quick, test_set_policy_spans);
+          ("policy disagreeing with the tables is refused", `Quick, test_policy_schema_refused);
           ("500-event churn: incremental = rotation = replan", `Slow,
            test_churn_vs_replan) ]
       );

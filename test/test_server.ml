@@ -354,6 +354,30 @@ let test_transports_agree () =
   Alcotest.(check (list string)) "same framed replies, ms aside"
     (List.map framed socket) (List.map framed stdin)
 
+(* \policy on stdin refuses a policy whose schemas disagree with the
+   loaded tables — Ins.P retyped from int to string — and the old
+   policy keeps serving: the query after it hits with the same bytes. *)
+let test_policy_schema_refused () =
+  let file = Filename.temp_file "mpq_retyped" ".mpq" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  Out_channel.with_open_bin file (fun oc ->
+      output_string oc
+        (Str.global_replace (Str.regexp_string "(C string, P int)") "(C string, P string)"
+           Policy_dsl.example));
+  let script = String.concat "\n" [ queries.(0); "\\policy " ^ file; queries.(0) ] ^ "\n" in
+  let rs = channel_script ~service:(example_service ()) script in
+  Alcotest.(check (list string)) "refused, then served from the cache"
+    [ "[1] miss"; "[2] policy " ^ file ^ " rejected"; "[3] hit" ]
+    (List.map
+       (fun (r : Serve.Client.reply) ->
+         Printf.sprintf "[%d] %s" r.Serve.Client.line r.Serve.Client.tag)
+       rs);
+  Alcotest.(check bool) "the reply names the column" true
+    (Str.string_match (Str.regexp ".*Ins\\.P is declared string") (List.nth rs 1).Serve.Client.info 0);
+  Alcotest.(check (option string)) "same bytes"
+    (Serve.Client.table_csv (List.nth rs 0))
+    (Serve.Client.table_csv (List.nth rs 2))
+
 (* The grammar fuzzer: random mixes of queries, garbage, every directive
    (\policy of a missing and of a malformed file, \tenant use of an
    unknown id), blank and comment lines, very long lines, and a last
@@ -863,6 +887,8 @@ let () =
             test_socket_line_order;
           Alcotest.test_case "stdin and socket replies agree" `Quick
             test_transports_agree;
+          Alcotest.test_case "\\policy disagreeing with the tables is refused" `Quick
+            test_policy_schema_refused;
           test_fuzz ] );
       ( "isolation",
         [ Alcotest.test_case "faulty neighbours leave no trace" `Quick

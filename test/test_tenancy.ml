@@ -25,6 +25,13 @@
 open Relalg
 open Authz
 
+(* [Serve.Service.set_policy] of a policy that agrees with the loaded
+   tables *)
+let set_policy ?subjects ?tenant service policy =
+  match Serve.Service.set_policy ?subjects ?tenant service policy with
+  | Ok () -> ()
+  | Error c -> Alcotest.fail (Serve.Service.conflict_message c)
+
 let byte_identical a b =
   List.equal Attr.equal (Engine.Table.attrs a) (Engine.Table.attrs b)
   && List.equal
@@ -335,7 +342,7 @@ let test_stream_determinism () =
                 (acc, Serve.Service.request ~tenant q :: batch)
             | `Set policy ->
                 let acc = flush batch acc in
-                Serve.Service.set_policy service policy;
+                set_policy service policy;
                 (acc, []))
           ([], []) script
       in
@@ -439,12 +446,12 @@ let test_per_tenant_invalidation () =
   let control = example_service () in
   ignore (Serve.Service.submit_sql control running_query);
   ignore (Serve.Service.submit_sql control running_query);
-  Serve.Service.set_policy control revoked.Policy_dsl.policy;
+  set_policy control revoked.Policy_dsl.policy;
   let cs = Serve.Service.stats control in
   let before = Serve.Service.stats multi in
   let env_a = Serve.Service.environment multi in
   let env_b = Serve.Service.environment ~tenant:"b" multi in
-  Serve.Service.set_policy multi revoked.Policy_dsl.policy;
+  set_policy multi revoked.Policy_dsl.policy;
   let after = Serve.Service.stats multi in
   Alcotest.(check int) "plan drops match the single-tenant prediction"
     cs.Serve.Service.invalidated
