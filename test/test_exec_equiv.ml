@@ -915,10 +915,10 @@ let () =
       );
       ( "row oracle",
         [ QCheck_alcotest.to_alcotest prop_row_oracle;
-          QCheck_alcotest.to_alcotest prop_kernels;
           ("join match order", `Quick, test_join_match_order);
-          ("kernel edge cases", `Quick, test_kernel_edges);
-          ("a join with an empty side seals", `Quick, test_empty_join_seals);
           ("Int/Float keys at 2^53", `Quick, test_keys_at_2_53);
           ("per-group randomness", `Quick, test_group_randomness);
-          ("22 queries x 3 scenarios", `Slow, test_tpch_row_oracle) ] ) ]
+          ("22 queries x 3 scenarios", `Slow, test_tpch_row_oracle);
+          QCheck_alcotest.to_alcotest prop_kernels;
+          ("kernel edge cases", `Quick, test_kernel_edges);
+          ("a join with an empty side seals", `Quick, test_empty_join_seals) ] ) ]
