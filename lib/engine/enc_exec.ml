@@ -370,25 +370,10 @@ let node_rng ctx id =
 
 (* --- sealed columns --------------------------------------------------- *)
 
-(* Obs names per scheme, as literals: none is built while tracing is
-   off *)
-let materialized_counter = function
-  | C.Scheme.Det -> "enc_exec.det.materialized"
-  | C.Scheme.Ope -> "enc_exec.ope.materialized"
-  | C.Scheme.Rnd -> "enc_exec.rnd.materialized"
-  | C.Scheme.Phe -> "enc_exec.phe.materialized"
-
-let sealed_counter = function
-  | C.Scheme.Det -> "enc_exec.det.sealed"
-  | C.Scheme.Ope -> "enc_exec.ope.sealed"
-  | C.Scheme.Rnd -> "enc_exec.rnd.sealed"
-  | C.Scheme.Phe -> "enc_exec.phe.sealed"
-
-let enc_timer = function
-  | C.Scheme.Det -> "enc_exec.enc_s.det"
-  | C.Scheme.Ope -> "enc_exec.enc_s.ope"
-  | C.Scheme.Rnd -> "enc_exec.enc_s.rnd"
-  | C.Scheme.Phe -> "enc_exec.enc_s.phe"
+(* [prefix ^ scheme ^ suffix], an Obs name, built only while tracing
+   is on: [Obs] ignores a name then *)
+let scheme_obs scheme prefix suffix =
+  if Obs.enabled () then prefix ^ C.Scheme.name scheme ^ suffix else ""
 
 (* A sealed column over [plain] under [scheme] and key [ks]. [seal]
    computes cells' payloads — the bytes eager encryption would have
@@ -397,7 +382,6 @@ let enc_timer = function
    may happen on any domain, long after this execution. *)
 let sealed_column ks scheme ~key_id plain words =
   let name = C.Scheme.name scheme in
-  let materialized = materialized_counter scheme in
   let seal =
     match scheme with
     | C.Scheme.Det ->
@@ -414,7 +398,7 @@ let sealed_column ks scheme ~key_id plain words =
     key_id;
     seal =
       (fun vs ws ->
-        Obs.incr ~by:(Array.length vs) materialized;
+        Obs.incr ~by:(Array.length vs) (scheme_obs scheme "enc_exec." ".materialized");
         seal vs ws) }
 
 let plain_cell (s : Column.sealed) i = Column.get s.Column.plain i
@@ -650,7 +634,7 @@ let encrypt_batch ctx ~rng_root ~enc =
       in
       let mk = cipher_value scheme key_id in
       let boxed out = Column.Values out in
-      Obs.time (enc_timer scheme) @@ fun () ->
+      Obs.time (scheme_obs scheme "enc_exec.enc_s." "") @@ fun () ->
       match (scheme, col) with
       | _, Column.Sealed _ -> resealed ()
       | (C.Scheme.Det | C.Scheme.Rnd | C.Scheme.Ope), _ ->
@@ -676,7 +660,7 @@ let encrypt_batch ctx ~rng_root ~enc =
                   0 a
             | _ -> n
           in
-          Obs.incr ~by:live (sealed_counter scheme);
+          Obs.incr ~by:live (scheme_obs scheme "enc_exec." ".sealed");
           Column.Sealed (sealed_column ks scheme ~key_id col words)
       | C.Scheme.Phe, _ -> (
           let pk = match pk with Some pk -> pk | None -> assert false in

@@ -304,11 +304,12 @@ let predicate ?ctx cell p =
    marks in [hit], a byte per row of the table, the rows of
    [sel.(0 .. len - 1)] where the atom holds. Choices that depend on the
    columns alone — representation, type class, scheme and key, a
-   constant's sealed image — are made once, before the loop. A kernel
-   may raise where the row loop could raise (or [Row_path] for "the row
-   loop raises here"); [select] then replays the row loop, which raises
-   the same error at the same row, or keeps the same rows when no row
-   reached the atom. *)
+   constant's sealed image — are made once, before the loop, and only
+   once some row reaches the atom, as the row loop would first touch
+   them. A kernel raises only where the row loop raises too (or
+   [Row_path] for "the row loop raises here"); [select] then replays
+   the row loop, which raises that error at the row where it comes
+   first. *)
 type kernel = int array -> int -> Bytes.t -> unit
 
 exception Row_path
@@ -389,16 +390,17 @@ let compact ~marked sel len hit =
   done;
   !m
 
-(* atoms in order, each over the rows no earlier one marked *)
+(* atoms in order, each built and run over the rows no earlier one
+   marked, if any is left *)
 let disjunction = function
-  | [ k ] -> k
+  | [ k ] -> k ()
   | ks ->
       fun sel len hit ->
         let pending = Array.sub sel 0 len and n = ref len in
         List.iter
           (fun k ->
             if !n > 0 then begin
-              k pending !n hit;
+              k () pending !n hit;
               n := compact ~marked:false pending !n hit
             end)
           ks
@@ -469,17 +471,26 @@ let atom_kernel ?ctx column a : kernel =
       (* one test per constant, in order, each over the rows no earlier
          one kept *)
       let each () =
-        let eq v =
-          match (col, v) with
-          | Column.Sealed s, v -> sealed_const Predicate.Eq s v
-          | _, (Value.Null | Value.Enc _) | Column.Values _, _ -> None
-          | x, v ->
-              (* [Value.equal] of typed kinds that do not compare is false *)
-              Some (Option.fold ~none:no_row ~some:(by_sign Predicate.Eq) (typed_const x v))
-        in
-        let ks = List.map eq vs in
-        if List.for_all Option.is_some ks then disjunction (List.map Option.get ks)
-        else generic ()
+        match col with
+        | Column.Values _ -> generic ()
+        | Column.Sealed s ->
+            (* a sealed IN is its [= v] tests in order *)
+            disjunction
+              (List.map
+                 (fun v () ->
+                   match sealed_const Predicate.Eq s v with
+                   | Some k -> k
+                   | None ->
+                       by_test (atom ?ctx (fun attr -> (column attr, Fun.id))
+                                  (Predicate.Cmp_const (attr, Predicate.Eq, v))))
+                 vs)
+        | _ when List.exists (fun v -> Value.is_null v || Value.is_encrypted v) vs -> generic ()
+        | x ->
+            (* [Value.equal] of typed kinds that do not compare is false *)
+            disjunction
+              (List.map
+                 (fun v () -> Option.fold ~none:no_row ~some:(by_sign Predicate.Eq) (typed_const x v))
+                 vs)
       in
       match (col, ctx) with
       | Column.Strs a, _ when all_strs -> str_member a strs
@@ -496,8 +507,20 @@ let atom_kernel ?ctx column a : kernel =
       | Column.Values _ -> generic ()
       | _ -> (* a live ciphertext or a non-string cell *) raising)
 
+(* The errors the row loop raises at a row. *)
+let row_error = function
+  | Row_path | Eval_error _ | Enc_exec.Crypto_error _ | Value.Incomparable _
+  | Table.Unknown_attribute _ ->
+      true
+  | _ -> false
+
+(* The kernels run clause by clause and atom by atom, the row loop row
+   by row: both reach the same (row, atom) pairs, so they raise alike,
+   but not always first at the same pair. Where a kernel raises, the
+   row loop, which join's recheck runs anyway, gives the error. *)
 let select ?ctx column p n =
   let row_loop () =
+    Obs.incr "eval.select.replays";
     let keep = predicate ?ctx (fun a -> (column a, Fun.id)) p in
     let sel = Array.make n 0 and kept = ref 0 in
     for i = 0 to n - 1 do
@@ -508,20 +531,18 @@ let select ?ctx column p n =
     done;
     Array.sub sel 0 !kept
   in
+  let sel = Array.make n 0 and len = ref n and hit = Bytes.make n '\000' in
+  for i = 1 to n - 1 do
+    Array.unsafe_set sel i i
+  done;
   match
-    let clauses = List.map (fun c -> disjunction (List.map (atom_kernel ?ctx column) c)) p in
-    let sel = Array.make n 0 and len = ref n and hit = Bytes.make n '\000' in
-    for i = 1 to n - 1 do
-      Array.unsafe_set sel i i
-    done;
     List.iter
-      (fun k ->
+      (fun clause ->
         if !len > 0 then begin
-          k sel !len hit;
+          disjunction (List.map (fun a () -> atom_kernel ?ctx column a) clause) sel !len hit;
           len := compact ~marked:true sel !len hit
         end)
-      clauses;
-    if !len = n then sel else Array.sub sel 0 !len
+      p
   with
-  | rows -> rows
-  | exception _ -> row_loop ()
+  | () -> if !len = n then sel else Array.sub sel 0 !len
+  | exception e when row_error e -> row_loop ()

@@ -29,6 +29,10 @@ val predicate :
     the atom that needed it. The result is safe to share across
     domains. *)
 
+val row_error : exn -> bool
+(** Whether an exception is one the row loop raises at a row: an
+    evaluation, crypto, comparison or unknown-attribute error. *)
+
 val select :
   ?ctx:Enc_exec.ctx -> (Attr.t -> Column.t) -> Predicate.t -> int -> int array
 (** [select ?ctx column p n] is the rows [0 .. n - 1] where the CNF [p]
@@ -39,4 +43,8 @@ val select :
     run [predicate]'s per-row test. Clauses are ANDed and a clause's
     atoms ORed on selection vectors, an atom seeing only the rows still
     undecided, so it reads exactly the cells the row loop would. Where
-    the row loop raises, so does [select], with the same error. *)
+    the row loop raises, so does [select], with the same error: a kernel
+    that raises one of the row loop's errors hands the selection to the
+    row loop, which finds the error that comes first in row order (the
+    Obs counter [eval.select.replays] counts these hand-overs). Any
+    other exception propagates. *)

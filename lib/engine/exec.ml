@@ -156,20 +156,16 @@ let product l r =
 
 (* --- dense codes ------------------------------------------------------- *)
 
-(* Dense codes for int keys, numbered in first-appearance order. Keys
-   spanning a range not much wider than their count index an array
-   directly (TPC-H keys do); others go through an open-addressing
-   table. Either way a lookup boxes nothing. *)
+(* Dense codes for int keys, numbered in first-appearance order, from
+   an open-addressing table: a lookup boxes nothing. *)
 module Codes = struct
   type t = {
-    lo : int;
-    hi : int;
-    direct : bool;
-    slots : int array; (* the code by [key - lo], or a hashed key's; -1: none *)
-    keys : int array; (* a hashed slot's key *)
+    slots : int array; (* a slot's code; -1: empty *)
+    keys : int array; (* a filled slot's key *)
     mutable size : int;
   }
 
+  (* the slot holding [k], or the empty one where it would go *)
   let slot t k =
     let mask = Array.length t.slots - 1 in
     let h = k * 0x9E3779B97F4A7C1 in
@@ -180,48 +176,29 @@ module Codes = struct
     !i
 
   (* the key's code, or -1 *)
-  let find t k =
-    if t.direct then if k < t.lo || k > t.hi then -1 else t.slots.(k - t.lo)
-    else t.slots.(slot t k)
+  let find t k = t.slots.(slot t k)
 
   let add t k =
-    let i = if t.direct then k - t.lo else slot t k in
+    let i = slot t k in
     let c = t.slots.(i) in
     if c >= 0 then c
     else begin
-      if not t.direct then t.keys.(i) <- k;
+      t.keys.(i) <- k;
       t.slots.(i) <- t.size;
       t.size <- t.size + 1;
       t.size - 1
     end
 
   (* [keys]' codes, and the table that found them; a key equal to
-     [absent] has none (-1) *)
+     [absent] has none (-1). The table stays at most half full. *)
   let number ?absent keys =
     let n = Array.length keys in
+    let cap = ref 16 in
+    while !cap < 2 * n do
+      cap := 2 * !cap
+    done;
+    let t = { slots = Array.make !cap (-1); keys = Array.make !cap 0; size = 0 } in
     let skip k = match absent with Some a -> k = a | None -> false in
-    let lo = ref max_int and hi = ref min_int in
-    Array.iter
-      (fun k ->
-        if not (skip k) then begin
-          if k < !lo then lo := k;
-          if k > !hi then hi := k
-        end)
-      keys;
-    let span = !hi - !lo in
-    let t =
-      if !hi >= !lo && span >= 0 && span < (4 * n) + 64 then
-        { lo = !lo; hi = !hi; direct = true; slots = Array.make (span + 1) (-1);
-          keys = [||]; size = 0 }
-      else begin
-        let cap = ref 16 in
-        while !cap < 2 * n do
-          cap := 2 * !cap
-        done;
-        { lo = 0; hi = 0; direct = false; slots = Array.make !cap (-1);
-          keys = Array.make !cap 0; size = 0 }
-      end
-    in
     (t, init_ints n (fun i -> let k = keys.(i) in if skip k then -1 else add t k))
 end
 
@@ -483,10 +460,10 @@ let numeric v =
 
 let all_ints vs = List.for_all (function Value.Int _ -> true | _ -> false) vs
 
-(* [aggregate agg operand rows] folds [agg] over the operand's cells at
-   [rows], in order. Count reads only their null-ness and encryptedness,
-   so it never produces a sealed operand's bytes. *)
-let aggregate ?crypto ?rng (agg : Aggregate.t) operand rows =
+(* [aggregate agg operand rows] folds [agg], a sum, avg, min or max,
+   over the operand's cells at [rows], in order. Counts are
+   [group_by]'s count kernel's. *)
+let aggregate ?crypto (agg : Aggregate.t) operand rows =
   let live =
     match operand with
     | Some c -> List.filter (fun i -> not (Column.is_null c i)) rows
@@ -506,13 +483,7 @@ let aggregate ?crypto ?rng (agg : Aggregate.t) operand rows =
     | None -> err "encrypted %s requires a crypto context" what
   in
   match agg.Aggregate.func with
-  | Aggregate.Count_star -> Value.Int (List.length rows)
-  | Aggregate.Count a when encrypted ->
-      (* the output keeps the operand's (encrypted) profile entry: wrap
-         the count under the operand's cluster so data matches profile *)
-      with_crypto "count" (fun c ->
-          Enc_exec.encrypt_value ?rng c a (Value.Int (List.length live)))
-  | Aggregate.Count _ -> Value.Int (List.length live)
+  | Aggregate.Count_star | Aggregate.Count _ -> invalid_arg "Exec.aggregate: a count"
   | Aggregate.Sum _ when encrypted ->
       with_crypto "sum" (fun c -> Enc_exec.phe_sum c (non_null ()) ~avg:false)
   | Aggregate.Avg _ when encrypted ->
@@ -640,6 +611,13 @@ let float_sums c gid ng =
       Some sums
   | _ -> None
 
+(* The errors an operator raises at a row or a group: the row loop's,
+   and the executor's own. *)
+let row_error = function Exec_error _ -> true | e -> Eval.row_error e
+
+(* an aggregate's first failing group, and its error *)
+exception At of int * exn
+
 (* Groups' values in [aggregate]'s representation: [Column.of_values]
    of them, built unboxed. *)
 let per_group ng typed f = if ng = 0 then Column.of_values [||] else typed (Array.init ng f)
@@ -678,42 +656,15 @@ let group_by ?crypto ~node table keys aggs =
          gid;
        Array.init ng (fun g -> Array.sub rows (start.(g) - sizes.(g)) sizes.(g)))
   in
-  (* Group [j]'s randomness is derived from [j], one generator shared by
-     the group's aggregates in order. The row-at-a-time reference: every
-     aggregate over each group's complete row list in input order, which
-     fixes the float accumulation order, one group after the other. *)
-  let by_groups () =
-    let agg_row j =
-      let rng = Option.map (fun r -> C.Prng.derive r j) nrng in
-      let rows = Array.to_list (Lazy.force groups).(j) in
-      List.map
-        (fun ((agg : Aggregate.t), operand) ->
-          match (agg.Aggregate.func, operand) with
-          | (Aggregate.Min _ | Aggregate.Max _), Some (Column.Sealed s) ->
-              Either.Right (sealed_extreme agg s rows)
-          | _ -> Either.Left (aggregate ?crypto ?rng agg operand rows))
-        agg_ops
-    in
-    let agg_rows = Array.init ng agg_row in
-    (* a value per group, or the operand's rows that a sealed min/max
-       picked *)
-    List.mapi
-      (fun k (_, operand) ->
-        let cells = Array.map (fun row -> List.nth row k) agg_rows in
-        match operand with
-        | Some c when ng > 0 && Array.for_all Either.is_right cells ->
-            Column.gather c (Array.map (Either.fold ~left:(fun _ -> 0) ~right:Fun.id) cells)
-        | _ ->
-            Column.of_values
-              (Array.map (Either.fold ~left:Fun.id ~right:(fun _ -> Value.Null)) cells))
-      agg_ops
-  in
   (* The column kernels: each aggregate in one pass over the rows, in row
      order, into per-group accumulators, so each group still adds its
      floats in input order. An operand these do not cover (boxed, or a
-     sum over strings or ciphertext) runs the reference's fold per group.
-     Errors are the reference's, raised by replaying it: it meets the
-     same cells in its own order. *)
+     sum over strings or ciphertext) folds each group's row list. Group
+     [j]'s randomness is derived from [j], one generator shared by the
+     group's aggregates in order. A kernel that fails raises [At (g, e)]:
+     [e] is the error the group-at-a-time fold meets at group [g], the
+     first group where this aggregate fails. *)
+  let at g f = try f () with e when row_error e -> raise (At (g, e)) in
   let rngs = Array.make ng None in
   let rng g =
     match rngs.(g) with
@@ -724,7 +675,9 @@ let group_by ?crypto ~node table keys aggs =
         r
   in
   let kernel ((agg : Aggregate.t), operand) =
-    let fold_groups f = Array.init ng (fun g -> f (Array.to_list (Lazy.force groups).(g))) in
+    let fold_groups f =
+      Array.init ng (fun g -> at g (fun () -> f (Array.to_list (Lazy.force groups).(g))))
+    in
     let folded () = Column.of_values (fold_groups (aggregate ?crypto agg operand)) in
     match (agg.Aggregate.func, operand) with
     | Aggregate.Count_star, _ | Aggregate.Count _, None ->
@@ -751,13 +704,15 @@ let group_by ?crypto ~node table keys aggs =
         let out = Array.map (fun k -> Value.Int k) live in
         let enc = List.filter (Array.get encrypted) (List.init ng Fun.id) |> Array.of_list in
         if Array.length enc > 0 then begin
-          let ctx =
-            match crypto with
-            | Some c -> c
-            | None -> err "encrypted count requires a crypto context"
-          in
+          (* a count is a small int, which every scheme encrypts: only
+             the context or the operand's cluster can fail, and then at
+             the first encrypted group *)
           let cells =
-            Enc_exec.encrypt_each ctx a ~rng:(fun k -> rng enc.(k)) (Array.map (Array.get out) enc)
+            at enc.(0) (fun () ->
+                match crypto with
+                | Some ctx ->
+                    Enc_exec.encrypt_each ctx a ~rng:(fun k -> rng enc.(k)) (Array.map (Array.get out) enc)
+                | None -> err "encrypted count requires a crypto context")
           in
           Array.iteri (fun k g -> out.(g) <- cells.(k)) enc
         end;
@@ -779,22 +734,44 @@ let group_by ?crypto ~node table keys aggs =
         match (typed_order c, c) with
         | _ when ng = 0 -> Column.of_values [||]
         | Some cmp, _ ->
-            (* the first row no later row beats, as the fold keeps it *)
-            let best = Array.make ng (-1) in
+            (* the first row no later row beats, as the fold keeps it; a
+               comparison that raises (OPE strings tied on their prefix)
+               fails its group, -2, and the first such group is the
+               fold's *)
+            let best = Array.make ng (-1) and failed = ref None in
             Array.iteri
               (fun i g ->
                 let b = best.(g) in
-                if b < 0 || cmp i b * order < 0 then best.(g) <- i)
+                if b = -1 then best.(g) <- i
+                else if b >= 0 then
+                  match cmp i b * order < 0 with
+                  | true -> best.(g) <- i
+                  | false -> ()
+                  | exception e when row_error e -> (
+                      best.(g) <- -2;
+                      match !failed with
+                      | Some (g', _) when g' < g -> ()
+                      | _ -> failed := Some (g, e)))
               gid;
+            Option.iter (fun (g, e) -> raise (At (g, e))) !failed;
             Column.gather c best
         | None, Column.Sealed s -> Column.gather c (fold_groups (sealed_extreme agg s))
         | None, _ -> folded ())
     | _ -> folded ()
   in
-  let columns = try List.map kernel agg_ops with _ -> by_groups () in
+  (* the group-at-a-time fold runs group after group, each group's
+     aggregates in order: it raises the first failing group's first
+     failing aggregate's error *)
+  let results =
+    List.map (fun op -> match kernel op with c -> Ok c | exception At (g, e) -> Error (g, e)) agg_ops
+  in
+  let failures = List.filter_map (function Error f -> Some f | Ok _ -> None) results in
+  (match List.stable_sort (fun (g, _) (g', _) -> Int.compare g g') failures with
+   | (_, e) :: _ -> raise e
+   | [] -> ());
   Table.of_columns ~nrows:ng
     (key_attrs @ List.map (fun ((a : Aggregate.t), _) -> a.Aggregate.output) agg_ops)
-    (Array.of_list (List.map (fun c -> Column.gather c firsts) key_cols @ columns))
+    (Array.of_list (List.map (fun c -> Column.gather c firsts) key_cols @ List.map Result.get_ok results))
 
 let udf_apply ctx name inputs output table =
   let f =
@@ -883,24 +860,13 @@ let operator_tag plan =
   | Plan.Base _ -> "base"
   | _ -> Plan.operator_name plan
 
-(* An operator's span and timer names, literals but for a udf's, which
-   are built only while tracing is on. *)
+(* An operator's span and timer names, built only while tracing is on:
+   [Obs] ignores a name then. *)
 let obs_names plan =
-  match Plan.node plan with
-  | Plan.Base _ -> ("exec.base", "exec.op_s.base")
-  | Plan.Project _ -> ("exec.project", "exec.op_s.project")
-  | Plan.Select _ -> ("exec.select", "exec.op_s.select")
-  | Plan.Product _ -> ("exec.product", "exec.op_s.product")
-  | Plan.Join _ -> ("exec.join", "exec.op_s.join")
-  | Plan.Group_by _ -> ("exec.group_by", "exec.op_s.group_by")
-  | Plan.Order_by _ -> ("exec.order_by", "exec.op_s.order_by")
-  | Plan.Limit _ -> ("exec.limit", "exec.op_s.limit")
-  | Plan.Encrypt _ -> ("exec.encrypt", "exec.op_s.encrypt")
-  | Plan.Decrypt _ -> ("exec.decrypt", "exec.op_s.decrypt")
-  | Plan.Udf _ when Obs.enabled () ->
-      let tag = operator_tag plan in
-      ("exec." ^ tag, "exec.op_s." ^ tag)
-  | Plan.Udf _ -> ("", "")
+  if Obs.enabled () then
+    let tag = operator_tag plan in
+    ("exec." ^ tag, "exec.op_s." ^ tag)
+  else ("", "")
 
 (* Sub-plan result memoization hooks (multi-query work sharing).
    [lookup] may satisfy a whole subtree from a previous execution —

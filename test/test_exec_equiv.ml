@@ -484,7 +484,9 @@ let materialized () =
     (fun acc s -> acc + Obs.counter ("enc_exec." ^ s ^ ".materialized"))
     0 [ "det"; "ope"; "rnd" ]
 
-(* Every node's bytes and every error message are the row oracle's; and
+(* Every node's bytes and every error message are the row oracle's;
+   where the plan runs without error, no selection handed its rows to
+   the row loop ([eval.select.replays]): the kernels raised nothing; and
    over typed and sealed det/OPE columns the kernels produce no
    ciphertext bytes. *)
 let prop_kernels =
@@ -498,20 +500,25 @@ let prop_kernels =
       check_against_oracle ~label:"kernels" ctx c.plan
       &&
       let rnd = List.exists (fun cl -> cl.Authz.Plan_keys.scheme = Mpq_crypto.Scheme.Rnd) c.clusters in
-      (not c.all_typed) || rnd
-      ||
-      (Obs.reset ();
-       Obs.set_enabled true;
-       Fun.protect ~finally:(fun () -> Obs.set_enabled false; Obs.reset ()) @@ fun () ->
-       match Exec.run (ctx ()) c.plan with
-       | _ -> materialized () = 0 || QCheck.Test.fail_reportf "%d cells materialized" (materialized ())
-       | exception _ -> true))
+      Obs.reset ();
+      Obs.set_enabled true;
+      Fun.protect ~finally:(fun () -> Obs.set_enabled false; Obs.reset ()) @@ fun () ->
+      match Exec.run (ctx ()) c.plan with
+      | _ ->
+          (Obs.counter "eval.select.replays" = 0
+          || QCheck.Test.fail_reportf "%d selections replayed the row loop"
+               (Obs.counter "eval.select.replays"))
+          && ((not c.all_typed) || rnd || materialized () = 0
+             || QCheck.Test.fail_reportf "%d cells materialized" (materialized ()))
+      | exception _ -> true)
 
 (* The kernels' edge cases, one by one, against the row oracle: -0.0 and
    0.0 tie in min/max (the first row wins), string IN lists over each
    sealed scheme (rnd must refuse), and the errors the row loop raises —
    OPE tied prefixes, det order comparisons, LIKE on ciphertext,
-   incomparable kinds, keys under different schemes. *)
+   incomparable kinds, keys under different schemes — each where the
+   row loop meets it first: the first row in a selection, the first
+   group and then the first aggregate in a group-by. *)
 let test_kernel_edges () =
   let x = Attr.make "x" and y = Attr.make "y" and g = Attr.make "g" in
   let schema = Schema.make ~name:"E" ~owner:"H" [ ("g", Schema.Tint); ("x", Schema.Tint); ("y", Schema.Tint) ] in
@@ -544,7 +551,30 @@ let test_kernel_edges () =
             (ints, sealed, [ x; y ], Plan.select [ [ Predicate.Cmp_attr (x, Predicate.Eq, y) ] ]) ])
         [ Mpq_crypto.Scheme.Det; Mpq_crypto.Scheme.Ope; Mpq_crypto.Scheme.Rnd ]
     @ [ (ints, None, [], Plan.select [ [ Predicate.Cmp_const (y, Predicate.Lt, Value.Int 2) ] ]);
-        (ints, None, [], Plan.select [ [ Predicate.Like (x, "1") ] ]) ]
+        (ints, None, [], Plan.select [ [ Predicate.Like (x, "1") ] ]);
+        (* the first error in row order, not clause order: row 0 passes
+           the LIKE and fails the comparison, row 1 fails the LIKE *)
+        ( table [ [ Value.Int 0; Value.Str "ga"; Value.Str "a" ]; [ Value.Int 1; Value.Int 3; Value.Int 0 ] ],
+          None, [],
+          Plan.select
+            [ [ Predicate.Like (x, "g%") ]; [ Predicate.Cmp_const (y, Predicate.Lt, Value.Int 2) ] ] );
+        (* the first failing group's error, not the first aggregate's:
+           sum x fails at group 1, sum y at group 0 *)
+        ( table
+            [ [ Value.Int 0; Value.Null; Value.Str "t" ]; [ Value.Int 1; Value.Str "s"; Value.Int 1 ];
+              [ Value.Int 0; Value.Null; Value.Int 2 ] ],
+          None, [],
+          Plan.group_by (Attr.Set.singleton g)
+            [ Aggregate.make_named (Aggregate.Sum x) "sx"; Aggregate.make_named (Aggregate.Sum y) "sy" ] );
+        (* the first failing group, not the first failing row: min x
+           meets tied prefixes in group 1 at row 2, in group 0 at row 3,
+           and sum y fails at group 0 *)
+        ( table
+            [ [ Value.Int 0; Value.Str "abcdX"; Value.Str "t" ]; [ Value.Int 1; Value.Str "abcdX"; Value.Int 1 ];
+              [ Value.Int 1; Value.Str "abcdY"; Value.Int 1 ]; [ Value.Int 0; Value.Str "abcdY"; Value.Int 1 ] ],
+          Some Mpq_crypto.Scheme.Ope, [ x ],
+          Plan.group_by (Attr.Set.singleton g)
+            [ Aggregate.make_named (Aggregate.Min x) "lo"; Aggregate.make_named (Aggregate.Sum y) "sy" ] ) ]
   in
   List.iteri
     (fun i (tables, scheme, attrs, op) ->
