@@ -4,12 +4,8 @@ open Authz
 (* Mirror of the verifier's policy reads (see deps.mli). Each block
    below names the check it shadows; keeping the two in sync is what
    the soundness property in test/test_analysis.ml enforces. *)
-(* Shared core: collect the facts for the extended-plan nodes selected
-   by [keep] (applied to each node's preorder position). [of_extended]
-   keeps everything; [of_subplan] keeps one subtree's position range,
-   giving the sub-plan result cache a dependency set that covers
-   exactly the checks whose certification the reused bytes embody. *)
-let collect ?deliver_to ?original ~(extended : Extend.t) ~clusters ~keep () =
+let of_extended ?deliver_to ?original ~(extended : Extend.t) ~clusters () =
+  Obs.with_span "analysis.deps" @@ fun () ->
   (* per subject, the attributes read at the Plain and at the Enc level;
      the facts are built once, at the end *)
   let acc = ref Subject.Map.empty in
@@ -22,12 +18,6 @@ let collect ?deliver_to ?original ~(extended : Extend.t) ~clusters ~keep () =
         !acc
   in
   let add subject p = read subject (Fact.profile_reads p) in
-  let positions = Plan.preorder_positions extended.Extend.plan in
-  let kept n =
-    match Hashtbl.find_opt positions (Plan.id n) with
-    | Some p -> keep p
-    | None -> true (* unreachable on trees; stay conservative *)
-  in
   (* V2/V3 — Check_authz and the Check_minimal probes: executor [s]
      against operand and result profiles, read off the verified plan
      (MPQ001 proved them equal to the verifier's own derivation).
@@ -40,7 +30,7 @@ let collect ?deliver_to ?original ~(extended : Extend.t) ~clusters ~keep () =
     (fun n ->
       match Imap.find_opt (Plan.id n) extended.Extend.assignment with
       | None -> ()
-      | Some subject when kept n ->
+      | Some subject ->
           let against m =
             match Hashtbl.find_opt extended.Extend.profiles (Plan.id m) with
             | Some p -> add subject p
@@ -50,63 +40,24 @@ let collect ?deliver_to ?original ~(extended : Extend.t) ~clusters ~keep () =
                      (Plan.operator_name m) (Plan.id m))
           in
           List.iter against (Plan.children n);
-          against n
-      | Some _ -> ())
+          against n)
     (Plan.nodes extended.Extend.plan);
   (* V4 — Check_keys.distribution (MPQ030): every holder with duty over
-     a cluster must keep plaintext authorization over what it handles.
-     For a subtree, restrict to the attributes whose encryption or
-     decryption operations live inside it: their handlers' duties are
-     what the reused ciphertext bytes rely on. (A handler elsewhere in
-     the plan over the same attribute is included too — over-inclusion
-     is conservative.) *)
-  let crypto_attrs =
-    List.fold_left
-      (fun s n ->
-        if not (kept n) then s
-        else
-          match Plan.node n with
-          | Plan.Encrypt (a, _) | Plan.Decrypt (a, _) -> Attr.Set.union a s
-          | Plan.Base sch -> Attr.Set.union (Schema.stored_encrypted sch) s
-          | _ -> s)
-      Attr.Set.empty
-      (Plan.nodes extended.Extend.plan)
-  in
+     a cluster must keep plaintext authorization over what it handles. *)
   List.iter
     (fun (c : Plan_keys.cluster) ->
       Subject.Map.iter
-        (fun subject handled ->
-          read subject (Attr.Set.inter handled crypto_attrs, Attr.Set.empty))
+        (fun subject handled -> read subject (handled, Attr.Set.empty))
         (Verify.Check_keys.duty_map extended c.Plan_keys.attrs))
     clusters;
   (* The optimizer's recipient gate: deliver_to must be authorized for
      every maximal source-side node of the original (crypto-stripped)
-     plan. Replayed with the same recursion the optimizer uses. For a
-     subtree, only gates whose base relations all feed the subtree are
-     included (membership judged by relation name — the gate guards
-     input data, not plan positions). *)
-  let kept_bases =
-    List.fold_left
-      (fun s n ->
-        if kept n then
-          match Plan.node n with
-          | Plan.Base sch -> sch.Schema.name :: s
-          | _ -> s
-        else s)
-      []
-      (Plan.nodes extended.Extend.plan)
-  in
+     plan. Replayed with the same recursion the optimizer uses. *)
   (match deliver_to with
   | None -> ()
   | Some user ->
       let rec inputs n =
-        if Candidates.is_source_side n then begin
-          if
-            List.for_all
-              (fun (sch : Schema.t) -> List.mem sch.Schema.name kept_bases)
-              (Plan.base_relations n)
-          then add user (Profile.of_plan n)
-        end
+        if Candidates.is_source_side n then add user (Profile.of_plan n)
         else List.iter inputs (Plan.children n)
       in
       inputs
@@ -117,16 +68,6 @@ let collect ?deliver_to ?original ~(extended : Extend.t) ~clusters ~keep () =
     (fun subject (plain, enc) facts ->
       Fact.Set.union (Fact.of_levels subject ~plain ~enc) facts)
     !acc Fact.Set.empty
-
-let of_extended ?deliver_to ?original ~extended ~clusters () =
-  Obs.with_span "analysis.deps" @@ fun () ->
-  collect ?deliver_to ?original ~extended ~clusters ~keep:(fun _ -> true) ()
-
-let of_subplan ?deliver_to ?original ~extended ~clusters ~range:(lo, len) () =
-  Obs.with_span "analysis.subdeps" @@ fun () ->
-  collect ?deliver_to ?original ~extended ~clusters
-    ~keep:(fun p -> lo <= p && p < lo + len)
-    ()
 
 (* The population a policy delta must be computed over includes every
    subject a dependency set mentions: an [any] rule change can alter

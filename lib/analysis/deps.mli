@@ -40,10 +40,16 @@
     verifier's own re-derivation ({!Verify.Derive}), and
     {!Fact.profile_reads} reads only the fields that comparison covers,
     so the stored profiles give the facts the re-derivation would.
-    Both functions raise [Invalid_argument] naming the node when an
+    {!of_extended} raises [Invalid_argument] naming the node when an
     assigned node or one of its operands carries no stored profile:
     contributing no facts for it would shrink the set and let a cached
-    entry survive a revocation it depends on. *)
+    entry survive a revocation it depends on.
+
+    The serve layer stores this set with a cached plan and with every
+    sub-plan result an execution of that plan stores. A subtree's
+    certification reads a subset of the facts its whole plan's does,
+    so a sub-plan result is dropped by every revocation that touches
+    its subtree, and possibly by more. *)
 
 open Authz
 
@@ -54,33 +60,6 @@ val of_extended :
   clusters:Plan_keys.cluster list ->
   unit ->
   Fact.Set.t
-
-val of_subplan :
-  ?deliver_to:Subject.t ->
-  ?original:Relalg.Plan.t ->
-  extended:Extend.t ->
-  clusters:Plan_keys.cluster list ->
-  range:int * int ->
-  unit ->
-  Fact.Set.t
-(** Dependency set of one subtree of [extended.plan], identified by
-    its preorder position range [range = (pos, size)] — the facts whose
-    revocation must invalidate a {e cached sub-plan result} whose bytes
-    embody that subtree's execution:
-
-    - assignee facts restricted to nodes inside the range;
-    - key-distribution facts restricted to the attributes whose
-      encryption/decryption operations (or encrypted-at-rest base
-      scans) live inside the range;
-    - recipient-gate facts for the source-side inputs whose base
-      relations all feed the subtree.
-
-    [of_subplan ~range:(0, size plan)] equals {!of_extended}. Each
-    restriction only removes facts provably tied to plan parts outside
-    the subtree, so a delta disjoint from this set cannot change any
-    verifier verdict {e about the subtree} — the invalidation protocol
-    the sub-plan cache replays is the one the soundness property in
-    [test/test_analysis.ml] checks for whole plans. *)
 
 val subjects_of : Fact.Set.t -> Subject.Set.t
 (** The subjects a dependency set mentions — the extra population a

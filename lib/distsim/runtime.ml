@@ -174,7 +174,7 @@ let tamper s =
       s
 
 let execute ~policy ~pki ~keyring ~user ~tables ?(udfs = [])
-    ?(config = Authz.Opreq.default) ?(self_check = true) ?faults
+    ?(config = Authz.Opreq.default) ?faults
     ?(retry = default_retry) ?replan ~extended ~clusters () =
   let faults = match faults with Some f -> f | None -> Faults.none () in
   let trace = ref [] in
@@ -193,16 +193,14 @@ let execute ~policy ~pki ~keyring ~user ~tables ?(udfs = [])
        static verifier has re-derived every invariant over the plan, the
        clusters and the requests about to be sealed. Runs again on every
        failover re-planned extension. *)
-    if self_check then begin
-      let diags =
-        Obs.with_span "distsim.verify" (fun () ->
-            Verify.Verifier.run
-              { Verify.Verifier.policy; config; extended; clusters; requests })
-      in
-      if Verify.Diag.has_errors diags then
-        refuse "pre-dispatch verification failed:\n%s"
-          (Verify.Diag.render (Verify.Diag.errors diags))
-    end;
+    let diags =
+      Obs.with_span "distsim.verify" (fun () ->
+          Verify.Verifier.run
+            { Verify.Verifier.policy; config; extended; clusters; requests })
+    in
+    if Verify.Diag.has_errors diags then
+      refuse "pre-dispatch verification failed:\n%s"
+        (Verify.Diag.render (Verify.Diag.errors diags));
     (* resolve a blamed subject name back to the subject *)
     let subject_named =
       let tbl = Hashtbl.create 16 in

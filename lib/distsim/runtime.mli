@@ -141,7 +141,6 @@ val execute :
   tables:(string * Engine.Table.t) list ->
   ?udfs:(string * Engine.Exec.udf) list ->
   ?config:Authz.Opreq.config ->
-  ?self_check:bool ->
   ?faults:Faults.t ->
   ?retry:retry_policy ->
   ?replan:replanner ->
@@ -157,11 +156,11 @@ val execute :
     verification gate reports an error — immediately, without retry:
     an authorization denial must never be retried into success.
 
-    Unless [self_check] is [false], the static verifier
-    ([Verify.Verifier]) is run over the plan, clusters and requests
-    before any request is sealed — and again over every failover
-    re-planned extension; an [Error]-severity finding raises
-    {!Distributed_violation} with the rendered diagnostics. [config]
+    The static verifier ([Verify.Verifier]) is run over the plan,
+    clusters and requests before any request is sealed — and again over
+    every failover re-planned extension; an [Error]-severity finding
+    raises {!Distributed_violation} with the rendered diagnostics. There
+    is no switch to skip it. [config]
     (default [Authz.Opreq.default]) is the operation-requirement
     configuration the plan was built under.
 

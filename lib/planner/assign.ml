@@ -13,26 +13,7 @@ type entry = {
 
 let width_of = Estimate.width
 
-let solve ?view_cache ~candidates ~policy ~config ~pricing ~stats ~scheme_of
-    plan =
-  (* Subject views depend only on the policy, and the policy already
-     holds them; the table shared across a caller's DP rounds feeds the
-     hit/miss counters. *)
-  let view_cache =
-    match view_cache with Some tbl -> tbl | None -> Hashtbl.create 8
-  in
-  let view s =
-    match Hashtbl.find_opt view_cache s with
-    | Some v ->
-        Obs.incr "planner.dp.view_cache_hits";
-        v
-    | None ->
-        Obs.incr "planner.dp.view_cache_misses";
-        let v = Authz.Authorization.view policy s in
-        Hashtbl.add view_cache s v;
-        v
-  in
-  let enc_view s = (view s).Authz.Authorization.enc in
+let solve ~candidates ~policy ~config ~pricing ~stats ~scheme_of plan =
   let stat_of n = Authz.Imap.find (Plan.id n) stats in
   let rates s = Pricing.rates_for pricing s in
   (* crypto cpu minutes to transform [attrs] of a table with [st] stats *)
@@ -90,9 +71,10 @@ let solve ?view_cache ~candidates ~policy ~config ~pricing ~stats ~scheme_of
     List.map
       (fun s ->
         let r_s = rates s in
+        let view = Authz.Authorization.view policy s in
         let ap =
           Attr.Set.union ap
-            (Attr.Set.inter agg_operands (view s).Authz.Authorization.plain)
+            (Attr.Set.inter agg_operands view.Authz.Authorization.plain)
         in
         (* per child: cheapest executor including edge costs *)
         let picked =
@@ -100,6 +82,9 @@ let solve ?view_cache ~candidates ~policy ~config ~pricing ~stats ~scheme_of
             (fun (c, table) ->
               let cst = stat_of c in
               let schema_c = Plan.schema c in
+              let visible_enc =
+                Attr.Set.inter view.Authz.Authorization.enc schema_c
+              in
               let best =
                 List.fold_left
                   (fun best (sc, (e : entry)) ->
@@ -107,7 +92,7 @@ let solve ?view_cache ~candidates ~policy ~config ~pricing ~stats ~scheme_of
                     let to_encrypt =
                       Attr.Set.filter
                         (fun a -> not (Attr.Map.mem a e.enc))
-                        (Attr.Set.inter (enc_view s) schema_c)
+                        visible_enc
                     in
                     let enc_after =
                       Attr.Set.fold
@@ -220,11 +205,9 @@ let best_entry table =
           if e.cost < be.cost then (s, e) else (bs, be))
         first rest
 
-let optimize ?view_cache ~candidates ~policy ~config ~pricing ~stats ~scheme_of
-    plan =
+let optimize ~candidates ~policy ~config ~pricing ~stats ~scheme_of plan =
   let table =
-    solve ?view_cache ~candidates ~policy ~config ~pricing ~stats ~scheme_of
-      plan
+    solve ~candidates ~policy ~config ~pricing ~stats ~scheme_of plan
   in
   let _, e = best_entry table in
   List.fold_left

@@ -17,7 +17,6 @@
 open Relalg
 
 val optimize :
-  ?view_cache:(Authz.Subject.t, Authz.Authorization.view) Hashtbl.t ->
   candidates:Authz.Candidates.t ->
   policy:Authz.Authorization.t ->
   config:Authz.Opreq.config ->
@@ -29,12 +28,9 @@ val optimize :
 (** Minimum-cost assignment drawn from the candidate sets. Raises
     [Invalid_argument] when some assignable node has no candidate.
 
-    [view_cache] (keyed by subject, role and name) records the views the
-    DP reads across multiple rounds over the same policy; pass the same
-    table to each call. {!Authz.Authorization.view} is itself a lookup,
-    so the table only feeds the [planner.dp.view_cache_hits] and
-    [.misses] counters. Views are policy-dependent only, so the table
-    must not be reused across policies. *)
+    Each (node, subject) pair reads the subject's view once
+    ({!Authz.Authorization.view}, a lookup into views the policy built
+    when it was made). *)
 
 val enumerate : Authz.Candidates.t -> Plan.t -> Authz.Subject.t Authz.Imap.t list
 (** Every assignment in [Π Λ(n)] — exponential; for tests and small

@@ -15,13 +15,6 @@ exception No_candidate of string
 exception User_not_authorized of string
 exception Verification_failed of Verify.Diag.t list
 
-module Assignment_memo = Hashtbl.Make (struct
-  type t = int array
-
-  let equal (a : t) b = a = b
-  let hash (a : t) = Array.fold_left (fun h i -> (h * 31) + i) 0 a
-end)
-
 let self_check_message diags =
   "planner self-check failed:\n"
   ^ Verify.Diag.render (Verify.Diag.errors diags)
@@ -120,8 +113,7 @@ let plan ~policy ~subjects ?(config = Authz.Opreq.default)
   (* Facts that depend on the query and config only, derived once for
      every round and local-search move below: the conservative schemes,
      the first stage of the actual-scheme derivation, and the extender's
-     per-node facts. The DP's view table is shared across rounds for its
-     hit/miss counters.
+     per-node facts.
 
      The extender, the actual-scheme derivation and the coster also keep
      what they build per subtree for the rest of this call (see
@@ -132,7 +124,6 @@ let plan ~policy ~subjects ?(config = Authz.Opreq.default)
   let actual_schemes = Authz.Plan_keys.actual_schemes ~original:query in
   let extend = Authz.Extend.extender ~policy ~config ?deliver_to query in
   let price = Cost.coster ~pricing ~network ~base in
-  let view_cache = Hashtbl.create 8 in
   (* Extended nodes an evaluation built, against those it took from an
      earlier one: the extender's shared profile table gains one entry
      per node it builds (extend.mli). Only counted when tracing. *)
@@ -147,27 +138,6 @@ let plan ~policy ~subjects ?(config = Authz.Opreq.default)
         ~by:(Plan.size ext.Authz.Extend.plan - built)
         "planner.evaluate.nodes_reused"
     end
-  in
-  (* The local search's memo key: per assignable node, in id order, the
-     index of its assignee among the node's candidates. *)
-  let slots =
-    Array.of_list
-      (List.map
-         (fun (id, set) -> (id, Array.of_list (Authz.Subject.Set.elements set)))
-         (Authz.Imap.bindings candidates))
-  in
-  let key_of assignment =
-    Array.map
-      (fun (id, cands) ->
-        let s = Authz.Imap.find id assignment in
-        let rec index i =
-          if i = Array.length cands then
-            invalid_arg "Optimizer: an assignee outside its candidates"
-          else if Authz.Subject.equal cands.(i) s then i
-          else index (i + 1)
-        in
-        index 0)
-      slots
   in
   (* One planning round: DP under a scheme hypothesis, extend, then read
      the actual schemes and exact cost off the extended plan. The first
@@ -184,8 +154,8 @@ let plan ~policy ~subjects ?(config = Authz.Opreq.default)
     in
     let assignment =
       Obs.with_span "planner.dp" (fun () ->
-          Assign.optimize ~view_cache ~candidates:cands ~policy ~config
-            ~pricing ~stats ~scheme_of query)
+          Assign.optimize ~candidates:cands ~policy ~config ~pricing ~stats
+            ~scheme_of query)
     in
     let extended =
       Obs.with_span "planner.extend" (fun () -> extend assignment)
@@ -196,9 +166,9 @@ let plan ~policy ~subjects ?(config = Authz.Opreq.default)
       Obs.with_span "planner.cost" (fun () ->
           price ~scheme_of:actual extended)
     in
-    (key_of assignment, (assignment, extended, actual, cost))
+    (assignment, extended, actual, cost)
   in
-  let ((_, (_, _, scheme1, _)) as r1) = round candidates conservative in
+  let ((_, _, scheme1, _) as r1) = round candidates conservative in
   (* Fallback round without providers: the DP's edge model is heuristic
      (Def. 5.4's ancestor-driven encryption is priced only approximately),
      so guarantee we never lose to the provider-free plan. *)
@@ -217,7 +187,7 @@ let plan ~policy ~subjects ?(config = Authz.Opreq.default)
   in
   (* the paper's threshold: minimize cost subject to latency <= bound;
      if nothing qualifies, minimize latency instead *)
-  let better ((_, (_, _, _, a)) as ra) ((_, (_, _, _, b)) as rb) =
+  let better ((_, _, _, a) as ra) ((_, _, _, b) as rb) =
     match max_latency with
     | None -> if Cost.total b < Cost.total a then rb else ra
     | Some bound ->
@@ -235,67 +205,41 @@ let plan ~policy ~subjects ?(config = Authz.Opreq.default)
   in
   (* Exact local search: the DP's edge model is heuristic (Def. 5.4's
      ancestor term and the uniformity repairs are priced approximately),
-     so polish the winner by re-assigning one node at a time and
-     re-costing the real extension. Two sweeps close nearly all of the
-     residual gap at a few dozen extensions' cost. *)
-  let compute assignment =
+     so polish the winner with one sweep: re-assign one node at a time,
+     in id order, to each of its other candidates, re-costing the real
+     extension, and keep every improvement. A second sweep changes no
+     TPC-H plan. Only planner rejections (no candidate, or an extension
+     refusing the assignment with Invalid_argument) discard a move;
+     genuine failures — Stack_overflow, Out_of_memory, verifier bugs —
+     must propagate. *)
+  let evaluate assignment =
     Obs.with_span "planner.evaluate" @@ fun () ->
+    Obs.incr "planner.evaluate.calls";
     let extended = extend assignment in
     count_nodes ~counted:true extended;
     let actual = actual_schemes extended in
     let cost = price ~scheme_of:actual extended in
     (assignment, extended, actual, cost)
   in
-  (* Memo over assignment keys: the two sweeps (and the round seeds)
-     revisit many identical assignments — the extension, scheme
-     derivation and exact costing are deterministic in the assignment, so
-     the first evaluation's outcome (value or planner rejection) is
-     replayed. *)
-  let memo = Assignment_memo.create 64 in
-  List.iter (fun (key, r) -> Assignment_memo.replace memo key (Ok r)) rounds;
-  let evaluate key assignment =
-    Obs.incr "planner.evaluate.calls";
-    match Assignment_memo.find_opt memo key with
-    | Some (Ok r) ->
-        Obs.incr "planner.evaluate.memo_hits";
-        r
-    | Some (Error e) ->
-        Obs.incr "planner.evaluate.memo_hits";
-        raise e
-    | None -> (
-        match compute assignment with
-        | r ->
-            Assignment_memo.add memo key (Ok r);
-            r
-        | exception ((No_candidate _ | Invalid_argument _) as e) ->
-            Assignment_memo.add memo key (Error e);
-            raise e)
-  in
-  (* Only planner rejections (no candidate, or an extension refusing the
-     assignment with Invalid_argument) discard a move; genuine failures —
-     Stack_overflow, Out_of_memory, verifier bugs — must propagate. *)
   let sweep current =
     Obs.with_span "planner.sweep" @@ fun () ->
-    let best = ref current in
-    Array.iteri
-      (fun k (id, cands) ->
-        Array.iteri
-          (fun j s ->
-            let key, (assignment, _, _, _) = !best in
-            if key.(k) <> j then begin
+    Authz.Imap.fold
+      (fun id cands best ->
+        Authz.Subject.Set.fold
+          (fun s ((assignment, _, _, _) as best) ->
+            if Authz.Subject.equal (Authz.Imap.find id assignment) s then best
+            else begin
               Obs.incr "planner.sweep.moves";
-              let key' = Array.copy key in
-              key'.(k) <- j;
-              match evaluate key' (Authz.Imap.add id s assignment) with
-              | result -> best := better !best (key', result)
+              match evaluate (Authz.Imap.add id s assignment) with
+              | result -> better best result
               | exception (No_candidate _ | Invalid_argument _) ->
-                  Obs.incr "planner.sweep.discarded"
+                  Obs.incr "planner.sweep.discarded";
+                  best
             end)
-          cands)
-      slots;
-    !best
+          cands best)
+      candidates current
   in
-  let _, (assignment, extended, scheme_of, cost) = sweep (sweep seed) in
+  let assignment, extended, scheme_of, cost = sweep seed in
   let extended = Authz.Extend.own extended in
   let clusters =
     Obs.with_span "planner.keys" (fun () ->

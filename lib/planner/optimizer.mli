@@ -90,10 +90,9 @@ val plan :
     stays under the bound wins; when none qualifies, the lowest-latency
     one is returned (cost is secondary at that point).
 
-    The local search re-costs each assignment once: the two polish
-    sweeps (and the DP round seeds) revisit many identical assignments,
-    so outcomes are memoized by assignment, keyed by the index of each
-    assignable node's assignee among its candidates. Evaluating an
+    The DP rounds' best assignment is polished by one local-search
+    sweep: each assignable node, in id order, is moved to each of its
+    other candidates, and every improvement is kept. Evaluating an
     assignment is incremental: the extension, its demands and its cost
     are kept per subtree for the whole call, and a move rebuilds only
     what it changes (see {!Authz.Extend.extender}).

@@ -37,7 +37,8 @@ type plan_value = { verdict : verdict; exec_plan : Plan.t option }
    that immutable key, so concurrent reads need no lock.
 
    [deps] is the authorization dependency set (Analysis.Deps; empty
-   for denials — see [set_policy]). [base] is the key minus the
+   for denials — see [set_policy]); a sub-plan result carries the set of
+   the plan whose execution stored it. [base] is the key minus the
    environment — the structural query fingerprint for a plan, the base
    key for a sub-plan — kept so surviving entries can be rekeyed under
    a new environment fingerprint. [env] is the environment the value
@@ -288,8 +289,7 @@ let memo_positions t (tn : Tenancy.t) (r : Planner.Optimizer.result)
     let shared = Planner.Dag.occurrences t.dag n > 1 in
     if pos = 0 || (search && shared) then begin
       let base = base_key_of t ~clusters ~subjects ~pos n in
-      Hashtbl.replace keys pos
-        (subcache_key ~env:tn.Tenancy.env base, base, Plan.size n)
+      Hashtbl.replace keys pos (subcache_key ~env:tn.Tenancy.env base, base)
     end;
     List.iter
       (fun (c, p) -> walk ~search:(not shared) p c)
@@ -305,7 +305,6 @@ type subcache_event =
       pos : int;
       key : string;
       base : string;
-      size : int;
       table : Engine.Table.t;
     }
 
@@ -342,7 +341,7 @@ let make_memo t (tn : Tenancy.t) keys =
         (fun ~pos _plan ->
           match Hashtbl.find_opt keys pos with
           | None -> None
-          | Some (key, _, _) -> (
+          | Some (key, _) -> (
               match Lru.peek t.subcache key with
               | Some e when not (owned tn e) ->
                   record (Sub_foreign { pos; key });
@@ -355,19 +354,18 @@ let make_memo t (tn : Tenancy.t) keys =
         (fun ~pos _plan table ->
           match Hashtbl.find_opt keys pos with
           | None -> ()
-          | Some (key, base, size) ->
-              record (Sub_store { pos; key; base; size; table }));
+          | Some (key, base) -> record (Sub_store { pos; key; base; table }));
     }
   in
   (memo, events)
 
 (* Coordinator-side replay of one execution's buffered events, in
-   position order: hits refresh recency and count; stores compute the
-   subtree's dependency facts (against the extended tree's matching
-   position range) and insert. A key two same-round executions both
-   computed is stored once — the bytes are identical by key
-   construction. *)
-let replay_subcache t (tn : Tenancy.t) (r : Planner.Optimizer.result) events =
+   position order: hits refresh recency and count; stores insert under
+   [deps], the dependency set of the plan whose execution stored them
+   (a superset of the subtree's own facts). A key two same-round
+   executions both computed is stored once — the bytes are identical by
+   key construction. *)
+let replay_subcache t (tn : Tenancy.t) deps events =
   let evs =
     List.sort (fun a b -> compare (event_pos a) (event_pos b)) !events
   in
@@ -380,13 +378,8 @@ let replay_subcache t (tn : Tenancy.t) (r : Planner.Optimizer.result) events =
       | Sub_foreign _ ->
           t.cross_tenant_hits <- t.cross_tenant_hits + 1;
           Obs.incr "serve.cross_tenant_hits"
-      | Sub_store { pos; key; base; size; table } ->
+      | Sub_store { key; base; table; _ } ->
           if not (Lru.mem t.subcache key) then begin
-            let deps =
-              Analysis.Deps.of_subplan ?deliver_to:tn.Tenancy.deliver_to
-                ~extended:r.Planner.Optimizer.extended
-                ~clusters:r.Planner.Optimizer.clusters ~range:(pos, size) ()
-            in
             t.subplan_stores <- t.subplan_stores + 1;
             Obs.incr "serve.subcache.stores";
             Lru.add t.subcache key
@@ -440,10 +433,10 @@ let migrate_tier lru ~key (tn : Tenancy.t) ~old_env keep =
    Sub-plan results migrate under a simpler protocol: result bytes are
    policy-independent (the key fixes them), so there is nothing to
    re-verify — the dependency set gates only whether reusing the
-   result remains {e authorized}. A removed fact the subtree's
-   certification consumed drops the entry for every consumer at once
-   (shared nodes invalidate once, not per query); grants are monotone,
-   so any other delta rekeys the entry. *)
+   result remains {e authorized}. A removed fact the storing plan's
+   certification consumed (a superset of the subtree's) drops the entry
+   for every consumer at once (shared nodes invalidate once, not per
+   query); grants are monotone, so any other delta rekeys the entry. *)
 let migrate t (tn : Tenancy.t) ~old_policy ~old_env =
   let dep_subjects = ref Authz.Subject.Set.empty in
   let _ =
@@ -846,7 +839,7 @@ let serve_round t requests =
                         | true, Some ep ->
                             let keys = memo_positions t tn r ep in
                             let memo, events = make_memo t tn keys in
-                            Some (ep, memo, events)
+                            Some (ep, memo, events, entry.deps)
                         | _ -> None
                       in
                       `Run (tn, key, r, status, plan_ms, memo)
@@ -867,7 +860,7 @@ let serve_round t requests =
                    let outcome =
                      match
                        match memo with
-                       | Some (ep, m, _) -> execute ~memo:m t r ep
+                       | Some (ep, m, _, _) -> execute ~memo:m t r ep
                        | None ->
                            execute t r
                              r.Planner.Optimizer.extended.Authz.Extend.plan
@@ -890,8 +883,8 @@ let serve_round t requests =
      same at any job count. *)
   List.iter
     (function
-      | `Run (tn, _, r, _, _, Some (_, _, events)) ->
-          replay_subcache t tn r events
+      | `Run (tn, _, _, _, _, Some (_, _, events, deps)) ->
+          replay_subcache t tn deps events
       | _ -> ())
     classified;
   (* assemble responses in request order, each tagged with the tenant

@@ -83,10 +83,11 @@
     and replayed by the coordinator in request order, position order
     within a plan — so the subcache evolves identically at any job
     count. Incremental policy migration treats sub-plan entries like
-    plan entries: an entry whose per-subtree dependency facts
-    ({!Analysis.Deps.of_subplan}) consumed a revoked grant is dropped
-    (once, for every consumer); any other delta rekeys it under the
-    new environment fingerprint. *)
+    plan entries. Each carries the dependency set
+    ({!Analysis.Deps.of_extended}) of the plan whose execution stored
+    it, a superset of its subtree's own facts: an entry whose set holds
+    a revoked grant is dropped (once, for every consumer); any other
+    delta rekeys it under the new environment fingerprint. *)
 
 open Relalg
 

@@ -209,8 +209,8 @@ let prop_deps_soundness =
 (* --- stored profiles ---------------------------------------------------- *)
 
 (* [Deps] reads the verified plan's stored profiles. On every plan the
-   optimizer returns, whole-plan and per-subtree dependency sets must
-   equal those computed over the verifier's own lenient re-derivation. *)
+   optimizer returns, the dependency set must equal the one computed
+   over the verifier's own lenient re-derivation. *)
 let deps_match_derivation ?deliver_to ?original (r : Planner.Optimizer.result) =
   let extended = r.Planner.Optimizer.extended
   and clusters = r.Planner.Optimizer.clusters in
@@ -218,17 +218,10 @@ let deps_match_derivation ?deliver_to ?original (r : Planner.Optimizer.result) =
     { extended with
       Extend.profiles = fst (Verify.Derive.lenient extended.Extend.plan) }
   in
-  let same f = Analysis.Fact.Set.equal (f extended) (f derived) in
-  let positions = Plan.preorder_positions extended.Extend.plan in
-  same (fun extended ->
-      Analysis.Deps.of_extended ?deliver_to ?original ~extended ~clusters ())
-  && List.for_all
-       (fun n ->
-         let range = (Hashtbl.find positions (Plan.id n), Plan.size n) in
-         same (fun extended ->
-             Analysis.Deps.of_subplan ?deliver_to ?original ~extended
-               ~clusters ~range ()))
-       (Plan.nodes extended.Extend.plan)
+  let deps extended =
+    Analysis.Deps.of_extended ?deliver_to ?original ~extended ~clusters ()
+  in
+  Analysis.Fact.Set.equal (deps extended) (deps derived)
 
 let prop_deps_stored_profiles =
   QCheck.Test.make ~count:60

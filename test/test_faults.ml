@@ -46,14 +46,14 @@ let verified_replanner ~exclude =
       | Planner.Optimizer.User_not_authorized _ ) ->
       None
 
-let run_sim ?faults ?retry ?replan ?self_check ?(policy = policy) () =
+let run_sim ?faults ?retry ?replan ?(policy = policy)
+    ?(tables = Test_engine_data.tables ()) () =
   let _, config, ext, clusters = planned assignment_7a in
   Distsim.Runtime.execute ~policy
     ~pki:(Distsim.Pki.create ())
     ~keyring:(Mpq_crypto.Keyring.create ~seed:5L ())
     ~user:u
-    ~tables:(Test_engine_data.tables ())
-    ~config ?self_check ?faults ?retry ?replan ~extended:ext ~clusters ()
+    ~tables ~config ?faults ?retry ?replan ~extended:ext ~clusters ()
 
 let expected = Test_engine_data.expected
 
@@ -177,17 +177,24 @@ let test_transient_retried_to_success () =
   in
   search 1
 
-(* The policy stripped of every provider rule: X holds nothing, so the
-   very first cross-boundary release check (H -> X) is denied. *)
-let no_provider_policy =
-  Authorization.make ~schemas:[ hosp; ins ]
-    [ Authorization.rule ~rel:"Hosp" ~plain:[ "S"; "B"; "D"; "T" ] (To h);
-      Authorization.rule ~rel:"Ins" ~plain:[ "C" ] ~enc:[ "P" ] (To h);
-      Authorization.rule ~rel:"Hosp" ~plain:[ "B" ] ~enc:[ "S"; "D"; "T" ]
-        (To i);
-      Authorization.rule ~rel:"Ins" ~plain:[ "C"; "P" ] (To i);
-      Authorization.rule ~rel:"Hosp" ~plain:[ "S"; "D"; "T" ] (To u);
-      Authorization.rule ~rel:"Ins" ~plain:[ "C"; "P" ] (To u) ]
+(* Ins with one ciphertext cell in its plaintext column P. The plan and
+   the policy are the paper's, so the pre-dispatch gate passes; the
+   runtime's consistency audit refuses Ins's base table, which crosses
+   to X's join only after Hosp's side has been released. *)
+let tampered_tables () =
+  let enc =
+    Relalg.Value.Enc { Relalg.Value.scheme = "det"; key_id = "k"; payload = "p" }
+  in
+  List.map
+    (fun (name, t) ->
+      if name <> "Ins" then (name, t)
+      else
+        ( name,
+          Engine.Table.create (Engine.Table.attrs t)
+            (List.mapi
+               (fun i row -> if i = 0 then [| row.(0); enc |] else row)
+               (Engine.Table.rows t)) ))
+    (Test_engine_data.tables ())
 
 let test_denial_never_retried () =
   (* enable the Obs counters so we can count retries across the aborted
@@ -195,17 +202,15 @@ let test_denial_never_retried () =
   Obs.reset ();
   Obs.set_enabled true;
   Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
-  (match
-     (* self_check off: let execution reach the release check itself
-        rather than the pre-dispatch verifier gate *)
-     run_sim ~policy:no_provider_policy ~self_check:false ()
-   with
+  (match run_sim ~tables:(tampered_tables ()) () with
   | _ -> Alcotest.fail "expected Distributed_violation"
   | exception Distsim.Runtime.Distributed_violation msg ->
-      Alcotest.(check bool) "denial message" true
-        (String.length msg > 0
-        && Str.string_match (Str.regexp ".*refuses to release.*") msg 0));
-  Alcotest.(check bool) "the denied release check ran" true
+      Alcotest.(check bool) ("denial message: " ^ msg) true
+        (Str.string_match
+           (Str.regexp
+              ".*does not match its profile: P mixed plaintext/ciphertext")
+           msg 0));
+  Alcotest.(check bool) "a release check ran before the denial" true
     (Obs.counter "distsim.release_checks" >= 1);
   Alcotest.(check int) "an authorization denial is never retried" 0
     (Obs.counter "distsim.retries")

@@ -1095,6 +1095,130 @@ let test_shared_subplan_lifecycle () =
     (outcome_equal r1''.Serve.Service.outcome (fresh_revoked q1)
     && outcome_equal r2''.Serve.Service.outcome (fresh_revoked q2))
 
+(* A stored sub-plan result carries the dependency set of the plan
+   whose execution stored it. q1 runs first, so q2's execution stores
+   the shared core (and its own whole result); q3 then reuses the core.
+   The revocation below removes facts q2 depends on, but none that q1
+   or q3 depend on and no key-duty fact of q2. A subtree's own slice
+   reads only assignee facts of its nodes (q1 reads the same ones), the
+   recipient's facts over the base inputs (q1 again) and key duties, so
+   the core's slice misses the revocation: only the storing plan's set
+   reaches it. Both of q2's entries drop, q1's and q3's survive. *)
+let test_subplan_drops_with_storing_plan () =
+  let core () =
+    Plan.join
+      (Predicate.conj
+         [ Predicate.Cmp_attr (Attr.make "a", Predicate.Eq, Attr.make "e") ])
+      (Plan.base Gen.rel1) (Plan.base Gen.rel2)
+  in
+  let q1 = Plan.order_by [ (Attr.make "b", Plan.Asc) ] (core ()) in
+  let q2 =
+    Plan.join
+      (Predicate.conj
+         [ Predicate.Cmp_attr (Attr.make "a", Predicate.Eq, Attr.make "h") ])
+      (core ()) (Plan.base Gen.rel3)
+  in
+  let q3 = Plan.project (Attr.Set.of_names [ "a"; "b"; "f" ]) (core ()) in
+  let is_table (r : Serve.Service.response) =
+    match r.Serve.Service.outcome with
+    | Serve.Service.Table _ -> true
+    | _ -> false
+  in
+  let planned (r : Serve.Service.response) =
+    Option.get r.Serve.Service.planned
+  in
+  let deps_of r q =
+    let p = planned r in
+    Analysis.Deps.of_extended ~deliver_to:Gen.user ~original:q
+      ~extended:p.Planner.Optimizer.extended
+      ~clusters:p.Planner.Optimizer.clusters ()
+  in
+  let key_duties r =
+    let p = planned r in
+    List.fold_left
+      (fun acc (c : Plan_keys.cluster) ->
+        Subject.Map.fold
+          (fun s handled acc ->
+            Analysis.Fact.Set.union acc
+              (Analysis.Fact.of_levels s ~plain:handled ~enc:Attr.Set.empty))
+          (Verify.Check_keys.duty_map p.Planner.Optimizer.extended
+             c.Plan_keys.attrs)
+          acc)
+      Analysis.Fact.Set.empty p.Planner.Optimizer.clusters
+  in
+  let revocation ~rand ~policy ~hit ~spared =
+    let rec go tries =
+      if tries > 499 then None
+      else
+        let candidate = Gen.revoke_once policy rand in
+        match
+          Analysis.Delta.diff ~subjects:Gen.subjects ~old_policy:policy
+            ~new_policy:candidate ()
+        with
+        | `Delta d
+          when (not (Analysis.Fact.Set.disjoint d.Analysis.Delta.removed hit))
+               && Analysis.Fact.Set.disjoint d.Analysis.Delta.removed spared
+          ->
+            Some candidate
+        | _ -> go (tries + 1)
+    in
+    go 0
+  in
+  let rec find seed =
+    if seed > 199 then Alcotest.fail "no generated policy admits the scenario"
+    else
+      let policy = Gen.gen_policy (Random.State.make [| 0xC0DE; seed |]) in
+      let service = gen_service policy in
+      let r1 = Serve.Service.submit service q1 in
+      let r2 = Serve.Service.submit service q2 in
+      let before = Serve.Service.stats service in
+      let r3 = Serve.Service.submit service q3 in
+      let after = Serve.Service.stats service in
+      let found =
+        if
+          List.for_all is_table [ r1; r2; r3 ]
+          && after.Serve.Service.subplan_hits
+             > before.Serve.Service.subplan_hits
+        then
+          revocation
+            ~rand:(Random.State.make [| 0x5EED; seed |])
+            ~policy ~hit:(deps_of r2 q2)
+            ~spared:
+              (List.fold_left Analysis.Fact.Set.union (key_duties r2)
+                 [ deps_of r1 q1; deps_of r3 q3 ])
+        else None
+      in
+      match found with
+      | Some revoked -> (revoked, service, r1, r3)
+      | None -> find (seed + 1)
+  in
+  let revoked, service, r1, r3 = find 0 in
+  let pre = Serve.Service.stats service in
+  Alcotest.(check int) "four sub-plan entries: three results and the core" 4
+    pre.Serve.Service.subplan_entries;
+  set_policy service revoked;
+  let post = Serve.Service.stats service in
+  Alcotest.(check int) "q2's result and the core it stored are dropped" 2
+    (post.Serve.Service.subplan_invalidated
+    - pre.Serve.Service.subplan_invalidated);
+  let fresh q =
+    (Serve.Service.submit (gen_service ~sharing:false revoked) q)
+      .Serve.Service.outcome
+  in
+  let r1' = Serve.Service.submit service q1 in
+  let r3' = Serve.Service.submit service q3 in
+  Alcotest.(check bool) "q1 and q3 still hit" true
+    (r1'.Serve.Service.status = Serve.Service.Hit
+    && r3'.Serve.Service.status = Serve.Service.Hit);
+  Alcotest.(check bool) "their bytes are unchanged" true
+    (outcome_equal r1.Serve.Service.outcome r1'.Serve.Service.outcome
+    && outcome_equal r3.Serve.Service.outcome r3'.Serve.Service.outcome);
+  let r2' = Serve.Service.submit service q2 in
+  Alcotest.(check bool) "q2 replans" true
+    (r2'.Serve.Service.status = Serve.Service.Miss);
+  Alcotest.(check bool) "the replan equals the fresh oracle" true
+    (outcome_equal r2'.Serve.Service.outcome (fresh q2))
+
 (* Leakage gate: structurally equal subtrees under different
    environments must never share bytes. Same environment, same
    structure ⇒ identical sub-plan cache keys (sharing is deterministic
@@ -1428,7 +1552,9 @@ let () =
           ("shared sub-plan lifecycle: reuse, grants, revocation", `Slow,
            test_shared_subplan_lifecycle);
           ("no sharing across environments", `Quick,
-           test_no_cross_environment_sharing) ] );
+           test_no_cross_environment_sharing);
+          ("a sub-plan result drops with its storing plan's facts", `Slow,
+           test_subplan_drops_with_storing_plan) ] );
       ( "stats",
         [ ("hit/miss accounting", `Quick, test_stats_accounting);
           ("an execution error rejects one query", `Quick,

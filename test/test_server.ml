@@ -379,17 +379,50 @@ let test_policy_schema_refused () =
     (Serve.Client.table_csv (List.nth rs 2))
 
 (* The grammar fuzzer: random mixes of queries, garbage, every directive
-   (\policy of a missing and of a malformed file, \tenant use of an
-   unknown id), blank and comment lines, very long lines, and a last
-   line with or without its newline, through both transports. Every
-   request line gets exactly one reply, in line order, that Client
-   parses; nothing is an internal error; and the two transports give the
-   same replies except to the operator-only directives. *)
-let bare_policy =
+   (\policy of a missing, of a malformed and of a conflicting file,
+   \tenant use of an unknown id), blank and comment lines, very long
+   lines, and a last line with or without its newline, through both
+   transports. Every request line gets exactly one reply, in line order,
+   that Client parses; nothing is an internal error; and the two
+   transports give the same replies except to the operator-only
+   directives. On stdin a policy that disagrees with the loaded tables
+   is refused and changes nothing: every other line but \stats gets the
+   reply it gets when that line is blank. *)
+let policy_file name text =
+  let f = Filename.temp_file name ".mpq" in
+  at_exit (fun () -> try Sys.remove f with Sys_error _ -> ());
+  Out_channel.with_open_bin f (fun oc -> output_string oc text);
+  f
+
+let bare_policy = lazy (policy_file "mpq_bare" "relation\n")
+
+(* Ins.P retyped, a column Ins lacks, Ins dropped; each with the
+   conflict its refusal names *)
+let conflicting_policies =
   lazy
-    (let f = Filename.temp_file "mpq_bare" ".mpq" in
-     Out_channel.with_open_bin f (fun oc -> output_string oc "relation\n");
-     f)
+    (let ins = Str.regexp_string "relation Ins owner I (C string, P int)" in
+     let edit by = Str.global_replace ins by Policy_dsl.example in
+     [ ( policy_file "mpq_retyped"
+           (edit "relation Ins owner I (C string, P string)"),
+         "Ins.P is declared string" );
+       ( policy_file "mpq_extra_column"
+           (edit "relation Ins owner I (C string, P int, Q int)"),
+         "Ins.Q is not a column" );
+       ( policy_file "mpq_dropped"
+           (String.concat "\n"
+              (List.filter
+                 (fun l -> not (String.starts_with ~prefix:"authorize Ins" l))
+                 (String.split_on_char '\n' (edit "authority I")))),
+         "policy drops loaded relation Ins" ) ])
+
+(* the conflict a \policy line's file is refused for, if any *)
+let conflict line =
+  List.find_map
+    (fun (f, why) ->
+      if String.equal line ("\\policy " ^ f) then Some why else None)
+    (Lazy.force conflicting_policies)
+
+let conflicting line = conflict line <> None
 
 let fuzz_line =
   let open QCheck.Gen in
@@ -410,6 +443,11 @@ let fuzz_line =
             "\\policy /nonexistent/policy.mpq"; "\\invalidate"; "\\bogus";
             "\\stats now"; "\\"; "  \\stats  "; "\\policy a b" ] );
       (1, map (fun () -> "\\policy " ^ Lazy.force bare_policy) unit);
+      ( 1,
+        map
+          (fun i ->
+            "\\policy " ^ fst (List.nth (Lazy.force conflicting_policies) i))
+          (int_bound 2) );
       (2, oneofl [ ""; "   "; "# a comment"; "#"; "\t"; "\r" ]);
       (1, map (fun n -> String.make n 'x') (int_range 5000 20000));
       (1, map (fun n -> "# " ^ String.make n 'c') (int_range 5000 20000));
@@ -458,7 +496,7 @@ let comparable (r : Serve.Client.reply) =
 let prop_fuzz addr (lines, nl) =
   let script = String.concat "\n" lines ^ if nl then "\n" else "" in
   let want = request_lines script in
-  let run name serve =
+  let run ?(want = want) name serve =
     let rs =
       try serve () with
       | Serve.Client.Protocol_error m ->
@@ -487,6 +525,44 @@ let prop_fuzz addr (lines, nl) =
   let stdin =
     run "stdin" (fun () -> channel_script ~service:(fuzz_service ()) script)
   in
+  if List.exists conflicting lines then begin
+    List.iter2
+      (fun (_, line) (r : Serve.Client.reply) ->
+        match conflict line with
+        | Some why
+          when r.Serve.Client.tag
+               <> String.sub line 1 (String.length line - 1) ^ " rejected"
+               || not (String.starts_with ~prefix:why r.Serve.Client.info) ->
+            QCheck.Test.fail_reportf "stdin line %d %S: %s: %s" r.line line
+              r.tag r.info
+        | _ -> ())
+      want stdin;
+    let blanked =
+      String.concat "\n"
+        (List.map (fun l -> if conflicting l then "" else l) lines)
+      ^ if nl then "\n" else ""
+    in
+    let unrefused =
+      run ~want:(request_lines blanked) "stdin, conflicting policies blanked"
+        (fun () -> channel_script ~service:(fuzz_service ()) blanked)
+    in
+    (* a directive still ends a batch, so sub-plan hits may become
+       shared executions in \stats *)
+    let exact (r : Serve.Client.reply) =
+      if r.Serve.Client.tag = "stats" then "stats" else framed r
+    in
+    let others =
+      List.filter_map
+        (fun ((_, line), r) ->
+          if conflicting line then None else Some (exact r))
+        (List.combine want stdin)
+    in
+    if others <> List.map exact unrefused then
+      QCheck.Test.fail_reportf
+        "a refused policy changed a reply:\n%s\n--- with the line blank:\n%s"
+        (String.concat "\n" others)
+        (String.concat "\n" (List.map exact unrefused))
+  end;
   List.iter2
     (fun ((_, line), a) b ->
       if (not (operator_only line)) && comparable a <> comparable b then
