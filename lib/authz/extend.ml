@@ -58,324 +58,257 @@ let node_facts ~config plan =
 
 (* An original node with what the extension reads of it that no
    assignment changes, the authority owning it when it is source-side,
-   the preorder positions its subtree spans ([pos] up to [stop],
-   exclusive), and the attributes its subtree's nodes output: every
-   profile of the subtree's extension holds only these. *)
-type shape = {
+   the implicit attributes of its parent's logical profile (none at the
+   root), and the attributes its subtree's nodes output: every profile
+   of the subtree's extension holds only these. *)
+type site = {
   node : Plan.t;
   facts : node_facts;
   owner : Subject.t option;
-  pos : int;
-  stop : int;
+  parent_implicit : Attr.Set.t option;
   attrs : Attr.Set.t;
-  children : shape list;
+  children : site list;
 }
 
-let shape_of ~config plan =
+let sites_of ~config plan =
   let facts = node_facts ~config plan in
-  let rec go pos n =
-    let children, stop =
-      List.fold_left
-        (fun (acc, next) c ->
-          let sc = go next c in
-          (sc :: acc, sc.stop))
-        ([], pos + 1) (Plan.children n)
+  let rec go ~parent_implicit n =
+    let facts_n = Imap.find (Plan.id n) facts in
+    let children =
+      List.map
+        (go ~parent_implicit:(Some facts_n.implicit))
+        (Plan.children n)
     in
-    let children = List.rev children in
-    { node = n; facts = Imap.find (Plan.id n) facts;
+    { node = n; facts = facts_n;
       owner =
         (if Candidates.is_source_side n then
            Some (Candidates.owner_of_source n)
          else None);
-      pos; stop;
+      parent_implicit;
       attrs =
         List.fold_left
           (fun acc c -> Attr.Set.union acc c.attrs)
           (Plan.schema n) children;
       children }
   in
-  go 0 plan
+  go ~parent_implicit:None plan
 
-(* Everything a subtree's extension reads beyond the query: the
-   assignment of its own nodes (subject codes by preorder position, -1
-   where unassigned), the encrypted view of its parent's executor, and
-   the union of the encrypted views of the executors above it, both
-   cut to the attributes the subtree holds. *)
-module Key = struct
-  type t = {
-    pos : int;
-    parent_enc : Attr.Set.t;
-    above : Attr.Set.t;
-    slots : int array;
-  }
-
-  let equal a b =
-    a.pos = b.pos
-    && Attr.Set.equal a.parent_enc b.parent_enc
-    && Attr.Set.equal a.above b.above
-    && a.slots = b.slots
-
-  (* the views rarely tell two keys of one assignment apart: [equal]
-     does *)
-  let hash k = Array.fold_left (fun h c -> (h * 31) + c) k.pos k.slots
-end
-
-module Memo = Hashtbl.Make (Key)
-
-(* What an extender keeps across the assignments it extends. Node ids
-   are unique, so a node's profile and executor are recorded once, when
-   it is built, and read by every later extension holding it. *)
-type state = {
+(* What every extension of one query shares. Node ids are unique, so a
+   node's profile and executor are recorded once, when it is built, and
+   read by every later extension holding it. *)
+type builder = {
   view_of : Subject.t -> Authorization.view;
   deliver_to : Subject.t option;
-  shape : shape;
+  root : site;
   profiles : (int, Profile.t) Hashtbl.t;
   mutable executors : Subject.t Imap.t;
-  memo : (Plan.t * Profile.t) Memo.t;
-  mutable subjects : Subject.t array;  (** by code *)
 }
 
-let build_extension st assignment =
-  let view_of = st.view_of in
-  let code_of s =
-    let rec find i =
-      if i = Array.length st.subjects then begin
-        st.subjects <- Array.append st.subjects [| s |];
-        i
-      end
-      else if Subject.equal st.subjects.(i) s then i
-      else find (i + 1)
-    in
-    find 0
-  in
-  let codes = Array.make st.shape.stop (-1) in
-  let rec fill sh =
-    (match Imap.find_opt (Plan.id sh.node) assignment with
-    | Some s -> codes.(sh.pos) <- code_of s
-    | None -> ());
-    List.iter fill sh.children
-  in
-  fill st.shape;
-  let executor sh =
-    let c = codes.(sh.pos) in
-    if c >= 0 then st.subjects.(c)
-    else
-      match sh.owner with
-      | Some owner -> owner
-      | None ->
-          invalid_arg
-            (Printf.sprintf "Extend.extend: node %d (%s) has no assignee"
-               (Plan.id sh.node) (Plan.operator_name sh.node))
-  in
-  let record node profile subject =
-    Hashtbl.replace st.profiles (Plan.id node) profile;
-    st.executors <- Imap.add (Plan.id node) subject st.executors
-  in
-  (* [parent] is the node's parent and the encrypted view of its
-     executor; [ancestors_enc] unions the encrypted views of every
-     executor above the node. The subtree's extension reads both only
-     against its own profiles, so both are cut to [sh.attrs] first. A
-     subtree whose key was met before is the same extension: it is
-     reused as built. *)
-  let rec build sh ~parent ~ancestors_enc =
-    let parent =
-      Option.map (fun (p, enc) -> (p, Attr.Set.inter enc sh.attrs)) parent
-    in
-    let ancestors_enc = Attr.Set.inter ancestors_enc sh.attrs in
-    let key =
-      { Key.pos = sh.pos;
-        parent_enc =
-          (match parent with None -> Attr.Set.empty | Some (_, e) -> e);
-        above = ancestors_enc;
-        slots = Array.sub codes sh.pos (sh.stop - sh.pos) }
-    in
-    match Memo.find_opt st.memo key with
-    | Some built -> built
-    | None ->
-        let built = build_node sh ~parent ~ancestors_enc in
-        Memo.add st.memo key built;
-        built
-  and build_node sh ~parent ~ancestors_enc =
-    let n = sh.node in
-    let facts_n = sh.facts in
-    let ap = facts_n.ap in
-    let subject = executor sh in
-    let view = view_of subject in
-    (* executors from here up that must not see plaintext *)
-    let protected_enc =
-      Attr.Set.union ancestors_enc view.Authorization.enc
-    in
-    let built =
-      List.map
-        (fun c ->
-          build c ~parent:(Some (sh, view.Authorization.enc))
-            ~ancestors_enc:protected_enc)
-        sh.children
-    in
-    (* (i) decrypt operand attributes the operation needs in plaintext.
-       Aggregate operands the assignee may read in plaintext are also
-       decrypted: cheap symmetric decryption beats homomorphic
-       re-encryption, aggregation operands leave no implicit trace, and
-       the assignee is authorized (scheme economics the paper delegates
-       to the optimizer, Sec. 6). *)
-    let agg_plain =
-      match Plan.node n with
-      | Plan.Group_by (keys, aggs, _) ->
-          let operands =
-            List.fold_left
-              (fun acc (agg : Aggregate.t) ->
-                match Aggregate.operand agg with
-                | Some a -> Attr.Set.add a acc
-                | None -> acc)
-              Attr.Set.empty aggs
-          in
-          Attr.Set.inter
-            (Attr.Set.diff operands keys)
-            view.Authorization.plain
-      | _ -> Attr.Set.empty
-    in
-    let ap = Attr.Set.union ap agg_plain in
-    let after_ap =
-      List.map
-        (fun (_, pc) -> Attr.Set.inter ap pc.Profile.ve)
-        built
-    in
-    (* Restore uniform visibility for compared groups that a descendant's
-       protective encryption split (one side of 'a op b' encrypted by
-       Def. 5.4's terms, the other still plaintext). Two repairs exist:
-       decrypting the encrypted side — minimal, but it reopens the very
-       trace the encryption protected when some later executor lacks
-       plaintext visibility — or encrypting the plaintext side under the
-       shared cluster key. We decrypt when the node's executor holds
-       plaintext rights and no executor from here up needs the attribute
-       hidden; otherwise we encrypt the plaintext side (executed by the
-       operand's producer, which sees it plaintext). Overlapping groups
-       ('a < b', 'b < c') are resolved to a fixpoint with encryption
-       dominant. *)
-    let vp_all, ve_all =
-      List.fold_left2
-        (fun (vp, ve) (_, pc) d ->
-          ( Attr.Set.union vp (Attr.Set.union pc.Profile.vp d),
-            Attr.Set.union ve (Attr.Set.diff pc.Profile.ve d) ))
-        (Attr.Set.empty, Attr.Set.empty)
-        built after_ap
-    in
-    let fix_dec, fix_enc =
-      let groups = facts_n.groups in
-      let own_plain = view.Authorization.plain in
-      let rec go to_dec to_enc =
-        let ve_cur =
-          Attr.Set.union
-            (Attr.Set.diff ve_all (Attr.Set.diff to_dec to_enc))
-          to_enc
-        in
-        let vp_cur =
-          Attr.Set.diff (Attr.Set.union vp_all to_dec) to_enc
-        in
-        let to_dec', to_enc' =
+let builder ~policy ~config ?deliver_to plan =
+  { view_of = Authorization.view policy;
+    deliver_to;
+    root = sites_of ~config plan;
+    profiles = Hashtbl.create 256;
+    executors = Imap.empty }
+
+let root b = b.root
+let site_node site = site.node
+let site_children site = site.children
+
+let record b node profile subject =
+  Hashtbl.replace b.profiles (Plan.id node) profile;
+  b.executors <- Imap.add (Plan.id node) subject b.executors
+
+(* [parent_enc] is the encrypted view of the parent's executor and
+   [above] the union of the encrypted views of every executor above the
+   node, both cut to [site.attrs]; each child is extended under the
+   inputs [inputs] gives it. *)
+let inputs b site subject ~above =
+  let enc = (b.view_of subject).Authorization.enc in
+  let above = Attr.Set.union above enc in
+  List.map
+    (fun c -> (Attr.Set.inter enc c.attrs, Attr.Set.inter above c.attrs))
+    site.children
+
+let extend_node b site subject ~parent_enc ~above built =
+  let n = site.node in
+  let facts_n = site.facts in
+  let ap = facts_n.ap in
+  let view = b.view_of subject in
+  (* executors from here up that must not see plaintext *)
+  let protected_enc = Attr.Set.union above view.Authorization.enc in
+  (* (i) decrypt operand attributes the operation needs in plaintext.
+     Aggregate operands the assignee may read in plaintext are also
+     decrypted: cheap symmetric decryption beats homomorphic
+     re-encryption, aggregation operands leave no implicit trace, and
+     the assignee is authorized (scheme economics the paper delegates
+     to the optimizer, Sec. 6). *)
+  let agg_plain =
+    match Plan.node n with
+    | Plan.Group_by (keys, aggs, _) ->
+        let operands =
           List.fold_left
-            (fun (td, te) group ->
-              let enc = Attr.Set.inter group ve_cur in
-              let plain = Attr.Set.inter group vp_cur in
-              if Attr.Set.is_empty enc || Attr.Set.is_empty plain then
-                (td, te)
-              else if
-                Attr.Set.is_empty (Attr.Set.inter enc protected_enc)
-                && Attr.Set.subset enc own_plain
-                && Attr.Set.is_empty (Attr.Set.inter enc to_enc)
-              then (Attr.Set.union td enc, te)
-              else (td, Attr.Set.union te plain))
-            (to_dec, to_enc) groups
+            (fun acc (agg : Aggregate.t) ->
+              match Aggregate.operand agg with
+              | Some a -> Attr.Set.add a acc
+              | None -> acc)
+            Attr.Set.empty aggs
         in
-        if Attr.Set.equal to_dec to_dec' && Attr.Set.equal to_enc to_enc'
-        then (Attr.Set.diff to_dec to_enc, to_enc)
-        else go to_dec' to_enc'
+        Attr.Set.inter (Attr.Set.diff operands keys) view.Authorization.plain
+    | _ -> Attr.Set.empty
+  in
+  let ap = Attr.Set.union ap agg_plain in
+  let after_ap = List.map (fun (_, pc) -> Attr.Set.inter ap pc.Profile.ve) built in
+  (* Restore uniform visibility for compared groups that a descendant's
+     protective encryption split (one side of 'a op b' encrypted by
+     Def. 5.4's terms, the other still plaintext). Two repairs exist:
+     decrypting the encrypted side — minimal, but it reopens the very
+     trace the encryption protected when some later executor lacks
+     plaintext visibility — or encrypting the plaintext side under the
+     shared cluster key. We decrypt when the node's executor holds
+     plaintext rights and no executor from here up needs the attribute
+     hidden; otherwise we encrypt the plaintext side (executed by the
+     operand's producer, which sees it plaintext). Overlapping groups
+     ('a < b', 'b < c') are resolved to a fixpoint with encryption
+     dominant. *)
+  let vp_all, ve_all =
+    List.fold_left2
+      (fun (vp, ve) (_, pc) d ->
+        ( Attr.Set.union vp (Attr.Set.union pc.Profile.vp d),
+          Attr.Set.union ve (Attr.Set.diff pc.Profile.ve d) ))
+      (Attr.Set.empty, Attr.Set.empty)
+      built after_ap
+  in
+  let fix_dec, fix_enc =
+    let groups = facts_n.groups in
+    let own_plain = view.Authorization.plain in
+    let rec go to_dec to_enc =
+      let ve_cur =
+        Attr.Set.union (Attr.Set.diff ve_all (Attr.Set.diff to_dec to_enc)) to_enc
       in
-      go Attr.Set.empty Attr.Set.empty
+      let vp_cur = Attr.Set.diff (Attr.Set.union vp_all to_dec) to_enc in
+      let to_dec', to_enc' =
+        List.fold_left
+          (fun (td, te) group ->
+            let enc = Attr.Set.inter group ve_cur in
+            let plain = Attr.Set.inter group vp_cur in
+            if Attr.Set.is_empty enc || Attr.Set.is_empty plain then (td, te)
+            else if
+              Attr.Set.is_empty (Attr.Set.inter enc protected_enc)
+              && Attr.Set.subset enc own_plain
+              && Attr.Set.is_empty (Attr.Set.inter enc to_enc)
+            then (Attr.Set.union td enc, te)
+            else (td, Attr.Set.union te plain))
+          (to_dec, to_enc) groups
+      in
+      if Attr.Set.equal to_dec to_dec' && Attr.Set.equal to_enc to_enc' then
+        (Attr.Set.diff to_dec to_enc, to_enc)
+      else go to_dec' to_enc'
     in
-    let operands =
-      List.map2
-        (fun (ec, pc) d_ap ->
-          let d = Attr.Set.union d_ap (Attr.Set.inter fix_dec pc.Profile.ve) in
-          let ec, pc =
-            if Attr.Set.is_empty d then (ec, pc)
-            else begin
-              let nd = Plan.decrypt d ec in
-              let pd = Profile.decrypt d pc in
-              record nd pd subject;
-              (nd, pd)
-            end
-          in
-          let e_fix = Attr.Set.inter fix_enc pc.Profile.vp in
-          if Attr.Set.is_empty e_fix then (ec, pc)
+    go Attr.Set.empty Attr.Set.empty
+  in
+  let operands =
+    List.map2
+      (fun (ec, pc) d_ap ->
+        let d = Attr.Set.union d_ap (Attr.Set.inter fix_dec pc.Profile.ve) in
+        let ec, pc =
+          if Attr.Set.is_empty d then (ec, pc)
           else begin
-            let producer =
-              match Imap.find_opt (Plan.id ec) st.executors with
-              | Some s -> s
-              | None -> subject
-            in
-            let ne = Plan.encrypt e_fix ec in
-            let pe = Profile.encrypt e_fix pc in
-            record ne pe producer;
-            (ne, pe)
-          end)
-        built after_ap
-    in
-    let n' = rebuild (Plan.node n) (List.map fst operands) in
-    let p' = Profile.of_node (Plan.node n') (List.map snd operands) in
-    record n' p' subject;
-    (* (ii) encrypt attributes the parent's assignee may not see plaintext,
-       plus those turned implicit by the parent while some later assignee
-       lacks plaintext visibility *)
-    match parent with
-    | None -> (n', p')
-    | Some (parent, e_parent) ->
-        let parent_implicit = parent.facts.implicit in
-        let a_term =
-          Attr.Set.inter
-            (Attr.Set.inter parent_implicit p'.Profile.vp)
-            ancestors_enc
+            let nd = Plan.decrypt d ec in
+            let pd = Profile.decrypt d pc in
+            record b nd pd subject;
+            (nd, pd)
+          end
         in
-        let enc_set =
-          Attr.Set.union (Attr.Set.inter e_parent p'.Profile.vp) a_term
-        in
-        if Attr.Set.is_empty enc_set then (n', p')
+        let e_fix = Attr.Set.inter fix_enc pc.Profile.vp in
+        if Attr.Set.is_empty e_fix then (ec, pc)
         else begin
-          let ne = Plan.encrypt enc_set n' in
-          let pe = Profile.encrypt enc_set p' in
-          record ne pe subject;
+          let producer =
+            match Imap.find_opt (Plan.id ec) b.executors with
+            | Some s -> s
+            | None -> subject
+          in
+          let ne = Plan.encrypt e_fix ec in
+          let pe = Profile.encrypt e_fix pc in
+          record b ne pe producer;
           (ne, pe)
-        end
+        end)
+      built after_ap
   in
-  let root, root_profile =
-    build st.shape ~parent:None ~ancestors_enc:Attr.Set.empty
+  let n' = rebuild (Plan.node n) (List.map fst operands) in
+  let p' = Profile.of_node (Plan.node n') (List.map snd operands) in
+  record b n' p' subject;
+  (* (ii) encrypt attributes the parent's assignee may not see plaintext,
+     plus those turned implicit by the parent while some later assignee
+     lacks plaintext visibility *)
+  match site.parent_implicit with
+  | None -> (n', p')
+  | Some parent_implicit ->
+      let a_term =
+        Attr.Set.inter (Attr.Set.inter parent_implicit p'.Profile.vp) above
+      in
+      let enc_set =
+        Attr.Set.union (Attr.Set.inter parent_enc p'.Profile.vp) a_term
+      in
+      if Attr.Set.is_empty enc_set then (n', p')
+      else begin
+        let ne = Plan.encrypt enc_set n' in
+        let pe = Profile.encrypt enc_set p' in
+        record b ne pe subject;
+        (ne, pe)
+      end
+
+let extension b plan = { plan; assignment = b.executors; profiles = b.profiles }
+
+let step b site subject ~parent_enc ~above children =
+  let built =
+    List.map
+      (fun (c : t) -> (c.plan, Hashtbl.find c.profiles (Plan.id c.plan)))
+      children
   in
+  extension b (fst (extend_node b site subject ~parent_enc ~above built))
+
+let finish b (root, root_profile) =
   let root =
-    match st.deliver_to with
+    match b.deliver_to with
     | Some user ->
         let readable =
           Attr.Set.inter root_profile.Profile.ve
-            (view_of user).Authorization.plain
+            (b.view_of user).Authorization.plain
         in
         if Attr.Set.is_empty readable then root
         else begin
           let nd = Plan.decrypt readable root in
-          record nd (Profile.decrypt readable root_profile) user;
+          record b nd (Profile.decrypt readable root_profile) user;
           nd
         end
     | None -> root
   in
-  { plan = root; assignment = st.executors; profiles = st.profiles }
+  extension b root
+
+let deliver b (t : t) = finish b (t.plan, Hashtbl.find t.profiles (Plan.id t.plan))
 
 let extender ~policy ~config ?deliver_to plan =
-  build_extension
-    { view_of = Authorization.view policy;
-      deliver_to;
-      shape = shape_of ~config plan;
-      profiles = Hashtbl.create 256;
-      executors = Imap.empty;
-      memo = Memo.create 256;
-      subjects = [||] }
+  let b = builder ~policy ~config ?deliver_to plan in
+  fun assignment ->
+    let rec build site ~parent_enc ~above =
+      let subject =
+        match (Imap.find_opt (Plan.id site.node) assignment, site.owner) with
+        | Some s, _ | None, Some s -> s
+        | None, None ->
+            invalid_arg
+              (Printf.sprintf "Extend.extend: node %d (%s) has no assignee"
+                 (Plan.id site.node) (Plan.operator_name site.node))
+      in
+      let children =
+        List.map2
+          (fun c (parent_enc, above) -> build c ~parent_enc ~above)
+          site.children
+          (inputs b site subject ~above)
+      in
+      extend_node b site subject ~parent_enc ~above children
+    in
+    finish b (build b.root ~parent_enc:Attr.Set.empty ~above:Attr.Set.empty)
 
 let own (t : t) =
   let profiles = Hashtbl.create 64 in

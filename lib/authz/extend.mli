@@ -46,11 +46,20 @@ val extender :
   Plan.t ->
   Subject.t Imap.t ->
   t
-(** Staged, incremental {!extend}: [extender ~policy ~config plan]
-    derives once what no assignment changes — per original node, the
-    attributes it needs in plaintext, the attribute groups it compares,
-    and the implicit attributes of its logical profile. Each application
-    to an assignment builds that assignment's extension.
+(** Staged {!extend}: [extender ~policy ~config plan] derives once
+    what no assignment changes — per original node, the attributes it
+    needs in plaintext, the attribute groups it compares, and the
+    implicit attributes of its logical profile (its {!builder}). Each
+    application to an assignment builds that assignment's extension,
+    node by node with {!step}.
+
+    The extensions of one extender share their [assignment] map and
+    [profiles] table, which hold every node it has built; a lookup by a
+    node of the extension reads that node's entry. {!own} restricts an
+    extension to its own nodes. The extender is mutable: do not share
+    it between domains. *)
+
+(** {1 One node at a time}
 
     What a node's subtree extends to depends on three things only: the
     assignment of the subtree's own nodes, the encrypted view of its
@@ -59,19 +68,53 @@ val extender :
     above it (Def. 5.4's ancestor term, which reaches the node as one
     accumulated set). Both views are read only against the subtree's
     own profiles, so only their part over the attributes the subtree's
-    nodes output matters. The extender keeps every subtree it builds
-    under those three inputs, the views cut to those attributes. An
-    assignment that meets a subtree's inputs again reuses that subtree
-    physically, with its node ids, profiles and executors: a move that
-    reassigns one node rebuilds its path to the root, plus the subtrees
-    below it whose cut views changed.
+    nodes output matters. A planner that searches assignments one
+    subtree at a time builds each subtree once per such inputs. *)
 
-    The extensions of one extender share their [assignment] map and
-    [profiles] table, which hold every node it has built; a lookup by a
-    node of the extension reads that node's entry. {!own} restricts an
-    extension to its own nodes. The extender is mutable: do not share
-    it between domains. A planner costing many assignments of one
-    query builds the extender once. *)
+type builder
+(** What every extension of one query shares: the per-node facts
+    {!extender} derives once, and the [assignment] and [profiles]
+    tables its extensions share. Mutable: do not share it between
+    domains. *)
+
+type site
+(** An original node of the query, with what its extension reads that
+    no assignment changes. *)
+
+val builder :
+  policy:Authorization.t ->
+  config:Opreq.config ->
+  ?deliver_to:Subject.t ->
+  Plan.t ->
+  builder
+
+val root : builder -> site
+val site_node : site -> Plan.t
+val site_children : site -> site list
+
+val inputs :
+  builder -> site -> Subject.t -> above:Attr.Set.t ->
+  (Attr.Set.t * Attr.Set.t) list
+(** [inputs b site s ~above] are, per child of [site] in order, the
+    [(parent_enc, above)] that child's subtree is extended under when
+    [s] executes [site] and [above] is [site]'s own [above]: the
+    encrypted view of [s] and the union of [above] with it, both cut to
+    the attributes the child's subtree holds. The root's are both
+    empty. Together with the child's subtree assignment they determine
+    the child's extension. *)
+
+val step :
+  builder -> site -> Subject.t -> parent_enc:Attr.Set.t ->
+  above:Attr.Set.t -> t list -> t
+(** [step b site s ~parent_enc ~above children] extends [site] executed
+    by [s] over its children's extensions, each built under the inputs
+    {!inputs} gives it: the operation over its decrypted or repaired
+    operands, then the encryption its parent's executor requires. The
+    result's [plan] is the subtree's top node; its tables are [b]'s. *)
+
+val deliver : builder -> t -> t
+(** [deliver b root] is the root's extension with the final decryption
+    for [deliver_to] appended, as {!extend} builds it. *)
 
 val own : t -> t
 (** [own t] is [t] with an [assignment] and [profiles] holding exactly

@@ -1,36 +1,75 @@
 (** Assignment computation (Sec. 6 step 2 + Sec. 7).
 
-    A bottom-up dynamic program over (node, candidate) pairs: the best
-    cost of executing a subtree with its root at a given subject is the
-    node's execution cost plus, per child, the cheapest choice of child
-    executor including the edge costs — transfer (with ciphertext
-    expansion), on-the-fly encryption demanded by the receiving subject's
-    view, and decryption demanded by the operation's plaintext needs.
-    This combines the paper's steps 2 and 3, as their tool does when
-    encryption costs are not negligible.
+    One exact search over the extensions themselves, combining the
+    paper's steps 2 and 3 as their tool does when encryption costs are
+    not negligible, and pricing every plan with {!Cost.part} under the
+    schemes that plan actually needs: there is no second cost model.
 
-    The DP's edge model ignores the ancestor-driven early-encryption
-    term of Def. 5.4 (it only moves an encryption earlier in the plan);
-    the returned assignment is re-costed exactly by
-    {!Cost.of_extended} downstream. *)
+    A subtree's extension depends only on the assignment of its own
+    nodes and on two inputs from above: the encrypted view of its
+    parent's executor and the union of the encrypted views of every
+    executor above it (Def. 5.4's ancestor term), both cut to the
+    subtree's attributes ({!Authz.Extend.inputs}). The search visits
+    each subtree once per such pair of inputs and builds its options
+    bottom-up with {!Authz.Extend.step}: per candidate executor, every
+    combination of its children's options.
+
+    Schemes are chosen per equivalence class of the query's attributes
+    (Def. 6.1's clusters), by the paper's rule over the computations the
+    finished plan runs on the class's ciphertext. An option claims a
+    scheme for each class its subtree encrypts, decrypts or computes on
+    encrypted, with the capabilities computed so far; it is priced under
+    its claims, and combines only with options claiming the same schemes.
+    A claim that no later step could make the rule's choice is dropped,
+    and a class no later step touches must already be the rule's choice:
+    every finished plan is priced under its actual schemes.
+
+    Of the options that look the same from above — the same executor,
+    visible attributes, statistics and claims at the subtree's top —
+    only the cheapest is kept; under a latency bound, every option no
+    other is both cheaper and faster than. That loses nothing: the rest
+    of the plan reads an option only through those, and a subtree's cost
+    and completion time are monotone in its children's. A candidate
+    holding the same view as a cheaper one of the same role is dropped,
+    as swapping it for that one never costs more.
+
+    Without a latency bound the search is bounded: it looks for a plan
+    within a cost bound, starting from a lower bound on any plan's cost
+    (each node's own work at its cheapest candidate, over plaintext) and
+    raising it until a plan fits. An option whose subtree, plus that
+    lower bound for the nodes outside it, exceeds the bound is pruned,
+    so the plan found is the cheapest of all. *)
 
 open Relalg
+
+type pick = {
+  assignment : Authz.Subject.t Authz.Imap.t;
+      (** by original node id, every assignable node *)
+  extended : Authz.Extend.t;  (** its extension, delivered *)
+  cost : Cost.breakdown;  (** under its actual schemes *)
+}
 
 val optimize :
   candidates:Authz.Candidates.t ->
   policy:Authz.Authorization.t ->
-  config:Authz.Opreq.config ->
+  builder:Authz.Extend.builder ->
   pricing:Pricing.t ->
-  stats:Estimate.stats Authz.Imap.t ->
-  scheme_of:(Attr.t -> Mpq_crypto.Scheme.t) ->
-  Plan.t ->
-  Authz.Subject.t Authz.Imap.t
-(** Minimum-cost assignment drawn from the candidate sets. Raises
-    [Invalid_argument] when some assignable node has no candidate.
-
-    Each (node, subject) pair reads the subject's view once
-    ({!Authz.Authorization.view}, a lookup into views the policy built
-    when it was made). *)
+  network:Network.t ->
+  base:Estimate.base_stats ->
+  conservative:(Attr.t -> Mpq_crypto.Scheme.t) ->
+  ?max_latency:float ->
+  unit ->
+  pick
+(** The best assignment drawn from the candidate sets: the cheapest,
+    or under [max_latency] the cheapest whose latency meets the bound
+    (when none does, the fastest), each plan priced under its own actual
+    schemes ({!Authz.Plan_keys.actual_schemes}). [conservative] is
+    {!Authz.Opreq.schemes}: an actual scheme is the rule's choice for
+    some of the capabilities the conservative one supports. [cost]
+    equals {!Cost.of_extended} of {!Authz.Extend.extend} of
+    [assignment] under its actual schemes, float for float, and no
+    assignment in [Π Λ(n)] costs less. Raises [Invalid_argument] when
+    some assignable node has no candidate. *)
 
 val enumerate : Authz.Candidates.t -> Plan.t -> Authz.Subject.t Authz.Imap.t list
 (** Every assignment in [Π Λ(n)] — exponential; for tests and small

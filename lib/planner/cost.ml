@@ -8,9 +8,10 @@ type breakdown = {
   seconds : float;
   latency : float;
   per_subject : (Authz.Subject.t * float) list;
+  usd : float;
 }
 
-let total b = b.cpu +. b.io +. b.net
+let total b = b.usd
 
 (* Relational throughput in tuples per minute, and the udf slowdown. *)
 let tuples_per_minute = 2e6
@@ -71,29 +72,27 @@ type charge = {
   work_seconds : float;
 }
 
+let usd_of c = c.cpu_usd +. c.io_usd +. c.net_usd
+
 (* One extended node's part of the cost: its executor, its output
    statistics, its charges (its own work, then a transfer from each
-   child on another executor, in child order), its critical-path
-   completion time, and its children's parts. It is a function of the
-   node's subtree and of the schemes of the attributes that subtree
-   encrypts or decrypts. *)
+   child on another executor, in child order), the USD its subtree
+   costs (its charges, then its children's subtree sums, in order), its
+   critical-path completion time, and its children's parts. It is a
+   function of the node's subtree and of the schemes of the attributes
+   that subtree encrypts or decrypts. *)
 type part = {
   executor : Authz.Subject.t;
   stats : Estimate.stats;
   charges : charge list;
+  subtree_usd : float;
   finish : float;
   below : part list;
 }
 
-(* The parts of one extended node, one per scheme choice over
-   [crypto], the attributes its subtree's nodes encrypt or decrypt, in
-   preorder and with repeats. A part found valid under a [scheme_of]
-   function is listed again under it, so that function finds it by
-   physical equality. *)
-type node_parts = {
-  crypto : Attr.t array;
-  mutable parts : ((Attr.t -> Scheme.t) * Scheme.t array Lazy.t * part) list;
-}
+let part_usd p = p.subtree_usd
+let part_finish p = p.finish
+let part_stats p = p.stats
 
 (* The running sums of a costing, in charge order. *)
 type totals = {
@@ -103,124 +102,94 @@ type totals = {
   mutable seconds_sum : float;
 }
 
-let coster ~pricing ~network ~base =
-  let memo = Authz.Imap.Tbl.create 256 in
-  fun ~scheme_of (ext : Authz.Extend.t) ->
-    let charge s ~cpu ~io ~net ~seconds =
-      let r = Pricing.rates_for pricing s in
-      { payer = s;
-        cpu_usd = cpu *. r.Pricing.cpu_per_min;
-        io_usd = io /. 1e9 *. r.Pricing.io_per_gb;
-        net_usd = net /. 1e9 *. r.Pricing.net_out_per_gb;
-        work_seconds = seconds }
+let breakdown root =
+  (* summed in preorder, each node's own charge before its transfers;
+     subjects are listed in the order they are first charged *)
+  let t = { cpu_sum = 0.0; io_sum = 0.0; net_sum = 0.0; seconds_sum = 0.0 } in
+  let payers = ref [||] and amounts = ref [||] in
+  let charge_payer s v =
+    let ps = !payers in
+    let rec find i =
+      if i = Array.length ps then begin
+        payers := Array.append ps [| s |];
+        amounts := Array.append !amounts [| v |]
+      end
+      else if Authz.Subject.equal ps.(i) s then
+        !amounts.(i) <- !amounts.(i) +. v
+      else find (i + 1)
     in
-    let rec node_parts n =
-      match Authz.Imap.Tbl.find_opt memo (Plan.id n) with
-      | Some np -> np
-      | None ->
-          let own =
-            match Plan.node n with
-            | Plan.Encrypt (attrs, _) | Plan.Decrypt (attrs, _) ->
-                Array.of_list (Attr.Set.elements attrs)
-            | _ -> [||]
-          in
-          let crypto =
-            match (own, Plan.children n) with
-            | [||], [ c ] -> (node_parts c).crypto
-            | _, children ->
-                Array.concat
-                  (own :: List.map (fun c -> (node_parts c).crypto) children)
-          in
-          let np = { crypto; parts = [] } in
-          Authz.Imap.Tbl.add memo (Plan.id n) np;
-          np
-    and part n =
-      let np = node_parts n in
-      match List.find_opt (fun (f, _, _) -> f == scheme_of) np.parts with
-      | Some (_, _, p) -> p
-      | None ->
-          let schemes = lazy (Array.map scheme_of np.crypto) in
-          let p =
-            match
-              List.find_opt
-                (fun (_, s, _) -> Lazy.force s = Lazy.force schemes)
-                np.parts
-            with
-            | Some (_, _, p) -> p
-            | None -> price n
-          in
-          np.parts <- (scheme_of, schemes, p) :: np.parts;
-          p
-    and price n =
-      let s = Authz.Imap.find (Plan.id n) ext.Authz.Extend.assignment in
-      let below = List.map part (Plan.children n) in
-      let child_stats = List.map (fun p -> p.stats) below in
-      let stats = Estimate.node_stats ~scheme_of ~base n child_stats in
-      let cpu = cpu_minutes ~scheme_of ~node:n ~child_stats ~out_stats:stats in
-      let io_bytes =
-        Estimate.table_bytes stats
-        +. List.fold_left
-             (fun a cs -> a +. Estimate.table_bytes cs)
-             0.0 child_stats
-      in
-      let own = charge s ~cpu ~io:io_bytes ~net:0.0 ~seconds:(cpu *. 60.0) in
-      (* network: edges whose endpoints differ; children complete in
-         parallel, and a transfer is paid when the edge crosses
-         subjects *)
-      let transfers, ready =
-        List.fold_left
-          (fun (transfers, ready) p ->
-            let cs = p.executor in
-            if Authz.Subject.equal cs s then
-              (transfers, Float.max ready p.finish)
-            else
-              let bytes = Estimate.table_bytes p.stats in
-              let seconds = Network.transfer_seconds network cs s bytes in
-              ( charge cs ~cpu:0.0 ~io:0.0 ~net:bytes ~seconds :: transfers,
-                Float.max ready (p.finish +. seconds) ))
-          ([], 0.0) below
-      in
-      { executor = s; stats; charges = own :: List.rev transfers;
-        finish = ready +. (cpu *. 60.0); below }
-    in
-    let root = part ext.Authz.Extend.plan in
-    (* summed in preorder, each node's own charge before its transfers;
-       subjects are listed in the order they are first charged *)
-    let t = { cpu_sum = 0.0; io_sum = 0.0; net_sum = 0.0; seconds_sum = 0.0 } in
-    let payers = ref [||] and amounts = ref [||] in
-    let charge_payer s v =
-      let ps = !payers in
-      let rec find i =
-        if i = Array.length ps then begin
-          payers := Array.append ps [| s |];
-          amounts := Array.append !amounts [| v |]
-        end
-        else if Authz.Subject.equal ps.(i) s then
-          !amounts.(i) <- !amounts.(i) +. v
-        else find (i + 1)
-      in
-      find 0
-    in
-    let rec sum p =
-      List.iter
-        (fun c ->
-          t.cpu_sum <- t.cpu_sum +. c.cpu_usd;
-          t.io_sum <- t.io_sum +. c.io_usd;
-          t.net_sum <- t.net_sum +. c.net_usd;
-          t.seconds_sum <- t.seconds_sum +. c.work_seconds;
-          let v = c.cpu_usd +. c.io_usd +. c.net_usd in
-          if v <> 0.0 then charge_payer c.payer v)
-        p.charges;
-      List.iter sum p.below
-    in
-    sum root;
-    { cpu = t.cpu_sum; io = t.io_sum; net = t.net_sum;
-      seconds = t.seconds_sum; latency = root.finish;
-      per_subject =
-        Array.to_list (Array.map2 (fun s v -> (s, v)) !payers !amounts) }
+    find 0
+  in
+  let rec sum p =
+    List.iter
+      (fun c ->
+        t.cpu_sum <- t.cpu_sum +. c.cpu_usd;
+        t.io_sum <- t.io_sum +. c.io_usd;
+        t.net_sum <- t.net_sum +. c.net_usd;
+        t.seconds_sum <- t.seconds_sum +. c.work_seconds;
+        let v = usd_of c in
+        if v <> 0.0 then charge_payer c.payer v)
+      p.charges;
+    List.iter sum p.below
+  in
+  sum root;
+  { cpu = t.cpu_sum; io = t.io_sum; net = t.net_sum;
+    seconds = t.seconds_sum; latency = root.finish;
+    per_subject =
+      Array.to_list (Array.map2 (fun s v -> (s, v)) !payers !amounts);
+    usd = root.subtree_usd }
 
-let of_extended ~pricing ~network ~base ~scheme_of ext =
-  coster ~pricing ~network ~base ~scheme_of ext
+(* [part ~pricing ~network ~base ~scheme_of s n below]: extended node
+   [n], executed by [s], over its children's parts in child order. *)
+let part ~pricing ~network ~base ~scheme_of s n below =
+  let charge s ~cpu ~io ~net ~seconds =
+    let r = Pricing.rates_for pricing s in
+    { payer = s;
+      cpu_usd = cpu *. r.Pricing.cpu_per_min;
+      io_usd = io /. 1e9 *. r.Pricing.io_per_gb;
+      net_usd = net /. 1e9 *. r.Pricing.net_out_per_gb;
+      work_seconds = seconds }
+  in
+  let child_stats = List.map (fun p -> p.stats) below in
+  let stats = Estimate.node_stats ~scheme_of ~base n child_stats in
+  let cpu = cpu_minutes ~scheme_of ~node:n ~child_stats ~out_stats:stats in
+  let io_bytes =
+    Estimate.table_bytes stats
+    +. List.fold_left (fun a cs -> a +. Estimate.table_bytes cs) 0.0 child_stats
+  in
+  let own = charge s ~cpu ~io:io_bytes ~net:0.0 ~seconds:(cpu *. 60.0) in
+  (* network: edges whose endpoints differ; children complete in
+     parallel, and a transfer is paid when the edge crosses subjects *)
+  let transfers, ready =
+    List.fold_left
+      (fun (transfers, ready) p ->
+        let cs = p.executor in
+        if Authz.Subject.equal cs s then (transfers, Float.max ready p.finish)
+        else
+          let bytes = Estimate.table_bytes p.stats in
+          let seconds = Network.transfer_seconds network cs s bytes in
+          ( charge cs ~cpu:0.0 ~io:0.0 ~net:bytes ~seconds :: transfers,
+            Float.max ready (p.finish +. seconds) ))
+      ([], 0.0) below
+  in
+  let charges = own :: List.rev transfers in
+  let subtree_usd =
+    List.fold_left
+      (fun acc p -> acc +. p.subtree_usd)
+      (List.fold_left (fun acc c -> acc +. usd_of c) 0.0 charges)
+      below
+  in
+  { executor = s; stats; charges; subtree_usd;
+    finish = ready +. (cpu *. 60.0); below }
+
+let of_extended ~pricing ~network ~base ~scheme_of (ext : Authz.Extend.t) =
+  let rec price n =
+    part ~pricing ~network ~base ~scheme_of
+      (Authz.Imap.find (Plan.id n) ext.Authz.Extend.assignment)
+      n
+      (List.map price (Plan.children n))
+  in
+  breakdown (price ext.Authz.Extend.plan)
 
 let pp fmt b =
   Format.fprintf fmt

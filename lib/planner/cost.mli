@@ -20,9 +20,18 @@ type breakdown = {
           transfers on the slow client link dominate — the quantity the
           paper's performance threshold bounds (Sec. 7) *)
   per_subject : (Authz.Subject.t * float) list;  (** USD by participant *)
+  usd : float;
+      (** the plan's total, summed per subtree: a node's own charge,
+          then its transfers, then its children's subtree sums in child
+          order. A subtree's sum is a function of the subtree alone and
+          is monotone in each child's, so a search that keeps the
+          cheapest subtree per interface is exact. [cpu], [io] and
+          [net] are summed in preorder and add up to [usd] within
+          rounding. *)
 }
 
 val total : breakdown -> float
+(** [usd]. *)
 
 val cpu_minutes :
   scheme_of:(Attr.t -> Mpq_crypto.Scheme.t) ->
@@ -33,25 +42,34 @@ val cpu_minutes :
 (** CPU minutes to execute one node (crypto operators are charged by
     volume and scheme; udfs at 100× the relational per-tuple cost). *)
 
-val coster :
+type part
+(** One extended node's share of a costing: its subtree's statistics,
+    charges, sum and completion time. *)
+
+val part_usd : part -> float
+(** The subtree's sum, as {!breakdown.usd} reads it at the root. *)
+
+val part_finish : part -> float
+(** The subtree's critical-path completion time. *)
+
+val part_stats : part -> Estimate.stats
+(** The subtree root's output statistics. *)
+
+val part :
   pricing:Pricing.t ->
   network:Network.t ->
   base:Estimate.base_stats ->
   scheme_of:(Attr.t -> Mpq_crypto.Scheme.t) ->
-  Authz.Extend.t ->
-  breakdown
-(** Staged {!of_extended}: [coster ~pricing ~network ~base] keeps, per
-    extended node, the statistics, charges and completion time it
-    computed, keyed by the node (its id) and the schemes of the
-    attributes its subtree encrypts or decrypts. Costing another
-    extension that holds the node, under the same schemes for those
-    attributes, reads them back instead of recomputing the subtree.
-    Charges are summed in preorder, each node's own before its
-    transfers, so every float matches a from-scratch costing.
+  Authz.Subject.t ->
+  Plan.t ->
+  part list ->
+  part
+(** [part ~pricing ~network ~base ~scheme_of s n below] prices one node
+    of an extended plan: [n] executed by [s], over its children's parts
+    in child order. {!of_extended} prices every node this way. *)
 
-    Sound only for extensions whose nodes keep one executor each, as
-    the extensions of one {!Authz.Extend.extender} do. Not safe to share
-    between domains. *)
+val breakdown : part -> breakdown
+(** The breakdown of a plan whose root has this part. *)
 
 val of_extended :
   pricing:Pricing.t ->
@@ -61,6 +79,8 @@ val of_extended :
   Authz.Extend.t ->
   breakdown
 (** Exact cost of a minimally extended plan under a given assignment:
-    a fresh {!coster} applied once. *)
+    {!part} over every node, bottom-up, then {!breakdown}. [cpu], [io],
+    [net], [seconds] and [per_subject] are summed in preorder, each
+    node's own charge before its transfers. *)
 
 val pp : Format.formatter -> breakdown -> unit

@@ -12,6 +12,14 @@ type base_stats = string -> stats option
 let make ~card widths =
   { card; widths; row_bytes = Array.fold_left ( +. ) 0.0 widths.bytes }
 
+let equal a b =
+  a == b
+  || Float.equal a.card b.card
+     && Float.equal a.row_bytes b.row_bytes
+     && Array.length a.widths.names = Array.length b.widths.names
+     && Array.for_all2 Attr.equal a.widths.names b.widths.names
+     && Array.for_all2 Float.equal a.widths.bytes b.widths.bytes
+
 let row_bytes s = s.row_bytes
 let table_bytes s = s.card *. s.row_bytes
 
@@ -25,11 +33,6 @@ let width_in w a =
   find 0
 
 let width s a = width_in s.widths a
-
-let fold_widths f s acc =
-  let acc = ref acc in
-  Array.iteri (fun i a -> acc := f a s.widths.bytes.(i) !acc) s.widths.names;
-  !acc
 
 (* The entries of [w] whose attribute satisfies [keep]. *)
 let filter_widths keep w =
@@ -99,6 +102,8 @@ let of_widths ~card widths =
     { names = Array.of_list (List.map fst (Attr.Map.bindings m));
       bytes = Array.of_list (List.map snd (Attr.Map.bindings m)) }
 
+(* 0.1 for equality with a constant, 1/3 for ranges, 0.05 for LIKE,
+   0.25 for IN. *)
 let default_selectivity = function
   | Predicate.Cmp_const (_, (Predicate.Eq | Predicate.Neq), _) -> 0.1
   | Predicate.Cmp_const (_, _, _) -> 1.0 /. 3.0

@@ -20,6 +20,9 @@ type stats = {
 type base_stats = string -> stats option
 (** Statistics of base relations by name. *)
 
+val equal : stats -> stats -> bool
+(** Equal row counts and widths, float for float. *)
+
 val row_bytes : stats -> float
 val table_bytes : stats -> float
 
@@ -29,13 +32,6 @@ val of_widths : card:float -> (string * float) list -> stats
 
 val width : stats -> Attr.t -> float
 (** The width of an attribute, 8 bytes when the stats lack it. *)
-
-val fold_widths : (Attr.t -> float -> 'a -> 'a) -> stats -> 'a -> 'a
-(** Over the attributes in name order, with their widths. *)
-
-val default_selectivity : Predicate.atom -> float
-(** 0.1 for equality with a constant, 1/3 for ranges, 0.05 for LIKE,
-    0.25 for IN. *)
 
 val predicate_selectivity : Predicate.t -> float
 (** CNF combination: clauses multiply, atoms of a disjunction add

@@ -110,136 +110,20 @@ let plan ~policy ~subjects ?(config = Authz.Opreq.default)
                 "operation %s admits no authorized executor under the policy"
                 name)))
     candidates;
-  (* Facts that depend on the query and config only, derived once for
-     every round and local-search move below: the conservative schemes,
-     the first stage of the actual-scheme derivation, and the extender's
-     per-node facts.
-
-     The extender, the actual-scheme derivation and the coster also keep
-     what they build per subtree for the rest of this call (see
-     DESIGN.md, "Incremental evaluation"): an assignment that differs
-     from an earlier one in one node rebuilds only that node's path to
-     the root and the subtrees whose inputs changed. *)
-  let conservative = Authz.Opreq.schemes config query in
-  let actual_schemes = Authz.Plan_keys.actual_schemes ~original:query in
-  let extend = Authz.Extend.extender ~policy ~config ?deliver_to query in
-  let price = Cost.coster ~pricing ~network ~base in
-  (* Extended nodes an evaluation built, against those it took from an
-     earlier one: the extender's shared profile table gains one entry
-     per node it builds (extend.mli). Only counted when tracing. *)
-  let recorded = ref 0 in
-  let count_nodes ~counted (ext : Authz.Extend.t) =
-    let total = Hashtbl.length ext.Authz.Extend.profiles in
-    let built = total - !recorded in
-    recorded := total;
-    if counted && Obs.enabled () then begin
-      Obs.incr ~by:built "planner.evaluate.nodes_built";
-      Obs.incr
-        ~by:(Plan.size ext.Authz.Extend.plan - built)
-        "planner.evaluate.nodes_reused"
-    end
+  (* The exact search prices every subtree it builds under the schemes
+     the finished plan will use (see Assign): the paper's rule applied
+     to what the plan actually computes on ciphertext. *)
+  let pick =
+    Obs.with_span "planner.dp" (fun () ->
+        Assign.optimize ~candidates ~policy
+          ~builder:(Authz.Extend.builder ~policy ~config ?deliver_to query)
+          ~pricing ~network ~base
+          ~conservative:(Authz.Opreq.schemes config query)
+          ?max_latency ())
   in
-  (* One planning round: DP under a scheme hypothesis, extend, then read
-     the actual schemes and exact cost off the extended plan. The first
-     round uses the conservative (worst-case) schemes; the second re-runs
-     the DP under the schemes the first round's plan actually needs —
-     e.g. an attribute only aggregated in plaintext at its authority
-     drops from Paillier to cheap randomized encryption, unblocking
-     delegation. The cheaper of the two rounds wins. *)
-  let round cands scheme_of =
-    Obs.with_span "planner.round" @@ fun () ->
-    let stats =
-      Obs.with_span "planner.estimate" (fun () ->
-          Estimate.annotate ~scheme_of ~base query)
-    in
-    let assignment =
-      Obs.with_span "planner.dp" (fun () ->
-          Assign.optimize ~candidates:cands ~policy ~config ~pricing ~stats
-            ~scheme_of query)
-    in
-    let extended =
-      Obs.with_span "planner.extend" (fun () -> extend assignment)
-    in
-    count_nodes ~counted:false extended;
-    let actual = actual_schemes extended in
-    let cost =
-      Obs.with_span "planner.cost" (fun () ->
-          price ~scheme_of:actual extended)
-    in
-    (assignment, extended, actual, cost)
-  in
-  let ((_, _, scheme1, _) as r1) = round candidates conservative in
-  (* Fallback round without providers: the DP's edge model is heuristic
-     (Def. 5.4's ancestor-driven encryption is priced only approximately),
-     so guarantee we never lose to the provider-free plan. *)
-  let no_providers =
-    Authz.Imap.map
-      (Authz.Subject.Set.filter (fun s ->
-           s.Authz.Subject.role <> Authz.Subject.Provider))
-      candidates
-  in
-  let rounds =
-    [ r1; round candidates scheme1 ]
-    @
-    if Authz.Imap.exists (fun _ s -> Authz.Subject.Set.is_empty s) no_providers
-    then []
-    else [ round no_providers conservative ]
-  in
-  (* the paper's threshold: minimize cost subject to latency <= bound;
-     if nothing qualifies, minimize latency instead *)
-  let better ((_, _, _, a) as ra) ((_, _, _, b) as rb) =
-    match max_latency with
-    | None -> if Cost.total b < Cost.total a then rb else ra
-    | Some bound ->
-        let ok c = c.Cost.latency <= bound in
-        if ok a && ok b then if Cost.total b < Cost.total a then rb else ra
-        else if ok a then ra
-        else if ok b then rb
-        else if b.Cost.latency < a.Cost.latency then rb
-        else ra
-  in
-  let seed =
-    match rounds with
-    | [] -> assert false
-    | first :: rest -> List.fold_left better first rest
-  in
-  (* Exact local search: the DP's edge model is heuristic (Def. 5.4's
-     ancestor term and the uniformity repairs are priced approximately),
-     so polish the winner with one sweep: re-assign one node at a time,
-     in id order, to each of its other candidates, re-costing the real
-     extension, and keep every improvement. A second sweep changes no
-     TPC-H plan. Only planner rejections (no candidate, or an extension
-     refusing the assignment with Invalid_argument) discard a move;
-     genuine failures — Stack_overflow, Out_of_memory, verifier bugs —
-     must propagate. *)
-  let evaluate assignment =
-    Obs.with_span "planner.evaluate" @@ fun () ->
-    Obs.incr "planner.evaluate.calls";
-    let extended = extend assignment in
-    count_nodes ~counted:true extended;
-    let actual = actual_schemes extended in
-    let cost = price ~scheme_of:actual extended in
-    (assignment, extended, actual, cost)
-  in
-  let sweep current =
-    Obs.with_span "planner.sweep" @@ fun () ->
-    Authz.Imap.fold
-      (fun id cands best ->
-        Authz.Subject.Set.fold
-          (fun s ((assignment, _, _, _) as best) ->
-            if Authz.Subject.equal (Authz.Imap.find id assignment) s then best
-            else begin
-              Obs.incr "planner.sweep.moves";
-              match evaluate (Authz.Imap.add id s assignment) with
-              | result -> better best result
-              | exception (No_candidate _ | Invalid_argument _) ->
-                  Obs.incr "planner.sweep.discarded";
-                  best
-            end)
-          cands best)
-      candidates current
-  in
-  let assignment, extended, scheme_of, cost = sweep seed in
+  let assignment = pick.Assign.assignment and extended = pick.Assign.extended
+  and cost = pick.Assign.cost in
+  let scheme_of = Authz.Plan_keys.actual_schemes ~original:query extended in
   let extended = Authz.Extend.own extended in
   let clusters =
     Obs.with_span "planner.keys" (fun () ->

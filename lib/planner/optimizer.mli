@@ -2,9 +2,10 @@
 
     Given a query plan, a policy, the participating subjects, prices and
     network: resolve scheme conflicts, compute candidates (step 1),
-    choose a minimum-cost assignment (step 2, DP), inject minimal
-    encryption/decryption (step 3), derive the plan keys (step 4), and
-    build the dispatch requests (step 5). *)
+    choose a minimum-cost assignment and inject minimal
+    encryption/decryption (steps 2 and 3, one exact search: see
+    {!Assign}), derive the plan keys (step 4), and build the dispatch
+    requests (step 5). *)
 
 open Relalg
 
@@ -85,17 +86,14 @@ val plan :
   ?max_latency:float ->
   Plan.t ->
   result
-(** [max_latency] (seconds) is the paper's performance threshold: among
-    the explored assignments, the cheapest whose critical-path latency
-    stays under the bound wins; when none qualifies, the lowest-latency
-    one is returned (cost is secondary at that point).
+(** The assignment is the cheapest in [Π Λ(n)], each plan priced under
+    the schemes it actually needs ({!Authz.Plan_keys.actual_schemes}):
+    [cost] is its exact {!Cost.of_extended}.
 
-    The DP rounds' best assignment is polished by one local-search
-    sweep: each assignable node, in id order, is moved to each of its
-    other candidates, and every improvement is kept. Evaluating an
-    assignment is incremental: the extension, its demands and its cost
-    are kept per subtree for the whole call, and a move rebuilds only
-    what it changes (see {!Authz.Extend.extender}).
+    [max_latency] (seconds) is the paper's performance threshold: the
+    cheapest assignment whose critical-path latency stays under the
+    bound wins; when none qualifies, the lowest-latency one is returned
+    (cost is secondary at that point).
 
     Before returning, [plan] re-verifies its own output with the
     static verifier and raises {!Verification_failed} on any

@@ -38,9 +38,6 @@ let rates_for t (s : Authz.Subject.t) =
       { (scale 1.0 base_provider_rates) with
         cpu_per_min = base_provider_rates.cpu_per_min *. t.user_factor }
 
-let cheapest_provider_factor t =
-  List.fold_left (fun acc (_, f) -> Float.min acc f) 1.0 t.provider_multipliers
-
 let fingerprint t =
   let buf = Buffer.create 64 in
   Fingerprint.float_field buf t.authority_factor;

@@ -16,8 +16,6 @@ type rates = {
 
 type t
 
-val base_provider_rates : rates
-
 val make :
   ?provider_multipliers:(string * float) list ->
   ?authority_factor:float ->
@@ -29,9 +27,6 @@ val make :
     card (default 1.0). *)
 
 val rates_for : t -> Authz.Subject.t -> rates
-
-val cheapest_provider_factor : t -> float
-(** Smallest provider multiplier (useful in reporting). *)
 
 val fingerprint : t -> string
 (** Canonical collision-free serialization (see {!Fingerprint}):

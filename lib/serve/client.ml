@@ -1,15 +1,21 @@
 exception Timeout
 exception Protocol_error of string
 
+(* Received bytes not yet returned are [buf] from [start] to [stop];
+   none of them before [scanned] is a newline. *)
 type t = {
   fd : Unix.file_descr;
-  buf : Buffer.t;
+  mutable buf : Bytes.t;
+  mutable start : int;
+  mutable scanned : int;
+  mutable stop : int;
   timeout_s : float;
   mutable eof : bool;
 }
 
 let of_fd ?(timeout_s = 10.0) fd =
-  { fd; buf = Buffer.create 256; timeout_s; eof = false }
+  { fd; buf = Bytes.create 4096; start = 0; scanned = 0; stop = 0; timeout_s;
+    eof = false }
 
 let connect ?timeout_s addr =
   let sa =
@@ -38,21 +44,38 @@ let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
 type reply = { line : int; tag : string; info : string; body : string list }
 
+(* the unread bytes from [start] to [i], exclusive, consumed up to
+   [next] *)
+let take t i next =
+  let line = Bytes.sub_string t.buf t.start (i - t.start) in
+  t.start <- next;
+  t.scanned <- next;
+  line
+
+(* room to read into: unread bytes move to the front, and the buffer
+   doubles only when they fill it *)
+let make_room t =
+  if t.stop = Bytes.length t.buf then begin
+    let unread = t.stop - t.start in
+    let dst =
+      if unread < Bytes.length t.buf then t.buf
+      else Bytes.create (2 * Bytes.length t.buf)
+    in
+    Bytes.blit t.buf t.start dst 0 unread;
+    t.buf <- dst;
+    t.scanned <- t.scanned - t.start;
+    t.start <- 0;
+    t.stop <- unread
+  end
+
 (* one buffered line, bounded by [deadline]; [None] on EOF *)
 let rec read_line t deadline =
-  let data = Buffer.contents t.buf in
-  match String.index_opt data '\n' with
-  | Some i ->
-      Buffer.clear t.buf;
-      Buffer.add_substring t.buf data (i + 1) (String.length data - i - 1);
-      Some (String.sub data 0 i)
-  | None ->
+  match Bytes.index_from_opt t.buf t.scanned '\n' with
+  | Some i when i < t.stop -> Some (take t i (i + 1))
+  | _ ->
+      t.scanned <- t.stop;
       if t.eof then
-        if data = "" then None
-        else begin
-          Buffer.clear t.buf;
-          Some data
-        end
+        if t.start = t.stop then None else Some (take t t.stop t.stop)
       else begin
         let now = Unix.gettimeofday () in
         if now >= deadline then raise Timeout;
@@ -61,10 +84,12 @@ let rec read_line t deadline =
          with
         | [], _, _ -> ()
         | _ -> (
-            let b = Bytes.create 4096 in
-            match Unix.read t.fd b 0 (Bytes.length b) with
+            make_room t;
+            match
+              Unix.read t.fd t.buf t.stop (Bytes.length t.buf - t.stop)
+            with
             | 0 -> t.eof <- true
-            | k -> Buffer.add_subbytes t.buf b 0 k
+            | k -> t.stop <- t.stop + k
             | exception Unix.Unix_error ((EINTR | EAGAIN | EWOULDBLOCK), _, _)
               ->
                 ()

@@ -11,10 +11,11 @@
       is unchanged (grant overlaps included — monotonicity), and for
       revoke-only disjoint deltas the query stays plannable — serving
       the retained plan never masks a query that should now be denied.
-      (A fresh replan may land on a *differently shaped* equally valid
-      plan — the optimizer's local search is not stable under deleting
-      never-chosen candidates — which is why test_serve's churn replay
-      compares responses as canonical row multisets, not bytes);
+      (A fresh replan may land on a *differently shaped* plan of equal
+      cost — deleting never-chosen candidates changes the order in
+      which the optimizer meets tied plans — which is why test_serve's
+      churn replay compares responses as canonical row multisets, not
+      bytes);
    3. audit — who-sees-what on the paper's running example, including
       join paths, with filters and a stable rendering;
    4. canonical diagnostics — two independent builds of the same
@@ -188,10 +189,10 @@ let prop_deps_soundness =
                        (* revoke-only and disjoint: the query must stay
                           plannable, so serving the retained entry never
                           masks a rejection. (The fresh plan's *shape*
-                          may differ — the local search is not stable
-                          under deleting never-chosen candidates — so
-                          equal results are asserted over executions in
-                          test_serve's churn replay, canonically.) *)
+                          may differ — a tie among cheapest plans may be
+                          broken otherwise — so equal results are
+                          asserted over executions in test_serve's
+                          churn replay, canonically.) *)
                        match
                          Planner.Optimizer.plan ~policy:p'
                            ~subjects:Gen.subjects ~deliver_to:Gen.user plan

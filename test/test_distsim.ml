@@ -179,23 +179,30 @@ let test_sim_7b_also_works () =
     (Engine.Table.equal_bag (Distsim.Runtime.result outcome) (expected ()))
 
 (* Transfers are priced by [Table.byte_size] as if every ciphertext
-   were materialized. In [select T, P from Hosp join Ins on S=C] the
-   insurer ships P encrypted under rnd (nothing operates on it), and
-   the transfer sizes are pinned to what eager encryption gave. *)
+   were materialized. In [select T, P from Hosp join Ins on S=C] with
+   the join and projection at Z, the insurer ships P encrypted under
+   rnd (nothing operates on it), and the transfer sizes are pinned to
+   what eager encryption gave. *)
 let test_sim_transfer_bytes () =
-  let plan =
-    Plan.project (attrs [ "T"; "P" ])
-      (Plan.join
-         (Predicate.conj [ Predicate.Cmp_attr (a "S", Predicate.Eq, a "C") ])
-         (Plan.project (attrs [ "S"; "T" ]) (Plan.base hosp))
-         (Plan.base ins))
+  let proj = Plan.project (attrs [ "S"; "T" ]) (Plan.base hosp) in
+  let join =
+    Plan.join
+      (Predicate.conj [ Predicate.Cmp_attr (a "S", Predicate.Eq, a "C") ])
+      proj (Plan.base ins)
   in
-  let r = Planner.Optimizer.plan ~policy ~subjects ~deliver_to:u plan in
+  let plan = Plan.project (attrs [ "T"; "P" ]) join in
+  let config = Opreq.resolve_conflicts Opreq.default plan in
+  let extended =
+    Extend.extend ~policy ~config
+      ~assignment:(Imap.of_list [ (Plan.id join, z); (Plan.id plan, z) ])
+      ~deliver_to:u plan
+  in
+  let clusters = Plan_keys.compute ~config ~original:plan extended in
   let outcome =
     Distsim.Runtime.execute ~policy ~pki:(Distsim.Pki.create ())
       ~keyring:(Mpq_crypto.Keyring.create ~seed:5L ())
       ~user:u ~tables:(Test_engine_data.tables ())
-      ~extended:r.Planner.Optimizer.extended ~clusters:r.Planner.Optimizer.clusters ()
+      ~extended ~clusters ()
   in
   let transfers =
     List.filter_map
@@ -211,7 +218,7 @@ let test_sim_transfer_bytes () =
     (List.map
        (fun (c : Plan_keys.cluster) ->
          c.Plan_keys.id ^ " " ^ Mpq_crypto.Scheme.name c.Plan_keys.scheme)
-       r.Planner.Optimizer.clusters);
+       clusters);
   Alcotest.(check (list string)) "transfers"
     [ "H->Z 5 rows 45 bytes"; "I->Z 5 rows 160 bytes"; "Z->U 4 rows 128 bytes" ]
     transfers

@@ -1,13 +1,14 @@
-(* Incremental plan evaluation against evaluation from scratch.
+(* Staged plan evaluation against evaluation from scratch.
 
-   The planner's local search evaluates assignment after assignment of
-   one query through one staged extender, one staged actual-scheme
-   derivation and one coster, each keeping what it built per subtree.
-   Here every assignment of a move sequence is evaluated that way and
-   again from scratch (a fresh [Extend.extend], [Plan_keys.actual_schemes]
-   and [Cost.of_extended]). The two must agree exactly: the same
-   extended plan, executor and profile at every preorder position, the
-   same scheme for every attribute, and bit-equal cost fields. *)
+   Assignment after assignment of one query is extended through one
+   staged extender, whose extensions share one builder's tables, and
+   its schemes derived through one staged actual-scheme derivation,
+   which keeps the demands of every subtree it met. Here every
+   assignment of a move sequence is evaluated that way and again from
+   scratch (a fresh [Extend.extend] and [Plan_keys.actual_schemes]),
+   both costed by [Cost.of_extended]. The two must agree exactly: the
+   same extended plan, executor and profile at every preorder position,
+   the same scheme for every attribute, and bit-equal cost fields. *)
 
 open Relalg
 open Authz
@@ -39,12 +40,11 @@ let evaluate ~extend ~actual ~price assignment =
       | cost -> Evaluated (ext, schemes, cost)
       | exception Invalid_argument _ -> Rejected "cost")
 
-(* The staged evaluation the planner runs, for one query. *)
+(* The staged evaluation, for one query. *)
 let incremental ~policy ~config ~pricing ~network ~base ~deliver_to plan =
   let extend = Extend.extender ~policy ~config ~deliver_to plan in
   let actual = Plan_keys.actual_schemes ~original:plan in
-  let price = Cost.coster ~pricing ~network ~base in
-  evaluate ~extend ~actual ~price
+  evaluate ~extend ~actual ~price:(Cost.of_extended ~pricing ~network ~base)
 
 let from_scratch ~policy ~config ~pricing ~network ~base ~deliver_to plan =
   evaluate
@@ -132,7 +132,7 @@ let prop_random_moves =
       in
       let slots = Array.of_list slots in
       (* a move reassigns one node; now and then the sequence jumps back
-         to its start, as the sweeps return to their best assignment *)
+         to its start *)
       let rec go assignment k =
         k = 0
         ||
@@ -148,11 +148,10 @@ let prop_random_moves =
       in
       go start 20)
 
-(* --- every sweep move on TPC-H ---------------------------------------- *)
+(* --- every single-node move on TPC-H ---------------------------------- *)
 
-(* Around each served plan's chosen assignment, every single-node move
-   a sweep tries, in the sweep's order, through one incremental
-   evaluation per plan. *)
+(* Around each served plan's chosen assignment, every single-node move,
+   in node id order, through one staged evaluation per plan. *)
 let test_tpch_sweep_moves () =
   let base = Tpch.Tpch_schema.base_stats ~sf:0.001 in
   let pricing = Tpch.Scenarios.pricing and network = Planner.Network.make () in

@@ -76,9 +76,8 @@ let test_optimizer_positive_cost () =
   Alcotest.(check bool) "cost > 0" true
     (Planner.Cost.total r.Planner.Optimizer.cost > 0.0)
 
-(* DP finds the exhaustive optimum (under the exact re-costing) within a
-   small tolerance: the DP's edge model approximates Def. 5.4's
-   ancestor-driven encryptions, so allow 10%. *)
+(* The planner finds the exhaustive optimum (under the exact
+   re-costing), within the 10% this test has always allowed. *)
 let test_dp_close_to_exhaustive () =
   let n = build_plan () in
   let config = Opreq.resolve_conflicts Opreq.default n.plan in
@@ -107,8 +106,80 @@ let test_dp_close_to_exhaustive () =
 
 (* DP vs exhaustive across random plans and policies (small candidate
    spaces only; both sides re-costed exactly). *)
+let dp_vs_exhaustive (plan, policy') =
+  let config = Opreq.resolve_conflicts Opreq.default plan in
+  let candidates =
+    Candidates.compute ~policy:policy' ~subjects:Gen.subjects ~config plan
+  in
+  let space =
+    Imap.fold
+      (fun _ s acc -> acc * max 1 (Subject.Set.cardinal s))
+      candidates 1
+  in
+  QCheck.assume (space > 1 && space <= 200);
+  QCheck.assume
+    (Imap.for_all (fun _ s -> not (Subject.Set.is_empty s)) candidates);
+  let stats =
+    Planner.Estimate.annotate
+      ~base:(fun _ ->
+        Some
+          (Planner.Estimate.of_widths ~card:5000.0
+             [ ("a", 8.); ("b", 8.); ("c", 12.); ("d", 8.); ("e", 8.);
+               ("f", 8.); ("g", 12.); ("h", 8.); ("k", 8.) ]))
+      plan
+  in
+  ignore stats;
+  let base _ = None in
+  let pricing = Planner.Pricing.make () in
+  let network = Planner.Network.make () in
+  let exact assignment =
+    let ext =
+      Extend.extend ~policy:policy' ~config ~assignment
+        ~deliver_to:Gen.user plan
+    in
+    let scheme_of = Plan_keys.actual_schemes ~original:plan ext in
+    Planner.Cost.total
+      (Planner.Cost.of_extended ~pricing ~network ~base ~scheme_of ext)
+  in
+  let best =
+    List.fold_left
+      (fun acc a -> Float.min acc (exact a))
+      infinity
+      (Planner.Assign.enumerate candidates plan)
+  in
+  let r =
+    Planner.Optimizer.plan ~policy:policy' ~subjects:Gen.subjects
+      ~deliver_to:Gen.user plan
+  in
+  let dp = Planner.Cost.total r.Planner.Optimizer.cost in
+  if dp <= (best *. 1.15) +. 1e-9 then true
+  else
+    QCheck.Test.fail_reportf "dp %.9f vs exhaustive %.9f" dp best
+
 let prop_dp_vs_exhaustive =
   QCheck.Test.make ~count:60 ~name:"DP within 15% of exhaustive, random cases"
+    Gen.arbitrary_plan_policy dp_vs_exhaustive
+
+(* The seeds in 1..300 on which the property failed while the planner
+   polished an approximate DP with a local search (plans 16-53% above
+   the optimum): each runs the property's 60 cases from QCheck's random
+   state for that seed, as [QCHECK_SEED] would. *)
+let pinned_seeds =
+  List.map
+    (fun seed ->
+      QCheck_alcotest.to_alcotest
+        ~rand:(Random.State.make [| seed |])
+        (QCheck.Test.make ~count:60
+           ~name:(Printf.sprintf "QCHECK_SEED=%d" seed)
+           Gen.arbitrary_plan_policy dp_vs_exhaustive))
+    [ 26; 49; 64; 102; 225; 230; 234; 251 ]
+
+(* The search prices with the cost model itself: the cost it reports
+   for its pick is the pick's exact cost (Cost.of_extended of
+   Extend.extend under the pick's actual schemes), float for float, and
+   no assignment of the space, costed the same way, is cheaper. *)
+let prop_search_exact =
+  QCheck.Test.make ~count:100 ~name:"search exact under actual schemes"
     Gen.arbitrary_plan_policy (fun (plan, policy') ->
       let config = Opreq.resolve_conflicts Opreq.default plan in
       let candidates =
@@ -122,16 +193,6 @@ let prop_dp_vs_exhaustive =
       QCheck.assume (space > 1 && space <= 200);
       QCheck.assume
         (Imap.for_all (fun _ s -> not (Subject.Set.is_empty s)) candidates);
-      let stats =
-        Planner.Estimate.annotate
-          ~base:(fun _ ->
-            Some
-              (Planner.Estimate.of_widths ~card:5000.0
-                 [ ("a", 8.); ("b", 8.); ("c", 12.); ("d", 8.); ("e", 8.);
-                   ("f", 8.); ("g", 12.); ("h", 8.); ("k", 8.) ]))
-          plan
-      in
-      ignore stats;
       let base _ = None in
       let pricing = Planner.Pricing.make () in
       let network = Planner.Network.make () in
@@ -140,24 +201,30 @@ let prop_dp_vs_exhaustive =
           Extend.extend ~policy:policy' ~config ~assignment
             ~deliver_to:Gen.user plan
         in
-        let scheme_of = Plan_keys.actual_schemes ~original:plan ext in
         Planner.Cost.total
-          (Planner.Cost.of_extended ~pricing ~network ~base ~scheme_of ext)
+          (Planner.Cost.of_extended ~pricing ~network ~base
+             ~scheme_of:(Plan_keys.actual_schemes ~original:plan ext)
+             ext)
       in
-      let best =
-        List.fold_left
-          (fun acc a -> Float.min acc (exact a))
-          infinity
-          (Planner.Assign.enumerate candidates plan)
+      let pick =
+        Planner.Assign.optimize ~candidates ~policy:policy'
+          ~builder:(Extend.builder ~policy:policy' ~config ~deliver_to:Gen.user plan)
+          ~pricing ~network ~base
+          ~conservative:(Opreq.schemes config plan)
+          ()
       in
-      let r =
-        Planner.Optimizer.plan ~policy:policy' ~subjects:Gen.subjects
-          ~deliver_to:Gen.user plan
-      in
-      let dp = Planner.Cost.total r.Planner.Optimizer.cost in
-      if dp <= (best *. 1.15) +. 1e-9 then true
-      else
-        QCheck.Test.fail_reportf "dp %.9f vs exhaustive %.9f" dp best)
+      let reported = Planner.Cost.total pick.Planner.Assign.cost in
+      let own = exact pick.Planner.Assign.assignment in
+      if not (Float.equal reported own) then
+        QCheck.Test.fail_reportf "reported %h, exact %h" reported own;
+      List.iter
+        (fun a ->
+          let c = exact a in
+          if c < reported then
+            QCheck.Test.fail_reportf "pick %.9g, cheaper assignment %.9g"
+              reported c)
+        (Planner.Assign.enumerate candidates plan);
+      true)
 
 (* --- performance threshold (Sec. 7) ----------------------------------- *)
 
@@ -286,6 +353,8 @@ let () =
           ("user input authorization (Sec. 6)", `Quick, test_user_input_authorization) ] );
       ( "dp-differential",
         [ QCheck_alcotest.to_alcotest prop_dp_vs_exhaustive ] );
+      ("dp-pinned-seeds", pinned_seeds);
+      ("search-exact", [ QCheck_alcotest.to_alcotest prop_search_exact ]);
       ( "leaf-filters",
         [ ("folds constant leaf filters", `Quick, test_fold_removes_leaf_filters);
           ("keeps join/having", `Quick, test_fold_keeps_join_conditions);

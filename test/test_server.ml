@@ -171,6 +171,34 @@ let test_stats_directive () =
     ((Serve.Server.stats server).Serve.Server.rejected,
      Obs.counter "server.rejected")
 
+(* The client frames a burst of replies that arrives in one read, and a
+   reply whose line the 4096-byte first read cuts in two. *)
+let test_client_framing () =
+  let reply n =
+    if n mod 3 = 0 then
+      Printf.sprintf "-- [%d] rejected: no candidate %s\n" n (String.make (1 + (n mod 7)) 'x')
+    else
+      Printf.sprintf "-- [%d] hit: plan 0.12 ms, exec 0.05 ms, 2 rows\nT,P\n%d,x%d\n%d,y\n" n n n (n * 7)
+  in
+  let replies = List.init 90 (fun i -> reply (i + 1)) in
+  let payload = String.concat "" replies in
+  Alcotest.(check bool) "payload spans two reads, cut inside a line" true
+    (String.length payload > 4096 && payload.[4095] <> '\n');
+  let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let written = Unix.write_substring w payload 0 (String.length payload) in
+  Alcotest.(check int) "written at once" (String.length payload) written;
+  Unix.close w;
+  let client = Serve.Client.of_fd r in
+  let got = Serve.Client.recv_all client in
+  Serve.Client.close client;
+  let render (x : Serve.Client.reply) =
+    Printf.sprintf "-- [%d] %s: %s\n%s" x.Serve.Client.line x.Serve.Client.tag
+      x.Serve.Client.info
+      (String.concat "" (List.map (fun l -> l ^ "\n") x.Serve.Client.body))
+  in
+  Alcotest.(check int) "replies" 90 (List.length got);
+  Alcotest.(check string) "same bytes" payload (String.concat "" (List.map render got))
+
 (* Client.send always appends the newline, so this speaks raw Unix *)
 let test_unterminated_line () =
   let oracle = (oracle_csv ()).(5) in
@@ -957,7 +985,9 @@ let () =
           Alcotest.test_case "an out-of-range literal is a parse error" `Quick
             test_out_of_range_literal;
           Alcotest.test_case "10000 unknown columns refused, none interned" `Quick
-            test_unknown_columns_not_interned ] );
+            test_unknown_columns_not_interned;
+          Alcotest.test_case "client frames a burst and a cut line" `Quick
+            test_client_framing ] );
       ( "protocol",
         [ Alcotest.test_case "a socket answers in line order" `Quick
             test_socket_line_order;

@@ -8,7 +8,8 @@
    - "paper": [Scenarios.optimize] at its default (1 GB) scale.
 
    A planner change that claims to leave plans alone must keep all 132
-   digests. On a mismatch the test prints the configuration and the
+   digests, and no plan may cost more than the exact cost pinned beside
+   its digest. On a mismatch the test prints the configuration and the
    canonical text the digest covers, so the diff is readable. *)
 
 open Relalg
@@ -55,13 +56,14 @@ let canonical (r : O.result) =
     c.Planner.Cost.per_subject;
   Buffer.contents buf
 
-(* A rejection is an outcome to pin; any other exception becomes a
-   mismatch that names its configuration. *)
+(* A rejection is an outcome to pin (at an infinite cost); any other
+   exception becomes a mismatch that names its configuration. *)
 let outcome f =
   match f () with
-  | r -> canonical r
-  | exception (O.No_candidate m | O.User_not_authorized m) -> "rejected " ^ m
-  | exception e -> "raised " ^ Printexc.to_string e
+  | r -> (canonical r, Planner.Cost.total r.O.cost)
+  | exception (O.No_candidate m | O.User_not_authorized m) ->
+      ("rejected " ^ m, Float.infinity)
+  | exception e -> ("raised " ^ Printexc.to_string e, Float.nan)
 
 let served sc q =
   outcome (fun () ->
@@ -89,19 +91,25 @@ let configurations =
 
 let test_pinned () =
   Alcotest.(check int) "configurations"
-    (List.length Tpch_plans_expected.digests)
+    (List.length Tpch_plans_expected.plans)
     (List.length configurations);
   let mismatches =
     List.filter
       (fun (name, f) ->
-        let text = f () in
-        let want =
-          match List.assoc_opt name Tpch_plans_expected.digests with
-          | Some d -> d
-          | None -> "(missing)"
+        let text, cost = f () in
+        let want, bound =
+          match
+            List.find_opt (fun (n, _, _) -> n = name) Tpch_plans_expected.plans
+          with
+          | Some (_, d, c) -> (d, c)
+          | None -> ("(missing)", Float.nan)
         in
         let got = digest text in
-        if String.equal got want then false
+        if not (cost <= bound) then begin
+          Printf.printf "DEARER %s: pinned cost %h, got %h\n" name bound cost;
+          true
+        end
+        else if String.equal got want then false
         else begin
           Printf.printf "MISMATCH %s: expected %s, got %s\n%s\n" name want got
             text;
