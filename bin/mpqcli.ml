@@ -60,6 +60,9 @@ let guard f =
   | Distsim.Pki.Bad_envelope msg ->
       Printf.eprintf "mpqcli: envelope rejected: %s\n" msg;
       exit_verification
+  | Serve.Service.Policy_conflict c ->
+      Printf.eprintf "mpqcli: policy refused: %s\n" (Serve.Service.conflict_message c);
+      exit_input_error
 
 let exit_status_man =
   [ `S "EXIT STATUS";

@@ -33,12 +33,19 @@
     holding the same view as a cheaper one of the same role is dropped,
     as swapping it for that one never costs more.
 
-    Without a latency bound the search is bounded: it looks for a plan
-    within a cost bound, starting from a lower bound on any plan's cost
-    (each node's own work at its cheapest candidate, over plaintext) and
-    raising it until a plan fits. An option whose subtree, plus that
-    lower bound for the nodes outside it, exceeds the bound is pruned,
-    so the plan found is the cheapest of all. *)
+    Without a latency bound the search runs once, bounded by the cost of
+    one real plan: each node assigned the candidate reaching its lower
+    bound, each class under the rule's choice for what that plan
+    computes on it. A node's lower bound is its relational work over
+    plaintext, the transfers its candidate certainly receives, and the
+    encryptions its demands imply: an attribute read from a base
+    relation that the candidate may not see in plaintext was encrypted
+    on its way up under a scheme supporting the demand, each counted
+    once. An option whose subtree, plus a lower bound on the nodes
+    outside it (their work and certain transfers), exceeds the bound is
+    pruned; that outside bound rises when an open claim forces a later
+    node to a candidate seeing the attribute in plaintext. The bounding
+    plan always fits, so the plan found is the cheapest of all. *)
 
 open Relalg
 
@@ -47,6 +54,10 @@ type pick = {
       (** by original node id, every assignable node *)
   extended : Authz.Extend.t;  (** its extension, delivered *)
   cost : Cost.breakdown;  (** under its actual schemes *)
+  lower_bound : float;
+      (** no assignment costs less: per node, its cheapest candidate's
+          work, the transfers that candidate certainly receives and the
+          encryptions counted at the node *)
 }
 
 val optimize :

@@ -114,12 +114,87 @@ let subcache_capacity = 256
    one store serves every execution until [invalidate]. *)
 let key_store seed = Engine.Enc_exec.store (Mpq_crypto.Keyring.create ~seed ())
 
+type policy_conflict =
+  | Dropped_relation of string
+  | Missing_column of { relation : string; attr : string }
+  | Column_type of { relation : string; attr : string; declared : Schema.column_type }
+
+let conflict_message = function
+  | Dropped_relation r -> Printf.sprintf "policy drops loaded relation %s" r
+  | Missing_column { relation; attr } ->
+      Printf.sprintf "%s.%s is not a column of the loaded table" relation attr
+  | Column_type { relation; attr; declared } ->
+      Printf.sprintf "%s.%s is declared %s but the loaded column holds other values"
+        relation attr (Schema.type_name declared)
+
+(* whether every cell of a loaded column is Null or of the declared type
+   (an int counts as a float) *)
+let holds ty col =
+  let cell = function
+    | Value.Null -> true
+    | Value.Int _ -> ty = Schema.Tint || ty = Schema.Tfloat
+    | Value.Float _ -> ty = Schema.Tfloat
+    | Value.Str _ -> ty = Schema.Tstring
+    | Value.Date _ -> ty = Schema.Tdate
+    | Value.Bool _ -> ty = Schema.Tbool
+    | Value.Enc _ -> false
+  in
+  match col with
+  | Column.Values a -> Array.for_all cell a
+  | Column.Sealed _ -> false
+  | typed -> (* one kind throughout *) Column.length typed = 0 || cell (Column.get typed 0)
+
+(* The first way [policy] disagrees with [tables]: it drops a relation
+   declared in [current] (the schemas of the policy it replaces) that a
+   table holds, or declares a loaded relation with a column the table
+   lacks or whose cells are not of the declared type. A relation
+   declared as [current] declares it was checked when that policy was
+   installed. *)
+let conflict tables ~current policy =
+  let fresh = Authz.Authorization.schemas policy in
+  let named name = List.find_opt (fun s -> String.equal s.Schema.name name) in
+  let loaded s = List.assoc_opt s.Schema.name tables in
+  let dropped =
+    List.find_opt (fun s -> loaded s <> None && named s.Schema.name fresh = None) current
+  in
+  match dropped with
+  | Some s -> Some (Dropped_relation s.Schema.name)
+  | None ->
+      List.find_map
+        (fun s ->
+          match loaded s with
+          | Some table
+            when not
+                   (match named s.Schema.name current with
+                   | Some c -> c.Schema.columns = s.Schema.columns
+                   | None -> false) ->
+              List.find_map
+                (fun (a, ty) ->
+                  let relation = s.Schema.name and attr = Attr.name a in
+                  match Engine.Table.col_index_opt table a with
+                  | None -> Some (Missing_column { relation; attr })
+                  | Some i when not (holds ty (Engine.Table.columns table).(i)) ->
+                      Some (Column_type { relation; attr; declared = ty })
+                  | Some _ -> None)
+                s.Schema.columns
+          | _ -> None)
+        fresh
+
+exception Policy_conflict of policy_conflict
+
+(* a policy a new tenant starts from replaces none *)
+let check_tables tables policy =
+  match conflict tables ~current:[] policy with
+  | Some c -> raise (Policy_conflict c)
+  | None -> ()
+
 let create ?(cache_capacity = 128) ?(max_batch = 32) ?pool ?config ?pricing
     ?network ?(base = fun _ -> None) ?deliver_to ?max_latency ?(udfs = [])
     ?(seed = 42L) ?(sharing = true) ?(now = Unix.gettimeofday) ~policy
     ~subjects ~tables () =
   if max_batch < 1 then
     invalid_arg (Printf.sprintf "Service.create: max_batch %d < 1" max_batch);
+  check_tables tables policy;
   let tenants = Tenancy.registry () in
   Tenancy.add tenants
     (Tenancy.make ~id:Tenancy.default_id ?config ?pricing ?network
@@ -145,6 +220,8 @@ let add_tenant t ~id ?policy ?subjects ?config ?pricing ?network ?deliver_to
     ?max_latency () =
   let d = default_tenant t in
   let pick o f = match o with Some v -> v | None -> f d in
+  let policy = pick policy (fun d -> d.Tenancy.policy) in
+  check_tables t.tables policy;
   Tenancy.add t.tenants
     (Tenancy.make ~id
        ~config:(pick config (fun d -> d.Tenancy.config))
@@ -161,7 +238,7 @@ let add_tenant t ~id ?policy ?subjects ?config ?pricing ?network ?deliver_to
          (match max_latency with
          | Some _ as x -> x
          | None -> d.Tenancy.max_latency)
-       ~policy:(pick policy (fun d -> d.Tenancy.policy))
+       ~policy
        ~subjects:(pick subjects (fun d -> d.Tenancy.subjects))
        ());
   Obs.incr "serve.tenants"
@@ -503,76 +580,12 @@ let migrate t (tn : Tenancy.t) ~old_policy ~old_env =
       tn.Tenancy.invalidated <- tn.Tenancy.invalidated + sub_dropped;
       Obs.incr ~by:sub_dropped "serve.subcache.invalidated"
 
-type policy_conflict =
-  | Dropped_relation of string
-  | Missing_column of { relation : string; attr : string }
-  | Column_type of { relation : string; attr : string; declared : Schema.column_type }
-
-let conflict_message = function
-  | Dropped_relation r -> Printf.sprintf "policy drops loaded relation %s" r
-  | Missing_column { relation; attr } ->
-      Printf.sprintf "%s.%s is not a column of the loaded table" relation attr
-  | Column_type { relation; attr; declared } ->
-      Printf.sprintf "%s.%s is declared %s but the loaded column holds other values"
-        relation attr (Schema.type_name declared)
-
-(* whether every cell of a loaded column is Null or of the declared type
-   (an int counts as a float) *)
-let holds ty col =
-  let cell = function
-    | Value.Null -> true
-    | Value.Int _ -> ty = Schema.Tint || ty = Schema.Tfloat
-    | Value.Float _ -> ty = Schema.Tfloat
-    | Value.Str _ -> ty = Schema.Tstring
-    | Value.Date _ -> ty = Schema.Tdate
-    | Value.Bool _ -> ty = Schema.Tbool
-    | Value.Enc _ -> false
-  in
-  match col with
-  | Column.Values a -> Array.for_all cell a
-  | Column.Sealed _ -> false
-  | typed -> (* one kind throughout *) Column.length typed = 0 || cell (Column.get typed 0)
-
-(* The first way [policy] disagrees with the loaded tables: it drops a
-   relation the tenant's policy has and a table holds, or declares a
-   loaded relation with a column the table lacks or whose cells are not
-   of the declared type. A relation declared as the current policy
-   declares it was checked when that policy was installed. *)
-let policy_conflict t (tn : Tenancy.t) policy =
-  let current = Authz.Authorization.schemas tn.Tenancy.policy
-  and fresh = Authz.Authorization.schemas policy in
-  let named name = List.find_opt (fun s -> String.equal s.Schema.name name) in
-  let loaded s = List.assoc_opt s.Schema.name t.tables in
-  let dropped =
-    List.find_opt (fun s -> loaded s <> None && named s.Schema.name fresh = None) current
-  in
-  match dropped with
-  | Some s -> Some (Dropped_relation s.Schema.name)
-  | None ->
-      List.find_map
-        (fun s ->
-          match loaded s with
-          | Some table
-            when not
-                   (match named s.Schema.name current with
-                   | Some c -> c.Schema.columns = s.Schema.columns
-                   | None -> false) ->
-              List.find_map
-                (fun (a, ty) ->
-                  let relation = s.Schema.name and attr = Attr.name a in
-                  match Engine.Table.col_index_opt table a with
-                  | None -> Some (Missing_column { relation; attr })
-                  | Some i when not (holds ty (Engine.Table.columns table).(i)) ->
-                      Some (Column_type { relation; attr; declared = ty })
-                  | Some _ -> None)
-                s.Schema.columns
-          | _ -> None)
-        fresh
-
 let set_policy ?subjects ?(tenant = Tenancy.default_id) t policy =
   Obs.with_span "serve.set_policy" @@ fun () ->
   let tn = tenant_exn t tenant in
-  match policy_conflict t tn policy with
+  match
+    conflict t.tables ~current:(Authz.Authorization.schemas tn.Tenancy.policy) policy
+  with
   | Some conflict -> Error conflict
   | None ->
       let old_policy = tn.Tenancy.policy and old_env = tn.Tenancy.env in

@@ -93,6 +93,24 @@ open Relalg
 
 type t
 
+type policy_conflict =
+  | Dropped_relation of string
+      (** a relation of the tenant's current policy that a loaded table
+          holds is missing *)
+  | Missing_column of { relation : string; attr : string }
+      (** a loaded relation is declared with a column its table lacks *)
+  | Column_type of { relation : string; attr : string; declared : Schema.column_type }
+      (** a loaded column holds a cell that is neither Null nor of the
+          declared type (an int counts as a float) *)
+(** Why a policy was refused: its schemas disagree with the tables the
+    service was created with ({!create}, {!add_tenant}, {!set_policy}). *)
+
+val conflict_message : policy_conflict -> string
+
+exception Policy_conflict of policy_conflict
+(** {!create} and {!add_tenant} refuse a policy that disagrees with the
+    loaded tables, as {!set_policy} does. *)
+
 val create :
   ?cache_capacity:int ->
   ?max_batch:int ->
@@ -131,7 +149,9 @@ val create :
     result tier is an LRU of 256 entries. The service starts with one
     registered tenant, {!Tenancy.default_id}, built from
     [policy]/[subjects] and the optional environment arguments; more
-    are added with {!add_tenant}. *)
+    are added with {!add_tenant}. Raises {!Policy_conflict} when
+    [policy] declares a loaded relation with a column its table lacks
+    or whose cells are not of the declared type. *)
 
 (** {2 Tenants}
 
@@ -161,7 +181,9 @@ val add_tenant :
     [subjects] is supplied and [deliver_to] is not, the recipient is
     the first [User] among the tenant's own subjects (as in {!create}),
     never the default tenant's. Raises [Invalid_argument] when
-    [id] is already registered. *)
+    [id] is already registered, and {!Policy_conflict}, registering
+    nothing, when the tenant's policy disagrees with the loaded tables
+    as in {!create}. *)
 
 val tenant_ids : t -> string list
 (** Registered tenant ids, sorted. *)
@@ -170,20 +192,6 @@ val tenant_stats : t -> (string * Tenancy.stats) list
 (** Per-tenant serving counters, in sorted id order. *)
 
 (** {2 Environment mutation — explicit invalidation} *)
-
-type policy_conflict =
-  | Dropped_relation of string
-      (** a relation of the tenant's current policy that a loaded table
-          holds is missing *)
-  | Missing_column of { relation : string; attr : string }
-      (** a loaded relation is declared with a column its table lacks *)
-  | Column_type of { relation : string; attr : string; declared : Schema.column_type }
-      (** a loaded column holds a cell that is neither Null nor of the
-          declared type (an int counts as a float) *)
-(** Why {!set_policy} refused a policy: its schemas disagree with the
-    tables the service was created with. *)
-
-val conflict_message : policy_conflict -> string
 
 val set_policy :
   ?subjects:Authz.Subject.t list ->

@@ -174,45 +174,51 @@ let pinned_seeds =
            Gen.arbitrary_plan_policy dp_vs_exhaustive))
     [ 26; 49; 64; 102; 225; 230; 234; 251 ]
 
+(* The small-space cases the search properties run on: every node has a
+   candidate and the space holds 2 to 200 assignments. Gives the
+   candidates, the exact breakdown of an assignment (Cost.of_extended of
+   Extend.extend under its actual schemes) and the search. *)
+let small_case (plan, policy') =
+  let config = Opreq.resolve_conflicts Opreq.default plan in
+  let candidates =
+    Candidates.compute ~policy:policy' ~subjects:Gen.subjects ~config plan
+  in
+  let space =
+    Imap.fold (fun _ s acc -> acc * max 1 (Subject.Set.cardinal s)) candidates 1
+  in
+  QCheck.assume (space > 1 && space <= 200);
+  QCheck.assume
+    (Imap.for_all (fun _ s -> not (Subject.Set.is_empty s)) candidates);
+  let base _ = None in
+  let pricing = Planner.Pricing.make () in
+  let network = Planner.Network.make () in
+  let exact assignment =
+    let ext =
+      Extend.extend ~policy:policy' ~config ~assignment ~deliver_to:Gen.user plan
+    in
+    Planner.Cost.of_extended ~pricing ~network ~base
+      ~scheme_of:(Plan_keys.actual_schemes ~original:plan ext)
+      ext
+  in
+  let optimize ?max_latency () =
+    Planner.Assign.optimize ~candidates ~policy:policy'
+      ~builder:(Extend.builder ~policy:policy' ~config ~deliver_to:Gen.user plan)
+      ~pricing ~network ~base
+      ~conservative:(Opreq.schemes config plan)
+      ?max_latency ()
+  in
+  (Planner.Assign.enumerate candidates plan, exact, optimize)
+
 (* The search prices with the cost model itself: the cost it reports
    for its pick is the pick's exact cost (Cost.of_extended of
    Extend.extend under the pick's actual schemes), float for float, and
    no assignment of the space, costed the same way, is cheaper. *)
 let prop_search_exact =
   QCheck.Test.make ~count:100 ~name:"search exact under actual schemes"
-    Gen.arbitrary_plan_policy (fun (plan, policy') ->
-      let config = Opreq.resolve_conflicts Opreq.default plan in
-      let candidates =
-        Candidates.compute ~policy:policy' ~subjects:Gen.subjects ~config plan
-      in
-      let space =
-        Imap.fold
-          (fun _ s acc -> acc * max 1 (Subject.Set.cardinal s))
-          candidates 1
-      in
-      QCheck.assume (space > 1 && space <= 200);
-      QCheck.assume
-        (Imap.for_all (fun _ s -> not (Subject.Set.is_empty s)) candidates);
-      let base _ = None in
-      let pricing = Planner.Pricing.make () in
-      let network = Planner.Network.make () in
-      let exact assignment =
-        let ext =
-          Extend.extend ~policy:policy' ~config ~assignment
-            ~deliver_to:Gen.user plan
-        in
-        Planner.Cost.total
-          (Planner.Cost.of_extended ~pricing ~network ~base
-             ~scheme_of:(Plan_keys.actual_schemes ~original:plan ext)
-             ext)
-      in
-      let pick =
-        Planner.Assign.optimize ~candidates ~policy:policy'
-          ~builder:(Extend.builder ~policy:policy' ~config ~deliver_to:Gen.user plan)
-          ~pricing ~network ~base
-          ~conservative:(Opreq.schemes config plan)
-          ()
-      in
+    Gen.arbitrary_plan_policy (fun case ->
+      let all, exact, optimize = small_case case in
+      let exact a = Planner.Cost.total (exact a) in
+      let pick = optimize () in
       let reported = Planner.Cost.total pick.Planner.Assign.cost in
       let own = exact pick.Planner.Assign.assignment in
       if not (Float.equal reported own) then
@@ -223,7 +229,56 @@ let prop_search_exact =
           if c < reported then
             QCheck.Test.fail_reportf "pick %.9g, cheaper assignment %.9g"
               reported c)
-        (Planner.Assign.enumerate candidates plan);
+        all;
+      true)
+
+(* The search prunes against a lower bound on every plan's cost: were it
+   above the optimum, the optimum could be cut and the pick silently
+   dearer. It never exceeds the pick's cost (the search's own rounding
+   margin aside). *)
+let prop_lower_bound_admissible =
+  QCheck.Test.make ~count:100 ~name:"lower bound <= optimum"
+    Gen.arbitrary_plan_policy (fun case ->
+      let _, _, optimize = small_case case in
+      let pick = optimize () in
+      let total = Planner.Cost.total pick.Planner.Assign.cost in
+      if pick.Planner.Assign.lower_bound > total *. (1.0 +. 1e-9) then
+        QCheck.Test.fail_reportf "lower bound %h above the optimum %h"
+          pick.Planner.Assign.lower_bound total;
+      true)
+
+(* Under a latency bound between the fastest assignment's latency and
+   the unconstrained pick's, the search picks what [better] would among
+   every assignment, each priced under its actual schemes: the cheapest
+   within the bound (the fastest when none is). *)
+let prop_latency_exact =
+  QCheck.Test.make ~count:60 ~name:"search exact under a latency bound"
+    (QCheck.pair Gen.arbitrary_plan_policy (QCheck.float_range 0.0 1.0))
+    (fun (case, f) ->
+      let all, exact, optimize = small_case case in
+      let costed = List.map exact all in
+      let fastest =
+        List.fold_left (fun acc c -> Float.min acc c.Planner.Cost.latency) infinity costed
+      in
+      let free = (optimize ()).Planner.Assign.cost.Planner.Cost.latency in
+      let bound = fastest +. (f *. (Float.max 0.0 (free -. fastest))) in
+      let pick = (optimize ~max_latency:bound ()).Planner.Assign.cost in
+      let within = List.filter (fun c -> c.Planner.Cost.latency <= bound) costed in
+      (match within with
+      | [] ->
+          if not (Float.equal pick.Planner.Cost.latency fastest) then
+            QCheck.Test.fail_reportf "none within %h: pick latency %h, fastest %h"
+              bound pick.Planner.Cost.latency fastest
+      | _ ->
+          let cheapest =
+            List.fold_left (fun acc c -> Float.min acc (Planner.Cost.total c)) infinity within
+          in
+          if pick.Planner.Cost.latency > bound then
+            QCheck.Test.fail_reportf "pick latency %h over the bound %h"
+              pick.Planner.Cost.latency bound;
+          if not (Float.equal (Planner.Cost.total pick) cheapest) then
+            QCheck.Test.fail_reportf "pick %h, cheapest within the bound %h"
+              (Planner.Cost.total pick) cheapest);
       true)
 
 (* --- performance threshold (Sec. 7) ----------------------------------- *)
@@ -354,7 +409,10 @@ let () =
       ( "dp-differential",
         [ QCheck_alcotest.to_alcotest prop_dp_vs_exhaustive ] );
       ("dp-pinned-seeds", pinned_seeds);
-      ("search-exact", [ QCheck_alcotest.to_alcotest prop_search_exact ]);
+      ( "search-exact",
+        [ QCheck_alcotest.to_alcotest prop_search_exact;
+          QCheck_alcotest.to_alcotest prop_lower_bound_admissible;
+          QCheck_alcotest.to_alcotest prop_latency_exact ] );
       ( "leaf-filters",
         [ ("folds constant leaf filters", `Quick, test_fold_removes_leaf_filters);
           ("keeps join/having", `Quick, test_fold_keeps_join_conditions);

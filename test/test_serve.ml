@@ -1382,6 +1382,52 @@ let test_policy_schema_refused () =
        (variant (replace "(C string, P int)" "(C string, P float)"))
     = Ok ())
 
+(* A service is never built over tables its policy disagrees with:
+   with one det ciphertext in Ins.P, declared int, creating it raises
+   the conflict set_policy returns, and so does registering a tenant
+   whose policy retypes a loaded column; the tenant is not added. *)
+let test_create_checks_tables () =
+  let env = example_env () in
+  let enc = Value.Enc { Value.scheme = "det"; key_id = "k"; payload = "70" } in
+  let tables =
+    List.map
+      (fun (name, t) ->
+        if name <> "Ins" then (name, t)
+        else
+          ( name,
+            Engine.Table.create (Engine.Table.attrs t)
+              (List.mapi
+                 (fun i row -> if i = 0 then [| row.(0); enc |] else row)
+                 (Engine.Table.rows t)) ))
+      (demo_tables env)
+  in
+  let refused label want f =
+    match f () with
+    | () -> Alcotest.failf "%s: accepted" label
+    | exception Serve.Service.Policy_conflict got ->
+        Alcotest.(check string) label (Serve.Service.conflict_message want)
+          (Serve.Service.conflict_message got);
+        Alcotest.(check bool) (label ^ ": the conflict itself") true (got = want)
+  in
+  refused "create over a det cell in Ins.P"
+    (Serve.Service.Column_type { relation = "Ins"; attr = "P"; declared = Schema.Tint })
+    (fun () ->
+      ignore
+        (Serve.Service.create ~policy:env.Policy_dsl.policy
+           ~subjects:env.Policy_dsl.subjects ~tables ()));
+  let service = example_service () in
+  let retyped =
+    (Policy_dsl.parse
+       (Str.global_replace (Str.regexp_string "(C string, P int)") "(C string, P string)"
+          Policy_dsl.example))
+      .Policy_dsl.policy
+  in
+  refused "a tenant retyping Ins.P"
+    (Serve.Service.Column_type { relation = "Ins"; attr = "P"; declared = Schema.Tstring })
+    (fun () -> Serve.Service.add_tenant service ~id:"retyped" ~policy:retyped ());
+  Alcotest.(check (list string)) "no tenant added" [ Serve.Tenancy.default_id ]
+    (Serve.Service.tenant_ids service)
+
 (* set_policy runs under its own span, with the diff, the environment
    rotation and the cache migration as children *)
 let test_set_policy_spans () =
@@ -1537,6 +1583,7 @@ let () =
           ("pricing/network/config change", `Quick, test_config_invalidation);
           ("set_policy spans", `Quick, test_set_policy_spans);
           ("policy disagreeing with the tables is refused", `Quick, test_policy_schema_refused);
+          ("create and add_tenant check the tables", `Quick, test_create_checks_tables);
           ("500-event churn: incremental = rotation = replan", `Slow,
            test_churn_vs_replan) ]
       );

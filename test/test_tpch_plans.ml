@@ -119,6 +119,84 @@ let test_pinned () =
   in
   Alcotest.(check int) "mismatched plans" 0 (List.length mismatches)
 
+let pinned_cost name =
+  match List.find_opt (fun (n, _, _) -> n = name) Tpch_plans_expected.plans with
+  | Some (_, _, c) -> c
+  | None -> Alcotest.failf "%s is not pinned" name
+
+(* The assignment search as Optimizer.plan runs it, on the same inputs
+   as [served] and [paper]. *)
+let search ~policy ~base plan =
+  let config = Authz.Opreq.resolve_conflicts Authz.Opreq.default plan in
+  let candidates =
+    Authz.Candidates.compute ~policy ~subjects:Tpch.Scenarios.subjects ~config plan
+  in
+  Planner.Assign.optimize ~candidates ~policy
+    ~builder:(Authz.Extend.builder ~policy ~config ~deliver_to:Tpch.Scenarios.user plan)
+    ~pricing:Tpch.Scenarios.pricing ~network:(Planner.Network.make ()) ~base
+    ~conservative:(Authz.Opreq.schemes config plan)
+    ()
+
+(* The lower bound the search prunes against never exceeds the optimum
+   (the pinned cost, which the search reproduces), on every
+   configuration that plans. *)
+let test_lower_bound () =
+  let checked = ref 0 in
+  List.iter
+    (fun (kind, f) ->
+      List.iter
+        (fun sc ->
+          List.iter
+            (fun (q, _, _) ->
+              let name = Printf.sprintf "%s/%s/q%d" kind (Tpch.Scenarios.name sc) q in
+              let cost = pinned_cost name in
+              if Float.is_finite cost then begin
+                let pick = f sc (Tpch.Tpch_queries.query q) in
+                Alcotest.(check (float 0.0)) (name ^ ": the pinned cost") cost
+                  (Planner.Cost.total pick.Planner.Assign.cost);
+                if pick.Planner.Assign.lower_bound > cost *. (1.0 +. 1e-9) then
+                  Alcotest.failf "%s: lower bound %h above the optimum %h" name
+                    pick.Planner.Assign.lower_bound cost;
+                incr checked
+              end)
+            Tpch.Tpch_queries.all)
+        Tpch.Scenarios.all)
+    [ ( "served",
+        fun sc plan ->
+          search ~policy:(Tpch.Scenarios.policy sc)
+            ~base:(Tpch.Tpch_schema.base_stats ~sf:0.001)
+            plan );
+      ( "paper",
+        fun sc plan ->
+          let plan, factors = Planner.Leaf_filters.fold plan in
+          search ~policy:(Tpch.Scenarios.policy sc)
+            ~base:
+              (Planner.Leaf_filters.scale_stats
+                 (Tpch.Tpch_schema.base_stats ~sf:1.0)
+                 factors)
+            plan ) ];
+  Alcotest.(check bool) "some configuration plans" true (!checked > 0)
+
+(* Served UAPenc q1's optimum is 2.29x the plaintext-only lower bound
+   the search once started from, which took four bound rounds; it now
+   takes one, at its pinned cost. *)
+let test_q1_one_round () =
+  Obs.reset ();
+  Obs.set_enabled true;
+  let sc = List.find (fun sc -> Tpch.Scenarios.name sc = "UAPenc") Tpch.Scenarios.all in
+  let text, cost =
+    Fun.protect ~finally:(fun () -> Obs.set_enabled false) (fun () -> served sc 1)
+  in
+  ignore text;
+  let rounds = Obs.counter "planner.search.rounds" in
+  Obs.reset ();
+  Alcotest.(check (float 0.0)) "pinned cost" (pinned_cost "served/UAPenc/q1") cost;
+  Alcotest.(check bool) (Printf.sprintf "%d rounds, fewer than 4" rounds) true
+    (rounds >= 1 && rounds < 4)
+
 let () =
   Alcotest.run "tpch-plans"
-    [ ("pinned", [ Alcotest.test_case "132 plan digests" `Slow test_pinned ]) ]
+    [ ( "pinned",
+        [ Alcotest.test_case "132 plan digests" `Slow test_pinned;
+          Alcotest.test_case "lower bound <= pinned cost" `Slow test_lower_bound;
+          Alcotest.test_case "served UAPenc q1 in one bound round" `Quick test_q1_one_round ] ) ]
