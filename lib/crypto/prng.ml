@@ -5,7 +5,9 @@ let golden = 0x9E3779B97F4A7C15L
 let create seed = { state = seed }
 let copy t = { state = t.state }
 
-let mix z =
+(* inlined, so the Int64 arithmetic of a caller like [draw_into] stays
+   unboxed *)
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
@@ -36,5 +38,14 @@ let split t = create (next64 t)
    indices are decorrelated by the SplitMix64 finalizer. The executor
    uses this to give every row a private stream whose output is
    independent of evaluation order. *)
-let derive t i =
-  create (mix (Int64.add t.state (Int64.mul golden (Int64.of_int (i + 1)))))
+let[@inline] derived_state t i =
+  mix (Int64.add t.state (Int64.mul golden (Int64.of_int (i + 1))))
+
+let derive t i = create (derived_state t i)
+
+(* [derive t row]'s [draw]-th [next64] is [mix] of its state plus
+   [draw * golden], computed with no generator record and no boxed
+   Int64. *)
+let draw_into t ~row ~draw b off =
+  let s = derived_state t row in
+  Bytes.set_int64_le b off (mix (Int64.add s (Int64.mul golden (Int64.of_int draw))))

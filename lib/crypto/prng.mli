@@ -35,3 +35,10 @@ val derive : t -> int -> t
     [i] — the same [(t, i)] always yields the same stream, regardless
     of any interleaving with other [derive] calls. This is what makes
     randomized encryption a function of row position. *)
+
+val draw_into : t -> row:int -> draw:int -> Bytes.t -> int -> unit
+(** [draw_into t ~row ~draw b off] writes the [draw]-th output
+    ([draw >= 1]) of [derive t row] into [b] at byte [off],
+    little-endian: what [draw] calls of [next64] on a fresh
+    [derive t row] would return last, computed without building the
+    generator or boxing an [Int64]. *)

@@ -599,22 +599,37 @@ let encrypt_batch ctx ~rng_root ~enc =
   let any_draws =
     Array.exists (function No_draws -> false | _ -> true) slots
   in
+  let units = Array.exists (function Units _ -> true | _ -> false) slots in
   if any_draws then
     Obs.time "enc_exec.pool_s" (fun () ->
-        for k = 0 to n - 1 do
-          let rng = C.Prng.derive rng_root k in
-          Array.iteri
-            (fun e slot ->
-              match slot with
-              | No_draws -> ()
-              | Ivs b ->
-                  if not (Column.is_null cols.(e) k) then
-                    Bytes.set_int64_le b (8 * k) (C.Prng.next64 rng)
-              | Units a ->
-                  if not (Column.is_null cols.(e) k) then
-                    a.(k) <- C.Paillier.draw_unit (Option.get pk) rng)
-            slots
-        done);
+        if units then
+          for k = 0 to n - 1 do
+            let rng = C.Prng.derive rng_root k in
+            Array.iteri
+              (fun e slot ->
+                match slot with
+                | No_draws -> ()
+                | Ivs b ->
+                    if not (Column.is_null cols.(e) k) then
+                      Bytes.set_int64_le b (8 * k) (C.Prng.next64 rng)
+                | Units a ->
+                    if not (Column.is_null cols.(e) k) then
+                      a.(k) <- C.Paillier.draw_unit (Option.get pk) rng)
+              slots
+          done
+        else
+          (* IVs only: row [k]'s [j]-th draw written straight into its
+             column's words, no generator built *)
+          for k = 0 to n - 1 do
+            let draw = ref 0 in
+            for e = 0 to Array.length slots - 1 do
+              match slots.(e) with
+              | Ivs b when not (Column.is_null cols.(e) k) ->
+                  incr draw;
+                  C.Prng.draw_into rng_root ~row:k ~draw:!draw b (8 * k)
+              | _ -> ()
+            done
+          done);
   List.mapi
     (fun e (attr, cl, col) ->
       let key_id = cl.Authz.Plan_keys.id in

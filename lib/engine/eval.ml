@@ -396,7 +396,9 @@ let disjunction = function
   | [ k ] -> k ()
   | ks ->
       fun sel len hit ->
-        let pending = Array.sub sel 0 len and n = ref len in
+        Scratch.frame @@ fun () ->
+        let pending = Scratch.ints len and n = ref len in
+        Array.blit sel 0 pending 0 len;
         List.iter
           (fun k ->
             if !n > 0 then begin
@@ -522,17 +524,18 @@ let select ?ctx column p n =
   let row_loop () =
     Obs.incr "eval.select.replays";
     let keep = predicate ?ctx (fun a -> (column a, Fun.id)) p in
-    let sel = Array.make n 0 and kept = ref 0 in
+    let sel = Scratch.ints n and kept = ref 0 in
     for i = 0 to n - 1 do
       if keep i then begin
         sel.(!kept) <- i;
         incr kept
       end
     done;
-    Array.sub sel 0 !kept
+    (sel, !kept)
   in
-  let sel = Array.make n 0 and len = ref n and hit = Bytes.make n '\000' in
-  for i = 1 to n - 1 do
+  let sel = Scratch.ints n and len = ref n and hit = Scratch.bytes n in
+  Bytes.fill hit 0 n '\000';
+  for i = 0 to n - 1 do
     Array.unsafe_set sel i i
   done;
   match
@@ -544,5 +547,5 @@ let select ?ctx column p n =
         end)
       p
   with
-  | () -> if !len = n then sel else Array.sub sel 0 !len
+  | () -> (sel, !len)
   | exception e when row_error e -> row_loop ()

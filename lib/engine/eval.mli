@@ -34,10 +34,13 @@ val row_error : exn -> bool
     evaluation, crypto, comparison or unknown-attribute error. *)
 
 val select :
-  ?ctx:Enc_exec.ctx -> (Attr.t -> Column.t) -> Predicate.t -> int -> int array
-(** [select ?ctx column p n] is the rows [0 .. n - 1] where the CNF [p]
-    holds, in order, for the table whose columns [column] names: what
-    [predicate] keeps, found column by column. Each atom over a typed
+  ?ctx:Enc_exec.ctx -> (Attr.t -> Column.t) -> Predicate.t -> int -> int array * int
+(** [select ?ctx column p n] is [(sel, len)]: [sel.(0 .. len - 1)] are
+    the rows [0 .. n - 1] where the CNF [p] holds, in order, for the
+    table whose columns [column] names: what [predicate] keeps, found
+    column by column. [sel] and the selection's byte map are scratch
+    ({!Scratch}): call it inside a frame, and copy what must outlive
+    it. Each atom over a typed
     column, or over a det or OPE column with a typed plain column, runs
     as one loop that boxes no cell; atoms over boxed ([Values]) columns
     run [predicate]'s per-row test. Clauses are ANDed and a clause's

@@ -77,9 +77,10 @@ let row_key ~join cols i =
 
 let null_at cols i = List.exists (fun c -> Column.is_null c i) cols
 
-(* [Array.init] for ints, stored without a write barrier *)
+(* [Array.init] for ints into scratch ({!Scratch.ints}), stored without
+   a write barrier *)
 let init_ints n f =
-  let a = Array.make n 0 in
+  let a = Scratch.ints n in
   for i = 0 to n - 1 do
     Array.unsafe_set a i (f i)
   done;
@@ -93,24 +94,17 @@ let init_ints n f =
 let encrypt_columns crypto ~node attrs table =
   let enc_attrs = Attr.Set.elements attrs in
   let enc_idx = List.map (Table.col_index table) enc_attrs in
-  let cols = Table.columns table in
   let encrypted =
     Enc_exec.encrypt_batch crypto ~rng_root:(Enc_exec.node_rng crypto node)
-      ~enc:(List.map2 (fun a i -> (a, cols.(i))) enc_attrs enc_idx)
+      ~enc:(List.map (fun a -> (a, Table.column table a)) enc_attrs)
   in
-  let out = Array.copy cols in
-  List.iter2 (fun i c -> out.(i) <- c) enc_idx encrypted;
-  Table.of_columns ~nrows:(Table.cardinality table) (Table.attrs table) out
+  Table.replace table (List.combine enc_idx encrypted)
 
 let decrypt_columns crypto attrs table =
-  let cols = Table.columns table in
-  let out = Array.copy cols in
-  List.iter
-    (fun a ->
-      let i = Table.col_index table a in
-      out.(i) <- Enc_exec.decrypt_batch crypto cols.(i))
-    (Attr.Set.elements attrs);
-  Table.of_columns ~nrows:(Table.cardinality table) (Table.attrs table) out
+  Table.replace table
+    (List.map
+       (fun a -> (Table.col_index table a, Enc_exec.decrypt_batch crypto (Table.column table a)))
+       (Attr.Set.elements attrs))
 
 let crypt ctx ~encrypt ~node attrs table =
   match ctx.crypto with
@@ -139,35 +133,39 @@ let project table attrs = Table.select_columns table (Attr.Set.elements attrs)
 
 let select ?crypto table pred =
   let n = Table.cardinality table in
-  let rows = Eval.select ?ctx:crypto (Table.column table) pred n in
-  if Array.length rows = n then table else Table.gather table rows
+  Scratch.frame @@ fun () ->
+  let rows, len = Eval.select ?ctx:crypto (Table.column table) pred n in
+  if len = n then table else Table.gather ~len table rows
 
-(* row [k] of the output pairs row [li.(k)] of [l] with row [ri.(k)] of [r] *)
-let pair_up l li r ri =
-  let pick t idx = Array.map (fun c -> Column.gather c idx) (Table.columns t) in
-  Table.of_columns ~nrows:(Array.length li)
-    (Table.attrs l @ Table.attrs r)
-    (Array.append (pick l li) (pick r ri))
+(* row [k < len] of the output pairs row [li.(k)] of [l] with row
+   [ri.(k)] of [r], as views *)
+let pair_up l li r ri len = Table.beside (Table.gather ~len l li) (Table.gather ~len r ri)
 
 let product l r =
   let nr = Table.cardinality r in
   let n = Table.cardinality l * nr in
-  pair_up l (init_ints n (fun k -> k / nr)) r (init_ints n (fun k -> k mod nr))
+  Scratch.frame @@ fun () ->
+  pair_up l (init_ints n (fun k -> k / nr)) r (init_ints n (fun k -> k mod nr)) n
 
 (* --- dense codes ------------------------------------------------------- *)
 
 (* Dense codes for int keys, numbered in first-appearance order, from
-   an open-addressing table: a lookup boxes nothing. *)
+   an open-addressing table in scratch: a lookup boxes nothing. The
+   table starts small and doubles when half full, so it is sized by the
+   distinct keys, not the rows. *)
 module Codes = struct
   type t = {
-    slots : int array; (* a slot's code; -1: empty *)
-    keys : int array; (* a filled slot's key *)
+    mutable slots : int array; (* a slot's code; -1: empty *)
+    mutable keys : int array; (* a filled slot's key *)
+    mutable mask : int; (* the capacity, a power of two, less one *)
     mutable size : int;
   }
 
+  let create cap = { slots = Scratch.ints_filled cap (-1); keys = Scratch.ints cap; mask = cap - 1; size = 0 }
+
   (* the slot holding [k], or the empty one where it would go *)
   let slot t k =
-    let mask = Array.length t.slots - 1 in
+    let mask = t.mask in
     let h = k * 0x9E3779B97F4A7C1 in
     let i = ref ((h lxor (h lsr 29)) land mask) in
     while t.slots.(!i) >= 0 && t.keys.(!i) <> k do
@@ -178,10 +176,30 @@ module Codes = struct
   (* the key's code, or -1 *)
   let find t k = t.slots.(slot t k)
 
-  let add t k =
+  (* twice the slots, every code moved over *)
+  let grow t =
+    let slots = t.slots and keys = t.keys in
+    let big = create (2 * (t.mask + 1)) in
+    for i = 0 to t.mask do
+      let c = slots.(i) in
+      if c >= 0 then begin
+        let j = slot big keys.(i) in
+        big.slots.(j) <- c;
+        big.keys.(j) <- keys.(i)
+      end
+    done;
+    t.slots <- big.slots;
+    t.keys <- big.keys;
+    t.mask <- big.mask
+
+  let rec add t k =
     let i = slot t k in
     let c = t.slots.(i) in
     if c >= 0 then c
+    else if 2 * (t.size + 1) > t.mask + 1 then begin
+      grow t;
+      add t k
+    end
     else begin
       t.keys.(i) <- k;
       t.slots.(i) <- t.size;
@@ -189,22 +207,18 @@ module Codes = struct
       t.size - 1
     end
 
-  (* [keys]' codes, and the table that found them; a key equal to
-     [absent] has none (-1). The table stays at most half full. *)
-  let number ?absent keys =
-    let n = Array.length keys in
-    let cap = ref 16 in
-    while !cap < 2 * n do
-      cap := 2 * !cap
-    done;
-    let t = { slots = Array.make !cap (-1); keys = Array.make !cap 0; size = 0 } in
+  (* The codes of [keys.(0 .. n - 1)], and the table that found them; a
+     key equal to [absent] has none (-1). The table stays at most half
+     full. *)
+  let number ?absent keys n =
+    let t = create 16 in
     let skip k = match absent with Some a -> k = a | None -> false in
     (t, init_ints n (fun i -> let k = keys.(i) in if skip k then -1 else add t k))
 end
 
 (* Dense codes for string keys, the same way. *)
-let string_codes n =
-  let tbl = Hashtbl.create (min n 1024 + 1) in
+let string_codes () =
+  let tbl = Hashtbl.create 16 in
   let add k =
     match Hashtbl.find tbl k with
     | c -> c
@@ -216,17 +230,18 @@ let string_codes n =
   let find k = match Hashtbl.find tbl k with c -> c | exception Not_found -> -1 in
   (add, find, fun () -> Hashtbl.length tbl)
 
-(* A growable int array. *)
-type ibuf = { mutable buf : int array; mutable len : int }
-
-let push b x =
-  if b.len = Array.length b.buf then begin
-    let a = Array.make (2 * b.len + 16) 0 in
-    Array.blit b.buf 0 a 0 b.len;
-    b.buf <- a
-  end;
-  Array.unsafe_set b.buf b.len x;
-  b.len <- b.len + 1
+(* [a] with [x] at [len], grown into a fresh array when full *)
+let push a len x =
+  let a =
+    if len < Array.length a then a
+    else begin
+      let b = Array.make ((2 * len) + 16) 0 in
+      Array.blit a 0 b 0 len;
+      b
+    end
+  in
+  Array.unsafe_set a len x;
+  a
 
 (* --- join ------------------------------------------------------------- *)
 
@@ -267,15 +282,16 @@ let bucketable l r (a, b) =
 
 (* Bucket codes for both sides of a join: [right.(j)] is right row [j]'s
    bucket (-1: none), [left i] left row [i]'s (-1: no right row shares
-   its key), and buckets are numbered [0 .. count - 1]. *)
+   its key), and buckets are numbered [0 .. count - 1]. [right] is
+   scratch. *)
 type buckets = { right : int array; left : int -> int; count : int }
 
-let int_buckets lv rkeys =
-  let codes, right = Codes.number rkeys in
+let int_buckets lv rkeys nr =
+  let codes, right = Codes.number rkeys nr in
   { right; left = (fun i -> Codes.find codes (lv i)); count = codes.Codes.size }
 
 let string_buckets lk rk nr =
-  let add, find, count = string_codes nr in
+  let add, find, count = string_codes () in
   let right = init_ints nr (fun j -> match rk j with Some k -> add k | None -> -1) in
   { right; left = (fun i -> match lk i with Some k -> find k | None -> -1); count = count () }
 
@@ -286,6 +302,7 @@ let both a b nr =
       (init_ints nr (fun j ->
            let x = a.right.(j) and y = b.right.(j) in
            if x < 0 || y < 0 then -1 else (x * b.count) + y))
+      nr
   in
   let left i =
     let x = a.left i in
@@ -304,11 +321,11 @@ let exact_buckets nr lc rc =
   let strs x y nr = Some (string_buckets (fun i -> Some x.(i)) (fun j -> Some y.(j)) nr) in
   match (lc, rc) with
   | Column.Ints x, Column.Ints y | Column.Dates x, Column.Dates y ->
-      Some (int_buckets (Array.get x) y)
+      Some (int_buckets (Array.get x) y nr)
   | Column.Strs x, Column.Strs y -> strs x y nr
   | Column.Sealed sl, Column.Sealed sr -> (
       match Enc_exec.sealed_int_keys sl sr with
-      | Some (lkey, rkey) -> Some (int_buckets lkey (init_ints nr rkey))
+      | Some (lkey, rkey) -> Some (int_buckets lkey (init_ints nr rkey) nr)
       | None -> (
           match (sl.Column.plain, sr.Column.plain) with
           | Column.Strs x, Column.Strs y
@@ -348,10 +365,10 @@ let join ?crypto pred l r =
      the right side's) *)
   let cell a =
     match Table.col_index_opt r a with
-    | Some j -> ((Table.columns r).(j), fun x -> x mod stride)
+    | Some _ -> (Table.column r a, fun x -> x mod stride)
     | None -> (
         match Table.col_index_opt l a with
-        | Some i -> ((Table.columns l).(i), fun x -> x / stride)
+        | Some _ -> (Table.column l a, fun x -> x / stride)
         | None ->
             raise
               (Table.Unknown_attribute
@@ -361,25 +378,29 @@ let join ?crypto pred l r =
   let keep = lazy (Eval.predicate ?ctx:crypto cell pred) in
   let keep li rj = Lazy.force keep ((li * stride) + rj) in
   (* the matches, left rows ascending and each one's right rows
-     descending *)
-  let checked candidates =
-    let lis = { buf = [||]; len = 0 } and rjs = { buf = [||]; len = 0 } in
+     descending, pushed onto [lis] and [rjs], and their count *)
+  let checked lis rjs candidates =
+    let m = ref 0 in
     candidates (fun li rj ->
         if keep li rj then begin
-          push lis li;
-          push rjs rj
+          lis := push !lis !m li;
+          rjs := push !rjs !m rj;
+          incr m
         end);
-    (Array.sub lis.buf 0 lis.len, Array.sub rjs.buf 0 rjs.len)
+    (!lis, !rjs, !m)
   in
-  let li, rj =
+  Scratch.frame @@ fun () ->
+  let li, rj, len =
     match pairs with
     | _ when nl = 0 || nr = 0 ->
         (* no pair to test, and no key to build: an empty side's
            columns are boxed, and keying a sealed column against one
            would produce its bytes *)
-        ([||], [||])
+        ([||], [||], 0)
     | [] ->
-        checked (fun emit ->
+        (* fresh arrays: the nl * nr candidates would make a scratch
+           array too large to keep *)
+        checked (ref [||]) (ref [||]) (fun emit ->
             for li = 0 to nl - 1 do
               for rj = 0 to nr - 1 do
                 emit li rj
@@ -399,12 +420,16 @@ let join ?crypto pred l r =
         (* right rows by bucket, counted then placed: a bucket lists its
            rows in descending order, the order [Hashtbl.find_all] gave
            the row executor *)
-        let start = Array.make (b.count + 1) 0 in
-        Array.iter (fun k -> if k >= 0 then start.(k + 1) <- start.(k + 1) + 1) b.right;
+        let start = Scratch.ints_filled (b.count + 1) 0 in
+        for rj = 0 to nr - 1 do
+          let k = b.right.(rj) in
+          if k >= 0 then start.(k + 1) <- start.(k + 1) + 1
+        done;
         for k = 1 to b.count do
           start.(k) <- start.(k) + start.(k - 1)
         done;
-        let next = Array.sub start 0 b.count and rows = Array.make start.(b.count) 0 in
+        let next = Scratch.ints b.count and rows = Scratch.ints start.(b.count) in
+        Array.blit start 0 next 0 b.count;
         for rj = nr - 1 downto 0 do
           let k = b.right.(rj) in
           if k >= 0 then begin
@@ -413,43 +438,43 @@ let join ?crypto pred l r =
           end
         done;
         let buckets = init_ints nl b.left in
+        let each_candidate emit =
+          for li = 0 to nl - 1 do
+            let k = buckets.(li) in
+            if k >= 0 then
+              for p = start.(k) to start.(k + 1) - 1 do
+                emit li rows.(p)
+              done
+          done
+        in
+        let total = ref 0 in
+        for li = 0 to nl - 1 do
+          let k = buckets.(li) in
+          if k >= 0 then total := !total + start.(k + 1) - start.(k)
+        done;
+        let lis = Scratch.ints !total and rjs = Scratch.ints !total in
         (* Where every pair's key is exact and the predicate is exactly
            these pairs, each left attribute read from the left side, a
-           bucket's rows all match, so the matches are counted and
-           written straight into place. Elsewhere a match re-checks the
-           whole predicate (equi clauses included): a key then only has
-           to be complete — rows equal on the keys share a bucket — and
-           the result is the nested loop's. *)
+           bucket's rows all match, so every candidate is written
+           straight into place. Elsewhere a match re-checks the whole
+           predicate (equi clauses included): a key then only has to be
+           complete — rows equal on the keys share a bucket — and the
+           result is the nested loop's. *)
         if
           List.for_all Option.is_some exact
           && List.compare_lengths pairs pred = 0
           && List.for_all (fun (a, _) -> Table.col_index_opt r a = None) pairs
         then begin
-          let total = ref 0 in
-          Array.iter (fun k -> if k >= 0 then total := !total + start.(k + 1) - start.(k)) buckets;
-          let lis = Array.make !total 0 and rjs = Array.make !total 0 and m = ref 0 in
-          Array.iteri
-            (fun li k ->
-              if k >= 0 then
-                for p = start.(k) to start.(k + 1) - 1 do
-                  Array.unsafe_set lis !m li;
-                  Array.unsafe_set rjs !m rows.(p);
-                  incr m
-                done)
-            buckets;
-          (lis, rjs)
+          let m = ref 0 in
+          each_candidate (fun li rj ->
+              Array.unsafe_set lis !m li;
+              Array.unsafe_set rjs !m rj;
+              incr m);
+          (lis, rjs, !m)
         end
-        else
-          checked (fun emit ->
-              Array.iteri
-                (fun li k ->
-                  if k >= 0 then
-                    for p = start.(k) to start.(k + 1) - 1 do
-                      emit li rows.(p)
-                    done)
-                buckets)
+        else checked (ref lis) (ref rjs) each_candidate
   in
-  pair_up l li r rj
+  pair_up l li r rj len
 
 (* --- aggregation ----------------------------------------------------- *)
 
@@ -542,14 +567,14 @@ let sealed_extreme (agg : Aggregate.t) (s : Column.sealed) rows =
    Typed ints (below 2^53), dates and booleans key by their int, strings
    by themselves, and det or OPE cells over typed ints, dates, booleans
    or strings by their plaintext, which their key is a function of; any
-   other column by [cell_key]'s string. *)
+   other column by [cell_key]'s string. The codes are scratch. *)
 let column_codes c n =
   let by_int keys =
-    let codes, a = Codes.number keys in
+    let codes, a = Codes.number keys n in
     (a, codes.Codes.size)
   in
   let by_string f =
-    let add, _, count = string_codes n in
+    let add, _, count = string_codes () in
     let a = init_ints n (fun i -> add (f i)) in
     (a, count ())
   in
@@ -569,15 +594,16 @@ let column_codes c n =
 
 (* Each row's group id, groups numbered in first-appearance order, and
    the number of groups: the key columns' codes, combined column by
-   column into dense codes. No key column makes one group. *)
+   column into dense codes. No key column makes one group. The ids are
+   scratch. *)
 let group_ids cols n =
   match cols with
-  | [] -> (Array.make n 0, min n 1)
+  | [] -> (Scratch.ints_filled n 0, min n 1)
   | c :: rest ->
       List.fold_left
         (fun (a, _) c ->
           let b, kb = column_codes c n in
-          let codes, ab = Codes.number (init_ints n (fun i -> (a.(i) * kb) + b.(i))) in
+          let codes, ab = Codes.number (init_ints n (fun i -> (a.(i) * kb) + b.(i))) n in
           (ab, codes.Codes.size))
         (column_codes c n) rest
 
@@ -592,7 +618,7 @@ let typed_order = function
 
 (* Per-group float sums of a typed numeric column's cells, read as
    [numeric] reads them and added in row order; [None] for another
-   column. *)
+   column. [gid] is row [i]'s group, for the column's rows. *)
 let float_sums c gid ng =
   let sums = Array.make ng 0.0 in
   let add i x =
@@ -626,8 +652,10 @@ let group_by ?crypto ~node table keys aggs =
   let key_attrs = Attr.Set.elements keys in
   let key_cols = List.map (Table.column table) key_attrs in
   let n = Table.cardinality table in
+  Scratch.frame @@ fun () ->
   (* every row's group, groups in first-appearance order, as one
-     sequential pass would find them; each group's first row and size *)
+     sequential pass would find them; each group's first row and size.
+     The ids are scratch, so every loop over them stops at [n]. *)
   let gid, ng = group_ids key_cols n in
   let firsts = Array.make ng 0 and sizes = Array.make ng 0 in
   for i = n - 1 downto 0 do
@@ -649,11 +677,11 @@ let group_by ?crypto ~node table keys aggs =
       (let start = Array.make (ng + 1) 0 in
        Array.iteri (fun g k -> start.(g + 1) <- start.(g) + k) sizes;
        let rows = Array.make n 0 in
-       Array.iteri
-         (fun i g ->
-           rows.(start.(g)) <- i;
-           start.(g) <- start.(g) + 1)
-         gid;
+       for i = 0 to n - 1 do
+         let g = gid.(i) in
+         rows.(start.(g)) <- i;
+         start.(g) <- start.(g) + 1
+       done;
        Array.init ng (fun g -> Array.sub rows (start.(g) - sizes.(g)) sizes.(g)))
   in
   (* The column kernels: each aggregate in one pass over the rows, in row
@@ -719,7 +747,7 @@ let group_by ?crypto ~node table keys aggs =
         Column.of_values out
     | Aggregate.Sum _, Some (Column.Ints a) ->
         let sums = Array.make ng 0 in
-        Array.iteri (fun i g -> sums.(g) <- sums.(g) + a.(i)) gid;
+        Array.iteri (fun i x -> let g = gid.(i) in sums.(g) <- sums.(g) + x) a;
         per_group ng (fun a -> Column.Ints a) (Array.get sums)
     | (Aggregate.Sum _ | Aggregate.Avg _), Some c -> (
         match float_sums c gid ng with
@@ -739,20 +767,20 @@ let group_by ?crypto ~node table keys aggs =
                fails its group, -2, and the first such group is the
                fold's *)
             let best = Array.make ng (-1) and failed = ref None in
-            Array.iteri
-              (fun i g ->
-                let b = best.(g) in
-                if b = -1 then best.(g) <- i
-                else if b >= 0 then
-                  match cmp i b * order < 0 with
-                  | true -> best.(g) <- i
-                  | false -> ()
-                  | exception e when row_error e -> (
-                      best.(g) <- -2;
-                      match !failed with
-                      | Some (g', _) when g' < g -> ()
-                      | _ -> failed := Some (g, e)))
-              gid;
+            for i = 0 to n - 1 do
+              let g = gid.(i) in
+              let b = best.(g) in
+              if b = -1 then best.(g) <- i
+              else if b >= 0 then
+                match cmp i b * order < 0 with
+                | true -> best.(g) <- i
+                | false -> ()
+                | exception e when row_error e -> (
+                    best.(g) <- -2;
+                    match !failed with
+                    | Some (g', _) when g' < g -> ()
+                    | _ -> failed := Some (g, e))
+            done;
             Option.iter (fun (g, e) -> raise (At (g, e))) !failed;
             Column.gather c best
         | None, Column.Sealed s -> Column.gather c (fold_groups (sealed_extreme agg s))
@@ -794,11 +822,7 @@ let udf_apply ctx name inputs output table =
     Column.of_values
       (Array.init n (fun i -> f (List.map (fun c -> Column.get c i) input_cols)))
   in
-  Table.of_columns ~nrows:n out_attrs
-    (Array.of_list
-       (List.mapi
-          (fun p a -> if p = out_pos then results else Table.column table a)
-          out_attrs))
+  Table.replace (Table.select_columns table out_attrs) [ (out_pos, results) ]
 
 let cell_compare c i j =
   match c with
@@ -849,8 +873,12 @@ let order_by table keys =
     in
     go keys
   in
-  let sorted = List.stable_sort cmp (List.init (Table.cardinality table) Fun.id) in
-  Table.gather table (Array.of_list sorted)
+  let n = Table.cardinality table in
+  let sorted = List.stable_sort cmp (List.init n Fun.id) in
+  Scratch.frame @@ fun () ->
+  let perm = Scratch.ints n in
+  List.iteri (fun k i -> perm.(k) <- i) sorted;
+  Table.gather ~len:n table perm
 
 let limit table n =
   if n < 0 || n >= Table.cardinality table then table else Table.sub table 0 n
@@ -873,15 +901,20 @@ let obs_names plan =
    sound only when the caller's key covers everything the subtree's
    bytes depend on (structure, preorder position when ciphertext is
    produced inside, key clusters, environment; see Serve.Service);
-   [store] observes every computed subtree. Both run on the executing
-   domain, but Serve.Service's pool runs several executions at once, so
-   state shared between memos must be synchronized. *)
+   [store] is offered every computed subtree, as a function that
+   materializes it, so only the tables a memo keeps pay for their view
+   columns' gathers. Both run on the executing domain, but
+   Serve.Service's pool runs several executions at once, so state
+   shared between memos must be synchronized. *)
 type subplan_memo = {
   lookup : pos:int -> Plan.t -> Table.t option;
-  store : pos:int -> Plan.t -> Table.t -> unit;
+  store : pos:int -> Plan.t -> (unit -> Table.t) -> unit;
 }
 
-let run_with_hook ?memo ctx ~hook plan =
+(* Operators hand each other tables with index views (Table.gather);
+   what leaves the executor — the result, a table the memo keeps, a
+   table the hook sees — is materialized first. *)
+let execute ?memo ?hook ctx plan =
   (* [hook] sees each node's table as soon as it exists, in post-order
      (left subtree, right subtree, node); a raising hook stops the plan
      there. A memo hit reports only its root (the subtree was not
@@ -906,7 +939,7 @@ let run_with_hook ?memo ctx ~hook plan =
       | Some t -> t
       | None -> compute pos plan
     in
-    hook plan result;
+    Option.iter (fun hook -> hook plan (Table.materialize result)) hook;
     result
   and compute pos plan =
     let span, timer = obs_names plan in
@@ -958,12 +991,13 @@ let run_with_hook ?memo ctx ~hook plan =
       Obs.incr "exec.operators";
       Obs.incr ~by:(Table.cardinality result) "exec.rows_out"
     end;
-    Option.iter (fun m -> m.store ~pos plan result) memo;
+    Option.iter (fun m -> m.store ~pos plan (fun () -> Table.materialize result)) memo;
     result
   and sides pos l r =
     let tl = go (pos + 1) l in
     (tl, go (pos + 1 + Plan.size l) r)
   in
-  go 0 plan
+  Table.materialize (go 0 plan)
 
-let run ?memo ctx plan = run_with_hook ?memo ctx ~hook:(fun _ _ -> ()) plan
+let run_with_hook ?memo ctx ~hook plan = execute ?memo ~hook ctx plan
+let run ?memo ctx plan = execute ?memo ctx plan

@@ -1,14 +1,25 @@
 open Relalg
 
-(* One immutable layout: a typed column per attribute plus an explicit
-   row count (a zero-column table still has a cardinality). Operators
-   share columns freely across tables and domains; nothing is cached or
-   filled in later. A column is found by scanning the header for the
-   attribute's id: tables are a few columns wide, so no index is kept. *)
+(* One layout: a typed column per attribute plus an explicit row count
+   (a zero-column table still has a cardinality). A column is found by
+   scanning the header for the attribute's id: tables are a few columns
+   wide, so no index is kept.
+
+   Inside the executor a column may be a view: [views.(j) = Some idx]
+   says row [k] of column [j] is row [idx.(k)] of [cols.(j)], and a
+   table with no view keeps no [views] at all ([[||]]). Gathering
+   a table composes the views' index arrays, one composition per
+   distinct array, instead of copying cells; the first read of a view
+   column gathers it once and writes the result back in place. A table
+   whose slots are all [None] is complete and never written again, so
+   complete tables are shared freely, across tables and domains; a
+   table with views stays on the domain that executes its plan
+   ([Exec] completes every table it hands out). *)
 type t = {
   attrs : Attr.t list;
   nrows : int;
   cols : Column.t array;
+  mutable views : int array option array;
 }
 
 let of_columns ~nrows attrs cols =
@@ -24,7 +35,7 @@ let of_columns ~nrows attrs cols =
           (Printf.sprintf "Table.of_columns: column %d has %d rows, expected %d"
              j (Column.length c) nrows))
     cols;
-  { attrs; nrows; cols }
+  { attrs; nrows; cols; views = [||] }
 
 let create attrs rows =
   let n = List.length attrs in
@@ -42,11 +53,39 @@ let create attrs rows =
 let of_schema s rows = create (Schema.attr_list s) rows
 let attrs t = t.attrs
 let cardinality t = t.nrows
-let columns t = t.cols
-let row t i = Array.map (fun c -> Column.get c i) t.cols
+
+(* column [j], a view gathered and written back in place *)
+let nth t j =
+  match t.views with
+  | [||] -> t.cols.(j)
+  | views -> (
+      match views.(j) with
+      | None -> t.cols.(j)
+      | Some idx ->
+          let c = Column.gather t.cols.(j) idx in
+          t.cols.(j) <- c;
+          views.(j) <- None;
+          c)
+
+let materialize t =
+  if Array.length t.views > 0 then begin
+    for j = 0 to Array.length t.cols - 1 do
+      ignore (nth t j)
+    done;
+    t.views <- [||]
+  end;
+  t
+
+let is_materialized t = Array.for_all Option.is_none t.views
+
+(* the table's slots, one per column *)
+let slots t = if Array.length t.views = 0 then Array.make (Array.length t.cols) None else t.views
+
+let columns t = (materialize t).cols
+let row t i = Array.map (fun c -> Column.get c i) (columns t)
 (* column by column, so a sealed column materializes in one batch *)
 let rows t =
-  let cols = Array.map Column.to_values t.cols in
+  let cols = Array.map Column.to_values (columns t) in
   List.init t.nrows (fun i -> Array.map (fun c -> c.(i)) cols)
 
 exception Unknown_attribute of { attr : string; columns : string list }
@@ -70,18 +109,70 @@ let col_index t a =
            { attr = Attr.name a; columns = List.map Attr.name t.attrs })
   | i -> i
 
-let column t a = t.cols.(col_index t a)
+let column t a = nth t (col_index t a)
 let value t row a = row.(col_index t a)
 
 let select_columns t attrs =
-  of_columns ~nrows:t.nrows attrs (Array.of_list (List.map (column t) attrs))
+  let js = Array.of_list (List.map (col_index t) attrs) in
+  { attrs; nrows = t.nrows; cols = Array.map (Array.get t.cols) js;
+    views = (if Array.length t.views = 0 then [||] else Array.map (Array.get t.views) js) }
 
-let gather t idx =
-  of_columns ~nrows:(Array.length idx) t.attrs
-    (Array.map (fun c -> Column.gather c idx) t.cols)
+(* [b.(k)] = [a.(idx.(k))], stored without a write barrier *)
+let compose a idx len =
+  let b = Array.make len 0 in
+  for k = 0 to len - 1 do
+    Array.unsafe_set b k a.(Array.unsafe_get idx k)
+  done;
+  b
+
+let gather ?len t idx =
+  let len = Option.value len ~default:(Array.length idx) in
+  if len > Array.length idx then invalid_arg "Table.gather: len beyond the index array";
+  (* one fresh index array per distinct source: a copy of [idx] for the
+     complete columns, [a] composed with it for the views over [a] *)
+  let own = ref None and composed = ref [] in
+  let view = function
+    | None -> (
+        match !own with
+        | Some b -> b
+        | None ->
+            let b = Array.sub idx 0 len in
+            own := Some b;
+            b)
+    | Some a -> (
+        match List.assq_opt a !composed with
+        | Some b -> b
+        | None ->
+            let b = compose a idx len in
+            composed := (a, b) :: !composed;
+            b)
+  in
+  { t with nrows = len; cols = Array.copy t.cols;
+    views = Array.map (fun v -> Some (view v)) (slots t) }
 
 let sub t pos len =
-  of_columns ~nrows:len t.attrs (Array.map (fun c -> Column.sub c pos len) t.cols)
+  if pos = 0 && len = t.nrows then t else gather t (Array.init len (fun k -> pos + k))
+
+let beside a b =
+  if a.nrows <> b.nrows then
+    invalid_arg (Printf.sprintf "Table.beside: %d rows beside %d" a.nrows b.nrows);
+  { attrs = a.attrs @ b.attrs; nrows = a.nrows; cols = Array.append a.cols b.cols;
+    views =
+      (if Array.length a.views = 0 && Array.length b.views = 0 then [||]
+       else Array.append (slots a) (slots b)) }
+
+let replace t cs =
+  let cols = Array.copy t.cols and views = Array.copy t.views in
+  List.iter
+    (fun (j, c) ->
+      if Column.length c <> t.nrows then
+        invalid_arg
+          (Printf.sprintf "Table.replace: column %d has %d rows, expected %d" j
+             (Column.length c) t.nrows);
+      cols.(j) <- c;
+      if Array.length views > 0 then views.(j) <- None)
+    cs;
+  { t with cols; views }
 
 let row_key r = String.concat "\x00" (Array.to_list (Array.map Value.to_string r))
 
@@ -127,7 +218,7 @@ let byte_size t =
             (fun acc v -> acc + sealed_bytes s v)
             acc
             (Column.to_values s.Column.plain))
-    0 t.cols
+    0 (columns t)
 
 let to_string ?(limit = 20) t =
   let buf = Buffer.create 256 in

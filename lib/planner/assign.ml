@@ -242,7 +242,6 @@ let optimize ~candidates ~policy ~builder ~pricing ~network ~base ~conservative
           (Printf.sprintf "Assign: node %d (%s) has no candidate" (Plan.id n)
              (Plan.operator_name n)))
     nodes;
-  let schema = memo (tbl ()) Plan.schema in
   let eq = (Authz.Profile.of_plan_logical query).Authz.Profile.eq in
   let classes = Attr_tbl.create 16 in
   let class_of a =
@@ -267,7 +266,7 @@ let optimize ~candidates ~policy ~builder ~pricing ~network ~base ~conservative
   (* a node's step touches only its own and its children's schemas *)
   let touch =
     memo (tbl ()) (fun m ->
-        List.fold_left (fun acc c -> Attr.Set.union acc (schema c)) (schema m) (Plan.children m))
+        List.fold_left (fun acc c -> Attr.Set.union acc (Plan.schema c)) (Plan.schema m) (Plan.children m))
   in
   (* per class, the nodes whose step may touch it and what each may
      compute on its ciphertext, by preorder number *)
@@ -406,7 +405,7 @@ let optimize ~candidates ~policy ~builder ~pricing ~network ~base ~conservative
     match Plan.node c with
     | Plan.Base _ -> Some (Plan.id c, (stat c).Estimate.card, min_rate c)
     | _ -> (
-        match List.find_opt (fun c' -> Attr.Set.mem a (schema c')) (Plan.children c) with
+        match List.find_opt (fun c' -> Attr.Set.mem a (Plan.schema c')) (Plan.children c) with
         | None -> None
         | Some c' ->
             Option.map
@@ -430,7 +429,7 @@ let optimize ~candidates ~policy ~builder ~pricing ~network ~base ~conservative
           (fun (a, cap) ->
             List.filter_map
               (fun c ->
-                if not (Attr.Set.mem a (schema c)) then None
+                if not (Attr.Set.mem a (Plan.schema c)) then None
                 else
                   Option.map
                     (fun (leaf, rows, rate) ->

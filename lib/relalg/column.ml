@@ -136,23 +136,6 @@ let to_values = function
       cells
   | c -> Array.init (length c) (get c)
 
-let rec sub c pos len =
-  if pos = 0 && len = length c then c
-  else
-    match c with
-    | Ints a -> Ints (Array.sub a pos len)
-    | Floats a -> Floats (Array.sub a pos len)
-    | Bools a -> Bools (Array.sub a pos len)
-    | Strs a -> Strs (Array.sub a pos len)
-    | Dates a -> Dates (Array.sub a pos len)
-    | Values a -> Values (Array.sub a pos len)
-    | Sealed s ->
-        let words =
-          if Bytes.length s.words = 0 then s.words
-          else Bytes.sub s.words (8 * pos) (8 * len)
-        in
-        Sealed { s with plain = sub s.plain pos len; words }
-
 (* Floats gather through a loop into a flat float array, so no cell is
    boxed on the way. A sealed column keeps only the gathered rows'
    words. *)

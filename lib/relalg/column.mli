@@ -15,8 +15,8 @@
     {!to_values}, which calls it) reads that cell. The bytes are the
     ones eager encryption would have produced, so no reader can tell
     the two apart. Readers that need only null-ness or encryptedness
-    ({!is_null}, {!is_encrypted}, {!length}) and the row movers
-    ({!sub}, {!gather}) never produce them; operators that compare det
+    ({!is_null}, {!is_encrypted}, {!length}) and the row mover
+    ({!gather}) never produce them; operators that compare det
     or OPE cells read the plaintext and the words instead (see
     [Engine.Enc_exec]). *)
 
@@ -72,15 +72,15 @@ val to_values : t -> Value.t array
     not mutate the result in that case). A sealed column's live cells
     are encrypted here, in one [seal] call. *)
 
-val sub : t -> int -> int -> t
-(** [sub c pos len] — same contract as [Array.sub], except that the
-    whole column comes back as is rather than copied (columns are never
-    mutated once built). *)
-
 val gather : t -> int array -> t
 (** [gather c idx] is the column of cells [c.(idx.(k))], in [idx] order
     and in [c]'s representation (a typed column stays unboxed, a sealed
-    one stays sealed and keeps only the gathered rows' words). *)
+    one stays sealed and keeps only the gathered rows' words). The
+    executor's index views ([Engine.Table.gather]) defer it: a view
+    column is gathered once, through here, when it is first read or
+    when its table leaves the executor. Ints, dates, booleans and
+    floats are copied with no write barrier; strings and boxed cells
+    still pay one per cell. *)
 
 val is_unboxed : t -> bool
 (** [true] for the typed representations; [false] for [Values] and

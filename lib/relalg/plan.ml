@@ -13,13 +13,32 @@ type node =
 
 and sort_dir = Asc | Desc
 
-and t = { id : int; node : node }
+and t = { id : int; node : node; schema : Attr.Set.t }
 
 (* Atomic: plans are built concurrently (parallel planning sweeps run
    one query per domain), and ids must stay unique across domains. *)
 let counter = Atomic.make 0
 
-let fresh node = { id = Atomic.fetch_and_add counter 1 + 1; node }
+let schema t = t.schema
+
+(* a node's schema, from its children's stored ones *)
+let node_schema = function
+  | Base s -> Schema.attrs s
+  | Project (attrs, _) -> attrs
+  | Select (_, c) -> c.schema
+  | Product (l, r) | Join (_, l, r) -> Attr.Set.union l.schema r.schema
+  | Group_by (keys, aggs, _) ->
+      List.fold_left
+        (fun acc (agg : Aggregate.t) -> Attr.Set.add agg.output acc)
+        keys aggs
+  | Udf (_, inputs, output, c) ->
+      Attr.Set.add output
+        (Attr.Set.diff c.schema (Attr.Set.remove output inputs))
+  | Order_by (_, c) | Limit (_, c) -> c.schema
+  | Encrypt (_, c) | Decrypt (_, c) -> c.schema
+
+let fresh node =
+  { id = Atomic.fetch_and_add counter 1 + 1; node; schema = node_schema node }
 
 let id t = t.id
 let node t = t.node
@@ -37,22 +56,6 @@ let children t =
   | Decrypt (_, c) ->
       [ c ]
   | Product (l, r) | Join (_, l, r) -> [ l; r ]
-
-let rec schema t =
-  match t.node with
-  | Base s -> Schema.attrs s
-  | Project (attrs, _) -> attrs
-  | Select (_, c) -> schema c
-  | Product (l, r) | Join (_, l, r) -> Attr.Set.union (schema l) (schema r)
-  | Group_by (keys, aggs, _) ->
-      List.fold_left
-        (fun acc (agg : Aggregate.t) -> Attr.Set.add agg.output acc)
-        keys aggs
-  | Udf (_, inputs, output, c) ->
-      Attr.Set.add output
-        (Attr.Set.diff (schema c) (Attr.Set.remove output inputs))
-  | Order_by (_, c) | Limit (_, c) -> schema c
-  | Encrypt (_, c) | Decrypt (_, c) -> schema c
 
 let check_subset ~what needed available =
   if not (Attr.Set.subset needed available) then

@@ -29,7 +29,9 @@ type node =
 
 and sort_dir = Asc | Desc
 
-and t = private { id : int; node : node }
+and t = private { id : int; node : node; schema : Attr.Set.t }
+(** [schema] is computed once, when the node is built, from its
+    children's: see {!schema}. *)
 
 (** {1 Construction}
 
@@ -55,7 +57,8 @@ val node : t -> node
 val children : t -> t list
 
 val schema : t -> Attr.Set.t
-(** Visible attributes of the relation the node produces. *)
+(** Visible attributes of the relation the node produces; stored in the
+    node, so reading it walks nothing. *)
 
 val is_leaf : t -> bool
 val size : t -> int

@@ -431,7 +431,7 @@ let make_memo t (tn : Tenancy.t) keys =
         (fun ~pos _plan table ->
           match Hashtbl.find_opt keys pos with
           | None -> ()
-          | Some (key, base) -> record (Sub_store { pos; key; base; table }));
+          | Some (key, base) -> record (Sub_store { pos; key; base; table = table () }));
     }
   in
   (memo, events)

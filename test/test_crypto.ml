@@ -425,6 +425,29 @@ let prop_ctr_xor =
       let enc = Speck.expand_key (key16 9L) in
       String.equal (ref_ctr enc iv s) (ctr_xor enc iv s))
 
+(* [Prng.draw_into], which the rnd IV pass writes with, is the generator
+   it stands for: the [draw]-th [next64] of [derive root row], for any
+   parent state, row and draw (the parent advanced first, so the root is
+   not a fresh seed's). *)
+let prop_draw_into =
+  QCheck.Test.make ~count:500 ~name:"draw_into == derive then next64"
+    QCheck.(quad int64 (int_range 0 3) (int_range 0 1_000_000) (int_range 1 6))
+    (fun (seed, advanced, row, draw) ->
+      let root = Prng.create seed in
+      for _ = 1 to advanced do
+        ignore (Prng.next64 root)
+      done;
+      let g = Prng.derive root row in
+      let want = ref 0L in
+      for _ = 1 to draw do
+        want := Prng.next64 g
+      done;
+      let b = Bytes.make 24 '\000' in
+      Prng.draw_into root ~row ~draw b 8;
+      Int64.equal (Bytes.get_int64_le b 8) !want
+      && Bytes.equal (Bytes.sub b 0 8) (Bytes.make 8 '\000')
+      && Bytes.equal (Bytes.sub b 16 8) (Bytes.make 8 '\000'))
+
 (* The stateless per-value OPE the column kernel replaced: every level
    draws its PRF under a Printf label. *)
 let ref_plain_size = 1 lsl 40
@@ -648,7 +671,7 @@ let () =
           ("ope golden", `Quick, test_golden_ope) ] );
       ( "differential",
         [ ("ctr_xor carries and wraps like Int64.add", `Quick, test_ctr_carry);
-          q prop_ctr_xor; q prop_encode_array; q prop_encode_array_domain;
+          q prop_ctr_xor; q prop_draw_into; q prop_encode_array; q prop_encode_array_domain;
           q prop_decode_array ] );
       ( "paillier",
         [ ("roundtrip incl. negatives", `Quick, test_paillier_roundtrip);

@@ -307,6 +307,60 @@ let prop_row_oracle =
            (fun () -> Exec.context ~udfs:udf_impls tables)
            case.Gen.original)
 
+(* --- operator scratch and index views ----------------------------------- *)
+
+(* What leaves the executor is complete and its own. Three generated
+   plans run one after another on one domain. The first plan's result,
+   and the tables its memo kept (odd positions: not the root, which
+   only the executor's own boundary completes), hold no view
+   column, and after the other two plans ran they still read the bytes
+   they read before and the row oracle's result: a scratch array or an
+   index array that escaped into them would have been overwritten by
+   the later runs' operators. The hook sees only complete tables, and
+   every run gives all of its scratch back. *)
+let prop_nothing_escapes =
+  let case = QCheck.Gen.(Gen.gen_extended >>= fun c -> fun st -> (c, gen_oracle_tables st)) in
+  QCheck.Test.make ~count:120 ~name:"no scratch array or index view leaves the executor"
+    (QCheck.make
+       ~print:(fun (((a : Gen.extended_case), _), _, _) -> Plan_printer.to_ascii a.Gen.executable)
+       QCheck.Gen.(triple case case case))
+    (fun (a, b, c) ->
+      let ctx ((case : Gen.extended_case), tables) =
+        let keyring = Mpq_crypto.Keyring.create ~seed:123L () in
+        Exec.context ~udfs:udf_impls ~crypto:(Enc_exec.make keyring case.Gen.clusters) tables
+      in
+      let complete what t =
+        Table.is_materialized t || QCheck.Test.fail_reportf "%s holds a view column" what
+      in
+      let balanced () =
+        Scratch.depth () = 0 || QCheck.Test.fail_reportf "%d scratch arrays not given back" (Scratch.depth ())
+      in
+      let kept = ref [] in
+      let memo =
+        { Exec.lookup = (fun ~pos:_ _ -> None);
+          store = (fun ~pos _ table -> if pos mod 2 = 1 then kept := table () :: !kept) }
+      in
+      let run_a () = Exec.run ~memo (ctx a) (fst a).Gen.executable in
+      match run_a () with
+      | exception _ -> balanced ()
+      | result ->
+          balanced ()
+          && complete "the result" result
+          && List.for_all (complete "a memo-kept table") !kept
+          &&
+          let before = List.map observe (result :: !kept) in
+          let hook _ t = ignore (complete "a hook-visible table" t) in
+          (try ignore (Exec.run_with_hook (ctx b) ~hook (fst b).Gen.executable) with
+           | QCheck.Test.Test_fail _ as e -> raise e
+           | _ -> ());
+          (try ignore (Exec.run (ctx c) (fst c).Gen.executable) with _ -> ());
+          balanced ()
+          && (List.equal same_view before (List.map observe (result :: !kept))
+             || QCheck.Test.fail_reportf "a kept table changed while later plans ran")
+          && (same_view (observe result)
+                (observe (Row_oracle.run (ctx a) (fst a).Gen.executable))
+             || QCheck.Test.fail_reportf "the result is not the row oracle's"))
+
 (* --- column kernels against the row oracle ------------------------------ *)
 
 (* Tables T(a, b, s, d) and U(c, t) whose every column draws a kind and
@@ -951,4 +1005,5 @@ let () =
           ("22 queries x 3 scenarios", `Slow, test_tpch_row_oracle);
           QCheck_alcotest.to_alcotest prop_kernels;
           ("kernel edge cases", `Quick, test_kernel_edges);
-          ("a join with an empty side seals", `Quick, test_empty_join_seals) ] ) ]
+          ("a join with an empty side seals", `Quick, test_empty_join_seals);
+          QCheck_alcotest.to_alcotest prop_nothing_escapes ] ) ]

@@ -932,6 +932,40 @@ let test_tpch_sharing_pinned () =
   Fun.protect ~finally:(fun () -> Par.shutdown pool) @@ fun () ->
   run ~pool par_jobs
 
+(* The 66 served TPC-H queries (22 under each scenario, one tenant per
+   scenario, sharing on) read the same bytes on a 4-domain pool as on
+   one domain: each domain executes with its own operator scratch, and
+   no index view leaves the executor into a shared sub-plan result. *)
+let test_tpch_pool_equals_one_domain () =
+  let sf = 0.001 in
+  let tables = tpch_tables sf in
+  let requests =
+    List.concat_map
+      (fun sc ->
+        List.map
+          (fun (q, _, _) ->
+            Serve.Service.request ~tenant:(Tpch.Scenarios.name sc) (Tpch.Tpch_queries.query q))
+          Tpch.Tpch_queries.all)
+      Tpch.Scenarios.all
+  in
+  let serve ?pool () =
+    let s = tpch_service ~sf ~tables ?pool Tpch.Scenarios.UA in
+    List.iter
+      (fun sc ->
+        Serve.Service.add_tenant s ~id:(Tpch.Scenarios.name sc) ~policy:(Tpch.Scenarios.policy sc) ())
+      Tpch.Scenarios.all;
+    List.map (fun (r : Serve.Service.response) -> r.Serve.Service.outcome)
+      (Serve.Service.submit_batch_requests s requests)
+  in
+  let one = serve () in
+  Alcotest.(check int) "every query answers a table" 66
+    (List.length (List.filter (function Serve.Service.Table _ -> true | _ -> false) one));
+  let pool = Par.create ~name:"serve-tpch-pool" 4 in
+  Fun.protect ~finally:(fun () -> Par.shutdown pool) @@ fun () ->
+  Alcotest.(check (list bool)) "4 domains = 1 domain, byte for byte"
+    (List.map (fun _ -> true) one)
+    (List.map2 outcome_equal (serve ~pool ()) one)
+
 (* Shared sub-plan lifecycle over one structurally repeated core:
 
    - cross-query reuse: a brand-new query shape (a plan-cache miss)
@@ -1596,6 +1630,7 @@ let () =
         [ QCheck_alcotest.to_alcotest prop_sharing_vs_isolated;
           ("tpch stream: shared = isolated, pinned counters", `Slow,
            test_tpch_sharing_pinned);
+          ("66 tpch queries: 4 domains = 1 domain", `Slow, test_tpch_pool_equals_one_domain);
           ("shared sub-plan lifecycle: reuse, grants, revocation", `Slow,
            test_shared_subplan_lifecycle);
           ("no sharing across environments", `Quick,
