@@ -496,7 +496,10 @@ let small_primes =
   [ 2; 3; 5; 7; 11; 13; 17; 19; 23; 29; 31; 37; 41; 43; 47; 53; 59; 61; 67;
     71; 73; 79; 83; 89; 97; 101; 103; 107; 109; 113 ]
 
-let is_probable_prime ?(rounds = 24) rng n =
+(* Miller-Rabin bases per primality test *)
+let mr_rounds = 24
+
+let is_probable_prime rng n =
   if n.sign <= 0 then false
   else
     match to_int_opt n with
@@ -528,7 +531,7 @@ let is_probable_prime ?(rounds = 24) rng n =
             end
           in
           let rec rounds_loop i =
-            if i >= rounds then true
+            if i >= mr_rounds then true
             else
               let a = add two (random_below rng (sub n (of_int 4))) in
               if witness a then false else rounds_loop (i + 1)

@@ -84,8 +84,8 @@ val random_bits : Prng.t -> int -> t
 val random_below : Prng.t -> t -> t
 (** Uniform in [[0, bound)]; [bound > 0]. *)
 
-val is_probable_prime : ?rounds:int -> Prng.t -> t -> bool
-(** Miller-Rabin with [rounds] random bases (default 24). *)
+val is_probable_prime : Prng.t -> t -> bool
+(** Miller-Rabin with 24 random bases. *)
 
 val random_prime : Prng.t -> int -> t
 (** Random probable prime of exactly [bits] bits ([bits >= 2]). *)

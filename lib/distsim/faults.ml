@@ -97,15 +97,16 @@ let render spec =
 type t = {
   spec : spec;
   rng : C.Prng.t;
-  base_latency_ms : int;
   mutable clock_ms : int;
   mutable steps : int;
 }
 
-let make ?(seed = 1) ?(base_latency_ms = 5) spec =
+(* fault-free latency of one interaction on the simulated clock *)
+let base_latency_ms = 5
+
+let make ?(seed = 1) spec =
   { spec;
     rng = C.Prng.create (Int64.of_int seed);
-    base_latency_ms;
     clock_ms = 0;
     steps = 0 }
 
@@ -138,7 +139,7 @@ let interact t participants =
   match List.find_opt (crashed t) participants with
   | Some s -> { verdict = No_response s; latency_ms = 0; slow_by = None }
   | None ->
-      let latency = ref t.base_latency_ms in
+      let latency = ref base_latency_ms in
       let slow_by = ref None in
       let dropped = ref None and corrupted = ref None in
       (* draw every probabilistic fault of every participant, in spec

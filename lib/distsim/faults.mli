@@ -47,9 +47,8 @@ type t
     plan drives one execution (including its retries and failover
     re-plans); make a fresh plan per run. *)
 
-val make : ?seed:int -> ?base_latency_ms:int -> spec -> t
-(** [base_latency_ms] (default 5) is the fault-free latency of one
-    interaction on the simulated clock. *)
+val make : ?seed:int -> spec -> t
+(** A fault-free interaction takes 5 ms on the simulated clock. *)
 
 val none : unit -> t
 (** The empty plan: every interaction is delivered at base latency. *)

@@ -71,45 +71,43 @@ let parse_value ty (raw, quoted) =
         | "false" | "f" | "0" -> Value.Bool false
         | _ -> err "not a boolean: %s" raw)
 
-let parse ?(header = true) schema text =
+let parse schema text =
   let rows = split_rows text in
   let cols = Schema.attr_list schema in
   let order, data_rows =
-    if header then
-      match rows with
-      | [] -> err "empty input"
-      | hd :: rest ->
-          let names = List.map (fun (f, _) -> String.trim f) hd in
-          let order =
-            List.map
-              (fun name ->
-                match
-                  List.find_opt
-                    (fun a ->
-                      String.lowercase_ascii (Attr.name a)
-                      = String.lowercase_ascii name)
-                    cols
-                with
-                | Some a -> a
-                | None -> err "unknown column %s" name)
-              names
-          in
-          let rec dup = function
-            | [] -> None
-            | a :: rest ->
-                if List.exists (Attr.equal a) rest then Some a else dup rest
-          in
-          (match dup order with
-          | Some a -> err "duplicate column %s in header" (Attr.name a)
-          | None -> ());
-          let missing =
-            List.filter (fun a -> not (List.memq a order)) cols
-          in
-          if missing <> [] then
-            err "missing columns: %s"
-              (String.concat "," (List.map Attr.name missing));
-          (order, rest)
-    else (cols, rows)
+    match rows with
+    | [] -> err "empty input"
+    | hd :: rest ->
+        let names = List.map (fun (f, _) -> String.trim f) hd in
+        let order =
+          List.map
+            (fun name ->
+              match
+                List.find_opt
+                  (fun a ->
+                    String.lowercase_ascii (Attr.name a)
+                    = String.lowercase_ascii name)
+                  cols
+              with
+              | Some a -> a
+              | None -> err "unknown column %s" name)
+            names
+        in
+        let rec dup = function
+          | [] -> None
+          | a :: rest ->
+              if List.exists (Attr.equal a) rest then Some a else dup rest
+        in
+        (match dup order with
+        | Some a -> err "duplicate column %s in header" (Attr.name a)
+        | None -> ());
+        let missing =
+          List.filter (fun a -> not (List.memq a order)) cols
+        in
+        if missing <> [] then
+          err "missing columns: %s"
+            (String.concat "," (List.map Attr.name missing));
+        (order, rest)
   in
   let arity = List.length order in
   let table_rows =
@@ -135,12 +133,12 @@ let parse ?(header = true) schema text =
   in
   Table.of_schema schema table_rows
 
-let load ?header schema path =
+let load schema path =
   let ic = open_in path in
   let n = in_channel_length ic in
   let text = really_input_string ic n in
   close_in ic;
-  parse ?header schema text
+  parse schema text
 
 let escape s =
   if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then

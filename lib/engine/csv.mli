@@ -1,19 +1,18 @@
 (** CSV import/export for base relations.
 
     RFC-4180-style parsing: comma-separated, double-quoted fields with
-    [""] escapes, optional header row. Values are parsed according to
+    [""] escapes, a header row. Values are parsed according to
     the schema's column types; empty unquoted fields become [Null]. *)
 
 open Relalg
 
 exception Csv_error of string
 
-val parse : ?header:bool -> Schema.t -> string -> Table.t
-(** [parse ~header schema text]. With [header] (default [true]) the
-    first row must name the schema's columns (any order); without it,
-    fields are read in schema column order. *)
+val parse : Schema.t -> string -> Table.t
+(** [parse schema text]. The first row must name the schema's columns
+    (any order). *)
 
-val load : ?header:bool -> Schema.t -> string -> Table.t
+val load : Schema.t -> string -> Table.t
 (** [load schema path] reads a file. *)
 
 val to_string : Table.t -> string

@@ -918,8 +918,7 @@ let execute ?memo ?hook ctx plan =
   (* [hook] sees each node's table as soon as it exists, in post-order
      (left subtree, right subtree, node); a raising hook stops the plan
      there. A memo hit reports only its root (the subtree was not
-     executed here), so hook consumers are not combined with [?memo] —
-     the serving layer, which uses the memo, runs hook-free. *)
+     executed here), so the entry points never pass both. *)
   (* Encryption randomness is rooted per plan node (see
      [encrypt_columns]), but raw node ids come from a global counter:
      two structurally identical plans built at different times carry
@@ -999,5 +998,5 @@ let execute ?memo ?hook ctx plan =
   in
   Table.materialize (go 0 plan)
 
-let run_with_hook ?memo ctx ~hook plan = execute ?memo ~hook ctx plan
+let run_with_hook ctx ~hook plan = execute ~hook ctx plan
 let run ?memo ctx plan = execute ?memo ctx plan

@@ -73,15 +73,12 @@ val run : ?memo:subplan_memo -> context -> Plan.t -> Table.t
     to its tree-shaped original. *)
 
 val run_with_hook :
-  ?memo:subplan_memo ->
   context ->
   hook:(Plan.t -> Table.t -> unit) ->
   Plan.t ->
   Table.t
-(** Like {!run}, invoking [hook] on every node's output, materialized,
-    as soon as it exists, in the plan's post-order (left subtree, right subtree,
-    node); the distributed runtime runs its release check this way.
-    A raising hook stops the plan at that node. A [?memo] hit reports
-    only the subtree root (its interior was not executed here), so
-    memoization and hook consumers are not combined in practice — the
-    serving layer runs hook-free. *)
+(** Like {!run} without a memo, invoking [hook] on every node's output,
+    materialized, as soon as it exists, in the plan's post-order (left
+    subtree, right subtree, node); the distributed runtime runs its
+    release check this way. A raising hook stops the plan at that
+    node. *)

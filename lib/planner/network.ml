@@ -1,7 +1,10 @@
 type t = { backbone_bps : float; client_bps : float }
 
-let make ?(backbone_gbps = 10.0) ?(client_mbps = 100.0) () =
-  { backbone_bps = backbone_gbps *. 1e9; client_bps = client_mbps *. 1e6 }
+(* the paper's testbed backbone: 10 Gbps *)
+let backbone_bps = 10.0e9
+
+let make ?(client_mbps = 100.0) () =
+  { backbone_bps; client_bps = client_mbps *. 1e6 }
 
 let is_user (s : Authz.Subject.t) = s.Authz.Subject.role = Authz.Subject.User
 

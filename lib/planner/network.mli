@@ -8,8 +8,9 @@
 
 type t
 
-val make : ?backbone_gbps:float -> ?client_mbps:float -> unit -> t
-(** Defaults: 10 Gbps backbone, 100 Mbps client link. *)
+val make : ?client_mbps:float -> unit -> t
+(** A 10 Gbps backbone, and a client link of [client_mbps] (default
+    100 Mbps). *)
 
 val bandwidth_bps : t -> Authz.Subject.t -> Authz.Subject.t -> float
 (** Bottleneck bandwidth between two subjects (client link applies as

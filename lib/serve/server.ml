@@ -71,7 +71,8 @@ type stats = {
   expired : int;
   parse_errors : int;
   disconnects : int;
-  closed : summary list;  (* per-session final counters, sorted by sid *)
+  closed : summary list;  (* the latest [max_sessions], sorted by sid *)
+  closed_dropped : int;
 }
 
 type session = {
@@ -101,7 +102,9 @@ type t = {
   mutable c_accepted : int;
   mutable c_shed : int;
   mutable c_disconnects : int;
-  mutable c_closed : summary list;  (* accumulated in close order *)
+  mutable c_closed : summary list;
+      (* the [max_sessions] highest-sid summaries, sorted by sid *)
+  mutable c_closed_dropped : int;
 }
 
 let create ?(config = default_config) ~service addr =
@@ -127,21 +130,32 @@ let create ?(config = default_config) ~service addr =
   { service; cfg = config; listen_fd; bound; stopping = Atomic.make false;
     sessions = []; backlog = Queue.create (); tally = Session.tally ();
     next_sid = 0; c_sessions = 0; c_sessions_refused = 0; c_accepted = 0;
-    c_shed = 0; c_disconnects = 0; c_closed = [] }
+    c_shed = 0; c_disconnects = 0; c_closed = []; c_closed_dropped = 0 }
 
 let bound_addr t = t.bound
 let stop t = Atomic.set t.stopping true
 
 (* --- output ----------------------------------------------------------- *)
 
-(* the one place a session dies: its final counters are recorded once *)
+(* the one place a session dies: its final counters are recorded once.
+   Only the [max_sessions] latest sessions' summaries are kept, latest
+   by id so that which ones does not depend on close order. *)
 let close_session t s =
   if not s.dead then begin
-    t.c_closed <-
+    let summary =
       { sum_sid = s.sid; sum_tenant = Session.tenant s.proto;
         sum_requests = Session.requests s.proto;
         sum_responses = s.responses_enqueued }
-      :: t.c_closed;
+    in
+    let closed =
+      List.merge (fun a b -> compare a.sum_sid b.sum_sid) [ summary ] t.c_closed
+    in
+    t.c_closed <-
+      (if List.length closed <= max_sessions then closed
+       else begin
+         t.c_closed_dropped <- t.c_closed_dropped + 1;
+         List.tl closed
+       end);
     s.dead <- true;
     try Unix.close s.fd with Unix.Unix_error _ -> ()
   end
@@ -389,8 +403,7 @@ let stats t =
     requests = c.requests; accepted = t.c_accepted; tables = c.tables;
     rejected = c.rejected; shed = t.c_shed; expired = c.expired;
     parse_errors = c.parse_errors; disconnects = t.c_disconnects;
-    closed =
-      List.sort (fun a b -> compare a.sum_sid b.sum_sid) t.c_closed }
+    closed = t.c_closed; closed_dropped = t.c_closed_dropped }
 
 let render_stats (s : stats) =
   let head =
@@ -403,7 +416,10 @@ let render_stats (s : stats) =
   match s.closed with
   | [] -> head
   | closed ->
-      head ^ "; per session: "
+      head ^ "; per session"
+      ^ (if s.closed_dropped = 0 then ""
+         else Printf.sprintf " (%d earlier dropped)" s.closed_dropped)
+      ^ ": "
       ^ String.concat ", "
           (List.map
              (fun c ->

@@ -73,8 +73,10 @@ type stats = {
   parse_errors : int;
   disconnects : int;  (** sessions that vanished owing output *)
   closed : summary list;
-      (** final counters of every closed session, {e sorted by session
-          id}: close order depends on drain timing *)
+      (** final counters of the 64 closed sessions with the highest ids,
+          {e sorted by session id}: close order depends on drain
+          timing *)
+  closed_dropped : int;  (** closed sessions whose summary was dropped *)
 }
 
 type t

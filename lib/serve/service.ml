@@ -42,7 +42,7 @@ type plan_value = { verdict : verdict; exec_plan : Plan.t option }
    environment — the structural query fingerprint for a plan, the base
    key for a sub-plan — kept so surviving entries can be rekeyed under
    a new environment fingerprint. [env] is the environment the value
-   was computed under, so entries stranded by a non-policy rotation
+   was computed under, so entries stranded by a subject-swap rotation
    are never migrated into the current epoch by a later policy delta.
    [tenant] is redundant with the tenant component inside [env] (keys
    of different tenants cannot collide), carried explicitly so a hit
@@ -61,7 +61,6 @@ type t = {
   base : Planner.Estimate.base_stats;
   udfs : (string * Engine.Exec.udf) list;
   tables : (string * Engine.Table.t) list;
-  seed : int64;
   pool : Par.pool option;
   max_batch : int;
   now : unit -> float;  (* deadline clock, injectable for tests *)
@@ -110,9 +109,10 @@ let request ?deadline ?(tenant = Tenancy.default_id) query =
 (* bound of the sub-plan result tier, in entries *)
 let subcache_capacity = 256
 
-(* Cluster keys derive from the seed alone, never from the policy, so
-   one store serves every execution until [invalidate]. *)
-let key_store seed = Engine.Enc_exec.store (Mpq_crypto.Keyring.create ~seed ())
+(* Cluster keys derive from the keyring's fixed seed alone, never from
+   the policy, so one store serves every execution until [invalidate]. *)
+let key_store () =
+  Engine.Enc_exec.store (Mpq_crypto.Keyring.create ~seed:42L ())
 
 type policy_conflict =
   | Dropped_relation of string
@@ -188,22 +188,20 @@ let check_tables tables policy =
   | Some c -> raise (Policy_conflict c)
   | None -> ()
 
-let create ?(cache_capacity = 128) ?(max_batch = 32) ?pool ?config ?pricing
-    ?network ?(base = fun _ -> None) ?deliver_to ?max_latency ?(udfs = [])
-    ?(seed = 42L) ?(sharing = true) ?(now = Unix.gettimeofday) ~policy
-    ~subjects ~tables () =
+let create ?(cache_capacity = 128) ?(max_batch = 32) ?pool ?pricing
+    ?(base = fun _ -> None) ?deliver_to ?(udfs = []) ?(sharing = true)
+    ?(now = Unix.gettimeofday) ~policy ~subjects ~tables () =
   if max_batch < 1 then
     invalid_arg (Printf.sprintf "Service.create: max_batch %d < 1" max_batch);
   check_tables tables policy;
   let tenants = Tenancy.registry () in
   Tenancy.add tenants
-    (Tenancy.make ~id:Tenancy.default_id ?config ?pricing ?network
-       ?deliver_to ?max_latency ~policy ~subjects ());
+    (Tenancy.make ~id:Tenancy.default_id ?pricing ?deliver_to ~policy ~subjects ());
   let dag = Planner.Dag.create () in
-  { tenants; base; udfs; tables; seed; pool; max_batch; now;
+  { tenants; base; udfs; tables; pool; max_batch; now;
     cache = Lru.create ~capacity:cache_capacity; sharing; dag;
     subcache = Lru.create ~capacity:subcache_capacity;
-    keys = key_store seed;
+    keys = key_store ();
     queries = 0; rejections = 0; expired = 0; invalidated = 0;
     reverified = 0; retained = 0; subplan_hits = 0; subplan_stores = 0;
     subplan_invalidated = 0; shared_execs = 0; cross_tenant_hits = 0;
@@ -216,31 +214,20 @@ let tenant_exn t id =
 
 let default_tenant t = tenant_exn t Tenancy.default_id
 
-let add_tenant t ~id ?policy ?subjects ?config ?pricing ?network ?deliver_to
-    ?max_latency () =
+let add_tenant t ~id ?policy ?subjects () =
   let d = default_tenant t in
-  let pick o f = match o with Some v -> v | None -> f d in
-  let policy = pick policy (fun d -> d.Tenancy.policy) in
+  let policy = Option.value policy ~default:d.Tenancy.policy in
   check_tables t.tables policy;
+  (* a tenant with its own subjects gets its own recipient, the first
+     [User] among them: the default tenant's recipient may not even be
+     one of its subjects *)
+  let subjects, deliver_to =
+    match subjects with
+    | Some s -> (s, None)
+    | None -> (d.Tenancy.subjects, d.Tenancy.deliver_to)
+  in
   Tenancy.add t.tenants
-    (Tenancy.make ~id
-       ~config:(pick config (fun d -> d.Tenancy.config))
-       ~pricing:(pick pricing (fun d -> d.Tenancy.pricing))
-       ~network:(pick network (fun d -> d.Tenancy.network))
-       ?deliver_to:
-         (* a tenant with its own subjects gets its own recipient (the
-            first [User] among them) unless one is named: the default
-            tenant's recipient may not even be one of its subjects *)
-         (match (deliver_to, subjects) with
-         | Some _, _ | None, Some _ -> deliver_to
-         | None, None -> d.Tenancy.deliver_to)
-       ?max_latency:
-         (match max_latency with
-         | Some _ as x -> x
-         | None -> d.Tenancy.max_latency)
-       ~policy
-       ~subjects:(pick subjects (fun d -> d.Tenancy.subjects))
-       ());
+    (Tenancy.make ~id ~pricing:d.Tenancy.pricing ?deliver_to ~policy ~subjects ());
   Obs.incr "serve.tenants"
 
 let tenant_ids t = Tenancy.ids t.tenants
@@ -281,8 +268,8 @@ let verify (tn : Tenancy.t) (r : Planner.Optimizer.result) =
      — execution is locally simulated so bytes do not depend on it,
      but the dependency facts stored for invalidation do;
    - environment: the leakage gate. Structurally equal subtrees
-     planned under different policies, subject populations, recipients
-     or configs — or for different {e tenants}, whose ids are a field
+     planned under different policies, subject populations or
+     recipients — or for different {e tenants}, whose ids are a field
      of the environment fingerprint — must never observe each other's
      results (the paper's series-of-queries rule); the environment
      fingerprint separates them even though their bytes would
@@ -467,7 +454,7 @@ let replay_subcache t (tn : Tenancy.t) deps events =
 
 (* An entry a policy change of [tn] must migrate: the tenant's own,
    computed in the epoch that just ended. Another tenant's entries, and
-   ones stranded by an earlier non-policy rotation, are not ours. *)
+   ones stranded by an earlier subject-swap rotation, are not ours. *)
 let migrating (tn : Tenancy.t) ~old_env (e : _ entry) =
   owned tn e && String.equal e.env old_env
 
@@ -599,26 +586,11 @@ let set_policy ?subjects ?(tenant = Tenancy.default_id) t policy =
         Obs.with_span "serve.migrate" (fun () -> migrate t tn ~old_policy ~old_env);
       Ok ()
 
-let set_config ?(tenant = Tenancy.default_id) t config =
-  let tn = tenant_exn t tenant in
-  tn.Tenancy.config <- config;
-  Tenancy.rotate tn
-
-let set_pricing ?(tenant = Tenancy.default_id) t pricing =
-  let tn = tenant_exn t tenant in
-  tn.Tenancy.pricing <- pricing;
-  Tenancy.rotate tn
-
-let set_network ?(tenant = Tenancy.default_id) t network =
-  let tn = tenant_exn t tenant in
-  tn.Tenancy.network <- network;
-  Tenancy.rotate tn
-
 let invalidate t =
   Lru.clear t.cache;
   Lru.clear t.subcache;
   Planner.Dag.clear t.dag;
-  t.keys <- key_store t.seed
+  t.keys <- key_store ()
 
 let environment ?(tenant = Tenancy.default_id) t =
   (tenant_exn t tenant).Tenancy.env
@@ -646,10 +618,8 @@ let plan_once t (tn : Tenancy.t) ~qfp query =
   let denied kind message = entry (Denied { message; kind }) in
   match
     Planner.Optimizer.plan ~policy:tn.Tenancy.policy
-      ~subjects:tn.Tenancy.subjects ~config:tn.Tenancy.config
-      ~pricing:tn.Tenancy.pricing ~network:tn.Tenancy.network ~base:t.base
-      ?deliver_to:tn.Tenancy.deliver_to ?max_latency:tn.Tenancy.max_latency
-      query
+      ~subjects:tn.Tenancy.subjects ~pricing:tn.Tenancy.pricing ~base:t.base
+      ?deliver_to:tn.Tenancy.deliver_to query
   with
   | r ->
       (* deps and the DAG interning happen in [finalize], on the

@@ -9,14 +9,15 @@
 
     [cache key = query fingerprint × environment fingerprint]
 
-    where the environment covers the policy, the participating
-    subjects, the operation-requirement config, prices, bandwidths,
-    the recipient and the latency bound
-    ({!Planner.Optimizer.environment_fingerprint}). A cache hit skips
-    parsing-independent planning {e and} re-verification; any
-    [set_*] mutation rotates the environment fingerprint, so every
-    key formed under the old environment becomes unreachable — stale
-    plans are never served, and the bounded LRU ages them out.
+    where the environment covers the tenant's policy, participating
+    subjects, prices and recipient
+    ({!Planner.Optimizer.environment_fingerprint}; the
+    operation-requirement config and the bandwidths are the planner's
+    defaults, and no latency bound is set). A cache hit skips
+    parsing-independent planning {e and} re-verification; a policy or
+    subject change rotates the environment fingerprint, so every key
+    formed under the old environment becomes unreachable — stale plans
+    are never served, and the bounded LRU ages them out.
 
     {2 Incremental policy invalidation}
 
@@ -75,7 +76,7 @@
       ciphertext is position-bound (randomness derives from preorder
       positions). Structurally equal subtrees under {e different
       environments} (policy epoch, subject population, recipient,
-      config) never share — the environment fingerprint in the key is
+      tenant) never share — the environment fingerprint in the key is
       the leakage gate for the paper's series-of-queries rule.
 
     During the parallel exec phase the sub-plan cache is a frozen
@@ -115,14 +116,10 @@ val create :
   ?cache_capacity:int ->
   ?max_batch:int ->
   ?pool:Par.pool ->
-  ?config:Authz.Opreq.config ->
   ?pricing:Planner.Pricing.t ->
-  ?network:Planner.Network.t ->
   ?base:Planner.Estimate.base_stats ->
   ?deliver_to:Authz.Subject.t ->
-  ?max_latency:float ->
   ?udfs:(string * Engine.Exec.udf) list ->
-  ?seed:int64 ->
   ?sharing:bool ->
   ?now:(unit -> float) ->
   policy:Authz.Authorization.t ->
@@ -134,10 +131,11 @@ val create :
     LRU). [max_batch] is the admission bound: {!submit_batch} serves
     at most this many queries per round, queueing the rest (default
     32 — backpressure, so one huge batch cannot monopolize the pool).
-    [deliver_to] defaults to the first [User] among [subjects], when
-    any. [seed] fixes the keyring so ciphertext bytes are reproducible
-    across runs (default [42L]); the service keeps that keyring's
-    derived cluster keys and Paillier pair in one
+    [pricing] (default {!Planner.Pricing.make}[ ()]) prices every
+    tenant's plans. [deliver_to] defaults to the first [User] among
+    [subjects], when any. The keyring has the fixed seed [42L], so
+    ciphertext bytes are reproducible across runs; the service keeps
+    its derived cluster keys and Paillier pair in one
     {!Engine.Enc_exec.store} for its lifetime. [base] supplies cardinality
     statistics to the optimizer (default: none). [now] is the clock
     request deadlines are checked against (default
@@ -147,17 +145,17 @@ val create :
     [false] is the isolated baseline the differential tests compare
     against — responses are byte-identical either way. The sub-plan
     result tier is an LRU of 256 entries. The service starts with one
-    registered tenant, {!Tenancy.default_id}, built from
-    [policy]/[subjects] and the optional environment arguments; more
-    are added with {!add_tenant}. Raises {!Policy_conflict} when
+    registered tenant, {!Tenancy.default_id}, built from [policy],
+    [subjects], [pricing] and [deliver_to]; more are added with
+    {!add_tenant}. Raises {!Policy_conflict} when
     [policy] declares a loaded relation with a column its table lacks
     or whose cells are not of the declared type. *)
 
 (** {2 Tenants}
 
     Every request is served under a named tenant (default
-    {!Tenancy.default_id}): its policy, subjects, config, prices,
-    network, recipient and latency bound. The tenant id is a field of
+    {!Tenancy.default_id}): its policy, subjects, prices and
+    recipient. The tenant id is a field of
     the environment fingerprint, so tenants occupy disjoint key spaces
     in the plan and sub-plan caches — isolation is a property of key
     construction, not of locks, and [cross_tenant_hits] in {!stats}
@@ -169,18 +167,13 @@ val add_tenant :
   id:string ->
   ?policy:Authz.Authorization.t ->
   ?subjects:Authz.Subject.t list ->
-  ?config:Authz.Opreq.config ->
-  ?pricing:Planner.Pricing.t ->
-  ?network:Planner.Network.t ->
-  ?deliver_to:Authz.Subject.t ->
-  ?max_latency:float ->
   unit ->
   unit
-(** Register a new tenant. Unsupplied components are copied from the
-    default tenant's current values, with one exception: when
-    [subjects] is supplied and [deliver_to] is not, the recipient is
-    the first [User] among the tenant's own subjects (as in {!create}),
-    never the default tenant's. Raises [Invalid_argument] when
+(** Register a new tenant. It shares the default tenant's prices, and
+    its policy and subjects default to the default tenant's current
+    ones. Its recipient is the default tenant's when [subjects] is not
+    supplied, and otherwise the first [User] among its own subjects (as
+    in {!create}), never the default tenant's. Raises [Invalid_argument] when
     [id] is already registered, and {!Policy_conflict}, registering
     nothing, when the tenant's policy disagrees with the loaded tables
     as in {!create}. *)
@@ -191,7 +184,7 @@ val tenant_ids : t -> string list
 val tenant_stats : t -> (string * Tenancy.stats) list
 (** Per-tenant serving counters, in sorted id order. *)
 
-(** {2 Environment mutation — explicit invalidation} *)
+(** {2 Policy changes — explicit invalidation} *)
 
 val set_policy :
   ?subjects:Authz.Subject.t list ->
@@ -214,15 +207,11 @@ val set_policy :
     invalidation test). Raises [Invalid_argument] on an unknown
     tenant. *)
 
-val set_config : ?tenant:string -> t -> Authz.Opreq.config -> unit
-val set_pricing : ?tenant:string -> t -> Planner.Pricing.t -> unit
-val set_network : ?tenant:string -> t -> Planner.Network.t -> unit
-
 val invalidate : t -> unit
 (** Drop every cache entry (statistics survive), and replace the key
     store with an empty one: derived keys and the Paillier pair go, so
-    the next executions derive them again. The [set_*] calls above make
-    this unnecessary for correctness (keys do not depend on the policy,
+    the next executions derive them again. {!set_policy} makes this
+    unnecessary for correctness (keys do not depend on the policy,
     so they leave the store alone); it exists for explicit memory
     release. *)
 

@@ -2,11 +2,8 @@ type t = {
   id : string;
   mutable policy : Authz.Authorization.t;
   mutable subjects : Authz.Subject.t list;
-  mutable config : Authz.Opreq.config;
-  mutable pricing : Planner.Pricing.t;
-  mutable network : Planner.Network.t;
-  mutable deliver_to : Authz.Subject.t option;
-  mutable max_latency : float option;
+  pricing : Planner.Pricing.t;
+  deliver_to : Authz.Subject.t option;
   mutable env : string;
   mutable epoch : int;
   mutable queries : int;
@@ -21,12 +18,10 @@ let default_id = "default"
 
 let compute_env t =
   Planner.Optimizer.environment_fingerprint ~tenant:t.id ~policy:t.policy
-    ~subjects:t.subjects ~config:t.config ~pricing:t.pricing
-    ~network:t.network ?deliver_to:t.deliver_to ?max_latency:t.max_latency ()
+    ~subjects:t.subjects ~pricing:t.pricing ?deliver_to:t.deliver_to ()
 
-let make ~id ?(config = Authz.Opreq.default)
-    ?(pricing = Planner.Pricing.make ()) ?(network = Planner.Network.make ())
-    ?deliver_to ?max_latency ~policy ~subjects () =
+let make ~id ?(pricing = Planner.Pricing.make ()) ?deliver_to ~policy ~subjects
+    () =
   let deliver_to =
     match deliver_to with
     | Some _ as d -> d
@@ -36,9 +31,9 @@ let make ~id ?(config = Authz.Opreq.default)
           subjects
   in
   let t =
-    { id; policy; subjects; config; pricing; network; deliver_to;
-      max_latency; env = ""; epoch = 0; queries = 0; hits = 0; misses = 0;
-      rejections = 0; expired = 0; invalidated = 0 }
+    { id; policy; subjects; pricing; deliver_to; env = ""; epoch = 0;
+      queries = 0; hits = 0; misses = 0; rejections = 0; expired = 0;
+      invalidated = 0 }
   in
   t.env <- compute_env t;
   t

@@ -1,8 +1,10 @@
 (** Tenant registry: named planning environments sharing one service.
 
-    A tenant is everything the planner's environment fingerprint
-    covers — policy, subject population, operation-requirement config,
-    prices, bandwidths, recipient, latency bound — plus an identity.
+    A tenant is its policy, subject population and recipient, the
+    service's prices, and an identity. These are the planner inputs the
+    environment fingerprint varies over; the rest (the default
+    operation-requirement config and bandwidths, no latency bound) are
+    the same for every tenant.
     The identity is load-bearing: it is folded into the environment
     fingerprint as its own field
     ({!Planner.Optimizer.environment_fingerprint}'s [?tenant]), so two
@@ -23,11 +25,8 @@ type t = {
   id : string;
   mutable policy : Authz.Authorization.t;
   mutable subjects : Authz.Subject.t list;
-  mutable config : Authz.Opreq.config;
-  mutable pricing : Planner.Pricing.t;
-  mutable network : Planner.Network.t;
-  mutable deliver_to : Authz.Subject.t option;
-  mutable max_latency : float option;
+  pricing : Planner.Pricing.t;
+  deliver_to : Authz.Subject.t option;
   mutable env : string;  (** environment fingerprint, cached *)
   mutable epoch : int;  (** rotations since creation *)
   (* per-tenant serving counters, maintained by the service *)
@@ -40,23 +39,20 @@ type t = {
 }
 
 val default_id : string
-(** ["default"] — the tenant every request and every environment
-    mutation targets when none is named; single-tenant deployments
+(** ["default"] — the tenant every request and every policy change
+    targets when none is named; single-tenant deployments
     never see another id. *)
 
 val make :
   id:string ->
-  ?config:Authz.Opreq.config ->
   ?pricing:Planner.Pricing.t ->
-  ?network:Planner.Network.t ->
   ?deliver_to:Authz.Subject.t ->
-  ?max_latency:float ->
   policy:Authz.Authorization.t ->
   subjects:Authz.Subject.t list ->
   unit ->
   t
-(** [deliver_to] defaults to the first [User] among [subjects], when
-    any (the same rule the single-tenant service applied). The
+(** [pricing] defaults to {!Planner.Pricing.make}[ ()]; [deliver_to]
+    to the first [User] among [subjects], when any. The
     environment fingerprint is computed eagerly; epoch starts at 0. *)
 
 val compute_env : t -> string
@@ -64,8 +60,8 @@ val compute_env : t -> string
     including the [tenant:<id>] component. *)
 
 val rotate : t -> unit
-(** Recompute [env] and bump [epoch] — called after any in-place
-    mutation of the tenant's planning inputs. *)
+(** Recompute [env] and bump [epoch] — called after the tenant's
+    policy or subjects change in place. *)
 
 (** {2 Registry} *)
 

@@ -8,10 +8,9 @@
    2. warm = cold — a cache hit returns a plan structurally identical
       to a cold planning round, and executing both yields
       byte-identical tables (TPC-H and random queries);
-   3. invalidation — mutating a single permission (or the pricing,
-      network or capability config) makes the next lookup a miss, the
-      replanned plan re-passes the verifier, and stale entries are
-      never served;
+   3. invalidation — mutating a single permission (or the subject
+      population) makes the next lookup a miss, the replanned plan
+      re-passes the verifier, and stale entries are never served;
    4. concurrency — replaying a shuffled 200-query stream with
       interleaved policy mutations at 1 and 4 domains produces
       identical per-query responses and a deterministic final cache
@@ -354,6 +353,31 @@ let tpch_tables sf =
       (s.Schema.name, Engine.Table.of_schema s (List.assoc s.Schema.name data)))
     Tpch.Tpch_schema.all
 
+(* Every tenant's environment fingerprint, pinned by digest. Plan-cache
+   and sub-plan keys embed it, so a changed digest means every cached
+   key changed. The TPC-H service is built as test/cold_alloc.ml builds
+   it: the UA default tenant and one tenant per scenario. *)
+let test_environment_pinned () =
+  let digest svc tenant =
+    Digest.to_hex (Digest.string (Serve.Service.environment ~tenant svc))
+  in
+  let sf = 0.001 in
+  let tpch = tpch_service ~sf ~tables:(tpch_tables sf) Tpch.Scenarios.UA in
+  List.iter
+    (fun sc ->
+      Serve.Service.add_tenant tpch ~id:(Tpch.Scenarios.name sc)
+        ~policy:(Tpch.Scenarios.policy sc) ())
+    Tpch.Scenarios.all;
+  Alcotest.(check (list (pair string string)))
+    "tpch tenants"
+    [ ("UA", "4264feb16bd2b5bfe1a4a1a968c37749");
+      ("UAPenc", "97ee8ba9ef9557f915a9f70ee97c68db");
+      ("UAPmix", "82f9c6780e4339e9c0698ec899275d8f");
+      ("default", "c745881b2d1fd3fbe07e47e7ceffff8c") ]
+    (List.map (fun id -> (id, digest tpch id)) (Serve.Service.tenant_ids tpch));
+  Alcotest.(check string) "running example" "b492db8c274c498ee6d0f77417c1426b"
+    (digest (example_service ()) Serve.Tenancy.default_id)
+
 (* --- warm = cold ------------------------------------------------------ *)
 
 (* A warm hit must return a plan structurally identical to what cold
@@ -548,38 +572,6 @@ let test_policy_invalidation () =
   let s = Serve.Service.stats service in
   Alcotest.(check bool) "migration accounting" true
     (s.Serve.Service.invalidated >= 1 && s.Serve.Service.retained >= 1)
-
-let test_config_invalidation () =
-  let service = example_service () in
-  let warm () = Serve.Service.submit_sql service running_query in
-  ignore (warm ());
-  Alcotest.(check bool) "warm" true
-    ((warm ()).Serve.Service.status = Serve.Service.Hit);
-  (* pricing change: replanned, and replanning is real — the costed
-     plan may genuinely change, so the entry must re-verify *)
-  Serve.Service.set_pricing service
-    (Planner.Pricing.make ~provider_multipliers:[ ("X", 0.1) ] ());
-  let after_pricing = warm () in
-  Alcotest.(check bool) "pricing change invalidates" true
-    (after_pricing.Serve.Service.status = Serve.Service.Miss);
-  Alcotest.(check bool) "pricing replan warm again" true
-    ((warm ()).Serve.Service.status = Serve.Service.Hit);
-  (* network change *)
-  Serve.Service.set_network service (Planner.Network.make ~client_mbps:1.0 ());
-  Alcotest.(check bool) "network change invalidates" true
-    ((warm ()).Serve.Service.status = Serve.Service.Miss);
-  (* capability config change: strict forbids all computation over
-     ciphertext; the running example is still plannable *)
-  Serve.Service.set_config service Opreq.strict;
-  let after_config = warm () in
-  Alcotest.(check bool) "config change invalidates" true
-    (after_config.Serve.Service.status = Serve.Service.Miss);
-  match after_config.Serve.Service.outcome with
-  | Serve.Service.Table _ -> ()
-  | Serve.Service.Rejected msg ->
-      Alcotest.failf "strict config unexpectedly rejects: %s" msg
-  | Serve.Service.Expired why ->
-      Alcotest.failf "no deadline was set, yet expired: %s" why
 
 (* Concretize a stream's mutations (mixed grants and revokes) once, so
    every replay sees the same policy at the same position. *)
@@ -1608,13 +1600,13 @@ let () =
         [ ("attribute-set collision regression", `Quick,
            test_plan_fingerprint_no_set_collision);
           ("structural stability", `Quick, test_plan_fingerprint_structural);
-          ("environment sensitivity", `Quick, test_environment_sensitivity) ] );
+          ("environment sensitivity", `Quick, test_environment_sensitivity);
+          ("tenant environments pinned", `Quick, test_environment_pinned) ] );
       ( "warm=cold",
         [ ("tpch 4 queries x 3 scenarios", `Slow, test_tpch_warm_equals_cold);
           QCheck_alcotest.to_alcotest prop_warm_equals_cold ] );
       ( "invalidation",
         [ ("single-permission policy change", `Quick, test_policy_invalidation);
-          ("pricing/network/config change", `Quick, test_config_invalidation);
           ("set_policy spans", `Quick, test_set_policy_spans);
           ("policy disagreeing with the tables is refused", `Quick, test_policy_schema_refused);
           ("create and add_tenant check the tables", `Quick, test_create_checks_tables);

@@ -767,6 +767,43 @@ let test_session_limit () =
   Alcotest.(check int) "64 sessions accepted" 64 st.Serve.Server.sessions;
   Alcotest.(check int) "64 tables" 64 st.Serve.Server.tables
 
+(* More sessions than the session bound, one after another: the stats
+   keep the summaries of the 64 latest, sorted by id, and count the
+   rest, while the totals stay exact. *)
+let test_closed_summaries_bounded () =
+  let n = 70 in
+  let oracle = oracle_csv () in
+  let server =
+    with_server @@ fun server _service addr ->
+    for i = 0 to n - 1 do
+      match exchange addr [ queries.(i mod Array.length queries) ] with
+      | [ r ] ->
+          Alcotest.(check (option string))
+            (Printf.sprintf "session %d answered" i)
+            (Some oracle.(i mod Array.length queries))
+            (Serve.Client.table_csv r)
+      | rs ->
+          Alcotest.failf "session %d: expected one reply, got %d" i
+            (List.length rs)
+    done;
+    server
+  in
+  let st = Serve.Server.stats server in
+  Alcotest.(check int) "sessions" n st.Serve.Server.sessions;
+  Alcotest.(check int) "requests" n st.Serve.Server.requests;
+  Alcotest.(check int) "tables" n st.Serve.Server.tables;
+  Alcotest.(check (list int)) "the 64 latest summaries, by id"
+    (List.init 64 (fun i -> n - 64 + i))
+    (List.map (fun c -> c.Serve.Server.sum_sid) st.Serve.Server.closed);
+  Alcotest.(check int) "earlier summaries dropped" (n - 64)
+    st.Serve.Server.closed_dropped;
+  let line = Serve.Server.render_stats st in
+  Alcotest.(check int) "one entry per kept summary" 64
+    (List.length (String.split_on_char '#' line) - 1);
+  Alcotest.(check bool) "the line says how many were dropped" true
+    (Str.string_match (Str.regexp ".*per session (6 earlier dropped): #6\\[")
+       line 0)
+
 let test_deadline_at_admission () =
   with_server
     ~config:
@@ -1009,7 +1046,9 @@ let () =
           Alcotest.test_case "deadline refused at admission" `Quick
             test_deadline_at_admission;
           Alcotest.test_case "deadline between plan and exec" `Quick
-            test_deadline_between_plan_and_exec ] );
+            test_deadline_between_plan_and_exec;
+          Alcotest.test_case "closed-session summaries stay bounded" `Quick
+            test_closed_summaries_bounded ] );
       ( "shutdown",
         [ Alcotest.test_case "stop drains the backlog" `Quick
             test_shutdown_drains ] );
